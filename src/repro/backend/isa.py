@@ -33,14 +33,23 @@ SP = 15
 REG_NAMES = {i: f"r{i}" for i in range(15)}
 REG_NAMES[SP] = "sp"
 
-#: Operand format characters:
+#: Operand format characters and their ``struct`` codes (all little-endian):
 #:   r  - general register (1 byte)
 #:   v  - vector register (1 byte)
 #:   i16 - signed 16-bit immediate
 #:   i32 - signed 32-bit immediate
 #:   i64 - signed 64-bit immediate
 #:   u8  - unsigned 8-bit immediate
-_OPERAND_SIZES = {"r": 1, "v": 1, "i16": 2, "i32": 4, "i64": 8, "u8": 1}
+_STRUCT_CODES = {"r": "B", "v": "B", "i16": "h", "i32": "i", "i64": "q", "u8": "B"}
+
+#: Formats whose value must lie in ``[low, high]``, and the error otherwise.
+#: ``v`` and ``u8`` operands are truncated to a byte instead; ``i64`` is left
+#: to ``struct``.
+_OPERAND_BOUNDS = {
+    "r": (0, 15, "register index out of range: {}"),
+    "i16": (-(1 << 15), (1 << 15) - 1, "immediate does not fit in 16 bits: {}"),
+    "i32": (-(1 << 31), (1 << 31) - 1, "immediate does not fit in 32 bits: {}"),
+}
 
 
 @dataclass(frozen=True)
@@ -52,10 +61,28 @@ class OpcodeSpec:
     operands: Tuple[str, ...]
     #: Abstract latency in cycles, used by the cost model (Table 3).
     cycles: int = 1
+    #: Byte layout of the whole instruction: opcode byte, then the operands.
+    layout: struct.Struct = field(init=False, repr=False, compare=False)
+    #: Encoded size in bytes.
+    size: int = field(init=False, repr=False, compare=False)
+    #: (operand index, low, high, error template) per range-checked operand.
+    checked: Tuple[Tuple[int, int, int, str], ...] = field(init=False, repr=False, compare=False)
+    #: Indices of the operands truncated to one byte.
+    truncated: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def size(self) -> int:
-        return 1 + sum(_OPERAND_SIZES[fmt] for fmt in self.operands)
+    def __post_init__(self) -> None:
+        layout = struct.Struct("<B" + "".join(_STRUCT_CODES[fmt] for fmt in self.operands))
+        checked = tuple(
+            (index, *_OPERAND_BOUNDS[fmt])
+            for index, fmt in enumerate(self.operands)
+            if fmt in _OPERAND_BOUNDS
+        )
+        truncated = tuple(index for index, fmt in enumerate(self.operands) if fmt in ("v", "u8"))
+        # The dataclass is frozen; these are derived once, here.
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "size", layout.size)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "truncated", truncated)
 
 
 _SPECS: List[OpcodeSpec] = [
@@ -207,26 +234,6 @@ class MachInstr:
         return text.strip()
 
 
-def _pack_operand(fmt: str, value: int) -> bytes:
-    if fmt == "r" or fmt == "v":
-        if not 0 <= value <= 15 and fmt == "r":
-            raise EncodingError(f"register index out of range: {value}")
-        return struct.pack("<B", value & 0xFF)
-    if fmt == "u8":
-        return struct.pack("<B", value & 0xFF)
-    if fmt == "i16":
-        if not -(1 << 15) <= value < (1 << 15):
-            raise EncodingError(f"immediate does not fit in 16 bits: {value}")
-        return struct.pack("<h", value)
-    if fmt == "i32":
-        if not -(1 << 31) <= value < (1 << 31):
-            raise EncodingError(f"immediate does not fit in 32 bits: {value}")
-        return struct.pack("<i", value)
-    if fmt == "i64":
-        return struct.pack("<q", value)
-    raise EncodingError(f"unknown operand format {fmt!r}")  # pragma: no cover
-
-
 def encode_instruction(instr: MachInstr) -> bytes:
     """Encode one instruction to bytes.  Symbolic operands must be resolved."""
     spec = instr.spec
@@ -234,22 +241,13 @@ def encode_instruction(instr: MachInstr) -> bytes:
         raise EncodingError(
             f"{instr.name}: expected {len(spec.operands)} operands, got {len(instr.operands)}"
         )
-    out = bytearray([spec.code])
-    for fmt, operand in zip(spec.operands, instr.operands):
-        out += _pack_operand(fmt, int(operand))
-    return bytes(out)
-
-
-def _unpack_operand(fmt: str, data: bytes, offset: int) -> Tuple[int, int]:
-    if fmt in ("r", "v", "u8"):
-        return data[offset], offset + 1
-    if fmt == "i16":
-        return struct.unpack_from("<h", data, offset)[0], offset + 2
-    if fmt == "i32":
-        return struct.unpack_from("<i", data, offset)[0], offset + 4
-    if fmt == "i64":
-        return struct.unpack_from("<q", data, offset)[0], offset + 8
-    raise EncodingError(f"unknown operand format {fmt!r}")  # pragma: no cover
+    values = [int(operand) for operand in instr.operands]
+    for index, low, high, message in spec.checked:
+        if not low <= values[index] <= high:
+            raise EncodingError(message.format(values[index]))
+    for index in spec.truncated:
+        values[index] &= 0xFF
+    return spec.layout.pack(spec.code, *values)
 
 
 def decode_instruction(data: bytes, offset: int = 0) -> Tuple[MachInstr, int]:
@@ -260,14 +258,10 @@ def decode_instruction(data: bytes, offset: int = 0) -> Tuple[MachInstr, int]:
     spec = OPCODES.get(code)
     if spec is None:
         raise EncodingError(f"unknown opcode 0x{code:02x} at offset {offset}")
-    operands: List[int] = []
-    cursor = offset + 1
-    for fmt in spec.operands:
-        if cursor + _OPERAND_SIZES[fmt] > len(data):
-            raise EncodingError(f"truncated instruction at offset {offset}")
-        value, cursor = _unpack_operand(fmt, data, cursor)
-        operands.append(value)
-    return MachInstr(spec.name, operands), cursor
+    end = offset + spec.size
+    if end > len(data):
+        raise EncodingError(f"truncated instruction at offset {offset}")
+    return MachInstr(spec.name, list(spec.layout.unpack_from(data, offset)[1:])), end
 
 
 def decode_stream(data: bytes, start: int = 0, end: Optional[int] = None) -> List[Tuple[int, MachInstr]]:

@@ -70,15 +70,15 @@ def link_module(
         layout.function_offsets[code.name] = offset
         offsets: List[int] = []
         padding: Dict[int, int] = {}
-        labels_by_index: Dict[int, List[str]] = {}
-        for label, index in code.label_positions.items():
-            labels_by_index.setdefault(index, []).append(label)
+        # instruction index -> strictest alignment requested by a label there
+        alignments: Dict[int, int] = {}
+        for label, alignment in code.block_aligns.items():
+            index = code.label_positions.get(label)
+            if index is not None and alignment > alignments.get(index, 1):
+                alignments[index] = alignment
         for index, instr in enumerate(code.instructions):
-            alignment = 1
-            for label in labels_by_index.get(index, []):
-                alignment = max(alignment, code.block_aligns.get(label, 1))
-            if alignment > 1:
-                aligned = _align_up(offset, alignment)
+            if index in alignments:
+                aligned = _align_up(offset, alignments[index])
                 if aligned != offset:
                     padding[index] = aligned - offset
                     offset = aligned
@@ -114,15 +114,15 @@ def link_module(
     # ---- pass 3: patch and encode ------------------------------------------
     text = bytearray()
     for code in codes:
-        start = layout.function_offsets[code.name]
-        while len(text) < start:
-            text.append(0x00)  # nop padding between functions
+        # nop (0x00) padding between functions and before aligned blocks
+        text += bytes(layout.function_offsets[code.name] - len(text))
         offsets = layout.instruction_offsets[code.name]
         padding = layout.padding_before[code.name]
         for index, instr in enumerate(code.instructions):
-            for _ in range(padding.get(index, 0)):
-                text.append(0x00)
-            _patch_instruction(instr, code, offsets[index], layout, module)
+            if index in padding:
+                text += bytes(padding[index])
+            if instr.target is not None or instr.symbol is not None:
+                _patch_instruction(instr, code, offsets[index], layout)
             text += encode_instruction(instr)
 
     data_bytes = bytearray()
@@ -177,8 +177,8 @@ def _patch_instruction(
     code: FunctionCode,
     instr_offset: int,
     layout: _Layout,
-    module: IRModule,
 ) -> None:
+    """Resolve the symbolic branch/call target and data symbol of ``instr``."""
     if instr.target is not None:
         if instr.name in ("jmp",):
             target = _resolve_label(code, instr.target, layout)

@@ -65,44 +65,46 @@ def _live_intervals(function: IRFunction) -> Dict[str, Tuple[int, int]]:
     which would let the allocator clobber it.  Block-local temps — the vast
     majority — keep their tight intervals.
     """
-    intervals: Dict[str, Tuple[int, int]] = {}
+    intervals: Dict[str, List[int]] = {}  # name -> [first, last], updated in place
     defining_block: Dict[str, str] = {}
-    crosses_blocks: Dict[str, bool] = {}
-    # First sweep: record every temp's defining block (layout-independent).
+    # name -> the one block that uses it, or None once a second block does
+    using_block: Dict[str, Optional[str]] = {}
+    position = 0
     for block in function.iter_blocks():
+        label = block.label
         for instr in block.instructions:
             for temp in instr.defs():
-                defining_block.setdefault(temp.name, block.label)
-    position = 0
-    total = 0
-    for block in function.iter_blocks():
-        for instr in block.instructions:
+                name = temp.name
+                defining_block.setdefault(name, label)
+                if name in intervals:
+                    intervals[name][1] = position
+                else:
+                    intervals[name] = [position, position]
             for value in instr.uses():
                 if isinstance(value, Temp):
-                    if defining_block.get(value.name, block.label) != block.label:
-                        crosses_blocks[value.name] = True
-            names = [t.name for t in instr.defs()]
-            names.extend(v.name for v in instr.uses() if isinstance(v, Temp))
-            for name in names:
-                if name in intervals:
-                    start, _ = intervals[name]
-                    intervals[name] = (start, position)
-                else:
-                    intervals[name] = (position, position)
+                    name = value.name
+                    if name in intervals:
+                        intervals[name][1] = position
+                    else:
+                        intervals[name] = [position, position]
+                    if using_block.setdefault(name, label) != label:
+                        using_block[name] = None
             position += 1
-    total = position
-    for name, crossing in crosses_blocks.items():
-        if crossing and name in intervals:
-            intervals[name] = (0, total)
-    return intervals
+    # A temp used outside its defining block (wherever that sits in the
+    # layout) is live across the whole function.
+    for name, label in using_block.items():
+        if defining_block.get(name, label) != label:
+            intervals[name] = [0, position]
+    return {name: (first, last) for name, (first, last) in intervals.items()}
 
 
 def _vector_temps(function: IRFunction) -> List[str]:
-    names: List[str] = []
-    for instr in function.instructions():
-        if isinstance(instr, (VecLoad, VecBinOp)):
-            names.append(instr.dest.name)
-    return names
+    return [
+        instr.dest.name
+        for block in function.blocks.values()
+        for instr in block.instructions
+        if isinstance(instr, (VecLoad, VecBinOp))
+    ]
 
 
 def allocate_registers(function: IRFunction, enable: bool = True) -> RegisterAssignment:
@@ -136,7 +138,9 @@ def allocate_registers(function: IRFunction, enable: bool = True) -> RegisterAss
     spill_slots = 0
 
     for name, (start, end) in ordered:
-        active = [entry for entry in active if not _expire(entry, start, assignment, free)]
+        # ``active`` is sorted by end position: nothing expires unless its head does.
+        if active and active[0][0] < start:
+            active = [entry for entry in active if not _expire(entry, start, assignment, free)]
         if free:
             register = free.pop(0)
             assignment.registers[name] = register

@@ -82,6 +82,7 @@ class Compiler:
 
     def frontend(self, source: Union[str, ast.Program], name: str = "program") -> IRModule:
         """Parse, analyze and lower a program to IR (cached per source text)."""
+        cache_key: Optional[str] = None
         if isinstance(source, ast.Program):
             program = source
         else:
@@ -98,8 +99,8 @@ class Compiler:
             module = build_module(program, info)
         except SemanticError as exc:
             raise CompilationError(f"semantic error: {exc}") from exc
-        if isinstance(source, str):
-            self._frontend_cache[hashlib.sha256(source.encode()).hexdigest()] = module.clone()
+        if cache_key is not None:
+            self._frontend_cache[cache_key] = module.clone()
         return module
 
     def compile(
@@ -119,9 +120,12 @@ class Compiler:
             module = source.clone()
         else:
             module = self.frontend(source, name=name)
-        optimized = self.pass_manager.run(module, flags, clone=False)
+        effects = self.registry.effects(flags.enabled)
+        optimized = self.pass_manager.run(module, flags, clone=False, effects=effects)
         optimized = self._post_ir_passes(optimized, flags)
-        options = self._personalize_codegen(self.pass_manager.codegen_options(flags), flags)
+        options = self._personalize_codegen(
+            self.pass_manager.codegen_options(flags, effects), flags
+        )
         from repro.opt.pass_manager import optimization_report
 
         metadata = {

@@ -193,6 +193,9 @@ class TuningService:
         limits = self.config.limits
         self._lock = threading.Lock()
         self._db_lock = threading.Lock()
+        #: Held across snapshot *and* write so ``jobs.json`` never goes back in
+        #: time; taken before ``_lock``, never while holding it.
+        self._persist_lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
         self._next_seq = 1
         self._accounting = TenantAccounting()
@@ -300,25 +303,26 @@ class TuningService:
         path = self._jobs_path()
         if path is None:
             return
-        with self._lock:
-            rows = []
-            for job in self._jobs.values():
-                rows.append(
-                    {
-                        "job_id": job.job_id,
-                        "submitted_seq": job.submitted_seq,
-                        "spec": job.spec.as_dict(),
-                        "state": job.state,
-                        "generations_done": job.generations_done,
-                        "error": job.error,
-                        "result": job.result,
-                        "stats": job.stats.as_dict(),
-                    }
-                )
-            payload = {"version": STATE_VERSION, "next_seq": self._next_seq,
-                       "jobs": rows}
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_text_atomic(path, json.dumps(payload, indent=2))
+        with self._persist_lock:
+            with self._lock:
+                rows = []
+                for job in self._jobs.values():
+                    rows.append(
+                        {
+                            "job_id": job.job_id,
+                            "submitted_seq": job.submitted_seq,
+                            "spec": job.spec.as_dict(),
+                            "state": job.state,
+                            "generations_done": job.generations_done,
+                            "error": job.error,
+                            "result": job.result,
+                            "stats": job.stats.as_dict(),
+                        }
+                    )
+                payload = {"version": STATE_VERSION, "next_seq": self._next_seq,
+                           "jobs": rows}
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write_text_atomic(path, json.dumps(payload, indent=2))
 
     def _restore_state(self) -> None:
         """Reload the job table and database shards; unfinished jobs re-queue.

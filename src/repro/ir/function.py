@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional
 
@@ -146,7 +145,25 @@ class IRFunction:
         self.blocks = {label: self.blocks[label] for label in order}
 
     def clone(self) -> "IRFunction":
-        return copy.deepcopy(self)
+        """An independent copy: fresh blocks, instructions and local slots.
+
+        Operand values (``Temp``/``ConstInt``/``SymbolRef``) are immutable and
+        stay shared.
+        """
+        return IRFunction(
+            name=self.name,
+            params=list(self.params),
+            blocks={label: block.clone() for label, block in self.blocks.items()},
+            entry=self.entry,
+            locals={
+                name: LocalVariable(local.name, local.size, local.is_array)
+                for name, local in self.locals.items()
+            },
+            returns_value=self.returns_value,
+            is_static=self.is_static,
+            _temp_counter=self._temp_counter,
+            _label_counter=self._label_counter,
+        )
 
     def ensure_terminated(self) -> None:
         """Append a trailing return to any unterminated block."""
@@ -199,7 +216,15 @@ class IRModule:
         return list(self.functions.keys())
 
     def clone(self) -> "IRModule":
-        return copy.deepcopy(self)
+        """An independent copy of every function and global (see ``IRFunction.clone``)."""
+        return IRModule(
+            name=self.name,
+            functions={name: function.clone() for name, function in self.functions.items()},
+            globals={
+                name: GlobalData(data.name, data.size, list(data.init), data.is_const, data.is_string)
+                for name, data in self.globals.items()
+            },
+        )
 
     def total_instructions(self) -> int:
         return sum(fn.instruction_count() for fn in self.functions.values())

@@ -16,7 +16,7 @@ from repro.ir.instructions import (
     LoadVar,
     StoreVar,
 )
-from repro.ir.values import Temp, Value
+from repro.ir.values import Value
 
 
 class CloneNamer:
@@ -26,12 +26,18 @@ class CloneNamer:
         self.function = function
         self.tag = tag
 
-    def temp_map(self, instructions: Iterable[Instruction]) -> Dict[str, Temp]:
-        mapping: Dict[str, Temp] = {}
+    def temp_map(self, instructions: Iterable[Instruction]) -> Dict[Value, Value]:
+        """Old temp -> fresh temp for every temp the instructions define.
+
+        Built once per cloned region and handed to every
+        :func:`rename_instruction` call of that region, where it doubles as
+        the ``replace_uses`` substitution.
+        """
+        mapping: Dict[Value, Value] = {}
         for instr in instructions:
             for temp in instr.defs():
-                if temp.name not in mapping:
-                    mapping[temp.name] = self.function.new_temp(f"{self.tag}_")
+                if temp not in mapping:
+                    mapping[temp] = self.function.new_temp(f"{self.tag}_")
         return mapping
 
     def label_map(self, labels: Iterable[str]) -> Dict[str, str]:
@@ -40,28 +46,21 @@ class CloneNamer:
 
 def rename_instruction(
     instr: Instruction,
-    temp_map: Dict[str, Temp],
+    temp_map: Dict[Value, Value],
     label_map: Optional[Dict[str, str]] = None,
     var_map: Optional[Dict[str, str]] = None,
 ) -> Instruction:
     """Clone ``instr`` applying temp, label and variable-slot renamings."""
     clone = instr.clone()
-    # Rewrite defined temps.
-    for attr in ("dest",):
-        current = getattr(clone, attr, None)
-        if isinstance(current, Temp) and current.name in temp_map:
-            setattr(clone, attr, temp_map[current.name])
-    # Rewrite used temps.
-    substitution: Dict[Value, Value] = {
-        Temp(old): new for old, new in temp_map.items()
-    }
-    clone.replace_uses(substitution)
+    # Rewrite the defined temp, then the used ones.
+    dest = getattr(clone, "dest", None)
+    if dest is not None and dest in temp_map:
+        clone.dest = temp_map[dest]
+    clone.replace_uses(temp_map)
     if label_map:
         clone.retarget(label_map)
     if var_map:
-        if isinstance(clone, (LoadVar, AddrOf)) and clone.var in var_map:
-            clone.var = var_map[clone.var]
-        elif isinstance(clone, StoreVar) and clone.var in var_map:
+        if isinstance(clone, (LoadVar, AddrOf, StoreVar)) and clone.var in var_map:
             clone.var = var_map[clone.var]
     return clone
 

@@ -48,15 +48,26 @@ class FlagRegistry:
     #: (a, b) pairs that must not be enabled together.
     conflicts: List[Tuple[str, str]] = field(default_factory=list)
     presets: Dict[str, FrozenSet[str]] = field(default_factory=dict)
+    #: name -> Flag over ``flags``, built on first lookup (see ``_index``).
+    _by_name: Dict[str, Flag] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def flag_names(self) -> List[str]:
         return [flag.name for flag in self.flags]
 
+    def _index(self) -> Dict[str, Flag]:
+        # ``flags`` is a public list that callers extend by hand, so the index
+        # is rebuilt whenever it no longer has one entry per flag.
+        if len(self._by_name) != len(self.flags):
+            self._by_name = {}
+            for flag in self.flags:
+                self._by_name.setdefault(flag.name, flag)
+        return self._by_name
+
     def flag(self, name: str) -> Flag:
-        for flag in self.flags:
-            if flag.name == name:
-                return flag
-        raise KeyError(name)
+        return self._index()[name]
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._index()
 
     def __len__(self) -> int:
         return len(self.flags)
@@ -75,8 +86,9 @@ class FlagRegistry:
         identical across processes for parallel evaluation to be reproducible.
         """
         out: Dict[str, Optional[int]] = {}
+        index = self._index()
         for name in sorted(enabled):
-            flag = self.flag(name)
+            flag = index[name]
             if flag.effect != "none":
                 out[flag.effect] = flag.parameter if flag.parameter is not None else out.get(flag.effect)
         return out
@@ -90,7 +102,7 @@ class FlagVector:
     enabled: FrozenSet[str] = frozenset()
 
     def __post_init__(self) -> None:
-        unknown = self.enabled - set(self.registry.flag_names())
+        unknown = [name for name in self.enabled if name not in self.registry]
         if unknown:
             raise ValueError(f"unknown flags for {self.registry.compiler}: {sorted(unknown)}")
 

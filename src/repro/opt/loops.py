@@ -56,11 +56,14 @@ class CountedLoop:
     bound_var: Optional[str] = None
 
 
-def _single_body_loops(function: IRFunction) -> List[CountedLoop]:
-    """Find canonical counted loops with a single body block."""
+def _single_body_loops(function: IRFunction, graph: cfg.CFG) -> List[CountedLoop]:
+    """Find canonical counted loops with a single body block.
+
+    ``graph`` is the caller's snapshot of ``function`` as it is now.
+    """
     loops: List[CountedLoop] = []
-    preds = cfg.predecessors_map(function)
-    for loop in cfg.natural_loops(function):
+    preds = graph.predecessors
+    for loop in cfg.natural_loops(function, graph):
         header = function.blocks.get(loop.header)
         if header is None:
             continue
@@ -231,7 +234,7 @@ def unroll_loops(
     body ``partial_factor`` times inside the loop (keeping intermediate exit
     tests, so the transformation is always safe).  Returns #loops changed."""
     changed = 0
-    for loop in _single_body_loops(function):
+    for loop in _single_body_loops(function, cfg.CFG(function)):
         body = function.blocks.get(loop.body)
         header = function.blocks.get(loop.header)
         if body is None or header is None:
@@ -253,6 +256,12 @@ def _loop_body_labels(loop: CountedLoop) -> List[str]:
     if loop.step_block:
         labels.append(loop.step_block)
     return labels
+
+
+def _loop_entries(graph: cfg.CFG, loop: CountedLoop) -> List[str]:
+    """Predecessors of the loop header from outside the loop."""
+    inside = _loop_body_labels(loop) + [loop.header]
+    return [p for p in graph.predecessors.get(loop.header, []) if p not in inside]
 
 
 def _fully_unroll(function: IRFunction, loop: CountedLoop, trip: int) -> None:
@@ -308,9 +317,9 @@ def _partially_unroll(function: IRFunction, loop: CountedLoop, factor: int) -> b
 def peel_loops(function: IRFunction, iterations: int = 1) -> int:
     """Peel the first iteration(s) of canonical loops (``-fpeel-loops``)."""
     changed = 0
-    for loop in _single_body_loops(function):
-        preds = cfg.predecessors_map(function)
-        entries = [p for p in preds.get(loop.header, []) if p not in (_loop_body_labels(loop) + [loop.header])]
+    graph = cfg.CFG(function)
+    for loop in _single_body_loops(function, graph):
+        entries = _loop_entries(graph, loop)
         if len(entries) != 1:
             continue
         entry_block = function.blocks[entries[0]]
@@ -324,6 +333,7 @@ def peel_loops(function: IRFunction, iterations: int = 1) -> int:
         terminator = entry_block.terminator
         if terminator is not None:
             terminator.retarget({loop.header: label_map[loop.header]})
+        graph = cfg.CFG(function)  # the peeled copy changed control flow
         changed += 1
     return changed
 
@@ -336,12 +346,12 @@ def peel_loops(function: IRFunction, iterations: int = 1) -> int:
 def hoist_loop_invariants(function: IRFunction) -> int:
     """Hoist pure, loop-invariant computations into a preheader block."""
     hoisted = 0
-    for loop in _single_body_loops(function):
+    graph = cfg.CFG(function)
+    for loop in _single_body_loops(function, graph):
         body = function.blocks.get(loop.body)
         if body is None:
             continue
-        preds = cfg.predecessors_map(function)
-        entries = [p for p in preds.get(loop.header, []) if p not in (_loop_body_labels(loop) + [loop.header])]
+        entries = _loop_entries(graph, loop)
         if len(entries) != 1:
             continue
         stored_vars = {
@@ -389,6 +399,7 @@ def hoist_loop_invariants(function: IRFunction) -> int:
         entry_terminator = function.blocks[entries[0]].terminator
         if entry_terminator is not None:
             entry_terminator.retarget({loop.header: preheader_label})
+        graph = cfg.CFG(function)  # the preheader changed control flow
         hoisted += len(invariant)
     return hoisted
 
@@ -407,7 +418,8 @@ def vectorize_loops(function: IRFunction, width: int = 4) -> int:
     shown in the paper's Figure 3(c).
     """
     vectorized = 0
-    for loop in _single_body_loops(function):
+    graph = cfg.CFG(function)
+    for loop in _single_body_loops(function, graph):
         if loop.step != 1 or loop.compare_op != "lt":
             continue
         if isinstance(loop.bound, Temp) and loop.bound_var is None:
@@ -424,8 +436,7 @@ def vectorize_loops(function: IRFunction, width: int = 4) -> int:
         load_a, load_b, binop, store_c = pattern
         if binop.op not in ("add", "sub", "mul"):
             continue
-        preds = cfg.predecessors_map(function)
-        entries = [p for p in preds.get(loop.header, []) if p not in (_loop_body_labels(loop) + [loop.header])]
+        entries = _loop_entries(graph, loop)
         if len(entries) != 1:
             continue
         entry_block = function.blocks[entries[0]]
@@ -470,6 +481,7 @@ def vectorize_loops(function: IRFunction, width: int = 4) -> int:
         entry_terminator = entry_block.terminator
         if entry_terminator is not None:
             entry_terminator.retarget({loop.header: vheader_label})
+        graph = cfg.CFG(function)  # the vector loop changed control flow
         vectorized += 1
     return vectorized
 

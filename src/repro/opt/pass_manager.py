@@ -127,10 +127,21 @@ class PassManager:
 
     # -- run -------------------------------------------------------------------
 
-    def run(self, module: IRModule, flags: FlagVector, clone: bool = True) -> IRModule:
-        """Apply the IR pipeline for ``flags`` to ``module`` (clone by default)."""
+    def run(
+        self,
+        module: IRModule,
+        flags: FlagVector,
+        clone: bool = True,
+        effects: Optional[Dict[str, Optional[int]]] = None,
+    ) -> IRModule:
+        """Apply the IR pipeline for ``flags`` to ``module`` (clone by default).
+
+        ``effects`` is ``registry.effects(flags.enabled)`` when the caller has
+        already resolved it.
+        """
         target = module.clone() if clone else module
-        effects = self.registry.effects(flags.enabled)
+        if effects is None:
+            effects = self.registry.effects(flags.enabled)
         statistics: Dict[str, int] = {}
 
         def record(name: str, count: int) -> None:
@@ -209,14 +220,16 @@ class PassManager:
             record("reorder_functions", reorder_functions(target))
 
         verify_module(target)
-        target_pipeline = self.plan(flags)
-        target_pipeline.pass_statistics = statistics
         # Stash the statistics on the module for callers that want a report.
         setattr(target, "_last_pass_statistics", statistics)
         return target
 
-    def codegen_options(self, flags: FlagVector) -> CodegenOptions:
-        return self._codegen_options(self.registry.effects(flags.enabled))
+    def codegen_options(
+        self, flags: FlagVector, effects: Optional[Dict[str, Optional[int]]] = None
+    ) -> CodegenOptions:
+        if effects is None:
+            effects = self.registry.effects(flags.enabled)
+        return self._codegen_options(effects)
 
 
 def optimization_report(module: IRModule) -> Dict[str, int]:

@@ -13,7 +13,7 @@ whether anything happened.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.ir import cfg
 from repro.ir.function import IRFunction, IRModule
@@ -100,14 +100,14 @@ _IDENTITY_RULES = {
 def constant_fold_function(function: IRFunction) -> int:
     """Fold constant expressions and algebraic identities.  Returns #rewrites."""
     rewrites = 0
-    known: Dict[str, Value]
+    known: Dict[Value, Value]
     for block in function.blocks.values():
         known = {}
         new_instructions = []
         for instr in block.instructions:
             # Substitute temps already known to be constants/copies.
             if known:
-                instr.replace_uses({Temp(name): value for name, value in known.items()})
+                instr.replace_uses(known)
             replacement = instr
             if isinstance(instr, BinOp):
                 lhs, rhs = instr.lhs, instr.rhs
@@ -142,10 +142,8 @@ def constant_fold_function(function: IRFunction) -> int:
                 replacement = Jump(target)
                 rewrites += 1
             # Track constants and copies for in-block propagation.
-            if isinstance(replacement, Move) and isinstance(replacement.src, (ConstInt, SymbolRef)):
-                known[replacement.dest.name] = replacement.src
-            elif isinstance(replacement, Move) and isinstance(replacement.src, Temp):
-                known[replacement.dest.name] = replacement.src
+            if isinstance(replacement, Move) and isinstance(replacement.src, (ConstInt, SymbolRef, Temp)):
+                known[replacement.dest] = replacement.src
             new_instructions.append(replacement)
         block.instructions = new_instructions
     return rewrites
@@ -187,44 +185,65 @@ def eliminate_dead_code(function: IRFunction) -> int:
             removed += len(function.blocks[label].instructions)
             function.remove_block(label)
 
-    changed = True
-    while changed:
-        changed = False
-        uses: Dict[str, int] = {}
-        for instr in function.instructions():
-            for value in instr.uses():
-                if isinstance(value, Temp):
-                    uses[value.name] = uses.get(value.name, 0) + 1
-        loaded_vars: Set[str] = set()
-        address_taken: Set[str] = set()
-        for instr in function.instructions():
-            if isinstance(instr, LoadVar):
-                loaded_vars.add(instr.var)
-            elif isinstance(instr, AddrOf):
-                address_taken.add(instr.var)
-        for block in function.blocks.values():
-            kept = []
-            for instr in block.instructions:
-                if (
-                    not instr.has_side_effects
-                    and not instr.is_terminator
-                    and instr.defs()
-                    and all(temp.name not in uses for temp in instr.defs())
-                ):
-                    removed += 1
-                    changed = True
-                    continue
-                if (
-                    isinstance(instr, StoreVar)
-                    and instr.var in function.locals
-                    and instr.var not in loaded_vars
-                    and instr.var not in address_taken
-                ):
-                    removed += 1
-                    changed = True
-                    continue
-                kept.append(instr)
-            block.instructions = kept
+    # Count every temp's uses and every slot's observers (loads, address-of)
+    # once; then removing an instruction only touches its own operands, and a
+    # count reaching zero puts the instructions it was keeping alive back on
+    # the worklist.
+    instructions = [instr for block in function.blocks.values() for instr in block.instructions]
+    defined: List[List[str]] = []
+    used: List[List[str]] = []
+    uses: Dict[str, int] = {}
+    definers: Dict[str, List[int]] = {}
+    observers: Dict[str, int] = {}
+    stores: Dict[str, List[int]] = {}
+    for index, instr in enumerate(instructions):
+        defined.append([temp.name for temp in instr.defs()])
+        used.append([value.name for value in instr.uses() if isinstance(value, Temp)])
+        for name in defined[index]:
+            definers.setdefault(name, []).append(index)
+        for name in used[index]:
+            uses[name] = uses.get(name, 0) + 1
+        if isinstance(instr, (LoadVar, AddrOf)):
+            observers[instr.var] = observers.get(instr.var, 0) + 1
+        elif isinstance(instr, StoreVar):
+            stores.setdefault(instr.var, []).append(index)
+
+    dead = [False] * len(instructions)
+    worklist = list(range(len(instructions)))
+    while worklist:
+        index = worklist.pop()
+        if dead[index]:
+            continue
+        instr = instructions[index]
+        if isinstance(instr, StoreVar):
+            if instr.var not in function.locals or observers.get(instr.var):
+                continue
+        elif (
+            instr.has_side_effects
+            or instr.is_terminator
+            or not defined[index]
+            or any(uses.get(name) for name in defined[index])
+        ):
+            continue
+        dead[index] = True
+        removed += 1
+        for name in used[index]:
+            uses[name] -= 1
+            if not uses[name]:
+                worklist.extend(definers.get(name, ()))
+        if isinstance(instr, (LoadVar, AddrOf)):
+            observers[instr.var] -= 1
+            if not observers[instr.var]:
+                worklist.extend(stores.get(instr.var, ()))
+
+    start = 0
+    for block in function.blocks.values():
+        end = start + len(block.instructions)
+        if any(dead[start:end]):
+            block.instructions = [
+                instr for instr, gone in zip(block.instructions, dead[start:end]) if not gone
+            ]
+        start = end
     return removed
 
 
@@ -298,13 +317,19 @@ def simplify_cfg(function: IRFunction) -> int:
                         changed = True
                         rewrites += 1
         # Drop now-unreachable trivial blocks.
-        reachable = cfg.reachable_blocks(function)
+        graph = cfg.CFG(function)
+        reachable = cfg.reachable_blocks(function, graph)
         for label in list(function.blocks):
             if label not in reachable:
                 function.remove_block(label)
                 changed = True
         # Merge A -> B when A's only successor is B and B's only predecessor is A.
-        preds = cfg.predecessors_map(function)
+        # The map is this loop's own copy (edges from the blocks just dropped
+        # left out) and is kept current across merges.
+        preds = {
+            label: [pred for pred in graph.predecessors[label] if pred in reachable]
+            for label in function.blocks
+        }
         for label in list(function.blocks):
             if label not in function.blocks:
                 continue
@@ -320,7 +345,12 @@ def simplify_cfg(function: IRFunction) -> int:
             successor = function.blocks[target]
             block.instructions = block.instructions[:-1] + successor.instructions
             function.remove_block(target)
-            preds = cfg.predecessors_map(function)
+            # The merged block takes over the absorbed block's out-edges.
+            del preds[target]
+            for succ in cfg.successors(function, label):
+                if succ in preds:
+                    sources = preds[succ]
+                    sources[sources.index(target)] = label
             changed = True
             rewrites += 1
     return rewrites

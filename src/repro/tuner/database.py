@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -31,12 +32,19 @@ def write_text_atomic(path: Path, text: str) -> None:
 
     Checkpoints are written after every generation precisely so a kill can
     land at any moment; a plain ``write_text`` interrupted mid-write leaves
-    truncated JSON that poisons every later resume.
+    truncated JSON that poisons every later resume.  The temp file's name is
+    unique per concurrent call (process and thread id; same directory, so the
+    replace stays atomic): two threads writing the same path must not replace
+    each other's temp file away.
     """
     path = Path(path)
-    temporary = path.with_name(path.name + ".tmp")
-    temporary.write_text(text)
-    os.replace(temporary, path)
+    temporary = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        temporary.write_text(text)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
