@@ -1,6 +1,6 @@
 """Table 3: execution speedup comparison (O3 vs BinTuner, relative to O0),
 plus the evaluation-engine serial-vs-parallel wall-clock / cache-hit report
-and the staged-vs-monolithic pipeline comparison (per-stage wall clock,
+and the cold / warm / restart pipeline comparison (per-stage wall clock,
 artifact-cache hit ratio, plus the cold-vs-warm-*restart* wall clock,
 tier-2 disk-store hit ratio, the cold-join-vs-mesh-join wall clock and
 mesh hit ratio of a fresh machine joining over the artifact mesh, and the
@@ -71,8 +71,7 @@ def test_pipeline_comparison(benchmark, tuning_config, bench_benchmarks):
         config=tuning_config,
     )
     stages = report["stage_seconds"]
-    print("\nEvaluation pipeline — staged vs. monolithic (2-program campaign):")
-    print(f"  monolithic  {report['monolithic_seconds']:7.2f}s")
+    print("\nEvaluation pipeline — cold vs. warm vs. restart (2-program campaign):")
     print(f"  staged cold {report['staged_seconds']:7.2f}s  "
           f"(compile {stages['compile']:.2f}s, measure {stages['measure']:.2f}s, "
           f"score {stages['score']:.2f}s)")
@@ -88,15 +87,9 @@ def test_pipeline_comparison(benchmark, tuning_config, bench_benchmarks):
           f"({report['warm_artifact_hits']} hits), "
           f"{report['artifact_cache']['entries']} entries, "
           f"{report['artifact_cache']['evictions']} evictions")
-    # Determinism is the contract: all four runs, one fingerprint.
+    # Determinism is the contract: all three runs, one fingerprint.  (The
+    # cold path's cost gate is the ledger's cold_tune wall_s bound.)
     assert report["identical_fingerprints"]
-    # Cold-run regression gate: the staged pipeline's overlap machinery
-    # (persistent compile lane, lookahead window) must not cost more than
-    # 10% over the monolithic evaluator even with every cache cold.
-    assert report["staged_seconds"] <= 1.1 * report["monolithic_seconds"], (
-        f"staged cold run regressed: {report['staged_seconds']:.2f}s vs "
-        f"monolithic {report['monolithic_seconds']:.2f}s"
-    )
     # The warm rerun must actually reuse artifacts (the acceptance criterion:
     # artifact-cache hit ratio > 0 on a warm-started campaign rerun).
     assert report["warm_artifact_hits"] > 0

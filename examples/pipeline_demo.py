@@ -2,25 +2,21 @@
 """Pipeline demo: staged evaluation, a shared artifact cache, and a disk
 store that makes a *restarted process* start warm.
 
-Runs the same two-program campaign four times:
+Runs the same two-program campaign three times:
 
-1. with the **monolithic** evaluator (one opaque compile+emulate+score
-   closure per candidate — the legacy path);
-2. with the **staged** pipeline cold, populating one content-addressed
+1. **cold**, populating one content-addressed
    :class:`~repro.tuner.pipeline.ArtifactCache` (backed by a disk
    :class:`~repro.tuner.store.ArtifactStore`) and overlapping each
    candidate's compile with the previous candidate's emulation;
-3. the staged campaign **rerun against the populated cache** — the shape of
-   a re-scoring pass or a warm-started campaign in the *same* process:
-   every compile and every trace is a memory-tier (tier-1) hit;
-4. the staged campaign **restarted in a fresh Python process** (a real
-   ``subprocess``) with the same ``store_dir`` — the in-memory cache is
-   gone, and every compile and trace is served by the *disk* tier (tier-2)
-   instead of being re-paid.
+2. **rerun against the populated cache** — the shape of a re-scoring pass
+   or a warm-started campaign in the *same* process: every compile and
+   every trace is a memory-tier (tier-1) hit;
+3. **restarted in a fresh Python process** (a real ``subprocess``) with the
+   same ``store_dir`` — the in-memory cache is gone, and every compile and
+   trace is served by the *disk* tier (tier-2) instead of being re-paid.
 
-All four runs produce bit-for-bit identical databases (records, order,
-fingerprint) — the staged pipeline and its store change the cost, never the
-result.
+All three runs produce bit-for-bit identical databases (records, order,
+fingerprint) — the cache and its store change the cost, never the result.
 
 Run:  python examples/pipeline_demo.py
 """
@@ -38,12 +34,11 @@ from repro.tuner import ArtifactCache, BinTunerConfig, GAParameters
 JOBS = [ProgramJob("llvm", "462.libquantum"), ProgramJob("llvm", "429.mcf")]
 
 
-def run_campaign(pipeline: str, cache: ArtifactCache = None, store_dir=None):
+def run_campaign(cache: ArtifactCache, store_dir):
     config = CampaignConfig(
         tuner=BinTunerConfig(
             max_iterations=40, ga=GAParameters(population_size=10), stall_window=20
         ),
-        pipeline=pipeline,
         store_dir=store_dir,
     )
     campaign = Campaign(JOBS, config, artifact_cache=cache)
@@ -53,12 +48,12 @@ def run_campaign(pipeline: str, cache: ArtifactCache = None, store_dir=None):
 
 
 def restarted_process_run(store_dir: Path) -> dict:
-    """Run the same staged campaign in this very script, as a subprocess.
+    """Run the same campaign in this very script, as a subprocess.
 
     A new interpreter holds no in-memory artifact state, so whatever warmth
     it shows can only have come from the disk store.
     """
-    restart = run_campaign("staged", ArtifactCache(8192), store_dir)[0]
+    restart = run_campaign(ArtifactCache(8192), store_dir)[0]
     stats = restart.evaluation_stats()
     return {
         "fingerprint": restart.fingerprint(),
@@ -74,13 +69,9 @@ def main() -> None:
     store_root = Path(tempfile.mkdtemp(prefix="repro-pipeline-demo-"))
     store_dir = store_root / "store"
 
-    print("== monolithic campaign over", programs)
-    monolithic, monolithic_seconds = run_campaign("monolithic")
-    print(f"  {monolithic_seconds:6.2f}s  fingerprint {monolithic.fingerprint()[:16]}…")
-
-    print("\n== staged campaign, cold artifact cache + disk store")
+    print("== campaign over", programs, "- cold artifact cache + disk store")
     cache = ArtifactCache(8192)
-    cold, cold_seconds = run_campaign("staged", cache, store_dir)
+    cold, cold_seconds = run_campaign(cache, store_dir)
     stats = cold.evaluation_stats()
     print(f"  {cold_seconds:6.2f}s  fingerprint {cold.fingerprint()[:16]}…")
     print(f"  stages: compile {stats.compile_seconds:.2f}s, "
@@ -90,8 +81,8 @@ def main() -> None:
           f"store persisted {len(cache.store)} entries "
           f"({cache.store.total_bytes()} bytes) at {store_dir}")
 
-    print("\n== staged campaign RERUN against the populated cache (same process)")
-    warm, warm_seconds = run_campaign("staged", cache, store_dir)
+    print("\n== campaign RERUN against the populated cache (same process)")
+    warm, warm_seconds = run_campaign(cache, store_dir)
     warm_stats = warm.evaluation_stats()
     speedup = cold_seconds / warm_seconds if warm_seconds else float("inf")
     print(f"  {warm_seconds:6.2f}s  fingerprint {warm.fingerprint()[:16]}…")
@@ -99,7 +90,7 @@ def main() -> None:
           f"({warm_stats.artifact_hits} hits, all tier-1 memory) "
           f"→ {speedup:.1f}x faster than cold")
 
-    print("\n== staged campaign RESTARTED in a fresh process (same --store-dir)")
+    print("\n== campaign RESTARTED in a fresh process (same --store-dir)")
     started = time.perf_counter()
     output = subprocess.run(
         [sys.executable, __file__, "--restarted-run", str(store_dir)],
@@ -114,11 +105,8 @@ def main() -> None:
           f"({restart['tier2_hits']} disk hits, {restart['artifact_misses']} misses) "
           f"→ {restart_speedup:.1f}x faster than cold, with zero recompiles")
 
-    identical = (
-        monolithic.fingerprint() == cold.fingerprint() == warm.fingerprint()
-        == restart["fingerprint"]
-    )
-    print(f"\nmonolithic == staged == warm rerun == fresh-process restart "
+    identical = cold.fingerprint() == warm.fingerprint() == restart["fingerprint"]
+    print(f"\ncold == warm rerun == fresh-process restart "
           f"(records, order, fingerprints): {identical}")
     assert identical
     assert warm_stats.artifact_hits > 0

@@ -44,7 +44,7 @@ def main() -> int:
     solo = BinTuner(
         default_compiler_provider("gcc"),
         BuildSpec(name="checksum", source=SOURCE),
-        BinTunerConfig(**BUDGET.tuner_config_kwargs(), pipeline="staged"),
+        BinTunerConfig(**BUDGET.tuner_config_kwargs()),
     ).run()
     solo_fp = solo.database.fingerprint()
     print(f"solo run: best fitness {solo.best_fitness}")

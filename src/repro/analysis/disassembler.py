@@ -17,8 +17,6 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.backend.binary import BinaryImage, Symbol
 from repro.backend.isa import MachInstr, decode_stream
 
@@ -75,6 +73,8 @@ class RecoveredFunction:
         return sum(len(block) for block in self.blocks.values())
 
     def cfg(self) -> "nx.DiGraph":
+        import networkx as nx  # at its use: ~0.1 s no tuning process needs
+
         graph = nx.DiGraph()
         for start, block in self.blocks.items():
             graph.add_node(start, size=block.size, instructions=len(block))
@@ -111,6 +111,8 @@ class RecoveredProgram:
         return sum(fn.edge_count for fn in self.functions.values())
 
     def call_graph(self) -> "nx.DiGraph":
+        import networkx as nx
+
         graph = nx.DiGraph()
         by_offset = {fn.start: name for name, fn in self.functions.items()}
         for name in self.functions:

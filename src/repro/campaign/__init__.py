@@ -30,15 +30,13 @@ from repro.campaign.campaign import (
     workload_spec_provider,
 )
 from repro.campaign.database import CampaignDatabase, ShardKey, SIGNATURE_FIELDS
-from repro.campaign.pool import PooledMapper, PooledThreadMapper, SharedWorkerPool
+from repro.campaign.pool import SharedWorkerPool
 
 __all__ = [
     "Campaign",
     "CampaignConfig",
     "CampaignDatabase",
     "CampaignResult",
-    "PooledMapper",
-    "PooledThreadMapper",
     "ProgramJob",
     "ProgramResult",
     "SIGNATURE_FIELDS",

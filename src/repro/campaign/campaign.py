@@ -44,7 +44,7 @@ from repro.campaign.database import CampaignDatabase, ShardKey
 from repro.campaign.pool import SharedWorkerPool
 from repro.tuner.database import write_text_atomic
 from repro.tuner import BinTuner, BinTunerConfig, BuildSpec, EvaluationStats, TuningResult
-from repro.tuner.pipeline import DEFAULT_ARTIFACT_CACHE_SIZE, PIPELINES, ArtifactCache
+from repro.tuner.pipeline import DEFAULT_ARTIFACT_CACHE_SIZE, ArtifactCache
 from repro.tuner.store import DEFAULT_STORE_MAX_BYTES
 from repro.workloads import benchmark, suite_benchmarks
 
@@ -116,13 +116,8 @@ class CampaignConfig:
     min_workers: int = 0
     #: How long :attr:`min_workers` may take before the campaign errors out.
     worker_wait_timeout: float = 120.0
-    #: Candidate-evaluation pipeline for every job: ``"staged"`` (cached,
-    #: overlappable compile/measure/score stages) or ``"monolithic"`` (the
-    #: original opaque closure).  Results are bit-for-bit identical; staged
-    #: additionally reuses compiled artifacts across programs and reruns.
-    pipeline: str = "staged"
     #: Bound (entries) of the campaign-wide artifact cache shared by every
-    #: job's staged evaluator.
+    #: job's evaluator.
     artifact_cache_size: int = DEFAULT_ARTIFACT_CACHE_SIZE
     #: Directory of the disk-backed artifact store behind the campaign cache
     #: (:mod:`repro.tuner.store`).  ``None`` defaults to
@@ -136,8 +131,8 @@ class CampaignConfig:
     #: Serve the artifact mesh from the campaign's store (distributed
     #: dispatch only): workers push freshly compiled tier-2 entries to the
     #: coordinator and fetch their misses from other machines' past work
-    #: before paying a compile.  Requires the staged pipeline and a store
-    #: directory (explicit, or the checkpoint-derived default).
+    #: before paying a compile.  Requires a store directory (explicit, or
+    #: the checkpoint-derived default).
     mesh: bool = False
     #: Per-machine byte cap on mesh transfer, both directions
     #: (``None``: unbounded).
@@ -306,9 +301,8 @@ class CampaignResult:
     elapsed_seconds: float
     #: True when ``run(limit=...)`` stopped before the job list was done.
     interrupted: bool = False
-    #: Snapshot of the campaign-wide artifact cache after the run (staged
-    #: pipeline only; ``None`` for monolithic campaigns).
-    artifact_cache_stats: Optional[Dict[str, object]] = None
+    #: Snapshot of the campaign-wide artifact cache after the run.
+    artifact_cache_stats: Dict[str, object] = field(default_factory=dict)
 
     def result_for(self, family: str, program: str) -> ProgramResult:
         for result in self.programs:
@@ -347,11 +341,6 @@ class Campaign:
         if len({job.key() for job in self.jobs}) != len(self.jobs):
             raise ValueError("duplicate (family, program) jobs in campaign")
         self.config = config or CampaignConfig()
-        if self.config.pipeline not in PIPELINES:
-            raise ValueError(
-                f"unknown pipeline {self.config.pipeline!r} "
-                f"(use one of {', '.join(PIPELINES)})"
-            )
         self.compiler_provider = compiler_provider
         self.spec_provider = spec_provider
         self.database = database if database is not None else CampaignDatabase(
@@ -363,10 +352,7 @@ class Campaign:
         # One content-addressed cache spans every job: a configuration that
         # warm starts (or simply recurs) in a later program of the same
         # family is a compile-stage hit, not a recompile.  Injectable so a
-        # rerun campaign (same process) can start warm.  Monolithic
-        # campaigns have no stages to feed, so they hold no cache — even an
-        # injected one — keeping ``artifact_cache_stats is None`` an honest
-        # "this campaign did not use artifacts" signal.  With a store dir
+        # rerun campaign (same process) can start warm.  With a store dir
         # (explicit, or defaulted under the checkpoint dir) the cache gains
         # a disk-backed second tier, so a campaign restarted in a *fresh
         # process* starts warm too.
@@ -378,11 +364,6 @@ class Campaign:
                     "mesh=True requires dispatch='distributed' (the artifact "
                     "mesh is served by the network coordinator)"
                 )
-            if self.config.pipeline != "staged":
-                raise ValueError(
-                    "mesh=True requires pipeline='staged' (the monolithic "
-                    "closure produces no artifacts to exchange)"
-                )
             if self.store_dir is None:
                 raise ValueError(
                     "mesh=True requires a store: pass store_dir= or "
@@ -391,9 +372,7 @@ class Campaign:
                 )
         if self.config.mesh_budget_bytes is not None and not self.config.mesh:
             raise ValueError("mesh_budget_bytes requires mesh=True")
-        if self.config.pipeline != "staged":
-            self.artifact_cache: Optional[ArtifactCache] = None
-        elif artifact_cache is not None:
+        if artifact_cache is not None:
             self.artifact_cache = artifact_cache
         else:
             self.artifact_cache = ArtifactCache(
@@ -401,22 +380,8 @@ class Campaign:
             ).ensure_store(self.store_dir, self.config.store_max_bytes)
 
     def _resolve_store_dir(self) -> Optional[Path]:
-        """The effective store directory (explicit, or under the checkpoint dir).
-
-        ``None`` for monolithic campaigns — they have no stages to feed —
-        and for unstored, uncheckpointed staged runs.  An *explicit*
-        ``store_dir`` on a monolithic campaign raises: silently dropping
-        requested persistence would surface as a mysteriously cold restart.
-        (The checkpoint-derived default is not a request, so it just stays
-        off.)
-        """
-        if self.config.pipeline != "staged":
-            if self.config.store_dir is not None:
-                raise ValueError(
-                    "store_dir requires pipeline='staged' (the monolithic "
-                    "closure has no stages to feed an artifact store)"
-                )
-            return None
+        """The effective store directory (explicit, or under the checkpoint
+        dir); ``None`` for unstored, uncheckpointed runs."""
         if self.config.store_dir is not None:
             return Path(self.config.store_dir)
         if self.config.checkpoint_dir is not None:
@@ -461,7 +426,6 @@ class Campaign:
         manifest = {
             "version": MANIFEST_VERSION,
             "name": self.config.name,
-            "pipeline": self.config.pipeline,
             "jobs": [[job.family, job.program] for job in self.jobs],
             "completed": [result.as_manifest_entry() for result in completed],
         }
@@ -537,7 +501,6 @@ class Campaign:
             replace(
                 self.config.tuner,
                 warm_start=warm,
-                pipeline=self.config.pipeline,
                 artifact_cache_size=self.config.artifact_cache_size,
                 store_dir=self.store_dir,
                 store_max_bytes=self.config.store_max_bytes,
@@ -708,7 +671,5 @@ class Campaign:
             programs=programs,
             elapsed_seconds=time.perf_counter() - started,
             interrupted=interrupted,
-            artifact_cache_stats=(
-                self.artifact_cache.stats() if self.artifact_cache is not None else None
-            ),
+            artifact_cache_stats=self.artifact_cache.stats(),
         )

@@ -96,21 +96,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="with --dispatch distributed: shared secret for the "
                              "worker handshake (default: $REPRO_DISTRIB_AUTHKEY; "
                              "required when serving beyond loopback)")
-    parser.add_argument("--pipeline", choices=("staged", "monolithic"), default="staged",
-                        help="candidate-evaluation pipeline: 'staged' splits "
-                             "compile/measure/score into cached, overlappable "
-                             "stages; 'monolithic' is the legacy closure. "
-                             "Results are identical (default: staged)")
     parser.add_argument("--artifact-cache-size", type=int, default=None,
                         help="bound (entries) of the campaign-wide artifact "
-                             "cache shared by staged evaluators")
+                             "cache shared by every program's evaluator")
     parser.add_argument("--store-dir", type=Path, default=None,
-                        help="disk-backed artifact store (the staged "
-                             "pipeline's persistent second tier): compiles "
+                        help="disk-backed artifact store (the artifact "
+                             "cache's persistent second tier): compiles "
                              "and traces survive the process, so a restarted "
                              "campaign starts warm.  Defaults to "
                              "CHECKPOINT_DIR/store when --checkpoint-dir is "
-                             "given; incompatible with --pipeline monolithic")
+                             "given")
     parser.add_argument("--store-max-bytes", type=int, default=None,
                         help="byte budget of the store's LRU garbage "
                              "collection (default: 256 MiB)")
@@ -184,7 +179,6 @@ def _build_campaign(args: argparse.Namespace) -> Campaign:
         serve=args.serve,
         min_workers=args.min_workers,
         authkey=args.authkey,
-        pipeline=args.pipeline,
         mesh=args.mesh,
         mesh_budget_bytes=args.mesh_budget_bytes,
         warm_start=not args.no_warm_start,
@@ -207,22 +201,14 @@ def _build_campaign(args: argparse.Namespace) -> Campaign:
 def run_main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.pipeline == "monolithic" and args.store_dir is not None:
-        # Silently dropping the requested persistence would be worse than
-        # refusing: the monolithic closure has no stages to feed a store.
-        parser.error("--store-dir requires --pipeline staged")
-    if args.store_max_bytes is not None and (
-        args.pipeline == "monolithic"
-        or (args.store_dir is None and args.checkpoint_dir is None)
-    ):
+    if (args.store_max_bytes is not None
+            and args.store_dir is None and args.checkpoint_dir is None):
         parser.error("--store-max-bytes requires an active store "
-                     "(--store-dir, or --checkpoint-dir with the staged pipeline)")
+                     "(--store-dir or --checkpoint-dir)")
     if args.mesh:
         if (args.dispatch or args.executor) != "distributed":
             parser.error("--mesh requires --dispatch distributed "
                          "(the mesh is served by the network coordinator)")
-        if args.pipeline != "staged":
-            parser.error("--mesh requires --pipeline staged")
         if args.store_dir is None and args.checkpoint_dir is None:
             parser.error("--mesh requires a store to serve from "
                          "(--store-dir or --checkpoint-dir)")
@@ -368,34 +354,32 @@ def run_main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"  {flag:28s} {share:.0%}")
     stats = result.evaluation_stats()
     if stats.evaluated or stats.cache_hits:
-        line = (f"evaluation ({args.pipeline}): {stats.evaluated} compiled, "
-                f"{stats.cache_hits} database hits")
-        if args.pipeline == "staged":
-            line += (f"; stages compile {stats.compile_seconds:.1f}s / "
-                     f"measure {stats.measure_seconds:.1f}s / "
-                     f"score {stats.score_seconds:.1f}s")
-            if stats.artifact_store_hits:
-                line += (f"; {stats.artifact_store_hits} tier-2 (disk) hits "
-                         f"({stats.artifact_store_hit_ratio:.1%} of stage lookups)")
-            if stats.artifact_mesh_hits:
-                line += (f"; {stats.artifact_mesh_hits} mesh hits "
-                         f"({stats.artifact_mesh_hit_ratio:.1%} of stage lookups)")
+        line = (f"evaluation: {stats.evaluated} compiled, "
+                f"{stats.cache_hits} database hits"
+                f"; stages compile {stats.compile_seconds:.1f}s / "
+                f"measure {stats.measure_seconds:.1f}s / "
+                f"score {stats.score_seconds:.1f}s")
+        if stats.artifact_store_hits:
+            line += (f"; {stats.artifact_store_hits} tier-2 (disk) hits "
+                     f"({stats.artifact_store_hit_ratio:.1%} of stage lookups)")
+        if stats.artifact_mesh_hits:
+            line += (f"; {stats.artifact_mesh_hits} mesh hits "
+                     f"({stats.artifact_mesh_hit_ratio:.1%} of stage lookups)")
         print(line)
-    if result.artifact_cache_stats is not None:
-        cache = result.artifact_cache_stats
-        mesh_part = (f"{cache['mesh_hits']} mesh hits / "
-                     if cache.get("mesh_hits") else "")
-        print(f"artifact cache: {cache['hits']} memory hits / "
-              f"{cache['store_hits']} disk hits / {mesh_part}"
-              f"{cache['misses']} misses "
-              f"(hit ratio {cache['hit_ratio']:.1%}), "
-              f"{cache['entries']}/{cache['max_entries']} entries, "
-              f"{cache['evictions']} evictions")
-        store = cache.get("store")
-        if store is not None:
-            print(f"artifact store ({store['path']}): {store['entries']} entries "
-                  f"/ {store['bytes']} bytes, {store['hits']} hits, "
-                  f"{store['puts']} writes, {store['gc_evictions']} GC evictions")
+    cache = result.artifact_cache_stats
+    mesh_part = (f"{cache['mesh_hits']} mesh hits / "
+                 if cache.get("mesh_hits") else "")
+    print(f"artifact cache: {cache['hits']} memory hits / "
+          f"{cache['store_hits']} disk hits / {mesh_part}"
+          f"{cache['misses']} misses "
+          f"(hit ratio {cache['hit_ratio']:.1%}), "
+          f"{cache['entries']}/{cache['max_entries']} entries, "
+          f"{cache['evictions']} evictions")
+    store = cache.get("store")
+    if store is not None:
+        print(f"artifact store ({store['path']}): {store['entries']} entries "
+              f"/ {store['bytes']} bytes, {store['hits']} hits, "
+              f"{store['puts']} writes, {store['gc_evictions']} GC evictions")
     if mesh_summary is not None:
         denied = (f", {mesh_summary['budget_denied']} budget-denied"
                   if mesh_summary["budget_denied"] else "")
@@ -431,7 +415,6 @@ def run_main(argv: Optional[Sequence[str]] = None) -> int:
             "flag_frequency": frequency,
             "fingerprint": result.fingerprint(),
             "interrupted": result.interrupted,
-            "pipeline": args.pipeline,
             "evaluation": stats.as_dict(),
             "artifact_cache": result.artifact_cache_stats,
             "mesh": mesh_summary,
@@ -476,10 +459,10 @@ def _locate_database(checkpoint_dir: Path) -> Optional[Path]:
 def _manifest_evaluation_stats(checkpoint_dir: Path) -> Optional[EvaluationStats]:
     """Summed per-program evaluation counters from the checkpoint manifest.
 
-    ``None`` when there is no manifest, it predates the staged pipeline, the
-    campaign ran monolithic, or no stage activity was recorded (a pure
-    checkpoint replay) — i.e. whenever a "pipeline stages" line would be an
-    all-zero fabrication.
+    ``None`` when there is no manifest, it predates per-stage accounting, or
+    no stage activity was recorded (a pure checkpoint replay, or a campaign
+    an older version ran without stages) — i.e. whenever a "pipeline stages"
+    line would be an all-zero fabrication.
     """
     manifest_path = Path(checkpoint_dir) / "manifest.json"
     if not manifest_path.exists():
@@ -487,8 +470,6 @@ def _manifest_evaluation_stats(checkpoint_dir: Path) -> Optional[EvaluationStats
     try:
         manifest = json.loads(manifest_path.read_text())
     except (OSError, json.JSONDecodeError):
-        return None
-    if manifest.get("pipeline", "staged") != "staged":
         return None
     entries = [entry.get("evaluation") for entry in manifest.get("completed", [])]
     entries = [entry for entry in entries if entry]

@@ -1,14 +1,12 @@
 """A worker pool shared by every program of a campaign.
 
-PR 1's :class:`~repro.tuner.evaluation.ProcessPoolMapper` installs one
-evaluator per pool at initializer time, which ties a pool to a single program.
-A campaign tunes many programs, and spawning (and tearing down) a fresh
+A mapper that owns its executor ties the substrate to a single program.  A
+campaign tunes many programs, and spawning (and tearing down) a fresh
 execution substrate per program would dominate the wall clock on short
 searches — exactly the cost the shared pool amortizes.  One substrate
 outlives all programs; ``dispatch`` picks which:
 
-* ``"serial"`` — the deterministic in-process path (plain
-  :class:`~repro.tuner.evaluation.SerialMapper` per program);
+* ``"serial"`` — the deterministic inline path;
 * ``"process"`` — one ``ProcessPoolExecutor`` for the whole campaign; each
   task carries the *identity* of its evaluator plus a pickle blob that
   workers deserialize once and cache (bounded, see
@@ -20,13 +18,18 @@ outlives all programs; ``dispatch`` picks which:
   ``python -m repro.distrib.worker --connect HOST:PORT`` — on this machine
   or any other — evaluate the campaign's candidates.
 
-Determinism: every mapper returns results in submission order regardless of
-completion order (``Executor.map`` for the local pools, index-slotted
-replies for the distributed one), so the evaluation engine's bit-for-bit
-reproducibility guarantee carries over unchanged to every mode.
+The three local modes hand out the same
+:class:`~repro.tuner.evaluation.LocalMapper` a standalone tuner uses; the
+only difference is ownership — the mapper *borrows* this pool's executor, so
+the per-run ``engine.close()`` in :meth:`BinTuner.run` leaves it running.
 
-Persistence: a staged evaluator's ``store_dir`` travels inside the pickle
-blob, and its ``__setstate__`` re-attaches the disk-backed artifact store
+Determinism: every mapper returns results in submission order regardless of
+completion order (chunk order for the local pools, index-slotted replies for
+the distributed one), so the evaluation engine's bit-for-bit reproducibility
+guarantee carries over unchanged to every mode.
+
+Persistence: an evaluator's ``store_dir`` travels inside the pickle blob,
+and its ``__setstate__`` re-attaches the disk-backed artifact store
 (:mod:`repro.tuner.store`) on the worker side — so every process worker of
 a campaign opens the same store, and a freshly spawned worker consults the
 campaign's persisted compiles before paying for its own.
@@ -34,125 +37,9 @@ campaign's persisted compiles before paying for its own.
 
 from __future__ import annotations
 
-import functools
-import pickle
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
-from repro.tuner.evaluation import (
-    EVALUATOR_CACHE_LIMIT,
-    CandidateEvaluator,
-    CandidateResult,
-    FlagKey,
-    SerialMapper,
-    evaluate_keys,
-    map_pipelined,
-    next_evaluator_id,
-)
-
-#: Worker-process global: evaluator id -> deserialized evaluator.  Ids come
-#: from the process-wide monotonic counter
-#: (:func:`~repro.tuner.evaluation.next_evaluator_id`), so they can never
-#: alias.  The cache is bounded: campaign jobs run sequentially, so
-#: evaluators of long-finished programs (each holding a source + baseline
-#: image) would otherwise pile up in every worker for the campaign's life.
-_POOL_EVALUATORS: Dict[int, CandidateEvaluator] = {}
-_POOL_CACHE_LIMIT = EVALUATOR_CACHE_LIMIT
-
-
-def _pool_evaluator(evaluator_id: int, blob: bytes) -> CandidateEvaluator:
-    evaluator = _POOL_EVALUATORS.get(evaluator_id)
-    if evaluator is None:
-        evaluator = pickle.loads(blob)
-        while len(_POOL_EVALUATORS) >= _POOL_CACHE_LIMIT:
-            _POOL_EVALUATORS.pop(next(iter(_POOL_EVALUATORS)))
-        _POOL_EVALUATORS[evaluator_id] = evaluator
-    return evaluator
-
-
-def _pool_call(task) -> CandidateResult:
-    evaluator_id, blob, key = task
-    return _pool_evaluator(evaluator_id, blob)(key)
-
-
-def _pool_call_batch(evaluator_id: int, blob: bytes,
-                     keys: Sequence[FlagKey]) -> List[CandidateResult]:
-    """One task = one contiguous key chunk: a staged evaluator overlaps its
-    compile lane with emulation across the chunk inside the worker process.
-    Dispatched as ``functools.partial(_pool_call_batch, id, blob)`` so the
-    chunk is the :func:`~repro.tuner.evaluation.map_pipelined` call shape."""
-    return evaluate_keys(_pool_evaluator(evaluator_id, blob), list(keys))
-
-
-class PooledMapper:
-    """Mapper facade over a :class:`SharedWorkerPool` for one evaluator.
-
-    ``close`` is deliberately a no-op: the pool belongs to the campaign and
-    outlives the program, so the per-run ``engine.close()`` in
-    :meth:`BinTuner.run` must not tear it down.
-    """
-
-    def __init__(self, pool: "SharedWorkerPool", evaluator_id: int,
-                 evaluator: CandidateEvaluator) -> None:
-        self._pool = pool
-        self.evaluator_id = evaluator_id
-        #: Pipeline-aware evaluators get per-worker chunks (in-worker compile
-        #: overlap); monolithic ones keep key-granular dynamic balancing.
-        self._pipelined = getattr(evaluator, "evaluate_batch", None) is not None
-        # Pickled once per program; tasks ship the same bytes object, and
-        # workers deserialize it at most once each.
-        self._blob = pickle.dumps(evaluator)
-
-    @property
-    def workers(self) -> int:
-        return self._pool.workers
-
-    def map(self, keys: Sequence[FlagKey]) -> List[CandidateResult]:
-        if not keys:
-            return []
-        executor = self._pool._ensure_executor()
-        if not self._pipelined:
-            tasks = [(self.evaluator_id, self._blob, key) for key in keys]
-            return list(executor.map(_pool_call, tasks))
-        return map_pipelined(
-            executor,
-            functools.partial(_pool_call_batch, self.evaluator_id, self._blob),
-            keys,
-            self._pool.workers,
-        )
-
-    def close(self) -> None:
-        pass
-
-
-class PooledThreadMapper:
-    """Thread-lane sibling of :class:`PooledMapper`: the threads share the
-    process, so the evaluator is called directly — no id, no pickle blob."""
-
-    evaluator_id: Optional[int] = None
-
-    def __init__(self, pool: "SharedWorkerPool", evaluator: CandidateEvaluator) -> None:
-        self._pool = pool
-        self._evaluator = evaluator
-
-    @property
-    def workers(self) -> int:
-        return self._pool.workers
-
-    def map(self, keys: Sequence[FlagKey]) -> List[CandidateResult]:
-        if not keys:
-            return []
-        executor = self._pool._ensure_executor()
-        if getattr(self._evaluator, "evaluate_batch", None) is not None:
-            return map_pipelined(
-                executor,
-                functools.partial(evaluate_keys, self._evaluator),
-                keys,
-                self._pool.workers,
-            )
-        return list(executor.map(self._evaluator, keys))
-
-    def close(self) -> None:
-        pass
+from repro.tuner.evaluation import CandidateEvaluator, LocalMapper, new_pool_executor
 
 
 class SharedWorkerPool:
@@ -266,30 +153,21 @@ class SharedWorkerPool:
 
     def _ensure_executor(self):
         if self._pool is None:
-            if self.dispatch == "thread":
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="campaign-pool"
-                )
-            else:
-                from concurrent.futures import ProcessPoolExecutor
-
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._pool = new_pool_executor(self.dispatch, self.workers)
         return self._pool
 
     def mapper(self, evaluator: CandidateEvaluator):
-        """A per-program mapper backed by this pool (serial: plain mapper)."""
-        if self.dispatch == "serial":
-            return SerialMapper(evaluator)
-        if self.dispatch == "thread":
-            return PooledThreadMapper(self, evaluator)
+        """A per-program mapper backed by this pool (serial: inline)."""
         if self.dispatch == "distributed":
             from repro.distrib.mapper import DistributedMapper
 
             # The pool owns the coordinator; the mapper's close is a no-op.
             return DistributedMapper(self._coordinator, evaluator)
-        return PooledMapper(self, next_evaluator_id(), evaluator)
+        # The pool owns the executor; the mapper only borrows it.
+        return LocalMapper(
+            evaluator, self.dispatch, self.workers,
+            executor_source=self._ensure_executor,
+        )
 
     def close(self) -> None:
         if self._pool is not None:

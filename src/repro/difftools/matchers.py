@@ -32,7 +32,6 @@ from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.analysis.disassembler import RecoveredBlock, RecoveredFunction, RecoveredProgram
 from repro.analysis.emulator import EmulationError, run_function
@@ -99,6 +98,9 @@ class BinSlayer(DiffTool):
         for i, sv in enumerate(source_blocks):
             for j, tv in enumerate(target_blocks):
                 cost[i, j] = 1.0 - _cosine(sv, tv)
+        # Imported at its one use: ~0.4 s no tuning process needs.
+        from scipy.optimize import linear_sum_assignment
+
         rows, cols = linear_sum_assignment(cost)
         matched_similarity = sum(1.0 - cost[r, c] for r, c in zip(rows, cols))
         # Normalize by the larger CFG so structural growth is penalized (graph

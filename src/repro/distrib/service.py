@@ -444,7 +444,6 @@ class TuningService:
         # BinTuner built from the same kwargs runs the identical search.
         config = BinTunerConfig(
             **spec.budget.tuner_config_kwargs(),
-            pipeline="staged",
             store_dir=self._store_dir,
         )
         with self._db_lock:

@@ -14,11 +14,12 @@ programs cannot pile baselines up in worker memory.  Evicted evaluators are
 recovered via the :class:`~repro.distrib.protocol.EvaluatorMissing` reply —
 the coordinator re-sends the blob.
 
-Batches are evaluated pipeline-aware: a staged evaluator
-(:class:`~repro.tuner.pipeline.StagedCandidateEvaluator`) receives its
-tasks as contiguous per-slot chunks and overlaps each chunk's compiles with
-its emulation/scoring on a second lane; a monolithic evaluator is mapped
-task by task, exactly as before.  From registration to shutdown the worker
+A multi-slot batch is split into contiguous per-slot chunks
+(:func:`~repro.tuner.evaluation.map_pipelined`, the same partition the
+in-process mapper uses), so the evaluator
+(:class:`~repro.tuner.pipeline.StagedCandidateEvaluator`) overlaps each
+chunk's compiles with its emulation/scoring on a second lane; a one-slot
+worker evaluates the batch inline.  From registration to shutdown the worker
 sends :class:`~repro.distrib.protocol.Heartbeat` frames so a long batch —
 or an idle wait between batches — is distinguishable from a dead machine
 (historically a busy worker could only fail at batch boundaries or the
@@ -117,23 +118,18 @@ def _exception_survives_pickle(exc: BaseException) -> bool:
 
 
 def _evaluate_tasks(evaluator, tasks, slots: int, executor) -> Tuple[Tuple[int, object], ...]:
-    """Evaluate one batch's ``(index, key)`` tasks, pipeline-aware.
+    """Evaluate one batch's ``(index, key)`` tasks.
 
-    A staged evaluator gets contiguous per-slot chunks so each slot overlaps
-    its compiles with emulation on its own second lane; a plain evaluator is
-    mapped key by key across the slot threads, the historical behaviour.
-    Results carry their submission indices, so scheduling never reorders
-    anything.
+    With several slots the batch is dispatched as contiguous per-slot chunks
+    so each slot overlaps its compiles with emulation on its own second
+    lane.  Results carry their submission indices, so scheduling never
+    reorders anything.
     """
     keys = [key for _index, key in tasks]
-    pipelined = getattr(evaluator, "evaluate_batch", None) is not None
     if slots > 1 and len(keys) > 1:
-        if pipelined:
-            values = map_pipelined(
-                executor, functools.partial(evaluate_keys, evaluator), keys, slots
-            )
-        else:
-            values = list(executor.map(evaluator, keys))
+        values = map_pipelined(
+            executor, functools.partial(evaluate_keys, evaluator), keys, slots
+        )
     else:
         values = evaluate_keys(evaluator, keys)
     return tuple(

@@ -149,7 +149,7 @@ def _run_mesh_join_comparison(
             campaign = Campaign(
                 jobs,
                 CampaignConfig(
-                    tuner=base, pipeline="staged", warm_start=True,
+                    tuner=base, warm_start=True,
                     store_dir=store_dir, dispatch="distributed", mesh=mesh,
                 ),
             )
@@ -183,17 +183,16 @@ def run_pipeline_comparison(
     config: Optional[BinTunerConfig] = None,
     store_dir: Optional[object] = None,
 ) -> Dict[str, object]:
-    """Staged vs monolithic pipeline on a small warm-startable campaign.
+    """Cold vs warm vs restarted runs of a small warm-startable campaign.
 
-    Four runs of the same seeded campaign: monolithic (the legacy opaque
-    closure), staged cold (stage-split evaluation populating one shared
-    :class:`ArtifactCache` backed by a disk store), staged *warm* — the same
+    Three runs of the same seeded campaign: cold (populating one shared
+    :class:`ArtifactCache` backed by a disk store), *warm* — the same
     campaign rerun against the populated in-memory cache, the shape of a
-    re-scoring or warm-started rerun — and staged *warm restart*: a fresh
-    cache over the same disk store, the shape of a killed-and-restarted
-    campaign whose only warmth is tier 2.  Reports wall clocks, the staged
-    run's per-stage time split, tier-1/tier-2 artifact hit ratios, and the
-    determinism verdict: all four database fingerprints must be identical.
+    re-scoring or warm-started rerun — and *warm restart*: a fresh cache
+    over the same disk store, the shape of a killed-and-restarted campaign
+    whose only warmth is tier 2.  Reports wall clocks, the cold run's
+    per-stage time split, tier-1/tier-2 artifact hit ratios, and the
+    determinism verdict: all three database fingerprints must be identical.
 
     The report's ``mesh_join`` section (``None`` on sandboxes without
     loopback) extends the restart scenario across machines: a distributed
@@ -210,12 +209,11 @@ def run_pipeline_comparison(
     base = config or BinTunerConfig(max_iterations=40, stall_window=24)
     jobs = [ProgramJob(family, name) for name in benchmarks]
 
-    def run(pipeline: str, cache: Optional[ArtifactCache] = None, store=None,
-            telemetry_dir=None):
+    def run(cache: ArtifactCache, store, telemetry_dir=None):
         campaign = Campaign(
             jobs,
             CampaignConfig(
-                tuner=base, pipeline=pipeline, warm_start=True, store_dir=store,
+                tuner=base, warm_start=True, store_dir=store,
                 telemetry_dir=telemetry_dir,
             ),
             artifact_cache=cache,
@@ -228,23 +226,22 @@ def run_pipeline_comparison(
     if own_store:
         store_dir = tempfile.mkdtemp(prefix="repro-pipeline-store-")
     try:
-        monolithic, monolithic_seconds = run("monolithic")
         cache = ArtifactCache(8192)
-        cold, cold_seconds = run("staged", cache, store_dir)
-        warm, warm_seconds = run("staged", cache, store_dir)
+        cold, cold_seconds = run(cache, store_dir)
+        warm, warm_seconds = run(cache, store_dir)
         # The restart: a fresh in-memory cache (a new process would have
         # nothing else) over the same on-disk store.
         restart_cache = ArtifactCache(8192)
-        restart, restart_seconds = run("staged", restart_cache, store_dir)
+        restart, restart_seconds = run(restart_cache, store_dir)
         # Telemetry overhead: the same warm rerun twice more — once on the
         # default null sink, once with a JsonlSink recording every span —
         # so the report carries both wall clocks, the event volume, and the
         # observe-only verdict (identical fingerprints either way).
         telemetry_dir = tempfile.mkdtemp(prefix="repro-pipeline-telemetry-")
         try:
-            plain, plain_seconds = run("staged", cache, store_dir)
+            plain, plain_seconds = run(cache, store_dir)
             observed, observed_seconds = run(
-                "staged", cache, store_dir, telemetry_dir=telemetry_dir
+                cache, store_dir, telemetry_dir=telemetry_dir
             )
             from repro.telemetry.report import load_events
 
@@ -281,7 +278,7 @@ def run_pipeline_comparison(
                 obs_server = ObservabilityServer()
             except OSError:
                 obs_server = None  # no loopback in this sandbox
-            live, live_seconds = run("staged", cache, store_dir)
+            live, live_seconds = run(cache, store_dir)
             if obs_server is not None:
                 import urllib.request
 
@@ -322,7 +319,6 @@ def run_pipeline_comparison(
     return {
         "compiler": family,
         "benchmarks": list(benchmarks),
-        "monolithic_seconds": monolithic_seconds,
         "staged_seconds": cold_seconds,
         "warm_rerun_seconds": warm_seconds,
         "warm_rerun_speedup": cold_seconds / warm_seconds if warm_seconds else 0.0,
@@ -331,8 +327,7 @@ def run_pipeline_comparison(
             cold_seconds / restart_seconds if restart_seconds else 0.0
         ),
         "identical_fingerprints": (
-            monolithic.fingerprint() == cold.fingerprint()
-            == warm.fingerprint() == restart.fingerprint()
+            cold.fingerprint() == warm.fingerprint() == restart.fingerprint()
         ),
         "stage_seconds": {
             "compile": cold_stats.compile_seconds,

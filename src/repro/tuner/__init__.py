@@ -9,9 +9,9 @@ This is the paper's primary contribution (§4).  The package provides:
 * :mod:`repro.tuner.database` — the iteration database that records every
   compilation, its flag vector, fitness and binary fingerprint;
 * :mod:`repro.tuner.evaluation` — the generation-batched evaluation engine
-  (batch dedup against the database, serial or process-pool dispatch,
+  (batch dedup against the database, the one in-process mapper,
   submission-order recording for reproducibility);
-* :mod:`repro.tuner.pipeline` — the staged evaluation pipeline: compile,
+* :mod:`repro.tuner.pipeline` — the one candidate evaluator: compile,
   measure and score as first-class stages over a content-addressed
   :class:`~repro.tuner.pipeline.ArtifactCache`, with the compile lane
   overlapping emulation inside each worker;
@@ -40,11 +40,8 @@ from repro.tuner.evaluation import (
     CandidateResult,
     EvaluationEngine,
     EvaluationStats,
+    LocalMapper,
     MapperTransportError,
-    ProcessPoolMapper,
-    SerialMapper,
-    ThreadPoolMapper,
-    TunerCandidateEvaluator,
     make_mapper,
     next_evaluator_id,
 )
@@ -89,11 +86,8 @@ __all__ = [
     "CandidateResult",
     "EvaluationEngine",
     "EvaluationStats",
+    "LocalMapper",
     "MapperTransportError",
-    "ProcessPoolMapper",
-    "SerialMapper",
-    "ThreadPoolMapper",
-    "TunerCandidateEvaluator",
     "make_mapper",
     "next_evaluator_id",
     "ArtifactCache",

@@ -129,8 +129,8 @@ class TuningDatabase:
         """SHA-256 over the ordered record signatures.
 
         Two runs with the same fingerprint evaluated the same candidates in
-        the same order with the same outcomes — the staged/monolithic and
-        serial/parallel equivalence contract (timing fields excluded).
+        the same order with the same outcomes — the serial/parallel/
+        distributed equivalence contract (timing fields excluded).
         """
         payload = json.dumps(self.record_signatures(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()

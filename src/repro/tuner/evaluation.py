@@ -10,37 +10,33 @@ orchestrator into a composable subsystem:
 * the engine dedupes the batch against the :class:`TuningDatabase` and
   against itself, so a fingerprint that was ever compiled is never compiled
   again and intra-batch duplicates are evaluated exactly once;
-* the surviving misses are dispatched to a worker mapper — the deterministic
-  in-process :class:`SerialMapper` by default, a :class:`ProcessPoolMapper`
-  over ``concurrent.futures.ProcessPoolExecutor``, a :class:`ThreadPoolMapper`
-  for free-threaded builds, or the multi-machine
-  :class:`~repro.distrib.mapper.DistributedMapper`;
+* the surviving misses are dispatched to a worker mapper.  There are two:
+  :class:`LocalMapper`, the one in-process mapper (inline, or contiguous
+  per-worker chunks on a thread or process executor it owns or borrows),
+  and the multi-machine :class:`~repro.distrib.mapper.DistributedMapper`;
 * results are recorded in *submission* order regardless of worker completion
   order, so a run is bit-for-bit reproducible for any worker count — or, with
   the distributed mapper, any machine count.
 
-The worker side is a picklable :class:`TunerCandidateEvaluator` that carries
-the compiler, the build spec fields and the baseline; per-process state (the
-cached NCD fitness, lazily built) never crosses the pipe.
+The worker side is the picklable
+:class:`~repro.tuner.pipeline.StagedCandidateEvaluator`, the one candidate
+evaluator; :func:`evaluate_keys` is the single place that knows an evaluator
+may offer ``evaluate_batch``, so plain ``FlagKey -> CandidateResult``
+callables (test fakes, the test oracle) work with every mapper too.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import pickle
-import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry import get_sink
 
-from repro.analysis.emulator import EmulationError, run_program
-from repro.backend.binary import BinaryImage
-from repro.compilers.base import CompilationError, Compiler
-from repro.difftools.ncd import CachedNCDFitness
 from repro.opt.flags import FlagVector
-from repro.tuner.constraints import ConstraintEngine, ConstraintViolation
 from repro.tuner.database import IterationRecord, TuningDatabase
 
 #: Flag vectors travel to workers as their canonical sorted-name tuples: tiny
@@ -52,11 +48,11 @@ FlagKey = Tuple[str, ...]
 class CandidateResult:
     """Everything one evaluation produces (mirrors an :class:`IterationRecord`).
 
-    The staged pipeline (:mod:`repro.tuner.pipeline`) additionally reports
-    per-stage wall clock and artifact-cache provenance; the fields default to
-    zero on the monolithic path.  They travel with the result through every
-    mapper — process pools and remote workers included — so the engine's
-    :class:`EvaluationStats` can account for caches it cannot see."""
+    Besides the record fields it reports per-stage wall clock and
+    artifact-cache provenance (zero when a plain callable built the result).
+    They travel with the result through every mapper — process pools and
+    remote workers included — so the engine's :class:`EvaluationStats` can
+    account for caches it cannot see."""
 
     fitness: float
     code_size: int
@@ -74,11 +70,13 @@ class CandidateResult:
     #: Of ``artifact_hits``, how many were served by the artifact mesh —
     #: another machine's past work fetched through the coordinator.
     artifact_mesh_hits: int = 0
-    staged: bool = False
+    #: Inert: read nowhere; kept only because the byte-frozen
+    #: ``benchmarks/ledger/replay.py`` constructs results with ``staged=True``.
+    staged: bool = True
 
 
 #: A candidate evaluator: canonical flag key -> result.  Must be picklable to
-#: be used with :class:`ProcessPoolMapper` or the distributed mapper.
+#: be used with a process executor or the distributed mapper.
 CandidateEvaluator = Callable[[FlagKey], CandidateResult]
 
 #: Bound on the per-worker evaluator cache: campaign jobs run sequentially,
@@ -159,10 +157,9 @@ def map_pipelined(executor, evaluate_chunk, keys: Sequence[FlagKey],
                   workers: int) -> List[CandidateResult]:
     """Dispatch contiguous per-worker chunks and flatten results in order.
 
-    The single policy point for pipelined dispatch: every executor-backed
-    mapper (thread, process, shared campaign pool, distributed worker slots)
-    funnels batch-aware evaluators through here, so a chunking change —
-    e.g. deeper compile-lane lookahead — lands in all of them at once.
+    The single policy point for chunked dispatch: :class:`LocalMapper` on
+    any executor and the distributed worker's slots funnel through here, so
+    a chunking change lands in all of them at once.
     ``evaluate_chunk(chunk) -> List[CandidateResult]`` must be picklable for
     process executors (a module-level function or a ``functools.partial``
     over one).
@@ -174,140 +171,112 @@ def map_pipelined(executor, evaluate_chunk, keys: Sequence[FlagKey],
     return [result for future in futures for result in future.result()]
 
 
-class SerialMapper:
-    """Deterministic in-process mapper (the default and the fallback)."""
-
-    workers = 1
-    #: No pickle blob ever leaves the process, so no id is needed.
-    evaluator_id: Optional[int] = None
-
-    def __init__(self, evaluator: CandidateEvaluator) -> None:
-        self._evaluator = evaluator
-
-    def map(self, keys: Sequence[FlagKey]) -> List[CandidateResult]:
-        return evaluate_keys(self._evaluator, list(keys))
-
-    def close(self) -> None:
-        pass
+#: Worker-process global: evaluator id -> deserialized evaluator.  Ids come
+#: from :func:`next_evaluator_id`, so they can never alias.  Bounded
+#: (:data:`EVALUATOR_CACHE_LIMIT`) because campaign jobs run sequentially.
+_POOL_EVALUATORS: Dict[int, CandidateEvaluator] = {}
 
 
-# Worker-process global, installed once per worker by the pool initializer so
-# the (comparatively heavy) evaluator is pickled once, not once per task.
-_WORKER_EVALUATOR: Optional[CandidateEvaluator] = None
+def _pool_evaluator(evaluator_id: int, blob: bytes) -> CandidateEvaluator:
+    evaluator = _POOL_EVALUATORS.get(evaluator_id)
+    if evaluator is None:
+        evaluator = pickle.loads(blob)
+        while len(_POOL_EVALUATORS) >= EVALUATOR_CACHE_LIMIT:
+            _POOL_EVALUATORS.pop(next(iter(_POOL_EVALUATORS)))
+        _POOL_EVALUATORS[evaluator_id] = evaluator
+    return evaluator
 
 
-def _install_worker_evaluator(evaluator: CandidateEvaluator) -> None:
-    global _WORKER_EVALUATOR
-    _WORKER_EVALUATOR = evaluator
+def _pool_call_batch(evaluator_id: int, blob: bytes,
+                     keys: Sequence[FlagKey]) -> List[CandidateResult]:
+    """One process-pool task = one contiguous key chunk.  Dispatched as
+    ``functools.partial(_pool_call_batch, id, blob)``: every task ships the
+    same bytes object and a worker deserializes it at most once."""
+    return evaluate_keys(_pool_evaluator(evaluator_id, blob), list(keys))
 
 
-def _call_worker_evaluator(key: FlagKey) -> CandidateResult:
-    assert _WORKER_EVALUATOR is not None, "worker pool initializer did not run"
-    return _WORKER_EVALUATOR(key)
+def new_pool_executor(kind: str, workers: int):
+    """A fresh ``"thread"`` or ``"process"`` executor with ``workers`` lanes."""
+    if kind == "thread":
+        from concurrent.futures import ThreadPoolExecutor
 
-
-def _call_worker_evaluator_batch(keys: Sequence[FlagKey]) -> List[CandidateResult]:
-    """One worker task = one contiguous key chunk, pipelined inside the worker."""
-    assert _WORKER_EVALUATOR is not None, "worker pool initializer did not run"
-    return evaluate_keys(_WORKER_EVALUATOR, keys)
-
-
-class ProcessPoolMapper:
-    """Dispatches candidate evaluations to a ``ProcessPoolExecutor``.
-
-    A pipeline-aware evaluator gets its keys as contiguous chunks (one task
-    per worker per generation) so it can overlap its compile lane with
-    emulation *inside* each worker; a monolithic evaluator keeps the
-    key-granular ``Executor.map`` so expensive candidates are dynamically
-    balanced across workers.  Either way results come back in submission
-    order, so the engine's determinism guarantee holds for any worker count.
-    Exceptions raised inside a worker (anything the evaluator does not
-    classify as an invalid candidate) propagate to the caller, exactly like
-    the serial mapper.
-    """
-
-    def __init__(self, evaluator: CandidateEvaluator, workers: int = 2) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self._evaluator = evaluator
-        self._pipelined = getattr(evaluator, "evaluate_batch", None) is not None
-        self.workers = workers
-        self.evaluator_id = next_evaluator_id()
-        self._pool = None
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_install_worker_evaluator,
-                initargs=(self._evaluator,),
-            )
-        return self._pool
-
-    def map(self, keys: Sequence[FlagKey]) -> List[CandidateResult]:
-        if not keys:
-            return []
-        if not self._pipelined:
-            return list(self._ensure_pool().map(_call_worker_evaluator, keys))
-        return map_pipelined(
-            self._ensure_pool(), _call_worker_evaluator_batch, keys, self.workers
+        return ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="evaluation-mapper"
         )
+    from concurrent.futures import ProcessPoolExecutor
 
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+    return ProcessPoolExecutor(max_workers=workers)
 
 
-class ThreadPoolMapper:
-    """Thread-based mapper (``executor="thread"``).
+class LocalMapper:
+    """The one in-process mapper: inline, thread pool, or process pool.
 
-    Threads share the process, so the serial evaluator is reused directly —
-    no pickling, no per-worker caches, no spawn cost.  Under the default GIL
-    build this buys little for the CPU-bound evaluator; it exists for
-    free-threaded builds (PEP 703), where the compile+emulate+score pipeline
-    parallelizes without the process pool's serialization tax.  Determinism
-    is unchanged: ``Executor.map`` yields results in submission order.
+    ``kind="serial"`` evaluates the batch inline (deterministic default and
+    fallback).  ``"thread"`` and ``"process"`` dispatch every batch as
+    contiguous per-worker chunks (:func:`map_pipelined`), so the evaluator
+    overlaps its compile lane with emulation *inside* each worker and the
+    partition — hence every fingerprint — depends only on the batch length
+    and the worker count.  Threads share the process and call the evaluator
+    directly; a process executor gets the evaluator as an id plus a blob
+    pickled once per mapper, which each worker deserializes at most once
+    (bounded cache, :data:`EVALUATOR_CACHE_LIMIT`).
+
+    ``executor_source`` is a zero-argument callable returning a *borrowed*
+    executor (a campaign's or the service's shared pool): ``close`` leaves
+    it alone.  Without one the mapper owns its executor: created lazily on
+    first ``map``, shut down and dropped by ``close``, recreated by a later
+    ``map`` — :meth:`BinTuner.run` closes the engine and a follow-up
+    ``evaluate()`` must keep working.
+
+    Exceptions raised by the evaluator (anything it does not classify as an
+    invalid candidate) propagate to the caller on every kind.
     """
 
-    evaluator_id: Optional[int] = None
+    KINDS = ("serial", "thread", "process")
 
-    def __init__(self, evaluator: CandidateEvaluator, workers: int = 2) -> None:
+    def __init__(
+        self,
+        evaluator: CandidateEvaluator,
+        kind: str = "serial",
+        workers: int = 1,
+        executor_source: Optional[Callable[[], object]] = None,
+    ) -> None:
+        if kind not in self.KINDS:
+            raise ValueError(f"unknown mapper kind {kind!r} (use one of {', '.join(self.KINDS)})")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self._evaluator = evaluator
-        self.workers = workers
-        self._pool = None
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="evaluation-mapper"
+        self.kind = kind
+        self.workers = 1 if kind == "serial" else workers
+        self._executor_source = executor_source
+        self._owned_executor = None
+        #: Only a pickle blob that leaves the process needs an id.
+        self.evaluator_id: Optional[int] = None
+        if kind == "process":
+            self.evaluator_id = next_evaluator_id()
+            self._evaluate_chunk = functools.partial(
+                _pool_call_batch, self.evaluator_id, pickle.dumps(evaluator)
             )
-        return self._pool
+        else:
+            self._evaluate_chunk = functools.partial(evaluate_keys, evaluator)
+
+    def _executor(self):
+        if self._executor_source is not None:
+            return self._executor_source()
+        if self._owned_executor is None:
+            self._owned_executor = new_pool_executor(self.kind, self.workers)
+        return self._owned_executor
 
     def map(self, keys: Sequence[FlagKey]) -> List[CandidateResult]:
+        if self.kind == "serial":
+            return self._evaluate_chunk(list(keys))
         if not keys:
             return []
-        if getattr(self._evaluator, "evaluate_batch", None) is not None:
-            # Pipeline-aware evaluator: one contiguous chunk per thread, so
-            # each lane overlaps compiles with emulation across its chunk.
-            return map_pipelined(
-                self._ensure_pool(),
-                functools.partial(evaluate_keys, self._evaluator),
-                keys,
-                self.workers,
-            )
-        return list(self._ensure_pool().map(self._evaluator, keys))
+        return map_pipelined(self._executor(), self._evaluate_chunk, keys, self.workers)
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        if self._owned_executor is not None:
+            self._owned_executor.shutdown()
+            self._owned_executor = None
 
 
 #: Dispatch modes every (executor, workers) resolver accepts.
@@ -320,21 +289,19 @@ def make_mapper(
     workers: int = 1,
     serve: Optional[str] = None,
 ):
-    """Resolve the (executor, workers) knobs into a mapper instance.
+    """Resolve the (executor, workers) knobs into a mapper that owns its substrate.
 
     ``serve`` applies to ``executor="distributed"`` only: the ``HOST:PORT``
     the coordinator binds (``"127.0.0.1:0"`` — loopback, ephemeral port — by
     default; read the bound address off ``mapper.coordinator``).  The
     returned distributed mapper owns its coordinator and tears it down on
-    ``close``; campaigns that want one coordinator spanning many programs
+    ``close``; campaigns that want one substrate spanning many programs
     build their mappers through the shared pool instead.
     """
     if executor not in EXECUTORS:
         raise ValueError(f"unknown executor {executor!r} (use one of {', '.join(EXECUTORS)})")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if executor == "thread":
-        return ThreadPoolMapper(evaluator, workers=workers)
     if executor == "distributed":
         from repro.distrib.coordinator import Coordinator
         from repro.distrib.mapper import DistributedMapper
@@ -344,98 +311,9 @@ def make_mapper(
         return DistributedMapper(
             Coordinator(host=host, port=port), evaluator, own_coordinator=True
         )
-    if executor == "process" or workers > 1:
-        return ProcessPoolMapper(evaluator, workers=workers)
-    return SerialMapper(evaluator)
-
-
-# ---------------------------------------------------------------------------
-# The tuner's worker function
-# ---------------------------------------------------------------------------
-
-def make_fitness(
-    kind: str, baseline: BinaryImage, compressor: str = "lzma"
-) -> Callable[[BinaryImage], float]:
-    """The single ``fitness_kind`` dispatch, shared by orchestrator and workers."""
-    if kind == "binhunt":
-        from repro.tuner.tuner import BinHuntFitness
-
-        return BinHuntFitness(baseline)
-    return CachedNCDFitness(baseline, compressor=compressor)
-
-@dataclass
-class TunerCandidateEvaluator:
-    """Compile + emulate + score one candidate; picklable for worker pools.
-
-    Domain failures — a constraint conflict, a failed compilation, a
-    miscompiled binary caught by the behaviour check — score
-    ``invalid_fitness``.  Anything else (a genuine programming error)
-    propagates: converting a ``TypeError`` into a penalty record would bury
-    real bugs in the tuning log.
-    """
-
-    compiler: Compiler
-    source: str
-    name: str
-    baseline: BinaryImage
-    baseline_behaviour: object = None
-    arguments: Sequence[int] = ()
-    inputs: Sequence[int] = ()
-    fitness_kind: str = "ncd"
-    compressor: str = "lzma"
-    invalid_fitness: float = -1.0
-    max_emulation_steps: int = 2_000_000
-
-    def __post_init__(self) -> None:
-        self._constraints = ConstraintEngine(self.compiler.registry)
-        self._fitness: Optional[Callable[[BinaryImage], float]] = None
-
-    # Per-process fitness state (the NCD cache) is rebuilt lazily after
-    # unpickling instead of being shipped to every worker.
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["_fitness"] = None
-        return state
-
-    def fitness_function(self) -> Callable[[BinaryImage], float]:
-        if self._fitness is None:
-            self._fitness = make_fitness(self.fitness_kind, self.baseline, self.compressor)
-        return self._fitness
-
-    def __call__(self, key: FlagKey) -> CandidateResult:
-        started = time.perf_counter()
-        fitness_fn = self.fitness_function()
-        try:
-            flags = self._constraints.check(
-                FlagVector(self.compiler.registry, frozenset(key))
-            )
-            image = self.compiler.compile(self.source, flags, name=self.name).image
-            if self.baseline_behaviour is not None:
-                behaviour = run_program(
-                    image,
-                    args=self.arguments,
-                    inputs=self.inputs,
-                    max_steps=self.max_emulation_steps,
-                ).observable_state()
-                if behaviour != self.baseline_behaviour:
-                    raise CompilationError("tuned binary changed observable behaviour")
-            return CandidateResult(
-                fitness=fitness_fn(image),
-                code_size=image.code_size(),
-                fingerprint=image.fingerprint(),
-                valid=True,
-                elapsed_seconds=time.perf_counter() - started,
-            )
-        except (CompilationError, EmulationError, ConstraintViolation, ValueError):
-            # A conflicting flag set or a miscompiled binary scores the
-            # configured penalty, exactly like a failed compilation iteration.
-            return CandidateResult(
-                fitness=self.invalid_fitness,
-                code_size=0,
-                fingerprint="invalid",
-                valid=False,
-                elapsed_seconds=time.perf_counter() - started,
-            )
+    if executor == "serial" and workers > 1:
+        executor = "process"
+    return LocalMapper(evaluator, executor, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +325,9 @@ class EvaluationStats:
     """Dedup/caching counters of one engine (reported by the speedup bench).
 
     The ``compile_seconds`` / ``measure_seconds`` / ``score_seconds`` and
-    ``artifact_*`` fields are filled by staged-pipeline results only; they
-    aggregate the per-candidate stage reports, which is what makes them
-    correct even when the artifact caches live in worker processes or on
-    remote machines the engine never sees.
+    ``artifact_*`` fields aggregate the per-candidate stage reports, which
+    is what makes them correct even when the artifact caches live in worker
+    processes or on remote machines the engine never sees.
     """
 
     requested: int = 0
@@ -473,43 +350,19 @@ class EvaluationStats:
     #: signal of a distributed campaign.
     artifact_mesh_hits: int = 0
 
+    def _combine(self, other: "EvaluationStats", op) -> "EvaluationStats":
+        return EvaluationStats(**{
+            f.name: op(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+        })
+
     def since(self, baseline: "EvaluationStats") -> "EvaluationStats":
         """Counters accrued after ``baseline`` was snapshot (per-run stats)."""
-        return EvaluationStats(
-            requested=self.requested - baseline.requested,
-            evaluated=self.evaluated - baseline.evaluated,
-            database_hits=self.database_hits - baseline.database_hits,
-            intra_batch_hits=self.intra_batch_hits - baseline.intra_batch_hits,
-            batches=self.batches - baseline.batches,
-            invalid=self.invalid - baseline.invalid,
-            worker_seconds=self.worker_seconds - baseline.worker_seconds,
-            compile_seconds=self.compile_seconds - baseline.compile_seconds,
-            measure_seconds=self.measure_seconds - baseline.measure_seconds,
-            score_seconds=self.score_seconds - baseline.score_seconds,
-            artifact_hits=self.artifact_hits - baseline.artifact_hits,
-            artifact_misses=self.artifact_misses - baseline.artifact_misses,
-            artifact_store_hits=self.artifact_store_hits - baseline.artifact_store_hits,
-            artifact_mesh_hits=self.artifact_mesh_hits - baseline.artifact_mesh_hits,
-        )
+        return self._combine(baseline, operator.sub)
 
     def add(self, other: "EvaluationStats") -> "EvaluationStats":
         """Field-wise sum (campaign summaries aggregate per-program stats)."""
-        return EvaluationStats(
-            requested=self.requested + other.requested,
-            evaluated=self.evaluated + other.evaluated,
-            database_hits=self.database_hits + other.database_hits,
-            intra_batch_hits=self.intra_batch_hits + other.intra_batch_hits,
-            batches=self.batches + other.batches,
-            invalid=self.invalid + other.invalid,
-            worker_seconds=self.worker_seconds + other.worker_seconds,
-            compile_seconds=self.compile_seconds + other.compile_seconds,
-            measure_seconds=self.measure_seconds + other.measure_seconds,
-            score_seconds=self.score_seconds + other.score_seconds,
-            artifact_hits=self.artifact_hits + other.artifact_hits,
-            artifact_misses=self.artifact_misses + other.artifact_misses,
-            artifact_store_hits=self.artifact_store_hits + other.artifact_store_hits,
-            artifact_mesh_hits=self.artifact_mesh_hits + other.artifact_mesh_hits,
-        )
+        return self._combine(other, operator.add)
 
     @property
     def cache_hits(self) -> int:
@@ -538,17 +391,13 @@ class EvaluationStats:
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-safe counters (campaign manifests, the pipeline bench)."""
-        from dataclasses import asdict
-
         return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "EvaluationStats":
         """Inverse of :meth:`as_dict`; unknown keys are ignored so manifests
         written by a newer schema still load."""
-        from dataclasses import fields as dataclass_fields
-
-        known = {f.name for f in dataclass_fields(cls)}
+        known = {f.name for f in fields(cls)}
         return cls(**{key: value for key, value in payload.items() if key in known})
 
     def as_row(self) -> Dict[str, object]:
@@ -664,14 +513,13 @@ class EvaluationEngine:
         for key, result in zip(misses, results):
             self.stats.evaluated += 1
             self.stats.worker_seconds += result.elapsed_seconds
-            if result.staged:
-                self.stats.compile_seconds += result.compile_seconds
-                self.stats.measure_seconds += result.measure_seconds
-                self.stats.score_seconds += result.score_seconds
-                self.stats.artifact_hits += result.artifact_hits
-                self.stats.artifact_misses += result.artifact_misses
-                self.stats.artifact_store_hits += result.artifact_store_hits
-                self.stats.artifact_mesh_hits += result.artifact_mesh_hits
+            self.stats.compile_seconds += result.compile_seconds
+            self.stats.measure_seconds += result.measure_seconds
+            self.stats.score_seconds += result.score_seconds
+            self.stats.artifact_hits += result.artifact_hits
+            self.stats.artifact_misses += result.artifact_misses
+            self.stats.artifact_store_hits += result.artifact_store_hits
+            self.stats.artifact_mesh_hits += result.artifact_mesh_hits
             if not result.valid:
                 self.stats.invalid += 1
             self.database.record(

@@ -1,13 +1,11 @@
-"""The staged evaluation pipeline: compile → measure → score, with artifacts.
+"""The candidate evaluator: compile → measure → score, staged over artifacts.
 
-The monolithic :class:`~repro.tuner.evaluation.TunerCandidateEvaluator` runs
-one opaque closure per candidate: compile, emulate for functional
-correctness, score by NCD.  Every flag vector pays all three stages even
-when only one stage's inputs changed — re-scoring a checkpointed campaign
-recompiles, ``compare_levels`` recompiles presets the search already built,
-a warm-started rerun recompiles every configuration it saw last time.
-
-This module makes the stages first-class, cacheable units:
+Every candidate is compiled, emulated for functional correctness and scored
+by NCD.  Run as one opaque closure, every flag vector would pay all three
+even when only one stage's inputs changed — re-scoring a checkpointed
+campaign recompiles, ``compare_levels`` recompiles presets the search already
+built, a warm-started rerun recompiles every configuration it saw last time.
+So the stages are first-class, cacheable units:
 
 * :class:`CompileStage` — constraint check + compilation.  Artifacts are
   content-addressed by ``(compiler family, compiler version, source digest,
@@ -32,13 +30,15 @@ This module makes the stages first-class, cacheable units:
   process (a fresh campaign, a respawned worker, a reconnected
   distributed slot) starts warm instead of re-paying its history.
 
-:class:`StagedCandidateEvaluator` composes the stages behind the exact
-``FlagKey -> CandidateResult`` contract of the monolithic evaluator —
-results are bit-for-bit identical (fitness, code size, fingerprint,
-validity; only timing fields differ) for any executor and worker count —
-and adds :meth:`~StagedCandidateEvaluator.evaluate_batch`: inside a worker,
-candidate *k+1*'s compile proceeds on a second lane while candidate *k*'s
-emulation and scoring execute, overlapping the two dominant stage costs.
+:class:`StagedCandidateEvaluator` — the one candidate evaluator — composes
+the stages behind the ``FlagKey -> CandidateResult`` contract.  Results are
+bit-for-bit identical (fitness, code size, fingerprint, validity; only
+timing fields differ) to the unstaged compile → ``run_program`` → fitness
+closure, which lives on as the test oracle
+(``tests/_helpers.py::reference_evaluator``), for any executor and worker
+count.  :meth:`~StagedCandidateEvaluator.evaluate_batch` adds the overlap:
+inside a worker, candidate *k+1*'s compile proceeds on a second lane while
+candidate *k*'s emulation and scoring execute.
 """
 
 from __future__ import annotations
@@ -51,29 +51,22 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from threading import Lock
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.emulator import EmulationError, run_program
 from repro.backend.binary import BinaryImage
-from repro.compilers.base import CompilationError
+from repro.compilers.base import CompilationError, Compiler
 from repro.difftools.ncd import CachedNCDFitness
 from repro.opt.flags import FlagVector
 from repro.telemetry import get_sink
 from repro.tuner.constraints import ConstraintEngine, ConstraintViolation
-from repro.tuner.evaluation import (
-    CandidateResult,
-    FlagKey,
-    TunerCandidateEvaluator,
-)
+from repro.tuner.evaluation import CandidateResult, FlagKey
 from repro.tuner.store import DEFAULT_STORE_MAX_BYTES, ArtifactStore, persistent_store
 
 #: Default bound of an artifact cache.  Artifacts are small (a linked image
 #: plus an integer), but campaigns evaluate thousands of candidates; the
 #: bound keeps a long-lived shared cache from growing monotonically.
 DEFAULT_ARTIFACT_CACHE_SIZE = 1024
-
-#: The two pipeline modes ``BinTunerConfig.pipeline`` accepts.
-PIPELINES = ("staged", "monolithic")
 
 
 #: :meth:`ArtifactCache.lookup` tiers: a miss, the in-memory LRU, the disk
@@ -283,15 +276,11 @@ def reset_shared_artifact_caches() -> None:
         _SHARED_CACHES.clear()
 
 
-#: Default compile-lane lookahead: how many candidates the lane may run
-#: ahead of the measure/score lane within one batch.
-DEFAULT_COMPILE_LOOKAHEAD = 4
-
-#: Default in-flight artifact budget: once the compiled-but-unconsumed
-#: artifacts of a batch exceed this many bytes, the lane stops submitting
-#: new compiles (one submission always stays in flight so progress never
-#: stalls).
-DEFAULT_INFLIGHT_ARTIFACT_BYTES = 64 * 1024 * 1024
+#: Compile-lane lookahead: how many candidates the lane may run ahead of
+#: the measure/score lane within one batch.  Every compiled artifact is
+#: already resident in the :class:`ArtifactCache` when the lane returns it,
+#: so the window bounds scheduling, not memory.
+COMPILE_LOOKAHEAD = 4
 
 _COMPILE_LANE: Optional[Tuple[int, ThreadPoolExecutor]] = None
 _COMPILE_LANE_LOCK = Lock()
@@ -302,8 +291,8 @@ def shared_compile_lane() -> ThreadPoolExecutor:
 
     One lane is shared by every staged evaluator in the process — including
     all workers of a thread mapper — so batches stop paying executor
-    construction and thread spawn per generation (the measured cold-run
-    staged-vs-monolithic regression).  The singleton is keyed by pid: a
+    construction and thread spawn per generation (a measured cold-run
+    regression).  The singleton is keyed by pid: a
     fork-spawned pool worker inherits the parent's executor object *without*
     its threads, and submitting to that husk would hang forever, so each
     process lazily builds its own.
@@ -441,8 +430,7 @@ class CompileStage:
 
     def _run(self, flag_key: FlagKey, check_constraints: bool = True) -> StageOutcome:
         started = time.perf_counter()
-        # Constraints are verified *before* the cache is consulted, exactly
-        # like the monolithic evaluator checks them before every compile: a
+        # Constraints are verified *before* the cache is consulted: a
         # conflicting key must raise even when its artifact is cached (e.g.
         # compiled earlier through the unchecked compare_levels path).
         flags = FlagVector(self.compiler.registry, frozenset(flag_key))
@@ -555,14 +543,32 @@ class ScoreStage:
         return StageOutcome(value, time.perf_counter() - started, False)
 
 
-@dataclass
-class StagedCandidateEvaluator(TunerCandidateEvaluator):
-    """Staged drop-in for the monolithic evaluator (same key -> same result).
+def make_fitness(
+    kind: str, baseline: BinaryImage, compressor: str = "lzma"
+) -> Callable[[BinaryImage], float]:
+    """The single ``fitness_kind`` dispatch, shared by orchestrator and workers."""
+    if kind == "binhunt":
+        from repro.tuner.tuner import BinHuntFitness
 
-    Carries the same build-spec fields plus the artifact-cache knobs.  The
-    cache itself never crosses a process boundary: pickling strips it (like
-    the fitness state), and the worker side falls back to its process-shared
-    cache, so every worker accumulates reusable artifacts across programs.
+        return BinHuntFitness(baseline)
+    return CachedNCDFitness(baseline, compressor=compressor)
+
+
+@dataclass
+class StagedCandidateEvaluator:
+    """Compile + emulate + score one candidate; picklable for worker pools.
+
+    Domain failures — a constraint conflict, a failed compilation, a
+    miscompiled binary caught by the behaviour check — score
+    ``invalid_fitness``.  Anything else (a genuine programming error)
+    propagates: converting a ``TypeError`` into a penalty record would bury
+    real bugs in the tuning log.
+
+    Carries the build-spec fields plus the artifact-cache knobs.  Per-process
+    state never crosses a process boundary: pickling strips the cache, the
+    stages and the lazily built fitness (its NCD cache), and the worker side
+    falls back to its process-shared cache, so every worker accumulates
+    reusable artifacts across programs.
 
     ``store_dir`` *does* cross the boundary: it is plain configuration, so a
     freshly spawned process-pool worker (or a remote worker on the same
@@ -573,28 +579,35 @@ class StagedCandidateEvaluator(TunerCandidateEvaluator):
     (``repro.distrib.worker --store-dir``).
     """
 
+    compiler: Compiler
+    source: str
+    name: str
+    baseline: BinaryImage
+    baseline_behaviour: object = None
+    arguments: Sequence[int] = ()
+    inputs: Sequence[int] = ()
+    fitness_kind: str = "ncd"
+    compressor: str = "lzma"
+    invalid_fitness: float = -1.0
+    max_emulation_steps: int = 2_000_000
     cache_size: int = DEFAULT_ARTIFACT_CACHE_SIZE
     artifact_cache: Optional[ArtifactCache] = None
     store_dir: Optional[str] = None
     store_max_bytes: Optional[int] = DEFAULT_STORE_MAX_BYTES
-    #: How many compiles the lane may run ahead of measure/score per batch.
-    lookahead: int = DEFAULT_COMPILE_LOOKAHEAD
-    #: Byte budget for compiled-but-unconsumed artifacts per batch; ``None``
-    #: disables the cap.  Plain configuration — pickles to workers.
-    inflight_artifact_bytes: Optional[int] = DEFAULT_INFLIGHT_ARTIFACT_BYTES
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         if self.store_dir is not None:
             self.store_dir = str(self.store_dir)  # Path-friendly, pickle-clean
+        self._fitness: Optional[Callable[[BinaryImage], float]] = None
         self._compile_stage: Optional[CompileStage] = None
         self._measure_stage: Optional[MeasureStage] = None
         self._score_stage: Optional[ScoreStage] = None
         self._stage_lock = Lock()
 
     def __getstate__(self):
-        state = super().__getstate__()
-        state["artifact_cache"] = None  # per-process state, like the fitness
+        state = dict(self.__dict__)
+        state["_fitness"] = None
+        state["artifact_cache"] = None
         state["_compile_stage"] = None
         state["_measure_stage"] = None
         state["_score_stage"] = None
@@ -613,6 +626,11 @@ class StagedCandidateEvaluator(TunerCandidateEvaluator):
             store_dir=self.store_dir,
             store_max_bytes=self.store_max_bytes,
         )
+
+    def fitness_function(self) -> Callable[[BinaryImage], float]:
+        if self._fitness is None:
+            self._fitness = make_fitness(self.fitness_kind, self.baseline, self.compressor)
+        return self._fitness
 
     def attach_store(self, store_dir, max_bytes: Optional[int] = None) -> None:
         """Re-point this evaluator at the disk store under ``store_dir``.
@@ -675,9 +693,8 @@ class StagedCandidateEvaluator(TunerCandidateEvaluator):
                 if self._compile_stage is None:
                     cache = self.cache()
                     # Built before any candidate is touched so configuration
-                    # errors (an unknown compressor) propagate exactly like
-                    # the monolithic evaluator's fitness construction
-                    # instead of scoring a penalty.
+                    # errors (an unknown compressor) propagate instead of
+                    # scoring a penalty.
                     fitness = self.fitness_function()
                     self._score_stage = ScoreStage(fitness)
                     if self.baseline_behaviour is not None:
@@ -703,8 +720,7 @@ class StagedCandidateEvaluator(TunerCandidateEvaluator):
 
         Domain failures are returned (not raised) so the compile lane can run
         ahead of the measure/score lane without losing them; programming
-        errors propagate through the lane's future exactly as they would from
-        the monolithic evaluator.
+        errors propagate through the lane's future.
         """
         compile_stage, _measure, _score = self._ensure_stages()
         started = time.perf_counter()
@@ -760,7 +776,6 @@ class StagedCandidateEvaluator(TunerCandidateEvaluator):
             artifact_misses=int(not outcome.cached) + int(measured and not measure_cached),
             artifact_store_hits=int(outcome.from_store) + int(measure_from_store),
             artifact_mesh_hits=int(outcome.from_mesh) + int(measure_from_mesh),
-            staged=True,
         )
 
     def _invalid_result(
@@ -785,82 +800,38 @@ class StagedCandidateEvaluator(TunerCandidateEvaluator):
             artifact_misses=artifact_misses,
             artifact_store_hits=artifact_store_hits,
             artifact_mesh_hits=artifact_mesh_hits,
-            staged=True,
         )
 
     def __call__(self, key: FlagKey) -> CandidateResult:
         return self._finish(self._compile_outcome(key))
-
-    @staticmethod
-    def _outcome_bytes(outcome: StageOutcome) -> int:
-        """Approximate resident size of a compile outcome's artifact."""
-        artifact = outcome.value
-        image = getattr(artifact, "image", None)
-        if image is None:
-            return 0
-        return len(image.text) + len(image.rodata)
 
     def evaluate_batch(self, keys: Sequence[FlagKey]) -> List[CandidateResult]:
         """Evaluate a batch with the compile lane overlapping measure+score.
 
         Compiles run on the persistent process-wide lane
         (:func:`shared_compile_lane` — built once, not per generation), at
-        most ``lookahead`` submissions ahead of the measure/score lane, and
-        the window additionally narrows when the compiled-but-unconsumed
-        artifacts exceed ``inflight_artifact_bytes`` (at least one
-        submission always stays in flight, so the cap can bound memory but
-        never progress).  While candidate *k* is being measured the lane is
-        already compiling *k+1* .. *k+lookahead*.  Results are consumed in
-        submission order, so ordering — and therefore every record and
+        most :data:`COMPILE_LOOKAHEAD` submissions ahead of the
+        measure/score lane: while candidate *k* is being measured the lane
+        is already compiling *k+1* .. *k+lookahead*.  Results are consumed
+        in submission order, so ordering — and therefore every record and
         fingerprint downstream — is identical to the sequential path
-        regardless of lane width, lookahead, or cap.
+        regardless of lane width or lookahead.
         """
         keys = list(keys)
         if len(keys) < 2:
             return [self(key) for key in keys]
         self._ensure_stages()
         lane = shared_compile_lane()
-        lookahead = max(1, int(self.lookahead))
-        budget = self.inflight_artifact_bytes
-        # Batch-local in-flight accounting: done-callbacks (lane threads)
-        # add an artifact's bytes when its compile completes, the consume
-        # loop subtracts them as it takes the artifact.  Both fire exactly
-        # once per future, so transient orderings only ever skew the gate,
-        # never the results.
-        account_lock = Lock()
-        inflight = [0]
-
-        def _submit(key: FlagKey):
-            future = lane.submit(self._compile_outcome, key)
-
-            def _completed(done_future) -> None:
-                if done_future.cancelled() or done_future.exception() is not None:
-                    return
-                size = self._outcome_bytes(done_future.result())
-                with account_lock:
-                    inflight[0] += size
-
-            future.add_done_callback(_completed)
-            return future
-
         pending = deque()
         next_index = 0
         results: List[CandidateResult] = []
         while len(results) < len(keys):
             # Refill the window *before* finishing the head outcome, so the
             # lane keeps compiling while this thread emulates and scores.
-            while next_index < len(keys) and len(pending) < lookahead:
-                if pending and budget is not None:
-                    with account_lock:
-                        over_budget = inflight[0] >= budget
-                    if over_budget:
-                        break
-                pending.append(_submit(keys[next_index]))
+            while next_index < len(keys) and len(pending) < COMPILE_LOOKAHEAD:
+                pending.append(lane.submit(self._compile_outcome, keys[next_index]))
                 next_index += 1
-            outcome = pending.popleft().result()
-            with account_lock:
-                inflight[0] -= self._outcome_bytes(outcome)
-            results.append(self._finish(outcome))
+            results.append(self._finish(pending.popleft().result()))
         return results
 
     # -- artifact reuse beyond the search loop ------------------------------------

@@ -6,37 +6,30 @@ baseline by default, BinHunt score optionally) and the genetic-algorithm
 search, recording every iteration in the tuning database and returning the
 best configuration plus its binary.
 
-Candidate evaluation itself lives in :mod:`repro.tuner.evaluation`: the
-orchestrator builds an :class:`EvaluationEngine` around a picklable
-compile+emulate+score worker, and the search strategies submit whole
-generations to it.  ``BinTunerConfig.workers`` / ``executor`` choose between
-the deterministic serial executor and a process pool; results are recorded in
-generation order either way, so runs are reproducible for any worker count.
+Candidate evaluation itself lives in :mod:`repro.tuner.evaluation` and
+:mod:`repro.tuner.pipeline`: the orchestrator builds an
+:class:`EvaluationEngine` around the picklable staged compile+emulate+score
+evaluator, and the search strategies submit whole generations to it.
+``BinTunerConfig.workers`` / ``executor`` choose between the deterministic
+serial executor and a process pool; results are recorded in generation order
+either way, so runs are reproducible for any worker count.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.emulator import run_program
 from repro.backend.binary import BinaryImage
 from repro.compilers.base import Compiler
 from repro.difftools.binhunt import BinHunt
 from repro.opt.flags import FlagVector
 from repro.tuner.constraints import ConstraintEngine
 from repro.tuner.database import TuningDatabase
-from repro.tuner.evaluation import (
-    EvaluationEngine,
-    EvaluationStats,
-    TunerCandidateEvaluator,
-)
+from repro.tuner.evaluation import EvaluationEngine, EvaluationStats
 from repro.tuner.pipeline import (
     DEFAULT_ARTIFACT_CACHE_SIZE,
-    DEFAULT_COMPILE_LOOKAHEAD,
-    DEFAULT_INFLIGHT_ARTIFACT_BYTES,
-    PIPELINES,
     ArtifactCache,
     CompileStage,
     MeasureStage,
@@ -121,12 +114,10 @@ class BinTunerConfig:
     #: best configurations of already-tuned programs in a campaign.  Names
     #: unknown to the target compiler's registry are dropped silently.
     warm_start: Tuple[Tuple[str, ...], ...] = ()
-    #: Candidate-evaluation pipeline: ``"staged"`` (the default) splits
-    #: compile/measure/score into cached, overlappable stages
-    #: (:mod:`repro.tuner.pipeline`); ``"monolithic"`` runs the original
-    #: opaque closure.  Results are bit-for-bit identical either way.
+    #: Inert: the only value is ``"staged"``, read nowhere; kept only because
+    #: the byte-frozen ``benchmarks/ledger/replay.py`` still passes it.
     pipeline: str = "staged"
-    #: Bound of the staged pipeline's artifact cache (entries, not bytes).
+    #: Bound of the evaluator's artifact cache (entries, not bytes).
     #: Only sizes a cache this tuner creates; an injected or process-shared
     #: cache keeps its own bound.
     artifact_cache_size: int = DEFAULT_ARTIFACT_CACHE_SIZE
@@ -139,13 +130,13 @@ class BinTunerConfig:
     store_dir: Optional[Path] = None
     #: Byte budget of the store's LRU garbage collection (``None``: unbounded).
     store_max_bytes: Optional[int] = DEFAULT_STORE_MAX_BYTES
-    #: How many candidates the persistent compile lane may run ahead of the
-    #: measure/score lane within one batch (staged pipeline only).
-    lookahead: int = DEFAULT_COMPILE_LOOKAHEAD
-    #: Byte cap on compiled-but-unconsumed artifacts per batch; the lane
-    #: pauses submissions past it (``None`` disables the cap).  Purely a
-    #: memory bound — results are identical for any value.
-    inflight_artifact_bytes: Optional[int] = DEFAULT_INFLIGHT_ARTIFACT_BYTES
+
+    def __post_init__(self) -> None:
+        if self.pipeline != "staged":
+            raise ValueError(
+                f"pipeline={self.pipeline!r} is not supported: the monolithic "
+                f"pipeline mode was removed and 'staged' is the only evaluator"
+            )
 
 
 @dataclass
@@ -182,11 +173,6 @@ class BinTuner:
         self.compiler = compiler
         self.spec = spec
         self.config = config or BinTunerConfig()
-        if self.config.pipeline not in PIPELINES:
-            raise ValueError(
-                f"unknown pipeline {self.config.pipeline!r} "
-                f"(use one of {', '.join(PIPELINES)})"
-            )
         self.constraints = ConstraintEngine(compiler.registry)
         # A campaign injects its shard as ``database`` (so dedup extends to a
         # checkpointed prior run), its shared worker pool as ``mapper_factory``
@@ -200,20 +186,18 @@ class BinTuner:
         self._artifact_cache = artifact_cache
         self._baseline: Optional[BinaryImage] = None
         self._baseline_behaviour = None
-        self._evaluator: Optional[TunerCandidateEvaluator] = None
+        self._evaluator: Optional[StagedCandidateEvaluator] = None
         self._engine: Optional[EvaluationEngine] = None
 
     # -- baseline -------------------------------------------------------------------
 
-    def _staged_cache(self) -> Optional[ArtifactCache]:
-        """The artifact cache every staged path of this tuner shares.
+    def _staged_cache(self) -> ArtifactCache:
+        """The artifact cache every stage of this tuner shares.
 
         The campaign-injected cache when there is one; otherwise built here
         (with the configured disk store attached) so the baseline build and
         the candidate evaluator reuse one cache instead of two.
         """
-        if self.config.pipeline != "staged":
-            return None
         if self._artifact_cache is None:
             self._artifact_cache = ArtifactCache(self.config.artifact_cache_size)
         return self._artifact_cache.ensure_store(
@@ -223,59 +207,35 @@ class BinTuner:
     def baseline_image(self) -> BinaryImage:
         """The O0 build every candidate is measured against (§5.1).
 
-        On the staged pipeline the baseline goes through the compile/measure
-        stages like any candidate, so its image and trace are content-
-        addressed cache entries too — a restarted campaign with a disk store
-        re-pays *nothing*, baselines included.
+        The baseline goes through the compile/measure stages like any
+        candidate, so its image and trace are content-addressed cache
+        entries too — a restarted campaign with a disk store re-pays
+        *nothing*, baselines included.
         """
         if self._baseline is None:
             cache = self._staged_cache()
-            if cache is not None:
-                stage = CompileStage(
-                    self.compiler, self.spec.source, self.spec.name, cache,
-                    compressor=None,
+            stage = CompileStage(
+                self.compiler, self.spec.source, self.spec.name, cache,
+                compressor=None,
+            )
+            key = tuple(self.compiler.preset("O0").sorted_names())
+            # The preset needs no constraint check.
+            self._baseline = stage.run(key, check_constraints=False).value.image
+            if self.config.require_functional_correctness and self.spec.check_output:
+                measure = MeasureStage(
+                    self.spec.arguments,
+                    self.spec.inputs,
+                    self.config.max_emulation_steps,
+                    cache,
                 )
-                key = tuple(self.compiler.preset("O0").sorted_names())
-                # The preset needs no constraint check, exactly like the
-                # direct compile_level call this replaces.
-                self._baseline = stage.run(key, check_constraints=False).value.image
-                if self.config.require_functional_correctness and self.spec.check_output:
-                    measure = MeasureStage(
-                        self.spec.arguments,
-                        self.spec.inputs,
-                        self.config.max_emulation_steps,
-                        cache,
-                    )
-                    self._baseline_behaviour = measure.run(self._baseline).value.behaviour
-            else:
-                result = self.compiler.compile_level(
-                    self.spec.source, "O0", name=self.spec.name
-                )
-                self._baseline = result.image
-                if self.config.require_functional_correctness and self.spec.check_output:
-                    self._baseline_behaviour = self._behaviour(self._baseline)
+                self._baseline_behaviour = measure.run(self._baseline).value.behaviour
         return self._baseline
-
-    def _behaviour(self, image: BinaryImage):
-        result = run_program(
-            image,
-            args=self.spec.arguments,
-            inputs=self.spec.inputs,
-            max_steps=self.config.max_emulation_steps,
-        )
-        return result.observable_state()
-
-    def _make_fitness(self) -> Callable[[BinaryImage], float]:
-        # Routed through the candidate evaluator so every in-process scoring
-        # path (the serial engine, compare_levels) shares one CachedNCDFitness
-        # — the O0 baseline is compressed exactly once per tuner.
-        return self._build_evaluator().fitness_function()
 
     # -- evaluation --------------------------------------------------------------------
 
-    def _build_evaluator(self) -> TunerCandidateEvaluator:
+    def _build_evaluator(self) -> StagedCandidateEvaluator:
         if self._evaluator is None:
-            common = dict(
+            self._evaluator = StagedCandidateEvaluator(
                 compiler=self.compiler,
                 source=self.spec.source,
                 name=self.spec.name,
@@ -287,22 +247,14 @@ class BinTuner:
                 compressor=self.config.compressor,
                 invalid_fitness=self.config.invalid_fitness,
                 max_emulation_steps=self.config.max_emulation_steps,
+                cache_size=self.config.artifact_cache_size,
+                artifact_cache=self._staged_cache(),
+                store_dir=(
+                    str(self.config.store_dir)
+                    if self.config.store_dir is not None else None
+                ),
+                store_max_bytes=self.config.store_max_bytes,
             )
-            if self.config.pipeline == "staged":
-                self._evaluator = StagedCandidateEvaluator(
-                    cache_size=self.config.artifact_cache_size,
-                    artifact_cache=self._staged_cache(),
-                    store_dir=(
-                        str(self.config.store_dir)
-                        if self.config.store_dir is not None else None
-                    ),
-                    store_max_bytes=self.config.store_max_bytes,
-                    lookahead=self.config.lookahead,
-                    inflight_artifact_bytes=self.config.inflight_artifact_bytes,
-                    **common,
-                )
-            else:
-                self._evaluator = TunerCandidateEvaluator(**common)
         return self._evaluator
 
     def evaluation_engine(self) -> EvaluationEngine:
@@ -402,17 +354,14 @@ class BinTuner:
     def _best_image(self, best_flags: FlagVector) -> BinaryImage:
         """The winning configuration's binary, served from the artifact cache.
 
-        The staged pipeline already compiled the best candidate at least once
-        (it was evaluated); recompiling it from scratch at the end of every
-        run — the historical behaviour — paid one full compile per run for
-        nothing.  A cache miss (monolithic pipeline, eviction, or a candidate
+        The search already compiled the best candidate at least once (it was
+        evaluated), so recompiling it at the end of every run would pay one
+        full compile for nothing.  A cache miss (eviction, or a candidate
         compiled only inside a worker process) falls back to compiling.
         """
-        evaluator = self._build_evaluator()
-        if isinstance(evaluator, StagedCandidateEvaluator):
-            cached = evaluator.cached_image(tuple(best_flags.sorted_names()))
-            if cached is not None:
-                return cached
+        cached = self._build_evaluator().cached_image(tuple(best_flags.sorted_names()))
+        if cached is not None:
+            return cached
         return self.compiler.compile(self.spec.source, best_flags, name=self.spec.name).image
 
     # -- convenience -------------------------------------------------------------------
@@ -420,23 +369,13 @@ class BinTuner:
     def compare_levels(self, levels: Sequence[str] = ("O1", "O2", "O3", "Os")) -> Dict[str, float]:
         """Fitness (difference from O0) of the default -Ox levels.
 
-        On the staged pipeline the presets go through the compile/score
-        stages, so a preset the search already built (or a repeated
-        ``compare_levels`` call) is an artifact-cache hit, not a recompile.
+        The presets go through the compile/score stages, so a preset the
+        search already built (or a repeated ``compare_levels`` call) is an
+        artifact-cache hit, not a recompile.
         """
-        out: Dict[str, float] = {}
         evaluator = self._build_evaluator()
-        if isinstance(evaluator, StagedCandidateEvaluator):
-            for level in levels:
-                if level not in self.compiler.registry.presets:
-                    continue
-                preset = self.compiler.preset(level)
-                out[level] = evaluator.score_flags(tuple(preset.sorted_names()))
-            return out
-        fitness_fn = self._make_fitness()
-        for level in levels:
-            if level not in self.compiler.registry.presets:
-                continue
-            image = self.compiler.compile_level(self.spec.source, level, name=self.spec.name).image
-            out[level] = fitness_fn(image)
-        return out
+        return {
+            level: evaluator.score_flags(tuple(self.compiler.preset(level).sorted_names()))
+            for level in levels
+            if level in self.compiler.registry.presets
+        }

@@ -20,7 +20,12 @@ The load-bearing guarantees:
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from _helpers import fresh_process_state, loopback_available
@@ -39,9 +44,14 @@ from repro.tuner import (
     BuildSpec,
     GAParameters,
     IterationRecord,
-    SerialMapper,
+    LocalMapper,
     TuningDatabase,
 )
+
+#: A checkpoint written by the parent commit (``run_campaign(checkpoint_dir=
+#: ..., limit=1)`` of this module, store left out): its manifest still
+#: carries the since-removed ``"pipeline": "staged"`` key.
+PARENT_CHECKPOINT = Path(__file__).parent / "data" / "parent_checkpoint"
 
 #: Two small but distinct programs; different sources guarantee different
 #: fingerprints for identical flag keys, which the leak test relies on.
@@ -343,11 +353,8 @@ class TestStoreRestartWarmth:
         assert campaign.store_dir == ckpt / STORE_DIR
         campaign.run()
         assert any((ckpt / STORE_DIR / "objects").iterdir())
-        # No checkpointing, no store dir; monolithic never has one.
+        # No checkpointing, no store dir.
         assert Campaign(JOBS, tiny_config(), spec_provider=tiny_spec).store_dir is None
-        assert Campaign(
-            JOBS, tiny_config(ckpt, pipeline="monolithic"), spec_provider=tiny_spec
-        ).store_dir is None
 
     def test_fresh_process_restart_compiles_nothing(self, tmp_path):
         """The headline: restart the whole campaign in a 'fresh process'
@@ -473,7 +480,8 @@ class TestSharedWorkerPool:
     def test_serial_pool_hands_out_serial_mappers(self):
         pool = SharedWorkerPool("serial", 1)
         mapper = pool.mapper(lambda key: key)
-        assert isinstance(mapper, SerialMapper)
+        assert isinstance(mapper, LocalMapper) and mapper.kind == "serial"
+        assert mapper.map([("-a",), ("-b",)]) == [("-a",), ("-b",)]
         pool.close()
 
     def test_rejects_bad_knobs(self):
@@ -487,14 +495,14 @@ class TestSharedWorkerPool:
         """Two programs' evaluators share one process pool; results come back
         in submission order for each."""
         from repro.compilers import SimLLVM
-        from repro.tuner import TunerCandidateEvaluator
+        from repro.tuner import StagedCandidateEvaluator
 
         compiler = SimLLVM()
         with SharedWorkerPool("process", 2) as pool:
             mappers = {}
             for name, source in SOURCES.items():
                 baseline = compiler.compile_level(source, "O0", name=name).image
-                evaluator = TunerCandidateEvaluator(
+                evaluator = StagedCandidateEvaluator(
                     compiler=compiler, source=source, name=name, baseline=baseline
                 )
                 mappers[name] = (pool.mapper(evaluator), evaluator)
@@ -504,6 +512,41 @@ class TestSharedWorkerPool:
                 local = [evaluator(key) for key in keys]
                 assert [r.fitness for r in pooled] == [r.fitness for r in local]
                 assert [r.fingerprint for r in pooled] == [r.fingerprint for r in local]
+
+
+def test_tuning_processes_import_neither_scipy_nor_networkx():
+    """Every pool worker, ``serve`` and ``repro.distrib.worker`` process pays
+    these imports; the diffing tools that need the two libraries import them
+    at their call sites."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; import repro.campaign, repro.distrib.worker, repro.distrib.service; "
+        "print([name for name in ('scipy', 'networkx') if name in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert done.stdout.strip() == "[]"
+
+
+class TestParentCheckpointCompatibility:
+    def test_parent_manifest_resumes_and_reports(self, tmp_path, capsys):
+        """The ``pipeline`` key an older manifest carries is tolerated: the
+        checkpoint resumes to the uninterrupted fingerprint and renders
+        under ``report``."""
+        from repro.campaign.cli import main
+
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(PARENT_CHECKPOINT, ckpt)
+        assert json.loads((ckpt / "manifest.json").read_text())["pipeline"] == "staged"
+        assert main(["report", str(ckpt)]) == 0
+        out = capsys.readouterr().out
+        assert "tiny-a" in out and "pipeline stages" in out
+        resumed = run_campaign(checkpoint_dir=ckpt)
+        assert [program.resumed for program in resumed.programs] == [True, False]
+        assert resumed.fingerprint() == run_campaign().fingerprint()
+        assert "pipeline" not in json.loads((ckpt / "manifest.json").read_text())
 
 
 class TestCampaignCLI:

@@ -33,7 +33,6 @@ from _helpers import fresh_process_state, loopback_available
 from repro.campaign import (
     Campaign,
     CampaignConfig,
-    PooledThreadMapper,
     ProgramJob,
     SharedWorkerPool,
 )
@@ -45,8 +44,8 @@ from repro.tuner import (
     CandidateResult,
     EvaluationEngine,
     GAParameters,
+    LocalMapper,
     MapperTransportError,
-    ThreadPoolMapper,
     make_mapper,
 )
 
@@ -424,10 +423,10 @@ class TestDistributedMapper:
         """A real ``python -m repro.distrib.worker`` subprocess serves
         batches (the evaluator blob must unpickle in a fresh interpreter, so
         this uses the production evaluator) and exits 0 on shutdown."""
-        from repro.tuner import TunerCandidateEvaluator
+        from repro.tuner import StagedCandidateEvaluator
 
         baseline = llvm.compile_level(TINY_A, "O0", name="tiny").image
-        evaluator = TunerCandidateEvaluator(
+        evaluator = StagedCandidateEvaluator(
             compiler=llvm, source=TINY_A, name="tiny", baseline=baseline
         )
         keys = [tuple(llvm.preset(level).sorted_names()) for level in ("O1", "O2", "O3")]
@@ -508,7 +507,7 @@ class TestEngineIntegration:
 
     def test_make_mapper_thread_and_validation(self):
         mapper = make_mapper(FakeEvaluator(), executor="thread", workers=3)
-        assert isinstance(mapper, ThreadPoolMapper)
+        assert isinstance(mapper, LocalMapper) and mapper.kind == "thread"
         try:
             assert mapper.map(KEYS) == [FakeEvaluator()(key) for key in KEYS]
         finally:
@@ -550,7 +549,8 @@ class TestDistributedCampaign:
     def test_pool_dispatch_modes(self):
         pool = SharedWorkerPool(dispatch="thread", workers=2)
         try:
-            assert isinstance(pool.mapper(FakeEvaluator()), PooledThreadMapper)
+            mapper = pool.mapper(FakeEvaluator())
+            assert isinstance(mapper, LocalMapper) and mapper.kind == "thread"
         finally:
             pool.close()
         pool = SharedWorkerPool(dispatch="distributed")

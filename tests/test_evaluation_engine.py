@@ -1,14 +1,17 @@
 """Tests for the generation-batched evaluation engine and the cached NCD
-fitness: batch dedup, submission-order recording, serial/process-pool
-equivalence, and exact agreement between cached and uncached NCD."""
+fitness: batch dedup, submission-order recording, the one in-process
+mapper's contract on every substrate, serial/process-pool equivalence, and
+exact agreement between cached and uncached NCD."""
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import pytest
 
 from repro.backend.binary import BinaryImage, Section
+from repro.campaign import SharedWorkerPool
 from repro.difftools import CachedNCDFitness, NCDFitness
 from repro.opt.flags import FlagVector, build_gcc_registry
 from repro.tuner import (
@@ -18,9 +21,14 @@ from repro.tuner import (
     CandidateResult,
     EvaluationEngine,
     GAParameters,
-    TunerCandidateEvaluator,
+    LocalMapper,
+    MapperTransportError,
+    StagedCandidateEvaluator,
     TuningDatabase,
+    make_mapper,
 )
+from repro.tuner import evaluation
+from repro.tuner.evaluation import EVALUATOR_CACHE_LIMIT, split_into_chunks
 
 TINY_SOURCE = """
 int acc[16];
@@ -133,11 +141,156 @@ class TestEvaluationEngine:
         assert len(engine.database) == 1
 
 
+class _ChunkEcho:
+    """Picklable batch-aware fake: every result names the chunk it rode in,
+    so the partition is observable from the other side of a process pool."""
+
+    def __call__(self, key):
+        return self.evaluate_batch([key])[0]
+
+    def evaluate_batch(self, keys):
+        chunk = repr([tuple(key) for key in keys])
+        return [
+            CandidateResult(fitness=float(len(key)), code_size=os.getpid(),
+                            fingerprint=chunk, valid=True, elapsed_seconds=0.0)
+            for key in keys
+        ]
+
+
+class _DiesInWorker:
+    """Kills whichever process evaluates it (a crashed pool worker)."""
+
+    def __call__(self, key):
+        os._exit(13)
+
+
+def _worker_evaluator_cache_size():
+    return len(evaluation._POOL_EVALUATORS)
+
+
+MAPPER_KEYS = [tuple(f"-f{i}" for i in range(size)) for size in range(1, 9)]
+
+
+@pytest.fixture(
+    params=[(kind, owner) for kind in LocalMapper.KINDS for owner in ("owned", "borrowed")],
+    ids=lambda param: "-".join(param),
+)
+def local_mapper(request):
+    """``(kind, pool, build)``: ``build(evaluator)`` is :func:`make_mapper`
+    (the mapper owns its executor) or a :class:`SharedWorkerPool`'s
+    ``mapper`` (it borrows the pool's); ``pool`` is ``None`` when owned."""
+    kind, owner = request.param
+    workers = 1 if kind == "serial" else 3  # "serial" with more means "process"
+    pool = SharedWorkerPool(dispatch=kind, workers=workers) if owner == "borrowed" else None
+    mappers = []
+
+    def build(evaluator):
+        mapper = (
+            pool.mapper(evaluator) if pool is not None
+            else make_mapper(evaluator, executor=kind, workers=workers)
+        )
+        mappers.append(mapper)
+        return mapper
+
+    yield kind, pool, build
+    for mapper in mappers:
+        mapper.close()
+    if pool is not None:
+        pool.close()
+
+
+class TestLocalMapperContract:
+    """One class serves inline, thread and process dispatch, owning its
+    executor or borrowing a pool's: the same contract on all six."""
+
+    def test_submission_order_and_chunk_partition(self, local_mapper):
+        kind, _pool, build = local_mapper
+        mapper = build(_ChunkEcho())
+        assert isinstance(mapper, LocalMapper) and mapper.kind == kind
+        assert mapper.workers == (1 if kind == "serial" else 3)
+        assert (mapper.evaluator_id is not None) == (kind == "process")
+        results = mapper.map(MAPPER_KEYS)
+        assert [r.fitness for r in results] == [float(len(key)) for key in MAPPER_KEYS]
+        assert [r.fingerprint for r in results] == [
+            repr(chunk)
+            for chunk in split_into_chunks(MAPPER_KEYS, mapper.workers)
+            for _key in chunk
+        ]
+        assert ({r.code_size for r in results} == {os.getpid()}) == (kind != "process")
+        assert mapper.map([]) == []
+
+    def test_close_respects_ownership_and_map_reopens(self, local_mapper):
+        kind, pool, build = local_mapper
+        mapper = build(_ChunkEcho())
+        first = mapper.map(MAPPER_KEYS)
+        mapper.close()
+        if pool is not None and kind != "serial":
+            borrowed = pool._pool
+            assert borrowed is not None  # the pool's executor survived close()
+        assert mapper._owned_executor is None
+        again = mapper.map(MAPPER_KEYS)  # BinTuner.run() closed; evaluate() reopens
+        assert [r.fingerprint for r in again] == [r.fingerprint for r in first]
+        if kind != "serial":
+            assert (mapper._owned_executor is None) == (pool is not None)
+        if pool is not None and kind != "serial":
+            assert pool._pool is borrowed
+        mapper.close()
+        mapper.close()  # idempotent
+
+    @pytest.mark.parametrize("owner", ["owned", "borrowed"])
+    def test_broken_pool_is_a_transport_error(self, owner, registry):
+        evaluator = _DiesInWorker()
+        pool = SharedWorkerPool(dispatch="process", workers=2) if owner == "borrowed" else None
+        mapper = (
+            pool.mapper(evaluator) if pool is not None
+            else make_mapper(evaluator, executor="process", workers=2)
+        )
+        engine = EvaluationEngine(evaluator, mapper=mapper)
+        names = registry.flag_names()
+        batch = [FlagVector(registry, frozenset(names[:i])) for i in range(1, 4)]
+        try:
+            with pytest.raises(MapperTransportError) as caught:
+                engine.evaluate_batch(batch)
+        finally:
+            mapper.close()
+            if pool is not None:
+                pool.close()
+        assert caught.value.evaluator_id == mapper.evaluator_id
+        assert list(caught.value.keys) == [tuple(v.sorted_names()) for v in batch]
+
+    def test_serial_with_several_workers_means_the_process_pool(self):
+        assert make_mapper(_ChunkEcho(), executor="serial", workers=2).kind == "process"
+        with SharedWorkerPool("serial", 2) as pool:
+            assert pool.mapper(_ChunkEcho()).kind == "process"
+
+    def test_worker_side_evaluator_cache_is_bounded(self):
+        """A campaign's evaluators pass through one pool worker; it keeps at
+        most EVALUATOR_CACHE_LIMIT of them and re-reads an evicted one from
+        the blob every task carries."""
+        with SharedWorkerPool(dispatch="process", workers=1) as pool:
+            mappers = [pool.mapper(_ChunkEcho()) for _ in range(EVALUATOR_CACHE_LIMIT + 2)]
+            assert len({mapper.evaluator_id for mapper in mappers}) == len(mappers)
+            for mapper in mappers:
+                mapper.map(MAPPER_KEYS[:2])
+            executor = pool._ensure_executor()
+            assert executor.submit(_worker_evaluator_cache_size).result() == (
+                EVALUATOR_CACHE_LIMIT
+            )
+            evicted = mappers[0].map(MAPPER_KEYS[:2])
+            assert [r.fitness for r in evicted] == [1.0, 2.0]
+            assert executor.submit(_worker_evaluator_cache_size).result() == (
+                EVALUATOR_CACHE_LIMIT
+            )
+
+
 class TestTunerCandidateEvaluator:
+    """The tuner's candidate evaluator — :class:`StagedCandidateEvaluator`,
+    the only one — as a plain ``FlagKey -> CandidateResult`` callable."""
+
     @pytest.fixture(scope="class")
     def evaluator(self, llvm):
         baseline = llvm.compile_level(TINY_SOURCE, "O0", name="tiny").image
-        return TunerCandidateEvaluator(
+        return StagedCandidateEvaluator(
             compiler=llvm,
             source=TINY_SOURCE,
             name="tiny",
@@ -162,7 +315,7 @@ class TestTunerCandidateEvaluator:
 
     def test_programming_errors_propagate(self, llvm, monkeypatch):
         baseline = llvm.compile_level(TINY_SOURCE, "O0", name="tiny").image
-        evaluator = TunerCandidateEvaluator(
+        evaluator = StagedCandidateEvaluator(
             compiler=llvm, source=TINY_SOURCE, name="tiny", baseline=baseline
         )
 

@@ -445,15 +445,6 @@ class TestMeshCampaignConfig:
                 JOBS, tiny_campaign_config(dispatch="distributed", mesh=True),
                 spec_provider=tiny_spec,
             )
-        with pytest.raises(ValueError, match="staged"):
-            Campaign(
-                JOBS,
-                tiny_campaign_config(
-                    dispatch="distributed", mesh=True,
-                    store_dir=tmp_path / "s", pipeline="monolithic",
-                ),
-                spec_provider=tiny_spec,
-            )
         with pytest.raises(ValueError, match="mesh_budget_bytes"):
             Campaign(
                 JOBS, tiny_campaign_config(mesh_budget_bytes=1024),

@@ -2,9 +2,10 @@
 
 The load-bearing guarantees:
 
-* the staged pipeline produces results — records, order, database
-  fingerprints — bit-for-bit identical to the monolithic evaluator on the
-  serial, thread, process and distributed executors;
+* the staged evaluator produces results — records, order, database
+  fingerprints — bit-for-bit identical to the unstaged reference closure
+  (the oracle in ``_helpers.reference_evaluator``) on the serial, thread,
+  process and distributed executors;
 * the :class:`ArtifactCache` is a correct bounded LRU with honest hit/miss/
   eviction accounting, and eviction never changes any result;
 * compile artifacts are content-addressed (compiler, source digest, flags)
@@ -29,23 +30,29 @@ import threading
 from pathlib import Path
 
 import pytest
-from _helpers import fresh_process_state, loopback_available
+from _helpers import (
+    fresh_process_state,
+    loopback_available,
+    reference_evaluator,
+    reference_mapper,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaign import Campaign, CampaignConfig, ProgramJob
 from repro.difftools import NCDFitness
+from repro.opt.flags import FlagVector
 from repro.tuner import (
     ArtifactCache,
     BinTuner,
     BinTunerConfig,
     BuildSpec,
     CompileStage,
+    ConstraintEngine,
     GAParameters,
     MeasureStage,
     ScoreStage,
     StagedCandidateEvaluator,
-    TunerCandidateEvaluator,
     persistent_store,
     shared_artifact_cache,
     shared_compile_lane,
@@ -80,22 +87,28 @@ def signature(record):
             record.fingerprint, record.generation, record.valid)
 
 
-def tune(llvm, pipeline, executor="serial", workers=1, cache=None, max_iterations=16):
+def tune(llvm, executor="serial", workers=1, cache=None, max_iterations=16,
+         mapper_factory=None):
     config = BinTunerConfig(
         max_iterations=max_iterations,
         ga=GAParameters(population_size=6, seed=9),
         stall_window=12,
-        pipeline=pipeline,
         executor=executor,
         workers=workers,
     )
     tuner = BinTuner(
-        llvm, BuildSpec(name="tiny", source=TINY_SOURCE), config, artifact_cache=cache
+        llvm, BuildSpec(name="tiny", source=TINY_SOURCE), config,
+        artifact_cache=cache, mapper_factory=mapper_factory,
     )
     try:
         return tuner.run(), tuner
     finally:
         tuner.close()
+
+
+def tune_reference(llvm):
+    """The same seeded run, every candidate evaluated by the test oracle."""
+    return tune(llvm, mapper_factory=reference_mapper)
 
 
 # ---------------------------------------------------------------------------
@@ -214,24 +227,24 @@ def evaluator_pair(llvm):
     common = dict(compiler=llvm, source=TINY_SOURCE, name="tiny", baseline=baseline)
     return (
         StagedCandidateEvaluator(artifact_cache=ArtifactCache(), **common),
-        TunerCandidateEvaluator(**common),
+        reference_evaluator(**common),
     )
 
 
 class TestStagedEvaluator:
     def test_results_match_monolithic(self, llvm, evaluator_pair):
-        staged, monolithic = evaluator_pair
+        staged, reference = evaluator_pair
         keys = [tuple(llvm.preset(level).sorted_names()) for level in ("O1", "O2", "O3", "Os")]
         keys.append(("-fpartial-inlining",))  # constraint violation: invalid
         for key in keys:
-            lhs, rhs = staged(key), monolithic(key)
+            lhs, rhs = staged(key), reference(key)
             assert (lhs.fitness, lhs.code_size, lhs.fingerprint, lhs.valid) == (
                 rhs.fitness, rhs.code_size, rhs.fingerprint, rhs.valid
             )
-        assert staged(keys[-1]).staged and not monolithic(keys[-1]).staged
+        assert not staged(keys[-1]).valid
 
     def test_batch_matches_sequential_in_order(self, llvm, evaluator_pair):
-        staged, _monolithic = evaluator_pair
+        staged, _reference = evaluator_pair
         keys = [tuple(llvm.preset(level).sorted_names()) for level in ("O1", "O2", "O3")]
         keys.append(("-fpartial-inlining",))
         sequential = [staged(key) for key in keys]
@@ -261,9 +274,9 @@ class TestStagedEvaluator:
         assert cache.hits >= 1
 
     def test_cached_unchecked_compile_cannot_bypass_constraints(self, llvm):
-        """compare_levels compiles without a constraint check (matching the
-        monolithic compile_level path); a conflicting key it happened to
-        cache must still score invalid when the *search* evaluates it."""
+        """compare_levels compiles without a constraint check (a preset
+        needs none); a conflicting key it happened to cache must still
+        score invalid when the *search* evaluates it."""
         baseline = llvm.compile_level(TINY_SOURCE, "O0", name="tiny").image
         evaluator = StagedCandidateEvaluator(
             compiler=llvm, source=TINY_SOURCE, name="tiny", baseline=baseline,
@@ -285,7 +298,7 @@ class TestStagedEvaluator:
                       baseline=baseline, artifact_cache=cache)
         lzma_result = StagedCandidateEvaluator(compressor="lzma", **common)(key)
         zlib_result = StagedCandidateEvaluator(compressor="zlib", **common)(key)
-        reference = TunerCandidateEvaluator(
+        reference = reference_evaluator(
             compiler=llvm, source=TINY_SOURCE, name="tiny", baseline=baseline,
             compressor="zlib",
         )(key)
@@ -293,7 +306,7 @@ class TestStagedEvaluator:
         assert zlib_result.fitness != lzma_result.fitness  # sanity: they differ
 
     def test_pickle_round_trip_adopts_shared_cache(self, llvm, evaluator_pair):
-        staged, _monolithic = evaluator_pair
+        staged, _reference = evaluator_pair
         key = tuple(llvm.preset("O1").sorted_names())
         original = staged(key)
         clone = pickle.loads(pickle.dumps(staged))
@@ -315,27 +328,27 @@ class TestStagedEvaluator:
         with pytest.raises(TypeError):
             evaluator.evaluate_batch(keys)
 
-    def test_lookahead_and_cap_never_change_results(self, llvm):
-        """The lookahead window and the in-flight byte cap schedule work;
-        they must never reorder or alter a single result."""
+    def test_lookahead_and_cap_never_change_results(self, llvm, monkeypatch):
+        """The lookahead window schedules work; it must never reorder or
+        alter a single result.  (The in-flight byte cap this test also
+        covered is gone: it bounded nothing the artifact cache did not
+        already hold.)"""
         baseline = llvm.compile_level(TINY_SOURCE, "O0", name="tiny").image
         keys = [tuple(llvm.preset(level).sorted_names()) for level in ("O1", "O2", "O3", "Os")]
         keys.append(("-fpartial-inlining",))  # invalid rides along
 
-        def run(**knobs):
+        def run(lookahead):
+            monkeypatch.setattr("repro.tuner.pipeline.COMPILE_LOOKAHEAD", lookahead)
             evaluator = StagedCandidateEvaluator(
                 compiler=llvm, source=TINY_SOURCE, name="tiny", baseline=baseline,
-                artifact_cache=ArtifactCache(), **knobs,
+                artifact_cache=ArtifactCache(),
             )
             return [
                 (r.fitness, r.code_size, r.fingerprint, r.valid)
                 for r in evaluator.evaluate_batch(keys)
             ]
 
-        reference = run(lookahead=1)
-        assert run(lookahead=8) == reference
-        assert run(lookahead=3, inflight_artifact_bytes=1) == reference
-        assert run(lookahead=3, inflight_artifact_bytes=None) == reference
+        assert run(lookahead=8) == run(lookahead=1)
 
     def test_compile_lane_is_persistent_and_process_wide(self, llvm):
         lane = shared_compile_lane()
@@ -373,8 +386,8 @@ class TestStagedEvaluator:
 
 class TestTunerPipelineParity:
     def test_staged_serial_matches_monolithic(self, llvm):
-        mono, _tuner = tune(llvm, "monolithic")
-        staged, _tuner = tune(llvm, "staged")
+        mono, _tuner = tune_reference(llvm)
+        staged, _tuner = tune(llvm)
         assert staged.database.fingerprint() == mono.database.fingerprint()
         assert staged.best_flags.sorted_names() == mono.best_flags.sorted_names()
         assert [signature(r) for r in staged.database.records] == [
@@ -383,29 +396,30 @@ class TestTunerPipelineParity:
         assert staged.best_image.fingerprint() == mono.best_image.fingerprint()
 
     def test_staged_thread_matches_monolithic_serial(self, llvm):
-        mono, _tuner = tune(llvm, "monolithic")
-        staged, _tuner = tune(llvm, "staged", executor="thread", workers=2)
+        mono, _tuner = tune_reference(llvm)
+        staged, _tuner = tune(llvm, executor="thread", workers=2)
         assert staged.database.fingerprint() == mono.database.fingerprint()
 
     @pytest.mark.slow
     def test_staged_process_four_workers_matches_monolithic_serial(self, llvm):
-        mono, _tuner = tune(llvm, "monolithic")
-        staged, _tuner = tune(llvm, "staged", executor="process", workers=4)
+        mono, _tuner = tune_reference(llvm)
+        staged, _tuner = tune(llvm, executor="process", workers=4)
         assert staged.database.fingerprint() == mono.database.fingerprint()
         assert staged.best_flags.sorted_names() == mono.best_flags.sorted_names()
 
     def test_unknown_pipeline_rejected(self, llvm):
+        """The inert ``pipeline`` field accepts exactly ``"staged"``."""
+        assert BinTunerConfig(pipeline="staged").pipeline == "staged"
         with pytest.raises(ValueError):
-            BinTuner(
-                llvm,
-                BuildSpec(name="tiny", source=TINY_SOURCE),
-                BinTunerConfig(pipeline="quantum"),
-            )
+            BinTunerConfig(pipeline="quantum")
+        with pytest.raises(ValueError, match="removed"):
+            BinTunerConfig(pipeline="monolithic")
 
 
 class TestTunerCacheReuse:
     def test_best_image_served_from_cache_not_recompiled(self, llvm, monkeypatch):
-        """The run() bugfix: one compile less than the monolithic path."""
+        """run() compiles the O0 baseline and each constraint-clean candidate
+        exactly once; the final best image costs no further compile."""
         calls = []
         original = llvm.compile
 
@@ -414,19 +428,25 @@ class TestTunerCacheReuse:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(llvm, "compile", counting_compile)
-        _result, _tuner = tune(llvm, "monolithic")
-        monolithic_calls = len(calls)
-        calls.clear()
-        _result, _tuner = tune(llvm, "staged")
-        staged_calls = len(calls)
-        # Identical seeded searches compile identical candidate sets; the
-        # staged run skips exactly the final best-candidate recompile.
-        assert staged_calls == monolithic_calls - 1
+        result, _tuner = tune(llvm)
+        constraints = ConstraintEngine(llvm.registry)
+        compiled_candidates = sum(
+            constraints.is_valid(FlagVector(llvm.registry, frozenset(record.flags)))
+            for record in result.database.records
+        )
+        assert compiled_candidates > 0
+        assert len(calls) == 1 + compiled_candidates
 
     def test_compare_levels_matches_and_caches(self, llvm, monkeypatch):
-        mono_result, mono_tuner = tune(llvm, "monolithic")
-        staged_result, staged_tuner = tune(llvm, "staged")
-        assert staged_tuner.compare_levels() == mono_tuner.compare_levels()
+        staged_result, staged_tuner = tune(llvm)
+        baseline = staged_result.baseline_image
+        reference = reference_evaluator(
+            compiler=llvm, source=TINY_SOURCE, name="tiny", baseline=baseline
+        )
+        levels = staged_tuner.compare_levels()
+        assert set(levels) == {"O1", "O2", "O3", "Os"}
+        for level, fitness in levels.items():
+            assert fitness == reference(tuple(llvm.preset(level).sorted_names())).fitness
         calls = []
         original = llvm.compile
 
@@ -440,8 +460,8 @@ class TestTunerCacheReuse:
 
     def test_warm_rerun_hits_artifact_cache(self, llvm):
         cache = ArtifactCache()
-        cold, _tuner = tune(llvm, "staged", cache=cache)
-        warm, _tuner = tune(llvm, "staged", cache=cache)
+        cold, _tuner = tune(llvm, cache=cache)
+        warm, _tuner = tune(llvm, cache=cache)
         assert warm.database.fingerprint() == cold.database.fingerprint()
         stats = warm.evaluation_stats
         assert stats.artifact_hits > 0
@@ -449,9 +469,9 @@ class TestTunerCacheReuse:
         assert warm.evaluation_stats.evaluated == cold.evaluation_stats.evaluated
 
     def test_eviction_never_changes_results(self, llvm):
-        unbounded, _tuner = tune(llvm, "staged", cache=ArtifactCache())
+        unbounded, _tuner = tune(llvm, cache=ArtifactCache())
         tiny_cache = ArtifactCache(max_entries=2)
-        bounded, _tuner = tune(llvm, "staged", cache=tiny_cache)
+        bounded, _tuner = tune(llvm, cache=tiny_cache)
         assert tiny_cache.evictions > 0
         assert bounded.database.fingerprint() == unbounded.database.fingerprint()
         assert bounded.best_image.fingerprint() == unbounded.best_image.fingerprint()
@@ -473,30 +493,26 @@ class TestCampaignPipeline:
         return Campaign(JOBS, config, spec_provider=tiny_spec)
 
     def test_staged_campaign_matches_monolithic(self):
-        mono = self._campaign(pipeline="monolithic").run()
-        staged = self._campaign(pipeline="staged").run()
+        """The same campaign (warm starts and all) with every candidate
+        evaluated by the oracle, injected through ``run(pool=...)``."""
+        from types import SimpleNamespace
+
+        mono = self._campaign().run(pool=SimpleNamespace(mapper=reference_mapper))
+        staged = self._campaign().run()
         assert staged.database.fingerprint() == mono.database.fingerprint()
-        assert mono.artifact_cache_stats is None
-        assert staged.artifact_cache_stats is not None
         assert staged.artifact_cache_stats["misses"] > 0
 
     def test_eviction_under_warm_started_campaign(self):
         """A 2-entry campaign cache thrashes constantly (warm starts and all)
         yet the database is identical to the generously cached run."""
-        roomy = self._campaign(pipeline="staged", warm_start=True).run()
-        tight = self._campaign(
-            pipeline="staged", warm_start=True, artifact_cache_size=2
-        ).run()
+        roomy = self._campaign(warm_start=True).run()
+        tight = self._campaign(warm_start=True, artifact_cache_size=2).run()
         assert tight.artifact_cache_stats["evictions"] > 0
         assert tight.database.fingerprint() == roomy.database.fingerprint()
 
     def test_evaluation_stats_survive_checkpoint_manifest(self, tmp_path):
-        first = self._campaign(
-            pipeline="staged", checkpoint_dir=tmp_path / "ckpt"
-        ).run()
-        resumed = self._campaign(
-            pipeline="staged", checkpoint_dir=tmp_path / "ckpt"
-        ).run()
+        first = self._campaign(checkpoint_dir=tmp_path / "ckpt").run()
+        resumed = self._campaign(checkpoint_dir=tmp_path / "ckpt").run()
         assert all(program.resumed for program in resumed.programs)
         for program in resumed.programs:
             stats = program.evaluation_stats
@@ -505,12 +521,6 @@ class TestCampaignPipeline:
             assert stats.evaluated == live.evaluation_stats.evaluated
             assert stats.artifact_misses == live.evaluation_stats.artifact_misses
         assert resumed.database.fingerprint() == first.database.fingerprint()
-
-    def test_monolithic_knob_reaches_tuner(self):
-        campaign = self._campaign(pipeline="monolithic")
-        assert campaign.artifact_cache is None
-        with pytest.raises(ValueError):
-            self._campaign(pipeline="quantum")
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +532,10 @@ class TestCampaignPipeline:
 def test_staged_distributed_four_workers_matches_monolithic_serial(llvm):
     from repro.distrib.worker import serve
 
-    mono, _tuner = tune(llvm, "monolithic")
+    mono, _tuner = tune_reference(llvm)
     config = BinTunerConfig(
         max_iterations=16, ga=GAParameters(population_size=6, seed=9),
-        stall_window=12, pipeline="staged", executor="distributed",
+        stall_window=12, executor="distributed",
     )
     tuner = BinTuner(llvm, BuildSpec(name="tiny", source=TINY_SOURCE), config)
     engine = tuner.evaluation_engine()
@@ -569,7 +579,6 @@ def tune_with_store(
         max_iterations=max_iterations,
         ga=GAParameters(population_size=population, seed=ga_seed),
         stall_window=10,
-        pipeline="staged",
         executor=executor,
         workers=workers,
         warm_start=warm_start,
@@ -750,7 +759,7 @@ class TestStoreParitySlow:
         def run():
             config = BinTunerConfig(
                 max_iterations=16, ga=GAParameters(population_size=6, seed=9),
-                stall_window=12, pipeline="staged", executor="distributed",
+                stall_window=12, executor="distributed",
                 store_dir=tmp_path / "store",
             )
             tuner = BinTuner(llvm, BuildSpec(name="tiny", source=TINY_SOURCE), config)

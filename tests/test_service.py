@@ -78,7 +78,7 @@ def solo_fingerprint(source: str, program: str,
     tuner = BinTuner(
         default_compiler_provider(family),
         BuildSpec(name=program, source=source),
-        BinTunerConfig(**budget.tuner_config_kwargs(), pipeline="staged"),
+        BinTunerConfig(**budget.tuner_config_kwargs()),
     )
     return tuner.run().database.fingerprint()
 
