@@ -5,6 +5,8 @@ The campaign's evaluation substrate was capped at one machine's
 network while keeping the component contract — a ``CandidateEvaluator``
 behind an ordered ``map(keys) -> results`` — completely fixed:
 
+* :mod:`repro.distrib.transport` — the one socket seam under both planes:
+  connect / listen / close, Nagle off, one-``sendall`` frames;
 * :mod:`repro.distrib.protocol` — length-prefixed pickle framing and the
   message vocabulary (register, batch, result, failure, shutdown);
 * :mod:`repro.distrib.coordinator` — the campaign-side listener workers

@@ -20,6 +20,7 @@ import socket
 import threading
 from typing import Dict, Iterator, Optional
 
+from repro.distrib import transport
 from repro.distrib.errors import ConnectionClosed, ServiceError
 from repro.distrib.jobs import TERMINAL_EVENTS
 from repro.distrib.protocol import parse_address
@@ -35,18 +36,21 @@ class ServiceClient:
         self.token = token
         self.timeout = timeout
         self._lock = threading.Lock()
-        self._sock = self._connect()
+        self._sock = self._connect(timeout)
 
-    def _connect(self) -> socket.socket:
-        sock = socket.create_connection((self.host, self.port),
-                                        timeout=self.timeout)
-        welcome = recv_wire(sock)
-        if welcome["type"] != "welcome":
-            sock.close()
-            raise ServiceError(
-                "bad-handshake",
-                f"expected a welcome frame, got {welcome['type']!r}",
-            )
+    def _connect(self, timeout: float) -> socket.socket:
+        """Open one lane (request or stream) and consume its welcome frame."""
+        sock = transport.connect(self.host, self.port, timeout)
+        try:
+            welcome = recv_wire(sock)
+            if welcome["type"] != "welcome":
+                raise ServiceError(
+                    "bad-handshake",
+                    f"expected a welcome frame, got {welcome['type']!r}",
+                )
+        except BaseException:
+            transport.close(sock)
+            raise
         self.service = welcome["service"]
         self.families = list(welcome["families"])
         return sock
@@ -106,14 +110,8 @@ class ServiceClient:
         fields: Dict[str, object] = {"job_id": job_id, "from_seq": from_seq}
         if self.token is not None:
             fields["token"] = self.token
-        sock = socket.create_connection(
-            (self.host, self.port),
-            timeout=self.timeout if timeout is None else timeout,
-        )
+        sock = self._connect(self.timeout if timeout is None else timeout)
         try:
-            welcome = recv_wire(sock)
-            if welcome["type"] != "welcome":
-                raise ServiceError("bad-handshake", "expected a welcome frame")
             send_wire(sock, make_message("stream", **fields))
             while True:
                 try:
@@ -128,7 +126,7 @@ class ServiceClient:
                 if frame["kind"] in TERMINAL_EVENTS:
                     return
         finally:
-            sock.close()
+            transport.close(sock)
 
     def wait(self, job_id: str, timeout: Optional[float] = None
              ) -> Dict[str, object]:
@@ -142,10 +140,7 @@ class ServiceClient:
 
     def close(self) -> None:
         with self._lock:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
+            transport.close(self._sock)
 
     def __enter__(self) -> "ServiceClient":
         return self

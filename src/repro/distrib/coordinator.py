@@ -25,6 +25,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Set, Tuple, Union
 
+from repro.distrib import transport
 from repro.distrib.artifacts import CoordinatorArtifactPlane, handle_artifact_message
 from repro.distrib.errors import (
     ConnectionClosed,
@@ -189,11 +190,9 @@ class Coordinator:
                 f"code via a crafted pickle frame.  Pass authkey= (CLI: "
                 f"--authkey / $REPRO_DISTRIB_AUTHKEY) or bind 127.0.0.1."
             )
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(64)
-        self.host, self.port = self._listener.getsockname()[:2]
+        self._listener = transport.Listener(
+            host, port, 64, self._register, "coordinator-accept")
+        self.host, self.port = self._listener.host, self._listener.port
         self._workers: Dict[int, WorkerHandle] = {}
         #: Fleet telemetry: worker id -> latest summary payload (plus peer /
         #: slots).  Kept separately from the registry so the fleet view of a
@@ -225,10 +224,7 @@ class Coordinator:
                 raise
             self.obs_server.add_source("fleet", self.fleet_status)
             self.obs_server.add_metrics_source(self.fleet_metrics)
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"coordinator-accept:{self.port}", daemon=True
-        )
-        self._accept_thread.start()
+        self._accept_thread = self._listener.start()
 
     # -- registry ---------------------------------------------------------------------
 
@@ -292,76 +288,69 @@ class Coordinator:
                 "fleet.worker", worker_id=handle.worker_id, peer=handle.peer,
                 health=LOST, batches=handle.batches_completed,
             )
+        transport.close(handle.sock)
+
+    # -- registration -----------------------------------------------------------------
+
+    def _register(self, sock: socket.socket, peer) -> None:
+        """Handshake one accepted connection and publish it as a worker."""
         try:
-            handle.sock.close()
-        except OSError:
-            pass
-
-    # -- accept loop ------------------------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while not self._closed:
-            try:
-                sock, peer = self._listener.accept()
-            except OSError:
-                return  # listener closed by close()
-            try:
-                sock.settimeout(self.handshake_timeout)
-                if self.authkey is not None:
-                    # Before any pickle byte is parsed: unauthenticated
-                    # peers never reach recv_message.
-                    authenticate(sock, self.authkey, server=True)
-                hello = recv_message(sock)
-                # ``slots`` weights batch partitioning, so a bogus claim
-                # (zero, negative, bool, or an absurdly large int) must be
-                # rejected cleanly at the door, never trusted verbatim.
-                if (not isinstance(hello, Hello)
-                        or not isinstance(hello.slots, int)
-                        or isinstance(hello.slots, bool)
-                        or hello.slots < 1
-                        or hello.slots > MAX_WORKER_SLOTS):
-                    raise ProtocolError(f"bad handshake from {peer}: {hello!r}")
-                worker_id = next(self._worker_ids)
-                plane = self.artifact_plane
-                send_message(sock, Welcome(
-                    worker_id,
-                    mesh=plane is not None,
-                    mesh_budget_bytes=plane.budget_bytes if plane is not None else None,
-                    telemetry=True,
-                ))
-                sock.settimeout(self.task_timeout)
-            except Exception as exc:
-                # One bad peer (version skew, scanner, crafted payload) must
-                # never take the accept thread — and with it all future
-                # registration — down.  But a rejection must not be *silent*
-                # either: an operator whose worker never joins needs to see
-                # the auth failure / bad slots / protocol error here.
-                logger.warning(
-                    "rejected connection from %s: %s: %s",
-                    format_address(*peer[:2]), type(exc).__name__, exc,
-                )
-                get_sink().incr("coordinator.rejected_connections")
-                sock.close()
-                continue
-            handle = WorkerHandle(worker_id, sock, hello.slots, format_address(*peer[:2]))
-            # The advertised heartbeat cadence sizes this worker's staleness
-            # windows; garbage (negative, non-numeric, absurd) degrades to 0,
-            # i.e. the wall-clock default windows.
-            cadence = getattr(hello, "heartbeat_interval", 0.0)
-            if isinstance(cadence, (int, float)) and not isinstance(cadence, bool):
-                handle.heartbeat_interval = min(max(float(cadence), 0.0), 3600.0)
-            handle.last_seen = time.monotonic()
-            with self._joined:
-                if self._closed:
-                    sock.close()
-                    return
-                self._workers[worker_id] = handle
-                self._joined.notify_all()
-            logger.info(
-                "worker %d registered from %s with %d slot(s)",
-                worker_id, handle.peer, handle.slots,
+            sock.settimeout(self.handshake_timeout)
+            if self.authkey is not None:
+                # Before any pickle byte is parsed: unauthenticated
+                # peers never reach recv_message.
+                authenticate(sock, self.authkey, server=True)
+            hello = recv_message(sock)
+            # ``slots`` weights batch partitioning, so a bogus claim
+            # (zero, negative, bool, or an absurdly large int) must be
+            # rejected cleanly at the door, never trusted verbatim.
+            if (not isinstance(hello, Hello)
+                    or not isinstance(hello.slots, int)
+                    or isinstance(hello.slots, bool)
+                    or hello.slots < 1
+                    or hello.slots > MAX_WORKER_SLOTS):
+                raise ProtocolError(f"bad handshake from {peer}: {hello!r}")
+            worker_id = next(self._worker_ids)
+            plane = self.artifact_plane
+            send_message(sock, Welcome(
+                worker_id,
+                mesh=plane is not None,
+                mesh_budget_bytes=plane.budget_bytes if plane is not None else None,
+                telemetry=True,
+            ))
+            sock.settimeout(self.task_timeout)
+        except Exception as exc:
+            # One bad peer (version skew, scanner, crafted payload) must
+            # never take the accept thread — and with it all future
+            # registration — down.  But a rejection must not be *silent*
+            # either: an operator whose worker never joins needs to see
+            # the auth failure / bad slots / protocol error here.
+            logger.warning(
+                "rejected connection from %s: %s: %s",
+                format_address(*peer[:2]), type(exc).__name__, exc,
             )
-            get_sink().incr("coordinator.workers_registered")
+            get_sink().incr("coordinator.rejected_connections")
+            transport.close(sock)
+            return
+        handle = WorkerHandle(worker_id, sock, hello.slots, format_address(*peer[:2]))
+        # The advertised heartbeat cadence sizes this worker's staleness
+        # windows; garbage (negative, non-numeric, absurd) degrades to 0,
+        # i.e. the wall-clock default windows.
+        cadence = getattr(hello, "heartbeat_interval", 0.0)
+        if isinstance(cadence, (int, float)) and not isinstance(cadence, bool):
+            handle.heartbeat_interval = min(max(float(cadence), 0.0), 3600.0)
+        handle.last_seen = time.monotonic()
+        with self._joined:
+            if self._closed:
+                transport.close(sock)
+                return
+            self._workers[worker_id] = handle
+            self._joined.notify_all()
+        logger.info(
+            "worker %d registered from %s with %d slot(s)",
+            worker_id, handle.peer, handle.slots,
+        )
+        get_sink().incr("coordinator.workers_registered")
 
     # -- the batch RPC ----------------------------------------------------------------
 
@@ -680,15 +669,8 @@ class Coordinator:
                     send_message(handle.sock, Shutdown())
                 except DistribError:
                     pass
-                try:
-                    handle.sock.close()
-                except OSError:
-                    pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        self._accept_thread.join(timeout=2.0)
+                transport.close(handle.sock)
+        self._listener.close()
 
     def __enter__(self) -> "Coordinator":
         return self

@@ -289,6 +289,13 @@ class Job:
             self.state = state
             self._cond.notify_all()
 
+    def finish(self, state: str, data: Dict[str, object]) -> None:
+        """Append the terminal event and enter its state as *one* step: a
+        reader must never see the event before the state, or the reverse."""
+        with self._cond:
+            self.append_event(state, data)
+            self.set_state(state)
+
     def request_cancel(self) -> None:
         with self._cond:
             self.cancel_requested = True

@@ -1,10 +1,10 @@
 """Wire protocol of the distributed evaluation service.
 
-Every message is one *frame*: a 4-byte big-endian unsigned length followed by
-that many bytes of pickle.  Length-prefixed framing over plain stream sockets
-(instead of ``multiprocessing.connection``) keeps the transport inspectable —
-per-message timeouts, bounded frame sizes, and an exact EOF story — without
-any dependency beyond the stdlib.
+Every message is one *frame* of :mod:`repro.distrib.transport`: a 4-byte
+big-endian unsigned length, then that many bytes of pickle.  Framing over
+plain stream sockets (instead of ``multiprocessing.connection``) keeps the
+transport inspectable — per-message timeouts, bounded frame sizes, and an
+exact EOF story — without any dependency beyond the stdlib.
 
 The conversation is strictly request/response per worker:
 
@@ -51,17 +51,15 @@ import hmac
 import os
 import pickle
 import socket
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
-from repro.distrib.errors import AuthenticationError, ConnectionClosed, ProtocolError
+from repro.distrib.errors import AuthenticationError, ProtocolError
+from repro.distrib.transport import recv_exact, recv_length, send_frame
 
 #: Corruption guard, not a budget: an evaluator blob (compiler + baseline
 #: image + source) is tens of kilobytes, a batch of flag keys far less.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
-
-_HEADER = struct.Struct(">I")
 
 
 # ---------------------------------------------------------------------------
@@ -268,21 +266,18 @@ def send_message(sock: socket.socket, message: object) -> None:
             f"{type(message).__name__} frame of {len(payload)} bytes exceeds "
             f"the {MAX_FRAME_BYTES}-byte limit"
         )
-    try:
-        sock.sendall(_HEADER.pack(len(payload)) + payload)
-    except OSError as exc:
-        raise ConnectionClosed(f"peer went away mid-send: {exc}") from exc
+    send_frame(sock, payload)
 
 
 def recv_message(sock: socket.socket) -> object:
     """Read one frame and unpickle it; type-checked against the protocol."""
-    (length,) = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
+    length = recv_length(sock)
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"incoming frame announces {length} bytes (limit {MAX_FRAME_BYTES}); "
             "the stream is corrupt or the peer speaks another protocol"
         )
-    payload = _recv_exact(sock, length)
+    payload = recv_exact(sock, length)
     try:
         message = pickle.loads(payload)
     except Exception as exc:
@@ -290,25 +285,6 @@ def recv_message(sock: socket.socket) -> object:
     if not isinstance(message, MESSAGE_TYPES):
         raise ProtocolError(f"unexpected message type {type(message).__name__}")
     return message
-
-
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks = []
-    remaining = count
-    while remaining:
-        try:
-            chunk = sock.recv(min(remaining, 1 << 20))
-        except TimeoutError:
-            raise  # the coordinator turns per-batch timeouts into WorkerLost
-        except OSError as exc:
-            raise ConnectionClosed(f"peer went away mid-frame: {exc}") from exc
-        if not chunk:
-            raise ConnectionClosed(
-                f"peer closed the connection with {remaining} of {count} bytes unread"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -330,21 +306,14 @@ _DIGEST_PREFIX = b"repro-distrib-digest:"
 _AUTH_OK = b"repro-distrib-ok"
 
 
-def _send_raw(sock: socket.socket, payload: bytes) -> None:
-    try:
-        sock.sendall(_HEADER.pack(len(payload)) + payload)
-    except OSError as exc:
-        raise ConnectionClosed(f"peer went away mid-handshake: {exc}") from exc
-
-
 def _recv_raw(sock: socket.socket) -> bytes:
-    (length,) = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
+    length = recv_length(sock)
     if length > _MAX_AUTH_FRAME:
         raise AuthenticationError(
             f"handshake frame of {length} bytes (limit {_MAX_AUTH_FRAME}); "
             "peer is not speaking the authentication protocol"
         )
-    return _recv_exact(sock, length)
+    return recv_exact(sock, length)
 
 
 def normalize_authkey(authkey: Union[str, bytes, None]) -> Optional[bytes]:
@@ -356,12 +325,12 @@ def normalize_authkey(authkey: Union[str, bytes, None]) -> Optional[bytes]:
 def _challenge(sock: socket.socket, authkey: bytes) -> None:
     """Challenge the peer; raises :class:`AuthenticationError` on mismatch."""
     nonce = os.urandom(32)
-    _send_raw(sock, _CHALLENGE_PREFIX + nonce)
+    send_frame(sock, _CHALLENGE_PREFIX + nonce, during="handshake")
     reply = _recv_raw(sock)
     expected = _DIGEST_PREFIX + hmac.new(authkey, nonce, "sha256").digest()
     if not hmac.compare_digest(reply, expected):
         raise AuthenticationError("peer failed the authkey challenge")
-    _send_raw(sock, _AUTH_OK)
+    send_frame(sock, _AUTH_OK, during="handshake")
 
 
 def _respond(sock: socket.socket, authkey: bytes) -> None:
@@ -370,7 +339,8 @@ def _respond(sock: socket.socket, authkey: bytes) -> None:
     if not frame.startswith(_CHALLENGE_PREFIX):
         raise AuthenticationError("peer did not send an authkey challenge")
     nonce = frame[len(_CHALLENGE_PREFIX):]
-    _send_raw(sock, _DIGEST_PREFIX + hmac.new(authkey, nonce, "sha256").digest())
+    digest = hmac.new(authkey, nonce, "sha256").digest()
+    send_frame(sock, _DIGEST_PREFIX + digest, during="handshake")
     if _recv_raw(sock) != _AUTH_OK:
         raise AuthenticationError("peer rejected our authkey digest")
 

@@ -49,6 +49,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro import telemetry
+from repro.distrib import transport
 from repro.distrib.errors import ConnectionClosed, ServiceError
 from repro.distrib.jobs import (
     AdmissionError,
@@ -262,15 +263,10 @@ class TuningService:
             self._restore_state()
 
         # Client plane: pickle-free listener, crash-proof accept loop.
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((self.config.host, self.config.port))
-        self._listener.listen(32)
-        self.host, self.port = self._listener.getsockname()[:2]
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"service-accept:{self.port}", daemon=True
-        )
-        self._accept_thread.start()
+        self._listener = transport.Listener(
+            self.config.host, self.config.port, 32, self._admit, "service-accept")
+        self.host, self.port = self._listener.host, self._listener.port
+        self._accept_thread = self._listener.start()
         logger.info("tuning service listening on %s", self.address_string())
         self._maybe_start_jobs()
 
@@ -402,14 +398,12 @@ class TuningService:
             # Not a failure: back to the queue, durable, resumed next start.
             job.set_state("queued")
         except _JobCancelled:
-            job.set_state("cancelled")
-            job.append_event("cancelled", {"reason": "client request"})
+            job.finish("cancelled", {"reason": "client request"})
             self._accounting.bump(job.spec.tenant, "jobs_cancelled")
         except Exception as exc:  # noqa: BLE001 — a job bug must not kill the service
             logger.exception("job %s failed", job.job_id)
             job.error = {"code": "job-failed", "message": f"{type(exc).__name__}: {exc}"}
-            job.append_event("failed", dict(job.error))
-            job.set_state("failed")
+            job.finish("failed", dict(job.error))
             self._accounting.bump(job.spec.tenant, "jobs_failed")
         finally:
             self._persist()
@@ -514,36 +508,26 @@ class TuningService:
             "fingerprint": shard.fingerprint(),
             "elapsed_seconds": round(result.elapsed_seconds, 6),
         }
-        job.append_event("done", dict(job.result))
-        job.set_state("done")
+        job.finish("done", dict(job.result))
         self._accounting.bump(spec.tenant, "jobs_done")
 
     # -- client plane -----------------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while not self._stopping:
-            try:
-                conn, peer = self._listener.accept()
-            except OSError:
-                if self._stopping:
-                    return
-                continue
-            try:
-                conn.settimeout(self.config.client_timeout)
-                with self._lock:
-                    self.connections += 1
-                threading.Thread(
-                    target=self._serve_client, args=(conn, peer),
-                    name=f"service-client:{peer[0]}:{peer[1]}", daemon=True,
-                ).start()
-            except Exception as exc:  # noqa: BLE001 — accept loop must survive
-                with self._lock:
-                    self.rejected_connections += 1
-                logger.warning("client connection from %s rejected: %s", peer, exc)
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+    def _admit(self, conn: socket.socket, peer) -> None:
+        """Give one accepted connection its own handler thread."""
+        try:
+            conn.settimeout(self.config.client_timeout)
+            with self._lock:
+                self.connections += 1
+            threading.Thread(
+                target=self._serve_client, args=(conn, peer),
+                name=f"service-client:{peer[0]}:{peer[1]}", daemon=True,
+            ).start()
+        except Exception as exc:  # noqa: BLE001 — accept loop must survive
+            with self._lock:
+                self.rejected_connections += 1
+            logger.warning("client connection from %s rejected: %s", peer, exc)
+            transport.close(conn)
 
     def _serve_client(self, conn: socket.socket, peer) -> None:
         try:
@@ -584,10 +568,7 @@ class TuningService:
         except (ConnectionClosed, TimeoutError, OSError):
             pass  # client went away — routine, not an incident
         finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            transport.close(conn)
 
     def _authorized(self, message: Dict[str, object]) -> bool:
         token = self.config.token
@@ -675,8 +656,7 @@ class TuningService:
         if job.terminal:
             return make_message("cancelled", job_id=job.job_id, state=job.state)
         if self._queue.remove(job):
-            job.set_state("cancelled")
-            job.append_event("cancelled", {"reason": "client request"})
+            job.finish("cancelled", {"reason": "client request"})
             self._accounting.bump(job.spec.tenant, "jobs_cancelled")
             self._persist()
             return make_message("cancelled", job_id=job.job_id, state="cancelled")
@@ -764,11 +744,7 @@ class TuningService:
         (durably, when ``state_dir`` is set), shut the pool down."""
         self._stopping = True
         self._gate.stop()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        self._accept_thread.join(timeout=2.0)
+        self._listener.close()
         deadline = time.monotonic() + timeout
         for thread in self._runners:
             thread.join(timeout=max(0.1, deadline - time.monotonic()))

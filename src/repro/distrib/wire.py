@@ -3,9 +3,9 @@
 The worker plane (:mod:`repro.distrib.protocol`) pickles its frames — fine
 between mutually authenticated machines the operator controls, untenable for
 a public-facing job API: ``pickle.loads`` on client bytes is remote code
-execution.  The service plane therefore rides the *same* 4-byte length-
-prefixed framing but carries JSON (msgpack when both ends opt in and the
-module exists), decoded with :func:`json.loads` and validated field-by-field
+execution.  The service plane therefore rides the *same* length-prefixed
+frames (:mod:`repro.distrib.transport`) but carries JSON (msgpack when both
+ends opt in), decoded with :func:`json.loads` and validated field-by-field
 against an explicit schema before any handler sees it.  No code path from a
 client socket ever reaches ``pickle.loads`` — the fuzz battery in
 ``tests/test_wire.py`` asserts exactly that with a booby-trapped pickle.
@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import json
 import socket
-import struct
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.distrib.errors import ConnectionClosed, ServiceError
+from repro.distrib.errors import ServiceError
+from repro.distrib.transport import recv_exact, recv_length, send_frame
 
 #: Bumped on any schema change; both sides send it in every frame and the
 #: decoder rejects mismatches, so version skew is a typed error, not a
@@ -40,8 +40,6 @@ WIRE_VERSION = 1
 #: Default cap on one client frame.  Sources are capped far below this by
 #: admission control; everything else on the client plane is tiny.
 MAX_WIRE_FRAME_BYTES = 8 * 1024 * 1024
-
-_HEADER = struct.Struct(">I")
 
 _CODEC_JSON = b"J"
 _CODEC_MSGPACK = b"M"
@@ -251,11 +249,7 @@ def decode_payload(payload: bytes) -> Dict[str, object]:
 def send_wire(sock: socket.socket, message: Dict[str, object],
               codec: str = "json") -> None:
     """Write one validated message as a length-prefixed frame."""
-    payload = encode_payload(message, codec=codec)
-    try:
-        sock.sendall(_HEADER.pack(len(payload)) + payload)
-    except OSError as exc:
-        raise ConnectionClosed(f"peer went away mid-send: {exc}") from exc
+    send_frame(sock, encode_payload(message, codec=codec))
 
 
 def recv_wire(sock: socket.socket,
@@ -266,29 +260,10 @@ def recv_wire(sock: socket.socket,
     :class:`WireError` for anything that read fully but failed to decode,
     and :class:`~repro.distrib.errors.ConnectionClosed` on EOF/truncation.
     """
-    (length,) = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
+    length = recv_length(sock)
     if length > max_frame_bytes:
         raise FrameTooLarge(length, max_frame_bytes)
-    return decode_payload(_recv_exact(sock, length))
-
-
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks = []
-    remaining = count
-    while remaining:
-        try:
-            chunk = sock.recv(min(remaining, 1 << 20))
-        except TimeoutError:
-            raise
-        except OSError as exc:
-            raise ConnectionClosed(f"peer went away mid-frame: {exc}") from exc
-        if not chunk:
-            raise ConnectionClosed(
-                f"peer closed the connection with {remaining} of {count} bytes unread"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+    return decode_payload(recv_exact(sock, length))
 
 
 def error_message(code: str, message: str,

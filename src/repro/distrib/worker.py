@@ -62,6 +62,7 @@ import threading
 import time
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
+from repro.distrib import transport
 from repro.distrib.artifacts import WorkerMeshClient
 from repro.distrib.errors import AuthenticationError, ConnectionClosed, ProtocolError
 from repro.distrib.protocol import (
@@ -331,7 +332,7 @@ def serve(
     host, port = parse_address(connect)
     # The timeout set here persists on the socket through the handshake
     # below, so every recv between connect and Welcome shares the deadline.
-    sock = socket.create_connection((host, port), timeout=connect_timeout)
+    sock = transport.connect(host, port, connect_timeout)
     executor = None
     mesh_client: Optional[WorkerMeshClient] = None
     sender: Optional[_HeartbeatSender] = None
@@ -411,7 +412,7 @@ def serve(
             if max_batches is not None and batches_done >= max_batches:
                 # Failure injection: die without replying, mid-batch.
                 emit(f"worker {welcome.worker_id}: injected crash on batch {batches_done + 1}")
-                sock.close()
+                transport.close(sock)
                 if hard_exit:
                     os._exit(CRASH_EXIT_STATUS)
                 return CRASH_EXIT_STATUS
@@ -516,10 +517,7 @@ def serve(
             mesh_client.detach()
         if executor is not None:
             executor.shutdown(wait=False)
-        try:
-            sock.close()
-        except OSError:
-            pass
+        transport.close(sock)
 
 
 def run_worker(

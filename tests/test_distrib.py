@@ -192,7 +192,7 @@ class TestProtocol:
         left.sendall(b"\x00\x00")  # half a header, then hang up
         left.close()
         try:
-            with pytest.raises(ConnectionClosed):
+            with pytest.raises(ConnectionClosed, match="with 2 of 4 bytes unread$"):
                 protocol.recv_message(right)
         finally:
             right.close()
@@ -201,7 +201,8 @@ class TestProtocol:
         left, right = socket.socketpair()
         try:
             left.sendall((protocol.MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
-            with pytest.raises(ProtocolError):
+            right.settimeout(5)  # refused on the header alone: no payload follows
+            with pytest.raises(ProtocolError, match="^incoming frame announces"):
                 protocol.recv_message(right)
         finally:
             left.close()

@@ -433,6 +433,8 @@ class TestWorkerHealth:
         )
         welcome = protocol.recv_message(sock)
         assert welcome.worker_id >= 1
+        # Welcome is written just *before* the handle is published.
+        coordinator.wait_for_workers(1, timeout=5.0)
         return sock, welcome.worker_id
 
     def test_silent_worker_ages_healthy_to_stale_to_lost(self):

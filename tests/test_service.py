@@ -34,7 +34,9 @@ from repro.distrib.errors import ServiceError
 from repro.distrib.jobs import (
     AdmissionError,
     AdmissionLimits,
+    Job,
     JobBudget,
+    JobSpec,
     validate_submission,
 )
 from repro.distrib.service import ServiceConfig, TuningService
@@ -456,3 +458,30 @@ class TestPersistRace:
         assert failures == []
         assert len(json.loads(jobs_file.read_text())["jobs"]) == 80
         assert not list(jobs_file.parent.glob("jobs.json.*"))
+
+    def test_terminal_event_and_state_are_one_step(self):
+        """``ServiceClient.wait`` asks for the status row the moment the
+        terminal event arrives, so the event and the state must change under
+        one lock hold.  (They used to be two steps; only the ~40 ms Nagle
+        stall on the stream lane kept a client from seeing ``done`` and then
+        ``state: running`` — one wait in two under load once it was gone.)"""
+        job = Job("job-00001", JobSpec("alice", "p", "int main(){}", "gcc", BUDGET), 1)
+        job.set_state("running")
+        seen = []
+
+        def read() -> None:
+            kinds = [event["kind"] for event in job.events_since(0, timeout=5)]
+            seen.append((kinds, job.status_row()["state"]))
+
+        reader = threading.Thread(target=read)
+        enter_state = job.set_state
+
+        def set_state_after_the_reader_had_its_chance(state: str) -> None:
+            reader.start()
+            reader.join(timeout=0.2)  # still blocked on the job's lock, or too early
+            enter_state(state)
+
+        job.set_state = set_state_after_the_reader_had_its_chance
+        job.finish("done", {"best_fitness": 1.0})
+        reader.join(timeout=5)
+        assert seen == [(["done"], "done")]

@@ -259,10 +259,12 @@ class TestLiveService:
         so the stream cannot be resynchronized)."""
         sock = _connect(service)
         try:
-            sock.sendall(_HEADER.pack(service.config.max_frame_bytes + 1))
+            limit = service.config.max_frame_bytes
+            sock.sendall(_HEADER.pack(limit + 1))
             reply = recv_wire(sock)
             assert reply["type"] == "error"
             assert reply["code"] == "frame-too-large"
+            assert reply["message"] == f"frame announces {limit + 1} bytes (limit {limit})"
             with pytest.raises(ConnectionClosed):
                 recv_wire(sock)
         finally:
