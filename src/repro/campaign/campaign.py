@@ -23,15 +23,23 @@ drives exactly one program.  :class:`Campaign` is the layer between them:
   worker count;
 * the best flag vectors of finished programs seed the initial GA population
   of later same-family programs (cross-program warm starts) — a scenario the
-  serial per-program design could not express.
+  serial per-program design could not express;
+* each run happens inside one **session** owning everything with a
+  lifetime — telemetry sink, pool, ``/metrics`` + ``/status`` server —
+  built one way for every dispatch mode.  ``run()`` opens one for its own
+  duration; ``with campaign:`` opens it ahead of ``run()`` so the caller
+  can read the bound addresses off ``campaign.pool`` / ``.obs_server``.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import shutil
+import socket
 import threading
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -47,6 +55,8 @@ from repro.tuner import BinTuner, BinTunerConfig, BuildSpec, EvaluationStats, Tu
 from repro.tuner.pipeline import DEFAULT_ARTIFACT_CACHE_SIZE, ArtifactCache
 from repro.tuner.store import DEFAULT_STORE_MAX_BYTES
 from repro.workloads import benchmark, suite_benchmarks
+
+logger = logging.getLogger("repro.campaign")
 
 MANIFEST_VERSION = 1
 
@@ -98,13 +108,14 @@ class CampaignConfig:
     tuner: BinTunerConfig = field(default_factory=BinTunerConfig)
     #: Worker-pool knobs, shared across every program of the campaign (they
     #: override the per-tuner ``executor``/``workers`` fields).
-    executor: str = "serial"
     workers: int = 1
     #: Execution substrate of the shared pool ("serial" | "process" |
-    #: "thread" | "distributed"); overrides ``executor`` when set.
+    #: "thread" | "distributed"); ``None`` is serial, and ``None`` or
+    #: "serial" with ``workers > 1`` is the process pool.
     dispatch: Optional[str] = None
     #: ``HOST:PORT`` the distributed coordinator binds (default: loopback on
-    #: an ephemeral port; read it off ``pool.address_string()``).
+    #: an ephemeral port; enter the campaign and read it off
+    #: ``campaign.pool.address_string()``).
     serve: Optional[str] = None
     #: Shared secret for the worker handshake (required when serving beyond
     #: loopback: the transport is pickle, and unpickling bytes from an
@@ -144,18 +155,19 @@ class CampaignConfig:
     #: Where checkpoints live; ``None`` disables checkpointing.
     checkpoint_dir: Optional[Path] = None
     #: Directory for structured telemetry (:mod:`repro.telemetry`).  When
-    #: set, ``run()`` installs a :class:`~repro.telemetry.JsonlSink` there
-    #: for the duration of the campaign; workers of a distributed fleet
+    #: set, the campaign's session records JSONL there through the one
+    #: :class:`~repro.telemetry.JsonlSink`; workers of a distributed fleet
     #: additionally forward compact summaries to the coordinator.  Telemetry
     #: is observe-only — fingerprints, checkpoints, and recorded results are
-    #: bit-for-bit identical with it on or off.  ``None`` (the default)
-    #: keeps the zero-cost null sink.
+    #: bit-for-bit identical with it on or off.  With neither this nor
+    #: ``obs_port`` set the zero-cost null sink stays.
     telemetry_dir: Optional[Path] = None
     #: Port of the live observability HTTP server (``/metrics`` +
-    #: ``/status``); ``0`` binds an ephemeral port, ``None`` disables it.
-    #: With distributed dispatch the server is mounted on the coordinator
-    #: (fleet health included); the campaign CLI registers its progress
-    #: source either way.  Observe-only, like the JSONL sink.
+    #: ``/status``); ``0`` binds an ephemeral port (read it off
+    #: ``campaign.obs_server`` inside ``with campaign:``), ``None`` disables
+    #: it.  The session owns the server for every dispatch mode: ``campaign``
+    #: progress, plus ``fleet`` health when the pool has a coordinator, over
+    #: the same sink as ``telemetry_dir``.  Observe-only, like the JSONL sink.
     obs_port: Optional[int] = None
     #: Bind address of the observability server — loopback by default; the
     #: endpoints are unauthenticated read-only JSON/text, so exposing them
@@ -303,6 +315,11 @@ class CampaignResult:
     interrupted: bool = False
     #: Snapshot of the campaign-wide artifact cache after the run.
     artifact_cache_stats: Dict[str, object] = field(default_factory=dict)
+    #: The coordinator's artifact-plane counters and per-worker fleet rows,
+    #: taken before the session tears the pool down (``None`` for local
+    #: dispatch; ``mesh_stats`` also ``None`` when no mesh was served).
+    mesh_stats: Optional[Dict[str, object]] = None
+    fleet: Optional[List[Dict[str, object]]] = None
 
     def result_for(self, family: str, program: str) -> ProgramResult:
         for result in self.programs:
@@ -358,8 +375,7 @@ class Campaign:
         # process* starts warm too.
         self.store_dir = self._resolve_store_dir()
         if self.config.mesh:
-            dispatch = self.config.dispatch or self.config.executor
-            if dispatch != "distributed":
+            if self.config.dispatch != "distributed":
                 raise ValueError(
                     "mesh=True requires dispatch='distributed' (the artifact "
                     "mesh is served by the network coordinator)"
@@ -378,6 +394,11 @@ class Campaign:
             self.artifact_cache = ArtifactCache(
                 self.config.artifact_cache_size
             ).ensure_store(self.store_dir, self.config.store_max_bytes)
+        #: The open session (see :meth:`__enter__`): the pool jobs run on,
+        #: and the observability server when ``obs_port`` is set.
+        self.pool: Optional[SharedWorkerPool] = None
+        self.obs_server = None
+        self._session: Optional[ExitStack] = None
 
     def _resolve_store_dir(self) -> Optional[Path]:
         """The effective store directory (explicit, or under the checkpoint
@@ -548,30 +569,94 @@ class Campaign:
             tuning=result,
         )
 
+    # -- the session -----------------------------------------------------------------
+
     def _build_pool(self) -> SharedWorkerPool:
+        config = self.config
         pool = SharedWorkerPool(
-            self.config.executor,
-            self.config.workers,
-            dispatch=self.config.dispatch,
-            serve=self.config.serve,
-            authkey=self.config.authkey,
+            config.dispatch,
+            config.workers,
+            serve=config.serve,
+            authkey=config.authkey,
             # The mesh serves the *campaign's* store: the orchestrator's own
             # baselines and every worker's pushed compile become fetchable
             # by the whole fleet.
-            mesh_store=self.store_dir if self.config.mesh else None,
-            mesh_budget_bytes=self.config.mesh_budget_bytes,
-            obs_port=self.config.obs_port,
-            obs_host=self.config.obs_host,
+            mesh_store=self.store_dir if config.mesh else None,
+            mesh_budget_bytes=config.mesh_budget_bytes,
         )
-        if pool.dispatch == "distributed" and self.config.min_workers > 0:
-            try:
-                pool.wait_for_workers(
-                    self.config.min_workers, timeout=self.config.worker_wait_timeout
-                )
-            except Exception:
-                pool.close()
-                raise
+        if pool.coordinator is None:
+            return pool
+        bound = pool.address_string()
+        host, _sep, port = bound.rpartition(":")
+        if host in ("0.0.0.0", "::", ""):
+            # The wildcard bind is not a reachable address; point the
+            # copy-paste line at something remote machines can use.
+            connect = f"{socket.gethostname()}:{port}"
+            note = f" (listening on all interfaces; {bound})"
+        else:
+            connect, note = bound, ""
+        logger.info(
+            "coordinator listening on %s%s — start workers with\n"
+            "  python -m repro.distrib.worker --connect %s%s",
+            connect, note, connect, " --authkey ..." if config.authkey else "",
+        )
+        if config.mesh:
+            budget = (f", per-machine budget {config.mesh_budget_bytes} bytes"
+                      if config.mesh_budget_bytes is not None else "")
+            logger.info("artifact mesh on: serving %s%s", self.store_dir, budget)
         return pool
+
+    def _open(self, pool: Optional[SharedWorkerPool] = None) -> None:
+        """Open the session: sink, pool, observability server — in that
+        order, so closing (the reverse) takes the server down first and a
+        scrape racing teardown gets its 503 while the state it reads is
+        still there.  An injected ``pool`` is used as-is and left open."""
+        if self._session is not None:
+            raise RuntimeError("this campaign's session is already open")
+        config = self.config
+        with ExitStack() as stack:
+            if config.telemetry_dir is not None or config.obs_port is not None:
+                # One sink feeds the JSONL file *and* /metrics; with only a
+                # port it is registry only and nothing touches disk.
+                stack.enter_context(
+                    telemetry.recording(config.telemetry_dir, label="campaign")
+                )
+            own_pool = pool is None
+            if own_pool:
+                pool = stack.enter_context(self._build_pool())
+            server = None
+            if config.obs_port is not None:
+                from repro.distrib.obsserver import ObservabilityServer
+
+                server = stack.enter_context(
+                    ObservabilityServer(host=config.obs_host, port=config.obs_port)
+                )
+                server.add_source("campaign", self.progress.snapshot)
+                if pool.coordinator is not None:
+                    server.add_source("fleet", pool.coordinator.fleet_status)
+                    server.add_metrics_source(pool.coordinator.fleet_metrics)
+                logger.info("observability: GET %s/metrics (Prometheus) and "
+                            "%s/status (JSON)", server.url(), server.url())
+            if own_pool and pool.coordinator is not None and config.min_workers > 0:
+                logger.info("waiting for %d worker(s)...", config.min_workers)
+                pool.wait_for_workers(
+                    config.min_workers, timeout=config.worker_wait_timeout
+                )
+            self.pool, self.obs_server = pool, server
+            self._session = stack.pop_all()
+
+    def _close(self) -> None:
+        session, self._session = self._session, None
+        self.pool = self.obs_server = None
+        if session is not None:
+            session.close()
+
+    def __enter__(self) -> "Campaign":
+        self._open()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._close()
 
     def run(
         self,
@@ -590,37 +675,33 @@ class Campaign:
         The artifact store is deliberately *not* deleted by ``resume=False``:
         its entries are content-addressed, so stale ones can never produce a
         wrong answer — a fresh run merely starts warm.
-        An injected ``pool`` (e.g. a distributed pool whose coordinator
-        address the caller needed before any worker could connect) is used
-        as-is and *not* closed — its lifetime belongs to the caller.
+        An injected ``pool`` is used as-is and *not* closed — its lifetime
+        belongs to the caller.
 
-        With :attr:`CampaignConfig.telemetry_dir` set, a JSONL telemetry
-        sink is installed for the duration of the run (and restored after).
-        Telemetry is observe-only: it never feeds fingerprints, checkpoints,
-        or recorded results.
+        The run happens inside the campaign's session (:meth:`_open`): the
+        one the caller opened with ``with campaign:``, else one opened here
+        for the duration of this call.  What the session adds is
+        observe-only: it never feeds fingerprints, checkpoints, or results.
         """
-        sink: Optional[telemetry.JsonlSink] = None
-        previous: Optional[object] = None
-        if self.config.telemetry_dir is not None:
-            sink = telemetry.JsonlSink(
-                Path(self.config.telemetry_dir), label="campaign"
-            )
-            previous = telemetry.set_sink(sink)
+        own_session = self._session is None
+        if own_session:
+            self._open(pool)
         try:
             with telemetry.get_sink().span(
                 "campaign.run", campaign=self.config.name, jobs=len(self.jobs)
             ):
-                return self._run(limit=limit, resume=resume, pool=pool)
+                return self._run(
+                    pool if pool is not None else self.pool, limit=limit, resume=resume
+                )
         finally:
-            if sink is not None:
-                telemetry.set_sink(previous)
-                sink.close()
+            if own_session:
+                self._close()
 
     def _run(
         self,
+        pool: SharedWorkerPool,
         limit: Optional[int] = None,
         resume: bool = True,
-        pool: Optional[SharedWorkerPool] = None,
     ) -> CampaignResult:
         started = time.perf_counter()
         if resume:
@@ -638,13 +719,10 @@ class Campaign:
         programs: List[ProgramResult] = []
         ran = 0
         interrupted = False
-        own_pool = pool is None
         self.progress.begin(
             len(self.jobs),
             jobs_completed=sum(1 for job in self.jobs if job.key() in completed),
         )
-        if own_pool:
-            pool = self._build_pool()
         try:
             for job in self.jobs:
                 restored = completed.get(job.key())
@@ -664,12 +742,12 @@ class Campaign:
                     self._write_manifest(programs)
         finally:
             self.progress.finish(interrupted)
-            if own_pool:
-                pool.close()
         return CampaignResult(
             database=self.database,
             programs=programs,
             elapsed_seconds=time.perf_counter() - started,
             interrupted=interrupted,
             artifact_cache_stats=self.artifact_cache.stats(),
+            mesh_stats=pool.mesh_stats(),
+            fleet=pool.fleet_status(),
         )

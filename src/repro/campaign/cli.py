@@ -36,26 +36,29 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
-import socket
 import sys
+import threading
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.campaign.campaign import Campaign, CampaignConfig, ProgramJob, DATABASE_DIR
+from repro.campaign.campaign import (
+    DATABASE_DIR,
+    Campaign,
+    CampaignConfig,
+    CampaignResult,
+    ProgramJob,
+)
 from repro.campaign.database import CampaignDatabase
 from repro.distrib.worker import configure_logging
+from repro.telemetry.live import tail
 from repro.tuner import BinTunerConfig, EvaluationStats, GAParameters
 from repro.workloads import SUITES
 
 logger = logging.getLogger("repro.campaign.cli")
-
-#: Subcommands in front of the default run mode (``argv[0]`` dispatch keeps
-#: every pre-existing flag invocation working unchanged).
-SUBCOMMANDS = ("report", "worker", "serve", "submit")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -80,12 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="GA stall window (default: 30)")
     parser.add_argument("--workers", type=int, default=1,
                         help="shared worker-pool size; >1 implies a process pool")
-    parser.add_argument("--executor", choices=("serial", "process"), default="serial")
     parser.add_argument("--dispatch",
                         choices=("serial", "process", "thread", "distributed"),
                         default=None,
                         help="execution substrate of the shared pool "
-                             "(overrides --executor)")
+                             "(default: serial)")
     parser.add_argument("--serve", default=None, metavar="HOST:PORT",
                         help="with --dispatch distributed: address the "
                              "coordinator binds (default: 127.0.0.1:0)")
@@ -173,7 +175,6 @@ def _build_campaign(args: argparse.Namespace) -> Campaign:
             ga=GAParameters(population_size=args.population),
             stall_window=args.stall_window,
         ),
-        executor=args.executor,
         workers=args.workers,
         dispatch=args.dispatch,
         serve=args.serve,
@@ -184,7 +185,9 @@ def _build_campaign(args: argparse.Namespace) -> Campaign:
         warm_start=not args.no_warm_start,
         checkpoint_dir=args.checkpoint_dir,
         telemetry_dir=args.telemetry_dir,
-        obs_port=args.obs_port,
+        # --live without an explicit port still needs a server to poll; an
+        # ephemeral loopback port costs nothing and keeps the flag one word.
+        obs_port=0 if args.live and args.obs_port is None else args.obs_port,
         obs_host=args.obs_host,
         **pipeline_knobs,
     )
@@ -198,6 +201,22 @@ def _build_campaign(args: argparse.Namespace) -> Campaign:
     return Campaign.from_suites(suites, families, config)
 
 
+@contextlib.contextmanager
+def _live_tail(url: str) -> Iterator[None]:
+    """The ``--live`` view: poll ``url`` from a daemon thread for the block."""
+    stop = threading.Event()
+    thread = threading.Thread(
+        target=tail, args=(url,), kwargs={"interval": 1.0, "stop": stop},
+        name="campaign-live-tail", daemon=True,
+    )
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=3.0)
+
+
 def run_main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -205,130 +224,36 @@ def run_main(argv: Optional[Sequence[str]] = None) -> int:
             and args.store_dir is None and args.checkpoint_dir is None):
         parser.error("--store-max-bytes requires an active store "
                      "(--store-dir or --checkpoint-dir)")
-    if args.mesh:
-        if (args.dispatch or args.executor) != "distributed":
-            parser.error("--mesh requires --dispatch distributed "
-                         "(the mesh is served by the network coordinator)")
-        if args.store_dir is None and args.checkpoint_dir is None:
-            parser.error("--mesh requires a store to serve from "
-                         "(--store-dir or --checkpoint-dir)")
-    if args.mesh_budget_bytes is not None and not args.mesh:
-        parser.error("--mesh-budget-bytes requires --mesh")
     if args.verbose and args.quiet:
         parser.error("--verbose and --quiet are mutually exclusive")
     configure_logging(verbose=args.verbose, quiet=args.quiet)
-    campaign = _build_campaign(args)
-    jobs = campaign.jobs
-    if not jobs:
+    try:
+        campaign = _build_campaign(args)
+    except ValueError as exc:
+        # Knob combinations are validated once, by the library (mesh needs
+        # distributed dispatch and a store, ...); the CLI only reports them.
+        parser.error(str(exc))
+    if not campaign.jobs:
         logger.error("no jobs to run (empty suite/family selection)")
         return 2
-    dispatch = args.dispatch or args.executor
     logger.info(
         "campaign: %d jobs (%s dispatch, %d worker%s, warm-start %s)",
-        len(jobs), dispatch, args.workers, "s" if args.workers != 1 else "",
-        "off" if args.no_warm_start else "on",
+        len(campaign.jobs), args.dispatch or "serial", args.workers,
+        "s" if args.workers != 1 else "", "off" if args.no_warm_start else "on",
     )
-    # --live without an explicit port still needs a server to poll; an
-    # ephemeral loopback port costs nothing and keeps the flag one word.
-    obs_port = args.obs_port if args.obs_port is not None else (0 if args.live else None)
-    obs = None
-    own_obs = False  # CLI-owned server (local dispatch) vs coordinator-owned
-    previous_sink = None
-    sink_installed = False
-    live_stop = None
-    live_thread = None
-    pool = None
-    try:
-        if obs_port is not None and args.telemetry_dir is None:
-            # /metrics renders the telemetry registry; without a JSONL run
-            # directory install the registry-only in-memory sink so the
-            # instrumented seams still light up (nothing touches disk).
-            from repro import telemetry as telemetry_module
-            from repro.telemetry import MetricsSink
+    # The session (sink, pool, /metrics server) is the campaign's; entering
+    # it ahead of run() is what lets --live learn the bound address.
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(campaign)
+        if args.live:
+            stack.enter_context(_live_tail(campaign.obs_server.url()))
+        result = campaign.run(limit=args.limit, resume=not args.fresh)
+    _print_summary(result, args)
+    return 0
 
-            previous_sink = telemetry_module.get_sink()
-            telemetry_module.set_sink(MetricsSink())
-            sink_installed = True
-        if dispatch == "distributed":
-            # Build the pool up front so the coordinator address is printed
-            # before the (possibly blocking) wait for workers.
-            from repro.campaign.pool import SharedWorkerPool
 
-            pool = SharedWorkerPool(args.executor, args.workers,
-                                    dispatch="distributed", serve=args.serve,
-                                    authkey=args.authkey,
-                                    mesh_store=campaign.store_dir if args.mesh else None,
-                                    mesh_budget_bytes=args.mesh_budget_bytes,
-                                    obs_port=obs_port, obs_host=args.obs_host)
-            obs = pool.obs_server
-            bound = pool.address_string()
-            host, _sep, port = bound.rpartition(":")
-            if host in ("0.0.0.0", "::", ""):
-                # The wildcard bind is not a reachable address; point the
-                # copy-paste line at something remote machines can use.
-                connect = f"{socket.gethostname()}:{port}"
-                note = f" (listening on all interfaces; {bound})"
-            else:
-                connect, note = bound, ""
-            authhint = " --authkey ..." if args.authkey else ""
-            logger.info(
-                "coordinator listening on %s%s — start workers with\n"
-                "  python -m repro.distrib.worker --connect %s%s",
-                connect, note, connect, authhint,
-            )
-            if args.mesh:
-                budget = (f", per-machine budget {args.mesh_budget_bytes} bytes"
-                          if args.mesh_budget_bytes is not None else "")
-                logger.info("artifact mesh on: serving %s%s", campaign.store_dir, budget)
-            if args.min_workers > 0:
-                logger.info("waiting for %d worker(s)...", args.min_workers)
-                pool.wait_for_workers(args.min_workers,
-                                      timeout=campaign.config.worker_wait_timeout)
-        elif obs_port is not None:
-            # Local dispatch has no coordinator to mount the server on; the
-            # CLI owns one directly (same endpoints, no fleet section).
-            from repro.distrib.obsserver import ObservabilityServer
-
-            obs = ObservabilityServer(host=args.obs_host, port=obs_port)
-            own_obs = True
-        if obs is not None:
-            obs.add_source("campaign", campaign.progress.snapshot)
-            logger.info("observability: GET %s/metrics (Prometheus) and "
-                        "%s/status (JSON)", obs.url(), obs.url())
-            if args.live:
-                import threading as threading_module
-
-                from repro.telemetry.live import tail
-
-                live_stop = threading_module.Event()
-                live_thread = threading_module.Thread(
-                    target=tail,
-                    args=(obs.url(),),
-                    kwargs={"interval": 1.0, "stop": live_stop},
-                    name="campaign-live-tail",
-                    daemon=True,
-                )
-                live_thread.start()
-        result = campaign.run(limit=args.limit, resume=not args.fresh, pool=pool)
-        # Snapshot before the finally below closes the pool (and with it the
-        # coordinator that owns the artifact plane's counters and the fleet
-        # telemetry registry).
-        mesh_summary = pool.mesh_stats() if pool is not None else None
-        fleet = pool.fleet_status() if pool is not None else None
-    finally:
-        if live_stop is not None:
-            live_stop.set()
-        if live_thread is not None:
-            live_thread.join(timeout=3.0)
-        if own_obs and obs is not None:
-            obs.close()
-        if pool is not None:
-            pool.close()
-        if sink_installed:
-            from repro import telemetry as telemetry_module
-
-            telemetry_module.set_sink(previous_sink)
-
+def _print_summary(result: CampaignResult, args: argparse.Namespace) -> None:
+    mesh_summary, fleet = result.mesh_stats, result.fleet
     programs = {program.job.key(): program for program in result.programs}
     for row in result.summary_rows():
         # A shard can exist without a program result: a campaign killed (or
@@ -422,7 +347,6 @@ def run_main(argv: Optional[Sequence[str]] = None) -> int:
         if fleet is not None:
             payload["fleet"] = fleet
         args.json_out.write_text(json.dumps(payload, indent=2))
-    return 0
 
 
 # ---------------------------------------------------------------------------

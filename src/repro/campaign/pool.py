@@ -18,10 +18,19 @@ outlives all programs; ``dispatch`` picks which:
   ``python -m repro.distrib.worker --connect HOST:PORT`` — on this machine
   or any other — evaluate the campaign's candidates.
 
-The three local modes hand out the same
+``dispatch`` is the substrate's only name: no mode (or ``"serial"``) with
+``workers > 1`` means the process pool, decided by
+:func:`~repro.tuner.evaluation.resolve_dispatch` for this pool and a
+standalone tuner alike.  The three local modes hand out the same
 :class:`~repro.tuner.evaluation.LocalMapper` a standalone tuner uses; the
 only difference is ownership — the mapper *borrows* this pool's executor, so
 the per-run ``engine.close()`` in :meth:`BinTuner.run` leaves it running.
+
+The pool owns what it builds and nothing else: a distributed pool creates
+and closes its coordinator and offers its fleet view as *sources*; the
+``/metrics`` server that renders them belongs to whoever was given the port
+(the campaign session or the tuning service), and whether a mesh fits the
+dispatch mode is the campaign's validation.
 
 Determinism: every mapper returns results in submission order regardless of
 completion order (chunk order for the local pools, index-slotted replies for
@@ -39,49 +48,31 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.tuner.evaluation import CandidateEvaluator, LocalMapper, new_pool_executor
+from repro.tuner.evaluation import (
+    CandidateEvaluator,
+    LocalMapper,
+    new_pool_executor,
+    resolve_dispatch,
+)
 
 
 class SharedWorkerPool:
     """One execution substrate (or the serial path) spanning a whole campaign."""
 
-    DISPATCH_MODES = ("serial", "process", "thread", "distributed")
-
     def __init__(
         self,
-        executor: str = "serial",
-        workers: int = 1,
         dispatch: Optional[str] = None,
+        workers: int = 1,
         serve: Optional[str] = None,
-        coordinator=None,
         authkey=None,
         mesh_store=None,
         mesh_budget_bytes: Optional[int] = None,
-        obs_port: Optional[int] = None,
-        obs_host: str = "127.0.0.1",
     ) -> None:
-        mode = dispatch if dispatch is not None else executor
-        if mode not in self.DISPATCH_MODES:
-            raise ValueError(
-                f"unknown dispatch {mode!r} (use one of {', '.join(self.DISPATCH_MODES)})"
-            )
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if mode == "serial" and workers > 1:
-            mode = "process"
-        self.dispatch = mode
-        #: Backward-compatible alias of :attr:`dispatch` (pre-distributed
-        #: callers read ``pool.executor``).
-        self.executor = mode
-        self.workers = 1 if mode == "serial" else workers
+        self.dispatch = resolve_dispatch(dispatch, workers)
+        self.workers = 1 if self.dispatch == "serial" else workers
         self._pool = None
-        self._coordinator = coordinator
-        self._own_coordinator = False
-        if mode != "distributed" and mesh_store is not None:
-            raise ValueError(
-                f"the artifact mesh requires distributed dispatch, not {mode!r}"
-            )
-        if mode == "distributed" and self._coordinator is None:
+        self._coordinator = None
+        if self.dispatch == "distributed":
             from repro.distrib.coordinator import Coordinator
             from repro.distrib.protocol import parse_address
 
@@ -89,14 +80,10 @@ class SharedWorkerPool:
             # ``mesh_store`` (an ArtifactStore or a directory path) turns on
             # the coordinator's artifact plane: workers push fresh tier-2
             # entries here and fetch their misses from each other's work.
-            # ``obs_port`` mounts the live /metrics + /status server on the
-            # coordinator: its fleet-health view is pre-registered there.
             self._coordinator = Coordinator(
                 host=host, port=port, authkey=authkey,
                 artifact_store=mesh_store, mesh_budget_bytes=mesh_budget_bytes,
-                obs_port=obs_port, obs_host=obs_host,
             )
-            self._own_coordinator = True
 
     # -- distributed front ------------------------------------------------------------
 
@@ -118,36 +105,14 @@ class SharedWorkerPool:
 
     def mesh_stats(self) -> Optional[Dict[str, object]]:
         """The coordinator's artifact-plane counters, or ``None`` when this
-        pool serves no mesh.  Capture before :meth:`close` — closing an
-        owned coordinator drops it."""
-        if self._coordinator is None:
-            return None
-        stats = getattr(self._coordinator, "mesh_stats", None)
-        return stats() if stats is not None else None
-
-    def fleet_telemetry(self) -> Optional[List[Dict[str, object]]]:
-        """Latest per-worker telemetry rows, or ``None`` when this pool has
-        no coordinator.  Capture before :meth:`close`, like
-        :meth:`mesh_stats`."""
-        if self._coordinator is None:
-            return None
-        fleet = getattr(self._coordinator, "fleet_telemetry", None)
-        return fleet() if fleet is not None else None
+        pool serves no mesh.  Capture before :meth:`close` — closing drops
+        the coordinator."""
+        return self._coordinator.mesh_stats() if self._coordinator is not None else None
 
     def fleet_status(self) -> Optional[List[Dict[str, object]]]:
         """Per-worker fleet rows with live health states, or ``None`` when
         this pool has no coordinator.  Capture before :meth:`close`."""
-        if self._coordinator is None:
-            return None
-        status = getattr(self._coordinator, "fleet_status", None)
-        return status() if status is not None else None
-
-    @property
-    def obs_server(self):
-        """The coordinator's observability server (``None`` without one)."""
-        if self._coordinator is None:
-            return None
-        return getattr(self._coordinator, "obs_server", None)
+        return self._coordinator.fleet_status() if self._coordinator is not None else None
 
     # -- mapper construction ----------------------------------------------------------
 
@@ -173,7 +138,7 @@ class SharedWorkerPool:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-        if self._own_coordinator and self._coordinator is not None:
+        if self._coordinator is not None:
             self._coordinator.close()
             self._coordinator = None
 

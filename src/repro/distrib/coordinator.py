@@ -155,8 +155,6 @@ class Coordinator:
         mesh_budget_bytes: Optional[int] = None,
         stale_after: Optional[float] = None,
         lost_after: Optional[float] = None,
-        obs_port: Optional[int] = None,
-        obs_host: str = "127.0.0.1",
     ) -> None:
         #: Per-*task* reply budget: a batch of N tasks may take N times this
         #: before its worker is declared lost (a fixed per-batch timeout
@@ -207,23 +205,6 @@ class Coordinator:
         #: worker from the heartbeat cadence it advertised in ``Hello``.
         self.stale_after = stale_after
         self.lost_after = lost_after
-        #: The live observability plane: ``obs_port`` (0 = ephemeral) binds
-        #: the ``/metrics`` + ``/status`` HTTP server on ``obs_host``
-        #: (loopback unless told otherwise) with the fleet health view and
-        #: fleet-merged metrics pre-registered.  Observe-only: the server
-        #: reads coordinator state through the same locks as everything
-        #: else and can never fail a batch.
-        self.obs_server = None
-        if obs_port is not None:
-            from repro.distrib.obsserver import ObservabilityServer
-
-            try:
-                self.obs_server = ObservabilityServer(host=obs_host, port=obs_port)
-            except OSError:
-                self._listener.close()
-                raise
-            self.obs_server.add_source("fleet", self.fleet_status)
-            self.obs_server.add_metrics_source(self.fleet_metrics)
         self._accept_thread = self._listener.start()
 
     # -- registry ---------------------------------------------------------------------
@@ -658,11 +639,6 @@ class Coordinator:
             self._closed = True
             workers = list(self._workers.values())
             self._workers.clear()
-        if self.obs_server is not None:
-            # Drain first: a scrape racing this teardown gets a clean 503,
-            # and the server thread is joined with a bounded timeout so a
-            # wedged scraper cannot hang campaign shutdown.
-            self.obs_server.close(timeout=2.0)
         for handle in workers:
             with handle.lock:
                 try:

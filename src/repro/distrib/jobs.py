@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.distrib.errors import ServiceError
-from repro.tuner.database import TuningDatabase
 from repro.tuner.evaluation import EvaluationStats
 
 #: Job lifecycle: admission enqueues, the scheduler runs, exactly one
@@ -273,7 +272,7 @@ class Job:
         with self._cond:
             while True:
                 fresh = [event for event in self._events if event["seq"] > from_seq]
-                if fresh or self.state in ("done", "failed", "cancelled"):
+                if fresh or self.state in TERMINAL_EVENTS:
                     return fresh
                 remaining = (None if deadline is None
                              else deadline - time.monotonic())
@@ -303,7 +302,7 @@ class Job:
 
     @property
     def terminal(self) -> bool:
-        return self.state in ("done", "failed", "cancelled")
+        return self.state in TERMINAL_EVENTS
 
     def status_row(self) -> Dict[str, object]:
         with self._cond:
@@ -325,15 +324,6 @@ class Job:
             if self.result is not None:
                 row["result"] = dict(self.result)
             return row
-
-
-def job_fingerprint(database: TuningDatabase) -> str:
-    """The job-level identity: SHA-256 over the shard's ordered signatures.
-
-    Delegates to :meth:`TuningDatabase.fingerprint` — named here so service,
-    client, and the parity tests hash *one* way.
-    """
-    return database.fingerprint()
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +371,12 @@ class TenantAccounting:
         with self._lock:
             row = self._tenants.get(tenant)
             return row["stats"].evaluated if row is not None else 0
+
+    def fair_share_key(self, job: Job) -> Tuple[int, int, int]:
+        """The fair-share order, smallest first: the tenant that consumed
+        least, then higher priority, then arrival.  The admission queue and
+        the service's generation turnstile both sort by this one key."""
+        return (self.cost(job.spec.tenant), -job.spec.priority, job.submitted_seq)
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         with self._lock:
@@ -443,20 +439,9 @@ class FairShareQueue:
         with self._lock:
             if not self._queued:
                 return None
-            chosen = min(
-                self._queued,
-                key=lambda job: (
-                    self._accounting.cost(job.spec.tenant),
-                    -job.spec.priority,
-                    job.submitted_seq,
-                ),
-            )
+            chosen = min(self._queued, key=self._accounting.fair_share_key)
             self._queued.remove(chosen)
             return chosen
-
-    def snapshot(self) -> List[Dict[str, object]]:
-        with self._lock:
-            return [job.status_row() for job in self._queued]
 
 
 def stable_job_id(seq: int) -> str:
@@ -472,7 +457,6 @@ __all__ = [
     "JobSpec",
     "validate_submission",
     "Job",
-    "job_fingerprint",
     "TenantAccounting",
     "FairShareQueue",
     "stable_job_id",

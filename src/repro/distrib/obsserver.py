@@ -1,9 +1,12 @@
 """The HTTP observability server: ``/metrics`` and ``/status``.
 
 A tiny stdlib ``http.server`` running in a daemon thread, loopback by
-default, attached to the :class:`~repro.distrib.coordinator.Coordinator`
-for distributed runs and owned by the campaign CLI for serial/process
-runs.  Two endpoints:
+default.  Whoever was given the port owns the server: a campaign session
+(``CampaignConfig.obs_port``) or a tuning service (``ServiceConfig.obs_port``)
+constructs it, registers the sources below, and closes it *first* on the way
+down.  A coordinator only offers ``fleet_status`` / ``fleet_metrics`` as
+sources, and nothing imports this module (or ``http.server``) until a port
+is given.  Two endpoints:
 
 * ``GET /metrics`` — the process-global sink's counters, gauges and
   histograms (plus any registered extra metrics sources, e.g. the
@@ -148,10 +151,6 @@ class ObservabilityServer:
         with self._lock:
             self._status_sources[name] = source
 
-    def remove_source(self, name: str) -> None:
-        with self._lock:
-            self._status_sources.pop(name, None)
-
     def add_metrics_source(self, source: Callable[[], Dict[str, object]]) -> None:
         """Register an extra registry snapshot merged into ``/metrics``."""
         with self._lock:
@@ -171,11 +170,7 @@ class ObservabilityServer:
     def _snapshots(self) -> List[Dict[str, object]]:
         with self._lock:
             sources = list(self._metrics_sources)
-        snapshots: List[Dict[str, object]] = []
-        sink = get_sink()
-        snapshot = getattr(sink, "metrics_snapshot", None)
-        if callable(snapshot):
-            snapshots.append(snapshot())
+        snapshots: List[Dict[str, object]] = [get_sink().metrics_snapshot()]
         for source in sources:
             try:
                 snapshots.append(source())

@@ -43,7 +43,7 @@ import logging
 import socket
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -54,6 +54,7 @@ from repro.distrib.errors import ConnectionClosed, ServiceError
 from repro.distrib.jobs import (
     AdmissionError,
     AdmissionLimits,
+    TERMINAL_EVENTS,
     FairShareQueue,
     Job,
     JobSpec,
@@ -153,14 +154,7 @@ class _GenerationGate:
     def _next(self) -> Optional[Job]:
         if not self._waiting:
             return None
-        return min(
-            self._waiting,
-            key=lambda job: (
-                self._accounting.cost(job.spec.tenant),
-                -job.spec.priority,
-                job.submitted_seq,
-            ),
-        )
+        return min(self._waiting, key=self._accounting.fair_share_key)
 
     @contextmanager
     def turn(self, job: Job):
@@ -191,7 +185,6 @@ class TuningService:
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
-        limits = self.config.limits
         self._lock = threading.Lock()
         self._db_lock = threading.Lock()
         #: Held across snapshot *and* write so ``jobs.json`` never goes back in
@@ -210,14 +203,6 @@ class TuningService:
         self.rejected_connections = 0
         self.connections = 0
 
-        self._sink = None
-        self._previous_sink = None
-        if self.config.telemetry_dir is not None:
-            self._sink = telemetry.JsonlSink(
-                Path(self.config.telemetry_dir), label="service"
-            )
-            self._previous_sink = telemetry.set_sink(self._sink)
-
         state_dir = self.config.state_dir
         self._state_dir = Path(state_dir) if state_dir is not None else None
         self._database_dir = (
@@ -231,40 +216,49 @@ class TuningService:
             self.config.artifact_cache_size
         ).ensure_store(self._store_dir)
 
-        # Worker plane: the shared pool, unchanged trust model.  The mesh is
-        # served from the service store when the fleet is distributed.
+        # Everything with a lifetime is entered here in order — sink, pool,
+        # observability server — and closed by :meth:`close` in reverse; a
+        # constructor that fails part-way (a taken port) unwinds the same way.
         from repro.campaign.pool import SharedWorkerPool
 
         distributed = self.config.dispatch == "distributed"
-        self._pool = SharedWorkerPool(
-            executor="serial",
-            workers=self.config.workers,
-            dispatch=self.config.dispatch,
-            serve=self.config.serve_workers,
-            authkey=self.config.authkey,
-            mesh_store=(self._store_dir if distributed and self._store_dir else None),
-            obs_port=(self.config.obs_port if distributed else None),
-            obs_host=self.config.obs_host,
-        )
-        self._obs = self._pool.obs_server
-        self._own_obs = False
-        if self._obs is None and self.config.obs_port is not None:
-            from repro.distrib.obsserver import ObservabilityServer
+        with ExitStack() as stack:
+            if self.config.telemetry_dir is not None:
+                stack.enter_context(
+                    telemetry.recording(self.config.telemetry_dir, label="service")
+                )
+            # Worker plane: the shared pool, unchanged trust model.  The mesh
+            # is served from the service store when the fleet is distributed.
+            self._pool = stack.enter_context(SharedWorkerPool(
+                dispatch=self.config.dispatch,
+                workers=self.config.workers,
+                serve=self.config.serve_workers,
+                authkey=self.config.authkey,
+                mesh_store=(self._store_dir if distributed else None),
+            ))
+            #: The ``/metrics`` + ``/status`` server (``None`` without a
+            #: port).  The service was given the port, so the service owns
+            #: it, the same way for every dispatch mode; a coordinator only
+            #: contributes its fleet view as two more sources.
+            self.obs_server = None
+            if self.config.obs_port is not None:
+                from repro.distrib.obsserver import ObservabilityServer
 
-            self._obs = ObservabilityServer(
-                host=self.config.obs_host, port=self.config.obs_port
-            )
-            self._own_obs = True
-        if self._obs is not None:
-            self._obs.add_source("service", self.status_snapshot)
-            self._obs.add_metrics_source(self.metrics_snapshot)
-
-        if self._state_dir is not None:
-            self._restore_state()
-
-        # Client plane: pickle-free listener, crash-proof accept loop.
-        self._listener = transport.Listener(
-            self.config.host, self.config.port, 32, self._admit, "service-accept")
+                self.obs_server = stack.enter_context(ObservabilityServer(
+                    host=self.config.obs_host, port=self.config.obs_port
+                ))
+                self.obs_server.add_source("service", self.status_snapshot)
+                self.obs_server.add_metrics_source(self.metrics_snapshot)
+                coordinator = self._pool.coordinator
+                if coordinator is not None:
+                    self.obs_server.add_source("fleet", coordinator.fleet_status)
+                    self.obs_server.add_metrics_source(coordinator.fleet_metrics)
+            if self._state_dir is not None:
+                self._restore_state()
+            # Client plane: pickle-free listener, crash-proof accept loop.
+            self._listener = transport.Listener(
+                self.config.host, self.config.port, 32, self._admit, "service-accept")
+            self._session = stack.pop_all()
         self.host, self.port = self._listener.host, self._listener.port
         self._accept_thread = self._listener.start()
         logger.info("tuning service listening on %s", self.address_string())
@@ -283,10 +277,6 @@ class TuningService:
 
     def wait_for_workers(self, count: int, timeout: Optional[float] = None) -> int:
         return self._pool.wait_for_workers(count, timeout)
-
-    @property
-    def obs_server(self):
-        return self._obs
 
     # -- durability -------------------------------------------------------------------
 
@@ -356,7 +346,7 @@ class TuningService:
             state = row.get("state", "queued")
             self._accounting.bump(spec.tenant, "jobs_submitted")
             self._accounting.absorb(spec.tenant, job.stats)
-            if state in ("done", "failed", "cancelled"):
+            if state in TERMINAL_EVENTS:
                 job.set_state(state)
                 counter = {"done": "jobs_done", "failed": "jobs_failed",
                            "cancelled": "jobs_cancelled"}[state]
@@ -734,9 +724,6 @@ class TuningService:
     def database(self) -> CampaignDatabase:
         return self._database
 
-    def accounting_snapshot(self) -> Dict[str, Dict[str, object]]:
-        return self._accounting.snapshot()
-
     # -- lifecycle --------------------------------------------------------------------
 
     def close(self, timeout: float = 10.0) -> None:
@@ -749,13 +736,7 @@ class TuningService:
         for thread in self._runners:
             thread.join(timeout=max(0.1, deadline - time.monotonic()))
         self._persist()
-        if self._own_obs and self._obs is not None:
-            self._obs.close()
-        self._pool.close()
-        if self._sink is not None:
-            telemetry.set_sink(self._previous_sink)
-            self._sink.close()
-            self._sink = None
+        self._session.close()  # server first, then the pool, then the sink
 
     def __enter__(self) -> "TuningService":
         return self

@@ -4,11 +4,11 @@ The worker plane (:mod:`repro.distrib.protocol`) pickles its frames — fine
 between mutually authenticated machines the operator controls, untenable for
 a public-facing job API: ``pickle.loads`` on client bytes is remote code
 execution.  The service plane therefore rides the *same* length-prefixed
-frames (:mod:`repro.distrib.transport`) but carries JSON (msgpack when both
-ends opt in), decoded with :func:`json.loads` and validated field-by-field
-against an explicit schema before any handler sees it.  No code path from a
-client socket ever reaches ``pickle.loads`` — the fuzz battery in
-``tests/test_wire.py`` asserts exactly that with a booby-trapped pickle.
+frames (:mod:`repro.distrib.transport`) but carries JSON, decoded with
+:func:`json.loads` and validated field-by-field against an explicit schema
+before any handler sees it.  No code path from a client socket ever reaches
+``pickle.loads`` — the fuzz battery in ``tests/test_wire.py`` asserts exactly
+that with a booby-trapped pickle.
 
 Every message is a JSON object carrying ``"v"`` (the wire version) and
 ``"type"`` (one of :data:`SCHEMAS`); unknown types, unknown fields, missing
@@ -17,10 +17,10 @@ a stable machine-readable ``code`` — the service answers those with a clean
 ``error`` frame and keeps accepting.  Frames announcing more than the
 configured byte cap are refused *before* the payload is read.
 
-The payload's first byte is the codec tag (``J`` = JSON, ``M`` = msgpack),
-so a future codec is a tag away and a peer speaking the wrong protocol
-(e.g. a pickled worker frame, which starts ``0x80``) is rejected as
-``bad-codec`` instead of being parsed.
+The payload's first byte is the codec tag, and ``J`` (JSON) is the only
+one: a peer speaking anything else — a pickled worker frame, which starts
+``0x80``, or the ``M`` (msgpack) tag no client of ours ever sent — is
+rejected as ``bad-codec`` instead of being parsed.
 """
 
 from __future__ import annotations
@@ -42,17 +42,6 @@ WIRE_VERSION = 1
 MAX_WIRE_FRAME_BYTES = 8 * 1024 * 1024
 
 _CODEC_JSON = b"J"
-_CODEC_MSGPACK = b"M"
-
-
-def _msgpack():
-    """The optional msgpack module, or ``None`` (never a hard dependency)."""
-    try:
-        import msgpack  # type: ignore[import-not-found]
-
-        return msgpack
-    except ImportError:
-        return None
 
 
 class WireError(ServiceError):
@@ -202,19 +191,12 @@ def make_message(msg_type: str, **fields: object) -> Dict[str, object]:
 # Codec
 # ---------------------------------------------------------------------------
 
-def encode_payload(message: Dict[str, object], codec: str = "json") -> bytes:
+def encode_payload(message: Dict[str, object]) -> bytes:
     """Validated message -> codec tag + encoded bytes."""
     validate_message(message)
-    if codec == "json":
-        return _CODEC_JSON + json.dumps(
-            message, separators=(",", ":"), sort_keys=True
-        ).encode("utf-8")
-    if codec == "msgpack":
-        msgpack = _msgpack()
-        if msgpack is None:
-            raise WireError("bad-codec", "msgpack codec requested but not installed")
-        return _CODEC_MSGPACK + msgpack.packb(message, use_bin_type=True)
-    raise WireError("bad-codec", f"unknown codec {codec!r}")
+    return _CODEC_JSON + json.dumps(
+        message, separators=(",", ":"), sort_keys=True
+    ).encode("utf-8")
 
 
 def decode_payload(payload: bytes) -> Dict[str, object]:
@@ -222,23 +204,12 @@ def decode_payload(payload: bytes) -> Dict[str, object]:
     if not payload:
         raise WireError("bad-codec", "empty frame")
     tag, body = payload[:1], payload[1:]
-    if tag == _CODEC_JSON:
-        try:
-            message = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise WireError("bad-json", f"frame is not valid JSON: {exc}") from None
-    elif tag == _CODEC_MSGPACK:
-        msgpack = _msgpack()
-        if msgpack is None:
-            raise WireError("bad-codec", "peer sent msgpack but it is not installed")
-        try:
-            message = msgpack.unpackb(body, raw=False)
-        except Exception as exc:
-            raise WireError("bad-json", f"frame is not valid msgpack: {exc}") from None
-    else:
-        raise WireError(
-            "bad-codec", f"unknown codec tag 0x{tag.hex() or '??'}"
-        )
+    if tag != _CODEC_JSON:
+        raise WireError("bad-codec", f"unknown codec tag 0x{tag.hex()}")
+    try:
+        message = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise WireError("bad-json", f"frame is not valid JSON: {exc}") from None
     return validate_message(message)
 
 
@@ -246,10 +217,9 @@ def decode_payload(payload: bytes) -> Dict[str, object]:
 # Framed socket I/O
 # ---------------------------------------------------------------------------
 
-def send_wire(sock: socket.socket, message: Dict[str, object],
-              codec: str = "json") -> None:
+def send_wire(sock: socket.socket, message: Dict[str, object]) -> None:
     """Write one validated message as a length-prefixed frame."""
-    send_frame(sock, encode_payload(message, codec=codec))
+    send_frame(sock, encode_payload(message))
 
 
 def recv_wire(sock: socket.socket,

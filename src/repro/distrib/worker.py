@@ -52,6 +52,7 @@ the worker-loss determinism tests: the worker serves N batches, then dies
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import logging
 import os
@@ -707,10 +708,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.verbose and args.quiet:
         parser.error("--verbose and --quiet are mutually exclusive")
     configure_logging(verbose=args.verbose, quiet=args.quiet)
-    sink: Optional[telemetry.JsonlSink] = None
+    session = contextlib.ExitStack()
     if args.telemetry_dir is not None:
-        sink = telemetry.JsonlSink(args.telemetry_dir, label="worker")
-        telemetry.set_sink(sink)
+        session.enter_context(telemetry.recording(args.telemetry_dir, label="worker"))
     try:
         return run_worker(
             args.connect,
@@ -735,9 +735,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         logger.error("no coordinator listening at %s", args.connect)
         return 2
     finally:
-        if sink is not None:
-            telemetry.set_sink(None)
-            sink.close()
+        session.close()
 
 
 if __name__ == "__main__":

@@ -83,7 +83,6 @@ def tune_suite(
         [ProgramJob(family, name) for name in names],
         CampaignConfig(
             tuner=config or quick_config(),
-            executor="process" if workers > 1 else "serial",
             workers=workers,
             warm_start=warm_start,
         ),

@@ -101,6 +101,18 @@ def run_parallel_evaluation_speedup(
     }
 
 
+def _loopback_available() -> bool:
+    """Whether this sandbox can bind AF_INET loopback at all."""
+    import socket
+
+    try:
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
+            probe.bind(("127.0.0.1", 0))
+        return True
+    except OSError:
+        return False
+
+
 def _run_mesh_join_comparison(
     jobs: Sequence[ProgramJob],
     base: BinTunerConfig,
@@ -116,51 +128,42 @@ def _run_mesh_join_comparison(
     substrate cannot bind there at all).
     """
     import shutil
-    import socket
     import tempfile
     import threading
 
-    try:
-        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        probe.bind(("127.0.0.1", 0))
-        probe.close()
-    except OSError:
+    if not _loopback_available():
         return None
 
-    from repro.campaign import SharedWorkerPool
     from repro.distrib.worker import serve
 
     def joined_run(mesh: bool):
         worker_dir = tempfile.mkdtemp(prefix="repro-mesh-worker-")
-        pool = SharedWorkerPool(
-            dispatch="distributed", mesh_store=store_dir if mesh else None
+        campaign = Campaign(
+            jobs,
+            CampaignConfig(
+                tuner=base, warm_start=True,
+                store_dir=store_dir, dispatch="distributed", mesh=mesh,
+            ),
         )
         try:
-            worker = threading.Thread(
-                target=serve,
-                kwargs=dict(
-                    connect=pool.address_string(), hard_exit=False,
-                    store_dir=worker_dir,
-                ),
-                daemon=True,
-            )
-            worker.start()
-            pool.wait_for_workers(1, timeout=30)
-            campaign = Campaign(
-                jobs,
-                CampaignConfig(
-                    tuner=base, warm_start=True,
-                    store_dir=store_dir, dispatch="distributed", mesh=mesh,
-                ),
-            )
-            started = time.perf_counter()
-            result = campaign.run(pool=pool)
-            seconds = time.perf_counter() - started
-            mesh_stats = pool.mesh_stats()
+            # Entered ahead of run(): the worker needs the bound address.
+            with campaign:
+                worker = threading.Thread(
+                    target=serve,
+                    kwargs=dict(
+                        connect=campaign.pool.address_string(), hard_exit=False,
+                        store_dir=worker_dir,
+                    ),
+                    daemon=True,
+                )
+                worker.start()
+                campaign.pool.wait_for_workers(1, timeout=30)
+                started = time.perf_counter()
+                result = campaign.run()
+                seconds = time.perf_counter() - started
         finally:
-            pool.close()
             shutil.rmtree(worker_dir, ignore_errors=True)
-        return result, seconds, mesh_stats
+        return result, seconds, result.mesh_stats
 
     cold, cold_seconds, _no_mesh = joined_run(mesh=False)
     warm, mesh_seconds, mesh_stats = joined_run(mesh=True)
@@ -259,38 +262,34 @@ def run_pipeline_comparison(
                 plain.fingerprint() == observed.fingerprint() == cold.fingerprint()
             ),
         }
-        # Live-observability overhead: the same warm rerun once more with
-        # the registry-only sink (span-duration histograms, no disk) and a
-        # loopback /metrics + /status server up, scraped once mid-flight.
-        # The read-only contract makes this a pure tax measurement: the
-        # fingerprint must not move.
-        from repro import telemetry as telemetry_module
-        from repro.telemetry.live import MetricsSink
-
-        previous_sink = telemetry_module.get_sink()
-        obs_server = None
+        # Live-observability overhead: the same warm rerun once more inside
+        # a campaign session with ``obs_port`` set — the registry-only sink
+        # (span-duration histograms, no disk) and a loopback /metrics +
+        # /status server, scraped before the session closes.  The read-only
+        # contract makes this a pure tax measurement: the fingerprint must
+        # not move.  Without loopback there is no port to give, and the leg
+        # degrades to one more plain rerun (``scrape_ok`` stays ``None``).
+        observed_campaign = Campaign(
+            jobs,
+            CampaignConfig(
+                tuner=base, warm_start=True, store_dir=store_dir,
+                obs_port=0 if _loopback_available() else None,
+            ),
+            artifact_cache=cache,
+        )
         scrape_ok: Optional[bool] = None
-        try:
-            telemetry_module.set_sink(MetricsSink())
-            try:
-                from repro.distrib.obsserver import ObservabilityServer
-
-                obs_server = ObservabilityServer()
-            except OSError:
-                obs_server = None  # no loopback in this sandbox
-            live, live_seconds = run(cache, store_dir)
-            if obs_server is not None:
+        with observed_campaign:
+            started = time.perf_counter()
+            live = observed_campaign.run()
+            live_seconds = time.perf_counter() - started
+            if observed_campaign.obs_server is not None:
                 import urllib.request
 
                 with urllib.request.urlopen(
-                    obs_server.url() + "/metrics", timeout=5.0
+                    observed_campaign.obs_server.url() + "/metrics", timeout=5.0
                 ) as response:
                     body = response.read().decode("utf-8", "replace")
                 scrape_ok = "engine_generation_seconds_count" in body
-        finally:
-            if obs_server is not None:
-                obs_server.close()
-            telemetry_module.set_sink(previous_sink)
         observability_report = {
             "disabled_seconds": plain_seconds,
             "enabled_seconds": live_seconds,

@@ -1,25 +1,26 @@
-"""Structured telemetry: spans, counters and gauges over bounded JSONL.
+"""Structured telemetry: spans, counters, gauges and histograms, one sink.
 
 The substrate spans processes and machines (engine -> staged pipeline ->
-two-tier store -> coordinator/worker fleet -> artifact mesh), and until now
-it was blind at runtime: per-stage timings existed only as scattered
-``perf_counter`` deltas folded into end-of-run aggregates.  This package is
-the observability plane those layers share:
+two-tier store -> coordinator/worker fleet -> artifact mesh); this package
+is the observability plane those layers share:
 
-* a :class:`TelemetrySink` records **spans** (monotonic start + duration,
+* instrumented seams record **spans** (monotonic start + duration,
   hierarchical parent ids per thread), **events** (point-in-time facts),
-  **counters** (a metrics registry behind the ad-hoc hit/miss tallies) and
-  **gauges** (sampled values);
+  **counters**, **gauges** and **histograms** on the process-global sink
+  they read with :func:`get_sink`;
 * the default sink is :data:`NULL_SINK`, whose every operation is a no-op
   method call on a shared singleton — instrumented code pays essentially
-  nothing until a campaign installs a real sink;
-* :class:`JsonlSink` writes newline-delimited JSON to one file per process
-  under a run directory.  Appends are buffered and flushed as a single
-  ``os.write`` to an ``O_APPEND`` descriptor, so concurrent processes
-  sharing a directory (orchestrator + local workers) never interleave
-  partial lines.  The log is **bounded**: past ``max_events`` records are
-  counted as dropped, never written — telemetry must not be able to fill a
-  disk;
+  nothing until something opts in;
+* :class:`JsonlSink` is the one recording sink, and :class:`Span` the one
+  timed span.  Every metric lands in its
+  :class:`~repro.telemetry.live.MetricsRegistry` (what ``/metrics`` and
+  ``/status`` render; each span feeds a ``{name}.seconds`` histogram).
+  Given a run directory it also writes bounded newline-delimited JSON, one
+  file per process; with **no directory** it is registry only.  Past
+  ``max_events``, or after a failed write (a full disk), records are
+  counted as ``dropped``, never written — and the run carries on;
+* :func:`recording` is the one way a run installs a sink, for the length of
+  a ``with`` block;
 * ``python -m repro.telemetry report RUN_DIR`` renders the per-stage time
   breakdown, cache-tier hit ratios over time and the worker utilization
   table from those files, and ``--chrome-trace out.json`` exports every
@@ -27,26 +28,26 @@ the observability plane those layers share:
 
 The hard invariant: telemetry *observes*, it never participates.  Nothing a
 sink records flows back into fingerprints, checkpoints or recorded results,
-so a campaign is bit-for-bit identical with telemetry on or off.
+and nothing a sink fails at reaches the code it observes, so a campaign is
+bit-for-bit identical with telemetry on, off, or broken.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
+import logging
 import os
 import socket
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional
 
-from repro.telemetry.live import (
-    BUCKET_BOUNDS,
-    Histogram,
-    MetricsRegistry,
-    MetricsSink,
-)
+from repro.telemetry.live import BUCKET_BOUNDS, Histogram, MetricsRegistry
+
+logger = logging.getLogger("repro.telemetry")
 
 SCHEMA_VERSION = 1
 
@@ -155,31 +156,32 @@ class Span:
 
 
 class JsonlSink:
-    """Thread-safe sink writing one bounded JSONL file per process.
+    """The recording sink: a metrics registry, plus one bounded JSONL file
+    per process when given a run directory.
 
-    The file is ``{label}-{pid}.jsonl`` under ``directory``; a ``meta``
-    record written at open carries the pid, host and the wall-clock epoch
-    every monotonic timestamp in the file is relative to, so a reader can
-    place events from many processes on one timeline.  ``close`` flushes
-    the buffer and appends a ``metrics`` snapshot of the counter/gauge
-    registry (plus the dropped-record count).
+    With a ``directory`` the file is ``{label}-{pid}.jsonl`` under it; a
+    ``meta`` record written at open carries the pid, host and the wall-clock
+    epoch every monotonic timestamp in the file is relative to, so a reader
+    can place events from many processes on one timeline, and ``close``
+    flushes the buffer and appends a ``metrics`` snapshot of the registry
+    (plus the dropped-record count).  With no directory (``path is None``)
+    the sink is registry only: spans still nest and feed their histograms,
+    but no record is built and nothing touches disk.  Writing is best
+    effort: see :meth:`_write_lines`; ``close`` never raises.
     """
 
     enabled = True
 
     def __init__(
         self,
-        directory,
+        directory=None,
         label: str = "events",
         max_events: int = DEFAULT_MAX_EVENTS,
         flush_every: int = FLUSH_EVERY,
     ) -> None:
         if max_events < 1:
             raise ValueError(f"max_events must be >= 1, got {max_events}")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self.label = label
-        self.path = self.directory / f"{label}-{os.getpid()}.jsonl"
         self.max_events = max_events
         self.dropped = 0
         self._flush_every = max(1, flush_every)
@@ -193,10 +195,17 @@ class JsonlSink:
         self._span_ids = itertools.count(1)
         self._locals = threading.local()
         self._closed = False
+        self._failed = False
         # The wall-clock epoch is recorded once; every event timestamp is
         # perf_counter-relative to it, immune to clock steps mid-run.
         self._wall_epoch = time.time()
         self._perf_epoch = time.perf_counter()
+        self.path: Optional[Path] = None
+        if directory is None:
+            return
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        self.path = directory / f"{label}-{os.getpid()}.jsonl"
         self._fd = os.open(str(self.path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         self._write_lines([{
             "type": "meta",
@@ -222,6 +231,13 @@ class JsonlSink:
         return Span(self, name, attrs)
 
     def _record_span(self, span: Span, duration: float) -> None:
+        # Span durations are the latency seams worth percentiles
+        # (stage.compile, coordinator.rpc, worker.batch, ...): every span
+        # feeds a `{name}.seconds` histogram, so /metrics serves live
+        # quantiles without a second timer at each call site.
+        self._registry.observe(f"{span.name}.seconds", duration)
+        if self.path is None:
+            return
         record = {
             "type": "span",
             "name": span.name,
@@ -234,14 +250,11 @@ class JsonlSink:
             record["parent"] = span.parent_id
         if span.attrs:
             record["attrs"] = span.attrs
-        # Span durations are the latency seams worth percentiles
-        # (stage.compile, coordinator.rpc, worker.batch, ...): every span
-        # feeds a `{name}.seconds` histogram, so /metrics serves live
-        # quantiles without a second timer at each call site.
-        self._registry.observe(f"{span.name}.seconds", duration)
         self._append(record)
 
     def event(self, name: str, **attrs) -> None:
+        if self.path is None:
+            return
         record = {
             "type": "event",
             "name": name,
@@ -276,50 +289,67 @@ class JsonlSink:
         with self._lock:
             if self._closed:
                 return
-            if self._written + len(self._buffer) >= self.max_events:
+            if self._failed or self._written + len(self._buffer) >= self.max_events:
                 self.dropped += 1
                 return
             self._buffer.append(record)
             if len(self._buffer) >= self._flush_every:
                 self._flush_locked()
 
-    def _write_lines(self, records) -> None:
-        """Serialize ``records`` and append them in one ``os.write``.
+    def _write_lines(self, records) -> bool:
+        """Serialize ``records`` and append them in one ``os.write``; returns
+        whether they landed.
 
         A single write to an ``O_APPEND`` descriptor lands at the file's
         end atomically, so sinks in different processes sharing one
         directory (or one inherited file) never interleave partial lines.
+        Never raises: a full disk must cost the log, not the run, so the
+        first failed or short write stops the file for good (one warning;
+        callers count what follows as dropped) while the registry goes on.
         """
+        if not records:
+            return True
+        if self._failed:
+            return False
         data = "".join(
             json.dumps(record, separators=(",", ":"), default=str) + "\n"
             for record in records
         ).encode()
-        if data:
-            os.write(self._fd, data)
+        try:
+            written = os.write(self._fd, data)
+            if written == len(data):
+                return True
+            problem = f"short write, {written} of {len(data)} bytes"
+        except OSError as exc:
+            problem = str(exc)
+        self._failed = True
+        logger.warning("telemetry write to %s failed (%s): recording stops, later "
+                       "records count as dropped, the run continues", self.path, problem)
+        return False
 
     def _flush_locked(self) -> None:
         buffer, self._buffer = self._buffer, []
-        self._written += len(buffer)
-        self._write_lines(buffer)
+        if self._write_lines(buffer):
+            self._written += len(buffer)
+        else:
+            self.dropped += len(buffer)
 
     def flush(self) -> None:
         with self._lock:
             if not self._closed:
                 self._flush_locked()
 
-    @property
-    def events_written(self) -> int:
-        with self._lock:
-            return self._written + len(self._buffer)
-
     def close(self) -> None:
         """Flush, append the metrics snapshot, release the descriptor."""
         with self._lock:
             if self._closed:
                 return
+            self._closed = True
+            if self.path is None:
+                return
             self._flush_locked()
             registry = self._registry.snapshot()
-            snapshot = {
+            self._write_lines([{
                 "type": "metrics",
                 "ts": round(self._now(), 6),
                 "counters": registry["counters"],
@@ -327,10 +357,11 @@ class JsonlSink:
                 "histograms": registry["histograms"],
                 "events": self._written,
                 "dropped": self.dropped,
-            }
-            self._write_lines([snapshot])
-            self._closed = True
-            os.close(self._fd)
+            }])
+            try:
+                os.close(self._fd)
+            except OSError:
+                pass  # nothing left to lose: every line was already attempted
 
     def __enter__(self) -> "JsonlSink":
         return self
@@ -347,7 +378,8 @@ class JsonlSink:
 # campaign installing a JsonlSink lights up every layer below it — engine,
 # stages, caches, coordinator — without threading a sink argument through
 # each constructor.  The default is the null sink; nothing writes until
-# something opts in.
+# something opts in, and everything that opts in does so through
+# recording().
 
 _SINK_LOCK = threading.Lock()
 _SINK: NullSink = NULL_SINK
@@ -368,17 +400,31 @@ def set_sink(sink) -> object:
         return previous
 
 
+@contextlib.contextmanager
+def recording(directory=None, label: str = "events") -> Iterator[JsonlSink]:
+    """Record the ``with`` block: a fresh :class:`JsonlSink` (JSONL under
+    ``directory``, or registry only without one) is the process-global sink
+    inside it; on the way out the previous sink is back and this one closed."""
+    sink = JsonlSink(directory, label=label)
+    previous = set_sink(sink)
+    try:
+        yield sink
+    finally:
+        set_sink(previous)
+        sink.close()
+
+
 __all__ = [
     "BUCKET_BOUNDS",
     "DEFAULT_MAX_EVENTS",
     "Histogram",
     "JsonlSink",
     "MetricsRegistry",
-    "MetricsSink",
     "NULL_SINK",
     "NullSink",
     "SCHEMA_VERSION",
     "Span",
     "get_sink",
+    "recording",
     "set_sink",
 ]

@@ -1,8 +1,7 @@
 """Live metrics: histograms, the metrics registry and the campaign tail.
 
-PR 7's telemetry plane is post-hoc — spans and counters land in JSONL and
-become readable only after the run.  This module is the *live* half of the
-observability plane:
+The JSONL half of the telemetry plane is post-hoc — records become readable
+after the run.  This module makes the same sink readable *during* it:
 
 * :class:`Histogram` — fixed log-spaced buckets shared by every histogram
   in the process, so snapshots taken on different machines merge
@@ -12,19 +11,18 @@ observability plane:
   interpolation inside the target bucket — good to a bucket width (~78%
   relative), which is what operational p95s need.
 * :class:`MetricsRegistry` — the thread-safe counter/gauge/histogram store
-  behind every sink's ``incr``/``gauge``/``observe``.
-* :class:`MetricsSink` — a registry-only sink for runs that want live
-  ``/metrics`` without a JSONL run directory; span durations feed
-  ``{span.name}.seconds`` histograms, nothing touches disk.
+  behind :class:`repro.telemetry.JsonlSink`'s ``incr``/``gauge``/``observe``
+  (a run that only wants live ``/metrics`` opens that sink with no directory).
 * :func:`render_prometheus` — the text exposition format a Prometheus
   scraper parses from ``GET /metrics``.
 * :func:`render_status` / :func:`tail` — the in-place refreshing progress
   view behind ``python -m repro.telemetry tail HOST:PORT`` and the campaign
   CLI's ``--live``.
 
-This module imports only the stdlib: ``repro.telemetry`` imports *from* it,
-and the observability server must be loadable on a worker that never pulls
-in the campaign stack.
+This module imports only the stdlib, and only what recording needs:
+``repro.telemetry`` imports *from* it in every process that touches a cache,
+so the ``tail`` client's HTTP stack (``urllib.request`` -> ``http.client`` ->
+``email``) is imported where :func:`fetch_status` runs, not here.
 """
 
 from __future__ import annotations
@@ -35,15 +33,12 @@ import re
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "BUCKET_BOUNDS",
     "Histogram",
     "MetricsRegistry",
-    "MetricsSink",
     "fetch_status",
     "merge_metric_snapshots",
     "render_prometheus",
@@ -193,10 +188,6 @@ class MetricsRegistry:
         with self._lock:
             return dict(self._counters)
 
-    def gauges(self) -> Dict[str, float]:
-        with self._lock:
-            return dict(self._gauges)
-
     def histogram(self, name: str) -> Optional[Histogram]:
         """A copy of the named histogram (safe to read without the lock)."""
         with self._lock:
@@ -204,10 +195,6 @@ class MetricsRegistry:
             if histogram is None:
                 return None
             return Histogram.from_snapshot(histogram.snapshot())
-
-    def histogram_snapshots(self) -> Dict[str, Dict[str, object]]:
-        with self._lock:
-            return {name: hist.snapshot() for name, hist in self._histograms.items()}
 
     def snapshot(self) -> Dict[str, object]:
         """One JSON-safe dict carrying all three metric families."""
@@ -219,74 +206,6 @@ class MetricsRegistry:
                     name: hist.snapshot() for name, hist in self._histograms.items()
                 },
             }
-
-
-class _TimerSpan:
-    """The registry-only span: times the block, observes the duration.
-
-    :class:`MetricsSink` cannot reuse :class:`repro.telemetry.Span` (that
-    would be a circular import), and does not need to — without a JSONL
-    file there is no span *record*, only the duration histogram.
-    """
-
-    __slots__ = ("_registry", "_metric", "_started")
-
-    def __init__(self, registry: MetricsRegistry, metric: str) -> None:
-        self._registry = registry
-        self._metric = metric
-
-    def __enter__(self) -> "_TimerSpan":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        self._registry.observe(self._metric, time.perf_counter() - self._started)
-        return False
-
-    def set(self, **attrs) -> None:
-        pass
-
-
-class MetricsSink:
-    """A registry-only sink: live metrics with no run directory.
-
-    Installed by the campaign CLI when ``--obs-port``/``--live`` is given
-    without ``--telemetry-dir``: every instrumented seam lights up the
-    registry (counters, gauges, span-duration histograms) and the
-    observability server renders it, but nothing is written to disk.
-    """
-
-    enabled = True
-
-    def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-
-    def span(self, name: str, **attrs) -> _TimerSpan:
-        return _TimerSpan(self.registry, f"{name}.seconds")
-
-    def event(self, name: str, **attrs) -> None:
-        pass
-
-    def incr(self, name: str, value: float = 1) -> None:
-        self.registry.incr(name, value)
-
-    def gauge(self, name: str, value: float) -> None:
-        self.registry.gauge(name, value)
-
-    def observe(self, name: str, value: float) -> None:
-        self.registry.observe(name, value)
-
-    def counters(self) -> Dict[str, float]:
-        return self.registry.counters()
-
-    def metrics_snapshot(self) -> Dict[str, object]:
-        return self.registry.snapshot()
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +313,8 @@ def render_prometheus(snapshot: Dict[str, object]) -> str:
 
 def fetch_status(url: str, timeout: float = 5.0) -> Dict[str, object]:
     """``GET`` the ``/status`` document; raises ``URLError`` on failure."""
+    import urllib.request  # the HTTP stack loads with the client, not the sink
+
     with urllib.request.urlopen(url, timeout=timeout) as response:
         payload = json.loads(response.read().decode("utf-8", "replace"))
     if not isinstance(payload, dict):
@@ -540,7 +461,7 @@ def tail(
         polls += 1
         try:
             status = fetch(url)
-        except (urllib.error.URLError, OSError, ValueError) as exc:
+        except (OSError, ValueError) as exc:  # URLError is an OSError
             if ever_connected:
                 writer.write(f"(observability endpoint gone: {exc}; run over?)")
                 return 0

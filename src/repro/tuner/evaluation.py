@@ -279,8 +279,25 @@ class LocalMapper:
             self._owned_executor = None
 
 
-#: Dispatch modes every (executor, workers) resolver accepts.
+#: The execution substrates ``dispatch`` (``BinTunerConfig.executor``) names.
 EXECUTORS = ("serial", "process", "thread", "distributed")
+
+
+def resolve_dispatch(dispatch: Optional[str], workers: int) -> str:
+    """The substrate a ``(dispatch, workers)`` pair means, validated.
+
+    The one place the default is decided: no mode (or ``"serial"``) with
+    several workers means the process pool, for a standalone tuner's mapper
+    and a campaign's shared pool alike.
+    """
+    mode = dispatch if dispatch is not None else "serial"
+    if mode not in EXECUTORS:
+        raise ValueError(f"unknown dispatch {mode!r} (use one of {', '.join(EXECUTORS)})")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if mode == "serial" and workers > 1:
+        return "process"
+    return mode
 
 
 def make_mapper(
@@ -298,10 +315,7 @@ def make_mapper(
     ``close``; campaigns that want one substrate spanning many programs
     build their mappers through the shared pool instead.
     """
-    if executor not in EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r} (use one of {', '.join(EXECUTORS)})")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    executor = resolve_dispatch(executor, workers)
     if executor == "distributed":
         from repro.distrib.coordinator import Coordinator
         from repro.distrib.mapper import DistributedMapper
@@ -311,8 +325,6 @@ def make_mapper(
         return DistributedMapper(
             Coordinator(host=host, port=port), evaluator, own_coordinator=True
         )
-    if executor == "serial" and workers > 1:
-        executor = "process"
     return LocalMapper(evaluator, executor, workers)
 
 

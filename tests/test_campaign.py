@@ -82,8 +82,7 @@ def tiny_config(checkpoint_dir=None, workers=1, warm_start=True, **config_kwargs
         tuner=BinTunerConfig(
             max_iterations=16, ga=GAParameters(population_size=6, seed=9), stall_window=12
         ),
-        executor="process" if workers > 1 else "serial",
-        workers=workers,
+        workers=workers,  # > 1 with no dispatch named: the process pool
         warm_start=warm_start,
         checkpoint_dir=checkpoint_dir,
         **config_kwargs,

@@ -257,12 +257,8 @@ class TestCoordinatorArtifactPlane:
 
     def test_transfers_feed_the_byte_size_histogram(self, tmp_path):
         from repro import telemetry
-        from repro.telemetry.live import MetricsSink
 
-        previous = telemetry.get_sink()
-        sink = MetricsSink()
-        telemetry.set_sink(sink)
-        try:
+        with telemetry.recording() as sink:  # no directory: registry only
             plane = CoordinatorArtifactPlane(ArtifactStore(tmp_path / "plane"))
             handle = _FakeHandle()
             plane.handle(
@@ -270,9 +266,7 @@ class TestCoordinatorArtifactPlane:
                 lambda _message: None,
             )
             plane.handle(handle, protocol.ArtifactFetch(KEY), lambda _m: None)
-        finally:
-            telemetry.set_sink(previous)
-        histogram = sink.registry.snapshot()["histograms"]["mesh.transfer.bytes"]
+        histogram = sink.metrics_snapshot()["histograms"]["mesh.transfer.bytes"]
         # One push absorbed + one fetch served, both the same payload.
         assert histogram["count"] == 2
         assert histogram["sum"] == 2.0 * plane.bytes_out
@@ -450,10 +444,6 @@ class TestMeshCampaignConfig:
                 JOBS, tiny_campaign_config(mesh_budget_bytes=1024),
                 spec_provider=tiny_spec,
             )
-
-    def test_pool_refuses_mesh_without_distributed_dispatch(self, tmp_path):
-        with pytest.raises(ValueError, match="distributed"):
-            SharedWorkerPool(dispatch="thread", mesh_store=tmp_path / "s")
 
 
 class TestMeshWarmJoin:

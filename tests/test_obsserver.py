@@ -12,9 +12,13 @@ The load-bearing guarantees:
   per-worker health rows; a worker that dies flips to ``lost`` within its
   staleness window;
 * the read-only contract: fingerprints are bit-for-bit identical with the
-  observability plane on or off, serial and distributed;
-* teardown is clean: a scrape racing shutdown gets a 503, never a
-  traceback, and closing the server joins its thread with a bound.
+  observability plane on or off, for every dispatch mode;
+* one owner: ``CampaignConfig(obs_port=...)`` means the same thing from the
+  library as from the CLI — the campaign's session serves ``campaign`` (and
+  ``fleet`` when distributed) and puts the previous sink back;
+* teardown is clean: a scrape racing shutdown gets a 503 or a refused
+  connection, never a 500 or a traceback, and closing the server joins its
+  thread with a bound.
 """
 
 from __future__ import annotations
@@ -30,12 +34,11 @@ import urllib.request
 import pytest
 from _helpers import loopback_available
 
-from repro.telemetry import JsonlSink, set_sink
+from repro.telemetry import NULL_SINK, JsonlSink, get_sink, set_sink
 from repro.telemetry.live import (
     BUCKET_BOUNDS,
     Histogram,
     MetricsRegistry,
-    MetricsSink,
     merge_metric_snapshots,
     render_prometheus,
     render_status,
@@ -123,17 +126,6 @@ class TestHistogram:
         # histogram() returns a copy: mutating it must not leak back
         registry.histogram("lat").observe(1.0)
         assert registry.histogram("lat").count == 2
-
-    def test_metrics_sink_spans_feed_histograms(self):
-        sink = MetricsSink()
-        with sink.span("stage.compile") as span:
-            span.set(anything=1)  # must be accepted and ignored
-        sink.incr("engine.evaluated", 3)
-        sink.gauge("fleet.size", 2)
-        snapshot = sink.metrics_snapshot()
-        assert snapshot["histograms"]["stage.compile.seconds"]["count"] == 1
-        assert snapshot["counters"] == {"engine.evaluated": 3}
-        assert snapshot["gauges"] == {"fleet.size": 2}
 
     def test_jsonl_sink_records_histograms_in_close_snapshot(self, tmp_path):
         with JsonlSink(tmp_path, flush_every=1) as sink:
@@ -259,7 +251,7 @@ class TestObservabilityServer:
     def test_metrics_and_status_round_trip(self):
         from repro.distrib.obsserver import ObservabilityServer
 
-        sink = MetricsSink()
+        sink = JsonlSink()  # no directory: registry only
         set_sink(sink)
         with sink.span("stage.compile"):
             pass
@@ -509,7 +501,13 @@ class TestWorkerHealth:
         import test_distrib
         from repro.distrib import Coordinator, DistributedMapper
 
-        with Coordinator(obs_port=0) as coordinator:
+        from repro.distrib.obsserver import ObservabilityServer
+
+        with Coordinator() as coordinator, ObservabilityServer() as server:
+            # The coordinator owns no server: it offers its fleet view as
+            # sources to whoever does.
+            server.add_source("fleet", coordinator.fleet_status)
+            server.add_metrics_source(coordinator.fleet_metrics)
             with test_distrib.thread_workers(coordinator, 2, heartbeat_interval=0.1):
                 mapper = DistributedMapper(
                     coordinator, test_distrib.FakeEvaluator()
@@ -524,102 +522,155 @@ class TestWorkerHealth:
                     assert 0.0 <= row["busy_ratio"] <= 1.0
                     assert row["straggler"] in (False, True)
                 # the fleet-merged worker.batch histogram reached /metrics
-                code, text = _get(coordinator.obs_server.url() + "/metrics")
+                code, text = _get(server.url() + "/metrics")
                 assert code == 200
                 _assert_prometheus_conformant(text)
                 assert "worker_batch_seconds_bucket" in text
                 assert "fleet_workers_healthy 2" in text
                 # and /status carries the same rows
-                code, body = _get(coordinator.obs_server.url() + "/status")
+                code, body = _get(server.url() + "/status")
                 fleet = json.loads(body)["fleet"]
                 assert [row["worker_id"] for row in fleet] == [1, 2]
-
-    def test_coordinator_close_closes_obs_server(self):
-        from repro.distrib import Coordinator
-
-        coordinator = Coordinator(obs_port=0)
-        url = coordinator.obs_server.url()
-        code, _body = _get(url + "/status")
-        assert code == 200
-        coordinator.close()
-        with pytest.raises((urllib.error.URLError, OSError)):
-            _get(url + "/status", timeout=0.5)
 
 
 # ---------------------------------------------------------------------------
 # the read-only contract: observability on == off, bit for bit
 # ---------------------------------------------------------------------------
 
-from repro.campaign import Campaign, SharedWorkerPool  # noqa: E402
+from repro.campaign import Campaign  # noqa: E402
+
+
+def _observed_campaign(**config_kwargs) -> Campaign:
+    import test_distrib
+
+    return Campaign(
+        test_distrib.JOBS,
+        test_distrib.tiny_campaign_config(obs_port=0, **config_kwargs),
+        spec_provider=test_distrib.tiny_spec,
+    )
 
 
 @needs_loopback
 class TestObservabilityParity:
-    def test_serial_fingerprint_identical_with_live_plane(self):
+    @pytest.fixture(scope="class")
+    def plain(self):
         import test_distrib
-        from repro.distrib.obsserver import ObservabilityServer
 
-        plain = Campaign(
+        return Campaign(
             test_distrib.JOBS, test_distrib.tiny_campaign_config(),
             spec_provider=test_distrib.tiny_spec,
         ).run()
-        set_sink(MetricsSink())
-        try:
-            with ObservabilityServer() as server:
-                observed = Campaign(
-                    test_distrib.JOBS, test_distrib.tiny_campaign_config(),
-                    spec_provider=test_distrib.tiny_spec,
-                ).run()
-                code, text = _get(server.url() + "/metrics")
-        finally:
-            set_sink(None)
+
+    @pytest.mark.parametrize("dispatch, workers", [
+        ("serial", 1), ("thread", 2), ("process", 2),
+    ])
+    def test_library_obs_port_serves_every_local_dispatch(self, plain, dispatch, workers):
+        """``CampaignConfig(obs_port=0)`` from the library alone — no CLI,
+        no hand-built sink or server — observes the run and changes nothing."""
+        outer = JsonlSink()
+        set_sink(outer)
+        campaign = _observed_campaign(dispatch=dispatch, workers=workers)
+        with campaign:
+            assert get_sink() is not outer and campaign.pool.dispatch == dispatch
+            observed = campaign.run()
+            url = campaign.obs_server.url()
+            code, text = _get(url + "/metrics")
+            status = json.loads(_get(url + "/status")[1])
+        assert get_sink() is outer  # the previous sink is back
+        assert campaign.pool is None and campaign.obs_server is None
         assert observed.fingerprint() == plain.fingerprint()
         assert (observed.database.record_signatures()
                 == plain.database.record_signatures())
         # the scrape really observed the run it rode along with
         assert code == 200
+        _assert_prometheus_conformant(text)
         assert "engine_generation_seconds_count" in text
+        assert status["campaign"]["state"] == "finished"
+        assert status["campaign"]["jobs_completed"] == len(campaign.jobs)
+        assert "fleet" not in status and observed.fleet is None
+        assert outer.metrics_snapshot()["histograms"] == {}  # nothing leaked out
 
-    def test_distributed_fingerprint_identical_with_obs_server(self):
+    def test_run_alone_opens_and_closes_its_own_session(self, plain):
+        seen = {}
+
+        def scraping_spec(job):
+            import test_distrib
+
+            # Mid-run, from inside the run: the session run() opened is up.
+            server = campaign.obs_server
+            seen.setdefault("status", json.loads(_get(server.url() + "/status")[1]))
+            seen["url"] = server.url()
+            return test_distrib.tiny_spec(job)
+
+        campaign = _observed_campaign()
+        campaign.spec_provider = scraping_spec
+        observed = campaign.run()
+        assert observed.fingerprint() == plain.fingerprint()
+        assert seen["status"]["campaign"]["state"] == "running"
+        assert get_sink() is NULL_SINK and campaign.obs_server is None
+        with pytest.raises((urllib.error.URLError, OSError)):
+            _get(seen["url"] + "/status", timeout=0.5)
+
+    def test_distributed_session_serves_campaign_and_fleet(self, plain):
         import test_distrib
 
-        serial = Campaign(
-            test_distrib.JOBS, test_distrib.tiny_campaign_config(),
-            spec_provider=test_distrib.tiny_spec,
-        ).run()
-        pool = SharedWorkerPool(dispatch="distributed", obs_port=0)
-        try:
-            with test_distrib.thread_workers(pool.coordinator, 2):
-                distributed = Campaign(
-                    test_distrib.JOBS,
-                    test_distrib.tiny_campaign_config(dispatch="distributed"),
-                    spec_provider=test_distrib.tiny_spec,
-                ).run(pool=pool)
-                code, body = _get(pool.obs_server.url() + "/status")
-                fleet_rows = pool.fleet_status()
-        finally:
-            pool.close()
-        assert distributed.fingerprint() == serial.fingerprint()
+        campaign = _observed_campaign(dispatch="distributed")
+        with campaign:
+            with test_distrib.thread_workers(campaign.pool.coordinator, 2):
+                distributed = campaign.run()
+                url = campaign.obs_server.url()
+                status = json.loads(_get(url + "/status")[1])
+                code, text = _get(url + "/metrics")
+        assert distributed.fingerprint() == plain.fingerprint()
         assert (distributed.database.record_signatures()
-                == serial.database.record_signatures())
-        assert code == 200
-        status = json.loads(body)
+                == plain.database.record_signatures())
+        assert code == 200 and "fleet_workers_healthy 2" in text
+        assert "engine_generation_seconds_count" in text
+        assert status["campaign"]["state"] == "finished"
         assert len(status["fleet"]) == 2
-        assert len(fleet_rows) == 2
-        assert all(row["health"] in ("healthy", "stale") for row in fleet_rows)
+        # the result carries the fleet rows it took before teardown
+        assert [row["worker_id"] for row in distributed.fleet] == [1, 2]
+        assert all(row["health"] in ("healthy", "stale") for row in distributed.fleet)
+        assert distributed.mesh_stats is None  # no mesh was served
+
+    def test_scrape_racing_session_close_never_sees_a_500(self):
+        """Scrapers hammer both endpoints while the session (server, then
+        coordinator, then sink) goes away underneath them."""
+        campaign = _observed_campaign(dispatch="distributed")
+        outcomes: list = []
+        stop = threading.Event()
+
+        def scrape(url):
+            while not stop.is_set():
+                for path in ("/status", "/metrics"):
+                    try:
+                        outcomes.append(_get(url + path, timeout=2.0)[0])
+                    except urllib.error.HTTPError as exc:
+                        outcomes.append(exc.code)
+                    except (urllib.error.URLError, OSError):
+                        outcomes.append("gone")
+
+        with campaign:
+            scrapers = [
+                threading.Thread(target=scrape, args=(campaign.obs_server.url(),),
+                                 daemon=True)
+                for _ in range(4)
+            ]
+            for scraper in scrapers:
+                scraper.start()
+            assert _wait_until(lambda: outcomes.count(200) >= 8)
+        assert _wait_until(lambda: "gone" in outcomes)
+        stop.set()
+        for scraper in scrapers:
+            scraper.join(timeout=10.0)
+            assert not scraper.is_alive()
+        assert set(outcomes) <= {200, 503, "gone"}, set(outcomes)
 
     def test_campaign_progress_reaches_status_endpoint(self):
-        import test_distrib
-        from repro.distrib.obsserver import ObservabilityServer
-
-        campaign = Campaign(
-            test_distrib.JOBS, test_distrib.tiny_campaign_config(),
-            spec_provider=test_distrib.tiny_spec,
-        )
+        campaign = _observed_campaign()
         seen: list = []
-        with ObservabilityServer() as server:
-            server.add_source("campaign", campaign.progress.snapshot)
-            url = server.url()
+        with campaign:
+            url = campaign.obs_server.url()
             poller_stop = threading.Event()
 
             def poll():
@@ -637,7 +688,7 @@ class TestObservabilityParity:
         assert "running" in states
         final = campaign.progress.snapshot()
         assert final["state"] == "finished"
-        assert final["jobs_completed"] == len(test_distrib.JOBS)
+        assert final["jobs_completed"] == len(campaign.jobs)
         assert final["generations_total"] > 0
         assert result.fingerprint()  # the run itself completed normally
 

@@ -495,9 +495,11 @@ class TestCampaignPipeline:
     def test_staged_campaign_matches_monolithic(self):
         """The same campaign (warm starts and all) with every candidate
         evaluated by the oracle, injected through ``run(pool=...)``."""
-        from types import SimpleNamespace
+        from repro.campaign import SharedWorkerPool
 
-        mono = self._campaign().run(pool=SimpleNamespace(mapper=reference_mapper))
+        oracle_pool = SharedWorkerPool()  # serial; only its mapper is swapped
+        oracle_pool.mapper = reference_mapper
+        mono = self._campaign().run(pool=oracle_pool)
         staged = self._campaign().run()
         assert staged.database.fingerprint() == mono.database.fingerprint()
         assert staged.artifact_cache_stats["misses"] > 0

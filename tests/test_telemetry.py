@@ -5,9 +5,15 @@ The load-bearing guarantees:
 * the JSONL schema round-trips: spans carry monotonic start + duration and
   hierarchical parent ids, the meta line anchors them to a wall-clock
   epoch, and the close-time metrics snapshot carries the counter registry;
+* there is one sink and one span: the recording contract (nesting, error
+  marking, the registry, ``{span}.seconds``) holds with a run directory and
+  without one, and without one nothing touches disk;
 * the sink is thread-safe and **bounded**: concurrent writers never corrupt
   a line, and past ``max_events`` records are dropped (and counted), never
   written;
+* a failed write costs the log, never the run: after ``ENOSPC`` (or a short
+  write) the sink stops writing, counts ``dropped``, warns once, and the
+  campaign lands on the unobserved fingerprint;
 * the chrome-trace export is valid trace-event JSON (``ph``/``ts``/``dur``/
   ``pid``/``tid`` on every event);
 * the hard invariant: a campaign runs bit-for-bit identically with
@@ -17,8 +23,15 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
+import errno
+import functools
 import json
+import logging
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from _helpers import loopback_available
@@ -28,6 +41,7 @@ from repro.telemetry import (
     DEFAULT_MAX_EVENTS,
     JsonlSink,
     NULL_SINK,
+    Span,
     get_sink,
     set_sink,
 )
@@ -157,6 +171,119 @@ class TestSink:
 
     def test_default_bound_is_large(self):
         assert DEFAULT_MAX_EVENTS >= 100_000
+
+    @pytest.mark.parametrize("with_directory", [True, False],
+                             ids=["directory", "no-directory"])
+    def test_recording_contract_with_and_without_a_directory(
+        self, tmp_path, with_directory
+    ):
+        """One sink, one span: everything a seam can observe behaves the
+        same whether or not a JSONL file sits behind the registry."""
+        sink = JsonlSink(tmp_path if with_directory else None, flush_every=1)
+        with sink.span("outer", program="tiny") as outer:
+            with sink.span("inner") as inner:
+                pass
+            outer.set(tier="store")
+        with pytest.raises(KeyError):
+            with sink.span("doomed") as doomed:
+                raise KeyError("boom")
+        sink.event("fleet.worker", worker_id=3)
+        sink.incr("hits", 4)
+        sink.incr("hits")
+        sink.gauge("depth", 7.5)
+        sink.observe("mesh.transfer.bytes", 512.0)
+        assert type(outer) is type(inner) is type(doomed) is Span
+        assert outer.parent_id is None and inner.parent_id == outer.span_id
+        assert doomed.parent_id is None  # the stack unwound past the raise
+        assert len({outer.span_id, inner.span_id, doomed.span_id}) == 3
+        assert outer.attrs == {"program": "tiny", "tier": "store"}
+        assert doomed.attrs == {"error": "KeyError"}
+        snapshot = sink.metrics_snapshot()
+        assert snapshot["counters"] == sink.counters() == {"hits": 5}
+        assert snapshot["gauges"] == {"depth": 7.5}
+        histograms = snapshot["histograms"]
+        assert {name: row["count"] for name, row in histograms.items()} == {
+            "outer.seconds": 1, "inner.seconds": 1, "doomed.seconds": 1,
+            "mesh.transfer.bytes": 1,
+        }
+        sink.close()
+        sink.close()  # idempotent either way
+        assert sink.dropped == 0
+        events, skipped = load_events(tmp_path)
+        if with_directory:
+            assert skipped == 0 and sink.path.parent == tmp_path
+            assert {e["name"] for e in spans(events)} == {"outer", "inner", "doomed"}
+        else:
+            assert sink.path is None and events == []
+            assert list(tmp_path.iterdir()) == []  # no file, no meta line
+
+    def test_recording_installs_and_restores(self, tmp_path):
+        outer_sink = JsonlSink()
+        set_sink(outer_sink)
+        with telemetry.recording(tmp_path, label="t") as sink:
+            assert get_sink() is sink and sink.path.name.startswith("t-")
+            with telemetry.recording() as nested:
+                assert get_sink() is nested and nested.path is None
+            assert get_sink() is sink
+        assert get_sink() is outer_sink
+        # the block's sink was closed on the way out: its snapshot is on disk
+        events, _ = load_events(tmp_path)
+        assert [e["type"] for e in events] == ["meta", "metrics"]
+
+    @pytest.mark.parametrize("failure", ["enospc", "short-write"])
+    def test_failed_write_stops_the_file_not_the_caller(
+        self, tmp_path, monkeypatch, caplog, failure
+    ):
+        """The reproduction from the issue: ``ENOSPC`` on the sink's fd used
+        to escape ``Span.__exit__`` into whatever stage was being timed."""
+        sink = JsonlSink(tmp_path, flush_every=1)
+        with sink.span("stage.compile"):
+            pass  # lands: the disk is not full yet
+        real_write = os.write
+
+        def full_disk(fd, data):
+            if fd != sink._fd:
+                return real_write(fd, data)
+            if failure == "enospc":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(fd, data[: len(data) // 2])
+
+        monkeypatch.setattr(os, "write", full_disk)
+        with caplog.at_level(logging.WARNING, logger="repro.telemetry"):
+            for _ in range(3):
+                with sink.span("stage.compile"):
+                    sink.incr("engine.evaluated")
+                sink.event("tick")
+            sink.flush()
+            sink.close()  # never raises
+        warnings = [r for r in caplog.records if r.name == "repro.telemetry"]
+        assert len(warnings) == 1 and str(sink.path) in warnings[0].getMessage()
+        assert sink.dropped == 6  # three spans + three events, none written
+        # the registry kept counting through the failure
+        snapshot = sink.metrics_snapshot()
+        assert snapshot["counters"] == {"engine.evaluated": 3}
+        assert snapshot["histograms"]["stage.compile.seconds"]["count"] == 4
+        # what landed before the failure is still a readable log
+        events, _skipped = load_events(tmp_path)
+        assert len(spans(events)) == 1
+        assert not [e for e in events if e["type"] == "metrics"]
+
+
+def test_importing_telemetry_loads_no_http_stack():
+    """Every process that touches a cache imports ``repro.telemetry``; the
+    ``tail`` client's ``urllib.request`` (-> ``http.client`` -> ``email``)
+    is imported where it runs."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; import repro.telemetry; "
+        "print([name for name in ('urllib.request', 'http.client', 'http.server') "
+        "if name in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +446,55 @@ class TestCampaignParity:
         # generation spans carry the tier deltas the report buckets
         assert tier_ratio_rows(events)
 
+    def test_full_telemetry_disk_degrades_to_dropped(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        """``ENOSPC`` on the sink's descriptor mid-campaign: the run finishes
+        on the plain fingerprint, the sink counts ``dropped``, one warning."""
+        plain = Campaign(JOBS, tiny_campaign_config(), spec_provider=tiny_spec).run()
+        run_dir = tmp_path / "telemetry"
+        real_write = os.write
+
+        def is_sink_fd(fd) -> bool:
+            try:
+                target = os.fstat(fd)
+            except OSError:
+                return False
+            return any(os.path.samestat(target, path.stat())
+                       for path in run_dir.glob("*.jsonl"))
+
+        def full_disk(fd, data):
+            # The meta line lands (the disk fills *during* the run).
+            if is_sink_fd(fd) and b'"type":"meta"' not in data:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", full_disk)
+        # Flush on every record, so the failure surfaces inside a stage span.
+        monkeypatch.setattr(telemetry, "JsonlSink",
+                            functools.partial(JsonlSink, flush_every=1))
+        sinks = []
+
+        def spying_spec(job):
+            sinks.append(get_sink())  # the run's own sink, seen from inside it
+            return tiny_spec(job)
+
+        with caplog.at_level(logging.WARNING, logger="repro.telemetry"):
+            observed = Campaign(
+                JOBS, tiny_campaign_config(telemetry_dir=run_dir),
+                spec_provider=spying_spec,
+            ).run()
+        assert observed.fingerprint() == plain.fingerprint()
+        assert (observed.database.record_signatures()
+                == plain.database.record_signatures())
+        sink = sinks[0]
+        assert sink.path.parent == run_dir and sink.dropped > 0
+        assert sink.counters()["engine.batches"] > 0  # the registry never stopped
+        assert len([r for r in caplog.records if r.name == "repro.telemetry"]) == 1
+        assert get_sink() is NULL_SINK
+        events, _skipped = load_events(run_dir)
+        assert [e["type"] for e in events] == ["meta"]
+
     @pytest.mark.skipif(not loopback_available(),
                         reason="no AF_INET loopback in this sandbox")
     def test_distributed_fingerprint_identical_and_fleet_reported(self, tmp_path):
@@ -334,7 +510,7 @@ class TestCampaignParity:
                     ),
                     spec_provider=tiny_spec,
                 ).run(pool=pool)
-                fleet = pool.fleet_telemetry()
+                fleet = pool.coordinator.fleet_telemetry()
         finally:
             pool.close()
         assert distributed.fingerprint() == serial.fingerprint()

@@ -332,6 +332,20 @@ class TestBinTunerEndToEnd:
         config = BinTunerConfig()
         assert config.workers == 1 and config.executor == "serial"
 
+    def test_every_config_dataclass_has_resolvable_annotations(self):
+        """``typing.get_type_hints`` is what doc and schema tools call; an
+        annotation naming something its module never imported raises there."""
+        import typing
+
+        from repro.campaign import CampaignConfig
+        from repro.distrib.jobs import AdmissionLimits, JobBudget, JobSpec
+        from repro.distrib.service import ServiceConfig
+
+        for config_class in (BinTunerConfig, GAParameters, CampaignConfig,
+                             ServiceConfig, AdmissionLimits, JobBudget, JobSpec):
+            hints = typing.get_type_hints(config_class)
+            assert set(hints) >= set(config_class.__dataclass_fields__), config_class
+
     def test_flag_potency_report(self, llvm, tuning_result):
         tuner, result = tuning_result
         report = flag_potency(llvm, TINY_SOURCE, result.best_flags, program_name="tiny", max_flags=6)

@@ -136,17 +136,16 @@ class TestRoundTrip:
         assert "job_id" not in message
         assert decode_payload(encode_payload(message)) == message
 
-    def test_msgpack_codec_is_gated_not_required(self):
-        """Requesting msgpack either works (module present) or fails typed."""
-        message = make_message("ping")
-        try:
-            import msgpack  # noqa: F401
-        except ImportError:
-            with pytest.raises(WireError) as excinfo:
-                encode_payload(message, codec="msgpack")
-            assert excinfo.value.code == "bad-codec"
-        else:
-            assert decode_payload(encode_payload(message, codec="msgpack")) == message
+    def test_msgpack_tag_is_refused_with_bad_codec(self):
+        """``J`` is the only codec: an ``M`` frame — here a well-formed
+        msgpack ``ping`` — is refused by its tag, whether or not the host
+        happens to have a msgpack module, and nothing can ask to send one."""
+        with pytest.raises(WireError) as excinfo:
+            decode_payload(MSGPACK_PING)
+        assert excinfo.value.code == "bad-codec"
+        with pytest.raises(TypeError):
+            encode_payload(make_message("ping"), codec="msgpack")
+        assert encode_payload(make_message("ping"))[:1] == b"J"
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +154,10 @@ class TestRoundTrip:
 
 def _payload(obj) -> bytes:
     return b"J" + json.dumps(obj).encode()
+
+
+#: ``{"v": 1, "type": "ping"}`` as msgpack behind the retired ``M`` tag.
+MSGPACK_PING = b"M" + b"\x82\xa1v\x01\xa4type\xa4ping"
 
 
 #: (payload bytes, expected error code).  Every entry must raise WireError —
@@ -183,6 +186,7 @@ GARBAGE_CORPUS = [
                "from_seq": True}), "bad-schema"),        # bool where int expected
     (_payload({"v": 1, "type": "submitted", "job_id": "j",
                "position": 1.5}), "bad-schema"),         # float where int expected
+    (MSGPACK_PING, "bad-codec"),                         # the deleted msgpack codec
 ]
 
 
