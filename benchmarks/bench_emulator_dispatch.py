@@ -1,7 +1,8 @@
 """Hot-path engine bench: emulator dispatch, incremental NCD, compile lane.
 
-Measures the table/superinstruction dispatch engine against the reference
-interpreter (steps/sec on the 2-program demo), the incremental
+Measures the table engine (one compiled Python function per block, generated
+once per block shape) against the reference interpreter (steps/sec on the
+2-program demo), the incremental
 joint-compression lane against the exact one-shot path per compressor, and
 the persistent compile lane against per-batch executor churn — each section
 parity-checked, and the whole report appended to the ``BENCH_pipeline.json``
@@ -52,9 +53,9 @@ def test_emulator_dispatch(benchmark, bench_benchmarks):
     # invisible before any speed number counts.
     assert dispatch["identical_results"]
     assert ncd["identical_values"]
-    # The acceptance criterion: >= 3x steps/sec over the reference engine
-    # on the 2-program demo.
-    assert dispatch["aggregate_speedup"] >= 3.0
+    # The acceptance criterion: >= 5x steps/sec over the reference engine
+    # on the 2-program demo (measured 7.5x with per-shape compiled blocks).
+    assert dispatch["aggregate_speedup"] >= 5.0
     # The zlib incremental lane must actually engage and win.
     zlib_row = next(r for r in ncd["rows"] if r["compressor"] == "zlib")
     assert zlib_row["incremental_available"]

@@ -30,15 +30,23 @@ Emulation is the dominant per-candidate cost of a tuning campaign (the
   process* into a :class:`DecodedProgram` (keyed by the sha256 of ``.text``,
   so the thousands of near-identical candidates of a campaign never re-decode
   a byte they share with a previous binary) whose basic blocks are fused into
-  superinstructions: every straight-line run executes as a list of pre-bound
-  per-instruction closures (operands, immediates and branch targets resolved
-  at decode time, pypy-style) with the block's cycle cost pre-summed and a
-  single control-flow decision at the block tail.
+  superinstructions: every block is *one* generated Python function — general
+  registers in locals, the 64-bit wrap inlined, the control-flow tail inlined
+  and returning the next pc — with the block's step and cycle cost pre-summed,
+  so the run loop makes one call per block, not per instruction.  The
+  generated code is keyed by the block's *shape* (its sequence of opcodes and
+  register numbers); immediates and branch targets are bound when a block is
+  instantiated.  A campaign re-emulates near-identical binaries, so the
+  process-wide shape table (:data:`SHAPE_TABLE_SIZE`, LRU) saturates within
+  the first few candidates and ``compile()`` is paid per process, not per
+  image; :func:`block_template_stats` is its probe.
 
 Both engines produce bit-for-bit identical :class:`ExecutionResult` values
 (output, return value, steps, cycles) and raise the same exceptions at the
-same program points; the step budget is enforced exactly by falling back to
-single-instruction stepping when a block straddles the limit.
+same program points — a machine fault (illegal instruction, division by zero,
+wild jump) is always an :class:`EmulationError`, raised when the faulting pc
+is reached.  The step budget is enforced exactly by finishing under the
+reference engine when a block straddles the limit.
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ from repro.backend.isa import (
     EncodingError,
     MachInstr,
     OPCODES_BY_NAME,
+    SP,
     decode_instruction,
 )
 from repro.ir.values import wrap64
@@ -76,6 +85,11 @@ MAX_BLOCK_OPS = 64
 #: entry holds one ``.text`` plus its decoded blocks; campaigns revisit a
 #: small working set of distinct binaries per program.
 PROGRAM_CACHE_SIZE = 256
+
+#: Bound on the process-level block-shape table (entries, LRU).  One entry is
+#: one compiled factory, ~2.3 KB; a two-program, two-family campaign reaches
+#: ~700 shapes.
+SHAPE_TABLE_SIZE = 4096
 
 
 def dispatch_mode() -> str:
@@ -117,18 +131,8 @@ class ExecutionResult:
 
 
 # ---------------------------------------------------------------------------
-# Table dispatch: pre-bound per-instruction closures
+# Instruction semantics shared by both engines
 # ---------------------------------------------------------------------------
-#
-# A *straight-line handler factory* takes an instruction's operand list and
-# returns a closure ``op(emu)`` executing it against an emulator's mutable
-# state.  A *tail factory* additionally receives the byte offset of the next
-# instruction and returns ``tail(emu, result) -> next_pc | None`` — branch
-# targets are resolved to absolute offsets at decode time, so taken and
-# fall-through edges are a single attribute-free return.  Closures capture
-# everything as default arguments (the fastest lookup CPython offers) and are
-# emulator-independent, which is what makes a DecodedProgram shareable across
-# every Emulator instance — and every thread — of the process.
 
 
 def _c_div(a: int, b: int) -> int:
@@ -183,410 +187,265 @@ _VEC = {
     "vmul": lambda a, b: a * b,
 }
 
-_StraightOp = Callable[["Emulator"], None]
-_TailOp = Callable[["Emulator", ExecutionResult], Optional[int]]
-
-
-def _h_nop(ops) -> _StraightOp:
-    def op(emu):
-        pass
-
-    return op
-
-
-def _h_movi(ops) -> _StraightOp:
-    def op(emu, d=ops[0], value=wrap64(ops[1])):
-        emu.registers[d] = value
-
-    return op
-
-
-def _h_mov(ops) -> _StraightOp:
-    def op(emu, d=ops[0], s=ops[1]):
-        regs = emu.registers
-        regs[d] = regs[s]
-
-    return op
-
-
-_MASK64 = (1 << 64) - 1
-_SIGN64 = 1 << 63
-_WRAP64 = 1 << 64
-
-
-def _make_alu_reg(fn) -> Callable[[Sequence[int]], _StraightOp]:
-    def factory(ops):
-        def op(emu, _fn=fn, d=ops[0], a=ops[1], b=ops[2]):
-            regs = emu.registers
-            regs[d] = _fn(regs[a], regs[b])
-
-        return op
-
-    return factory
-
-
-def _make_alu_imm(fn) -> Callable[[Sequence[int]], _StraightOp]:
-    def factory(ops):
-        def op(emu, _fn=fn, d=ops[0], a=ops[1], imm=ops[2]):
-            regs = emu.registers
-            regs[d] = _fn(regs[a], imm)
-
-        return op
-
-    return factory
-
-
-# The inner-loop workhorses get hand-specialized closures with the 64-bit
-# wrap inlined (one function call per op instead of three); everything else
-# goes through the generic _ALU_REG/_ALU_IMM factories above.
-
-
-def _h_add(ops) -> _StraightOp:
-    def op(emu, d=ops[0], a=ops[1], b=ops[2], _m=_MASK64, _s=_SIGN64, _w=_WRAP64):
-        regs = emu.registers
-        value = (regs[a] + regs[b]) & _m
-        regs[d] = value - _w if value >= _s else value
-
-    return op
-
-
-def _h_sub(ops) -> _StraightOp:
-    def op(emu, d=ops[0], a=ops[1], b=ops[2], _m=_MASK64, _s=_SIGN64, _w=_WRAP64):
-        regs = emu.registers
-        value = (regs[a] - regs[b]) & _m
-        regs[d] = value - _w if value >= _s else value
-
-    return op
-
-
-def _h_mul(ops) -> _StraightOp:
-    def op(emu, d=ops[0], a=ops[1], b=ops[2], _m=_MASK64, _s=_SIGN64, _w=_WRAP64):
-        regs = emu.registers
-        value = (regs[a] * regs[b]) & _m
-        regs[d] = value - _w if value >= _s else value
-
-    return op
-
-
-def _h_addi(ops) -> _StraightOp:
-    def op(emu, d=ops[0], a=ops[1], imm=ops[2], _m=_MASK64, _s=_SIGN64, _w=_WRAP64):
-        regs = emu.registers
-        value = (regs[a] + imm) & _m
-        regs[d] = value - _w if value >= _s else value
-
-    return op
-
-
-def _h_subi(ops) -> _StraightOp:
-    def op(emu, d=ops[0], a=ops[1], imm=ops[2], _m=_MASK64, _s=_SIGN64, _w=_WRAP64):
-        regs = emu.registers
-        value = (regs[a] - imm) & _m
-        regs[d] = value - _w if value >= _s else value
-
-    return op
-
-
-def _h_muli(ops) -> _StraightOp:
-    def op(emu, d=ops[0], a=ops[1], imm=ops[2], _m=_MASK64, _s=_SIGN64, _w=_WRAP64):
-        regs = emu.registers
-        value = (regs[a] * imm) & _m
-        regs[d] = value - _w if value >= _s else value
-
-    return op
-
-
-def _make_cmp(fn) -> Callable[[Sequence[int]], _StraightOp]:
-    def factory(ops):
-        def op(emu, _fn=fn, d=ops[0], a=ops[1], b=ops[2]):
-            regs = emu.registers
-            regs[d] = 1 if _fn(regs[a], regs[b]) else 0
-
-        return op
-
-    return factory
-
-
-def _h_not(ops) -> _StraightOp:
-    def op(emu, d=ops[0], s=ops[1]):
-        regs = emu.registers
-        regs[d] = 1 if regs[s] == 0 else 0
-
-    return op
-
-
-def _h_neg(ops) -> _StraightOp:
-    def op(emu, _w=wrap64, d=ops[0], s=ops[1]):
-        regs = emu.registers
-        regs[d] = _w(-regs[s])
-
-    return op
-
-
-def _h_bnot(ops) -> _StraightOp:
-    def op(emu, _w=wrap64, d=ops[0], s=ops[1]):
-        regs = emu.registers
-        regs[d] = _w(~regs[s])
-
-    return op
-
-
-def _h_ld(ops) -> _StraightOp:
-    def op(emu, d=ops[0], b=ops[1], off=ops[2]):
-        regs = emu.registers
-        regs[d] = emu.memory.get(regs[b] + off, 0)
-
-    return op
-
-
-def _h_st(ops) -> _StraightOp:
-    def op(emu, _w=wrap64, b=ops[0], off=ops[1], s=ops[2]):
-        regs = emu.registers
-        emu.memory[regs[b] + off] = _w(regs[s])
-
-    return op
-
-
-def _h_ldx(ops) -> _StraightOp:
-    def op(emu, d=ops[0], b=ops[1], i=ops[2]):
-        regs = emu.registers
-        regs[d] = emu.memory.get(regs[b] + regs[i], 0)
-
-    return op
-
-
-def _h_stx(ops) -> _StraightOp:
-    def op(emu, _w=wrap64, b=ops[0], i=ops[1], s=ops[2]):
-        regs = emu.registers
-        emu.memory[regs[b] + regs[i]] = _w(regs[s])
-
-    return op
-
-
-def _h_leag(ops) -> _StraightOp:
-    def op(emu, d=ops[0], addr=ops[1]):
-        emu.registers[d] = addr
-
-    return op
-
-
-def _h_leas(ops) -> _StraightOp:
-    def op(emu, d=ops[0], off=ops[1]):
-        regs = emu.registers
-        regs[d] = regs[15] + off
-
-    return op
-
-
-def _h_ldg(ops) -> _StraightOp:
-    def op(emu, d=ops[0], addr=ops[1]):
-        emu.registers[d] = emu.memory.get(addr, 0)
-
-    return op
-
-
-def _h_stg(ops) -> _StraightOp:
-    def op(emu, _w=wrap64, addr=ops[0], s=ops[1]):
-        emu.memory[addr] = _w(emu.registers[s])
-
-    return op
-
-
-def _h_select(ops) -> _StraightOp:
-    def op(emu, d=ops[0], c=ops[1], t=ops[2], f=ops[3]):
-        regs = emu.registers
-        regs[d] = regs[t] if regs[c] != 0 else regs[f]
-
-    return op
-
-
-def _h_spadd(ops) -> _StraightOp:
-    def op(emu, off=ops[0]):
-        regs = emu.registers
-        regs[15] = regs[15] + off
-
-    return op
-
-
-def _h_vld(ops) -> _StraightOp:
-    def op(emu, v=ops[0], a=ops[1], b=ops[2]):
-        regs = emu.registers
-        base = regs[a] + regs[b]
-        get = emu.memory.get
-        emu.vector_registers[v] = [
-            get(base, 0), get(base + 1, 0), get(base + 2, 0), get(base + 3, 0)
-        ]
-
-    return op
-
-
-def _h_vst(ops) -> _StraightOp:
-    def op(emu, _w=wrap64, v=ops[0], a=ops[1], b=ops[2]):
-        regs = emu.registers
-        base = regs[a] + regs[b]
-        memory = emu.memory
-        lanes = emu.vector_registers[v]
-        for index in range(4):
-            memory[base + index] = _w(lanes[index])
-
-    return op
-
-
-def _make_vec(fn) -> Callable[[Sequence[int]], _StraightOp]:
-    def factory(ops):
-        def op(emu, _fn=fn, _w=wrap64, d=ops[0], a=ops[1], b=ops[2]):
-            vectors = emu.vector_registers
-            left = vectors[a]
-            right = vectors[b]
-            vectors[d] = [_w(_fn(x, y)) for x, y in zip(left, right)]
-
-        return op
-
-    return factory
-
-
-_STRAIGHT_FACTORIES: Dict[str, Callable[[Sequence[int]], _StraightOp]] = {
-    "nop": _h_nop,
-    "movi": _h_movi,
-    "movis": _h_movi,
-    "mov": _h_mov,
-    "not": _h_not,
-    "neg": _h_neg,
-    "bnot": _h_bnot,
-    "ld": _h_ld,
-    "st": _h_st,
-    "ldx": _h_ldx,
-    "stx": _h_stx,
-    "leag": _h_leag,
-    "leas": _h_leas,
-    "ldg": _h_ldg,
-    "stg": _h_stg,
-    "select": _h_select,
-    "spadd": _h_spadd,
-    "vld": _h_vld,
-    "vst": _h_vst,
+#: Size of the register file each register-kind operand indexes.
+_REGISTER_FILES = {"r": 16, "v": 8}
+
+
+def _decode_checked(text: bytes, offset: int) -> Tuple[MachInstr, int]:
+    """Decode the instruction at ``offset``; a machine fault is a typed error.
+
+    An undecodable byte sequence or a register / vector operand outside its
+    register file (``decode_instruction`` does not range-check what
+    ``encode_instruction`` does) is what a wild jump into data looks like: an
+    :class:`EmulationError` naming the pc, never a bare ``EncodingError`` or
+    an ``IndexError`` out of the register file.  Both engines decode here.
+    """
+    try:
+        instr, next_offset = decode_instruction(text, offset)
+    except EncodingError as exc:
+        raise EmulationError(f"illegal instruction at pc={offset}: {exc}") from None
+    for kind, value in zip(instr.spec.operands, instr.operands):
+        if kind in _REGISTER_FILES and value >= _REGISTER_FILES[kind]:
+            raise EmulationError(
+                f"illegal instruction at pc={offset}: "
+                f"{instr.name} operand {kind}{value} out of range"
+            )
+    return instr, next_offset
+
+
+# ---------------------------------------------------------------------------
+# Table dispatch: one compiled Python function per block *shape*
+# ---------------------------------------------------------------------------
+#
+# A block's *shape* is the tuple of ``(mnemonic, register / vector operand
+# numbers...)`` of its instructions (plus ``("split",)`` when the block ends
+# without a control-flow instruction); everything else — immediates and the
+# absolute taken / fall-through / call / return targets — is its flat list of
+# *immediates*.  Each opcode has one source template below; a shape's source
+# is its templates laid end to end with the general registers it touches held
+# in Python locals (loaded at first read, stored back before the tail), and it
+# is compiled once per process into a factory.  A block is ``factory(*imms)``:
+# a function ``block(emu, regs, mem, mem_get, result) -> next_pc | None`` with
+# its immediates bound as argument defaults (plain fast locals).  All machine
+# state arrives as arguments, so one DecodedProgram is shareable across every
+# Emulator instance — and every thread — of the process.
+#
+# Template fields: ``{d}`` a general register written; ``{a}`` ``{b}`` ``{c}``
+# general registers read; ``{x}`` ``{y}`` ``{z}`` vector register numbers
+# (spliced as literals: ``_pop_frame`` rebinds ``emu.vector_registers``, so
+# vectors are reached through the emulator at every use); ``{i}`` the
+# instruction's immediate.  The role string gives one of those letters per ISA
+# operand.  Three more fields are implicit operands: ``{s}`` reads and ``{p}``
+# writes the stack pointer, ``{n}`` is a trailing immediate the block builder
+# supplies (the next pc; ``len(text)`` for ``ijmp``).
+
+
+def _wrapped(expr: str) -> str:
+    """Source for ``{d} = wrap64(expr)`` (the destination doubles as scratch)."""
+    return (
+        f"{{d}} = ({expr}) & 0xFFFFFFFFFFFFFFFF\n"
+        "if {d} >= 0x8000000000000000: {d} -= 0x10000000000000000"
+    )
+
+
+def _stored(address: str, value: str) -> str:
+    """Source for ``write_word(address, value)``."""
+    return (
+        f"t = {value} & 0xFFFFFFFFFFFFFFFF\n"
+        f"mem[{address}] = t - 0x10000000000000000 if t >= 0x8000000000000000 else t"
+    )
+
+
+_TEMPLATES: Dict[str, Tuple[str, str]] = {
+    "nop": ("", "pass"),
+    "movi": ("di", "{d} = {i}"),
+    "movis": ("di", "{d} = {i}"),
+    "mov": ("da", "{d} = {a}"),
+    "div": ("dab", "{d} = _c_div({a}, {b})"),
+    "mod": ("dab", "{d} = _c_mod({a}, {b})"),
+    "shl": ("dab", _wrapped("{a} << ({b} & 63)")),
+    "shr": ("dab", _wrapped("{a} >> ({b} & 63)")),
+    "shli": ("dai", _wrapped("{a} << ({i} & 63)")),
+    "shri": ("dai", _wrapped("{a} >> ({i} & 63)")),
+    "not": ("da", "{d} = 1 if {a} == 0 else 0"),
+    "neg": ("da", _wrapped("-{a}")),
+    "bnot": ("da", _wrapped("~{a}")),
+    "ld": ("dai", "{d} = mem_get({a} + {i}, 0)"),
+    "st": ("aib", _stored("{a} + {i}", "{b}")),
+    "ldx": ("dab", "{d} = mem_get({a} + {b}, 0)"),
+    "stx": ("abc", _stored("{a} + {b}", "{c}")),
+    "leag": ("di", "{d} = {i}"),
+    "leas": ("di", "{d} = {s} + {i}"),
+    "ldg": ("di", "{d} = mem_get({i}, 0)"),
+    "stg": ("ia", _stored("{i}", "{a}")),
+    "select": ("dabc", "{d} = {b} if {a} != 0 else {c}"),
+    "spadd": ("i", "{p} = {s} + {i}"),
+    "vld": (
+        "xab",
+        "t = {a} + {b}\n"
+        "emu.vector_registers[{x}] = "
+        "[mem_get(t, 0), mem_get(t + 1, 0), mem_get(t + 2, 0), mem_get(t + 3, 0)]",
+    ),
+    "vst": (
+        "xab",
+        "t = {a} + {b}\n"
+        "for k, lane in enumerate(emu.vector_registers[{x}]): mem[t + k] = wrap64(lane)",
+    ),
+    # Block tails: every one returns the next pc, or None to stop.
+    "hlt": ("", "return None"),
+    "jmp": ("i", "return {i}"),
+    "beqz": ("ai", "return {i} if {a} == 0 else {n}"),
+    "bnez": ("ai", "return {i} if {a} != 0 else {n}"),
+    "call": ("i", "emu._push_frame({n})\nreturn {i}"),
+    "tcall": ("i", "return {i}"),
+    "ret": ("", "return emu._pop_frame() if emu.control_stack else None"),
+    "ijmp": (
+        "a",
+        "if not 0 <= {a} < {n}: "
+        "raise EmulationError('indirect jump out of range: %d' % {a})\n"
+        "return {a}",
+    ),
+    "syscall": ("i", "return None if emu._syscall({i}, result) else {n}"),
+    # The tail that is not an instruction: continue at ``{n}``.  Ends a block
+    # where a straight-line run is split (the MAX_BLOCK_OPS bound, an illegal
+    # instruction *past* the entry, or running off the end of ``.text``) —
+    # the next dispatch of that pc raises any fault exactly where the
+    # reference engine would, because blocks are built lazily from reached pcs.
+    "split": ("", "return {n}"),
 }
-_STRAIGHT_FACTORIES.update({name: _make_alu_reg(fn) for name, fn in _ALU_REG.items()})
-_STRAIGHT_FACTORIES.update({name: _make_alu_imm(fn) for name, fn in _ALU_IMM.items()})
-_STRAIGHT_FACTORIES.update({name: _make_cmp(fn) for name, fn in _CMP.items()})
-_STRAIGHT_FACTORIES.update({name: _make_vec(fn) for name, fn in _VEC.items()})
-_STRAIGHT_FACTORIES.update(
-    {
-        "add": _h_add,
-        "sub": _h_sub,
-        "mul": _h_mul,
-        "addi": _h_addi,
-        "subi": _h_subi,
-        "muli": _h_muli,
-    }
+for _name, _operator in (
+    ("add", "+"), ("sub", "-"), ("mul", "*"), ("and", "&"), ("or", "|"), ("xor", "^")
+):
+    _TEMPLATES[_name] = ("dab", _wrapped(f"{{a}} {_operator} {{b}}"))
+    _TEMPLATES[_name + "i"] = ("dai", _wrapped(f"{{a}} {_operator} {{i}}"))
+for _name, _operator in (
+    ("cmpeq", "=="), ("cmpne", "!="), ("cmplt", "<"), ("cmple", "<="), ("cmpgt", ">"), ("cmpge", ">=")
+):
+    _TEMPLATES[_name] = ("dab", f"{{d}} = 1 if {{a}} {_operator} {{b}} else 0")
+for _name, _operator in (("vadd", "+"), ("vsub", "-"), ("vmul", "*")):
+    _TEMPLATES[_name] = (
+        "xyz",
+        "v = emu.vector_registers\n"
+        f"v[{{x}}] = [wrap64(p {_operator} q) for p, q in zip(v[{{y}}], v[{{z}}])]",
+    )
+assert _TEMPLATES.keys() - {"split"} == OPCODES_BY_NAME.keys()
+
+_TAILS = frozenset(
+    ("hlt", "jmp", "beqz", "bnez", "call", "tcall", "ret", "ijmp", "syscall", "split")
 )
 
+_Shape = Tuple[Tuple, ...]
+_BlockFn = Callable[["Emulator", List[int], Dict[int, int], Callable, ExecutionResult], Optional[int]]
 
-def _t_hlt(ops, next_pc, text_len) -> _TailOp:
-    def tail(emu, result):
-        return None
-
-    return tail
-
-
-def _t_jmp(ops, next_pc, text_len) -> _TailOp:
-    def tail(emu, result, target=next_pc + ops[0]):
-        return target
-
-    return tail
-
-
-def _t_beqz(ops, next_pc, text_len) -> _TailOp:
-    def tail(emu, result, r=ops[0], taken=next_pc + ops[1], fall=next_pc):
-        return taken if emu.registers[r] == 0 else fall
-
-    return tail
-
-
-def _t_bnez(ops, next_pc, text_len) -> _TailOp:
-    def tail(emu, result, r=ops[0], taken=next_pc + ops[1], fall=next_pc):
-        return taken if emu.registers[r] != 0 else fall
-
-    return tail
-
-
-def _t_call(ops, next_pc, text_len) -> _TailOp:
-    def tail(emu, result, target=ops[0], ret=next_pc):
-        emu._push_frame(ret)
-        return target
-
-    return tail
-
-
-def _t_tcall(ops, next_pc, text_len) -> _TailOp:
-    def tail(emu, result, target=ops[0]):
-        return target
-
-    return tail
-
-
-def _t_ret(ops, next_pc, text_len) -> _TailOp:
-    def tail(emu, result):
-        if not emu.control_stack:
-            return None
-        return emu._pop_frame()
-
-    return tail
-
-
-def _t_ijmp(ops, next_pc, text_len) -> _TailOp:
-    def tail(emu, result, r=ops[0], limit=text_len):
-        target = emu.registers[r]
-        if not 0 <= target < limit:
-            raise EmulationError(f"indirect jump out of range: {target}")
-        return target
-
-    return tail
-
-
-def _t_syscall(ops, next_pc, text_len) -> _TailOp:
-    def tail(emu, result, number=ops[0], fall=next_pc):
-        return None if emu._syscall(number, result) else fall
-
-    return tail
-
-
-_TAIL_FACTORIES: Dict[str, Callable[[Sequence[int], int, int], _TailOp]] = {
-    "hlt": _t_hlt,
-    "jmp": _t_jmp,
-    "beqz": _t_beqz,
-    "bnez": _t_bnez,
-    "call": _t_call,
-    "tcall": _t_tcall,
-    "ret": _t_ret,
-    "ijmp": _t_ijmp,
-    "syscall": _t_syscall,
+_BLOCK_GLOBALS = {
+    "EmulationError": EmulationError,
+    "wrap64": wrap64,
+    "_c_div": _c_div,
+    "_c_mod": _c_mod,
 }
 
 
-def _fallthrough(offset: int) -> _TailOp:
-    """A block tail that is not an instruction: continue at ``offset``.
+def _shape_source(shape: _Shape) -> str:
+    """Python source of ``factory(*immediates) -> block`` for one shape."""
+    body: List[str] = []
+    held = set()  # general registers currently in locals
+    dirty = set()  # ... and written since block entry
+    immediates: List[str] = []
 
-    Used where a straight-line run is split (the :data:`MAX_BLOCK_OPS` bound,
-    a decode error *past* the entry, or running off the end of ``.text``) —
-    the next dispatch of ``offset`` re-raises any fault exactly where the
-    reference engine would, because blocks are built lazily from reached pcs.
+    def read(number: int) -> str:
+        if number not in held:
+            held.add(number)
+            body.append(f"r{number} = regs[{number}]")
+        return f"r{number}"
+
+    def immediate() -> str:
+        immediates.append(f"i{len(immediates)}")
+        return immediates[-1]
+
+    for name, *numbers in shape:
+        roles, template = _TEMPLATES[name]
+        fields: Dict[str, str] = {}
+        written: List[int] = []
+        operands = iter(numbers)
+        for role in roles:
+            if role == "i":
+                fields[role] = immediate()
+            elif role in "xyz":
+                fields[role] = str(next(operands))
+            elif role == "d":
+                written.append(next(operands))
+                fields[role] = f"r{written[-1]}"
+            else:
+                fields[role] = read(next(operands))
+        if "{s}" in template:
+            fields["s"] = read(SP)
+        if "{p}" in template:
+            written.append(SP)
+            fields["p"] = f"r{SP}"
+        if "{n}" in template:
+            fields["n"] = immediate()
+        # Reads are loaded above, before this instruction's own write makes
+        # the register count as held (``add r1, r1, r2`` must load r1).
+        held.update(written)
+        dirty.update(written)
+        if name in _TAILS:
+            # _push_frame, _pop_frame, _syscall and the next block all see
+            # the register file, never this function's locals.
+            body.extend(f"regs[{number}] = r{number}" for number in sorted(dirty))
+        body.extend(template.format(**fields).split("\n"))
+    defaults = "".join(f", {name}={name}" for name in immediates)
+    return (
+        f"def factory({', '.join(immediates)}):\n"
+        f"    def block(emu, regs, mem, mem_get, result{defaults}):\n"
+        + "".join(f"        {line}\n" for line in body)
+        + "    return block\n"
+    )
+
+
+_SHAPES: "OrderedDict[_Shape, Callable[..., _BlockFn]]" = OrderedDict()
+_SHAPES_LOCK = threading.Lock()
+_SHAPE_COUNTS = {"shapes_compiled": 0, "shape_evictions": 0, "blocks_built": 0}
+
+
+def _instantiate(shape: _Shape, immediates: Sequence[int]) -> _BlockFn:
+    """The block function of ``shape`` with ``immediates`` bound.
+
+    The shape table is process-wide and LRU-bounded by
+    :data:`SHAPE_TABLE_SIZE`: codegen and ``compile()`` are paid once per
+    distinct shape, not once per image.  Evicting a shape only drops the
+    factory; blocks already instantiated from it keep their code.
     """
+    with _SHAPES_LOCK:
+        _SHAPE_COUNTS["blocks_built"] += 1
+        factory = _SHAPES.get(shape)
+        if factory is not None:
+            _SHAPES.move_to_end(shape)
+        else:
+            namespace: Dict[str, Callable[..., _BlockFn]] = {}
+            exec(compile(_shape_source(shape), "<sim64 block>", "exec"), _BLOCK_GLOBALS, namespace)
+            factory = _SHAPES[shape] = namespace["factory"]
+            _SHAPE_COUNTS["shapes_compiled"] += 1
+            while len(_SHAPES) > SHAPE_TABLE_SIZE:
+                _SHAPES.popitem(last=False)
+                _SHAPE_COUNTS["shape_evictions"] += 1
+    return factory(*immediates)
 
-    def tail(emu, result, target=offset):
-        return target
 
-    return tail
+def block_template_stats() -> Dict[str, int]:
+    """Shape-table probe (bench/telemetry): ``shapes_resident`` plus the
+    monotonic ``shapes_compiled`` / ``shape_evictions`` / ``blocks_built``."""
+    with _SHAPES_LOCK:
+        return {"shapes_resident": len(_SHAPES), **_SHAPE_COUNTS}
 
 
-#: A fused superinstruction: ``(straight_ops, step_count, cycles, tail)``.
-#: ``step_count`` counts real instructions (tail included when it is one);
-#: ``cycles`` is their pre-summed abstract latency.  Plain tuples: block
-#: dispatch is the single hottest load of a campaign.
-BasicBlock = Tuple[Tuple[_StraightOp, ...], int, int, _TailOp]
+#: A fused superinstruction: ``(fn, step_count, cycles)``.  ``step_count``
+#: counts real instructions (tail included when it is one); ``cycles`` is
+#: their pre-summed abstract latency.
+BasicBlock = Tuple[_BlockFn, int, int]
 
 
 class DecodedProgram:
-    """The decoded, closure-compiled view of one ``.text`` section.
+    """The decoded, block-compiled view of one ``.text`` section.
 
     Blocks are built lazily from actually-reached pcs (so decode faults keep
     their runtime timing) and memoized forever: the object is immutable input
@@ -605,37 +464,44 @@ class DecodedProgram:
     def block_at(self, pc: int) -> BasicBlock:
         """The block starting at ``pc`` (built and memoized on first use)."""
         text = self.text
-        if not 0 <= pc < len(text):
+        text_len = len(text)
+        if not 0 <= pc < text_len:
             raise EmulationError(f"program counter out of range: {pc}")
-        ops: List[_StraightOp] = []
+        shape: List[Tuple] = []
+        immediates: List[int] = []
         cycles = 0
         offset = pc
-        text_len = len(text)
         while True:
             try:
-                instr, next_offset = decode_instruction(text, offset)
-            except EncodingError:
+                instr, next_offset = _decode_checked(text, offset)
+            except EmulationError:
                 if offset == pc:
-                    # The entry itself is undecodable: raise now, which *is*
+                    # The entry itself is illegal: raise now, which *is*
                     # runtime for a lazily built block — the reference engine
                     # faults at exactly this pc.
                     raise
-                tail = _fallthrough(offset)
                 break
             name = instr.name
-            cycles += OPCODES_BY_NAME[name].cycles
-            tail_factory = _TAIL_FACTORIES.get(name)
-            if tail_factory is not None:
-                tail = tail_factory(instr.operands, next_offset, text_len)
-                block = (tuple(ops), len(ops) + 1, cycles, tail)
-                self.blocks[pc] = block
-                return block
-            ops.append(_STRAIGHT_FACTORIES[name](instr.operands))
-            offset = next_offset
-            if offset >= text_len or len(ops) >= MAX_BLOCK_OPS:
-                tail = _fallthrough(offset)
+            spec = OPCODES_BY_NAME[name]
+            cycles += spec.cycles
+            entry = [name]
+            for kind, value in zip(spec.operands, instr.operands):
+                (entry if kind in _REGISTER_FILES else immediates).append(value)
+            shape.append(tuple(entry))
+            if name in _TAILS:
+                if instr.is_branch:  # relative to the end of the instruction
+                    immediates[-1] += next_offset
+                if "{n}" in _TEMPLATES[name][1]:
+                    immediates.append(text_len if name == "ijmp" else next_offset)
                 break
-        block = (tuple(ops), len(ops), cycles, tail)
+            offset = next_offset
+            if offset >= text_len or len(shape) >= MAX_BLOCK_OPS:
+                break
+        count = len(shape)
+        if shape[-1][0] not in _TAILS:
+            shape.append(("split",))
+            immediates.append(offset)
+        block = (_instantiate(tuple(shape), immediates), count, cycles)
         self.blocks[pc] = block
         return block
 
@@ -733,7 +599,7 @@ class Emulator:
         if cached is None:
             if not 0 <= offset < len(self.text):
                 raise EmulationError(f"program counter out of range: {offset}")
-            cached = decode_instruction(self.text, offset)
+            cached = _decode_checked(self.text, offset)
             self._decode_cache[offset] = cached
         return cached
 
@@ -786,18 +652,20 @@ class Emulator:
             pc = new_pc
 
     def _run_table(self, pc: int, max_steps: int, result: ExecutionResult) -> int:
-        """The table engine: one fused superinstruction block per loop."""
+        """The table engine: one compiled block function per loop."""
         program = decoded_program(self.text)
         blocks = program.blocks
-        build = program.block_at
+        regs = self.registers
+        mem = self.memory
+        mem_get = mem.get
         steps = 0
         cycles = 0
         executed_blocks = 0
-        while True:
-            block = blocks.get(pc)
-            if block is None:
-                block = build(pc)
-            ops, count, block_cycles, tail = block
+        while pc is not None:
+            try:
+                fn, count, block_cycles = blocks[pc]
+            except KeyError:
+                fn, count, block_cycles = program.block_at(pc)
             if steps + count > max_steps:
                 # The block straddles the step budget: flush the fast-path
                 # counters and finish under the reference engine so the
@@ -805,15 +673,10 @@ class Emulator:
                 self.cycles += cycles
                 result.blocks = executed_blocks
                 return self._run_reference(pc, steps, max_steps, result)
-            for op in ops:
-                op(self)
             steps += count
             cycles += block_cycles
             executed_blocks += 1
-            next_pc = tail(self, result)
-            if next_pc is None:
-                break
-            pc = next_pc
+            pc = fn(self, regs, mem, mem_get, result)
         self.cycles += cycles
         result.blocks = executed_blocks
         return steps

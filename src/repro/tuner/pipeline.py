@@ -53,7 +53,7 @@ from pathlib import Path
 from threading import Lock
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.emulator import EmulationError, run_program
+from repro.analysis.emulator import EmulationError, block_template_stats, run_program
 from repro.backend.binary import BinaryImage
 from repro.compilers.base import CompilationError, Compiler
 from repro.difftools.ncd import CachedNCDFitness
@@ -491,15 +491,21 @@ class MeasureStage:
                 artifact, time.perf_counter() - started, True,
                 tier == STORE_TIER, tier == MESH_TIER,
             )
+        sink = get_sink()
+        shapes_before = block_template_stats() if sink.enabled else None
         emulate_started = time.perf_counter()
         result = run_program(
             image, args=self.arguments, inputs=self.inputs, max_steps=self.max_steps
         )
-        sink = get_sink()
-        if sink.enabled:
+        if shapes_before is not None:
             emulate_seconds = time.perf_counter() - emulate_started
             sink.incr("emulator.steps", result.steps)
             sink.incr("emulator.blocks", result.blocks)
+            # Process-wide deltas: what this emulation had to build.  A run
+            # whose blocks were all built and shapes all compiled reads 0 / 0.
+            shapes = block_template_stats()
+            for counter in ("shapes_compiled", "blocks_built"):
+                sink.incr(f"emulator.{counter}", shapes[counter] - shapes_before[counter])
             if emulate_seconds > 0:
                 sink.gauge("measure.steps_per_second", result.steps / emulate_seconds)
         artifact = TraceArtifact(

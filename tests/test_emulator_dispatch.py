@@ -1,7 +1,7 @@
 """Differential tests: table/superinstruction dispatch vs. the reference engine.
 
-The table engine (process-level :class:`DecodedProgram` cache + pre-bound
-closure blocks) must be *observationally indistinguishable* from the
+The table engine (process-level :class:`DecodedProgram` cache + one compiled
+function per block) must be *observationally indistinguishable* from the
 reference if/elif interpreter: identical ``ExecutionResult`` fields, identical
 exceptions at identical program points, and identical campaign fingerprints.
 These tests drive both engines over randomized minic programs, fault paths,
