@@ -1,10 +1,9 @@
-"""Hot-path engine bench: emulator dispatch, incremental NCD, compile lane.
+"""Hot-path engine bench: emulator dispatch and incremental NCD.
 
 Measures the table engine (one compiled Python function per block, generated
 once per block shape) against the reference interpreter (steps/sec on the
-2-program demo), the incremental
-joint-compression lane against the exact one-shot path per compressor, and
-the persistent compile lane against per-batch executor churn — each section
+2-program demo), and ``JointCompressor`` against the one-shot
+``compressed_size(prefix + suffix)`` per compressor — each section
 parity-checked, and the whole report appended to the ``BENCH_pipeline.json``
 trajectory for the CI artifact."""
 
@@ -37,17 +36,12 @@ def test_emulator_dispatch(benchmark, bench_benchmarks):
           f"({dispatch['reference_steps_per_second']:,.0f} -> "
           f"{dispatch['table_steps_per_second']:,.0f} steps/s)")
     ncd = report["ncd"]
-    print("  joint compression — exact one-shot vs. incremental lane:")
+    print("  joint compression — one-shot compressed_size vs. JointCompressor:")
     for row in ncd["rows"]:
-        lane = "incremental" if row["incremental_available"] else "one-shot fallback"
-        print(f"    {row['compressor']:5s} exact {row['exact_seconds']:6.3f}s  "
-              f"lane {row['incremental_seconds']:6.3f}s  "
-              f"({row['speedup']:.2f}x, {lane})")
-    lane = report["lane"]
-    print(f"  compile lane: {lane['rounds']} batches — fresh executor per batch "
-          f"{lane['fresh_executor_seconds']:.3f}s vs persistent lane "
-          f"{lane['persistent_lane_seconds']:.3f}s "
-          f"({lane['speedup']:.2f}x)")
+        path = "incremental" if row["incremental_available"] else "one-shot fallback"
+        print(f"    {row['compressor']:5s} one-shot {row['exact_seconds']:6.3f}s  "
+              f"joint {row['incremental_seconds']:6.3f}s  "
+              f"({row['speedup']:.2f}x, {path})")
 
     # Parity is the contract: the fast paths must be observationally
     # invisible before any speed number counts.
@@ -56,12 +50,10 @@ def test_emulator_dispatch(benchmark, bench_benchmarks):
     # The acceptance criterion: >= 5x steps/sec over the reference engine
     # on the 2-program demo (measured 7.5x with per-shape compiled blocks).
     assert dispatch["aggregate_speedup"] >= 5.0
-    # The zlib incremental lane must actually engage and win.
+    # The zlib incremental path must actually engage and win.
     zlib_row = next(r for r in ncd["rows"] if r["compressor"] == "zlib")
     assert zlib_row["incremental_available"]
     assert zlib_row["speedup"] > 1.0
-    # Reusing the persistent lane must beat per-batch construction.
-    assert lane["speedup"] > 1.0
 
     # Append to the same trajectory file the pipeline bench uses, so one CI
     # artifact carries both reports ($REPRO_BENCH_PIPELINE_JSON overrides).

@@ -17,7 +17,6 @@ from repro.difftools.ncd import (
     ncd_images,
     compressed_size,
     JointCompressor,
-    NCD_EXACT_ENV,
     NCDFitness,
     CachedNCDFitness,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "ncd_images",
     "compressed_size",
     "JointCompressor",
-    "NCD_EXACT_ENV",
     "NCDFitness",
     "CachedNCDFitness",
     "BinHunt",

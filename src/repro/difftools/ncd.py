@@ -14,7 +14,6 @@ from __future__ import annotations
 import bz2
 import hashlib
 import lzma
-import os
 import threading
 import zlib
 from collections import OrderedDict
@@ -29,15 +28,6 @@ _COMPRESSORS: Dict[str, Callable[[bytes], bytes]] = {
     "bz2": lambda data: bz2.compress(data, 9),
 }
 
-#: Environment knob forcing every joint compression through the exact
-#: one-shot ``C(prefix + suffix)`` path, disabling the incremental lane.
-NCD_EXACT_ENV = "REPRO_NCD_EXACT"
-
-
-def _exact_forced() -> bool:
-    return os.environ.get(NCD_EXACT_ENV, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
 class JointCompressor:
     """``len(C(prefix + suffix))`` without recompressing ``prefix`` per call.
 
@@ -51,12 +41,11 @@ class JointCompressor:
     while paying only the suffix's compression.  **lzma** and **bz2** fall
     back to the exact one-shot path: CPython's ``lzma`` module exposes
     neither a compressor ``copy()`` nor a preset-dictionary filter, and
-    ``bz2`` has no streaming-state clone either, so an incremental lane
+    ``bz2`` has no streaming-state clone either, so an incremental path
     cannot be made bit-exact for them (and fingerprints embed these sizes
-    via fitness values, so bit-exact is non-negotiable).
-
-    :data:`NCD_EXACT_ENV` (``REPRO_NCD_EXACT=1``) forces the one-shot path
-    for every compressor — the differential-testing escape hatch.
+    via fitness values, so bit-exact is non-negotiable).  The oracle for
+    every compressor is the public one-shot
+    ``compressed_size(prefix + suffix, compressor)``.
     """
 
     __slots__ = (
@@ -90,7 +79,7 @@ class JointCompressor:
     def joint_size(self, suffix: bytes) -> int:
         """Length of the joint compression ``C(prefix + suffix)``."""
         primed = self._primed
-        if primed is not None and not _exact_forced():
+        if primed is not None:
             # compressobj.copy() snapshots the primed deflate state; the
             # clone is private to this call, so concurrent scorers only
             # contend on the (internally locked) copy itself.
@@ -217,7 +206,7 @@ class CachedNCDFitness:
         """Score ``candidate``, reusing a precomputed ``C(candidate .text)``.
 
         The staged pipeline's compile stage computes the candidate's own
-        compressed size on its lane (and caches it with the image artifact),
+        compressed size (and caches it with the image artifact),
         so scoring only pays the *joint* compression here.  Passing ``None``
         is the plain :meth:`__call__` path.  Values are bit-identical either
         way — the precomputed size is exactly what :meth:`_score` would have

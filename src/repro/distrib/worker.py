@@ -16,11 +16,10 @@ the coordinator re-sends the blob.
 
 A multi-slot batch is split into contiguous per-slot chunks
 (:func:`~repro.tuner.evaluation.map_pipelined`, the same partition the
-in-process mapper uses), so the evaluator
-(:class:`~repro.tuner.pipeline.StagedCandidateEvaluator`) overlaps each
-chunk's compiles with its emulation/scoring on a second lane; a one-slot
-worker evaluates the batch inline.  From registration to shutdown the worker
-sends :class:`~repro.distrib.protocol.Heartbeat` frames so a long batch —
+in-process mapper uses), one chunk per slot thread, each evaluated key by
+key; a one-slot worker evaluates the batch inline.  From registration to
+shutdown the worker sends
+:class:`~repro.distrib.protocol.Heartbeat` frames so a long batch —
 or an idle wait between batches — is distinguishable from a dead machine
 (historically a busy worker could only fail at batch boundaries or the
 coordinator's timeout, and an idle one aged silently); the advertised
@@ -85,7 +84,12 @@ from repro.distrib.protocol import (
 from repro import telemetry
 from repro.telemetry import get_sink
 from repro.telemetry.live import Histogram
-from repro.tuner.evaluation import EVALUATOR_CACHE_LIMIT, evaluate_keys, map_pipelined
+from repro.tuner.evaluation import (
+    EVALUATOR_CACHE_LIMIT,
+    EvaluationStats,
+    evaluate_keys,
+    map_pipelined,
+)
 
 logger = logging.getLogger("repro.distrib.worker")
 
@@ -122,10 +126,9 @@ def _exception_survives_pickle(exc: BaseException) -> bool:
 def _evaluate_tasks(evaluator, tasks, slots: int, executor) -> Tuple[Tuple[int, object], ...]:
     """Evaluate one batch's ``(index, key)`` tasks.
 
-    With several slots the batch is dispatched as contiguous per-slot chunks
-    so each slot overlaps its compiles with emulation on its own second
-    lane.  Results carry their submission indices, so scheduling never
-    reorders anything.
+    With several slots the batch is dispatched as contiguous per-slot
+    chunks, one per slot thread.  Results carry their submission indices, so
+    scheduling never reorders anything.
     """
     keys = [key for _index, key in tasks]
     if slots > 1 and len(keys) > 1:
@@ -155,15 +158,8 @@ class _SessionTelemetry:
         self.slots = slots
         self._started = time.perf_counter()
         self.batches = 0
-        self.candidates = 0
         self.busy_seconds = 0.0
-        self.compile_seconds = 0.0
-        self.measure_seconds = 0.0
-        self.score_seconds = 0.0
-        self.artifact_hits = 0
-        self.artifact_store_hits = 0
-        self.artifact_mesh_hits = 0
-        self.artifact_misses = 0
+        self.stats = EvaluationStats()
         #: Batch wall-clock distribution, shipped as a mergeable snapshot so
         #: the coordinator can fold every worker's into one fleet-wide
         #: ``worker.batch.seconds`` histogram for ``/metrics``.
@@ -171,32 +167,25 @@ class _SessionTelemetry:
 
     def absorb(self, results, busy_seconds: float) -> None:
         self.batches += 1
-        self.candidates += len(results)
         self.busy_seconds += busy_seconds
         self.batch_seconds.observe(busy_seconds)
         for _index, value in results:
-            self.compile_seconds += getattr(value, "compile_seconds", 0.0)
-            self.measure_seconds += getattr(value, "measure_seconds", 0.0)
-            self.score_seconds += getattr(value, "score_seconds", 0.0)
-            self.artifact_hits += getattr(value, "artifact_hits", 0)
-            self.artifact_store_hits += getattr(value, "artifact_store_hits", 0)
-            self.artifact_mesh_hits += getattr(value, "artifact_mesh_hits", 0)
-            self.artifact_misses += getattr(value, "artifact_misses", 0)
+            self.stats.absorb(value)
 
     def payload(self, mesh_client: Optional[WorkerMeshClient]) -> Dict[str, object]:
         data: Dict[str, object] = {
             "slots": self.slots,
             "batches": self.batches,
-            "candidates": self.candidates,
+            "candidates": self.stats.evaluated,
             "busy_seconds": round(self.busy_seconds, 6),
             "uptime_seconds": round(time.perf_counter() - self._started, 6),
-            "compile_seconds": round(self.compile_seconds, 6),
-            "measure_seconds": round(self.measure_seconds, 6),
-            "score_seconds": round(self.score_seconds, 6),
-            "artifact_hits": self.artifact_hits,
-            "artifact_store_hits": self.artifact_store_hits,
-            "artifact_mesh_hits": self.artifact_mesh_hits,
-            "artifact_misses": self.artifact_misses,
+            "compile_seconds": round(self.stats.compile_seconds, 6),
+            "measure_seconds": round(self.stats.measure_seconds, 6),
+            "score_seconds": round(self.stats.score_seconds, 6),
+            "artifact_hits": self.stats.artifact_hits,
+            "artifact_store_hits": self.stats.artifact_store_hits,
+            "artifact_mesh_hits": self.stats.artifact_mesh_hits,
+            "artifact_misses": self.stats.artifact_misses,
             "batch_seconds_hist": self.batch_seconds.snapshot(),
         }
         if mesh_client is not None:

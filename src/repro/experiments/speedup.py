@@ -353,24 +353,20 @@ def run_emulator_dispatch_bench(
     benchmark_names: Sequence[str] = ("462.libquantum", "429.mcf"),
     repeats: int = 3,
     ncd_rounds: int = 30,
-    lane_rounds: int = 50,
 ) -> Dict[str, object]:
-    """The hot-path engine report: dispatch, incremental NCD, compile lane.
+    """The hot-path engine report: emulator dispatch and incremental NCD.
 
-    Three sections, all parity-checked:
+    Two sections, both parity-checked:
 
     * ``dispatch`` — per-benchmark emulator wall clock and steps/sec under
       the reference engine vs. the table/superinstruction engine (best of
       ``repeats``), with field-for-field ``ExecutionResult`` equality;
-    * ``ncd`` — joint-compression throughput of the exact one-shot path vs.
-      the incremental primed-``compressobj`` lane per compressor, with
-      value equality asserted;
-    * ``lane`` — per-batch executor churn (the old per-generation
-      ``ThreadPoolExecutor``) vs. submitting to the persistent shared
-      compile lane.
+    * ``ncd`` — joint-compression throughput of the one-shot
+      ``compressed_size(prefix + suffix)`` vs. :class:`JointCompressor`
+      (incremental under zlib, the same one-shot otherwise) per compressor,
+      with value equality asserted.
     """
     import os as _os
-    from concurrent.futures import ThreadPoolExecutor
 
     from repro.analysis.emulator import (
         DISPATCH_ENV,
@@ -379,8 +375,7 @@ def run_emulator_dispatch_bench(
         reset_decoded_programs,
         run_program,
     )
-    from repro.difftools.ncd import _COMPRESSORS, NCD_EXACT_ENV, JointCompressor
-    from repro.tuner.pipeline import shared_compile_lane
+    from repro.difftools.ncd import _COMPRESSORS, JointCompressor, compressed_size
 
     def _timed(fn) -> float:
         best = None
@@ -459,62 +454,34 @@ def run_emulator_dispatch_bench(
         compiler.compile_level(ncd_workload.source, level, name="ncd-cand").image.text
         for level in ("O1", "O2", "O3", "Os")
     ]
-    previous_exact = _os.environ.get(NCD_EXACT_ENV)
     ncd_rows: List[Dict[str, object]] = []
-    try:
-        for compressor in sorted(_COMPRESSORS):
-            joint = JointCompressor(baseline_text, compressor)
+    for compressor in sorted(_COMPRESSORS):
+        joint = JointCompressor(baseline_text, compressor)
 
-            def _score_all():
-                for text in candidate_texts:
-                    joint.joint_size(text)
+        def _one_shot():
+            return [
+                compressed_size(baseline_text + text, compressor)
+                for text in candidate_texts
+            ]
 
-            def _rounds():
-                for _ in range(ncd_rounds):
-                    _score_all()
+        def _joint():
+            return [joint.joint_size(text) for text in candidate_texts]
 
-            _os.environ[NCD_EXACT_ENV] = "1"
-            exact_values = [joint.joint_size(text) for text in candidate_texts]
-            exact_seconds = _timed(_rounds)
-            _os.environ.pop(NCD_EXACT_ENV, None)
-            incremental_values = [joint.joint_size(text) for text in candidate_texts]
-            incremental_seconds = _timed(_rounds)
-            ncd_rows.append(
-                {
-                    "compressor": compressor,
-                    "incremental_available": joint.incremental_available,
-                    "exact_seconds": exact_seconds,
-                    "incremental_seconds": incremental_seconds,
-                    "speedup": (
-                        exact_seconds / incremental_seconds
-                        if incremental_seconds else 0.0
-                    ),
-                    "identical_values": exact_values == incremental_values,
-                }
-            )
-    finally:
-        if previous_exact is None:
-            _os.environ.pop(NCD_EXACT_ENV, None)
-        else:
-            _os.environ[NCD_EXACT_ENV] = previous_exact
-
-    # -- compile lane -------------------------------------------------------
-    def _noop() -> None:
-        return None
-
-    def _fresh_executor_per_batch():
-        for _ in range(lane_rounds):
-            executor = ThreadPoolExecutor(max_workers=2, thread_name_prefix="bench-lane")
-            executor.submit(_noop).result()
-            executor.shutdown(wait=False, cancel_futures=True)
-
-    def _persistent_lane():
-        lane = shared_compile_lane()
-        for _ in range(lane_rounds):
-            lane.submit(_noop).result()
-
-    fresh_seconds = _timed(_fresh_executor_per_batch)
-    persistent_seconds = _timed(_persistent_lane)
+        exact_seconds = _timed(lambda: [_one_shot() for _ in range(ncd_rounds)])
+        incremental_seconds = _timed(lambda: [_joint() for _ in range(ncd_rounds)])
+        ncd_rows.append(
+            {
+                "compressor": compressor,
+                "incremental_available": joint.incremental_available,
+                "exact_seconds": exact_seconds,
+                "incremental_seconds": incremental_seconds,
+                "speedup": (
+                    exact_seconds / incremental_seconds
+                    if incremental_seconds else 0.0
+                ),
+                "identical_values": _one_shot() == _joint(),
+            }
+        )
 
     aggregate_speedup = (
         total_reference_seconds / total_table_seconds if total_table_seconds else 0.0
@@ -541,13 +508,5 @@ def run_emulator_dispatch_bench(
         "ncd": {
             "rows": ncd_rows,
             "identical_values": all(row["identical_values"] for row in ncd_rows),
-        },
-        "lane": {
-            "rounds": lane_rounds,
-            "fresh_executor_seconds": fresh_seconds,
-            "persistent_lane_seconds": persistent_seconds,
-            "speedup": (
-                fresh_seconds / persistent_seconds if persistent_seconds else 0.0
-            ),
         },
     }

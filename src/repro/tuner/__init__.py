@@ -13,8 +13,8 @@ This is the paper's primary contribution (§4).  The package provides:
   submission-order recording for reproducibility);
 * :mod:`repro.tuner.pipeline` — the one candidate evaluator: compile,
   measure and score as first-class stages over a content-addressed
-  :class:`~repro.tuner.pipeline.ArtifactCache`, with the compile lane
-  overlapping emulation inside each worker;
+  :class:`~repro.tuner.pipeline.ArtifactCache`, run back to back in the
+  calling thread;
 * :mod:`repro.tuner.store` — the disk-backed
   :class:`~repro.tuner.store.ArtifactStore`, the artifact cache's
   persistent second tier: atomic content-addressed entries with digest
@@ -55,8 +55,6 @@ from repro.tuner.pipeline import (
     TraceArtifact,
     reset_shared_artifact_caches,
     shared_artifact_cache,
-    shared_compile_lane,
-    shutdown_compile_lane,
 )
 from repro.tuner.store import (
     DEFAULT_STORE_MAX_BYTES,
@@ -103,8 +101,6 @@ __all__ = [
     "reset_persistent_stores",
     "reset_shared_artifact_caches",
     "shared_artifact_cache",
-    "shared_compile_lane",
-    "shutdown_compile_lane",
     "BinTuner",
     "BinTunerConfig",
     "TuningResult",

@@ -20,9 +20,9 @@ orchestrator into a composable subsystem:
 
 The worker side is the picklable
 :class:`~repro.tuner.pipeline.StagedCandidateEvaluator`, the one candidate
-evaluator; :func:`evaluate_keys` is the single place that knows an evaluator
-may offer ``evaluate_batch``, so plain ``FlagKey -> CandidateResult``
-callables (test fakes, the test oracle) work with every mapper too.
+evaluator — like every evaluator, a plain ``FlagKey -> CandidateResult``
+callable; :func:`evaluate_keys` is the one loop that maps a chunk of keys
+through it, for every mapper.
 """
 
 from __future__ import annotations
@@ -141,11 +141,11 @@ def split_into_chunks(items: Sequence, chunks: int) -> List[List]:
 
 
 def evaluate_keys(evaluator: CandidateEvaluator, keys: Sequence[FlagKey]) -> List[CandidateResult]:
-    """Run ``keys`` through ``evaluator``, batch-first when it supports it.
+    """Run ``keys`` through ``evaluator`` one by one, in submission order.
 
-    A pipeline-aware evaluator (``evaluate_batch``) overlaps its compile lane
-    with emulation/scoring across the batch; a plain evaluator is mapped
-    key by key.  Both return results in submission order.
+    The ``evaluate_batch`` probe is a test seam: no production evaluator
+    offers the method, but a fake that does sees each chunk whole, which is
+    how the mapper tests observe the chunk partition.
     """
     batch = getattr(evaluator, "evaluate_batch", None)
     if batch is not None:
@@ -213,11 +213,10 @@ class LocalMapper:
 
     ``kind="serial"`` evaluates the batch inline (deterministic default and
     fallback).  ``"thread"`` and ``"process"`` dispatch every batch as
-    contiguous per-worker chunks (:func:`map_pipelined`), so the evaluator
-    overlaps its compile lane with emulation *inside* each worker and the
-    partition — hence every fingerprint — depends only on the batch length
-    and the worker count.  Threads share the process and call the evaluator
-    directly; a process executor gets the evaluator as an id plus a blob
+    contiguous per-worker chunks (:func:`map_pipelined`), each evaluated
+    key by key in its worker, so the partition — hence every fingerprint —
+    depends only on the batch length and the worker count.  Threads share
+    the process and call the evaluator directly; a process executor gets the evaluator as an id plus a blob
     pickled once per mapper, which each worker deserializes at most once
     (bounded cache, :data:`EVALUATOR_CACHE_LIMIT`).
 
@@ -376,6 +375,21 @@ class EvaluationStats:
         """Field-wise sum (campaign summaries aggregate per-program stats)."""
         return self._combine(other, operator.add)
 
+    def absorb(self, result: CandidateResult) -> None:
+        """Count one evaluated candidate, in place: the one sum over a
+        :class:`CandidateResult`'s stage seconds and cache provenance."""
+        self.evaluated += 1
+        self.worker_seconds += result.elapsed_seconds
+        self.compile_seconds += result.compile_seconds
+        self.measure_seconds += result.measure_seconds
+        self.score_seconds += result.score_seconds
+        self.artifact_hits += result.artifact_hits
+        self.artifact_misses += result.artifact_misses
+        self.artifact_store_hits += result.artifact_store_hits
+        self.artifact_mesh_hits += result.artifact_mesh_hits
+        if not result.valid:
+            self.invalid += 1
+
     @property
     def cache_hits(self) -> int:
         return self.database_hits + self.intra_batch_hits
@@ -523,17 +537,7 @@ class EvaluationEngine:
                 misses[key] = None
         results = self._dispatch(list(misses), generation)
         for key, result in zip(misses, results):
-            self.stats.evaluated += 1
-            self.stats.worker_seconds += result.elapsed_seconds
-            self.stats.compile_seconds += result.compile_seconds
-            self.stats.measure_seconds += result.measure_seconds
-            self.stats.score_seconds += result.score_seconds
-            self.stats.artifact_hits += result.artifact_hits
-            self.stats.artifact_misses += result.artifact_misses
-            self.stats.artifact_store_hits += result.artifact_store_hits
-            self.stats.artifact_mesh_hits += result.artifact_mesh_hits
-            if not result.valid:
-                self.stats.invalid += 1
+            self.stats.absorb(result)
             self.database.record(
                 IterationRecord(
                     iteration=len(self.database) + 1,

@@ -36,22 +36,21 @@ bit-for-bit identical (fitness, code size, fingerprint, validity; only
 timing fields differ) to the unstaged compile → ``run_program`` → fitness
 closure, which lives on as the test oracle
 (``tests/_helpers.py::reference_evaluator``), for any executor and worker
-count.  :meth:`~StagedCandidateEvaluator.evaluate_batch` adds the overlap:
-inside a worker, candidate *k+1*'s compile proceeds on a second lane while
-candidate *k*'s emulation and scoring execute.
+count.  A candidate's three stages run back to back in the calling thread,
+so a result's stage seconds sum to (at most) its wall clock; parallelism
+lives one layer up, in the mappers (:mod:`repro.tuner.evaluation`) and the
+distributed fleet.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import time
-from collections import OrderedDict, deque
-from concurrent.futures import ThreadPoolExecutor
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from threading import Lock
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.analysis.emulator import EmulationError, block_template_stats, run_program
 from repro.backend.binary import BinaryImage
@@ -74,6 +73,9 @@ DEFAULT_ARTIFACT_CACHE_SIZE = 1024
 #: coordinator — see :mod:`repro.distrib.artifacts`).
 MISS_TIER, MEMORY_TIER, STORE_TIER, MESH_TIER = 0, 1, 2, 3
 
+#: The serving tier of a hit, as the ``tier`` attribute of a stage span.
+_TIER_NAMES = {MEMORY_TIER: "memory", STORE_TIER: "store", MESH_TIER: "mesh"}
+
 
 class ArtifactCache:
     """Content-addressed bounded LRU shared between pipeline stages.
@@ -82,8 +84,8 @@ class ArtifactCache:
     (``"image"`` / ``"trace"``) and whose remaining elements are content
     digests, so one cache is safe to share across evaluators, programs and
     compilers: equal keys imply equal artifacts.  All operations are
-    thread-safe — the compile lane and the measure/score lane of one
-    evaluator, and every evaluator of a thread pool, share one instance.
+    thread-safe — every thread of a thread mapper, and every slot of a
+    distributed worker, shares one instance.
 
     ``store`` attaches a disk-backed second tier
     (:class:`~repro.tuner.store.ArtifactStore`): a memory miss falls
@@ -119,8 +121,8 @@ class ArtifactCache:
         """``(value, tier)``: tier-1 memory, tier-2 disk, or a miss.
 
         Disk reads happen outside the memory lock — the store has its own
-        synchronization, and a store read under this lock would stall the
-        other pipeline lane for the duration of an unpickle.
+        synchronization, and a store read under this lock would stall every
+        other thread sharing the cache for the duration of an unpickle.
 
         Every outcome also bumps the telemetry metrics registry
         (``artifact.*`` counters), which is the one place tier accounting
@@ -276,49 +278,9 @@ def reset_shared_artifact_caches() -> None:
         _SHARED_CACHES.clear()
 
 
-#: Compile-lane lookahead: how many candidates the lane may run ahead of
-#: the measure/score lane within one batch.  Every compiled artifact is
-#: already resident in the :class:`ArtifactCache` when the lane returns it,
-#: so the window bounds scheduling, not memory.
-COMPILE_LOOKAHEAD = 4
-
-_COMPILE_LANE: Optional[Tuple[int, ThreadPoolExecutor]] = None
-_COMPILE_LANE_LOCK = Lock()
-
-
-def shared_compile_lane() -> ThreadPoolExecutor:
-    """The process-wide compile-lane executor (created on first use).
-
-    One lane is shared by every staged evaluator in the process — including
-    all workers of a thread mapper — so batches stop paying executor
-    construction and thread spawn per generation (a measured cold-run
-    regression).  The singleton is keyed by pid: a
-    fork-spawned pool worker inherits the parent's executor object *without*
-    its threads, and submitting to that husk would hang forever, so each
-    process lazily builds its own.
-    """
-    global _COMPILE_LANE
-    pid = os.getpid()
-    with _COMPILE_LANE_LOCK:
-        if _COMPILE_LANE is None or _COMPILE_LANE[0] != pid:
-            _COMPILE_LANE = (
-                pid,
-                ThreadPoolExecutor(
-                    max_workers=min(8, max(2, os.cpu_count() or 2)),
-                    thread_name_prefix="compile-lane",
-                ),
-            )
-        return _COMPILE_LANE[1]
-
-
 def shutdown_compile_lane() -> None:
-    """Tear down the process-wide compile lane (test hook / clean exit)."""
-    global _COMPILE_LANE
-    with _COMPILE_LANE_LOCK:
-        lane = _COMPILE_LANE
-        _COMPILE_LANE = None
-    if lane is not None and lane[0] == os.getpid():
-        lane[1].shutdown(wait=False, cancel_futures=True)
+    """Does nothing — there is no compile lane; the byte-frozen
+    ``benchmarks/ledger/workloads.py`` still imports and calls this."""
 
 
 @dataclass(frozen=True)
@@ -326,7 +288,7 @@ class CompiledArtifact:
     """The compile stage's output: the linked image plus score-stage inputs.
 
     ``text_compressed_size`` is ``C(candidate .text)`` under the evaluator's
-    compressor — precomputed on the compile lane so the score stage (and any
+    compressor — precomputed by the compile stage so the score stage (and any
     later re-score of a cached artifact) only compresses the *joint* string.
     ``None`` when the fitness is not NCD-based.
     """
@@ -346,28 +308,12 @@ class TraceArtifact:
 
 @dataclass(frozen=True)
 class StageOutcome:
-    """One stage execution: the artifact, its wall clock, and cache provenance.
-
-    ``from_store`` marks a hit served by the disk tier and ``from_mesh``
-    one served by the artifact mesh (``cached`` is True for all hit tiers)
-    — the counters behind the tier-2/mesh accounting in
-    :class:`~repro.tuner.evaluation.EvaluationStats`.
-    """
+    """One stage execution: the artifact, its wall clock, and the tier that
+    served it (:data:`MISS_TIER` when the stage did the work itself)."""
 
     value: object
     seconds: float
-    cached: bool
-    from_store: bool = False
-    from_mesh: bool = False
-
-
-def _tier_label(outcome: StageOutcome) -> str:
-    """The serving tier of a cached outcome, as a telemetry span attribute."""
-    if outcome.from_mesh:
-        return "mesh"
-    if outcome.from_store:
-        return "store"
-    return "memory"
+    tier: int = MISS_TIER
 
 
 class CompileStage:
@@ -424,8 +370,8 @@ class CompileStage:
     def run(self, flag_key: FlagKey, check_constraints: bool = True) -> StageOutcome:
         with get_sink().span("stage.compile", program=self.program) as span:
             outcome = self._run(flag_key, check_constraints)
-            if outcome.cached:
-                span.set(tier=_tier_label(outcome))
+            if outcome.tier != MISS_TIER:
+                span.set(tier=_TIER_NAMES[outcome.tier])
             return outcome
 
     def _run(self, flag_key: FlagKey, check_constraints: bool = True) -> StageOutcome:
@@ -439,15 +385,12 @@ class CompileStage:
         cache_key = self.key(flag_key)
         artifact, tier = self.cache.lookup(cache_key)
         if artifact is not None:
-            return StageOutcome(
-                artifact, time.perf_counter() - started, True,
-                tier == STORE_TIER, tier == MESH_TIER,
-            )
+            return StageOutcome(artifact, time.perf_counter() - started, tier)
         image = self.compiler.compile(self.source, flags, name=self.program).image
         compressed = len(self._compress(image.text)) if self._compress else None
         artifact = CompiledArtifact(image, compressed)
         self.cache.put(cache_key, artifact)
-        return StageOutcome(artifact, time.perf_counter() - started, False)
+        return StageOutcome(artifact, time.perf_counter() - started)
 
 
 class MeasureStage:
@@ -478,8 +421,8 @@ class MeasureStage:
     def run(self, image: BinaryImage) -> StageOutcome:
         with get_sink().span("stage.measure") as span:
             outcome = self._run(image)
-            if outcome.cached:
-                span.set(tier=_tier_label(outcome))
+            if outcome.tier != MISS_TIER:
+                span.set(tier=_TIER_NAMES[outcome.tier])
             return outcome
 
     def _run(self, image: BinaryImage) -> StageOutcome:
@@ -487,10 +430,7 @@ class MeasureStage:
         cache_key = self.key(image)
         artifact, tier = self.cache.lookup(cache_key)
         if artifact is not None:
-            return StageOutcome(
-                artifact, time.perf_counter() - started, True,
-                tier == STORE_TIER, tier == MESH_TIER,
-            )
+            return StageOutcome(artifact, time.perf_counter() - started, tier)
         sink = get_sink()
         shapes_before = block_template_stats() if sink.enabled else None
         emulate_started = time.perf_counter()
@@ -515,7 +455,7 @@ class MeasureStage:
         # before this point, and the emulator is deterministic, so a retry
         # costs exactly one re-run of a rare path.
         self.cache.put(cache_key, artifact)
-        return StageOutcome(artifact, time.perf_counter() - started, False)
+        return StageOutcome(artifact, time.perf_counter() - started)
 
 
 class ScoreStage:
@@ -546,7 +486,7 @@ class ScoreStage:
             )
         else:
             value = self.fitness(artifact.image)
-        return StageOutcome(value, time.perf_counter() - started, False)
+        return StageOutcome(value, time.perf_counter() - started)
 
 
 def make_fitness(
@@ -689,8 +629,8 @@ class StagedCandidateEvaluator:
         return self.artifact_cache.ensure_store(self.store_dir, self.store_max_bytes)
 
     def _ensure_stages(self) -> Tuple[CompileStage, Optional[MeasureStage], ScoreStage]:
-        # Thread mappers run evaluate_batch concurrently on one shared
-        # evaluator; without the lock two threads could each build a private
+        # Thread mappers and worker slots call one shared evaluator
+        # concurrently; without the lock two threads could each build a private
         # cache and stage set, silently halving reuse.  ``_compile_stage``
         # is assigned last, so the unlocked fast path only ever observes a
         # fully built pipeline.
@@ -721,124 +661,44 @@ class StagedCandidateEvaluator:
 
     # -- candidate evaluation -----------------------------------------------------
 
-    def _compile_outcome(self, key: FlagKey):
-        """Compile-lane half: a :class:`StageOutcome`, or a caught domain error.
+    def __call__(self, key: FlagKey) -> CandidateResult:
+        """Compile → measure → score ``key`` in the calling thread.
 
-        Domain failures are returned (not raised) so the compile lane can run
-        ahead of the measure/score lane without losing them; programming
-        errors propagate through the lane's future.
+        A domain failure ends the candidate at the stage that raised it; the
+        result is built below from whichever stage outcomes exist, so its
+        seconds and cache provenance describe exactly the work that ran.
         """
-        compile_stage, _measure, _score = self._ensure_stages()
+        compile_stage, measure_stage, score_stage = self._ensure_stages()
+        compiled = trace = scored = None
         started = time.perf_counter()
         try:
-            return compile_stage.run(key)
-        except (CompilationError, EmulationError, ConstraintViolation, ValueError):
-            return StageOutcome(None, time.perf_counter() - started, False)
-
-    def _finish(self, outcome: StageOutcome) -> CandidateResult:
-        """Measure/score-lane half: trace, behaviour check, fitness, result."""
-        _compile, measure_stage, score_stage = self._ensure_stages()
-        if outcome.value is None:  # the compile lane caught a domain failure
-            return self._invalid_result(
-                elapsed=outcome.seconds, compile_seconds=outcome.seconds
-            )
-        artifact: CompiledArtifact = outcome.value
-        measure_seconds = 0.0
-        measure_cached = False
-        measure_from_store = False
-        measure_from_mesh = False
-        measured = False
-        try:
+            compiled = compile_stage.run(key)
             if measure_stage is not None:
-                trace_outcome = measure_stage.run(artifact.image)
-                measure_seconds = trace_outcome.seconds
-                measure_cached = trace_outcome.cached
-                measure_from_store = trace_outcome.from_store
-                measure_from_mesh = trace_outcome.from_mesh
-                measured = True
-                if trace_outcome.value.behaviour != self.baseline_behaviour:
+                trace = measure_stage.run(compiled.value.image)
+                if trace.value.behaviour != self.baseline_behaviour:
                     raise CompilationError("tuned binary changed observable behaviour")
-            score_outcome = score_stage.run(artifact)
+            scored = score_stage.run(compiled.value)
         except (CompilationError, EmulationError, ConstraintViolation, ValueError):
-            return self._invalid_result(
-                elapsed=outcome.seconds + measure_seconds,
-                compile_seconds=outcome.seconds,
-                measure_seconds=measure_seconds,
-                artifact_hits=int(outcome.cached) + int(measure_cached),
-                artifact_misses=int(not outcome.cached) + int(measured and not measure_cached),
-                artifact_store_hits=int(outcome.from_store) + int(measure_from_store),
-                artifact_mesh_hits=int(outcome.from_mesh) + int(measure_from_mesh),
-            )
+            pass
+        elapsed = time.perf_counter() - started
+        valid = scored is not None
+        image = compiled.value.image if valid else None
+        tiers = [outcome.tier for outcome in (compiled, trace) if outcome is not None]
         return CandidateResult(
-            fitness=score_outcome.value,
-            code_size=artifact.image.code_size(),
-            fingerprint=artifact.image.fingerprint(),
-            valid=True,
-            elapsed_seconds=outcome.seconds + measure_seconds + score_outcome.seconds,
-            compile_seconds=outcome.seconds,
-            measure_seconds=measure_seconds,
-            score_seconds=score_outcome.seconds,
-            artifact_hits=int(outcome.cached) + int(measure_cached),
-            artifact_misses=int(not outcome.cached) + int(measured and not measure_cached),
-            artifact_store_hits=int(outcome.from_store) + int(measure_from_store),
-            artifact_mesh_hits=int(outcome.from_mesh) + int(measure_from_mesh),
-        )
-
-    def _invalid_result(
-        self,
-        elapsed: float,
-        compile_seconds: float = 0.0,
-        measure_seconds: float = 0.0,
-        artifact_hits: int = 0,
-        artifact_misses: int = 0,
-        artifact_store_hits: int = 0,
-        artifact_mesh_hits: int = 0,
-    ) -> CandidateResult:
-        return CandidateResult(
-            fitness=self.invalid_fitness,
-            code_size=0,
-            fingerprint="invalid",
-            valid=False,
+            fitness=scored.value if valid else self.invalid_fitness,
+            code_size=image.code_size() if valid else 0,
+            fingerprint=image.fingerprint() if valid else "invalid",
+            valid=valid,
             elapsed_seconds=elapsed,
-            compile_seconds=compile_seconds,
-            measure_seconds=measure_seconds,
-            artifact_hits=artifact_hits,
-            artifact_misses=artifact_misses,
-            artifact_store_hits=artifact_store_hits,
-            artifact_mesh_hits=artifact_mesh_hits,
+            # A compile that raised still cost its time.
+            compile_seconds=compiled.seconds if compiled is not None else elapsed,
+            measure_seconds=trace.seconds if trace is not None else 0.0,
+            score_seconds=scored.seconds if valid else 0.0,
+            artifact_hits=len(tiers) - tiers.count(MISS_TIER),
+            artifact_misses=tiers.count(MISS_TIER),
+            artifact_store_hits=tiers.count(STORE_TIER),
+            artifact_mesh_hits=tiers.count(MESH_TIER),
         )
-
-    def __call__(self, key: FlagKey) -> CandidateResult:
-        return self._finish(self._compile_outcome(key))
-
-    def evaluate_batch(self, keys: Sequence[FlagKey]) -> List[CandidateResult]:
-        """Evaluate a batch with the compile lane overlapping measure+score.
-
-        Compiles run on the persistent process-wide lane
-        (:func:`shared_compile_lane` — built once, not per generation), at
-        most :data:`COMPILE_LOOKAHEAD` submissions ahead of the
-        measure/score lane: while candidate *k* is being measured the lane
-        is already compiling *k+1* .. *k+lookahead*.  Results are consumed
-        in submission order, so ordering — and therefore every record and
-        fingerprint downstream — is identical to the sequential path
-        regardless of lane width or lookahead.
-        """
-        keys = list(keys)
-        if len(keys) < 2:
-            return [self(key) for key in keys]
-        self._ensure_stages()
-        lane = shared_compile_lane()
-        pending = deque()
-        next_index = 0
-        results: List[CandidateResult] = []
-        while len(results) < len(keys):
-            # Refill the window *before* finishing the head outcome, so the
-            # lane keeps compiling while this thread emulates and scores.
-            while next_index < len(keys) and len(pending) < COMPILE_LOOKAHEAD:
-                pending.append(lane.submit(self._compile_outcome, keys[next_index]))
-                next_index += 1
-            results.append(self._finish(pending.popleft().result()))
-        return results
 
     # -- artifact reuse beyond the search loop ------------------------------------
 

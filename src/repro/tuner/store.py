@@ -154,28 +154,18 @@ class ArtifactStore:
 
     # -- encoding ----------------------------------------------------------------
 
+    # The mesh transfers entries in their on-disk encoding, so every hop
+    # re-runs the same digest + embedded-key verification as a local load.
+
     @staticmethod
-    def _encode(key: Tuple, value: object) -> bytes:
+    def encode_entry(key: Tuple, value: object) -> bytes:
+        """The self-verifying wire/disk encoding of ``(key, value)``."""
         body = pickle.dumps((key, value), protocol=pickle.HIGHEST_PROTOCOL)
         digest = hashlib.sha256(body).hexdigest().encode()
         return MAGIC + digest + b"\n" + body
 
-    # The mesh transfers entries in their on-disk encoding, so every hop
-    # re-runs the same digest + embedded-key verification as a local load —
-    # public aliases keep the distributed layer off the underscore names.
-
-    @classmethod
-    def encode_entry(cls, key: Tuple, value: object) -> bytes:
-        """The self-verifying wire/disk encoding of ``(key, value)``."""
-        return cls._encode(key, value)
-
-    @classmethod
-    def decode_entry(cls, payload: bytes, key: Tuple) -> Tuple[Optional[object], bool]:
-        """Verify and decode an encoded entry; ``ok=False`` reads as a miss."""
-        return cls._decode(payload, key)
-
     @staticmethod
-    def _decode(payload: bytes, key: Tuple) -> Tuple[Optional[object], bool]:
+    def decode_entry(payload: bytes, key: Tuple) -> Tuple[Optional[object], bool]:
         """``(value, ok)``; ``ok=False`` marks a corrupt/foreign entry.
 
         Truncation, bit rot, a partial legacy write, or a payload pickled by
@@ -204,25 +194,30 @@ class ArtifactStore:
 
     # -- the key/value surface ---------------------------------------------------
 
-    def get(self, key: Tuple) -> Optional[object]:
-        """The stored value of ``key``, or ``None`` (miss) — never garbage."""
+    def _read_verified(self, key: Tuple) -> Tuple[Optional[bytes], Optional[object]]:
+        """``(payload, value)`` of ``key``'s entry, ``(None, None)`` on a miss.
+
+        The one read path and the one place reads are counted: a corrupt
+        entry is dropped and reads as a miss, a hit refreshes LRU recency.
+        """
         sink = get_sink()
         path = self._entry_path(key)
         try:
             payload = path.read_bytes()
         except OSError:
-            with self._lock:
-                self.misses += 1
-            sink.incr("store.misses")
-            return None
-        value, ok = self._decode(payload, key)
+            payload = None
+        value, ok = (None, False) if payload is None else self.decode_entry(payload, key)
         if not ok:
-            self._drop(path, corrupt=True)
+            if payload is not None:  # present, but corrupt or foreign
+                try:
+                    path.unlink(missing_ok=True)
+                except OSError:
+                    pass
+                self._count_corrupt()
             with self._lock:
                 self.misses += 1
             sink.incr("store.misses")
-            sink.incr("store.corrupt_dropped")
-            return None
+            return None, None
         try:
             os.utime(path)  # reads refresh LRU recency
         except OSError:
@@ -230,7 +225,11 @@ class ArtifactStore:
         with self._lock:
             self.hits += 1
         sink.incr("store.hits")
-        return value
+        return payload, value
+
+    def get(self, key: Tuple) -> Optional[object]:
+        """The stored value of ``key``, or ``None`` (miss) — never garbage."""
+        return self._read_verified(key)[1]
 
     def put(self, key: Tuple, value: object) -> bool:
         """Persist ``value`` under ``key`` atomically; returns success.
@@ -240,7 +239,7 @@ class ArtifactStore:
         that produced the artifact.
         """
         try:
-            payload = self._encode(key, value)
+            payload = self.encode_entry(key, value)
         except Exception:
             return False
         return self._write_payload(key, payload)
@@ -281,7 +280,7 @@ class ArtifactStore:
             )
             sweep = not self._swept
             self._swept = True
-        self._update_index(path.name, len(payload), key)
+        self._update_index(path.name, len(payload))
         if over_budget or sweep:
             self.gc()
         return True
@@ -306,26 +305,7 @@ class ArtifactStore:
         it travels (a corrupt entry is dropped, exactly as in :meth:`get`)
         and verified again by the receiver on arrival.
         """
-        path = self._entry_path(key)
-        try:
-            payload = path.read_bytes()
-        except OSError:
-            with self._lock:
-                self.misses += 1
-            return None
-        _value, ok = self._decode(payload, key)
-        if not ok:
-            self._drop(path, corrupt=True)
-            with self._lock:
-                self.misses += 1
-            return None
-        try:
-            os.utime(path)  # serving an entry refreshes LRU recency
-        except OSError:
-            pass
-        with self._lock:
-            self.hits += 1
-        return payload
+        return self._read_verified(key)[0]
 
     def put_encoded(self, key: Tuple, payload: bytes) -> bool:
         """Store an already-encoded entry, verifying it first; returns success.
@@ -334,10 +314,9 @@ class ArtifactStore:
         digest, magic, or embedded key does not match is rejected here —
         tampering or transfer corruption never lands in the store.
         """
-        _value, ok = self._decode(payload, key)
+        _value, ok = self.decode_entry(payload, key)
         if not ok:
-            with self._lock:
-                self.corrupt_dropped += 1
+            self._count_corrupt()
             return False
         return self._write_payload(key, payload)
 
@@ -353,14 +332,11 @@ class ArtifactStore:
             self.directory.mkdir(parents=True, exist_ok=True, mode=0o700)
         self._objects.mkdir(parents=True, exist_ok=True, mode=0o700)
 
-    def _drop(self, path: Path, corrupt: bool = False) -> None:
-        try:
-            path.unlink(missing_ok=True)
-        except OSError:
-            return
-        if corrupt:
-            with self._lock:
-                self.corrupt_dropped += 1
+    def _count_corrupt(self) -> None:
+        """One corrupt entry dropped on read, or one pushed payload rejected."""
+        with self._lock:
+            self.corrupt_dropped += 1
+        get_sink().incr("store.corrupt_dropped")
 
     # -- garbage collection ------------------------------------------------------
 
@@ -447,7 +423,7 @@ class ArtifactStore:
 
     # -- the index manifest ------------------------------------------------------
 
-    def _update_index(self, name: str, size: int, key: Tuple) -> None:
+    def _update_index(self, name: str, size: int) -> None:
         """Record one entry in the in-memory index; flush amortized.
 
         The on-disk index is loaded once (merging whatever other processes
@@ -463,7 +439,7 @@ class ArtifactStore:
         with self._lock:
             if self._index is None:
                 self._index = self._read_index()
-            self._index["entries"][name] = {"size": size, "kind": key[0]}
+            self._index["entries"][name] = {"size": size}
             if self.puts % INDEX_FLUSH_INTERVAL == 1:
                 snapshot = {
                     "version": self._index.get("version", 1),

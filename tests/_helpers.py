@@ -23,8 +23,8 @@ def reference_evaluator(
 ):
     """The test oracle: compile -> ``run_program`` -> fitness as one closure.
 
-    A plain ``FlagKey -> CandidateResult`` callable with no stages, no
-    artifact cache and no compile lane — the evaluator the staged pipeline
+    A plain ``FlagKey -> CandidateResult`` callable with no stages and no
+    artifact cache — the evaluator the staged pipeline
     replaced, kept here as the reference every staged result must equal
     (fitness, code size, fingerprint, validity; timing differs).
     """

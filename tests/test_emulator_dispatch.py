@@ -31,7 +31,13 @@ from repro.analysis.emulator import (
     reset_decoded_programs,
     run_program,
 )
-from repro.difftools.ncd import NCD_EXACT_ENV, CachedNCDFitness, JointCompressor, _COMPRESSORS
+from repro.difftools.ncd import (
+    _COMPRESSORS,
+    CachedNCDFitness,
+    JointCompressor,
+    NCDFitness,
+    compressed_size,
+)
 from repro.tuner import BinTuner, BinTunerConfig, GAParameters
 from repro.tuner.tuner import BuildSpec
 
@@ -317,28 +323,19 @@ def test_campaign_fingerprints_identical_across_engines():
 # incremental NCD == exact NCD
 # ---------------------------------------------------------------------------
 
-@contextmanager
-def exact_ncd():
-    previous = os.environ.get(NCD_EXACT_ENV)
-    os.environ[NCD_EXACT_ENV] = "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(NCD_EXACT_ENV, None)
-        else:
-            os.environ[NCD_EXACT_ENV] = previous
-
+# The oracle is the public one-shot function, ``compressed_size(prefix +
+# suffix)``.
 
 class TestIncrementalNCD:
     @pytest.mark.parametrize("compressor", sorted(_COMPRESSORS))
     def test_joint_size_matches_one_shot(self, compressor, sample_images_gcc):
         baseline = sample_images_gcc["O0"]
         joint = JointCompressor(baseline.text, compressor)
-        one_shot = _COMPRESSORS[compressor]
         for level in ("O1", "O2", "O3", "Os"):
             suffix = sample_images_gcc[level].text
-            assert joint.joint_size(suffix) == len(one_shot(baseline.text + suffix))
+            assert joint.joint_size(suffix) == compressed_size(
+                baseline.text + suffix, compressor
+            )
         if compressor == "zlib":
             assert joint.incremental_available
             assert joint.incremental_joints == 4
@@ -353,18 +350,19 @@ class TestIncrementalNCD:
         baseline = sample_images_gcc["O0"]
         candidates = [sample_images_gcc[level] for level in ("O1", "O2", "O3", "Os")]
         incremental = CachedNCDFitness(baseline, compressor=compressor)
-        incremental_values = [incremental(candidate) for candidate in candidates]
-        with exact_ncd():
-            exact = CachedNCDFitness(baseline, compressor=compressor)
-            exact_values = [exact(candidate) for candidate in candidates]
-        assert incremental_values == exact_values
+        exact = NCDFitness(baseline, compressor=compressor)  # one-shot ncd()
+        assert [incremental(candidate) for candidate in candidates] == [
+            exact(candidate) for candidate in candidates
+        ]
 
-    def test_exact_hatch_disables_incremental_lane(self, sample_images_gcc):
-        joint = JointCompressor(sample_images_gcc["O0"].text, "zlib")
-        with exact_ncd():
-            joint.joint_size(sample_images_gcc["O2"].text)
-        assert joint.exact_joints == 1
-        assert joint.incremental_joints == 0
+    def test_environment_does_not_select_the_path(self, sample_images_gcc, monkeypatch):
+        """``joint_size`` takes its path from the compressor alone: no
+        environment variable switches it."""
+        monkeypatch.setenv("REPRO_NCD_EXACT", "1")
+        baseline, suffix = sample_images_gcc["O0"].text, sample_images_gcc["O2"].text
+        joint = JointCompressor(baseline, "zlib")
+        assert joint.joint_size(suffix) == compressed_size(baseline + suffix, "zlib")
+        assert (joint.incremental_joints, joint.exact_joints) == (1, 0)
 
     def test_empty_prefix_and_suffix(self):
         joint = JointCompressor(b"", "zlib")

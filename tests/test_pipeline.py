@@ -27,6 +27,7 @@ import pickle
 import shutil
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -39,7 +40,9 @@ from _helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.emulator import EmulationError, run_program
 from repro.campaign import Campaign, CampaignConfig, ProgramJob
+from repro.compilers.base import CompilationError
 from repro.difftools import NCDFitness
 from repro.opt.flags import FlagVector
 from repro.tuner import (
@@ -50,15 +53,15 @@ from repro.tuner import (
     CompileStage,
     ConstraintEngine,
     GAParameters,
+    LocalMapper,
     MeasureStage,
     ScoreStage,
     StagedCandidateEvaluator,
     persistent_store,
     shared_artifact_cache,
-    shared_compile_lane,
-    shutdown_compile_lane,
 )
 from repro.tuner.evaluation import split_into_chunks
+from repro.tuner.pipeline import MEMORY_TIER, MISS_TIER
 
 TINY_SOURCE = """
 int acc[16];
@@ -167,7 +170,7 @@ class TestStages:
         key = tuple(llvm.preset("O2").sorted_names())
         cold = stage.run(key)
         warm = stage.run(key)
-        assert not cold.cached and warm.cached
+        assert (cold.tier, warm.tier) == (MISS_TIER, MEMORY_TIER)
         assert warm.value is cold.value  # the artifact itself, not a copy
         assert cold.value.image.fingerprint() == (
             llvm.compile(TINY_SOURCE, llvm.preset("O2"), name="tiny").image.fingerprint()
@@ -188,7 +191,7 @@ class TestStages:
         assert stage_a.key(key) != stage_a.key(tuple(llvm.preset("O2").sorted_names()))
         stage_a.run(key)
         # The other source is a different address: no false sharing.
-        assert not stage_b.run(key).cached
+        assert stage_b.run(key).tier == MISS_TIER
 
     def test_measure_stage_keyed_by_image_digest(self, llvm):
         cache = ArtifactCache()
@@ -196,7 +199,7 @@ class TestStages:
         image = llvm.compile_level(TINY_SOURCE, "O1", name="tiny").image
         cold = stage.run(image)
         warm = stage.run(image)
-        assert not cold.cached and warm.cached
+        assert (cold.tier, warm.tier) == (MISS_TIER, MEMORY_TIER)
         assert warm.value.behaviour == cold.value.behaviour
         assert cold.value.steps > 0 and cold.value.cycles > 0
         # A different workload is a different address.
@@ -252,7 +255,7 @@ class TestStagedEvaluator:
             compiler=staged.compiler, source=staged.source, name=staged.name,
             baseline=staged.baseline, artifact_cache=ArtifactCache(),
         )
-        batched = fresh.evaluate_batch(keys)
+        batched = LocalMapper(fresh).map(keys)
         assert [
             (r.fitness, r.code_size, r.fingerprint, r.valid) for r in batched
         ] == [
@@ -313,62 +316,104 @@ class TestStagedEvaluator:
         assert clone.artifact_cache is shared_artifact_cache()
         assert clone(key).fitness == original.fitness
 
-    def test_programming_errors_propagate_from_batch(self, llvm, monkeypatch):
+    @pytest.mark.parametrize("broken", ["compile", "run_program", "fitness"])
+    def test_programming_errors_propagate_from_batch(self, llvm, monkeypatch, broken):
+        """A ``TypeError`` is a bug, not an invalid candidate, whichever
+        stage it comes from."""
         baseline = llvm.compile_level(TINY_SOURCE, "O0", name="tiny").image
         evaluator = StagedCandidateEvaluator(
             compiler=llvm, source=TINY_SOURCE, name="tiny", baseline=baseline,
+            baseline_behaviour=run_program(baseline).observable_state(),
             artifact_cache=ArtifactCache(),
         )
 
-        def broken_compile(*args, **kwargs):
+        def bug(*args, **kwargs):
             raise TypeError("injected bug")
 
-        monkeypatch.setattr(evaluator.compiler, "compile", broken_compile)
+        if broken == "compile":
+            monkeypatch.setattr(evaluator.compiler, "compile", bug)
+        elif broken == "run_program":
+            monkeypatch.setattr("repro.tuner.pipeline.run_program", bug)
+        else:
+            evaluator._fitness = bug
         keys = [tuple(llvm.preset(level).sorted_names()) for level in ("O1", "O2")]
         with pytest.raises(TypeError):
-            evaluator.evaluate_batch(keys)
+            LocalMapper(evaluator).map(keys)
 
-    def test_lookahead_and_cap_never_change_results(self, llvm, monkeypatch):
-        """The lookahead window schedules work; it must never reorder or
-        alter a single result.  (The in-flight byte cap this test also
-        covered is gone: it bounded nothing the artifact cache did not
-        already hold.)"""
+    @pytest.mark.parametrize(
+        "failure, cold_lookups, warm_lookups",
+        [
+            # (artifact_hits, artifact_misses) of the first and of a repeated
+            # evaluation: only stages that returned an outcome are counted.
+            ("constraint conflict", (0, 0), (0, 0)),
+            ("CompilationError", (0, 0), (0, 0)),
+            ("emulation fault", (0, 1), (1, 0)),
+            ("behaviour mismatch", (0, 2), (2, 0)),
+            ("fitness ValueError", (0, 2), (2, 0)),
+        ],
+    )
+    def test_every_invalid_path_scores_the_penalty(
+        self, llvm, monkeypatch, failure, cold_lookups, warm_lookups
+    ):
         baseline = llvm.compile_level(TINY_SOURCE, "O0", name="tiny").image
-        keys = [tuple(llvm.preset(level).sorted_names()) for level in ("O1", "O2", "O3", "Os")]
-        keys.append(("-fpartial-inlining",))  # invalid rides along
-
-        def run(lookahead):
-            monkeypatch.setattr("repro.tuner.pipeline.COMPILE_LOOKAHEAD", lookahead)
-            evaluator = StagedCandidateEvaluator(
-                compiler=llvm, source=TINY_SOURCE, name="tiny", baseline=baseline,
-                artifact_cache=ArtifactCache(),
-            )
-            return [
-                (r.fitness, r.code_size, r.fingerprint, r.valid)
-                for r in evaluator.evaluate_batch(keys)
-            ]
-
-        assert run(lookahead=8) == run(lookahead=1)
-
-    def test_compile_lane_is_persistent_and_process_wide(self, llvm):
-        lane = shared_compile_lane()
-        assert shared_compile_lane() is lane  # singleton across callers
-        baseline = llvm.compile_level(TINY_SOURCE, "O0", name="tiny").image
+        behaviour = run_program(baseline).observable_state()
+        if failure == "behaviour mismatch":
+            behaviour = (behaviour[0] + 1, behaviour[1])
         evaluator = StagedCandidateEvaluator(
             compiler=llvm, source=TINY_SOURCE, name="tiny", baseline=baseline,
+            baseline_behaviour=behaviour, invalid_fitness=-7.5,
             artifact_cache=ArtifactCache(),
         )
-        keys = [tuple(llvm.preset(level).sorted_names()) for level in ("O1", "O2")]
-        evaluator.evaluate_batch(keys)
-        evaluator.evaluate_batch(keys)
-        # Batches never tore the lane down.
-        assert shared_compile_lane() is lane
-        # The test hook rebuilds it (what a forked child does via the pid
-        # guard): a fresh executor, still usable.
-        shutdown_compile_lane()
-        rebuilt = shared_compile_lane()
-        assert rebuilt is not lane
-        assert rebuilt.submit(lambda: 42).result() == 42
+        key = tuple(llvm.preset("O2").sorted_names())
+
+        def raising(error):
+            def fail(*args, **kwargs):
+                raise error
+            return fail
+
+        if failure == "constraint conflict":
+            key = ("-fpartial-inlining",)  # missing its prerequisite
+        elif failure == "CompilationError":
+            monkeypatch.setattr(
+                evaluator.compiler, "compile", raising(CompilationError("injected"))
+            )
+        elif failure == "emulation fault":
+            monkeypatch.setattr(
+                "repro.tuner.pipeline.run_program", raising(EmulationError("injected"))
+            )
+        elif failure == "fitness ValueError":
+            evaluator._fitness = raising(ValueError("injected"))
+        for lookups in (cold_lookups, warm_lookups):
+            result = evaluator(key)
+            assert not result.valid
+            assert (result.fingerprint, result.code_size) == ("invalid", 0)
+            assert result.fitness == -7.5
+            assert (result.artifact_hits, result.artifact_misses) == lookups
+            assert (result.artifact_store_hits, result.artifact_mesh_hits) == (0, 0)
+            assert result.score_seconds == 0.0
+            assert (
+                result.compile_seconds + result.measure_seconds
+                <= result.elapsed_seconds
+            )
+
+    def test_stage_seconds_are_additive(self, llvm):
+        """A candidate's stages run back to back in one thread, so over a
+        serial run compile + measure + score seconds fit inside the wall
+        clock.
+
+        Deliberately *not* asserted for ``Campaign(dispatch="thread",
+        workers=2)``: concurrent threads each attribute their own wall
+        clock — waits on the GIL and on each other included — so their
+        stage seconds legitimately sum past the elapsed wall.
+        """
+        started = time.perf_counter()
+        result, _tuner = tune(llvm)
+        wall = time.perf_counter() - started
+        stats = result.evaluation_stats
+        assert stats.evaluated > 0 and stats.compile_seconds > 0
+        assert (
+            stats.compile_seconds + stats.measure_seconds + stats.score_seconds <= wall
+        )
 
     def test_split_into_chunks_is_deterministic_and_total(self):
         items = list(range(11))

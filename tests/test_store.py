@@ -9,8 +9,8 @@ The load-bearing guarantees:
   aliased entry reads as a *miss* — never as a wrong artifact;
 * garbage collection respects the byte budget and evicts in LRU order
   (reads refresh recency);
-* concurrent readers and writers (thread pool; the compile and measure
-  lanes, or several worker slots) always observe consistent entries;
+* concurrent readers and writers (a thread mapper's workers, or several
+  worker slots) always observe consistent entries;
 * the :class:`~repro.tuner.pipeline.ArtifactCache` write-through tier
   accounting distinguishes memory (tier-1) from disk (tier-2) hits.
 """
@@ -23,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro import telemetry
 from repro.tuner import ArtifactCache, ArtifactStore, persistent_store
 from repro.tuner.pipeline import MEMORY_TIER, MISS_TIER, STORE_TIER
 from repro.tuner.store import (
@@ -235,6 +236,36 @@ class TestEncodedEntrySurface:
         assert store.get_encoded(self.KEY) is None
         assert store.corrupt_dropped == 1
         assert not store.contains(self.KEY)  # dropped, like get()
+
+    @pytest.mark.parametrize("read", ["get", "get_encoded"])
+    def test_both_read_surfaces_count_on_the_sink(self, tmp_path, read):
+        """A mesh fetch served through ``get_encoded`` is as visible on
+        ``/metrics`` as a local ``get``: one read path, one counting site."""
+        with telemetry.recording() as sink:
+            store = ArtifactStore(tmp_path / "store")
+            store.put(self.KEY, "artifact")
+            fetch = getattr(store, read)
+            assert fetch(self.KEY) is not None            # hit
+            assert fetch(("image", "absent")) is None     # miss
+            entry_files(store)[0].write_bytes(b"rotted")
+            assert fetch(self.KEY) is None                # corrupt: dropped, a miss
+            counters = sink.counters()
+        assert counters == {
+            "store.puts": 1, "store.hits": 1, "store.misses": 2,
+            "store.corrupt_dropped": 1,
+        }
+        assert (store.hits, store.misses, store.corrupt_dropped) == (1, 2, 1)
+
+    def test_rejected_push_counts_on_the_sink(self, tmp_path):
+        with telemetry.recording() as sink:
+            store = ArtifactStore(tmp_path / "store")
+            assert not store.put_encoded(self.KEY, b"garbage")
+            assert store.put_encoded(
+                self.KEY, ArtifactStore.encode_entry(self.KEY, "artifact")
+            )
+            counters = sink.counters()
+        assert counters == {"store.corrupt_dropped": 1, "store.puts": 1}
+        assert (store.corrupt_dropped, store.puts) == (1, 1)
 
     def test_contains_is_existence_only(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
