@@ -14,8 +14,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-import numpy as np
-
 from repro.analysis.disassembler import RecoveredFunction, RecoveredProgram
 
 #: Instruction categories used for the numeric feature vectors.
@@ -66,9 +64,14 @@ class FunctionFeatures:
     values: Dict[str, float] = field(default_factory=dict)
 
     def vector(self) -> np.ndarray:
+        # numpy is imported at its uses: ``repro.analysis`` imports this
+        # module into every tuner, worker and ``serve`` process, and none
+        # of them computes a feature vector (~0.1 s and ~12 MiB each).
+        import numpy as np
         return np.array([self.values.get(key, 0.0) for key in FEATURE_NAMES], dtype=float)
 
     def normalized(self) -> np.ndarray:
+        import numpy as np
         vector = self.vector()
         norm = np.linalg.norm(vector)
         return vector / norm if norm else vector
@@ -125,5 +128,5 @@ def feature_distance(left: FunctionFeatures, right: FunctionFeatures) -> float:
     """Cosine distance between two normalized feature vectors (0 = identical)."""
     a = left.normalized()
     b = right.normalized()
-    similarity = float(np.dot(a, b))
+    similarity = float(a.dot(b))
     return 1.0 - max(min(similarity, 1.0), -1.0)

@@ -255,7 +255,11 @@ class CampaignProgress:
 
 @dataclass
 class ProgramResult:
-    """Outcome of one job (live-tuned, or reconstructed from a checkpoint)."""
+    """Outcome of one job (live-tuned, or reconstructed from a checkpoint).
+
+    ``best_image`` is the ``tuning`` result's (resolved on first read);
+    ``None`` for a job reconstructed from a checkpoint.
+    """
 
     job: ProgramJob
     best_flags: Tuple[str, ...]
@@ -266,9 +270,12 @@ class ProgramResult:
     #: True when this job finished in a *previous* run and was reconstructed
     #: from the checkpoint manifest instead of being re-tuned.
     resumed: bool = False
-    best_image: Optional[BinaryImage] = None
     evaluation_stats: Optional[EvaluationStats] = None
     tuning: Optional[TuningResult] = None
+
+    @property
+    def best_image(self) -> Optional[BinaryImage]:
+        return self.tuning.best_image if self.tuning is not None else None
 
     def as_manifest_entry(self) -> Dict[str, object]:
         entry = {
@@ -564,7 +571,6 @@ class Campaign:
             iterations=result.iterations,
             elapsed_seconds=result.elapsed_seconds,
             warm_start=warm,
-            best_image=result.best_image,
             evaluation_stats=result.evaluation_stats,
             tuning=result,
         )
@@ -626,12 +632,14 @@ class Campaign:
                 pool = stack.enter_context(self._build_pool())
             server = None
             if config.obs_port is not None:
-                from repro.distrib.obsserver import ObservabilityServer
+                from repro.distrib import obsserver
 
-                server = stack.enter_context(
-                    ObservabilityServer(host=config.obs_host, port=config.obs_port)
-                )
+                server = stack.enter_context(obsserver.ObservabilityServer(
+                    host=config.obs_host, port=config.obs_port
+                ))
                 server.add_source("campaign", self.progress.snapshot)
+                server.add_source("process", obsserver.process_status)
+                server.add_metrics_source(obsserver.process_metrics)
                 if pool.coordinator is not None:
                     server.add_source("fleet", pool.coordinator.fleet_status)
                     server.add_metrics_source(pool.coordinator.fleet_metrics)

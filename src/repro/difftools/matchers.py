@@ -31,8 +31,6 @@ import random
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.analysis.disassembler import RecoveredBlock, RecoveredFunction, RecoveredProgram
 from repro.analysis.emulator import EmulationError, run_function
 from repro.analysis.features import extract_function_features, feature_distance
@@ -41,6 +39,7 @@ from repro.difftools.binhunt import block_match_score, canonical_block
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
+    import numpy as np
     denominator = float(np.linalg.norm(a) * np.linalg.norm(b))
     if denominator == 0.0:
         return 1.0 if np.array_equal(a, b) else 0.0
@@ -79,6 +78,7 @@ class BinSlayer(DiffTool):
     name = "binslayer"
 
     def _block_vector(self, block: RecoveredBlock) -> np.ndarray:
+        import numpy as np
         counts = Counter(instr.name for _, instr in block.instructions)
         keys = ["add", "sub", "mul", "ld", "st", "ldx", "stx", "call", "jmp", "beqz",
                 "bnez", "cmpeq", "cmplt", "movi", "movis", "mov", "ret", "select", "syscall"]
@@ -94,6 +94,7 @@ class BinSlayer(DiffTool):
             # Guard against quadratic blowup on huge functions.
             source_blocks = source_blocks[:140]
             target_blocks = target_blocks[:140]
+        import numpy as np
         cost = np.zeros((len(source_blocks), len(target_blocks)))
         for i, sv in enumerate(source_blocks):
             for j, tv in enumerate(target_blocks):
@@ -132,6 +133,7 @@ class Asm2Vec(DiffTool):
         return tokens
 
     def _embed(self, function: RecoveredFunction) -> np.ndarray:
+        import numpy as np
         vector = np.zeros(self.dimensions)
         tokens = self._token_stream(function)
         for index, token in enumerate(tokens):
@@ -159,6 +161,7 @@ class InnerEye(DiffTool):
     dimensions = 64
 
     def _block_embedding(self, block: RecoveredBlock) -> np.ndarray:
+        import numpy as np
         vector = np.zeros(self.dimensions)
         for _, instr in block.instructions:
             token = instr.name
@@ -191,6 +194,7 @@ class VulSeeker(DiffTool):
     name = "vulseeker"
 
     def _vector(self, function: RecoveredFunction) -> np.ndarray:
+        import numpy as np
         features = extract_function_features(function)
         base = features.vector()
         # Add a crude data-flow dimension: counts of def-use instruction kinds.

@@ -13,7 +13,8 @@ is given.  Two endpoints:
   coordinator's fleet-health gauges and the fleet-merged worker batch
   histogram) in the Prometheus text exposition format.
 * ``GET /status`` — one JSON document assembled from named status sources
-  (``campaign`` progress, ``fleet`` health rows) plus server-side stage
+  (``campaign`` progress, ``fleet`` health rows, this ``process``'s peak
+  resident set and thread count) plus server-side stage
   latency quantiles, polled by ``python -m repro.telemetry tail`` and the
   campaign CLI's ``--live`` view.
 
@@ -28,6 +29,8 @@ from __future__ import annotations
 
 import json
 import logging
+import resource
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -42,11 +45,27 @@ from repro.telemetry.live import (
 
 logger = logging.getLogger("repro.distrib.obsserver")
 
-__all__ = ["ObservabilityServer"]
+__all__ = ["ObservabilityServer", "process_metrics", "process_status"]
 
 #: Histogram names surfaced as ``stages`` quantile rows in ``/status``
 #: (dotted prefix match): the hot seams a tail view cares about.
 _STATUS_LATENCY_PREFIXES = ("stage.", "coordinator.rpc", "worker.batch", "engine.generation")
+
+
+def process_status() -> Dict[str, int]:
+    """The ``process`` status source: the owning process's peak resident set
+    and live thread count, read per scrape (nothing on the evaluation path)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return {
+        # ``ru_maxrss`` is KiB on Linux and bytes on macOS.
+        "peak_rss_bytes": peak if sys.platform == "darwin" else peak * 1024,
+        "threads": threading.active_count(),
+    }
+
+
+def process_metrics() -> Dict[str, object]:
+    """:func:`process_status` as ``process.*`` gauges for ``/metrics``."""
+    return {"gauges": {f"process.{name}": value for name, value in process_status().items()}}
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -242,13 +242,15 @@ class TuningService:
             #: contributes its fleet view as two more sources.
             self.obs_server = None
             if self.config.obs_port is not None:
-                from repro.distrib.obsserver import ObservabilityServer
+                from repro.distrib import obsserver
 
-                self.obs_server = stack.enter_context(ObservabilityServer(
+                self.obs_server = stack.enter_context(obsserver.ObservabilityServer(
                     host=self.config.obs_host, port=self.config.obs_port
                 ))
                 self.obs_server.add_source("service", self.status_snapshot)
                 self.obs_server.add_metrics_source(self.metrics_snapshot)
+                self.obs_server.add_source("process", obsserver.process_status)
+                self.obs_server.add_metrics_source(obsserver.process_metrics)
                 coordinator = self._pool.coordinator
                 if coordinator is not None:
                     self.obs_server.add_source("fleet", coordinator.fleet_status)

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.campaign import Campaign, CampaignConfig, ProgramJob, ProgramResult
 from repro.compilers import SimGCC, SimLLVM
 from repro.compilers.base import Compiler
@@ -158,6 +156,7 @@ def run_table1_search_cost(
     config: Optional[BinTunerConfig] = None,
 ) -> List[Dict[str, object]]:
     """Table 1: iteration counts and wall-clock hours per suite (min/max/median)."""
+    import numpy as np
     names = list(benchmarks) if benchmarks is not None else QUICK_BENCHMARKS
     rows: List[Dict[str, object]] = []
     for family in families:
@@ -247,6 +246,8 @@ def run_fig10_ncd_binhunt_correlation(
     the O0 baseline and correlated.
     """
     import random as _random
+
+    import numpy as np
 
     from repro.tuner.constraints import ConstraintEngine
 

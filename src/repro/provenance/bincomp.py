@@ -14,8 +14,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.analysis.disassembler import disassemble
 from repro.backend.binary import BinaryImage
 
@@ -40,6 +38,7 @@ class ProvenanceLabel:
 
 
 def _feature_vector(image: BinaryImage) -> np.ndarray:
+    import numpy as np
     program = disassemble(image)
     counts: Counter = Counter()
     total = 0
@@ -75,6 +74,7 @@ class BinComp:
 
     def fit(self, labelled_images: Sequence[Tuple[BinaryImage, ProvenanceLabel]]) -> None:
         """Train on images whose provenance is known (generated from source)."""
+        import numpy as np
         self._samples.clear()
         for image, label in labelled_images:
             self._samples.setdefault(label, []).append(_feature_vector(image))
@@ -86,6 +86,7 @@ class BinComp:
     def predict(self, image: BinaryImage) -> ProvenanceLabel:
         if not self._centroids:
             raise RuntimeError("BinComp.predict called before fit")
+        import numpy as np
         vector = _feature_vector(image)
         best_label: Optional[ProvenanceLabel] = None
         best_distance = float("inf")

@@ -40,6 +40,12 @@ count.  A candidate's three stages run back to back in the calling thread,
 so a result's stage seconds sum to (at most) its wall clock; parallelism
 lives one layer up, in the mappers (:mod:`repro.tuner.evaluation`) and the
 distributed fleet.
+
+The compile and measure stages are built at the evaluator's first use, the
+fitness and its :class:`ScoreStage` at the first *score* in this process:
+an orchestrator whose mapper evaluates elsewhere never builds one (the NCD
+fitness compresses the baseline, and an LZMA encoder's 16 MiB match-finder
+table stays resident in the building thread's malloc arena).
 """
 
 from __future__ import annotations
@@ -574,9 +580,7 @@ class StagedCandidateEvaluator:
         )
 
     def fitness_function(self) -> Callable[[BinaryImage], float]:
-        if self._fitness is None:
-            self._fitness = make_fitness(self.fitness_kind, self.baseline, self.compressor)
-        return self._fitness
+        return self._scorer().fitness
 
     def attach_store(self, store_dir, max_bytes: Optional[int] = None) -> None:
         """Re-point this evaluator at the disk store under ``store_dir``.
@@ -587,8 +591,9 @@ class StagedCandidateEvaluator:
         unpickling, before any candidate is evaluated.  ``store_dir=None``
         detaches the disk tier entirely (the worker's ``--no-store``): the
         evaluator falls back to the plain in-memory shared cache and never
-        touches the orchestrator's foreign path.  Built stages are discarded
-        (they captured the old cache) and rebuilt lazily.
+        touches the orchestrator's foreign path.  The built compile and
+        measure stages are discarded (they captured the old cache) and
+        rebuilt lazily.
         """
         self.store_dir = str(store_dir) if store_dir is not None else None
         if max_bytes is not None:
@@ -596,7 +601,6 @@ class StagedCandidateEvaluator:
         with self._stage_lock:
             self._compile_stage = None
             self._measure_stage = None
-            self._score_stage = None
         self.artifact_cache = shared_artifact_cache(
             self.cache_size,
             store_dir=self.store_dir,
@@ -628,36 +632,47 @@ class StagedCandidateEvaluator:
         # safe, and every evaluator sharing the cache shares it.
         return self.artifact_cache.ensure_store(self.store_dir, self.store_max_bytes)
 
-    def _ensure_stages(self) -> Tuple[CompileStage, Optional[MeasureStage], ScoreStage]:
+    def _ensure_stages(self) -> Tuple[CompileStage, Optional[MeasureStage]]:
         # Thread mappers and worker slots call one shared evaluator
         # concurrently; without the lock two threads could each build a private
         # cache and stage set, silently halving reuse.  ``_compile_stage``
-        # is assigned last, so the unlocked fast path only ever observes a
-        # fully built pipeline.
+        # is assigned last, so the unlocked fast path only ever observes both
+        # stages built.
         if self._compile_stage is None:
             with self._stage_lock:
                 if self._compile_stage is None:
                     cache = self.cache()
-                    # Built before any candidate is touched so configuration
-                    # errors (an unknown compressor) propagate instead of
-                    # scoring a penalty.
-                    fitness = self.fitness_function()
-                    self._score_stage = ScoreStage(fitness)
                     if self.baseline_behaviour is not None:
                         self._measure_stage = MeasureStage(
                             self.arguments, self.inputs, self.max_emulation_steps, cache
                         )
+                    # Raises on an unknown compressor before any candidate is
+                    # touched; only the NCD fitness consumes C(.text).
                     self._compile_stage = CompileStage(
                         self.compiler,
                         self.source,
                         self.name,
                         cache,
                         compressor=(
-                            self.compressor
-                            if isinstance(fitness, CachedNCDFitness) else None
+                            self.compressor if self.fitness_kind != "binhunt" else None
                         ),
                     )
-        return self._compile_stage, self._measure_stage, self._score_stage
+        return self._compile_stage, self._measure_stage
+
+    def _scorer(self) -> ScoreStage:
+        # Built by the first score in this process, never by
+        # ``cached_image``.  Under the stage lock for the stages' reason: two
+        # scoring threads must share one fitness (one baseline compression,
+        # one LRU).
+        if self._score_stage is None:
+            with self._stage_lock:
+                if self._score_stage is None:
+                    if self._fitness is None:
+                        self._fitness = make_fitness(
+                            self.fitness_kind, self.baseline, self.compressor
+                        )
+                    self._score_stage = ScoreStage(self._fitness)
+        return self._score_stage
 
     # -- candidate evaluation -----------------------------------------------------
 
@@ -668,7 +683,10 @@ class StagedCandidateEvaluator:
         result is built below from whichever stage outcomes exist, so its
         seconds and cache provenance describe exactly the work that ran.
         """
-        compile_stage, measure_stage, score_stage = self._ensure_stages()
+        compile_stage, measure_stage = self._ensure_stages()
+        # Outside the ``try``: a fitness that cannot be built is a
+        # configuration error and propagates; it is never a penalty record.
+        score_stage = self._scorer()
         compiled = trace = scored = None
         started = time.perf_counter()
         try:
@@ -708,7 +726,7 @@ class StagedCandidateEvaluator:
         Never compiles: the tuner uses this to serve the final best-candidate
         build from the cache and falls back to a real compile on a miss.
         """
-        compile_stage, _measure, _score = self._ensure_stages()
+        compile_stage, _measure = self._ensure_stages()
         artifact = compile_stage.peek(key)
         return artifact.image if artifact is not None else None
 
@@ -720,6 +738,7 @@ class StagedCandidateEvaluator:
         fitness call it replaces — but preset builds that the search already
         produced are now cache hits instead of recompilations.
         """
-        compile_stage, _measure, score_stage = self._ensure_stages()
+        compile_stage, _measure = self._ensure_stages()
+        score_stage = self._scorer()
         outcome = compile_stage.run(key, check_constraints=False)
         return score_stage.run(outcome.value).value

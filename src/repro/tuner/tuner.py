@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.backend.binary import BinaryImage
 from repro.compilers.base import Compiler
@@ -142,18 +143,28 @@ class BinTunerConfig:
 
 @dataclass
 class TuningResult:
-    """Outcome of one BinTuner run."""
+    """Outcome of one BinTuner run.
+
+    ``best_image`` is resolved on first read (``image_source``: the tuner's
+    artifact cache, else one compile) and kept; a caller that only wants the
+    flags and the database — the tuning service, a campaign whose candidates
+    were compiled in other processes — never pays for it.
+    """
 
     program: str
     compiler: str
     best_flags: FlagVector
     best_fitness: float
-    best_image: BinaryImage
+    image_source: Callable[[FlagVector], BinaryImage] = field(repr=False)
     iterations: int
     elapsed_seconds: float
     database: TuningDatabase
     baseline_image: BinaryImage
     evaluation_stats: Optional[EvaluationStats] = None
+
+    @cached_property
+    def best_image(self) -> BinaryImage:
+        return self.image_source(self.best_flags)
 
     def ncd_history(self) -> List[float]:
         return self.database.fitness_history()
@@ -334,13 +345,12 @@ class BinTuner:
             # Worker processes do not outlive the run; the engine (and its
             # database/stats) stays usable for follow-up evaluate() calls.
             engine.close()
-        best_image = self._best_image(best_flags)
         return TuningResult(
             program=self.spec.name,
             compiler=self.compiler.registry.compiler,
             best_flags=best_flags,
             best_fitness=best_fitness,
-            best_image=best_image,
+            image_source=self._best_image,
             # The paper counts *compilation* iterations; repeated evaluations of
             # an already-seen flag vector hit the database and do not recompile.
             iterations=len(self.database),
@@ -355,10 +365,11 @@ class BinTuner:
     def _best_image(self, best_flags: FlagVector) -> BinaryImage:
         """The winning configuration's binary, served from the artifact cache.
 
-        The search already compiled the best candidate at least once (it was
-        evaluated), so recompiling it at the end of every run would pay one
-        full compile for nothing.  A cache miss (eviction, or a candidate
-        compiled only inside a worker process) falls back to compiling.
+        Called by the first read of :attr:`TuningResult.best_image`, not by
+        :meth:`run`.  Where the search compiled the best candidate in this
+        process (or into a shared store) that read is a cache hit; a miss
+        (eviction, or a candidate compiled only inside a worker process)
+        falls back to compiling.
         """
         cached = self._build_evaluator().cached_image(tuple(best_flags.sorted_names()))
         if cached is not None:

@@ -173,7 +173,13 @@ class TestCampaignRun:
         result = run_campaign()
         assert [p.job for p in result.programs] == JOBS
         assert all(p.best_fitness > 0.0 for p in result.programs)
-        assert all(p.best_image is not None for p in result.programs)
+        # resolved on first read, by the job's own tuning result
+        assert all(p.best_image is p.tuning.best_image for p in result.programs)
+        assert all(
+            p.best_image.fingerprint()
+            == max(p.tuning.database.records, key=lambda r: r.fitness).fingerprint
+            for p in result.programs
+        )
         assert not result.interrupted
 
     def test_no_leak_between_shards(self):
@@ -513,14 +519,14 @@ class TestSharedWorkerPool:
                 assert [r.fingerprint for r in pooled] == [r.fingerprint for r in local]
 
 
-def test_tuning_processes_import_neither_scipy_nor_networkx():
+def test_tuning_processes_import_no_numeric_library():
     """Every pool worker, ``serve`` and ``repro.distrib.worker`` process pays
-    these imports; the diffing tools that need the two libraries import them
-    at their call sites."""
+    these imports; the diffing tools, feature vectors and experiment tables
+    that need numpy, scipy or networkx import them at their call sites."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys; import repro.campaign, repro.distrib.worker, repro.distrib.service; "
-        "print([name for name in ('scipy', 'networkx') if name in sys.modules])"
+        "print([name for name in ('numpy', 'scipy', 'networkx') if name in sys.modules])"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import re
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -268,6 +269,33 @@ class TestObservabilityServer:
             assert status["campaign"] == {"name": "t", "state": "running"}
             assert status["stages"]["stage.compile"]["count"] == 1
             assert status["errors"] == 0
+
+    def test_process_source_reports_peak_rss_and_threads(self):
+        """The two gauges an owner registers beside its own sources: read
+        per scrape, in bytes (``ru_maxrss`` is KiB on Linux)."""
+        import resource
+
+        from repro.distrib.obsserver import (
+            ObservabilityServer,
+            process_metrics,
+            process_status,
+        )
+
+        with ObservabilityServer() as server:
+            server.add_source("process", process_status)
+            server.add_metrics_source(process_metrics)
+            status = json.loads(_get(server.url() + "/status")[1])["process"]
+            text = _get(server.url() + "/metrics")[1]
+        _assert_prometheus_conformant(text)
+        gauges = dict(re.findall(r"^(process_\w+) (\S+)$", text, re.MULTILINE))
+        assert set(gauges) == {"process_peak_rss_bytes", "process_threads"}
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        if sys.platform != "darwin":
+            peak *= 1024
+        for seen in (status["peak_rss_bytes"], float(gauges["process_peak_rss_bytes"])):
+            assert 8 * 2**20 < seen <= peak  # an interpreter is > 8 MiB
+        # at least this thread, the server's accept thread and one handler
+        assert status["threads"] >= 2 and float(gauges["process_threads"]) >= 2
 
     def test_broken_source_returns_500_and_counts(self):
         from repro.distrib.obsserver import ObservabilityServer
@@ -585,6 +613,8 @@ class TestObservabilityParity:
         assert code == 200
         _assert_prometheus_conformant(text)
         assert "engine_generation_seconds_count" in text
+        assert "process_peak_rss_bytes" in text and "process_threads" in text
+        assert status["process"]["peak_rss_bytes"] > 0
         assert status["campaign"]["state"] == "finished"
         assert status["campaign"]["jobs_completed"] == len(campaign.jobs)
         assert "fleet" not in status and observed.fleet is None

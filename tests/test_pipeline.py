@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import pickle
 import shutil
+import sys
 import tempfile
 import threading
 import time
@@ -461,18 +462,24 @@ class TestTunerPipelineParity:
             BinTunerConfig(pipeline="monolithic")
 
 
+def count_compiles(monkeypatch, compiler):
+    calls = []
+    original = compiler.compile
+
+    def counting_compile(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(compiler, "compile", counting_compile)
+    return calls
+
+
 class TestTunerCacheReuse:
     def test_best_image_served_from_cache_not_recompiled(self, llvm, monkeypatch):
         """run() compiles the O0 baseline and each constraint-clean candidate
-        exactly once; the final best image costs no further compile."""
-        calls = []
-        original = llvm.compile
-
-        def counting_compile(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(llvm, "compile", counting_compile)
+        exactly once; reading the best image afterwards costs no further
+        compile (a serial run's candidates are in this process's cache)."""
+        calls = count_compiles(monkeypatch, llvm)
         result, _tuner = tune(llvm)
         constraints = ConstraintEngine(llvm.registry)
         compiled_candidates = sum(
@@ -480,6 +487,9 @@ class TestTunerCacheReuse:
             for record in result.database.records
         )
         assert compiled_candidates > 0
+        assert len(calls) == 1 + compiled_candidates
+        best = max(result.database.records, key=lambda record: record.fitness)
+        assert result.best_image.fingerprint() == best.fingerprint
         assert len(calls) == 1 + compiled_candidates
 
     def test_compare_levels_matches_and_caches(self, llvm, monkeypatch):
@@ -492,14 +502,7 @@ class TestTunerCacheReuse:
         assert set(levels) == {"O1", "O2", "O3", "Os"}
         for level, fitness in levels.items():
             assert fitness == reference(tuple(llvm.preset(level).sorted_names())).fitness
-        calls = []
-        original = llvm.compile
-
-        def counting_compile(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(llvm, "compile", counting_compile)
+        calls = count_compiles(monkeypatch, llvm)
         staged_tuner.compare_levels()  # every preset is already an artifact
         assert calls == []
 
@@ -520,6 +523,123 @@ class TestTunerCacheReuse:
         assert tiny_cache.evictions > 0
         assert bounded.database.fingerprint() == unbounded.database.fingerprint()
         assert bounded.best_image.fingerprint() == unbounded.best_image.fingerprint()
+
+
+def pickled_copy_mapper(evaluator):
+    """``mapper_factory`` of a remote dispatch: candidates are evaluated by a
+    pickle round-trip copy of the evaluator — what a pool or fleet worker
+    receives — and the orchestrator's own evaluator is never called."""
+    return LocalMapper(pickle.loads(pickle.dumps(evaluator)))
+
+
+class TestBuiltAtFirstUse:
+    """The fitness is built by the first *score* in a process and the best
+    image by its first *read*: an orchestrator that dispatches elsewhere
+    holds no encoder and compiles nothing it was not asked for."""
+
+    def test_remote_orchestrator_does_no_candidate_work(self, llvm, monkeypatch):
+        fresh_process_state()
+        result, tuner = tune(llvm, mapper_factory=pickled_copy_mapper)
+        orchestrator_side = tuner.evaluation_engine().evaluator
+        assert orchestrator_side._fitness is None
+        assert orchestrator_side._score_stage is None
+        calls = count_compiles(monkeypatch, llvm)
+        best = max(result.database.records, key=lambda record: record.fitness)
+        assert result.best_image.fingerprint() == best.fingerprint
+        assert len(calls) == 1  # compiled on the "worker": a miss here
+        assert result.best_image is result.best_image
+        assert len(calls) == 1
+        # still no fitness: cached_image / peek never build one
+        assert orchestrator_side._fitness is None
+        reference, _tuner = tune_reference(llvm)
+        assert result.database.fingerprint() == reference.database.fingerprint()
+        assert result.best_image.fingerprint() == reference.best_image.fingerprint()
+
+    @pytest.mark.parametrize("route", ["serial", "thread", "pickled", "score_flags"])
+    def test_unknown_compressor_is_an_error_not_a_penalty(self, llvm, route):
+        baseline = llvm.compile_level(TINY_SOURCE, "O0", name="tiny").image
+        evaluator = StagedCandidateEvaluator(
+            compiler=llvm, source=TINY_SOURCE, name="tiny", baseline=baseline,
+            compressor="zstd", artifact_cache=ArtifactCache(),
+        )
+        keys = [tuple(llvm.preset(level).sorted_names()) for level in ("O1", "O2")]
+        with pytest.raises(ValueError, match="unknown compressor"):
+            if route == "score_flags":
+                evaluator.score_flags(keys[0])
+            elif route == "pickled":
+                pickled_copy_mapper(evaluator).map(keys)
+            else:
+                mapper = LocalMapper(evaluator, route, 2)
+                try:
+                    mapper.map(keys)
+                finally:
+                    mapper.close()
+
+    def test_unbuildable_fitness_is_an_error_not_a_penalty(self, llvm, monkeypatch):
+        """The compile stage accepted the configuration, the fitness
+        constructor did not: its ``ValueError`` is raised outside the
+        domain-error ``try`` and never becomes an ``invalid_fitness`` record."""
+        def refuse(*args, **kwargs):
+            raise ValueError("fitness refused its configuration")
+
+        monkeypatch.setattr("repro.tuner.pipeline.make_fitness", refuse)
+        tuner = BinTuner(
+            llvm, BuildSpec(name="tiny", source=TINY_SOURCE),
+            BinTunerConfig(max_iterations=6, ga=GAParameters(population_size=4, seed=9)),
+        )
+        with pytest.raises(ValueError, match="refused"):
+            tuner.run()
+        assert len(tuner.database) == 0
+        with pytest.raises(ValueError, match="refused"):
+            tuner.compare_levels(["O1"])
+
+    def test_eight_racing_threads_build_one_fitness(self, llvm, monkeypatch):
+        """Thread mappers and worker slots share one evaluator: the first
+        scores race, and exactly one of them may compress the baseline."""
+        from repro.difftools.ncd import _COMPRESSORS
+
+        baseline = llvm.compile_level(TINY_SOURCE, "O0", name="tiny").image
+        key = tuple(llvm.preset("O2").sorted_names())
+        cache = ArtifactCache()
+        common = dict(compiler=llvm, source=TINY_SOURCE, name="tiny",
+                      baseline=baseline, artifact_cache=cache)
+        expected = StagedCandidateEvaluator(**common)(key)  # warms the compile
+        baseline_compressions = []
+        plain_lzma = _COMPRESSORS["lzma"]
+
+        def counting_lzma(data):
+            if data == baseline.text:
+                baseline_compressions.append(threading.get_ident())
+                time.sleep(0.05)  # hold the check-then-set window open
+            return plain_lzma(data)
+
+        monkeypatch.setitem(_COMPRESSORS, "lzma", counting_lzma)
+        evaluator = StagedCandidateEvaluator(**common)
+        barrier = threading.Barrier(8)
+        seen, results, errors = [], [], []
+
+        def race():
+            try:
+                barrier.wait(timeout=30)
+                results.append(evaluator(key))
+                seen.append(evaluator.fitness_function())
+            except BaseException as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=race, daemon=True) for _ in range(8)]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not errors and not any(thread.is_alive() for thread in threads)
+        assert len(baseline_compressions) == 1
+        assert len(seen) == 8 and all(fitness is seen[0] for fitness in seen)
+        assert {result.fitness for result in results} == {expected.fitness}
 
 
 # ---------------------------------------------------------------------------

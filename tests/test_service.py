@@ -388,6 +388,7 @@ class TestObservability:
             status = json_module.loads(
                 urllib.request.urlopen(f"{url}/status", timeout=10).read())
             assert "service" in status
+            assert status["process"]["threads"] >= 2
             section = status["service"]
             assert section["jobs"][0]["state"] == "done"
             assert section["tenants"]["alice"]["candidates_evaluated"] > 0
@@ -395,6 +396,7 @@ class TestObservability:
                 f"{url}/metrics", timeout=10).read().decode()
             assert "service_tenant_alice_candidates" in metrics.replace(".", "_") \
                 or "service.tenant.alice.candidates" in metrics
+            assert "process_peak_rss_bytes" in metrics and "process_threads" in metrics
 
     def test_tenant_tagged_spans_reach_telemetry(self, tmp_path):
         """With a telemetry_dir, every job generation lands as a
@@ -485,3 +487,105 @@ class TestPersistRace:
         job.finish("done", {"best_fitness": 1.0})
         reader.join(timeout=5)
         assert seen == [(["done"], "done")]
+
+
+# ---------------------------------------------------------------------------
+# Resident set of the long-lived process
+# ---------------------------------------------------------------------------
+
+def _peak_rss_kib(pid: int) -> int:
+    """``VmHWM`` of a live process: its resident-set high-water mark."""
+    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1])
+    raise AssertionError(f"no VmHWM line for pid {pid}")
+
+
+def _free_port() -> int:
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmHWM from /proc/<pid>/status")
+class TestResidentSet:
+    def test_serve_stays_flat_when_the_fleet_does_the_work(self, tmp_path):
+        """``serve --dispatch distributed`` scores no candidate and is asked
+        for no image, so it builds no fitness and compiles nothing but the
+        baselines: its high-water mark after eight more jobs stays within
+        1.5x of what one warm-up job left.  (When every job thread built an
+        LZMA fitness for a best image nobody read, each new thread's malloc
+        arena kept one 16 MiB match-finder table: 56 -> 195 MiB, 3.5x.)"""
+        address = f"127.0.0.1:{_free_port()}"
+        worker_plane = f"127.0.0.1:{_free_port()}"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        env["REPRO_DISTRIB_AUTHKEY"] = "resident-set-test"
+        quiet = dict(env=env, stdin=subprocess.DEVNULL,
+                     stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        processes = [subprocess.Popen(
+            [sys.executable, "-m", "repro.campaign", "serve", "--bind", address,
+             "--dispatch", "distributed", "--serve-workers", worker_plane,
+             "--min-workers", "1"], **quiet)]
+        failures = []
+
+        def tenant(name: str) -> None:
+            try:
+                with ServiceClient(address, timeout=60) as client:
+                    for index in range(4):
+                        source = f"/* {name} {index} */\n{SOURCE}"
+                        row = client.wait(
+                            submit_budget(client, name, f"{name}{index}", source),
+                            timeout=120)
+                        if row["state"] != "done":
+                            failures.append(f"{name}{index}: {row['state']}")
+            except (ServiceError, OSError) as exc:
+                failures.append(f"{name}: {type(exc).__name__}: {exc}")
+
+        try:
+            deadline = time.monotonic() + 60
+            while True:
+                assert processes[0].poll() is None, "serve exited early"
+                try:
+                    with ServiceClient(address, timeout=5) as client:
+                        client.ping()
+                    break
+                except (ServiceError, OSError):
+                    assert time.monotonic() < deadline, "serve never answered"
+                    time.sleep(0.05)
+            # Before the worker registers a job would be evaluated in serve.
+            worker_log = tmp_path / "worker.log"
+            with open(worker_log, "w") as log:
+                processes.append(subprocess.Popen(
+                    [sys.executable, "-m", "repro.distrib.worker", "--connect",
+                     worker_plane, "--slots", "1", "--no-store"],
+                    **{**quiet, "stdout": log, "stderr": subprocess.STDOUT}))
+            while "connected to" not in worker_log.read_text():
+                assert processes[1].poll() is None, "worker exited early"
+                assert time.monotonic() < deadline, "worker never registered"
+                time.sleep(0.05)
+            with ServiceClient(address, timeout=60) as client:
+                warm = client.wait(
+                    submit_budget(client, "warmup", "warm", SOURCE), timeout=120)
+            assert warm["state"] == "done"
+            warmed_kib = _peak_rss_kib(processes[0].pid)
+            threads = [threading.Thread(target=tenant, args=(name,), daemon=True)
+                       for name in ("alice", "bob")]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == []
+            final_kib = _peak_rss_kib(processes[0].pid)
+        finally:
+            for process in reversed(processes):
+                process.terminate()
+            for process in reversed(processes):
+                try:
+                    process.wait(timeout=10)
+                except subprocess.TimeoutExpired:
+                    process.kill()
+                    process.wait(timeout=10)
+        assert final_kib < 1.5 * warmed_kib, (warmed_kib, final_kib)
