@@ -47,9 +47,10 @@ def test_emulator_dispatch(benchmark, bench_benchmarks):
     # invisible before any speed number counts.
     assert dispatch["identical_results"]
     assert ncd["identical_values"]
-    # The acceptance criterion: >= 5x steps/sec over the reference engine
-    # on the 2-program demo (measured 7.5x with per-shape compiled blocks).
-    assert dispatch["aggregate_speedup"] >= 5.0
+    # The acceptance criterion: >= 7x steps/sec over the reference engine
+    # on the 2-program demo (measured 7.2-7.5x with per-shape compiled
+    # blocks, 9.8-9.9x once they skip the wraps of in-range values).
+    assert dispatch["aggregate_speedup"] >= 7.0
     # The zlib incremental path must actually engage and win.
     zlib_row = next(r for r in ncd["rows"] if r["compressor"] == "zlib")
     assert zlib_row["incremental_available"]

@@ -41,6 +41,18 @@ Emulation is the dominant per-candidate cost of a tuning campaign (the
   the first few candidates and ``compile()`` is paid per process, not per
   image; :func:`block_template_stats` is its probe.
 
+Value ranges.  Every word of memory and every vector lane is a signed 64-bit
+value: every writer wraps, and initial memory is unpacked as ``<q``.  A
+register need not be — ``spadd`` / ``leas`` sums are unwrapped in both
+engines, and ``malloc`` / ``min`` / ``max`` pass such values on — so a block
+treats every register as of unknown range at entry, and knows one is in range
+after ``movi`` / ``movis`` / ``leag``, a load, a compare, ``not``, a wrapped
+ALU op, ``div`` / ``mod``, or a ``mov`` / ``select`` of known registers.  A
+store of a known value skips the wrap; an ALU wrap is one range check, dropped
+for bitwise ops and right shifts of known operands; ``div`` / ``mod`` use
+Python's ``//`` / ``%`` where they agree with C (dividend in ``[0, 2**63)``,
+divisor positive).  The facts come from the shape alone.
+
 Both engines produce bit-for-bit identical :class:`ExecutionResult` values
 (output, return value, steps, cycles) and raise the same exceptions at the
 same program points — a machine fault (illegal instruction, division by zero,
@@ -231,28 +243,31 @@ def _decode_checked(text: bytes, offset: int) -> Tuple[MachInstr, int]:
 # Emulator instance — and every thread — of the process.
 #
 # Template fields: ``{d}`` a general register written; ``{a}`` ``{b}`` ``{c}``
-# general registers read; ``{x}`` ``{y}`` ``{z}`` vector register numbers
-# (spliced as literals: ``_pop_frame`` rebinds ``emu.vector_registers``, so
-# vectors are reached through the emulator at every use); ``{i}`` the
-# instruction's immediate.  The role string gives one of those letters per ISA
-# operand.  Three more fields are implicit operands: ``{s}`` reads and ``{p}``
-# writes the stack pointer, ``{n}`` is a trailing immediate the block builder
-# supplies (the next pc; ``len(text)`` for ``ijmp``).
+# general registers read; ``{v}`` a general register read whose value is
+# stored to memory (spliced wrapped unless it is known to be in range);
+# ``{x}`` ``{y}`` ``{z}`` vector register numbers (spliced as literals:
+# ``_pop_frame`` rebinds ``emu.vector_registers``, so vectors are reached
+# through the emulator at every use); ``{i}`` the instruction's immediate.
+# The role string gives one of those letters per ISA operand.  Three more
+# fields are implicit operands: ``{s}`` reads and ``{p}`` writes the stack
+# pointer, ``{n}`` is a trailing immediate the block builder supplies (the
+# next pc; ``len(text)`` for ``ijmp``).  ``{w}`` is the line that wraps
+# ``{d}`` into 64 bits — empty where the result is provably in range.
 
 
-def _wrapped(expr: str) -> str:
-    """Source for ``{d} = wrap64(expr)`` (the destination doubles as scratch)."""
+def _fit(value: str) -> str:
+    """Source for ``wrap64(value)``: one range check, the mask only when it fails."""
     return (
-        f"{{d}} = ({expr}) & 0xFFFFFFFFFFFFFFFF\n"
-        "if {d} >= 0x8000000000000000: {d} -= 0x10000000000000000"
+        f"{value} if -0x8000000000000000 <= {value} <= 0x7FFFFFFFFFFFFFFF "
+        f"else (({value} + 0x8000000000000000) & 0xFFFFFFFFFFFFFFFF) - 0x8000000000000000"
     )
 
 
-def _stored(address: str, value: str) -> str:
-    """Source for ``write_word(address, value)``."""
+def _native(operator: str, fallback: str) -> str:
+    """Source for C ``div`` / ``mod``: Python's operator where the two agree."""
     return (
-        f"t = {value} & 0xFFFFFFFFFFFFFFFF\n"
-        f"mem[{address}] = t - 0x10000000000000000 if t >= 0x8000000000000000 else t"
+        f"{{d}} = {{a}} {operator} {{b}} if 0 <= {{a}} <= 0x7FFFFFFFFFFFFFFF and {{b}} > 0 "
+        f"else {fallback}({{a}}, {{b}})"
     )
 
 
@@ -261,23 +276,23 @@ _TEMPLATES: Dict[str, Tuple[str, str]] = {
     "movi": ("di", "{d} = {i}"),
     "movis": ("di", "{d} = {i}"),
     "mov": ("da", "{d} = {a}"),
-    "div": ("dab", "{d} = _c_div({a}, {b})"),
-    "mod": ("dab", "{d} = _c_mod({a}, {b})"),
-    "shl": ("dab", _wrapped("{a} << ({b} & 63)")),
-    "shr": ("dab", _wrapped("{a} >> ({b} & 63)")),
-    "shli": ("dai", _wrapped("{a} << ({i} & 63)")),
-    "shri": ("dai", _wrapped("{a} >> ({i} & 63)")),
+    "div": ("dab", _native("//", "_c_div")),
+    "mod": ("dab", _native("%", "_c_mod")),
+    "shl": ("dab", "{d} = {a} << ({b} & 63)\n{w}"),
+    "shr": ("dab", "{d} = {a} >> ({b} & 63)\n{w}"),
+    "shli": ("dai", "{d} = {a} << ({i} & 63)\n{w}"),
+    "shri": ("dai", "{d} = {a} >> ({i} & 63)\n{w}"),
     "not": ("da", "{d} = 1 if {a} == 0 else 0"),
-    "neg": ("da", _wrapped("-{a}")),
-    "bnot": ("da", _wrapped("~{a}")),
+    "neg": ("da", "{d} = -{a}\n{w}"),
+    "bnot": ("da", "{d} = ~{a}\n{w}"),
     "ld": ("dai", "{d} = mem_get({a} + {i}, 0)"),
-    "st": ("aib", _stored("{a} + {i}", "{b}")),
+    "st": ("aiv", "mem[{a} + {i}] = {v}"),
     "ldx": ("dab", "{d} = mem_get({a} + {b}, 0)"),
-    "stx": ("abc", _stored("{a} + {b}", "{c}")),
+    "stx": ("abv", "mem[{a} + {b}] = {v}"),
     "leag": ("di", "{d} = {i}"),
     "leas": ("di", "{d} = {s} + {i}"),
     "ldg": ("di", "{d} = mem_get({i}, 0)"),
-    "stg": ("ia", _stored("{i}", "{a}")),
+    "stg": ("iv", "mem[{i}] = {v}"),
     "select": ("dabc", "{d} = {b} if {a} != 0 else {c}"),
     "spadd": ("i", "{p} = {s} + {i}"),
     "vld": (
@@ -289,7 +304,7 @@ _TEMPLATES: Dict[str, Tuple[str, str]] = {
     "vst": (
         "xab",
         "t = {a} + {b}\n"
-        "for k, lane in enumerate(emu.vector_registers[{x}]): mem[t + k] = wrap64(lane)",
+        "for k, lane in enumerate(emu.vector_registers[{x}]): mem[t + k] = lane",
     ),
     # Block tails: every one returns the next pc, or None to stop.
     "hlt": ("", "return None"),
@@ -316,8 +331,8 @@ _TEMPLATES: Dict[str, Tuple[str, str]] = {
 for _name, _operator in (
     ("add", "+"), ("sub", "-"), ("mul", "*"), ("and", "&"), ("or", "|"), ("xor", "^")
 ):
-    _TEMPLATES[_name] = ("dab", _wrapped(f"{{a}} {_operator} {{b}}"))
-    _TEMPLATES[_name + "i"] = ("dai", _wrapped(f"{{a}} {_operator} {{i}}"))
+    _TEMPLATES[_name] = ("dab", f"{{d}} = {{a}} {_operator} {{b}}\n{{w}}")
+    _TEMPLATES[_name + "i"] = ("dai", f"{{d}} = {{a}} {_operator} {{i}}\n{{w}}")
 for _name, _operator in (
     ("cmpeq", "=="), ("cmpne", "!="), ("cmplt", "<"), ("cmple", "<="), ("cmpgt", ">"), ("cmpge", ">=")
 ):
@@ -350,6 +365,7 @@ def _shape_source(shape: _Shape) -> str:
     body: List[str] = []
     held = set()  # general registers currently in locals
     dirty = set()  # ... and written since block entry
+    known = set()  # ... and holding a value in signed 64-bit range
     immediates: List[str] = []
 
     def read(number: int) -> str:
@@ -366,6 +382,7 @@ def _shape_source(shape: _Shape) -> str:
         roles, template = _TEMPLATES[name]
         fields: Dict[str, str] = {}
         written: List[int] = []
+        sources: List[int] = []
         operands = iter(numbers)
         for role in roles:
             if role == "i":
@@ -376,23 +393,38 @@ def _shape_source(shape: _Shape) -> str:
                 written.append(next(operands))
                 fields[role] = f"r{written[-1]}"
             else:
-                fields[role] = read(next(operands))
+                sources.append(next(operands))
+                fields[role] = read(sources[-1])
+                if role == "v" and sources[-1] not in known:
+                    fields[role] = _fit(fields[role])
         if "{s}" in template:
+            sources.append(SP)
             fields["s"] = read(SP)
         if "{p}" in template:
             written.append(SP)
             fields["p"] = f"r{SP}"
         if "{n}" in template:
             fields["n"] = immediate()
+        in_range = known.issuperset(sources)
+        if "{w}" in template:
+            # Bitwise ops and right shifts of in-range operands stay in range.
+            closed = in_range and name in ("and", "or", "xor", "andi", "ori", "xori", "shr", "shri", "bnot")
+            fields["w"] = "" if closed else f"{fields['d']} = {_fit(fields['d'])}"
         # Reads are loaded above, before this instruction's own write makes
         # the register count as held (``add r1, r1, r2`` must load r1).
         held.update(written)
         dirty.update(written)
+        # Every result is wrapped, 0 / 1, a word of memory or an ISA immediate
+        # — except a stack-pointer sum, or a copy of an unknown register.
+        if name in ("leas", "spadd") or (name in ("mov", "select") and not in_range):
+            known.difference_update(written)
+        else:
+            known.update(written)
         if name in _TAILS:
             # _push_frame, _pop_frame, _syscall and the next block all see
             # the register file, never this function's locals.
             body.extend(f"regs[{number}] = r{number}" for number in sorted(dirty))
-        body.extend(template.format(**fields).split("\n"))
+        body.extend(line for line in template.format(**fields).split("\n") if line)
     defaults = "".join(f", {name}={name}" for name in immediates)
     return (
         f"def factory({', '.join(immediates)}):\n"

@@ -40,6 +40,7 @@ import contextlib
 import json
 import logging
 import os
+import signal
 import sys
 import threading
 from pathlib import Path
@@ -577,16 +578,21 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
         obs_port=args.obs_port, obs_host=args.obs_host,
         telemetry_dir=args.telemetry_dir,
     ))
-    logger.info("tuning service: clients connect to %s", service.address_string())
-    if service.worker_address() is not None:
-        logger.info("worker plane: python -m repro.distrib.worker --connect %s",
-                    service.worker_address())
-        if args.min_workers > 0:
-            logger.info("waiting for %d worker(s)...", args.min_workers)
-            service.wait_for_workers(args.min_workers)
-    if service.obs_server is not None:
-        logger.info("observability: %s/status", service.obs_server.url())
-    serve_forever(service)
+    # SIGTERM drains exactly like Ctrl-C: jobs parked, pool children reaped.
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        logger.info("tuning service: clients connect to %s", service.address_string())
+        if service.worker_address() is not None:
+            logger.info("worker plane: python -m repro.distrib.worker --connect %s",
+                        service.worker_address())
+            if args.min_workers > 0:
+                logger.info("waiting for %d worker(s)...", args.min_workers)
+                service.wait_for_workers(args.min_workers)
+        if service.obs_server is not None:
+            logger.info("observability: %s/status", service.obs_server.url())
+        serve_forever(service)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 

@@ -33,7 +33,7 @@ from repro.analysis.emulator import (
     run_program,
 )
 from repro.backend.binary import GLOBAL_BASE, BinaryImage
-from repro.backend.isa import BUILTIN_IDS, OPCODES_BY_NAME, MachInstr, encode_instruction
+from repro.backend.isa import BUILTIN_IDS, OPCODES_BY_NAME, SP, MachInstr, encode_instruction
 from repro.tuner.pipeline import StagedCandidateEvaluator
 
 from test_emulator_dispatch import assert_results_equal, dispatch
@@ -47,6 +47,16 @@ ABSOLUTE = ("call", "tcall")
 
 I64_MIN, I64_MAX = -(1 << 63), (1 << 63) - 1
 BOUNDARY_VALUES = (0, 1, -1, 2, 3, 7, 63, 64, 65, 127, -64, I64_MAX, I64_MIN, I64_MAX - 1)
+#: Register values no 64-bit word holds, as ``spadd`` / ``leas`` / ``malloc``
+#: / ``min`` / ``max`` can leave them.
+OUT_OF_RANGE = (I64_MAX + 1, I64_MAX + 70, I64_MIN - 1, 1 << 64, -(1 << 64) - 3, 1 << 70)
+#: Every sign, both edges of the range, zero, a shift count.
+EDGE_VALUES = (I64_MAX, I64_MAX - 1, 63, 7, 1, 0, -1, -7, I64_MIN + 1, I64_MIN)
+ALU_REG = ("add", "sub", "mul", "and", "or", "xor", "shl", "shr")
+ALU_IMM = ("addi", "subi", "muli", "shli", "shri", "andi", "ori", "xori")
+#: The opcodes whose block templates depend on whether a register is known
+#: to hold a signed 64-bit value.
+RANGE_CONSUMERS = ("st", "stx", "stg", "mov", "select", "neg", "bnot", "not", "div", "mod") + ALU_REG + ALU_IMM
 IMMEDIATES = {
     "i16": st.one_of(
         st.sampled_from((0, 1, -1, 63, 64, 65, 200, -(1 << 15), (1 << 15) - 1)),
@@ -156,21 +166,47 @@ def assert_engines_agree(image, max_steps=4000, **state):
 # (a) hypothesis: directly assembled blocks, every opcode, every tail
 # ---------------------------------------------------------------------------
 
+def out_of_range_prologue(draw) -> bytes:
+    """Push the stack pointer — or a ``leas`` of it — past the signed 64-bit
+    range, then read it at once (in the same block or, past a ``jmp``, the
+    next) in a few of the :data:`RANGE_CONSUMERS`, partnered with r3, each
+    followed by a store of what it wrote."""
+    x = draw(st.sampled_from((SP, 9)))
+    edge, step = draw(st.sampled_from(
+        ((I64_MAX, 1), (I64_MAX, (1 << 15) - 1), (I64_MIN, -1), (I64_MIN, -(1 << 15)))))
+    code = asm("movi", SP, edge) + (asm("spadd", step) if x == SP else asm("leas", x, step))
+    code += asm("movi", 3, draw(st.sampled_from(EDGE_VALUES + (64,))))
+    code += draw(st.sampled_from((b"", asm("jmp", 0))))
+    for slot in range(draw(st.integers(1, 4))):
+        name = draw(st.sampled_from(RANGE_CONSUMERS))
+        operands = []
+        for position, kind in enumerate(OPCODES_BY_NAME[name].operands):
+            if kind != "r":
+                operands.append(draw(IMMEDIATES[kind]))
+            elif position == 0 and name not in ("st", "stx"):
+                operands.append(2)
+            else:
+                operands.append(draw(st.sampled_from((x, x, 3))))
+        code += asm(name, *operands) + asm("stg", GLOBAL_BASE + slot, 2)
+    return code
+
+
 @st.composite
 def machine_programs(draw):
     """``(image, registers, vectors, memory, inputs)``: random instructions
     over all 55 opcodes with boundary immediates; control flow lands on
     instruction boundaries or — sometimes — anywhere, mid-instruction and
-    out of ``.text`` included (a wild jump must fault identically)."""
+    out of ``.text`` included (a wild jump must fault identically).  Half the
+    programs open with :func:`out_of_range_prologue`."""
+    text = out_of_range_prologue(draw) if draw(st.booleans()) else b""
     padding = draw(st.sampled_from((0, 0, 0, 5, MAX_BLOCK_OPS - 1, MAX_BLOCK_OPS, MAX_BLOCK_OPS + 6)))
     names = draw(st.lists(st.sampled_from(STRAIGHT), min_size=padding, max_size=padding))
     names += draw(st.lists(st.sampled_from(COMMON * 3 + TAILS * 4 + ("div", "mod")), min_size=1, max_size=40))
     names += draw(st.sampled_from((["hlt"], ["hlt"], ["hlt"], ["ret"], [])))  # [] runs off the end
-    offsets = [0]
+    offsets = [len(text)]
     for name in names:
         offsets.append(offsets[-1] + OPCODES_BY_NAME[name].size)
     targets = st.one_of(st.sampled_from(offsets), st.integers(-2, offsets[-1] + 2))
-    text = b""
     for index, name in enumerate(names):
         operands = []
         for kind in OPCODES_BY_NAME[name].operands:
@@ -187,13 +223,15 @@ def machine_programs(draw):
                 operands.append(draw(IMMEDIATES[kind]))
         text += asm(name, *operands)
     # Registers hold boundary values, small word addresses and valid code
-    # offsets (so ``ijmp`` is sometimes legal and ``ld`` sometimes hits).
+    # offsets (so ``ijmp`` is sometimes legal and ``ld`` sometimes hits) —
+    # and, being unknown at block entry, sometimes no 64-bit value at all.
+    # Vector lanes and memory words are always in range: every writer wraps.
     values = st.one_of(
         st.sampled_from(BOUNDARY_VALUES + tuple(offsets)),
         st.integers(0, 12),
         st.integers(I64_MIN, I64_MAX),
     )
-    registers = draw(st.lists(values, min_size=16, max_size=16))
+    registers = draw(st.lists(st.one_of(values, st.sampled_from(OUT_OF_RANGE)), min_size=16, max_size=16))
     vectors = draw(st.lists(st.lists(values, min_size=4, max_size=4), min_size=8, max_size=8))
     memory = draw(st.dictionaries(st.integers(-4, 24), st.integers(I64_MIN, I64_MAX), max_size=12))
     inputs = draw(st.lists(st.integers(I64_MIN, I64_MAX), max_size=3))
@@ -207,6 +245,20 @@ def test_assembled_blocks_differential(program):
     assert_engines_agree(
         image, max_steps=600, registers=registers, vectors=vectors, memory=memory, inputs=inputs
     )
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=list(HealthCheck))
+@given(program=machine_programs())
+def test_memory_words_and_vector_lanes_stay_in_range(program):
+    """The invariant the block templates lean on: whatever the registers
+    hold, every word of memory and every vector lane is a signed 64-bit
+    value after a run — faulting runs included, under both engines."""
+    image, registers, vectors, memory, inputs = program
+    for mode in (REFERENCE_DISPATCH, TABLE_DISPATCH):
+        _, emulator = run_engine(mode, image, registers=registers, vectors=vectors,
+                                 memory=memory, inputs=inputs, max_steps=600)
+        assert all(I64_MIN <= word <= I64_MAX for word in emulator.memory.values())
+        assert all(I64_MIN <= lane <= I64_MAX for lanes in emulator.vector_registers for lane in lanes)
 
 
 def test_every_opcode_once():
@@ -517,3 +569,130 @@ def test_measure_stage_reports_shape_counters(cold_shapes, llvm):
         second = sink.counters()
     assert second["emulator.shapes_compiled"] == 0
     assert second["emulator.blocks_built"] == first["emulator.blocks_built"]
+
+
+# ---------------------------------------------------------------------------
+# (e) value ranges: what a block may assume about a register, and what not
+# ---------------------------------------------------------------------------
+
+def syscall(name: str) -> bytes:
+    return asm("syscall", BUILTIN_IDS[name])
+
+
+#: Programs that leave register ``X`` holding a value outside the signed
+#: 64-bit range, in every way the ISA allows: a stack-pointer sum, a heap
+#: pointer pushed past 2**63, and ``min`` / ``max`` of such values.
+PRODUCERS = {
+    "spadd-up": (asm("movi", SP, I64_MAX) + asm("spadd", 1), SP),
+    "spadd-down": (asm("movi", SP, I64_MIN) + asm("spadd", -(1 << 15)), SP),
+    "leas-up": (asm("movi", SP, I64_MAX) + asm("leas", 9, (1 << 15) - 1), 9),
+    "leas-down": (asm("movi", SP, I64_MIN) + asm("leas", 9, -1), 9),
+    "malloc": (asm("movi", 1, I64_MAX) + syscall("malloc") + syscall("malloc"), 0),
+    "min": (asm("movi", SP, I64_MIN) + asm("spadd", -3) + asm("mov", 1, SP)
+            + asm("movi", 2, 5) + syscall("min"), 0),
+    "max": (asm("movi", SP, I64_MAX) + asm("spadd", 3) + asm("mov", 1, SP)
+            + asm("movi", 2, -5) + syscall("max"), 0),
+}
+
+
+def consumers(x: int):
+    """``(label, code)`` for every instruction whose template reads a value
+    range fact, fed register ``x``; results land in memory word 100 (r14)."""
+    base = asm("movi", 14, 100)
+
+    def stored(*registers):
+        return b"".join(asm("st", 14, slot, number) for slot, number in enumerate(registers))
+
+    yield "st", base + stored(x)
+    yield "stx", base + asm("movi", 13, 1) + asm("stx", 14, 13, x)
+    yield "stg", asm("stg", 100, x)
+    yield "mov-st", base + asm("mov", 2, x) + stored(2)
+    yield "select-st", base + asm("movi", 3, 1) + asm("select", 2, 3, x, 4) + stored(2)
+    yield "select-else-st", base + asm("movi", 3, 0) + asm("select", 2, 3, 4, x) + stored(2)
+    yield "vst", base + asm("movi", 3, 2) + asm("vst", 0, x, 3)
+    for name in ALU_REG:
+        for other in (1, -1, 63, 64, I64_MAX, I64_MIN):
+            yield name, (base + asm("movi", 3, other) + asm(name, 2, x, 3)
+                         + asm(name, 4, 3, x) + asm(name, 5, x, x) + stored(2, 4, 5))
+    for name in ALU_IMM:
+        for immediate in (1, -1, 63, 64, (1 << 15) - 1, -(1 << 15)):
+            yield name, base + asm(name, 2, x, immediate) + stored(2)
+    for name in ("neg", "bnot", "not"):
+        yield name, base + asm(name, 2, x) + stored(2)
+    for name in ("div", "mod"):
+        for other in EDGE_VALUES:
+            yield name, base + asm("movi", 3, other) + asm(name, 2, x, 3) + stored(2)
+            yield name, base + asm("movi", 3, other) + asm(name, 2, 3, x) + stored(2)
+        yield name, base + asm(name, 2, x, x) + stored(2)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["same-block", "next-block"])
+@pytest.mark.parametrize("producer", sorted(PRODUCERS))
+def test_out_of_range_registers_reach_every_consumer_exactly(producer, split):
+    """Each out-of-range producer into each consumer, in the producer's
+    block and (after a ``jmp`` to the next instruction) in the next one:
+    registers, memory, output and every result field match the reference."""
+    code, x = PRODUCERS[producer]
+    _, emulator = run_engine(REFERENCE_DISPATCH, image_of(code + asm("hlt")))
+    assert not I64_MIN <= emulator.registers[x] <= I64_MAX
+    for label, consumer in consumers(x):
+        image = image_of(code + (asm("jmp", 0) if split else b"") + consumer
+                         + asm("ld", 6, 14, 0) + asm("hlt"), label)
+        assert_engines_agree(image)
+
+
+@pytest.mark.parametrize("name", ALU_REG + ("div", "mod"))
+def test_two_register_ops_at_every_edge(name):
+    """Every sign pair, both edges of the range and past them, as
+    block-entry registers (unknown range) and as in-block constants (known):
+    a known operand must not drop a wrap the result needs, and ``div`` /
+    ``mod`` see dividends past 2**63 - 1, negative and zero divisors."""
+    code = asm(name, 2, 3, 4) + asm("st", 14, 0, 2) + asm("hlt")
+    for a in EDGE_VALUES + OUT_OF_RANGE:
+        for b in EDGE_VALUES + OUT_OF_RANGE:
+            state = [0] * 14 + [100, 0]
+            state[3], state[4] = a, b
+            assert_engines_agree(image_of(code, name), registers=state)
+            if a in EDGE_VALUES and b in EDGE_VALUES:
+                constants = asm("movi", 3, a) + asm("movi", 4, b)
+                assert_engines_agree(image_of(constants + code, name), registers=state)
+
+
+@pytest.mark.parametrize("name", ALU_IMM + ("neg", "bnot", "not", "mov"))
+def test_one_register_ops_at_every_edge(name):
+    """The same for the immediate and unary forms."""
+    if name in ALU_IMM:
+        forms = [asm(name, 2, 3, immediate) for immediate in (1, -1, 63, 64, (1 << 15) - 1, -(1 << 15))]
+    else:
+        forms = [asm(name, 2, 3)]
+    for a in EDGE_VALUES + OUT_OF_RANGE:
+        for form in forms:
+            code = form + asm("st", 14, 0, 2) + asm("hlt")
+            state = [0] * 14 + [100, 0]
+            state[3] = a
+            assert_engines_agree(image_of(code, name), registers=state)
+            if a in EDGE_VALUES:
+                assert_engines_agree(image_of(asm("movi", 3, a) + code, name), registers=state)
+
+
+def test_a_dividend_past_i64_max_wraps_before_its_store():
+    """The program a guard of ``a >= 0`` alone gets wrong: 2**63 // 1 is
+    2**63 in Python, and the word stored must be its wrap, -2**63."""
+    text = (asm("movi", 15, I64_MAX) + asm("spadd", 1) + asm("movi", 1, 1)
+            + asm("div", 0, 15, 1) + asm("st", 14, 0, 0) + asm("ld", 2, 14, 0) + asm("hlt"))
+    state = [0] * 16
+    state[14] = 100
+    assert_engines_agree(image_of(text), registers=state)
+    _, emulator = run_engine(TABLE_DISPATCH, image_of(text), registers=state)
+    assert emulator.memory == {100: I64_MIN}
+    assert emulator.registers[2] == I64_MIN
+
+
+def test_in_range_stores_skip_the_wrap():
+    """The gain, pinned at the source: a loaded word is stored as is, a
+    stack-pointer sum is range-checked on its way to memory."""
+    loaded = emulator_module._shape_source((("ld", 0, 14), ("st", 14, 0), ("hlt",)))
+    assert "        mem[r14 + i1] = r0\n" in loaded
+    assert "0xFFFFFFFFFFFFFFFF" not in loaded
+    pushed = emulator_module._shape_source((("spadd",), ("st", 14, 15), ("hlt",)))
+    assert "0xFFFFFFFFFFFFFFFF" in pushed

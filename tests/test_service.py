@@ -19,6 +19,7 @@ The contract under test, end to end over real sockets:
 from __future__ import annotations
 
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -589,3 +590,73 @@ class TestResidentSet:
                     process.kill()
                     process.wait(timeout=10)
         assert final_kib < 1.5 * warmed_kib, (warmed_kib, final_kib)
+
+
+def _children(pid: int) -> list:
+    """Pids of the live (not zombie) processes whose parent is ``pid``."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                stat = (entry / "stat").read_text()
+            except OSError:
+                continue
+            state, parent = stat[stat.rindex(")") + 2:].split()[:2]
+            if int(parent) == pid and state != "Z":
+                found.append(int(entry.name))
+    return found
+
+
+def _alive(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="walks /proc for the pool's children")
+def test_sigterm_drains_serve_and_reaps_its_pool():
+    """A supervisor stops ``serve`` with SIGTERM; it must drain as on Ctrl-C —
+    exit 0 and take its process-pool children with it.  (It used to die of the
+    signal in a millisecond, leaving both children blocked on their queue.)"""
+    address = f"127.0.0.1:{_free_port()}"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    serve = subprocess.Popen(
+        [sys.executable, "-m", "repro.campaign", "serve", "--bind", address,
+         "--dispatch", "process", "--workers", "2", "--quiet"],
+        env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    children = []
+    try:
+        deadline = time.monotonic() + 60
+        while True:
+            assert serve.poll() is None, "serve exited early"
+            try:
+                with ServiceClient(address, timeout=5) as client:
+                    client.ping()
+                break
+            except (ServiceError, OSError):
+                assert time.monotonic() < deadline, "serve never answered"
+                time.sleep(0.05)
+        with ServiceClient(address, timeout=60) as client:
+            row = client.wait(client.submit("alice", "tiny", "int main() { return 3; }",
+                                            "gcc", generations=1, population=2), timeout=120)
+        assert row["state"] == "done"
+        children = _children(serve.pid)
+        assert len(children) >= 2, children
+        serve.send_signal(signal.SIGTERM)
+        assert serve.wait(timeout=5) == 0
+        deadline = time.monotonic() + 5
+        while any(_alive(pid) for pid in children) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in children if _alive(pid)]
+    finally:
+        if serve.poll() is None:
+            serve.kill()
+            serve.wait(timeout=10)
+        for pid in children:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
