@@ -76,8 +76,9 @@ def main() -> None:
     print(f"  {cold_seconds:6.2f}s  fingerprint {cold.fingerprint()[:16]}…")
     print(f"  stages: compile {stats.compile_seconds:.2f}s, "
           f"measure {stats.measure_seconds:.2f}s, score {stats.score_seconds:.2f}s")
+    counts = cache.counters.snapshot()
     print(f"  cache after cold run: {len(cache)} artifacts, "
-          f"{cache.hits} hits / {cache.misses} misses; "
+          f"{counts['memory_hits']} memory hits / {counts['misses']} misses; "
           f"store persisted {len(cache.store)} entries "
           f"({cache.store.total_bytes()} bytes) at {store_dir}")
 

@@ -280,22 +280,11 @@ def _print_summary(result: CampaignResult, args: argparse.Namespace) -> None:
             print(f"  {flag:28s} {share:.0%}")
     stats = result.evaluation_stats()
     if stats.evaluated or stats.cache_hits:
-        line = (f"evaluation: {stats.evaluated} compiled, "
-                f"{stats.cache_hits} database hits"
-                f"; stages compile {stats.compile_seconds:.1f}s / "
-                f"measure {stats.measure_seconds:.1f}s / "
-                f"score {stats.score_seconds:.1f}s")
-        if stats.artifact_store_hits:
-            line += (f"; {stats.artifact_store_hits} tier-2 (disk) hits "
-                     f"({stats.artifact_store_hit_ratio:.1%} of stage lookups)")
-        if stats.artifact_mesh_hits:
-            line += (f"; {stats.artifact_mesh_hits} mesh hits "
-                     f"({stats.artifact_mesh_hit_ratio:.1%} of stage lookups)")
-        print(line)
+        print(stats.summary_line("evaluation"))
     cache = result.artifact_cache_stats
     mesh_part = (f"{cache['mesh_hits']} mesh hits / "
                  if cache.get("mesh_hits") else "")
-    print(f"artifact cache: {cache['hits']} memory hits / "
+    print(f"artifact cache: {cache['memory_hits']} memory hits / "
           f"{cache['store_hits']} disk hits / {mesh_part}"
           f"{cache['misses']} misses "
           f"(hit ratio {cache['hit_ratio']:.1%}), "
@@ -440,20 +429,7 @@ def report_main(argv: Optional[Sequence[str]] = None) -> int:
     # program accrued (regenerated without re-running any tuning).
     pipeline_stats = _manifest_evaluation_stats(args.checkpoint_dir)
     if pipeline_stats is not None:
-        line = (f"\npipeline stages (completed programs): "
-                f"compile {pipeline_stats.compile_seconds:.1f}s / "
-                f"measure {pipeline_stats.measure_seconds:.1f}s / "
-                f"score {pipeline_stats.score_seconds:.1f}s; "
-                f"artifact cache {pipeline_stats.artifact_hits} hits / "
-                f"{pipeline_stats.artifact_misses} misses "
-                f"(hit ratio {pipeline_stats.artifact_hit_ratio:.1%})")
-        if pipeline_stats.artifact_store_hits:
-            line += (f", {pipeline_stats.artifact_store_hits} served by the "
-                     f"disk store (tier 2)")
-        if pipeline_stats.artifact_mesh_hits:
-            line += (f", {pipeline_stats.artifact_mesh_hits} served by the "
-                     f"artifact mesh ({pipeline_stats.artifact_mesh_hit_ratio:.1%})")
-        print(line)
+        print("\n" + pipeline_stats.summary_line("pipeline stages (completed programs)"))
 
     potency: Dict[str, Dict[str, float]] = {}
     for family in families:

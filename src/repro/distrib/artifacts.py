@@ -37,6 +37,10 @@ worker (it knows each payload's size before sending); fetches are budgeted
 by the coordinator (it knows the payload size before serving and answers an
 over-budget request with a miss), so the cap holds even against a
 non-conforming client.
+
+Both ends count through one :class:`~repro.telemetry.Counters` each (prefix
+``mesh``): their ``stats()`` and ``/metrics`` carry the same names and
+values.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.distrib.errors import ConnectionClosed, ProtocolError
-from repro.telemetry import get_sink
+from repro.telemetry import Counters, get_sink
 from repro.distrib.protocol import (
     ArtifactData,
     ArtifactFetch,
@@ -83,7 +87,7 @@ class CoordinatorArtifactPlane:
     discarded worker's half-pushed entries vanish with it).  All methods are
     called from :meth:`Coordinator.run_batch` while it holds the handle's
     lock, so per-handle state needs no extra locking; the counters are
-    shared across workers and take ``self._lock``.
+    shared across workers and lock themselves.
     """
 
     def __init__(self, store: ArtifactStore, budget_bytes: Optional[int] = None) -> None:
@@ -91,14 +95,13 @@ class CoordinatorArtifactPlane:
             raise ValueError(f"budget_bytes must be >= 1 or None, got {budget_bytes}")
         self.store = store
         self.budget_bytes = budget_bytes
-        self._lock = threading.Lock()
-        self.pushes_accepted = 0
-        self.pushes_rejected = 0
-        self.fetches_served = 0
-        self.fetches_missed = 0
-        self.budget_denied = 0
-        self.bytes_in = 0
-        self.bytes_out = 0
+        #: ``pushes_rejected`` covers tampered, orphaned, oversize and
+        #: over-budget pushes; ``fetches_missed`` absent and over-budget
+        #: fetches; ``bytes_in`` counts accepted pushes only.
+        self.counters = Counters(
+            "mesh", "pushes_accepted", "pushes_rejected", "fetches_served",
+            "fetches_missed", "budget_denied", "bytes_in", "bytes_out",
+        )
 
     # -- request handlers (one per worker-initiated frame type) ------------------
 
@@ -117,8 +120,7 @@ class CoordinatorArtifactPlane:
     def _serve_fetch(self, handle, key, send: Callable[[object], None]) -> None:
         payload = self.store.get_encoded(key)
         if payload is None:
-            with self._lock:
-                self.fetches_missed += 1
+            self.counters.incr("fetches_missed")
             send(ArtifactData(key, 0, 0, b""))
             return
         if (self.budget_bytes is not None
@@ -126,22 +128,17 @@ class CoordinatorArtifactPlane:
             # The budget is enforced here, where the payload size is known
             # *before* any byte travels: an over-budget machine just sees
             # misses from now on and pays its own compiles locally.
-            with self._lock:
-                self.budget_denied += 1
-                self.fetches_missed += 1
+            self.counters.incr("budget_denied")
+            self.counters.incr("fetches_missed")
             send(ArtifactData(key, 0, 0, b""))
             return
         parts = chunk_payload(payload)
         for index, part in enumerate(parts):
             send(ArtifactData(key, index, len(parts), part))
         handle.mesh_bytes += len(payload)
-        with self._lock:
-            self.fetches_served += 1
-            self.bytes_out += len(payload)
-        sink = get_sink()
-        sink.incr("mesh.fetches_served")
-        sink.incr("mesh.bytes_out", len(payload))
-        sink.observe("mesh.transfer.bytes", float(len(payload)))
+        self.counters.incr("fetches_served")
+        self.counters.incr("bytes_out", len(payload))
+        get_sink().observe("mesh.transfer.bytes", float(len(payload)))
 
     def _absorb_push(self, handle, entries) -> None:
         for key, part_index, part_count, chunk in entries:
@@ -153,64 +150,45 @@ class CoordinatorArtifactPlane:
                     or len(pending["parts"]) != part_index):
                 # Out-of-order or orphaned chunk: drop the whole reassembly.
                 handle.mesh_parts.pop(repr(key), None)
-                with self._lock:
-                    self.pushes_rejected += 1
+                self.counters.incr("pushes_rejected")
                 continue
             pending["parts"].append(chunk)
             pending["size"] += len(chunk)
             if pending["size"] > MESH_MAX_ENTRY_BYTES:
                 handle.mesh_parts.pop(repr(key), None)
-                with self._lock:
-                    self.pushes_rejected += 1
+                self.counters.incr("pushes_rejected")
                 continue
             if len(pending["parts"]) < pending["count"]:
                 continue
             handle.mesh_parts.pop(repr(key), None)
             payload = b"".join(pending["parts"])
             handle.mesh_bytes += len(payload)
-            with self._lock:
-                self.bytes_in += len(payload)
-            over_budget = (
-                self.budget_bytes is not None
-                and handle.mesh_bytes - len(payload) >= self.budget_bytes
-            )
-            if over_budget:
+            if (self.budget_bytes is not None
+                    and handle.mesh_bytes - len(payload) >= self.budget_bytes):
                 # The bytes already traveled (a conforming client would not
                 # have sent them), but an over-budget machine's pushes are
                 # not absorbed.
-                with self._lock:
-                    self.budget_denied += 1
-                    self.pushes_rejected += 1
+                self.counters.incr("budget_denied")
+                self.counters.incr("pushes_rejected")
                 continue
             # ``put_encoded`` re-verifies digest + embedded key: a tampered
             # or corrupt push is rejected here, never stored.
             if self.store.put_encoded(pending["key"], payload):
-                with self._lock:
-                    self.pushes_accepted += 1
-                sink = get_sink()
-                sink.incr("mesh.pushes_accepted")
-                sink.incr("mesh.bytes_in", len(payload))
-                sink.observe("mesh.transfer.bytes", float(len(payload)))
+                self.counters.incr("pushes_accepted")
+                self.counters.incr("bytes_in", len(payload))
+                get_sink().observe("mesh.transfer.bytes", float(len(payload)))
             else:
-                with self._lock:
-                    self.pushes_rejected += 1
+                self.counters.incr("pushes_rejected")
 
     # -- introspection -----------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
         """JSON-safe counters for campaign summaries and manifests."""
-        with self._lock:
-            return {
-                "pushes_accepted": self.pushes_accepted,
-                "pushes_rejected": self.pushes_rejected,
-                "fetches_served": self.fetches_served,
-                "fetches_missed": self.fetches_missed,
-                "budget_denied": self.budget_denied,
-                "bytes_in": self.bytes_in,
-                "bytes_out": self.bytes_out,
-                "budget_bytes": self.budget_bytes,
-                "store": self.store.stats(),
-            }
+        return {
+            **self.counters.snapshot(),
+            "budget_bytes": self.budget_bytes,
+            "store": self.store.stats(),
+        }
 
 
 def handle_artifact_message(plane: Optional[CoordinatorArtifactPlane],
@@ -272,14 +250,13 @@ class WorkerMeshClient:
         #: by us): never offered again.
         self._known_remote: Set[str] = set()
         self._caches: List[object] = []
-        self.fetches = 0
-        self.fetch_hits = 0
-        self.verify_failures = 0
-        self.pushes_sent = 0
-        self.push_skipped = 0
-        self.budget_denied = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
+        #: ``push_skipped`` counts entries over :data:`MESH_MAX_ENTRY_BYTES`;
+        #: ``budget_denied`` fetches and pushes refused by ``budget_bytes``.
+        self.counters = Counters(
+            "mesh", "fetches", "fetch_hits", "fetch_misses", "verify_failures",
+            "pushes_sent", "push_skipped", "budget_denied", "bytes_sent",
+            "bytes_received",
+        )
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -325,7 +302,8 @@ class WorkerMeshClient:
     def _budget_left(self) -> Optional[int]:
         if self.budget_bytes is None:
             return None
-        return max(0, self.budget_bytes - self.bytes_sent - self.bytes_received)
+        counts = self.counters.snapshot()
+        return max(0, self.budget_bytes - counts["bytes_sent"] - counts["bytes_received"])
 
     # -- fetch-on-miss -----------------------------------------------------------
 
@@ -335,13 +313,12 @@ class WorkerMeshClient:
             return None
         left = self._budget_left()
         if left is not None and left <= 0:
-            with self._state_lock:
-                self.budget_denied += 1
+            self.counters.incr("budget_denied")
             return None
         with self._rpc_lock:
             if not self._usable():
                 return None
-            self.fetches += 1
+            self.counters.incr("fetches")
             try:
                 self._sender.send(ArtifactFetch(key))
                 payload = self._recv_payload(key)
@@ -349,24 +326,17 @@ class WorkerMeshClient:
                 self._expire(f"{type(exc).__name__}: {exc}")
                 return None
         if payload is None:
-            get_sink().incr("mesh.fetch_misses")
+            self.counters.incr("fetch_misses")
             return None
-        with self._state_lock:
-            self.bytes_received += len(payload)
-        sink = get_sink()
-        sink.incr("mesh.bytes_received", len(payload))
-        sink.observe("mesh.transfer.bytes", float(len(payload)))
+        self.counters.incr("bytes_received", len(payload))
+        get_sink().observe("mesh.transfer.bytes", float(len(payload)))
         value, ok = ArtifactStore.decode_entry(payload, key)
         if not ok:
             # Corruption or tampering in flight: a verified miss, by
             # construction — the caller falls through to compiling.
-            with self._state_lock:
-                self.verify_failures += 1
-            get_sink().incr("mesh.verify_failures")
+            self.counters.incr("verify_failures")
             return None
-        with self._state_lock:
-            self.fetch_hits += 1
-        get_sink().incr("mesh.fetch_hits")
+        self.counters.incr("fetch_hits")
         # The coordinator holds it; no point offering it back.
         self._known_remote.add(repr(key))
         return value
@@ -449,13 +419,11 @@ class WorkerMeshClient:
                     except Exception:
                         continue  # unpicklable value: nothing to share
                     if len(payload) > MESH_MAX_ENTRY_BYTES:
-                        with self._state_lock:
-                            self.push_skipped += 1
+                        self.counters.incr("push_skipped")
                         continue
                     left = self._budget_left()
                     if left is not None and len(payload) > left:
-                        with self._state_lock:
-                            self.budget_denied += 1
+                        self.counters.incr("budget_denied")
                         continue
                     parts = chunk_payload(payload)
                     for index, part in enumerate(parts):
@@ -464,13 +432,9 @@ class WorkerMeshClient:
                             quads, frame_bytes = [], 0
                         quads.append((key, index, len(parts), part))
                         frame_bytes += len(part)
-                    with self._state_lock:
-                        self.pushes_sent += 1
-                        self.bytes_sent += len(payload)
-                    sink = get_sink()
-                    sink.incr("mesh.pushes_sent")
-                    sink.incr("mesh.bytes_sent", len(payload))
-                    sink.observe("mesh.transfer.bytes", float(len(payload)))
+                    self.counters.incr("pushes_sent")
+                    self.counters.incr("bytes_sent", len(payload))
+                    get_sink().observe("mesh.transfer.bytes", float(len(payload)))
                     self._known_remote.add(repr(key))
                 if quads:
                     self._sender.send(ArtifactPush(tuple(quads)))
@@ -493,15 +457,5 @@ class WorkerMeshClient:
 
     def stats(self) -> Dict[str, object]:
         with self._state_lock:
-            return {
-                "fetches": self.fetches,
-                "fetch_hits": self.fetch_hits,
-                "verify_failures": self.verify_failures,
-                "pushes_sent": self.pushes_sent,
-                "push_skipped": self.push_skipped,
-                "budget_denied": self.budget_denied,
-                "bytes_sent": self.bytes_sent,
-                "bytes_received": self.bytes_received,
-                "budget_bytes": self.budget_bytes,
-                "dead": self._dead,
-            }
+            dead = self._dead
+        return {**self.counters.snapshot(), "budget_bytes": self.budget_bytes, "dead": dead}

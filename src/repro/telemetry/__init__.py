@@ -400,6 +400,40 @@ def set_sink(sink) -> object:
         return previous
 
 
+class Counters:
+    """A component's named integer counters, each mirrored on the sink.
+
+    :meth:`incr` adds to this instance's value under its own leaf lock, then
+    to the process-global sink's ``{prefix}.{name}`` counter outside it, so a
+    component's :meth:`snapshot` (its ``stats()``) and ``/metrics`` count the
+    same events under the same names.  The instance value is one
+    component's view; the sink's is the sum over the process.
+    """
+
+    __slots__ = ("_values", "_sink_names", "_lock")
+
+    def __init__(self, prefix: str, *names: str) -> None:
+        self._values = dict.fromkeys(names, 0)
+        self._sink_names = {name: f"{prefix}.{name}" for name in names}
+        self._lock = threading.Lock()
+
+    def incr(self, name: str, n: int = 1) -> int:
+        """Add ``n`` to ``name``; returns the instance's new value."""
+        with self._lock:
+            value = self._values[name] = self._values[name] + n
+        get_sink().incr(self._sink_names[name], n)
+        return value
+
+    def snapshot(self) -> Dict[str, int]:
+        with self._lock:
+            return dict(self._values)
+
+
+def ratio(part: float, whole: float) -> float:
+    """``part / whole``, 0.0 when ``whole`` is empty: every hit ratio's formula."""
+    return part / whole if whole else 0.0
+
+
 @contextlib.contextmanager
 def recording(directory=None, label: str = "events") -> Iterator[JsonlSink]:
     """Record the ``with`` block: a fresh :class:`JsonlSink` (JSONL under
@@ -416,6 +450,7 @@ def recording(directory=None, label: str = "events") -> Iterator[JsonlSink]:
 
 __all__ = [
     "BUCKET_BOUNDS",
+    "Counters",
     "DEFAULT_MAX_EVENTS",
     "Histogram",
     "JsonlSink",
@@ -425,6 +460,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "Span",
     "get_sink",
+    "ratio",
     "recording",
     "set_sink",
 ]

@@ -32,6 +32,8 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.telemetry import ratio
+
 
 def load_events(run_dir) -> Tuple[List[Dict[str, object]], int]:
     """Parse every ``*.jsonl`` under ``run_dir`` into one event list.
@@ -194,14 +196,17 @@ def tier_ratio_rows(
         start += width
         sums = {field: sum(_as_int(attrs.get(field, 0)) for attrs in window)
                 for field in _TIER_FIELDS}
-        lookups = sum(sums.values())
+        # ``artifact_hits`` already includes the disk and mesh hits: a lookup
+        # is a hit or a miss, and memory served the hits disk and mesh did not.
+        lookups = sums["artifact_hits"] + sums["artifact_misses"]
+        memory = sums["artifact_hits"] - sums["artifact_store_hits"] - sums["artifact_mesh_hits"]
         rows.append({
             "generations": f"{start - width + 1}-{start}",
             "lookups": lookups,
-            "tier1_ratio": sums["artifact_hits"] / lookups if lookups else 0.0,
-            "tier2_ratio": sums["artifact_store_hits"] / lookups if lookups else 0.0,
-            "mesh_ratio": sums["artifact_mesh_hits"] / lookups if lookups else 0.0,
-            "miss_ratio": sums["artifact_misses"] / lookups if lookups else 0.0,
+            "tier1_ratio": ratio(memory, lookups),
+            "tier2_ratio": ratio(sums["artifact_store_hits"], lookups),
+            "mesh_ratio": ratio(sums["artifact_mesh_hits"], lookups),
+            "miss_ratio": ratio(sums["artifact_misses"], lookups),
         })
     return rows
 

@@ -34,7 +34,7 @@ import pickle
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.telemetry import get_sink
+from repro.telemetry import get_sink, ratio
 
 from repro.opt.flags import FlagVector
 from repro.tuner.database import IterationRecord, TuningDatabase
@@ -396,24 +396,37 @@ class EvaluationStats:
 
     @property
     def hit_ratio(self) -> float:
-        return self.cache_hits / self.requested if self.requested else 0.0
+        return ratio(self.cache_hits, self.requested)
 
     @property
     def artifact_hit_ratio(self) -> float:
-        total = self.artifact_hits + self.artifact_misses
-        return self.artifact_hits / total if total else 0.0
+        return ratio(self.artifact_hits, self.artifact_hits + self.artifact_misses)
 
     @property
     def artifact_store_hit_ratio(self) -> float:
         """Share of stage lookups served by the *disk* tier specifically."""
-        total = self.artifact_hits + self.artifact_misses
-        return self.artifact_store_hits / total if total else 0.0
+        return ratio(self.artifact_store_hits, self.artifact_hits + self.artifact_misses)
 
     @property
     def artifact_mesh_hit_ratio(self) -> float:
         """Share of stage lookups served by the artifact *mesh* specifically."""
-        total = self.artifact_hits + self.artifact_misses
-        return self.artifact_mesh_hits / total if total else 0.0
+        return ratio(self.artifact_mesh_hits, self.artifact_hits + self.artifact_misses)
+
+    def summary_line(self, label: str) -> str:
+        """Candidates, stage seconds and artifact tiers on one line: the run
+        summary's ``evaluation`` line and ``report``'s ``pipeline stages``."""
+        line = (f"{label}: {self.evaluated} compiled, {self.cache_hits} database hits; "
+                f"stages compile {self.compile_seconds:.1f}s / "
+                f"measure {self.measure_seconds:.1f}s / score {self.score_seconds:.1f}s; "
+                f"artifact cache {self.artifact_hits} hits / {self.artifact_misses} misses "
+                f"(hit ratio {self.artifact_hit_ratio:.1%})")
+        if self.artifact_store_hits:
+            line += (f"; {self.artifact_store_hits} tier-2 (disk) hits "
+                     f"({self.artifact_store_hit_ratio:.1%} of stage lookups)")
+        if self.artifact_mesh_hits:
+            line += (f"; {self.artifact_mesh_hits} mesh hits "
+                     f"({self.artifact_mesh_hit_ratio:.1%} of stage lookups)")
+        return line
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-safe counters (campaign manifests, the pipeline bench)."""
@@ -425,20 +438,6 @@ class EvaluationStats:
         written by a newer schema still load."""
         known = {f.name for f in fields(cls)}
         return cls(**{key: value for key, value in payload.items() if key in known})
-
-    def as_row(self) -> Dict[str, object]:
-        return {
-            "requested": self.requested,
-            "evaluated": self.evaluated,
-            "db hits": self.database_hits,
-            "intra-batch hits": self.intra_batch_hits,
-            "hit ratio": round(self.hit_ratio, 3),
-            "batches": self.batches,
-            "artifact hits": self.artifact_hits,
-            "artifact hit ratio": round(self.artifact_hit_ratio, 3),
-            "tier-2 hits": self.artifact_store_hits,
-            "mesh hits": self.artifact_mesh_hits,
-        }
 
 
 class EvaluationEngine:

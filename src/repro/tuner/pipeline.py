@@ -63,7 +63,7 @@ from repro.backend.binary import BinaryImage
 from repro.compilers.base import CompilationError, Compiler
 from repro.difftools.ncd import CachedNCDFitness
 from repro.opt.flags import FlagVector
-from repro.telemetry import get_sink
+from repro.telemetry import Counters, get_sink, ratio
 from repro.tuner.constraints import ConstraintEngine, ConstraintViolation
 from repro.tuner.evaluation import CandidateResult, FlagKey
 from repro.tuner.store import DEFAULT_STORE_MAX_BYTES, ArtifactStore, persistent_store
@@ -115,11 +115,13 @@ class ArtifactCache:
         #: store miss falls through to it before the caller compiles, and
         #: every fresh :meth:`put` is offered for the end-of-batch push.
         self.mesh = None
-        self.hits = 0
-        self.store_hits = 0
-        self.mesh_hits = 0
-        self.misses = 0
-        self.evictions = 0
+        #: One count per lookup outcome (``memory_hits`` / ``store_hits`` /
+        #: ``mesh_hits`` / ``misses``), per :meth:`put`, and per memory-tier
+        #: eviction; the disk tier keeps what memory evicts.
+        self.counters = Counters(
+            "artifact", "memory_hits", "store_hits", "mesh_hits", "misses",
+            "puts", "evictions",
+        )
         self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
         self._lock = Lock()
 
@@ -129,18 +131,11 @@ class ArtifactCache:
         Disk reads happen outside the memory lock — the store has its own
         synchronization, and a store read under this lock would stall every
         other thread sharing the cache for the duration of an unpickle.
-
-        Every outcome also bumps the telemetry metrics registry
-        (``artifact.*`` counters), which is the one place tier accounting
-        is unified across orchestrator, pool workers and remote machines —
-        the instance counters below stay per-cache.
         """
-        sink = get_sink()
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-                self.hits += 1
-                sink.incr("artifact.memory_hits")
+                self.counters.incr("memory_hits")
                 return self._entries[key], MEMORY_TIER
         store = self.store
         if store is not None:
@@ -149,9 +144,8 @@ class ArtifactCache:
                 # Promote into memory without writing back to the store
                 # (the value came *from* there).
                 with self._lock:
-                    self.store_hits += 1
                     self._insert(key, value)
-                sink.incr("artifact.store_hits")
+                self.counters.incr("store_hits")
                 return value, STORE_TIER
         mesh = self.mesh
         if mesh is not None:
@@ -162,15 +156,12 @@ class ArtifactCache:
                 # *not* via :meth:`put`, whose offer hook would push the
                 # entry straight back to the mesh it just came from.
                 with self._lock:
-                    self.mesh_hits += 1
                     self._insert(key, value)
                 if store is not None:
                     store.put(key, value)
-                sink.incr("artifact.mesh_hits")
+                self.counters.incr("mesh_hits")
                 return value, MESH_TIER
-        with self._lock:
-            self.misses += 1
-        sink.incr("artifact.misses")
+        self.counters.incr("misses")
         return None, MISS_TIER
 
     def get(self, key: Tuple) -> Optional[object]:
@@ -199,10 +190,10 @@ class ArtifactCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
-            self.evictions += 1
+            self.counters.incr("evictions")
 
     def put(self, key: Tuple, value: object) -> None:
-        get_sink().incr("artifact.puts")
+        self.counters.incr("puts")
         with self._lock:
             self._insert(key, value)
         if self.store is not None:
@@ -224,20 +215,16 @@ class ArtifactCache:
 
     @property
     def hit_ratio(self) -> float:
-        served = self.hits + self.store_hits + self.mesh_hits
-        total = served + self.misses
-        return served / total if total else 0.0
+        counts = self.counters.snapshot()
+        served = counts["memory_hits"] + counts["store_hits"] + counts["mesh_hits"]
+        return ratio(served, served + counts["misses"])
 
     def stats(self) -> Dict[str, object]:
         """Counters for campaign summaries and the pipeline bench."""
         return {
+            **self.counters.snapshot(),
             "entries": len(self),
             "max_entries": self.max_entries,
-            "hits": self.hits,
-            "store_hits": self.store_hits,
-            "mesh_hits": self.mesh_hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
             "hit_ratio": round(self.hit_ratio, 4),
             "store": self.store.stats() if self.store is not None else None,
         }

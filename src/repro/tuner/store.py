@@ -52,7 +52,7 @@ from pathlib import Path
 from threading import Lock
 from typing import Dict, List, Optional, Tuple
 
-from repro.telemetry import get_sink
+from repro.telemetry import Counters, ratio
 
 #: Default byte budget of a store's LRU garbage collection (256 MiB —
 #: thousands of compiled mini-C images; pass ``max_bytes=None`` to unbound).
@@ -105,9 +105,10 @@ class ArtifactStore:
     """Disk-backed content-addressed key/value store with LRU garbage collection.
 
     All methods are safe to call from multiple threads of one process and
-    tolerate other processes using the same directory concurrently.  Hit,
-    miss, and eviction counters are per-instance (this process's view); the
-    entries themselves are shared through the filesystem.
+    tolerate other processes using the same directory concurrently.  The
+    entries are shared through the filesystem; :attr:`counters` (prefix
+    ``store``) count this instance's reads, writes, drops and evictions on
+    the instance and the telemetry sink together.
     """
 
     def __init__(
@@ -120,11 +121,11 @@ class ArtifactStore:
         self.directory = Path(directory)
         self.max_bytes = max_bytes
         self._objects = self.directory / OBJECTS_DIR
-        self.hits = 0
-        self.misses = 0
-        self.puts = 0
-        self.corrupt_dropped = 0
-        self.gc_evictions = 0
+        #: ``corrupt_dropped`` counts corrupt entries dropped on read and
+        #: pushed payloads refused by :meth:`put_encoded`.
+        self.counters = Counters(
+            "store", "hits", "misses", "puts", "corrupt_dropped", "gc_evictions"
+        )
         self._lock = Lock()
         self._gc_lock = Lock()
         self._tmp_counter = itertools.count()
@@ -200,7 +201,6 @@ class ArtifactStore:
         The one read path and the one place reads are counted: a corrupt
         entry is dropped and reads as a miss, a hit refreshes LRU recency.
         """
-        sink = get_sink()
         path = self._entry_path(key)
         try:
             payload = path.read_bytes()
@@ -213,18 +213,14 @@ class ArtifactStore:
                     path.unlink(missing_ok=True)
                 except OSError:
                     pass
-                self._count_corrupt()
-            with self._lock:
-                self.misses += 1
-            sink.incr("store.misses")
+                self.counters.incr("corrupt_dropped")
+            self.counters.incr("misses")
             return None, None
         try:
             os.utime(path)  # reads refresh LRU recency
         except OSError:
             pass
-        with self._lock:
-            self.hits += 1
-        sink.incr("store.hits")
+        self.counters.incr("hits")
         return payload, value
 
     def get(self, key: Tuple) -> Optional[object]:
@@ -268,9 +264,8 @@ class ArtifactStore:
             except OSError:
                 pass
             return False
-        get_sink().incr("store.puts")
+        puts = self.counters.incr("puts")
         with self._lock:
-            self.puts += 1
             if self._approx_bytes is None:
                 self._approx_bytes = self._scan_bytes()
             else:
@@ -280,7 +275,7 @@ class ArtifactStore:
             )
             sweep = not self._swept
             self._swept = True
-        self._update_index(path.name, len(payload))
+        self._update_index(path.name, len(payload), puts % INDEX_FLUSH_INTERVAL == 1)
         if over_budget or sweep:
             self.gc()
         return True
@@ -316,7 +311,7 @@ class ArtifactStore:
         """
         _value, ok = self.decode_entry(payload, key)
         if not ok:
-            self._count_corrupt()
+            self.counters.incr("corrupt_dropped")
             return False
         return self._write_payload(key, payload)
 
@@ -331,12 +326,6 @@ class ArtifactStore:
         if not self.directory.exists():
             self.directory.mkdir(parents=True, exist_ok=True, mode=0o700)
         self._objects.mkdir(parents=True, exist_ok=True, mode=0o700)
-
-    def _count_corrupt(self) -> None:
-        """One corrupt entry dropped on read, or one pushed payload rejected."""
-        with self._lock:
-            self.corrupt_dropped += 1
-        get_sink().incr("store.corrupt_dropped")
 
     # -- garbage collection ------------------------------------------------------
 
@@ -411,9 +400,7 @@ class ArtifactStore:
                     removed.add(path.name)
                     total -= size
                     evicted += 1
-                with self._lock:
-                    self.gc_evictions += evicted
-                get_sink().incr("store.gc_evictions", evicted)
+                self.counters.incr("gc_evictions", evicted)
             with self._lock:
                 self._approx_bytes = total
             self._write_index(
@@ -423,8 +410,8 @@ class ArtifactStore:
 
     # -- the index manifest ------------------------------------------------------
 
-    def _update_index(self, name: str, size: int) -> None:
-        """Record one entry in the in-memory index; flush amortized.
+    def _update_index(self, name: str, size: int, flush: bool) -> None:
+        """Record one entry in the in-memory index; write it out if ``flush``.
 
         The on-disk index is loaded once (merging whatever other processes
         left there) and rewritten on the first put — so even a store that
@@ -433,14 +420,14 @@ class ArtifactStore:
         :meth:`gc`.  The index is advisory: staleness can only ever make
         the manifest wrong, never the store.  The lock covers only the
         dict update and snapshot; serialization and file I/O happen outside
-        it (get/put counters must not stall behind an index write).
+        it (concurrent puts must not stall behind an index write).
         """
         snapshot = None
         with self._lock:
             if self._index is None:
                 self._index = self._read_index()
             self._index["entries"][name] = {"size": size}
-            if self.puts % INDEX_FLUSH_INTERVAL == 1:
+            if flush:
                 snapshot = {
                     "version": self._index.get("version", 1),
                     "entries": dict(self._index["entries"]),
@@ -494,23 +481,19 @@ class ArtifactStore:
 
     @property
     def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        counts = self.counters.snapshot()
+        return ratio(counts["hits"], counts["hits"] + counts["misses"])
 
     def stats(self) -> Dict[str, object]:
         """JSON-safe counters for campaign summaries and the pipeline bench."""
         entries = self._entries()
         return {
+            **self.counters.snapshot(),
             "path": str(self.directory),
             "entries": len(entries),
             "bytes": sum(size for _path, size, _mtime in entries),
             "max_bytes": self.max_bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
             "hit_ratio": round(self.hit_ratio, 4),
-            "corrupt_dropped": self.corrupt_dropped,
-            "gc_evictions": self.gc_evictions,
         }
 
 

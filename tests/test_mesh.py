@@ -244,7 +244,8 @@ class TestCoordinatorArtifactPlane:
             handle, protocol.ArtifactPush(_push_entries(KEY, "artifact", parts=3)),
             sent.append,
         )
-        assert plane.pushes_accepted == 1 and not sent  # pushes get no reply
+        assert plane.counters.snapshot()["pushes_accepted"] == 1
+        assert not sent  # pushes get no reply
         assert plane.store.get(KEY) == "artifact"
         plane.handle(handle, protocol.ArtifactHave((KEY, ("image", "no"))), sent.append)
         assert sent.pop() == protocol.ArtifactHaveReply((True, False))
@@ -253,7 +254,8 @@ class TestCoordinatorArtifactPlane:
         assert all(frame.part_count == len(sent) for frame in sent)
         value, ok = ArtifactStore.decode_entry(payload, KEY)
         assert ok and value == "artifact"
-        assert plane.fetches_served == 1 and plane.bytes_out == len(payload)
+        counts = plane.counters.snapshot()
+        assert counts["fetches_served"] == 1 and counts["bytes_out"] == len(payload)
 
     def test_transfers_feed_the_byte_size_histogram(self, tmp_path):
         from repro import telemetry
@@ -269,7 +271,7 @@ class TestCoordinatorArtifactPlane:
         histogram = sink.metrics_snapshot()["histograms"]["mesh.transfer.bytes"]
         # One push absorbed + one fetch served, both the same payload.
         assert histogram["count"] == 2
-        assert histogram["sum"] == 2.0 * plane.bytes_out
+        assert histogram["sum"] == 2.0 * plane.counters.snapshot()["bytes_out"]
 
     def test_tampered_and_aliased_pushes_never_land(self, tmp_path):
         plane = CoordinatorArtifactPlane(ArtifactStore(tmp_path / "plane"))
@@ -282,7 +284,8 @@ class TestCoordinatorArtifactPlane:
                 handle, protocol.ArtifactPush(((KEY, 0, 1, payload),)),
                 lambda _message: None,
             )
-        assert plane.pushes_rejected == 3 and plane.pushes_accepted == 0
+        counts = plane.counters.snapshot()
+        assert counts["pushes_rejected"] == 3 and counts["pushes_accepted"] == 0
         assert not plane.store.contains(KEY)
         assert len(plane.store) == 0  # nothing landed under any key
 
@@ -294,7 +297,7 @@ class TestCoordinatorArtifactPlane:
         plane.handle(
             handle, protocol.ArtifactPush((entries[1],)), lambda _m: None
         )
-        assert plane.pushes_rejected == 1 and not handle.mesh_parts
+        assert plane.counters.snapshot()["pushes_rejected"] == 1 and not handle.mesh_parts
         assert len(plane.store) == 0
 
     def test_oversize_reassembly_rejected(self, tmp_path, monkeypatch):
@@ -308,7 +311,8 @@ class TestCoordinatorArtifactPlane:
         )
         # The oversize chunk kills the reassembly; its orphaned successors
         # count as further rejections.  What matters: nothing was stored.
-        assert plane.pushes_rejected >= 1 and plane.pushes_accepted == 0
+        counts = plane.counters.snapshot()
+        assert counts["pushes_rejected"] >= 1 and counts["pushes_accepted"] == 0
         assert len(plane.store) == 0
         assert not handle.mesh_parts  # the partial reassembly was dropped
 
@@ -317,7 +321,7 @@ class TestCoordinatorArtifactPlane:
         sent = []
         plane.handle(_FakeHandle(), protocol.ArtifactFetch(KEY), sent.append)
         assert sent == [protocol.ArtifactData(KEY, 0, 0, b"")]
-        assert plane.fetches_missed == 1
+        assert plane.counters.snapshot()["fetches_missed"] == 1
 
     def test_fetch_budget_is_enforced_per_machine(self, tmp_path):
         store = ArtifactStore(tmp_path / "plane")
@@ -329,7 +333,7 @@ class TestCoordinatorArtifactPlane:
         # The payload would blow the 1-byte budget: served as a miss, and
         # no byte ever travels (the strict, size-known-in-advance check).
         assert sent == [protocol.ArtifactData(KEY, 0, 0, b"")]
-        assert plane.budget_denied == 1 and over.mesh_bytes == 0
+        assert plane.counters.snapshot()["budget_denied"] == 1 and over.mesh_bytes == 0
         assert fresh.mesh_bytes == 0  # budgets are per handle, not global
 
     def test_planeless_coordinator_still_answers(self):

@@ -125,7 +125,8 @@ class TestArtifactCache:
         assert cache.get(("image", "a")) is None
         cache.put(("image", "a"), "artifact-a")
         assert cache.get(("image", "a")) == "artifact-a"
-        assert (cache.hits, cache.misses) == (1, 1)
+        counts = cache.counters.snapshot()
+        assert (counts["memory_hits"], counts["misses"]) == (1, 1)
         assert 0.0 < cache.hit_ratio < 1.0
         stats = cache.stats()
         assert stats["entries"] == 1 and stats["evictions"] == 0
@@ -139,7 +140,7 @@ class TestArtifactCache:
         assert cache.get(("k", 2)) is None
         assert cache.get(("k", 1)) == "one"
         assert cache.get(("k", 3)) == "three"
-        assert cache.evictions == 1
+        assert cache.counters.snapshot()["evictions"] == 1
         assert len(cache) == 2
 
     def test_bound_is_enforced(self):
@@ -147,7 +148,7 @@ class TestArtifactCache:
         for index in range(10):
             cache.put(("k", index), index)
         assert len(cache) == 3
-        assert cache.evictions == 7
+        assert cache.counters.snapshot()["evictions"] == 7
 
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):
@@ -275,7 +276,7 @@ class TestStagedEvaluator:
         warm = StagedCandidateEvaluator(**common)(key)
         assert warm.artifact_hits >= 1
         assert (warm.fitness, warm.fingerprint) == (cold.fitness, cold.fingerprint)
-        assert cache.hits >= 1
+        assert cache.counters.snapshot()["memory_hits"] >= 1
 
     def test_cached_unchecked_compile_cannot_bypass_constraints(self, llvm):
         """compare_levels compiles without a constraint check (a preset
@@ -520,7 +521,7 @@ class TestTunerCacheReuse:
         unbounded, _tuner = tune(llvm, cache=ArtifactCache())
         tiny_cache = ArtifactCache(max_entries=2)
         bounded, _tuner = tune(llvm, cache=tiny_cache)
-        assert tiny_cache.evictions > 0
+        assert tiny_cache.counters.snapshot()["evictions"] > 0
         assert bounded.database.fingerprint() == unbounded.database.fingerprint()
         assert bounded.best_image.fingerprint() == unbounded.best_image.fingerprint()
 
@@ -895,7 +896,7 @@ class TestStoreParityProperties:
                 llvm, root / "tiny-store", store_max_bytes=1024, **knobs
             )
             assert thrashed.database.fingerprint() == fingerprint
-            assert persistent_store(root / "tiny-store").gc_evictions > 0
+            assert persistent_store(root / "tiny-store").counters.snapshot()["gc_evictions"] > 0
         finally:
             shutil.rmtree(root, ignore_errors=True)
 

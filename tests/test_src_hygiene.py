@@ -7,6 +7,9 @@ re-anchor to find it.  What is allowed: the CLI defaults for the two secrets
 (``--authkey`` / ``--token``, which must not appear on a command line), the
 emulator's ``DISPATCH_ENV`` read, and the dispatch bench flipping that same
 variable around its two timed runs.
+
+The artifact tiers' counters are pinned the same way: no literal sink bump
+of an ``artifact.`` / ``store.`` / ``mesh.`` name anywhere under ``src/repro``.
 """
 
 from __future__ import annotations
@@ -30,6 +33,21 @@ ALLOWED = Counter({
     ("analysis/emulator.py", "DISPATCH_ENV"): 1,
     ("experiments/speedup.py", "DISPATCH_ENV"): 5,
 })
+
+
+def test_tier_counters_bump_through_one_type():
+    """The artifact cache, store and both mesh ends count through
+    ``repro.telemetry.Counters`` (the instance and the sink together); a
+    literal ``incr("artifact.…")`` / ``store.`` / ``mesh.`` bump would count
+    on ``/metrics`` alone and split the vocabulary again."""
+    literal = re.compile(r"""incr\(\s*f?["'](?:artifact|store|mesh)\.""")
+    found = [
+        f"{path.relative_to(SRC).as_posix()}:{number}"
+        for path in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if literal.search(line)
+    ]
+    assert found == []
 
 
 def test_environment_reads_are_pinned():

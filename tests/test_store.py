@@ -12,20 +12,33 @@ The load-bearing guarantees:
 * concurrent readers and writers (a thread mapper's workers, or several
   worker slots) always observe consistent entries;
 * the :class:`~repro.tuner.pipeline.ArtifactCache` write-through tier
-  accounting distinguishes memory (tier-1) from disk (tier-2) hits.
+  accounting distinguishes memory (tier-1) from disk (tier-2) hits;
+* the cache, the store and both mesh ends count once: each counter of their
+  ``stats()`` equals the telemetry sink's ``{prefix}.{name}``.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import socket
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 
 from repro import telemetry
+from repro.distrib import artifacts
+from repro.distrib.artifacts import CoordinatorArtifactPlane, WorkerMeshClient
+from repro.distrib.protocol import (
+    ArtifactData,
+    ArtifactFetch,
+    ArtifactHaveReply,
+    ArtifactPush,
+    send_message,
+)
 from repro.tuner import ArtifactCache, ArtifactStore, persistent_store
-from repro.tuner.pipeline import MEMORY_TIER, MISS_TIER, STORE_TIER
+from repro.tuner.pipeline import MEMORY_TIER, MESH_TIER, MISS_TIER, STORE_TIER
 from repro.tuner.store import (
     ENTRY_SUFFIX,
     MAGIC,
@@ -50,7 +63,9 @@ class TestRoundTrip:
         assert store.get(key) is None  # cold
         assert store.put(key, value)
         assert store.get(key) == value
-        assert store.hits == 1 and store.misses == 1 and store.puts == 1
+        assert store.counters.snapshot() == {
+            "hits": 1, "misses": 1, "puts": 1, "corrupt_dropped": 0, "gc_evictions": 0,
+        }
 
     def test_entries_survive_a_new_instance(self, tmp_path):
         """The whole point: a fresh process (a new instance) reads the old
@@ -138,7 +153,7 @@ class TestCrashAndCorruption:
         payload = path.read_bytes()
         path.write_bytes(payload[: len(payload) // 2])  # simulated torn write
         assert store.get(key) is None
-        assert store.corrupt_dropped == 1
+        assert store.counters.snapshot()["corrupt_dropped"] == 1
         assert not path.exists()  # dropped, so it cannot mislead again
 
     def test_bit_rot_is_a_miss(self, tmp_path):
@@ -150,7 +165,7 @@ class TestCrashAndCorruption:
         payload[-1] ^= 0xFF  # flip a payload bit; the digest no longer matches
         path.write_bytes(bytes(payload))
         assert store.get(key) is None
-        assert store.corrupt_dropped == 1
+        assert store.counters.snapshot()["corrupt_dropped"] == 1
 
     def test_foreign_magic_is_a_miss(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
@@ -221,7 +236,7 @@ class TestEncodedEntrySurface:
             self.KEY, ArtifactStore.encode_entry(("image", "other"), "foreign")
         )
         assert not store.put_encoded(self.KEY, b"garbage")
-        assert store.corrupt_dropped == 3
+        assert store.counters.snapshot()["corrupt_dropped"] == 3
         assert not store.contains(self.KEY)  # nothing ever landed
         assert store.put_encoded(self.KEY, good)  # the honest payload does
         assert store.get(self.KEY) == "artifact"
@@ -234,7 +249,7 @@ class TestEncodedEntrySurface:
         )
         entry_files(store)[0].write_bytes(b"rotted")
         assert store.get_encoded(self.KEY) is None
-        assert store.corrupt_dropped == 1
+        assert store.counters.snapshot()["corrupt_dropped"] == 1
         assert not store.contains(self.KEY)  # dropped, like get()
 
     @pytest.mark.parametrize("read", ["get", "get_encoded"])
@@ -254,7 +269,8 @@ class TestEncodedEntrySurface:
             "store.puts": 1, "store.hits": 1, "store.misses": 2,
             "store.corrupt_dropped": 1,
         }
-        assert (store.hits, store.misses, store.corrupt_dropped) == (1, 2, 1)
+        counts = store.counters.snapshot()
+        assert (counts["hits"], counts["misses"], counts["corrupt_dropped"]) == (1, 2, 1)
 
     def test_rejected_push_counts_on_the_sink(self, tmp_path):
         with telemetry.recording() as sink:
@@ -265,17 +281,18 @@ class TestEncodedEntrySurface:
             )
             counters = sink.counters()
         assert counters == {"store.corrupt_dropped": 1, "store.puts": 1}
-        assert (store.corrupt_dropped, store.puts) == (1, 1)
+        counts = store.counters.snapshot()
+        assert (counts["corrupt_dropped"], counts["puts"]) == (1, 1)
 
     def test_contains_is_existence_only(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         assert not store.contains(self.KEY)
         store.put(self.KEY, "artifact")
-        hits, misses = store.hits, store.misses
+        before = store.counters.snapshot()
         assert store.contains(self.KEY)
         # No verification and no counter traffic: a membership probe must
         # stay cheap enough to answer for whole batches at a time.
-        assert (store.hits, store.misses) == (hits, misses)
+        assert store.counters.snapshot() == before
 
 
 class TestGarbageCollection:
@@ -302,7 +319,7 @@ class TestGarbageCollection:
         assert store.get(middle) is not None
         assert store.get(new) is not None
         assert store.total_bytes() <= store.max_bytes
-        assert store.gc_evictions == 1
+        assert store.counters.snapshot()["gc_evictions"] == 1
 
     def test_reads_refresh_recency(self, tmp_path):
         store = ArtifactStore(tmp_path / "store", max_bytes=10_000_000)
@@ -319,14 +336,14 @@ class TestGarbageCollection:
         for index in range(32):
             store.put(("image", index), b"y" * 256)
         assert store.total_bytes() <= store.max_bytes
-        assert store.gc_evictions > 0
+        assert store.counters.snapshot()["gc_evictions"] > 0
 
     def test_unbounded_store_never_collects_entries(self, tmp_path):
         store = ArtifactStore(tmp_path / "store", max_bytes=None)
         for index in range(16):
             store.put(("image", index), b"z" * 512)
         store.gc()
-        assert len(store) == 16 and store.gc_evictions == 0
+        assert len(store) == 16 and store.counters.snapshot()["gc_evictions"] == 0
 
 
 class TestConcurrency:
@@ -408,7 +425,8 @@ class TestTieredCache:
         assert value == "artifact" and tier == STORE_TIER
         value, tier = second.lookup(key)
         assert tier == MEMORY_TIER
-        assert second.store_hits == 1 and second.hits == 1 and second.misses == 0
+        counts = second.counters.snapshot()
+        assert (counts["store_hits"], counts["memory_hits"], counts["misses"]) == (1, 1, 0)
         stats = second.stats()
         assert stats["store_hits"] == 1 and stats["store"]["puts"] == 1
 
@@ -416,7 +434,7 @@ class TestTieredCache:
         cache = ArtifactCache(max_entries=1, store=ArtifactStore(tmp_path / "store"))
         cache.put(("image", "a"), "first")
         cache.put(("image", "b"), "second")  # evicts "a" from memory only
-        assert cache.evictions == 1
+        assert cache.counters.snapshot()["evictions"] == 1
         value, tier = cache.lookup(("image", "a"))
         assert value == "first" and tier == STORE_TIER
 
@@ -435,3 +453,112 @@ class TestTieredCache:
         cache.put(("k",), 1)
         assert cache.lookup(("k",)) == (1, MEMORY_TIER)
         assert cache.stats()["store"] is None
+
+
+class TestTierCounters:
+    """Every artifact tier counts once, on the instance and the sink
+    together: after a scripted hit / miss / corrupt or rejected entry /
+    eviction / over-budget sequence, each key of a component's counter
+    snapshot (and of its ``stats()``) equals the sink's ``{prefix}.{key}``."""
+
+    KEY = ("image", "a")
+
+    class _Mesh:
+        """A third tier that serves one key (``ArtifactCache.mesh``)."""
+
+        def fetch(self, key):
+            return "from the mesh" if key == ("image", "remote") else None
+
+        def offer(self, key, value):
+            pass
+
+    def _cache(self, tmp_path, _monkeypatch):
+        cache = ArtifactCache(max_entries=1, store=ArtifactStore(tmp_path / "store"))
+        cache.mesh = self._Mesh()
+        assert cache.lookup(self.KEY)[1] == MISS_TIER
+        cache.put(self.KEY, "first")
+        assert cache.lookup(self.KEY)[1] == MEMORY_TIER
+        cache.put(("image", "b"), "second")                     # evicts KEY from memory
+        assert cache.lookup(self.KEY)[1] == STORE_TIER          # ... evicting "b"
+        assert cache.lookup(("image", "remote"))[1] == MESH_TIER  # ... evicting KEY
+        return cache
+
+    def _store(self, tmp_path, _monkeypatch):
+        """Both read surfaces count: a mesh fetch served through
+        ``get_encoded`` is as visible on ``/metrics`` as a local ``get``."""
+        store = ArtifactStore(tmp_path / "store")
+        store.put(self.KEY, "artifact")
+        assert store.get(self.KEY) == "artifact"
+        assert store.get_encoded(self.KEY) is not None
+        assert store.get(("image", "absent")) is None
+        assert store.get_encoded(("image", "absent")) is None
+        entry_files(store)[0].write_bytes(b"rotted")
+        assert store.get_encoded(self.KEY) is None              # corrupt: dropped, a miss
+        assert not store.put_encoded(self.KEY, b"garbage")      # a rejected push
+        store.put(("image", "b"), b"x" * 400)
+        store.max_bytes = 1
+        assert store.gc() == 1
+        return store
+
+    def _plane(self, tmp_path, _monkeypatch):
+        plane = CoordinatorArtifactPlane(ArtifactStore(tmp_path / "plane"))
+        handle, sent = SimpleNamespace(mesh_bytes=0, mesh_parts={}), []
+        good = ArtifactStore.encode_entry(self.KEY, "artifact")
+        plane.handle(handle, ArtifactPush(((self.KEY, 0, 1, good),)), sent.append)
+        plane.handle(handle, ArtifactPush(((self.KEY, 0, 1, b"garbage"),)), sent.append)
+        plane.handle(handle, ArtifactFetch(self.KEY), sent.append)            # served
+        plane.handle(handle, ArtifactFetch(("image", "absent")), sent.append)  # missed
+        plane.budget_bytes = 1
+        plane.handle(handle, ArtifactFetch(self.KEY), sent.append)            # over budget
+        return plane
+
+    def _client(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(artifacts, "MESH_MAX_ENTRY_BYTES", 4096)
+        mine, peer = socket.socketpair()
+        client = WorkerMeshClient(
+            mine, SimpleNamespace(send=lambda message: send_message(mine, message))
+        )
+        good = ArtifactStore.encode_entry(self.KEY, "artifact")
+        client.begin_batch()
+        try:
+            # Replies are queued on the peer end before each request.
+            send_message(peer, ArtifactData(self.KEY, 0, 1, good))
+            assert client.fetch(self.KEY) == "artifact"
+            send_message(peer, ArtifactData(("image", "absent"), 0, 0, b""))
+            assert client.fetch(("image", "absent")) is None
+            send_message(peer, ArtifactData(("image", "torn"), 0, 1, good[:-1]))
+            assert client.fetch(("image", "torn")) is None      # fails verification
+            client.offer(("image", "fresh"), "small")
+            client.offer(("image", "huge"), "x" * 8192)         # over the entry cap
+            send_message(peer, ArtifactHaveReply((False, False)))
+            client.flush()
+            client.budget_bytes = 1
+            assert client.fetch(self.KEY) is None               # over budget: never sent
+        finally:
+            client.end_batch()
+            mine.close()
+            peer.close()
+        return client
+
+    @pytest.mark.parametrize("component, prefix, expected", [
+        ("cache", "artifact", {"memory_hits": 1, "store_hits": 1, "mesh_hits": 1,
+                               "misses": 1, "puts": 2, "evictions": 3}),
+        ("store", "store", {"hits": 2, "misses": 3, "puts": 2, "corrupt_dropped": 2,
+                            "gc_evictions": 1}),
+        ("plane", "mesh", {"pushes_accepted": 1, "pushes_rejected": 1,
+                           "fetches_served": 1, "fetches_missed": 2, "budget_denied": 1}),
+        ("client", "mesh", {"fetches": 3, "fetch_hits": 1, "fetch_misses": 1,
+                            "verify_failures": 1, "pushes_sent": 1, "push_skipped": 1,
+                            "budget_denied": 1}),
+    ], ids=["cache", "store", "plane", "client"])
+    def test_counters_equal_the_sink(self, tmp_path, monkeypatch, component, prefix, expected):
+        with telemetry.recording() as sink:
+            counted = getattr(self, f"_{component}")(tmp_path, monkeypatch)
+            on_sink = sink.counters()
+        snapshot = counted.counters.snapshot()
+        assert snapshot == {name: on_sink.get(f"{prefix}.{name}", 0) for name in snapshot}
+        stats = counted.stats()
+        assert {name: stats[name] for name in snapshot} == snapshot
+        sizes = {name for name in snapshot if name.startswith("bytes_")}
+        assert {name: snapshot[name] for name in snapshot.keys() - sizes} == expected
+        assert all(snapshot[name] > 0 for name in sizes)

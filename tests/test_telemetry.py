@@ -155,6 +155,37 @@ class TestSink:
         ids = [record["id"] for record in spans(events)]
         assert len(set(ids)) == len(ids)
 
+    def test_counters_lose_no_update_and_match_the_sink(self):
+        """One ``Counters`` is shared by every thread of a cache, store or
+        mesh end: under a short switch interval, with more threads than
+        cores, the instance and the sink's ``{prefix}.{name}`` stay exact."""
+        threads, per_thread = 8, 2_000
+        counters = telemetry.Counters("tier", "hits", "misses")
+
+        def hammer() -> None:
+            for _ in range(per_thread):
+                counters.incr("hits")
+                counters.incr("misses", 2)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with telemetry.recording() as sink:
+                workers = [threading.Thread(target=hammer) for _ in range(threads)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+                on_sink = sink.counters()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        total = threads * per_thread
+        assert counters.snapshot() == {"hits": total, "misses": 2 * total}
+        assert on_sink == {"tier.hits": total, "tier.misses": 2 * total}
+        assert telemetry.ratio(counters.snapshot()["hits"], 4 * total) == 0.25
+        assert telemetry.ratio(1, 0) == 0.0
+
     def test_event_log_is_bounded(self, tmp_path):
         sink = JsonlSink(tmp_path, max_events=5, flush_every=1)
         for index in range(20):
@@ -290,20 +321,26 @@ def test_importing_telemetry_loads_no_http_stack():
 # the report and the chrome-trace export
 # ---------------------------------------------------------------------------
 
+#: Per-generation tier deltas as the engine records them: ``artifact_hits``
+#: includes the disk and mesh hits.  Cold; warming (2 memory, 1 disk, 1 mesh,
+#: 4 misses); all disk; all memory.
+_SAMPLE_TIERS = [
+    {"artifact_hits": 0, "artifact_store_hits": 0, "artifact_mesh_hits": 0, "artifact_misses": 4},
+    {"artifact_hits": 4, "artifact_store_hits": 1, "artifact_mesh_hits": 1, "artifact_misses": 0},
+    {"artifact_hits": 3, "artifact_store_hits": 3, "artifact_mesh_hits": 0, "artifact_misses": 0},
+    {"artifact_hits": 3, "artifact_store_hits": 0, "artifact_mesh_hits": 0, "artifact_misses": 0},
+]
+
+
 def _write_sample_run(tmp_path):
     with JsonlSink(tmp_path, label="campaign", flush_every=1) as sink:
-        for generation in range(4):
+        for generation, tiers in enumerate(_SAMPLE_TIERS):
             with sink.span(
                 "engine.generation", generation=generation
             ) as span:
                 with sink.span("stage.compile"):
                     pass
-                span.set(
-                    artifact_hits=generation,
-                    artifact_store_hits=1,
-                    artifact_mesh_hits=0,
-                    artifact_misses=3 - generation if generation < 3 else 0,
-                )
+                span.set(**tiers)
         sink.event(
             "fleet.worker",
             worker_id=1, peer="127.0.0.1:9", slots=2, batches=4,
@@ -321,11 +358,16 @@ class TestReport:
         breakdown = {row["name"]: row for row in span_breakdown(events)}
         assert breakdown["engine.generation"]["count"] == 4
         assert breakdown["stage.compile"]["count"] == 4
-        tiers = tier_ratio_rows(events, buckets=2)
-        assert len(tiers) == 2
-        assert tiers[0]["generations"] == "1-2"
-        assert tiers[0]["lookups"] == sum((0 + 1 + 3, 1 + 1 + 2))
-        assert 0.0 <= tiers[0]["miss_ratio"] <= 1.0
+        shares = ("tier1_ratio", "tier2_ratio", "mesh_ratio", "miss_ratio")
+        # A lookup is a hit or a miss; tier-1 is the memory tier alone.
+        assert [
+            (row["generations"], row["lookups"], *(row[share] for share in shares))
+            for row in tier_ratio_rows(events, buckets=2)
+        ] == [("1-2", 8, 0.25, 0.125, 0.125, 0.5), ("3-4", 6, 0.5, 0.5, 0.0, 0.0)]
+        # The all-disk generation reads tier-2 100 %, not 50 / 50.
+        per_generation = tier_ratio_rows(events, buckets=4)
+        assert [row["lookups"] for row in per_generation] == [4, 4, 3, 3]
+        assert [per_generation[2][share] for share in shares] == [0.0, 1.0, 0.0, 0.0]
         (worker,) = worker_rows(events)
         assert worker["worker_id"] == 1
         assert worker["utilization"] == pytest.approx(0.5)
