@@ -120,9 +120,6 @@ class FunctionCode:
     frame_size: int = 0
     spill_count: int = 0
 
-    def label_for_index(self, index: int) -> List[str]:
-        return [label for label, position in self.label_positions.items() if position == index]
-
 
 class _FunctionEmitter:
     """Stateful emitter for a single function."""

@@ -49,13 +49,6 @@ class RegisterAssignment:
         return len(self.spills)
 
 
-def _linearize(function: IRFunction) -> List:
-    instructions = []
-    for block in function.iter_blocks():
-        instructions.extend(block.instructions)
-    return instructions
-
-
 def _live_intervals(function: IRFunction) -> Dict[str, Tuple[int, int]]:
     """Map temp name -> (first position, last position) over the linear order.
 

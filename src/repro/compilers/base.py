@@ -75,9 +75,6 @@ class Compiler:
     def empty_flags(self) -> FlagVector:
         return FlagVector(self.registry, frozenset())
 
-    def flags_from_names(self, names) -> FlagVector:
-        return FlagVector(self.registry, frozenset(names))
-
     # -- compilation -------------------------------------------------------------
 
     def frontend(self, source: Union[str, ast.Program], name: str = "program") -> IRModule:

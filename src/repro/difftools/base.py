@@ -33,13 +33,6 @@ class MatchResult:
             return None
         return candidates[0][0]
 
-    def matched_pairs(self) -> List[Tuple[str, str, float]]:
-        out = []
-        for name, candidates in self.rankings.items():
-            if candidates:
-                out.append((name, candidates[0][0], candidates[0][1]))
-        return out
-
 
 class DiffTool:
     """Base class for diffing tools."""

@@ -63,14 +63,6 @@ class MatchedRatios:
     def block_ratio(self) -> float:
         return self.matched_blocks / self.total_blocks if self.total_blocks else 0.0
 
-    @property
-    def edge_ratio(self) -> float:
-        return self.matched_edges / self.total_edges if self.total_edges else 0.0
-
-    @property
-    def function_ratio(self) -> float:
-        return self.matched_functions / self.total_functions if self.total_functions else 0.0
-
     def as_tuple_text(self) -> str:
         """The "(12K/30K, ...)" style cell used in the paper's appendix tables."""
         return (

@@ -37,12 +37,7 @@ from repro.experiments.scores import (
 from repro.experiments.potency import run_fig7_flag_potency
 from repro.experiments.tools import run_fig8_tool_precision
 from repro.experiments.malware_eval import run_table2_malware_detection
-from repro.experiments.speedup import (
-    run_emulator_dispatch_bench,
-    run_parallel_evaluation_speedup,
-    run_pipeline_comparison,
-    run_table3_speedup,
-)
+from repro.experiments.speedup import run_table3_speedup
 
 __all__ = [
     "run_fig1_mirai_study",
@@ -58,7 +53,4 @@ __all__ = [
     "run_fig8_tool_precision",
     "run_table2_malware_detection",
     "run_table3_speedup",
-    "run_parallel_evaluation_speedup",
-    "run_pipeline_comparison",
-    "run_emulator_dispatch_bench",
 ]

@@ -1,19 +1,17 @@
-"""Table 3: execution speedup of -O3 and BinTuner builds over -O0, plus the
-serial-vs-parallel evaluation-engine comparison that rides on the same bench.
+"""Table 3: execution speedup of -O3 and BinTuner builds over -O0.
 
 The tuning half runs as one campaign per compiler family (shared pool,
-sharded database) rather than a per-benchmark loop."""
+sharded database) rather than a per-benchmark loop.  This module measures
+the speed of the *tuned programs*; the tuner's own speed is measured in one
+place, the performance ledger (``BENCHMARK.json`` -> ``benchmarks/ledger/``)."""
 
 from __future__ import annotations
 
-import time
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.cost_model import CostModel
-from repro.campaign import Campaign, CampaignConfig, ProgramJob
-from repro.experiments.scores import make_compiler, tune_benchmark, tune_suite
-from repro.tuner import ArtifactCache, BinTunerConfig
+from repro.experiments.scores import make_compiler, tune_suite
+from repro.tuner import BinTunerConfig
 from repro.workloads import benchmark
 
 
@@ -52,461 +50,3 @@ def run_table3_speedup(
                 }
             )
     return rows
-
-
-def run_parallel_evaluation_speedup(
-    family: str = "llvm",
-    name: str = "462.libquantum",
-    config: Optional[BinTunerConfig] = None,
-    workers: int = 4,
-) -> Dict[str, object]:
-    """Serial vs. process-pool tuning of one benchmark with identical seeds.
-
-    Returns wall-clock for both engine configurations, the engine's dedup
-    counters (cache-hit ratios), and whether the two runs agreed bit-for-bit
-    on ``best_flags`` and the fitness history — the evaluation engine's
-    reproducibility contract.  On single-core CI hardware process spawn
-    dominates and the wall-clock ratio can drop below 1.0; the cache-hit
-    gains are the hardware-independent part of the win.
-    """
-    base = config or BinTunerConfig(max_iterations=40, stall_window=24)
-    serial_config = replace(base, executor="serial", workers=1)
-    parallel_config = replace(base, executor="process", workers=workers)
-
-    started = time.perf_counter()
-    serial = tune_benchmark(family, name, serial_config)
-    serial_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    parallel = tune_benchmark(family, name, parallel_config)
-    parallel_seconds = time.perf_counter() - started
-
-    stats = serial.evaluation_stats
-    return {
-        "compiler": family,
-        "benchmark": name,
-        "workers": workers,
-        "serial_seconds": serial_seconds,
-        "parallel_seconds": parallel_seconds,
-        "wall_clock_speedup": serial_seconds / parallel_seconds if parallel_seconds else 0.0,
-        "identical_best_flags": (
-            serial.best_flags.sorted_names() == parallel.best_flags.sorted_names()
-        ),
-        "identical_history": serial.ncd_history() == parallel.ncd_history(),
-        "requested": stats.requested if stats else 0,
-        "evaluated": stats.evaluated if stats else 0,
-        "cache_hits": stats.cache_hits if stats else 0,
-        "cache_hit_ratio": stats.hit_ratio if stats else 0.0,
-        "worker_seconds": stats.worker_seconds if stats else 0.0,
-    }
-
-
-def _loopback_available() -> bool:
-    """Whether this sandbox can bind AF_INET loopback at all."""
-    import socket
-
-    try:
-        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
-            probe.bind(("127.0.0.1", 0))
-        return True
-    except OSError:
-        return False
-
-
-def _run_mesh_join_comparison(
-    jobs: Sequence[ProgramJob],
-    base: BinTunerConfig,
-    store_dir,
-) -> Optional[Dict[str, object]]:
-    """Cold join vs mesh join of a fresh machine, over a populated store.
-
-    Two distributed runs of the same campaign, each served by one worker
-    whose *local* store starts empty (the shape of a machine joining a
-    running campaign): without the mesh it re-pays every compile; with the
-    mesh serving ``store_dir`` its misses are fetched instead.  Returns
-    ``None`` on sandboxes without AF_INET loopback (the distributed
-    substrate cannot bind there at all).
-    """
-    import shutil
-    import tempfile
-    import threading
-
-    if not _loopback_available():
-        return None
-
-    from repro.distrib.worker import serve
-
-    def joined_run(mesh: bool):
-        worker_dir = tempfile.mkdtemp(prefix="repro-mesh-worker-")
-        campaign = Campaign(
-            jobs,
-            CampaignConfig(
-                tuner=base, warm_start=True,
-                store_dir=store_dir, dispatch="distributed", mesh=mesh,
-            ),
-        )
-        try:
-            # Entered ahead of run(): the worker needs the bound address.
-            with campaign:
-                worker = threading.Thread(
-                    target=serve,
-                    kwargs=dict(
-                        connect=campaign.pool.address_string(), hard_exit=False,
-                        store_dir=worker_dir,
-                    ),
-                    daemon=True,
-                )
-                worker.start()
-                campaign.pool.wait_for_workers(1, timeout=30)
-                started = time.perf_counter()
-                result = campaign.run()
-                seconds = time.perf_counter() - started
-        finally:
-            shutil.rmtree(worker_dir, ignore_errors=True)
-        return result, seconds, result.mesh_stats
-
-    cold, cold_seconds, _no_mesh = joined_run(mesh=False)
-    warm, mesh_seconds, mesh_stats = joined_run(mesh=True)
-    stats = warm.evaluation_stats()
-    return {
-        "cold_join_seconds": cold_seconds,
-        "mesh_join_seconds": mesh_seconds,
-        "mesh_join_speedup": cold_seconds / mesh_seconds if mesh_seconds else 0.0,
-        "mesh_hits": stats.artifact_mesh_hits,
-        "mesh_hit_ratio": stats.artifact_mesh_hit_ratio,
-        "mesh_join_artifact_misses": stats.artifact_misses,
-        "identical_fingerprints": cold.fingerprint() == warm.fingerprint(),
-        "mesh": mesh_stats,
-    }
-
-
-def run_pipeline_comparison(
-    family: str = "llvm",
-    benchmarks: Sequence[str] = ("462.libquantum", "429.mcf"),
-    config: Optional[BinTunerConfig] = None,
-    store_dir: Optional[object] = None,
-) -> Dict[str, object]:
-    """Cold vs warm vs restarted runs of a small warm-startable campaign.
-
-    Three runs of the same seeded campaign: cold (populating one shared
-    :class:`ArtifactCache` backed by a disk store), *warm* — the same
-    campaign rerun against the populated in-memory cache, the shape of a
-    re-scoring or warm-started rerun — and *warm restart*: a fresh cache
-    over the same disk store, the shape of a killed-and-restarted campaign
-    whose only warmth is tier 2.  Reports wall clocks, the cold run's
-    per-stage time split, tier-1/tier-2 artifact hit ratios, and the
-    determinism verdict: all three database fingerprints must be identical.
-
-    The report's ``mesh_join`` section (``None`` on sandboxes without
-    loopback) extends the restart scenario across machines: a distributed
-    worker with an *empty* local store joins once without the artifact mesh
-    (cold join — it re-pays every compile) and once with the mesh serving
-    the populated campaign store (its misses are fetched from past work
-    instead), recording both wall clocks and the mesh hit ratio.
-
-    ``store_dir`` defaults to a temporary directory cleaned up on return.
-    """
-    import shutil
-    import tempfile
-
-    base = config or BinTunerConfig(max_iterations=40, stall_window=24)
-    jobs = [ProgramJob(family, name) for name in benchmarks]
-
-    def run(cache: ArtifactCache, store, telemetry_dir=None):
-        campaign = Campaign(
-            jobs,
-            CampaignConfig(
-                tuner=base, warm_start=True, store_dir=store,
-                telemetry_dir=telemetry_dir,
-            ),
-            artifact_cache=cache,
-        )
-        started = time.perf_counter()
-        result = campaign.run()
-        return result, time.perf_counter() - started
-
-    own_store = store_dir is None
-    if own_store:
-        store_dir = tempfile.mkdtemp(prefix="repro-pipeline-store-")
-    try:
-        cache = ArtifactCache(8192)
-        cold, cold_seconds = run(cache, store_dir)
-        warm, warm_seconds = run(cache, store_dir)
-        # The restart: a fresh in-memory cache (a new process would have
-        # nothing else) over the same on-disk store.
-        restart_cache = ArtifactCache(8192)
-        restart, restart_seconds = run(restart_cache, store_dir)
-        # Telemetry overhead: the same warm rerun twice more — once on the
-        # default null sink, once with a JsonlSink recording every span —
-        # so the report carries both wall clocks, the event volume, and the
-        # observe-only verdict (identical fingerprints either way).
-        telemetry_dir = tempfile.mkdtemp(prefix="repro-pipeline-telemetry-")
-        try:
-            plain, plain_seconds = run(cache, store_dir)
-            observed, observed_seconds = run(
-                cache, store_dir, telemetry_dir=telemetry_dir
-            )
-            from repro.telemetry.report import load_events
-
-            telemetry_events, _skipped = load_events(telemetry_dir)
-        finally:
-            shutil.rmtree(telemetry_dir, ignore_errors=True)
-        telemetry_report = {
-            "disabled_seconds": plain_seconds,
-            "enabled_seconds": observed_seconds,
-            "overhead_ratio": (
-                observed_seconds / plain_seconds if plain_seconds else 0.0
-            ),
-            "events": len(telemetry_events),
-            "identical_fingerprints": (
-                plain.fingerprint() == observed.fingerprint() == cold.fingerprint()
-            ),
-        }
-        # Live-observability overhead: the same warm rerun once more inside
-        # a campaign session with ``obs_port`` set — the registry-only sink
-        # (span-duration histograms, no disk) and a loopback /metrics +
-        # /status server, scraped before the session closes.  The read-only
-        # contract makes this a pure tax measurement: the fingerprint must
-        # not move.  Without loopback there is no port to give, and the leg
-        # degrades to one more plain rerun (``scrape_ok`` stays ``None``).
-        observed_campaign = Campaign(
-            jobs,
-            CampaignConfig(
-                tuner=base, warm_start=True, store_dir=store_dir,
-                obs_port=0 if _loopback_available() else None,
-            ),
-            artifact_cache=cache,
-        )
-        scrape_ok: Optional[bool] = None
-        with observed_campaign:
-            started = time.perf_counter()
-            live = observed_campaign.run()
-            live_seconds = time.perf_counter() - started
-            if observed_campaign.obs_server is not None:
-                import urllib.request
-
-                with urllib.request.urlopen(
-                    observed_campaign.obs_server.url() + "/metrics", timeout=5.0
-                ) as response:
-                    body = response.read().decode("utf-8", "replace")
-                scrape_ok = "engine_generation_seconds_count" in body
-        observability_report = {
-            "disabled_seconds": plain_seconds,
-            "enabled_seconds": live_seconds,
-            "overhead_ratio": (
-                live_seconds / plain_seconds if plain_seconds else 0.0
-            ),
-            "scrape_ok": scrape_ok,
-            "identical_fingerprints": live.fingerprint() == cold.fingerprint(),
-        }
-        # The cross-machine variant of the restart, over the same populated
-        # store (skipped where loopback is unavailable).
-        mesh_join = _run_mesh_join_comparison(jobs, base, store_dir)
-        # Snapshot every stat that scans the store directory before the
-        # temp dir is deleted below.
-        store_stats = (
-            restart_cache.store.stats() if restart_cache.store is not None else None
-        )
-        cache_stats = cache.stats()
-    finally:
-        if own_store:
-            shutil.rmtree(store_dir, ignore_errors=True)
-
-    cold_stats = cold.evaluation_stats()
-    warm_stats = warm.evaluation_stats()
-    restart_stats = restart.evaluation_stats()
-    return {
-        "compiler": family,
-        "benchmarks": list(benchmarks),
-        "staged_seconds": cold_seconds,
-        "warm_rerun_seconds": warm_seconds,
-        "warm_rerun_speedup": cold_seconds / warm_seconds if warm_seconds else 0.0,
-        "warm_restart_seconds": restart_seconds,
-        "warm_restart_speedup": (
-            cold_seconds / restart_seconds if restart_seconds else 0.0
-        ),
-        "identical_fingerprints": (
-            cold.fingerprint() == warm.fingerprint() == restart.fingerprint()
-        ),
-        "stage_seconds": {
-            "compile": cold_stats.compile_seconds,
-            "measure": cold_stats.measure_seconds,
-            "score": cold_stats.score_seconds,
-        },
-        "evaluated": cold_stats.evaluated,
-        "cold_artifact_hit_ratio": cold_stats.artifact_hit_ratio,
-        "warm_artifact_hits": warm_stats.artifact_hits,
-        "warm_artifact_hit_ratio": warm_stats.artifact_hit_ratio,
-        "restart_tier2_hits": restart_stats.artifact_store_hits,
-        "restart_tier2_hit_ratio": restart_stats.artifact_store_hit_ratio,
-        "restart_artifact_misses": restart_stats.artifact_misses,
-        "artifact_cache": cache_stats,
-        "artifact_store": store_stats,
-        "telemetry": telemetry_report,
-        "observability": observability_report,
-        "mesh_join": mesh_join,
-    }
-
-
-def run_emulator_dispatch_bench(
-    family: str = "llvm",
-    benchmark_names: Sequence[str] = ("462.libquantum", "429.mcf"),
-    repeats: int = 3,
-    ncd_rounds: int = 30,
-) -> Dict[str, object]:
-    """The hot-path engine report: emulator dispatch and incremental NCD.
-
-    Two sections, both parity-checked:
-
-    * ``dispatch`` — per-benchmark emulator wall clock and steps/sec under
-      the reference engine vs. the table/superinstruction engine (best of
-      ``repeats``), with field-for-field ``ExecutionResult`` equality;
-    * ``ncd`` — joint-compression throughput of the one-shot
-      ``compressed_size(prefix + suffix)`` vs. :class:`JointCompressor`
-      (incremental under zlib, the same one-shot otherwise) per compressor,
-      with value equality asserted.
-    """
-    import os as _os
-
-    from repro.analysis.emulator import (
-        DISPATCH_ENV,
-        REFERENCE_DISPATCH,
-        TABLE_DISPATCH,
-        reset_decoded_programs,
-        run_program,
-    )
-    from repro.difftools.ncd import _COMPRESSORS, JointCompressor, compressed_size
-
-    def _timed(fn) -> float:
-        best = None
-        for _ in range(repeats):
-            started = time.perf_counter()
-            fn()
-            elapsed = time.perf_counter() - started
-            best = elapsed if best is None else min(best, elapsed)
-        return best
-
-    compiler = make_compiler(family)
-    previous_mode = _os.environ.get(DISPATCH_ENV)
-    dispatch_rows: List[Dict[str, object]] = []
-    total_reference_seconds = 0.0
-    total_table_seconds = 0.0
-    total_steps = 0
-    parity = True
-    try:
-        for name in benchmark_names:
-            workload = benchmark(name)
-            image = compiler.compile_level(workload.source, "O2", name=name).image
-            run = lambda: run_program(  # noqa: E731
-                image, args=workload.arguments, inputs=workload.inputs
-            )
-            _os.environ[DISPATCH_ENV] = REFERENCE_DISPATCH
-            reference_result = run()
-            reference_seconds = _timed(run)
-            _os.environ[DISPATCH_ENV] = TABLE_DISPATCH
-            reset_decoded_programs()
-            table_result = run()  # includes the one-time decode; timed runs are warm
-            table_seconds = _timed(run)
-            row_parity = (
-                reference_result.observable_state() == table_result.observable_state()
-                and reference_result.steps == table_result.steps
-                and reference_result.cycles == table_result.cycles
-                and reference_result.exited == table_result.exited
-                and reference_result.exit_code == table_result.exit_code
-                and reference_result.assertion_failed == table_result.assertion_failed
-            )
-            parity = parity and row_parity
-            total_reference_seconds += reference_seconds
-            total_table_seconds += table_seconds
-            total_steps += reference_result.steps
-            dispatch_rows.append(
-                {
-                    "benchmark": name,
-                    "steps": reference_result.steps,
-                    "blocks": table_result.blocks,
-                    "reference_seconds": reference_seconds,
-                    "table_seconds": table_seconds,
-                    "reference_steps_per_second": (
-                        reference_result.steps / reference_seconds
-                        if reference_seconds else 0.0
-                    ),
-                    "table_steps_per_second": (
-                        table_result.steps / table_seconds if table_seconds else 0.0
-                    ),
-                    "speedup": (
-                        reference_seconds / table_seconds if table_seconds else 0.0
-                    ),
-                    "identical_results": row_parity,
-                }
-            )
-    finally:
-        if previous_mode is None:
-            _os.environ.pop(DISPATCH_ENV, None)
-        else:
-            _os.environ[DISPATCH_ENV] = previous_mode
-
-    # -- incremental NCD ----------------------------------------------------
-    ncd_workload = benchmark(benchmark_names[0])
-    baseline_text = compiler.compile_level(
-        ncd_workload.source, "O0", name="ncd-base"
-    ).image.text
-    candidate_texts = [
-        compiler.compile_level(ncd_workload.source, level, name="ncd-cand").image.text
-        for level in ("O1", "O2", "O3", "Os")
-    ]
-    ncd_rows: List[Dict[str, object]] = []
-    for compressor in sorted(_COMPRESSORS):
-        joint = JointCompressor(baseline_text, compressor)
-
-        def _one_shot():
-            return [
-                compressed_size(baseline_text + text, compressor)
-                for text in candidate_texts
-            ]
-
-        def _joint():
-            return [joint.joint_size(text) for text in candidate_texts]
-
-        exact_seconds = _timed(lambda: [_one_shot() for _ in range(ncd_rounds)])
-        incremental_seconds = _timed(lambda: [_joint() for _ in range(ncd_rounds)])
-        ncd_rows.append(
-            {
-                "compressor": compressor,
-                "incremental_available": joint.incremental_available,
-                "exact_seconds": exact_seconds,
-                "incremental_seconds": incremental_seconds,
-                "speedup": (
-                    exact_seconds / incremental_seconds
-                    if incremental_seconds else 0.0
-                ),
-                "identical_values": _one_shot() == _joint(),
-            }
-        )
-
-    aggregate_speedup = (
-        total_reference_seconds / total_table_seconds if total_table_seconds else 0.0
-    )
-    return {
-        "kind": "hot_path_engine",
-        "compiler": family,
-        "benchmarks": list(benchmark_names),
-        "dispatch": {
-            "rows": dispatch_rows,
-            "total_steps": total_steps,
-            "reference_seconds": total_reference_seconds,
-            "table_seconds": total_table_seconds,
-            "reference_steps_per_second": (
-                total_steps / total_reference_seconds
-                if total_reference_seconds else 0.0
-            ),
-            "table_steps_per_second": (
-                total_steps / total_table_seconds if total_table_seconds else 0.0
-            ),
-            "aggregate_speedup": aggregate_speedup,
-            "identical_results": parity,
-        },
-        "ncd": {
-            "rows": ncd_rows,
-            "identical_values": all(row["identical_values"] for row in ncd_rows),
-        },
-    }

@@ -203,16 +203,6 @@ def immediate_dominators(function: IRFunction) -> Dict[str, str]:
     return idom
 
 
-def loop_exits(function: IRFunction, loop: Loop) -> List[str]:
-    """Blocks outside the loop that are jumped to from inside it."""
-    exits: List[str] = []
-    for label in loop.blocks:
-        for succ in successors(function, label):
-            if succ not in loop.blocks and succ not in exits:
-                exits.append(succ)
-    return exits
-
-
 def edge_count(function: IRFunction) -> int:
     """Total number of CFG edges (counting duplicate targets once per block)."""
     return sum(len(successors(function, label)) for label in function.blocks)

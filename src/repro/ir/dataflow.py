@@ -90,40 +90,3 @@ def block_liveness(function: IRFunction) -> Dict[str, Set[str]]:
                 live_in[label] = new_in
                 changed = True
     return live_out
-
-
-def block_live_in(function: IRFunction) -> Dict[str, Set[str]]:
-    """Live scalar variables at the *entry* of each block."""
-    use_def = block_var_use_def(function)
-    live_out = block_liveness(function)
-    result: Dict[str, Set[str]] = {}
-    for label in function.blocks:
-        use, define = use_def[label]
-        result[label] = use | (live_out[label] - define)
-    return result
-
-
-def temps_live_across_blocks(function: IRFunction) -> Set[str]:
-    """Temp names that are used in a block other than their defining block."""
-    defs = temp_definitions(function)
-    crossing: Set[str] = set()
-    for label, block in function.blocks.items():
-        for instr in block.instructions:
-            for value in instr.uses():
-                if isinstance(value, Temp):
-                    def_site = defs.get(value.name)
-                    if def_site is not None and def_site[0] != label:
-                        crossing.add(value.name)
-    return crossing
-
-
-def count_loads_stores(function: IRFunction) -> Tuple[int, int]:
-    """(#loads, #stores) of scalar variable slots — a cheap memory-traffic metric."""
-    loads = 0
-    stores = 0
-    for instr in function.instructions():
-        if isinstance(instr, LoadVar):
-            loads += 1
-        elif isinstance(instr, StoreVar):
-            stores += 1
-    return loads, stores

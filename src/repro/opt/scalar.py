@@ -6,9 +6,9 @@
 * CFG simplification (jump threading, straight-line block merging),
 * basic-block layout reordering (the ``-freorder-blocks`` analog).
 
-Every entry point takes an :class:`IRFunction` (or module) and mutates it in
-place, returning the number of rewrites so callers (and tests) can observe
-whether anything happened.
+Every entry point takes an :class:`IRFunction` and mutates it in place,
+returning the number of rewrites so callers (and tests) can observe whether
+anything happened.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.ir import cfg
-from repro.ir.function import IRFunction, IRModule
+from repro.ir.function import IRFunction
 from repro.ir.instructions import (
     AddrOf,
     BinOp,
@@ -393,7 +393,3 @@ def run_scalar_cleanups(function: IRFunction) -> int:
     total += constant_fold_function(function)
     total += eliminate_dead_code(function)
     return total
-
-
-def module_scalar_cleanups(module: IRModule) -> int:
-    return sum(run_scalar_cleanups(fn) for fn in module.functions.values())

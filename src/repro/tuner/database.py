@@ -110,9 +110,6 @@ class TuningDatabase:
             history.append(best)
         return history
 
-    def raw_fitness_series(self) -> List[float]:
-        return [record.fitness for record in self.records]
-
     def elapsed_hours(self) -> float:
         return sum(record.elapsed_seconds for record in self.records) / 3600.0
 

@@ -333,7 +333,7 @@ def make_mapper(
 
 @dataclass
 class EvaluationStats:
-    """Dedup/caching counters of one engine (reported by the speedup bench).
+    """Dedup/caching counters of one engine (run summaries and ``report``).
 
     The ``compile_seconds`` / ``measure_seconds`` / ``score_seconds`` and
     ``artifact_*`` fields aggregate the per-candidate stage reports, which
@@ -429,7 +429,7 @@ class EvaluationStats:
         return line
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-safe counters (campaign manifests, the pipeline bench)."""
+        """JSON-safe counters (campaign manifests, ``--json`` output)."""
         return asdict(self)
 
     @classmethod

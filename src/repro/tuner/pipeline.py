@@ -220,7 +220,7 @@ class ArtifactCache:
         return ratio(served, served + counts["misses"])
 
     def stats(self) -> Dict[str, object]:
-        """Counters for campaign summaries and the pipeline bench."""
+        """Counters for campaign summaries and ``--json`` output."""
         return {
             **self.counters.snapshot(),
             "entries": len(self),

@@ -485,7 +485,7 @@ class ArtifactStore:
         return ratio(counts["hits"], counts["hits"] + counts["misses"])
 
     def stats(self) -> Dict[str, object]:
-        """JSON-safe counters for campaign summaries and the pipeline bench."""
+        """JSON-safe counters for campaign summaries and the ledger."""
         entries = self._entries()
         return {
             **self.counters.snapshot(),

@@ -202,6 +202,16 @@ class TestCampaignRun:
         with pytest.raises(ValueError):
             Campaign([JOBS[0], JOBS[0]])
 
+    @pytest.mark.parametrize("knob", [
+        {"executor": "distributed"}, {"workers": 4}, {"serve": "127.0.0.1:0"},
+    ])
+    def test_tuner_substrate_knobs_rejected(self, knob):
+        """Every job runs on the campaign's shared pool, so a tuner-level
+        ``executor`` / ``workers`` / ``serve`` would be silently ignored."""
+        config = CampaignConfig(tuner=BinTunerConfig(**knob))
+        with pytest.raises(ValueError, match="CampaignConfig.dispatch / workers / serve"):
+            Campaign(JOBS, config, spec_provider=tiny_spec)
+
     def test_warm_start_seeds_later_programs(self):
         result = run_campaign()
         first, second = result.programs

@@ -432,6 +432,13 @@ class TestSerialParallelEquivalence:
         assert [r.flags for r in serial.database.records] == [
             r.flags for r in parallel.database.records
         ]
+        for result in (serial, parallel):
+            stats = result.evaluation_stats
+            assert stats.evaluated + stats.cache_hits == stats.requested
+            if strategy == "genetic":
+                # Elitism resubmits the elites every generation, so dedup
+                # always saves work.
+                assert stats.cache_hits > 0
 
     @pytest.mark.slow
     def test_worker_pool_propagates_programming_errors(self, registry):

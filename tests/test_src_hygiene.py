@@ -4,9 +4,8 @@ Behaviour under ``src/repro`` is selected by arguments and config objects.
 Every line that touches ``os.environ`` / ``getenv`` is pinned here, so a new
 escape hatch fails CI the day it is written instead of waiting for a
 re-anchor to find it.  What is allowed: the CLI defaults for the two secrets
-(``--authkey`` / ``--token``, which must not appear on a command line), the
-emulator's ``DISPATCH_ENV`` read, and the dispatch bench flipping that same
-variable around its two timed runs.
+(``--authkey`` / ``--token``, which must not appear on a command line) and
+the emulator's ``DISPATCH_ENV`` read.
 
 The artifact tiers' counters are pinned the same way: no literal sink bump
 of an ``artifact.`` / ``store.`` / ``mesh.`` name anywhere under ``src/repro``.
@@ -31,7 +30,6 @@ ALLOWED = Counter({
     ("campaign/cli.py", "REPRO_SERVICE_TOKEN"): 2,
     ("distrib/worker.py", "REPRO_DISTRIB_AUTHKEY"): 1,
     ("analysis/emulator.py", "DISPATCH_ENV"): 1,
-    ("experiments/speedup.py", "DISPATCH_ENV"): 5,
 })
 
 
