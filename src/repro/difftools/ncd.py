@@ -7,6 +7,10 @@ LZMA (§5, Experimental Setup); zlib and bz2 are provided for the compressor
 ablation bench.  NCD over the ``.text`` sections of two binaries is BinTuner's
 fitness function: cheap (no disassembly) yet correlated with BinHunt's
 difference score (Appendix C).
+
+LZMA is preset 6 with a dictionary of the smallest power of two >= max(4 KiB,
+``len(data)``), at most 8 MiB: preset 6's fixed 8 MiB costs a ~16 MiB match
+finder per call.  Lengths, all NCD reads, equal preset 6's (tests pin it).
 """
 
 from __future__ import annotations
@@ -22,11 +26,28 @@ from typing import Callable, Dict, Optional
 
 from repro.backend.binary import BinaryImage
 
+
+def _lzma_compress(data: bytes) -> bytes:
+    dict_size = min(1 << max(12, (len(data) - 1).bit_length()), 8 << 20)
+    return lzma.compress(
+        data, filters=[{"id": lzma.FILTER_LZMA2, "preset": 6, "dict_size": dict_size}]
+    )
+
+
 _COMPRESSORS: Dict[str, Callable[[bytes], bytes]] = {
-    "lzma": lambda data: lzma.compress(data, preset=6),
+    "lzma": _lzma_compress,
     "zlib": lambda data: zlib.compress(data, 9),
     "bz2": lambda data: bz2.compress(data, 9),
 }
+
+
+def get_compressor(name: str) -> Callable[[bytes], bytes]:
+    """The compress function registered as ``name`` (``ValueError`` if none is)."""
+    try:
+        return _COMPRESSORS[name]
+    except KeyError as exc:
+        raise ValueError(f"unknown compressor {name!r}") from exc
+
 
 class JointCompressor:
     """``len(C(prefix + suffix))`` without recompressing ``prefix`` per call.
@@ -42,9 +63,9 @@ class JointCompressor:
     back to the exact one-shot path: CPython's ``lzma`` module exposes
     neither a compressor ``copy()`` nor a preset-dictionary filter, and
     ``bz2`` has no streaming-state clone either, so an incremental path
-    cannot be made bit-exact for them (and fingerprints embed these sizes
-    via fitness values, so bit-exact is non-negotiable).  The oracle for
-    every compressor is the public one-shot
+    cannot be made length-exact for them (and fingerprints embed these
+    sizes via fitness values, so exact lengths are non-negotiable).  The
+    oracle for every compressor is the public one-shot
     ``compressed_size(prefix + suffix, compressor)``.
     """
 
@@ -60,10 +81,7 @@ class JointCompressor:
     )
 
     def __init__(self, prefix: bytes, compressor: str = "lzma") -> None:
-        try:
-            self._compress = _COMPRESSORS[compressor]
-        except KeyError as exc:
-            raise ValueError(f"unknown compressor {compressor!r}") from exc
+        self._compress = get_compressor(compressor)
         self.prefix = prefix
         self.compressor = compressor
         self.incremental_joints = 0
@@ -92,11 +110,7 @@ class JointCompressor:
 
 def compressed_size(data: bytes, compressor: str = "lzma") -> int:
     """Length in bytes of ``data`` under the chosen compressor."""
-    try:
-        compress = _COMPRESSORS[compressor]
-    except KeyError as exc:
-        raise ValueError(f"unknown compressor {compressor!r}") from exc
-    return len(compress(data))
+    return len(get_compressor(compressor)(data))
 
 
 def _ncd_from_sizes(c_x: int, c_y: int, c_xy: int) -> float:
@@ -167,10 +181,7 @@ class CachedNCDFitness:
         self._materialize()
 
     def _materialize(self) -> None:
-        try:
-            self._compress = _COMPRESSORS[self.compressor]
-        except KeyError as exc:
-            raise ValueError(f"unknown compressor {self.compressor!r}") from exc
+        self._compress = get_compressor(self.compressor)
         self._baseline_text = self.baseline.text
         self._baseline_size = len(self._compress(self._baseline_text))
         self._joint = JointCompressor(self._baseline_text, self.compressor)

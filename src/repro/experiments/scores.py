@@ -15,6 +15,7 @@ per-program methodology.  Single-benchmark drivers keep
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -258,7 +259,8 @@ def run_fig10_ncd_binhunt_correlation(
         workload = benchmark(name)
         baseline = compiler.compile_level(workload.source, "O0", name=name).image
         engine = ConstraintEngine(compiler.registry)
-        rng = _random.Random(3 + hash(name) % 1000)
+        # crc32, not hash(): str hashing is salted per process.
+        rng = _random.Random(3 + zlib.crc32(name.encode()) % 1000)
         ncd_values: List[float] = []
         binhunt_values: List[float] = []
         flag_names = compiler.registry.flag_names()

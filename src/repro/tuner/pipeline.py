@@ -43,9 +43,8 @@ distributed fleet.
 
 The compile and measure stages are built at the evaluator's first use, the
 fitness and its :class:`ScoreStage` at the first *score* in this process:
-an orchestrator whose mapper evaluates elsewhere never builds one (the NCD
-fitness compresses the baseline, and an LZMA encoder's 16 MiB match-finder
-table stays resident in the building thread's malloc arena).
+an orchestrator whose mapper evaluates elsewhere never builds one (building
+the NCD fitness compresses the baseline, work only a scoring process needs).
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 from repro.analysis.emulator import EmulationError, block_template_stats, run_program
 from repro.backend.binary import BinaryImage
 from repro.compilers.base import CompilationError, Compiler
-from repro.difftools.ncd import CachedNCDFitness
+from repro.difftools.ncd import CachedNCDFitness, get_compressor
 from repro.opt.flags import FlagVector
 from repro.telemetry import Counters, get_sink, ratio
 from repro.tuner.constraints import ConstraintEngine, ConstraintViolation
@@ -329,12 +328,7 @@ class CompileStage:
         self._constraints = ConstraintEngine(compiler.registry)
         self._compress = None
         if compressor is not None:
-            from repro.difftools.ncd import _COMPRESSORS
-
-            try:
-                self._compress = _COMPRESSORS[compressor]
-            except KeyError as exc:
-                raise ValueError(f"unknown compressor {compressor!r}") from exc
+            self._compress = get_compressor(compressor)
         # The compressor is part of the address because the artifact carries
         # the precomputed C(.text) *under that compressor*: a shared cache
         # serving evaluator A's lzma size to evaluator B's zlib scoring

@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.backend.binary import BinaryImage
 from repro.compilers.base import Compiler
 from repro.difftools.binhunt import BinHunt
+from repro.difftools.ncd import get_compressor
 from repro.opt.flags import FlagVector
 from repro.tuner.constraints import ConstraintEngine
 from repro.tuner.database import TuningDatabase
@@ -139,6 +140,8 @@ class BinTunerConfig:
                 f"pipeline={self.pipeline!r} is not supported: the monolithic "
                 f"pipeline mode was removed and 'staged' is the only evaluator"
             )
+        # Now, not at the first score (after the baseline compile, maybe remotely).
+        get_compressor(self.compressor)
 
 
 @dataclass

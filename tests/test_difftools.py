@@ -1,5 +1,12 @@
 """Tests for NCD, BinHunt, the Figure-8 diffing tools and the metrics."""
 
+import lzma
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +30,14 @@ from repro.difftools import (
     precision_at_1,
 )
 from repro.difftools.metrics import precision_at_k
+from repro.difftools.ncd import get_compressor
+from repro.workloads import SUITES
+from repro.workloads.suites import benchmark
+
+sys.path.insert(0, str(Path(__file__).parent / "data"))
+import generate_image_digests as golden  # noqa: E402
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestNCD:
@@ -53,6 +68,8 @@ class TestNCD:
     def test_unknown_compressor_rejected(self):
         with pytest.raises(ValueError):
             compressed_size(b"x", "zip9000")
+        with pytest.raises(ValueError, match="unknown compressor 'zip9000'"):
+            get_compressor("zip9000")
 
     def test_image_ncd_orders_optimization_levels(self, sample_images_llvm):
         o0 = sample_images_llvm["O0"]
@@ -70,6 +87,143 @@ class TestNCD:
     @given(st.binary(min_size=1, max_size=300))
     def test_ncd_symmetric_enough(self, data):
         assert abs(ncd(data, data[::-1], "zlib") - ncd(data[::-1], data, "zlib")) < 0.2
+
+
+# ---------------------------------------------------------------------------
+# The right-sized LZMA dictionary against preset 6
+# ---------------------------------------------------------------------------
+
+#: Where a right-sized xz stream may differ from preset 6's: the block
+#: header's LZMA2 dictionary byte and the header's CRC32.
+LZMA_HEADER_OFFSETS = {16, 20, 21, 22, 23}
+
+
+def assert_lzma_matches_preset_6(data: bytes) -> None:
+    """NCD consumes only lengths: they must equal ``lzma.compress(preset=6)``'s."""
+    sized = get_compressor("lzma")(data)
+    reference = lzma.compress(data, preset=6)
+    assert len(sized) == len(reference), len(data)
+    differing = {i for i, (a, b) in enumerate(zip(sized, reference)) if a != b}
+    assert differing <= LZMA_HEADER_OFFSETS, (len(data), sorted(differing))
+
+
+@st.composite
+def mutated_repeats(draw):
+    """A short block repeated past the 4 KiB and 8 KiB dictionary steps, with
+    a few bytes overwritten: long matches at every distance."""
+    block = draw(st.binary(min_size=1, max_size=64))
+    data = bytearray(block * (draw(st.integers(1, 20_000)) // len(block) + 1))
+    for _ in range(draw(st.integers(0, 8))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+class TestRightSizedLZMA:
+    @pytest.mark.parametrize("bench", golden.BENCHMARKS)
+    def test_golden_images_and_their_joints(self, bench):
+        """Every image the image-identity test freezes, alone and joined to
+        its compiler's ``-O0`` image (the fitness's joint)."""
+        source = benchmark(bench).source
+        for factory in golden.COMPILERS.values():
+            compiler = factory()
+            o0 = compiler.compile_level(source, "O0", name=bench).image.text
+            for _name, flags in golden.flag_vectors(compiler.registry):
+                text = compiler.compile(source, flags, name=bench).image.text
+                assert_lzma_matches_preset_6(text)
+                assert_lzma_matches_preset_6(o0 + text)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.binary(max_size=10_000), mutated_repeats()))
+    def test_arbitrary_bytes(self, data):
+        assert_lzma_matches_preset_6(data)
+
+    @pytest.mark.slow
+    def test_corpus_sweep(self):
+        """Every benchmark x {gcc, llvm, obfuscator-llvm} x ``-O0..-Os``,
+        alone and joined to its ``-O0`` image, plus 1,500 random joints."""
+        texts = {}
+        for names in SUITES.values():
+            for bench in names:
+                source = benchmark(bench).source
+                for factory in golden.COMPILERS.values():
+                    compiler = factory()
+                    for level in golden.LEVELS:
+                        image = compiler.compile_level(source, level, name=bench).image
+                        texts[bench, factory.__name__, level] = image.text
+        for (bench, compiler, _level), text in texts.items():
+            assert_lzma_matches_preset_6(text)
+            assert_lzma_matches_preset_6(texts[bench, compiler, "O0"] + text)
+        rng = random.Random(2021)
+        corpus = sorted(texts.values())
+        for _ in range(1500):
+            assert_lzma_matches_preset_6(rng.choice(corpus) + rng.choice(corpus))
+
+    @pytest.mark.slow
+    def test_adversarial_inputs(self):
+        """Random bytes, zeros, small alphabets, periodic data and mutated
+        repeats at every size from 0 B to 200 KB that straddles a dictionary
+        step."""
+        rng = random.Random(28)
+        sizes = [0, 1, 2, 3, 64, 255, 1000]
+        for power in range(11, 18):
+            sizes += [(1 << power) - 1, 1 << power, (1 << power) + 1]
+        sizes += [100_000, 200_000]
+        for size in sizes:
+            inputs = [rng.randbytes(size), bytes(size)]
+            for symbols in (2, 4, 16, 256):
+                inputs.append(bytes(rng.randrange(symbols) for _ in range(size)))
+            for period in (3, 255, 4096, 5000):
+                inputs.append((rng.randbytes(period) * (size // period + 1))[:size])
+            for block in (64, 4097):
+                data = bytearray((rng.randbytes(block) * (size // block + 1))[:size])
+                for _ in range(size // 100):
+                    data[rng.randrange(size)] = rng.randrange(256)
+                inputs.append(bytes(data))
+            for data in inputs:
+                assert_lzma_matches_preset_6(data)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmRSS from /proc/self/status")
+def test_scoring_threads_keep_no_lzma_table():
+    """Each thread that compresses keeps what its malloc arena was given: a
+    match finder sized for an 8 MiB dictionary left ~16 MiB per scoring
+    thread (23 -> 121 MiB here), one sized to the input leaves ~nothing."""
+    code = """
+import threading
+from pathlib import Path
+from repro.compilers import SimGCC
+from repro.difftools import compressed_size
+from repro.workloads.suites import benchmark
+
+def rss_mib():
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("VmRSS:"):
+            return int(line.split()[1]) / 1024
+
+text = SimGCC().compile_level(benchmark("429.mcf").source, "O0", name="429.mcf").image.text
+joint = text + text
+before = rss_mib()
+barrier = threading.Barrier(6)
+
+def score():
+    barrier.wait(timeout=30)
+    for _ in range(5):
+        compressed_size(joint)
+
+threads = [threading.Thread(target=score) for _ in range(6)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+assert not any(thread.is_alive() for thread in threads)
+print(rss_mib() - before)
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)}, timeout=120,
+    )
+    assert float(done.stdout) < 16, done.stdout
 
 
 class TestBinHunt:

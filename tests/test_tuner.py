@@ -328,6 +328,12 @@ class TestBinTunerEndToEnd:
             tuner.evaluate(llvm.preset("O1"))
         assert len(tuner.database) == records_before  # no bogus penalty record
 
+    def test_unknown_compressor_rejected_at_construction(self):
+        """Not at the first score, after the baseline compile (or on a
+        remote worker under distributed dispatch)."""
+        with pytest.raises(ValueError, match="unknown compressor 'nope'"):
+            BinTunerConfig(compressor="nope")
+
     def test_parallel_config_knobs_default_to_serial(self):
         config = BinTunerConfig()
         assert config.workers == 1 and config.executor == "serial"
