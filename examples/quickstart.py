@@ -4,12 +4,18 @@
 Compiles the 462.libquantum-style workload with SimLLVM at every default
 optimization level, runs a short BinTuner search, and prints the NCD and
 BinHunt difference scores of each setting against the -O0 baseline — a
-single-benchmark slice of the paper's Figure 5.
+single-benchmark slice of the paper's Figure 5.  The search runs twice,
+serially and on a 4-worker process pool borrowed from a
+``SharedWorkerPool``; the script exits non-zero unless the two agree
+bit-for-bit.
 
 Run:  python examples/quickstart.py
 """
 
+import sys
+
 from repro.analysis import run_program
+from repro.campaign import SharedWorkerPool
 from repro.compilers import SimLLVM
 from repro.difftools import BinHunt, ncd_images
 from repro.tuner import BinTuner, BinTunerConfig, BuildSpec, GAParameters
@@ -42,17 +48,16 @@ def main() -> None:
           f"{stats.cache_hits} cache hits (hit ratio {stats.hit_ratio:.0%})")
 
     print("\n== same search on a 4-worker process pool (identical results by design)")
-    parallel_config = BinTunerConfig(
-        max_iterations=60, ga=GAParameters(population_size=12),
-        executor="process", workers=4,
-    )
-    parallel_tuner = BinTuner(SimLLVM(), spec, parallel_config)
-    parallel = parallel_tuner.run()
+    # The pool owns the worker processes; the tuner only borrows them.
+    with SharedWorkerPool("process", 4) as pool:
+        parallel = BinTuner(SimLLVM(), spec, config, mapper_factory=pool.mapper).run()
     agree = (parallel.best_flags.sorted_names() == tuned.best_flags.sorted_names()
              and parallel.ncd_history() == tuned.ncd_history())
     print(f"  best NCD vs O0: {parallel.best_fitness:.3f} "
-          f"({parallel_config.workers} workers, generation-batched)")
+          f"({pool.workers} workers, generation-batched)")
     print(f"  serial and parallel runs agree bit-for-bit: {agree}")
+    if not agree:
+        sys.exit("serial and process-pool runs disagree: determinism is broken")
 
     print("\n== difference from the O0 baseline (higher = more different)")
     binhunt = BinHunt()

@@ -106,9 +106,7 @@ class CampaignConfig:
 
     name: str = "campaign"
     tuner: BinTunerConfig = field(default_factory=BinTunerConfig)
-    #: Worker-pool knobs, shared across every program of the campaign.  The
-    #: per-tuner ``executor`` / ``workers`` / ``serve`` fields must keep their
-    #: defaults: a campaign rejects them rather than silently ignore them.
+    #: Worker-pool knobs, shared across every program of the campaign.
     workers: int = 1
     #: Execution substrate of the shared pool ("serial" | "process" |
     #: "thread" | "distributed"); ``None`` is serial, and ``None`` or
@@ -366,19 +364,6 @@ class Campaign:
         if len({job.key() for job in self.jobs}) != len(self.jobs):
             raise ValueError("duplicate (family, program) jobs in campaign")
         self.config = config or CampaignConfig()
-        # Every job runs on the campaign's shared pool, so a substrate knob
-        # on the tuner config would be ignored: refuse it instead.
-        defaults = BinTunerConfig()
-        ignored = [
-            name for name in ("executor", "workers", "serve")
-            if getattr(self.config.tuner, name) != getattr(defaults, name)
-        ]
-        if ignored:
-            raise ValueError(
-                f"CampaignConfig.tuner sets {', '.join(ignored)}, which a campaign "
-                "ignores (every job runs on its shared pool): set "
-                "CampaignConfig.dispatch / workers / serve instead"
-            )
         self.compiler_provider = compiler_provider
         self.spec_provider = spec_provider
         self.database = database if database is not None else CampaignDatabase(

@@ -1,36 +1,41 @@
-"""A worker pool shared by every program of a campaign.
+"""The one owner of every evaluation substrate.
 
-A mapper that owns its executor ties the substrate to a single program.  A
-campaign tunes many programs, and spawning (and tearing down) a fresh
-execution substrate per program would dominate the wall clock on short
-searches — exactly the cost the shared pool amortizes.  One substrate
-outlives all programs; ``dispatch`` picks which:
+A :class:`SharedWorkerPool` is the only thing that builds an executor or a
+coordinator; every mapper it hands out *borrows* that substrate, and closing
+the pool is what tears it down.  A campaign and the tuning service each hold
+one pool across all their programs — spawning (and tearing down) a fresh
+substrate per program would dominate the wall clock on short searches — and
+a standalone tuner that wants parallelism borrows one the same way::
+
+    with SharedWorkerPool("process", 4) as pool:
+        result = BinTuner(compiler, spec, config, mapper_factory=pool.mapper).run()
+
+Without a pool, :class:`~repro.tuner.evaluation.EvaluationEngine` evaluates
+inline.  ``dispatch`` picks the substrate:
 
 * ``"serial"`` — the deterministic inline path;
-* ``"process"`` — one ``ProcessPoolExecutor`` for the whole campaign; each
-  task carries the *identity* of its evaluator plus a pickle blob that
-  workers deserialize once and cache (bounded, see
+* ``"process"`` — one ``ProcessPoolExecutor``; each task carries the
+  *identity* of its evaluator plus a pickle blob that workers deserialize
+  once and cache (bounded, see
   :data:`~repro.tuner.evaluation.EVALUATOR_CACHE_LIMIT`);
 * ``"thread"`` — one ``ThreadPoolExecutor``; threads share the process, so
   evaluators are called directly (free-threaded-build lane);
 * ``"distributed"`` — one :class:`~repro.distrib.coordinator.Coordinator`
   listening on ``serve`` (``HOST:PORT``); workers started with
   ``python -m repro.distrib.worker --connect HOST:PORT`` — on this machine
-  or any other — evaluate the campaign's candidates.
+  or any other — evaluate the candidates.
 
 ``dispatch`` is the substrate's only name: no mode (or ``"serial"``) with
-``workers > 1`` means the process pool, decided by
-:func:`~repro.tuner.evaluation.resolve_dispatch` for this pool and a
-standalone tuner alike.  The three local modes hand out the same
-:class:`~repro.tuner.evaluation.LocalMapper` a standalone tuner uses; the
-only difference is ownership — the mapper *borrows* this pool's executor, so
-the per-run ``engine.close()`` in :meth:`BinTuner.run` leaves it running.
+``workers > 1`` means the process pool (:func:`resolve_dispatch`).  The
+three local modes hand out a :class:`~repro.tuner.evaluation.LocalMapper`
+and the distributed mode a :class:`~repro.distrib.mapper.DistributedMapper`;
+neither has a ``close``, so a tuner's run leaves the pool running and a
+follow-up ``evaluate()`` lands on the same executor.
 
-The pool owns what it builds and nothing else: a distributed pool creates
-and closes its coordinator and offers its fleet view as *sources*; the
-``/metrics`` server that renders them belongs to whoever was given the port
-(the campaign session or the tuning service), and whether a mesh fits the
-dispatch mode is the campaign's validation.
+The pool owns what it builds and nothing else: a distributed pool offers its
+fleet view as *sources*; the ``/metrics`` server that renders them belongs
+to whoever was given the port (the campaign session or the tuning service),
+and whether a mesh fits the dispatch mode is the campaign's validation.
 
 Determinism: every mapper returns results in submission order regardless of
 completion order (chunk order for the local pools, index-slotted replies for
@@ -39,25 +44,40 @@ guarantee carries over unchanged to every mode.
 
 Persistence: an evaluator's ``store_dir`` travels inside the pickle blob,
 and its ``__setstate__`` re-attaches the disk-backed artifact store
-(:mod:`repro.tuner.store`) on the worker side — so every process worker of
-a campaign opens the same store, and a freshly spawned worker consults the
-campaign's persisted compiles before paying for its own.
+(:mod:`repro.tuner.store`) on the worker side — so every process worker
+opens the same store, and a freshly spawned worker consults the persisted
+compiles before paying for its own.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.tuner.evaluation import (
-    CandidateEvaluator,
-    LocalMapper,
-    new_pool_executor,
-    resolve_dispatch,
-)
+from repro.tuner.evaluation import CandidateEvaluator, LocalMapper
+
+#: The execution substrates ``dispatch`` names.
+EXECUTORS = ("serial", "process", "thread", "distributed")
+
+
+def resolve_dispatch(dispatch: Optional[str], workers: int) -> str:
+    """The substrate a ``(dispatch, workers)`` pair means, validated.
+
+    The one place the default is decided: no mode (or ``"serial"``) with
+    several workers means the process pool.
+    """
+    mode = dispatch if dispatch is not None else "serial"
+    if mode not in EXECUTORS:
+        raise ValueError(f"unknown dispatch {mode!r} (use one of {', '.join(EXECUTORS)})")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if mode == "serial" and workers > 1:
+        return "process"
+    return mode
 
 
 class SharedWorkerPool:
-    """One execution substrate (or the serial path) spanning a whole campaign."""
+    """One execution substrate (or the serial path), shared by every mapper
+    it hands out."""
 
     def __init__(
         self,
@@ -117,18 +137,27 @@ class SharedWorkerPool:
     # -- mapper construction ----------------------------------------------------------
 
     def _ensure_executor(self):
+        """The pool's ``"thread"`` or ``"process"`` executor, built on first use."""
         if self._pool is None:
-            self._pool = new_pool_executor(self.dispatch, self.workers)
+            if self.dispatch == "thread":
+                from concurrent.futures import ThreadPoolExecutor
+
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.workers, thread_name_prefix="evaluation-mapper"
+                )
+            else:
+                from concurrent.futures import ProcessPoolExecutor
+
+                self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 
     def mapper(self, evaluator: CandidateEvaluator):
-        """A per-program mapper backed by this pool (serial: inline)."""
+        """A per-program mapper that borrows this pool's substrate (serial:
+        inline)."""
         if self.dispatch == "distributed":
             from repro.distrib.mapper import DistributedMapper
 
-            # The pool owns the coordinator; the mapper's close is a no-op.
             return DistributedMapper(self._coordinator, evaluator)
-        # The pool owns the executor; the mapper only borrows it.
         return LocalMapper(
             evaluator, self.dispatch, self.workers,
             executor_source=self._ensure_executor,

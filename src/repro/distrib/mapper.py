@@ -12,9 +12,9 @@ machines.  The mechanics:
 * each dispatch round snapshots the live workers and deals the pending
   tasks over them, weighted by advertised slots;
 * a worker that dies or times out mid-batch is discarded and its tasks
-  return to the pending set — *bounded* re-dispatch (``max_dispatch_rounds``)
-  so a poisonous batch that kills every worker it touches cannot loop
-  forever;
+  return to the pending set — *bounded* re-dispatch
+  (:data:`MAX_DISPATCH_ROUNDS`) so a poisonous batch that kills every worker
+  it touches cannot loop forever;
 * when no workers remain (or the re-dispatch budget is spent) the mapper
   falls back to evaluating the leftovers in-process with the same evaluator
   object it would have shipped — slower, never wrong, and deterministic
@@ -43,6 +43,9 @@ from repro.tuner.evaluation import (
 #: An indexed task: (submission index into the current ``map`` call, key).
 IndexedTask = Tuple[int, FlagKey]
 
+#: Dispatch rounds per ``map`` call before the leftovers run in-process.
+MAX_DISPATCH_ROUNDS = 3
+
 
 class DistributedMapper:
     """Maps candidate batches over a :class:`Coordinator`'s workers.
@@ -50,35 +53,19 @@ class DistributedMapper:
     One mapper serves one evaluator (one program of a campaign); the
     evaluator is pickled exactly once, and its id comes from the same
     monotonic counter the shared in-process pool draws from, so ids never
-    alias across dispatch modes.  ``close`` tears the coordinator down only
-    when this mapper created it (``own_coordinator=True``, the standalone
-    ``executor="distributed"`` tuner path); a campaign's pool owns its
-    coordinator and outlives every per-program mapper.
+    alias across dispatch modes.  The coordinator is borrowed: the
+    :class:`~repro.campaign.pool.SharedWorkerPool` that built it outlives
+    every per-program mapper and closes it.
     """
 
-    def __init__(
-        self,
-        coordinator: Coordinator,
-        evaluator: CandidateEvaluator,
-        evaluator_id: Optional[int] = None,
-        max_dispatch_rounds: int = 3,
-        own_coordinator: bool = False,
-    ) -> None:
-        if max_dispatch_rounds < 1:
-            raise ValueError(f"max_dispatch_rounds must be >= 1, got {max_dispatch_rounds}")
+    def __init__(self, coordinator: Coordinator, evaluator: CandidateEvaluator) -> None:
         self._coordinator = coordinator
         self._evaluator = evaluator
-        self.evaluator_id = next_evaluator_id() if evaluator_id is None else evaluator_id
+        self.evaluator_id = next_evaluator_id()
         self._blob = pickle.dumps(evaluator)
-        self.max_dispatch_rounds = max_dispatch_rounds
-        self._own_coordinator = own_coordinator
         #: Keys evaluated in-process because no worker (or no budget) was
         #: left — observability for tests and the demo.
         self.fallback_evaluations = 0
-
-    @property
-    def coordinator(self) -> Coordinator:
-        return self._coordinator
 
     @property
     def workers(self) -> int:
@@ -106,7 +93,7 @@ class DistributedMapper:
         rounds = 0
         while pending:
             handles = self._coordinator.workers()
-            if not handles or rounds >= self.max_dispatch_rounds:
+            if not handles or rounds >= MAX_DISPATCH_ROUNDS:
                 self.fallback_evaluations += len(pending)
                 for index, key in pending:
                     results[index] = self._evaluator(key)
@@ -146,7 +133,3 @@ class DistributedMapper:
             # (ordering is fixed by index) but it keeps logs readable.
             pending = sorted(lost)
         return results  # type: ignore[return-value]  # every slot is filled above
-
-    def close(self) -> None:
-        if self._own_coordinator:
-            self._coordinator.close()

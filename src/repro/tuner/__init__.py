@@ -42,7 +42,6 @@ from repro.tuner.evaluation import (
     EvaluationStats,
     LocalMapper,
     MapperTransportError,
-    make_mapper,
     next_evaluator_id,
 )
 from repro.tuner.pipeline import (
@@ -86,7 +85,6 @@ __all__ = [
     "EvaluationStats",
     "LocalMapper",
     "MapperTransportError",
-    "make_mapper",
     "next_evaluator_id",
     "ArtifactCache",
     "ArtifactStore",

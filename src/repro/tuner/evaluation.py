@@ -12,8 +12,10 @@ orchestrator into a composable subsystem:
   again and intra-batch duplicates are evaluated exactly once;
 * the surviving misses are dispatched to a worker mapper.  There are two:
   :class:`LocalMapper`, the one in-process mapper (inline, or contiguous
-  per-worker chunks on a thread or process executor it owns or borrows),
-  and the multi-machine :class:`~repro.distrib.mapper.DistributedMapper`;
+  per-worker chunks on a thread or process executor it borrows), and the
+  multi-machine :class:`~repro.distrib.mapper.DistributedMapper`.  Only
+  :class:`~repro.campaign.pool.SharedWorkerPool` builds a substrate — an
+  executor or a coordinator — and hands out mappers that borrow it;
 * results are recorded in *submission* order regardless of worker completion
   order, so a run is bit-for-bit reproducible for any worker count — or, with
   the distributed mapper, any machine count.
@@ -195,19 +197,6 @@ def _pool_call_batch(evaluator_id: int, blob: bytes,
     return evaluate_keys(_pool_evaluator(evaluator_id, blob), list(keys))
 
 
-def new_pool_executor(kind: str, workers: int):
-    """A fresh ``"thread"`` or ``"process"`` executor with ``workers`` lanes."""
-    if kind == "thread":
-        from concurrent.futures import ThreadPoolExecutor
-
-        return ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="evaluation-mapper"
-        )
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=workers)
-
-
 class LocalMapper:
     """The one in-process mapper: inline, thread pool, or process pool.
 
@@ -216,16 +205,16 @@ class LocalMapper:
     contiguous per-worker chunks (:func:`map_pipelined`), each evaluated
     key by key in its worker, so the partition — hence every fingerprint —
     depends only on the batch length and the worker count.  Threads share
-    the process and call the evaluator directly; a process executor gets the evaluator as an id plus a blob
-    pickled once per mapper, which each worker deserializes at most once
-    (bounded cache, :data:`EVALUATOR_CACHE_LIMIT`).
+    the process and call the evaluator directly; a process executor gets the
+    evaluator as an id plus a blob pickled once per mapper, which each
+    worker deserializes at most once (bounded cache,
+    :data:`EVALUATOR_CACHE_LIMIT`).
 
-    ``executor_source`` is a zero-argument callable returning a *borrowed*
-    executor (a campaign's or the service's shared pool): ``close`` leaves
-    it alone.  Without one the mapper owns its executor: created lazily on
-    first ``map``, shut down and dropped by ``close``, recreated by a later
-    ``map`` — :meth:`BinTuner.run` closes the engine and a follow-up
-    ``evaluate()`` must keep working.
+    A mapper never owns an executor: ``executor_source`` is a zero-argument
+    callable returning one it *borrows* — a
+    :class:`~repro.campaign.pool.SharedWorkerPool`'s, which builds the
+    substrate and shuts it down — and ``"thread"`` / ``"process"`` require
+    it.
 
     Exceptions raised by the evaluator (anything it does not classify as an
     invalid candidate) propagate to the caller on every kind.
@@ -244,10 +233,14 @@ class LocalMapper:
             raise ValueError(f"unknown mapper kind {kind!r} (use one of {', '.join(self.KINDS)})")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        if kind != "serial" and executor_source is None:
+            raise ValueError(
+                f"a {kind!r} mapper borrows its executor: build it through "
+                "SharedWorkerPool(...).mapper"
+            )
         self.kind = kind
         self.workers = 1 if kind == "serial" else workers
         self._executor_source = executor_source
-        self._owned_executor = None
         #: Only a pickle blob that leaves the process needs an id.
         self.evaluator_id: Optional[int] = None
         if kind == "process":
@@ -258,73 +251,12 @@ class LocalMapper:
         else:
             self._evaluate_chunk = functools.partial(evaluate_keys, evaluator)
 
-    def _executor(self):
-        if self._executor_source is not None:
-            return self._executor_source()
-        if self._owned_executor is None:
-            self._owned_executor = new_pool_executor(self.kind, self.workers)
-        return self._owned_executor
-
     def map(self, keys: Sequence[FlagKey]) -> List[CandidateResult]:
         if self.kind == "serial":
             return self._evaluate_chunk(list(keys))
         if not keys:
             return []
-        return map_pipelined(self._executor(), self._evaluate_chunk, keys, self.workers)
-
-    def close(self) -> None:
-        if self._owned_executor is not None:
-            self._owned_executor.shutdown()
-            self._owned_executor = None
-
-
-#: The execution substrates ``dispatch`` (``BinTunerConfig.executor``) names.
-EXECUTORS = ("serial", "process", "thread", "distributed")
-
-
-def resolve_dispatch(dispatch: Optional[str], workers: int) -> str:
-    """The substrate a ``(dispatch, workers)`` pair means, validated.
-
-    The one place the default is decided: no mode (or ``"serial"``) with
-    several workers means the process pool, for a standalone tuner's mapper
-    and a campaign's shared pool alike.
-    """
-    mode = dispatch if dispatch is not None else "serial"
-    if mode not in EXECUTORS:
-        raise ValueError(f"unknown dispatch {mode!r} (use one of {', '.join(EXECUTORS)})")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if mode == "serial" and workers > 1:
-        return "process"
-    return mode
-
-
-def make_mapper(
-    evaluator: CandidateEvaluator,
-    executor: str = "serial",
-    workers: int = 1,
-    serve: Optional[str] = None,
-):
-    """Resolve the (executor, workers) knobs into a mapper that owns its substrate.
-
-    ``serve`` applies to ``executor="distributed"`` only: the ``HOST:PORT``
-    the coordinator binds (``"127.0.0.1:0"`` — loopback, ephemeral port — by
-    default; read the bound address off ``mapper.coordinator``).  The
-    returned distributed mapper owns its coordinator and tears it down on
-    ``close``; campaigns that want one substrate spanning many programs
-    build their mappers through the shared pool instead.
-    """
-    executor = resolve_dispatch(executor, workers)
-    if executor == "distributed":
-        from repro.distrib.coordinator import Coordinator
-        from repro.distrib.mapper import DistributedMapper
-        from repro.distrib.protocol import parse_address
-
-        host, port = parse_address(serve) if serve else ("127.0.0.1", 0)
-        return DistributedMapper(
-            Coordinator(host=host, port=port), evaluator, own_coordinator=True
-        )
-    return LocalMapper(evaluator, executor, workers)
+        return map_pipelined(self._executor_source(), self._evaluate_chunk, keys, self.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +386,7 @@ class EvaluationEngine:
         self,
         evaluator: CandidateEvaluator,
         database: Optional[TuningDatabase] = None,
-        executor: str = "serial",
-        workers: int = 1,
         mapper=None,
-        serve: Optional[str] = None,
     ) -> None:
         self.database = database if database is not None else TuningDatabase()
         self.stats = EvaluationStats()
@@ -466,19 +395,13 @@ class EvaluationEngine:
         #: records is recorded — the campaign layer's per-generation
         #: checkpoint hook.  All-hit replay batches do not fire it.
         self.on_batch: Optional[Callable[["EvaluationEngine"], None]] = None
-        # An injected mapper (e.g. a campaign's shared worker pool) wins over
-        # the (executor, workers) knobs; its lifetime belongs to the injector.
-        self._mapper = mapper if mapper is not None else make_mapper(
-            evaluator, executor=executor, workers=workers, serve=serve
-        )
+        # A parallel mapper comes from a SharedWorkerPool, which owns the
+        # substrate; without one the engine evaluates inline.
+        self._mapper = mapper if mapper is not None else LocalMapper(evaluator)
 
     @property
     def mapper(self):
         return self._mapper
-
-    @property
-    def workers(self) -> int:
-        return self._mapper.workers
 
     def evaluate_batch(self, batch: Sequence[FlagVector]) -> List[float]:
         """Evaluate a generation; returns scores aligned with ``batch``.
@@ -589,13 +512,3 @@ class EvaluationEngine:
     def evaluate(self, vector: FlagVector) -> float:
         """Single-candidate convenience wrapper (a batch of one)."""
         return self.evaluate_batch([vector])[0]
-
-    def close(self) -> None:
-        """Release worker processes (no-op for the serial mapper)."""
-        self._mapper.close()
-
-    def __enter__(self) -> "EvaluationEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

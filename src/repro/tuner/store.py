@@ -132,6 +132,9 @@ class ArtifactStore:
         #: Approximate byte total maintained by this instance's puts; the
         #: authoritative number is a directory scan (see :meth:`gc`).
         self._approx_bytes: Optional[int] = None
+        #: Monotonic sum of every put's byte delta: :meth:`gc` snapshots it
+        #: before its scan and re-adds what arrived while it was scanning.
+        self._added_bytes = 0
         #: In-memory view of the advisory index (lazily loaded, flushed on
         #: an amortized schedule — see :data:`INDEX_FLUSH_INTERVAL`).
         self._index: Optional[Dict] = None
@@ -266,6 +269,7 @@ class ArtifactStore:
             return False
         puts = self.counters.incr("puts")
         with self._lock:
+            self._added_bytes += len(payload) - replaced
             if self._approx_bytes is None:
                 self._approx_bytes = self._scan_bytes()
             else:
@@ -385,6 +389,8 @@ class ArtifactStore:
                         continue
             evicted = 0
             removed = set()
+            with self._lock:
+                added_before_scan = self._added_bytes
             entries = self._entries()
             total = sum(size for _path, size, _mtime in entries)
             if self.max_bytes is not None and total > self.max_bytes:
@@ -402,7 +408,10 @@ class ArtifactStore:
                     evicted += 1
                 self.counters.incr("gc_evictions", evicted)
             with self._lock:
-                self._approx_bytes = total
+                # A put that lands after the scan counted itself into
+                # ``_approx_bytes`` already; keep it (one that landed before
+                # is counted twice — an early GC, never a missed one).
+                self._approx_bytes = total + self._added_bytes - added_before_scan
             self._write_index(
                 [entry for entry in entries if entry[0].name not in removed]
             )

@@ -9,10 +9,11 @@ best configuration plus its binary.
 Candidate evaluation itself lives in :mod:`repro.tuner.evaluation` and
 :mod:`repro.tuner.pipeline`: the orchestrator builds an
 :class:`EvaluationEngine` around the picklable staged compile+emulate+score
-evaluator, and the search strategies submit whole generations to it.
-``BinTunerConfig.workers`` / ``executor`` choose between the deterministic
-serial executor and a process pool; results are recorded in generation order
-either way, so runs are reproducible for any worker count.
+evaluator, and the search strategies submit whole generations to it.  A
+tuner evaluates inline unless it is given a ``mapper_factory`` — a
+:class:`~repro.campaign.pool.SharedWorkerPool`'s ``mapper``, the one owner of
+every thread, process and distributed substrate; results are recorded in
+generation order either way, so runs are reproducible for any worker count.
 """
 
 from __future__ import annotations
@@ -100,19 +101,6 @@ class BinTunerConfig:
     require_functional_correctness: bool = True
     invalid_fitness: float = -1.0
     max_emulation_steps: int = 2_000_000
-    #: Evaluation-engine knobs: "serial" runs candidates in-process (the
-    #: deterministic default), "process" dispatches each generation to a
-    #: ``ProcessPoolExecutor`` with ``workers`` processes, "thread" to a
-    #: ``ThreadPoolExecutor`` (free-threaded builds), and "distributed"
-    #: serves them to remote workers over the network (see
-    #: :mod:`repro.distrib`).  ``workers > 1`` with the default executor
-    #: implies the process pool.  Results are identical across every mode.
-    executor: str = "serial"
-    workers: int = 1
-    #: ``HOST:PORT`` the coordinator binds when ``executor="distributed"``
-    #: (default: loopback on an ephemeral port; read the bound address off
-    #: ``tuner.evaluation_engine().mapper.coordinator``).
-    serve: Optional[str] = None
     #: Warm-start flag tuples injected into the GA's initial population —
     #: best configurations of already-tuned programs in a campaign.  Names
     #: unknown to the target compiler's registry are dropped silently.
@@ -191,7 +179,8 @@ class BinTuner:
         self.constraints = ConstraintEngine(compiler.registry)
         # A campaign injects its shard as ``database`` (so dedup extends to a
         # checkpointed prior run), its shared worker pool as ``mapper_factory``
-        # (evaluator -> mapper; the pool owns its lifetime), and its
+        # (evaluator -> mapper; the pool owns the substrate — without one the
+        # engine evaluates inline), and its
         # campaign-wide ``artifact_cache`` (content-addressed, so sharing
         # across programs is safe and warm starts reuse compiled artifacts).
         self.database = database if database is not None else TuningDatabase(
@@ -277,14 +266,7 @@ class BinTuner:
         if self._engine is None:
             evaluator = self._build_evaluator()
             mapper = self._mapper_factory(evaluator) if self._mapper_factory else None
-            self._engine = EvaluationEngine(
-                evaluator,
-                database=self.database,
-                executor=self.config.executor,
-                workers=self.config.workers,
-                mapper=mapper,
-                serve=self.config.serve,
-            )
+            self._engine = EvaluationEngine(evaluator, database=self.database, mapper=mapper)
         return self._engine
 
     def evaluate(self, flags: FlagVector) -> float:
@@ -296,9 +278,9 @@ class BinTuner:
         return self.evaluation_engine().evaluate_batch(batch)
 
     def close(self) -> None:
-        """Shut down evaluation workers (serial runs: no-op)."""
-        if self._engine is not None:
-            self._engine.close()
+        """A no-op: the tuner owns no substrate (a borrowed pool is closed by
+        its owner).  Kept because the byte-frozen ``benchmarks/ledger``
+        calls it."""
 
     # -- search -----------------------------------------------------------------------
 
@@ -329,25 +311,20 @@ class BinTuner:
         engine = self.evaluation_engine()
         stats_before = replace(engine.stats)
         search = self._build_search()
-        try:
-            if isinstance(search, GeneticAlgorithm):
-                best_flags, best_fitness, evaluations = search.run(
-                    engine,
-                    max_iterations=self.config.max_iterations,
-                    target_growth_rate=self.config.target_growth_rate,
-                    stall_window=self.config.stall_window,
-                    observer=observer,
-                )
-            else:
-                best_flags, best_fitness, evaluations = search.run(
-                    engine,
-                    max_iterations=self.config.max_iterations,
-                    observer=observer,
-                )
-        finally:
-            # Worker processes do not outlive the run; the engine (and its
-            # database/stats) stays usable for follow-up evaluate() calls.
-            engine.close()
+        if isinstance(search, GeneticAlgorithm):
+            best_flags, best_fitness, evaluations = search.run(
+                engine,
+                max_iterations=self.config.max_iterations,
+                target_growth_rate=self.config.target_growth_rate,
+                stall_window=self.config.stall_window,
+                observer=observer,
+            )
+        else:
+            best_flags, best_fitness, evaluations = search.run(
+                engine,
+                max_iterations=self.config.max_iterations,
+                observer=observer,
+            )
         return TuningResult(
             program=self.spec.name,
             compiler=self.compiler.registry.compiler,

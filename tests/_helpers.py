@@ -3,8 +3,10 @@ own conftest.py that wins the ``conftest`` module name in full-repo runs)."""
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import socket
+import threading
 import time
 
 
@@ -109,3 +111,49 @@ def loopback_available() -> bool:
         return True
     except OSError:
         return False
+
+
+@contextlib.contextmanager
+def thread_workers(coordinator, count: int, **kwargs):
+    """Run ``count`` worker loops as daemon threads against ``coordinator``.
+
+    ``hard_exit`` is forced off: an ``os._exit`` inside a thread would take
+    the test process down with it — closing the socket instead is
+    indistinguishable from the coordinator's point of view (EOF mid-batch).
+    """
+    from repro.distrib import serve
+
+    target = coordinator.worker_count() + count  # cumulative: calls may nest
+    threads = []
+    for _ in range(count):
+        thread = threading.Thread(
+            target=serve,
+            kwargs=dict(connect=coordinator.address_string(), hard_exit=False, **kwargs),
+            daemon=True,
+        )
+        thread.start()
+        threads.append(thread)
+    coordinator.wait_for_workers(target, timeout=10)
+    yield threads
+
+
+def run_tuner(compiler, spec, config, dispatch="serial", workers=1,
+              remote_workers=0, **tuner_kwargs):
+    """``BinTuner(...).run()`` on a borrowed ``SharedWorkerPool`` — the one
+    way a standalone run goes parallel — returning ``(result, tuner)``.
+
+    ``dispatch="distributed"`` is served by ``remote_workers`` loopback
+    worker threads of two slots each.  A ``mapper_factory`` in
+    ``tuner_kwargs`` wins over the pool's.
+    """
+    from repro.campaign import SharedWorkerPool
+    from repro.tuner import BinTuner
+
+    with SharedWorkerPool(dispatch, workers) as pool, contextlib.ExitStack() as stack:
+        if remote_workers:
+            stack.enter_context(thread_workers(
+                pool.coordinator, remote_workers, slots=2, heartbeat_interval=0.5
+            ))
+        tuner_kwargs.setdefault("mapper_factory", pool.mapper)
+        tuner = BinTuner(compiler, spec, config, **tuner_kwargs)
+        return tuner.run(), tuner

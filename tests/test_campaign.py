@@ -207,10 +207,10 @@ class TestCampaignRun:
     ])
     def test_tuner_substrate_knobs_rejected(self, knob):
         """Every job runs on the campaign's shared pool, so a tuner-level
-        ``executor`` / ``workers`` / ``serve`` would be silently ignored."""
-        config = CampaignConfig(tuner=BinTunerConfig(**knob))
-        with pytest.raises(ValueError, match="CampaignConfig.dispatch / workers / serve"):
-            Campaign(JOBS, config, spec_provider=tiny_spec)
+        ``executor`` / ``workers`` / ``serve`` could only be silently
+        ignored: the tuner config has no such field to set."""
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            BinTunerConfig(**knob)
 
     def test_warm_start_seeds_later_programs(self):
         result = run_campaign()

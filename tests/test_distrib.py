@@ -28,7 +28,7 @@ import threading
 from pathlib import Path
 
 import pytest
-from _helpers import fresh_process_state, loopback_available
+from _helpers import fresh_process_state, loopback_available, run_tuner, thread_workers
 
 from repro.campaign import (
     Campaign,
@@ -38,7 +38,6 @@ from repro.campaign import (
 )
 from repro.opt.flags import FlagVector, build_gcc_registry
 from repro.tuner import (
-    BinTuner,
     BinTunerConfig,
     BuildSpec,
     CandidateResult,
@@ -46,7 +45,6 @@ from repro.tuner import (
     GAParameters,
     LocalMapper,
     MapperTransportError,
-    make_mapper,
 )
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -120,28 +118,6 @@ class ExplodingEvaluator:
 
     def __call__(self, key):
         raise TypeError("injected bug")
-
-
-@contextlib.contextmanager
-def thread_workers(coordinator: Coordinator, count: int, **kwargs):
-    """Run ``count`` worker loops as daemon threads against ``coordinator``.
-
-    ``hard_exit`` is forced off: an ``os._exit`` inside a thread would take
-    the test process down with it — closing the socket instead is
-    indistinguishable from the coordinator's point of view (EOF mid-batch).
-    """
-    target = coordinator.worker_count() + count  # cumulative: calls may nest
-    threads = []
-    for _ in range(count):
-        thread = threading.Thread(
-            target=serve,
-            kwargs=dict(connect=coordinator.address_string(), hard_exit=False, **kwargs),
-            daemon=True,
-        )
-        thread.start()
-        threads.append(thread)
-    coordinator.wait_for_workers(target, timeout=10)
-    yield threads
 
 
 def spawn_worker_process(address: str, *extra: str) -> subprocess.Popen:
@@ -468,9 +444,6 @@ class _EOFMapper:
     def map(self, keys):
         raise EOFError("remote worker pipe broke")
 
-    def close(self):
-        pass
-
 
 class TestEngineIntegration:
     def test_transport_failures_are_actionable(self):
@@ -487,34 +460,17 @@ class TestEngineIntegration:
 
     def test_thread_mapper_matches_serial(self, llvm):
         spec = BuildSpec(name="tiny", source=TINY_A)
-        def tune(executor, workers):
-            config = BinTunerConfig(
-                max_iterations=12, ga=GAParameters(population_size=6, seed=9),
-                stall_window=10, executor=executor, workers=workers,
-            )
-            tuner = BinTuner(llvm, spec, config)
-            try:
-                return tuner.run()
-            finally:
-                tuner.close()
-
-        serial = tune("serial", 1)
-        threaded = tune("thread", 4)
+        config = BinTunerConfig(
+            max_iterations=12, ga=GAParameters(population_size=6, seed=9),
+            stall_window=10,
+        )
+        serial, _tuner = run_tuner(llvm, spec, config)
+        threaded, _tuner = run_tuner(llvm, spec, config, "thread", 4)
         assert threaded.best_flags.sorted_names() == serial.best_flags.sorted_names()
         assert threaded.ncd_history() == serial.ncd_history()
         assert [r.flags for r in threaded.database.records] == [
             r.flags for r in serial.database.records
         ]
-
-    def test_make_mapper_thread_and_validation(self):
-        mapper = make_mapper(FakeEvaluator(), executor="thread", workers=3)
-        assert isinstance(mapper, LocalMapper) and mapper.kind == "thread"
-        try:
-            assert mapper.map(KEYS) == [FakeEvaluator()(key) for key in KEYS]
-        finally:
-            mapper.close()
-        with pytest.raises(ValueError):
-            make_mapper(FakeEvaluator(), executor="carrier-pigeon")
 
     def test_tuner_distributed_matches_serial(self, llvm):
         spec = BuildSpec(name="tiny", source=TINY_A)
@@ -522,19 +478,8 @@ class TestEngineIntegration:
             max_iterations=12, ga=GAParameters(population_size=6, seed=9),
             stall_window=10,
         )
-        serial_tuner = BinTuner(llvm, spec, config)
-        serial = serial_tuner.run()
-
-        from dataclasses import replace
-
-        distributed_tuner = BinTuner(llvm, spec, replace(config, executor="distributed"))
-        engine = distributed_tuner.evaluation_engine()
-        coordinator = engine.mapper.coordinator
-        try:
-            with thread_workers(coordinator, 2):
-                distributed = distributed_tuner.run()
-        finally:
-            distributed_tuner.close()  # tears down the tuner-owned coordinator
+        serial, _tuner = run_tuner(llvm, spec, config)
+        distributed, _tuner = run_tuner(llvm, spec, config, "distributed", remote_workers=2)
         assert distributed.best_flags.sorted_names() == serial.best_flags.sorted_names()
         assert distributed.ncd_history() == serial.ncd_history()
         assert [r.flags for r in distributed.database.records] == [

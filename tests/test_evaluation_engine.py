@@ -1,6 +1,6 @@
 """Tests for the generation-batched evaluation engine and the cached NCD
 fitness: batch dedup, submission-order recording, the one in-process
-mapper's contract on every substrate, serial/process-pool equivalence, and
+mapper's contract on every borrowed pool, serial/process-pool equivalence, and
 exact agreement between cached and uncached NCD."""
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ import os
 import pickle
 
 import pytest
+from _helpers import run_tuner
 
 from repro.backend.binary import BinaryImage, Section
 from repro.campaign import SharedWorkerPool
@@ -25,7 +26,6 @@ from repro.tuner import (
     MapperTransportError,
     StagedCandidateEvaluator,
     TuningDatabase,
-    make_mapper,
 )
 from repro.tuner import evaluation
 from repro.tuner.evaluation import EVALUATOR_CACHE_LIMIT, split_into_chunks
@@ -140,6 +140,17 @@ class TestEvaluationEngine:
         assert score == float(len(vectors[3]))
         assert len(engine.database) == 1
 
+    def test_without_a_pool_the_engine_evaluates_inline(self):
+        """A parallel substrate only ever comes from a SharedWorkerPool: the
+        engine's own default is the serial mapper, and a thread or process
+        mapper without a borrowed executor is refused."""
+        engine = EvaluationEngine(_CountingEvaluator())
+        assert isinstance(engine.mapper, LocalMapper)
+        assert engine.mapper.kind == "serial" and engine.mapper.workers == 1
+        for kind in ("thread", "process"):
+            with pytest.raises(ValueError, match="SharedWorkerPool"):
+                LocalMapper(_CountingEvaluator(), kind, 2)
+
 
 class _ChunkEcho:
     """Picklable batch-aware fake: every result names the chunk it rode in,
@@ -171,37 +182,20 @@ def _worker_evaluator_cache_size():
 MAPPER_KEYS = [tuple(f"-f{i}" for i in range(size)) for size in range(1, 9)]
 
 
-@pytest.fixture(
-    params=[(kind, owner) for kind in LocalMapper.KINDS for owner in ("owned", "borrowed")],
-    ids=lambda param: "-".join(param),
-)
+@pytest.fixture(params=LocalMapper.KINDS)
 def local_mapper(request):
-    """``(kind, pool, build)``: ``build(evaluator)`` is :func:`make_mapper`
-    (the mapper owns its executor) or a :class:`SharedWorkerPool`'s
-    ``mapper`` (it borrows the pool's); ``pool`` is ``None`` when owned."""
-    kind, owner = request.param
+    """``(kind, pool, build)``: ``build(evaluator)`` is a
+    :class:`SharedWorkerPool`'s ``mapper``, which borrows the pool's
+    executor."""
+    kind = request.param
     workers = 1 if kind == "serial" else 3  # "serial" with more means "process"
-    pool = SharedWorkerPool(dispatch=kind, workers=workers) if owner == "borrowed" else None
-    mappers = []
-
-    def build(evaluator):
-        mapper = (
-            pool.mapper(evaluator) if pool is not None
-            else make_mapper(evaluator, executor=kind, workers=workers)
-        )
-        mappers.append(mapper)
-        return mapper
-
-    yield kind, pool, build
-    for mapper in mappers:
-        mapper.close()
-    if pool is not None:
-        pool.close()
+    with SharedWorkerPool(dispatch=kind, workers=workers) as pool:
+        yield kind, pool, pool.mapper
 
 
 class TestLocalMapperContract:
-    """One class serves inline, thread and process dispatch, owning its
-    executor or borrowing a pool's: the same contract on all six."""
+    """One class serves inline, thread and process dispatch on a borrowed
+    pool: the same contract on all three."""
 
     def test_submission_order_and_chunk_partition(self, local_mapper):
         kind, _pool, build = local_mapper
@@ -219,47 +213,19 @@ class TestLocalMapperContract:
         assert ({r.code_size for r in results} == {os.getpid()}) == (kind != "process")
         assert mapper.map([]) == []
 
-    def test_close_respects_ownership_and_map_reopens(self, local_mapper):
-        kind, pool, build = local_mapper
-        mapper = build(_ChunkEcho())
-        first = mapper.map(MAPPER_KEYS)
-        mapper.close()
-        if pool is not None and kind != "serial":
-            borrowed = pool._pool
-            assert borrowed is not None  # the pool's executor survived close()
-        assert mapper._owned_executor is None
-        again = mapper.map(MAPPER_KEYS)  # BinTuner.run() closed; evaluate() reopens
-        assert [r.fingerprint for r in again] == [r.fingerprint for r in first]
-        if kind != "serial":
-            assert (mapper._owned_executor is None) == (pool is not None)
-        if pool is not None and kind != "serial":
-            assert pool._pool is borrowed
-        mapper.close()
-        mapper.close()  # idempotent
-
-    @pytest.mark.parametrize("owner", ["owned", "borrowed"])
-    def test_broken_pool_is_a_transport_error(self, owner, registry):
+    def test_broken_pool_is_a_transport_error(self, registry):
         evaluator = _DiesInWorker()
-        pool = SharedWorkerPool(dispatch="process", workers=2) if owner == "borrowed" else None
-        mapper = (
-            pool.mapper(evaluator) if pool is not None
-            else make_mapper(evaluator, executor="process", workers=2)
-        )
-        engine = EvaluationEngine(evaluator, mapper=mapper)
-        names = registry.flag_names()
-        batch = [FlagVector(registry, frozenset(names[:i])) for i in range(1, 4)]
-        try:
+        with SharedWorkerPool(dispatch="process", workers=2) as pool:
+            mapper = pool.mapper(evaluator)
+            engine = EvaluationEngine(evaluator, mapper=mapper)
+            names = registry.flag_names()
+            batch = [FlagVector(registry, frozenset(names[:i])) for i in range(1, 4)]
             with pytest.raises(MapperTransportError) as caught:
                 engine.evaluate_batch(batch)
-        finally:
-            mapper.close()
-            if pool is not None:
-                pool.close()
         assert caught.value.evaluator_id == mapper.evaluator_id
         assert list(caught.value.keys) == [tuple(v.sorted_names()) for v in batch]
 
     def test_serial_with_several_workers_means_the_process_pool(self):
-        assert make_mapper(_ChunkEcho(), executor="serial", workers=2).kind == "process"
         with SharedWorkerPool("serial", 2) as pool:
             assert pool.mapper(_ChunkEcho()).kind == "process"
 
@@ -379,21 +345,15 @@ class TestCachedNCDFitness:
         assert clone.hits == 0 and clone.misses == 1  # cache state is per-process
 
 
-def _tune(llvm, strategy, executor, workers, max_iterations=16):
+def _tune(llvm, strategy, dispatch, workers, max_iterations=16):
     spec = BuildSpec(name="tiny", source=TINY_SOURCE)
     config = BinTunerConfig(
         max_iterations=max_iterations,
         ga=GAParameters(population_size=6, seed=9),
         stall_window=12,
         search_strategy=strategy,
-        executor=executor,
-        workers=workers,
     )
-    tuner = BinTuner(llvm, spec, config)
-    try:
-        return tuner.run()
-    finally:
-        tuner.close()
+    return run_tuner(llvm, spec, config, dispatch, workers)[0]
 
 
 class TestSerialParallelEquivalence:
@@ -442,9 +402,32 @@ class TestSerialParallelEquivalence:
 
     @pytest.mark.slow
     def test_worker_pool_propagates_programming_errors(self, registry):
-        engine = EvaluationEngine(_ExplodingEvaluator(), executor="process", workers=2)
-        try:
+        evaluator = _ExplodingEvaluator()
+        with SharedWorkerPool(dispatch="process", workers=2) as pool:
+            engine = EvaluationEngine(evaluator, mapper=pool.mapper(evaluator))
             with pytest.raises(TypeError):
                 engine.evaluate(FlagVector(registry, frozenset()))
-        finally:
-            engine.close()
+
+    @pytest.mark.slow
+    def test_run_leaves_the_borrowed_pool_open(self, llvm):
+        """A standalone tuner on a borrowed process pool answers ``evaluate``
+        after ``run()`` on the very same executor: the run never closes
+        what it does not own."""
+        spec = BuildSpec(name="tiny", source=TINY_SOURCE)
+        config = BinTunerConfig(
+            max_iterations=12, ga=GAParameters(population_size=6, seed=9), stall_window=8
+        )
+        with SharedWorkerPool(dispatch="process", workers=2) as pool:
+            tuner = BinTuner(llvm, spec, config, mapper_factory=pool.mapper)
+            result = tuner.run()
+            executor = pool._pool
+            assert executor is not None and result.evaluation_stats.evaluated > 0
+            unseen = next(
+                FlagVector(llvm.registry, frozenset({name}))
+                for name in llvm.registry.flag_names()
+                if tuner.database.lookup((name,)) is None
+            )
+            evaluated = tuner.evaluation_engine().stats.evaluated
+            assert tuner.evaluate(unseen) == tuner.evaluate(unseen)
+            assert tuner.evaluation_engine().stats.evaluated == evaluated + 1
+            assert pool._pool is executor

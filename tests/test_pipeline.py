@@ -4,8 +4,8 @@ The load-bearing guarantees:
 
 * the staged evaluator produces results — records, order, database
   fingerprints — bit-for-bit identical to the unstaged reference closure
-  (the oracle in ``_helpers.reference_evaluator``) on the serial, thread,
-  process and distributed executors;
+  (the oracle in ``_helpers.reference_evaluator``) on serial, thread,
+  process and distributed worker pools;
 * the :class:`ArtifactCache` is a correct bounded LRU with honest hit/miss/
   eviction accounting, and eviction never changes any result;
 * compile artifacts are content-addressed (compiler, source digest, flags)
@@ -15,7 +15,7 @@ The load-bearing guarantees:
   recompiled from scratch, and ``compare_levels`` goes through the stages;
 * with a disk-backed store (:mod:`repro.tuner.store`) behind the cache, a
   run restarted in a *fresh process* is bit-for-bit identical to — and
-  compiles nothing already compiled by — the cold run, on every executor,
+  compiles nothing already compiled by — the cold run, on every pool,
   with the store cold, warm, or GC-thrashed mid-run (the property-based
   harness at the bottom randomizes seeds and flag domains over exactly
   that invariant).
@@ -37,12 +37,13 @@ from _helpers import (
     loopback_available,
     reference_evaluator,
     reference_mapper,
+    run_tuner,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.emulator import EmulationError, run_program
-from repro.campaign import Campaign, CampaignConfig, ProgramJob
+from repro.campaign import Campaign, CampaignConfig, ProgramJob, SharedWorkerPool
 from repro.compilers.base import CompilationError
 from repro.difftools import NCDFitness
 from repro.opt.flags import FlagVector
@@ -91,23 +92,17 @@ def signature(record):
             record.fingerprint, record.generation, record.valid)
 
 
-def tune(llvm, executor="serial", workers=1, cache=None, max_iterations=16,
-         mapper_factory=None):
+def tune(llvm, dispatch="serial", workers=1, cache=None, max_iterations=16,
+         remote_workers=0, **tuner_kwargs):
     config = BinTunerConfig(
         max_iterations=max_iterations,
         ga=GAParameters(population_size=6, seed=9),
         stall_window=12,
-        executor=executor,
-        workers=workers,
     )
-    tuner = BinTuner(
-        llvm, BuildSpec(name="tiny", source=TINY_SOURCE), config,
-        artifact_cache=cache, mapper_factory=mapper_factory,
+    return run_tuner(
+        llvm, BuildSpec(name="tiny", source=TINY_SOURCE), config, dispatch, workers,
+        remote_workers, artifact_cache=cache, **tuner_kwargs,
     )
-    try:
-        return tuner.run(), tuner
-    finally:
-        tuner.close()
 
 
 def tune_reference(llvm):
@@ -444,13 +439,13 @@ class TestTunerPipelineParity:
 
     def test_staged_thread_matches_monolithic_serial(self, llvm):
         mono, _tuner = tune_reference(llvm)
-        staged, _tuner = tune(llvm, executor="thread", workers=2)
+        staged, _tuner = tune(llvm, dispatch="thread", workers=2)
         assert staged.database.fingerprint() == mono.database.fingerprint()
 
     @pytest.mark.slow
     def test_staged_process_four_workers_matches_monolithic_serial(self, llvm):
         mono, _tuner = tune_reference(llvm)
-        staged, _tuner = tune(llvm, executor="process", workers=4)
+        staged, _tuner = tune(llvm, dispatch="process", workers=4)
         assert staged.database.fingerprint() == mono.database.fingerprint()
         assert staged.best_flags.sorted_names() == mono.best_flags.sorted_names()
 
@@ -570,11 +565,8 @@ class TestBuiltAtFirstUse:
             elif route == "pickled":
                 pickled_copy_mapper(evaluator).map(keys)
             else:
-                mapper = LocalMapper(evaluator, route, 2)
-                try:
-                    mapper.map(keys)
-                finally:
-                    mapper.close()
+                with SharedWorkerPool(route, 2) as pool:
+                    pool.mapper(evaluator).map(keys)
 
     def test_unbuildable_fitness_is_an_error_not_a_penalty(self, llvm, monkeypatch):
         """The compile stage accepted the configuration, the fitness
@@ -698,38 +690,14 @@ class TestCampaignPipeline:
 @pytest.mark.slow
 @pytest.mark.skipif(not loopback_available(), reason="no AF_INET loopback in this sandbox")
 def test_staged_distributed_four_workers_matches_monolithic_serial(llvm):
-    from repro.distrib.worker import serve
-
     mono, _tuner = tune_reference(llvm)
-    config = BinTunerConfig(
-        max_iterations=16, ga=GAParameters(population_size=6, seed=9),
-        stall_window=12, executor="distributed",
-    )
-    tuner = BinTuner(llvm, BuildSpec(name="tiny", source=TINY_SOURCE), config)
-    engine = tuner.evaluation_engine()
-    coordinator = engine.mapper.coordinator
-    threads = [
-        threading.Thread(
-            target=serve,
-            kwargs=dict(connect=coordinator.address_string(), hard_exit=False,
-                        slots=2, heartbeat_interval=0.5),
-            daemon=True,
-        )
-        for _ in range(4)
-    ]
-    for thread in threads:
-        thread.start()
-    coordinator.wait_for_workers(4, timeout=10)
-    try:
-        staged = tuner.run()
-    finally:
-        tuner.close()
+    staged, _tuner = tune(llvm, dispatch="distributed", remote_workers=4)
     assert staged.database.fingerprint() == mono.database.fingerprint()
     assert staged.best_flags.sorted_names() == mono.best_flags.sorted_names()
 
 
 # ---------------------------------------------------------------------------
-# the disk store behind the cache: worker rehydration + executor parity
+# the disk store behind the cache: worker rehydration + pool parity
 # ---------------------------------------------------------------------------
 
 def tune_with_store(
@@ -738,26 +706,26 @@ def tune_with_store(
     ga_seed=9,
     population=6,
     warm_start=(),
-    executor="serial",
+    dispatch="serial",
     workers=1,
     store_max_bytes=None,
     max_iterations=12,
+    stall_window=10,
+    remote_workers=0,
 ):
     config = BinTunerConfig(
         max_iterations=max_iterations,
         ga=GAParameters(population_size=population, seed=ga_seed),
-        stall_window=10,
-        executor=executor,
-        workers=workers,
+        stall_window=stall_window,
         warm_start=warm_start,
         store_dir=store_dir,
         store_max_bytes=store_max_bytes,
     )
-    tuner = BinTuner(llvm, BuildSpec(name="tiny", source=TINY_SOURCE), config)
-    try:
-        return tuner.run()
-    finally:
-        tuner.close()
+    result, _tuner = run_tuner(
+        llvm, BuildSpec(name="tiny", source=TINY_SOURCE), config, dispatch, workers,
+        remote_workers,
+    )
+    return result
 
 
 class TestStoreBackedEvaluator:
@@ -882,10 +850,10 @@ class TestStoreParityProperties:
             assert stats.artifact_store_hits > 0
             assert stats.evaluated == cold.evaluation_stats.evaluated
 
-            # The thread executor over the same (now warm) store.
+            # A thread pool over the same (now warm) store.
             fresh_process_state()
             threaded = tune_with_store(
-                llvm, root / "store", executor="thread", workers=2, **knobs
+                llvm, root / "store", dispatch="thread", workers=2, **knobs
             )
             assert threaded.database.fingerprint() == fingerprint
 
@@ -903,17 +871,17 @@ class TestStoreParityProperties:
 
 @pytest.mark.slow
 class TestStoreParitySlow:
-    """Restart-warm parity on the multi-process executors (CI's determinism
+    """Restart-warm parity on the multi-process pools (CI's determinism
     job): fresh worker processes must be served by the disk tier."""
 
     def test_process_pool_restart_warm_matches_cold(self, llvm, tmp_path):
         fresh_process_state()
         cold = tune_with_store(
-            llvm, tmp_path / "store", executor="process", workers=4, max_iterations=16
+            llvm, tmp_path / "store", dispatch="process", workers=4, max_iterations=16
         )
         fresh_process_state()
         restarted = tune_with_store(
-            llvm, tmp_path / "store", executor="process", workers=4, max_iterations=16
+            llvm, tmp_path / "store", dispatch="process", workers=4, max_iterations=16
         )
         assert restarted.database.fingerprint() == cold.database.fingerprint()
         stats = restarted.evaluation_stats
@@ -922,33 +890,11 @@ class TestStoreParitySlow:
     @pytest.mark.skipif(not loopback_available(),
                         reason="no AF_INET loopback in this sandbox")
     def test_distributed_restart_warm_matches_cold(self, llvm, tmp_path):
-        from repro.distrib.worker import serve
-
         def run():
-            config = BinTunerConfig(
-                max_iterations=16, ga=GAParameters(population_size=6, seed=9),
-                stall_window=12, executor="distributed",
-                store_dir=tmp_path / "store",
+            return tune_with_store(
+                llvm, tmp_path / "store", dispatch="distributed", remote_workers=2,
+                max_iterations=16, stall_window=12,
             )
-            tuner = BinTuner(llvm, BuildSpec(name="tiny", source=TINY_SOURCE), config)
-            engine = tuner.evaluation_engine()
-            coordinator = engine.mapper.coordinator
-            threads = [
-                threading.Thread(
-                    target=serve,
-                    kwargs=dict(connect=coordinator.address_string(),
-                                hard_exit=False, slots=2, heartbeat_interval=0.5),
-                    daemon=True,
-                )
-                for _ in range(2)
-            ]
-            for thread in threads:
-                thread.start()
-            coordinator.wait_for_workers(2, timeout=10)
-            try:
-                return tuner.run()
-            finally:
-                tuner.close()
 
         fresh_process_state()
         cold = run()

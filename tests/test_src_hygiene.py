@@ -9,6 +9,9 @@ the emulator's ``DISPATCH_ENV`` read.
 
 The artifact tiers' counters are pinned the same way: no literal sink bump
 of an ``artifact.`` / ``store.`` / ``mesh.`` name anywhere under ``src/repro``.
+So is the owner of every evaluation substrate: ``SharedWorkerPool`` builds
+the coordinator and the thread / process executors a mapper borrows, and the
+distributed worker's slot pool is the only other executor.
 """
 
 from __future__ import annotations
@@ -31,6 +34,27 @@ ALLOWED = Counter({
     ("distrib/worker.py", "REPRO_DISTRIB_AUTHKEY"): 1,
     ("analysis/emulator.py", "DISPATCH_ENV"): 1,
 })
+
+#: ``(file under src/repro, constructor) -> calls``: one substrate owner.
+SUBSTRATE_OWNERS = Counter({
+    ("campaign/pool.py", "Coordinator"): 1,
+    ("campaign/pool.py", "ProcessPoolExecutor"): 1,
+    ("campaign/pool.py", "ThreadPoolExecutor"): 1,
+    ("distrib/worker.py", "ThreadPoolExecutor"): 1,
+})
+
+
+def test_one_owner_builds_every_evaluation_substrate():
+    """A second place that constructs a coordinator or an executor is a
+    second substrate owner: it fails here the day it is written."""
+    call = re.compile(r"\b(Coordinator|ProcessPoolExecutor|ThreadPoolExecutor)\(")
+    found = Counter(
+        (path.relative_to(SRC).as_posix(), name)
+        for path in sorted(SRC.rglob("*.py"))
+        for line in path.read_text().splitlines()
+        for name in call.findall(line)
+    )
+    assert found == SUBSTRATE_OWNERS
 
 
 def test_tier_counters_bump_through_one_type():

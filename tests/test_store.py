@@ -338,6 +338,29 @@ class TestGarbageCollection:
         assert store.total_bytes() <= store.max_bytes
         assert store.counters.snapshot()["gc_evictions"] > 0
 
+    def test_put_landing_during_the_scan_stays_counted(self, tmp_path, monkeypatch):
+        """A put that lands between GC's directory scan and its byte-total
+        assignment keeps its bytes: dropping them hid the next overrun from
+        every later put, so the store stayed over budget (the
+        ``test_concurrent_writers_under_gc_pressure`` race, made
+        deterministic)."""
+        store = ArtifactStore(tmp_path / "store", max_bytes=10_000_000)
+        store.put(("image", "first"), b"a" * 1_000)  # the first put's sweep
+        scan = store._entries
+
+        def scan_then_put():
+            found = scan()
+            monkeypatch.setattr(store, "_entries", scan)
+            store.put(("image", "late"), b"b" * 1_000)
+            return found
+
+        monkeypatch.setattr(store, "_entries", scan_then_put)
+        store.gc()
+        assert store._approx_bytes == store.total_bytes()
+        store.max_bytes = store.total_bytes() + 500
+        store.put(("image", "over"), b"c" * 1_000)  # over budget: must collect
+        assert store.total_bytes() <= store.max_bytes
+
     def test_unbounded_store_never_collects_entries(self, tmp_path):
         store = ArtifactStore(tmp_path / "store", max_bytes=None)
         for index in range(16):

@@ -334,10 +334,6 @@ class TestBinTunerEndToEnd:
         with pytest.raises(ValueError, match="unknown compressor 'nope'"):
             BinTunerConfig(compressor="nope")
 
-    def test_parallel_config_knobs_default_to_serial(self):
-        config = BinTunerConfig()
-        assert config.workers == 1 and config.executor == "serial"
-
     def test_every_config_dataclass_has_resolvable_annotations(self):
         """``typing.get_type_hints`` is what doc and schema tools call; an
         annotation naming something its module never imported raises there."""
