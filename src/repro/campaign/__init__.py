@@ -16,8 +16,9 @@ Figs. 5-8):
   a process pool, a thread pool, or a :mod:`repro.distrib` coordinator
   serving workers on other machines);
 * :mod:`repro.campaign.cli` — the ``python -m repro.campaign`` entry point,
-  including the ``report`` (checkpoint-only tables) and ``worker``
-  (distributed evaluation) subcommands.
+  including the ``report`` (checkpoint-only tables), ``worker``
+  (distributed evaluation), ``serve`` (the tuning service) and ``submit``
+  (its client) subcommands.
 """
 
 from repro.campaign.campaign import (

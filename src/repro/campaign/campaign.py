@@ -60,8 +60,10 @@ logger = logging.getLogger("repro.campaign")
 
 MANIFEST_VERSION = 1
 
-#: Subdirectory of the checkpoint dir holding the sharded database.
+#: Subdirectory of the checkpoint dir holding the sharded database, and the
+#: manifest of completed programs beside it.
 DATABASE_DIR = "database"
+MANIFEST_NAME = "manifest.json"
 
 #: Default subdirectory of the checkpoint dir holding the artifact store —
 #: checkpoint resume is warm *by construction*: the same ``--checkpoint-dir``
@@ -348,6 +350,48 @@ class CampaignResult:
         return self.database.summary_rows()
 
 
+def summary_row_line(row: Dict[str, object]) -> str:
+    """The per-program line of ``run``'s summary and of ``report`` (each
+    appends its own suffix)."""
+    return (f"  {row['compiler']:5s} {row['benchmark']:18s} "
+            f"iterations {row['iterations']:4d}  "
+            f"best fitness {row['best_fitness']}")
+
+
+def top_flag_lines(frequency: Dict[str, float], top: int = 10) -> List[str]:
+    """The top-flags table: the ``top`` most-enabled flags, ties by name."""
+    ranked = sorted(frequency.items(), key=lambda item: (-item[1], item[0]))
+    return [f"  {flag:28s} {share:.0%}" for flag, share in ranked[:top]]
+
+
+def read_checkpoint(directory: Path) -> Tuple[
+    Optional[CampaignDatabase], Optional[List[ShardKey]], List[ProgramResult]
+]:
+    """The one reader of the checkpoint format, for resume and ``report``:
+    ``(database, jobs, completed)`` from a campaign's ``checkpoint_dir``,
+    its ``database/`` subdirectory, or any :meth:`CampaignDatabase.save`
+    directory.  ``database`` is ``None`` before the first generation
+    landed, ``jobs`` when there is no manifest (only the first layout has
+    one); an unreadable manifest raises.  The database loads independently
+    of the manifest: a campaign killed inside its *first* program has
+    checkpointed generations to replay but no completed program yet.
+    """
+    directory = Path(directory)
+    database = None
+    for candidate in (directory / DATABASE_DIR, directory):
+        if (candidate / "index.json").exists():
+            database = CampaignDatabase.load(candidate)
+            break
+    path = directory / MANIFEST_NAME
+    if not path.exists():
+        return database, None, []
+    manifest = json.loads(path.read_text())
+    jobs = [tuple(pair) for pair in manifest.get("jobs", [])]
+    return database, jobs, [
+        ProgramResult.from_manifest_entry(entry) for entry in manifest.get("completed", [])
+    ]
+
+
 class Campaign:
     """Drives one :class:`BinTuner` per job over a shared pool and database."""
 
@@ -438,7 +482,7 @@ class Campaign:
     def _manifest_path(self) -> Optional[Path]:
         if self.config.checkpoint_dir is None:
             return None
-        return Path(self.config.checkpoint_dir) / "manifest.json"
+        return Path(self.config.checkpoint_dir) / MANIFEST_NAME
 
     def _database_dir(self) -> Optional[Path]:
         if self.config.checkpoint_dir is None:
@@ -467,30 +511,19 @@ class Campaign:
             shutil.rmtree(database_dir)
 
     def _load_checkpoint(self) -> Dict[ShardKey, ProgramResult]:
-        """Restore the database and completed-job map from the checkpoint.
-
-        The database is loaded independently of the manifest: a campaign
-        killed inside its *first* program has checkpointed generations on
-        disk but no completed-program manifest yet, and those generations
-        must still be replayed as cache hits on resume.
-        """
-        database_dir = self._database_dir()
-        if database_dir is not None and (database_dir / "index.json").exists():
-            self.database = CampaignDatabase.load(database_dir)
-        path = self._manifest_path()
-        if path is None or not path.exists():
+        """Restore the database and completed-job map from the checkpoint."""
+        if self.config.checkpoint_dir is None:
             return {}
-        manifest = json.loads(path.read_text())
-        stored_jobs = [tuple(pair) for pair in manifest.get("jobs", [])]
-        if stored_jobs != [job.key() for job in self.jobs]:
+        database, jobs, completed = read_checkpoint(self.config.checkpoint_dir)
+        if database is not None:
+            self.database = database
+        if jobs is not None and jobs != [job.key() for job in self.jobs]:
             raise ValueError(
-                f"checkpoint at {path.parent} was written for a different job "
-                f"list; pass resume=False (or a fresh checkpoint_dir) to discard it"
+                f"checkpoint at {Path(self.config.checkpoint_dir)} was written for a "
+                f"different job list; pass resume=False (or a fresh "
+                f"checkpoint_dir) to discard it"
             )
-        return {
-            (entry["family"], entry["program"]): ProgramResult.from_manifest_entry(entry)
-            for entry in manifest.get("completed", [])
-        }
+        return {result.job.key(): result for result in completed}
 
     # -- warm starts ------------------------------------------------------------------
 

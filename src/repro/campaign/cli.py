@@ -52,14 +52,44 @@ from repro.campaign.campaign import (
     CampaignConfig,
     CampaignResult,
     ProgramJob,
+    read_checkpoint,
+    summary_row_line,
+    top_flag_lines,
 )
-from repro.campaign.database import CampaignDatabase
-from repro.distrib.worker import configure_logging
+from repro.campaign.pool import EXECUTORS
+from repro.distrib.worker import common_flags, configure_logging
 from repro.telemetry.live import tail
-from repro.tuner import BinTunerConfig, EvaluationStats, GAParameters
+from repro.tuner import BinTunerConfig, GAParameters
 from repro.workloads import SUITES
 
 logger = logging.getLogger("repro.campaign.cli")
+
+
+def fleet_flags() -> argparse.ArgumentParser:
+    """The worker-pool and observability flags ``run`` and ``serve`` share,
+    declared once with :class:`CampaignConfig`'s defaults: pass as
+    ``parents=[fleet_flags()]``."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--dispatch", choices=EXECUTORS, default=CampaignConfig.dispatch,
+                        help="execution substrate of the shared worker pool "
+                             "(default: serial, or process with --workers > 1)")
+    parser.add_argument("--workers", type=int, default=CampaignConfig.workers,
+                        help="shared worker-pool size; >1 implies a process pool")
+    parser.add_argument("--min-workers", type=int, default=CampaignConfig.min_workers,
+                        help="with --dispatch distributed: wait for this many "
+                             "registered workers before work starts")
+    parser.add_argument("--obs-port", type=int, default=CampaignConfig.obs_port,
+                        metavar="PORT",
+                        help="serve /metrics (Prometheus text) and /status "
+                             "(JSON: progress, worker health, tenants) on this "
+                             "port; 0 picks an ephemeral port.  Observe-only")
+    parser.add_argument("--obs-host", default=CampaignConfig.obs_host, metavar="HOST",
+                        help="bind address of the observability server "
+                             "(default: 127.0.0.1; exposing the read-only "
+                             "endpoints beyond loopback is an explicit "
+                             "operator decision)")
+    return parser
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -67,7 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tune a benchmark suite x compiler matrix with BinTuner. "
                     "Subcommands: 'report CHECKPOINT_DIR' regenerates the "
                     "summary/potency/overlap tables from checkpoints; "
-                    "'worker --connect HOST:PORT' serves a distributed campaign.",
+                    "'worker --connect HOST:PORT' serves a distributed "
+                    "campaign; 'serve --bind HOST:PORT' runs the "
+                    "multi-tenant tuning service; 'submit --connect "
+                    "HOST:PORT' submits a job to it.",
+        parents=[fleet_flags(), common_flags()],
     )
     parser.add_argument("--suites", default="",
                         help=f"comma-separated suites ({', '.join(SUITES)}); "
@@ -82,24 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="GA population size (default: 12)")
     parser.add_argument("--stall-window", type=int, default=30,
                         help="GA stall window (default: 30)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="shared worker-pool size; >1 implies a process pool")
-    parser.add_argument("--dispatch",
-                        choices=("serial", "process", "thread", "distributed"),
-                        default=None,
-                        help="execution substrate of the shared pool "
-                             "(default: serial)")
     parser.add_argument("--serve", default=None, metavar="HOST:PORT",
                         help="with --dispatch distributed: address the "
                              "coordinator binds (default: 127.0.0.1:0)")
-    parser.add_argument("--min-workers", type=int, default=0,
-                        help="with --dispatch distributed: wait for this many "
-                             "registered workers before tuning starts")
-    parser.add_argument("--authkey", default=os.environ.get("REPRO_DISTRIB_AUTHKEY"),
-                        help="with --dispatch distributed: shared secret for the "
-                             "worker handshake (default: $REPRO_DISTRIB_AUTHKEY; "
-                             "required when serving beyond loopback)")
-    parser.add_argument("--artifact-cache-size", type=int, default=None,
+    parser.add_argument("--artifact-cache-size", type=int,
+                        default=CampaignConfig.artifact_cache_size,
                         help="bound (entries) of the campaign-wide artifact "
                              "cache shared by every program's evaluator")
     parser.add_argument("--store-dir", type=Path, default=None,
@@ -109,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "campaign starts warm.  Defaults to "
                              "CHECKPOINT_DIR/store when --checkpoint-dir is "
                              "given")
-    parser.add_argument("--store-max-bytes", type=int, default=None,
+    parser.add_argument("--store-max-bytes", type=int,
+                        default=CampaignConfig.store_max_bytes,
                         help="byte budget of the store's LRU garbage "
                              "collection (default: 256 MiB)")
     parser.add_argument("--mesh", action="store_true",
@@ -131,45 +153,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable cross-program warm-start seeding")
     parser.add_argument("--json", type=Path, default=None, dest="json_out",
                         help="write the summary (rows + aggregates) to this JSON file")
-    parser.add_argument("--telemetry-dir", type=Path, default=None,
-                        help="write structured telemetry (spans, counters, "
-                             "fleet summaries) as JSONL under this directory; "
-                             "inspect with python -m repro.telemetry report. "
-                             "Observe-only: results and fingerprints are "
-                             "identical with or without it")
-    parser.add_argument("--obs-port", type=int, default=None, metavar="PORT",
-                        help="serve the live observability endpoints "
-                             "(/metrics in Prometheus text format, /status "
-                             "as JSON with campaign progress and per-worker "
-                             "health) on this port; 0 picks an ephemeral "
-                             "port.  Observe-only: results and fingerprints "
-                             "are identical with or without it")
-    parser.add_argument("--obs-host", default="127.0.0.1", metavar="HOST",
-                        help="bind address of the observability server "
-                             "(default: 127.0.0.1; exposing the read-only "
-                             "endpoints beyond loopback is an explicit "
-                             "operator decision)")
     parser.add_argument("--live", action="store_true",
                         help="render an in-place refreshing progress view "
                              "(generations/sec, stage p95s, worker health) "
                              "on stderr while the campaign runs; implies an "
                              "ephemeral --obs-port when none is given")
-    parser.add_argument("--verbose", action="store_true",
-                        help="debug-level progress lines on stderr")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress progress lines on stderr (the summary "
-                             "tables on stdout are unaffected)")
     return parser
 
 
 def _build_campaign(args: argparse.Namespace) -> Campaign:
-    pipeline_knobs = {}
-    if args.artifact_cache_size is not None:
-        pipeline_knobs["artifact_cache_size"] = args.artifact_cache_size
-    if args.store_dir is not None:
-        pipeline_knobs["store_dir"] = args.store_dir
-    if args.store_max_bytes is not None:
-        pipeline_knobs["store_max_bytes"] = args.store_max_bytes
     config = CampaignConfig(
         tuner=BinTunerConfig(
             max_iterations=args.max_iterations,
@@ -181,6 +173,9 @@ def _build_campaign(args: argparse.Namespace) -> Campaign:
         serve=args.serve,
         min_workers=args.min_workers,
         authkey=args.authkey,
+        artifact_cache_size=args.artifact_cache_size,
+        store_dir=args.store_dir,
+        store_max_bytes=args.store_max_bytes,
         mesh=args.mesh,
         mesh_budget_bytes=args.mesh_budget_bytes,
         warm_start=not args.no_warm_start,
@@ -190,7 +185,6 @@ def _build_campaign(args: argparse.Namespace) -> Campaign:
         # ephemeral loopback port costs nothing and keeps the flag one word.
         obs_port=0 if args.live and args.obs_port is None else args.obs_port,
         obs_host=args.obs_host,
-        **pipeline_knobs,
     )
     families = [family for family in args.families.split(",") if family]
     if args.benchmarks:
@@ -221,12 +215,10 @@ def _live_tail(url: str) -> Iterator[None]:
 def run_main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (args.store_max_bytes is not None
+    if (args.store_max_bytes != CampaignConfig.store_max_bytes
             and args.store_dir is None and args.checkpoint_dir is None):
         parser.error("--store-max-bytes requires an active store "
                      "(--store-dir or --checkpoint-dir)")
-    if args.verbose and args.quiet:
-        parser.error("--verbose and --quiet are mutually exclusive")
     configure_logging(verbose=args.verbose, quiet=args.quiet)
     try:
         campaign = _build_campaign(args)
@@ -237,15 +229,16 @@ def run_main(argv: Optional[Sequence[str]] = None) -> int:
     if not campaign.jobs:
         logger.error("no jobs to run (empty suite/family selection)")
         return 2
-    logger.info(
-        "campaign: %d jobs (%s dispatch, %d worker%s, warm-start %s)",
-        len(campaign.jobs), args.dispatch or "serial", args.workers,
-        "s" if args.workers != 1 else "", "off" if args.no_warm_start else "on",
-    )
     # The session (sink, pool, /metrics server) is the campaign's; entering
-    # it ahead of run() is what lets --live learn the bound address.
+    # it ahead of run() is what lets --live learn the bound address and the
+    # log line name the substrate the pool resolved.
     with contextlib.ExitStack() as stack:
-        stack.enter_context(campaign)
+        pool = stack.enter_context(campaign).pool
+        logger.info(
+            "campaign: %d jobs (%s dispatch, %d worker%s, warm-start %s)",
+            len(campaign.jobs), pool.dispatch, pool.workers,
+            "s" if pool.workers != 1 else "", "off" if args.no_warm_start else "on",
+        )
         if args.live:
             stack.enter_context(_live_tail(campaign.obs_server.url()))
         result = campaign.run(limit=args.limit, resume=not args.fresh)
@@ -266,18 +259,14 @@ def _print_summary(result: CampaignResult, args: argparse.Namespace) -> None:
             marker = " (resumed)"
         else:
             marker = ""
-        print(f"  {row['compiler']:5s} {row['benchmark']:18s} "
-              f"iterations {row['iterations']:4d}  "
-              f"best fitness {row['best_fitness']}{marker}")
+        print(summary_row_line(row) + marker)
     if result.interrupted:
         print(f"interrupted after --limit {args.limit}; rerun to resume")
 
     frequency = result.database.flag_frequency()
     if frequency:
-        top = sorted(frequency.items(), key=lambda item: (-item[1], item[0]))[:10]
         print("top flags across best configurations:")
-        for flag, share in top:
-            print(f"  {flag:28s} {share:.0%}")
+        print("\n".join(top_flag_lines(frequency)))
     stats = result.evaluation_stats()
     if stats.evaluated or stats.cache_hits:
         print(stats.summary_line("evaluation"))
@@ -306,21 +295,18 @@ def _print_summary(result: CampaignResult, args: argparse.Namespace) -> None:
               f"{denied}")
     if fleet:
         print("fleet utilization:")
+        # busy_ratio and mesh_bytes are the coordinator's, derived once.
         for row in fleet:
-            busy = float(row.get("busy_seconds", 0.0) or 0.0)
-            uptime = float(row.get("uptime_seconds", 0.0) or 0.0)
-            utilization = busy / uptime if uptime > 0 else 0.0
-            mesh_bytes = (int(row.get("mesh_bytes_sent", 0) or 0)
-                          + int(row.get("mesh_bytes_received", 0) or 0))
-            health = str(row.get("health", "healthy"))
             straggler = " STRAGGLER" if row.get("straggler") else ""
             print(f"  worker {row.get('worker_id', '?'):>3} "
                   f"({row.get('peer', '?')}): "
                   f"{row.get('batches', 0)} batches / "
                   f"{row.get('candidates', 0)} candidates, "
-                  f"busy {busy:.1f}s of {uptime:.1f}s "
-                  f"({utilization:.0%}), mesh {mesh_bytes}B, "
-                  f"{health}{straggler}")
+                  f"busy {row.get('busy_seconds', 0.0):.1f}s of "
+                  f"{row.get('uptime_seconds', 0.0):.1f}s "
+                  f"({row.get('busy_ratio', 0.0):.0%}), "
+                  f"mesh {row.get('mesh_bytes', 0)}B, "
+                  f"{row.get('health', 'healthy')}{straggler}")
     print(f"database fingerprint: {result.fingerprint()}")
     print(f"elapsed: {result.elapsed_seconds:.1f}s over {result.database.total_records()} records")
 
@@ -362,51 +348,19 @@ def build_report_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _locate_database(checkpoint_dir: Path) -> Optional[Path]:
-    """Accept the checkpoint dir, its ``database/`` child, or a bare save dir."""
-    for candidate in (checkpoint_dir / DATABASE_DIR, checkpoint_dir):
-        if (candidate / "index.json").exists():
-            return candidate
-    return None
-
-
-def _manifest_evaluation_stats(checkpoint_dir: Path) -> Optional[EvaluationStats]:
-    """Summed per-program evaluation counters from the checkpoint manifest.
-
-    ``None`` when there is no manifest, it predates per-stage accounting, or
-    no stage activity was recorded (a pure checkpoint replay, or a campaign
-    an older version ran without stages) — i.e. whenever a "pipeline stages"
-    line would be an all-zero fabrication.
-    """
-    manifest_path = Path(checkpoint_dir) / "manifest.json"
-    if not manifest_path.exists():
-        return None
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    entries = [entry.get("evaluation") for entry in manifest.get("completed", [])]
-    entries = [entry for entry in entries if entry]
-    if not entries:
-        return None
-    total = EvaluationStats()
-    for entry in entries:
-        total = total.add(EvaluationStats.from_dict(entry))
-    stage_seconds = total.compile_seconds + total.measure_seconds + total.score_seconds
-    if stage_seconds == 0.0 and total.artifact_hits + total.artifact_misses == 0:
-        return None
-    return total
-
-
 def report_main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_report_parser().parse_args(argv)
-    database_dir = _locate_database(args.checkpoint_dir)
-    if database_dir is None:
+    try:
+        database, _jobs, completed = read_checkpoint(args.checkpoint_dir)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"unreadable checkpoint under {args.checkpoint_dir}: {exc}",
+              file=sys.stderr)
+        return 2
+    if database is None:
         print(f"no campaign database under {args.checkpoint_dir} "
               f"(expected {args.checkpoint_dir / DATABASE_DIR / 'index.json'})",
               file=sys.stderr)
         return 2
-    database = CampaignDatabase.load(database_dir)
     families = sorted({family for family, _program in database.shard_keys()})
     if args.family is not None:
         if args.family not in families:
@@ -419,17 +373,17 @@ def report_main(argv: Optional[Sequence[str]] = None) -> int:
           f"{database.total_records()} records")
     print("\nper-program summary:")
     for row in database.summary_rows():
-        print(f"  {row['compiler']:5s} {row['benchmark']:18s} "
-              f"iterations {row['iterations']:4d}  "
-              f"best fitness {row['best_fitness']}  "
-              f"flags {row['best_flag_count']:2d}  hours {row['hours']}")
+        print(summary_row_line(row)
+              + f"  flags {row['best_flag_count']:2d}  hours {row['hours']}")
 
-    # Staged-pipeline accounting, when the manifest checkpointed it: the
-    # per-stage wall clock and artifact-cache hit counters each completed
-    # program accrued (regenerated without re-running any tuning).
-    pipeline_stats = _manifest_evaluation_stats(args.checkpoint_dir)
-    if pipeline_stats is not None:
-        print("\n" + pipeline_stats.summary_line("pipeline stages (completed programs)"))
+    # The per-stage seconds and artifact-cache counters the completed
+    # programs accrued, summed as a live run sums them; all zero (a pure
+    # checkpoint replay, or no manifest) would be a fabrication, so no line.
+    stages = CampaignResult(database, completed, 0.0).evaluation_stats()
+    staged = (stages.compile_seconds + stages.measure_seconds + stages.score_seconds > 0.0
+              or stages.artifact_hits + stages.artifact_misses > 0)
+    if staged:
+        print("\n" + stages.summary_line("pipeline stages (completed programs)"))
 
     potency: Dict[str, Dict[str, float]] = {}
     for family in families:
@@ -437,10 +391,8 @@ def report_main(argv: Optional[Sequence[str]] = None) -> int:
         potency[family] = frequency
         if not frequency:
             continue
-        top = sorted(frequency.items(), key=lambda item: (-item[1], item[0]))[: args.top]
         print(f"\nper-flag potency ({family}): share of best configurations enabling it")
-        for flag, share in top:
-            print(f"  {flag:28s} {share:.0%}")
+        print("\n".join(top_flag_lines(frequency, args.top)))
 
     overlap_out: Dict[str, Dict[str, float]] = {}
     for family in families:
@@ -466,7 +418,7 @@ def report_main(argv: Optional[Sequence[str]] = None) -> int:
             "flag_frequency": potency,
             "best_overlap": overlap_out,
             "fingerprint": database.fingerprint(),
-            "evaluation": pipeline_stats.as_dict() if pipeline_stats else None,
+            "evaluation": stages.as_dict() if staged else None,
         }
         args.json_out.write_text(json.dumps(payload, indent=2))
     return 0
@@ -477,12 +429,15 @@ def report_main(argv: Optional[Sequence[str]] = None) -> int:
 # ---------------------------------------------------------------------------
 
 def build_serve_parser() -> argparse.ArgumentParser:
+    from repro.distrib.jobs import AdmissionLimits
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.campaign serve",
         description="Run the multi-tenant tuning service: clients submit "
                     "jobs over the pickle-free wire format; a fair-share "
                     "queue interleaves tenants' generations over one shared "
                     "worker fleet and artifact mesh.",
+        parents=[fleet_flags(), common_flags()],
     )
     parser.add_argument("--bind", default="127.0.0.1:0", metavar="HOST:PORT",
                         help="client-plane listen address (default: 127.0.0.1:0)")
@@ -494,62 +449,38 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="durability root: job table, per-job database "
                              "shards, artifact store; restart over the same "
                              "directory to resume unfinished jobs")
-    parser.add_argument("--dispatch",
-                        choices=("serial", "process", "thread", "distributed"),
-                        default="serial",
-                        help="worker-plane substrate (default: serial)")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--serve-workers", default=None, metavar="HOST:PORT",
                         help="with --dispatch distributed: address the "
                              "worker-plane coordinator binds")
-    parser.add_argument("--authkey", default=os.environ.get("REPRO_DISTRIB_AUTHKEY"),
-                        help="worker-plane handshake secret "
-                             "(default: $REPRO_DISTRIB_AUTHKEY)")
-    parser.add_argument("--min-workers", type=int, default=0,
-                        help="with --dispatch distributed: wait for this many "
-                             "workers before serving clients' jobs")
     parser.add_argument("--max-active-jobs", type=int, default=4,
                         help="concurrent job runner cap (default: 4); the "
                              "fair-share turnstile serializes generations "
                              "regardless")
-    parser.add_argument("--max-source-bytes", type=int, default=None,
+    parser.add_argument("--max-source-bytes", type=int,
+                        default=AdmissionLimits.max_source_bytes,
                         help="admission cap on submitted source size "
-                             "(default: 262144)")
-    parser.add_argument("--max-generations", type=int, default=None,
-                        help="admission cap on budget.generations (default: 512)")
-    parser.add_argument("--obs-port", type=int, default=None, metavar="PORT",
-                        help="serve /metrics + /status (per-tenant accounting "
-                             "included) on this port; 0 = ephemeral")
-    parser.add_argument("--obs-host", default="127.0.0.1", metavar="HOST")
-    parser.add_argument("--telemetry-dir", type=Path, default=None,
-                        help="write tenant-tagged spans as JSONL here "
-                             "(render with python -m repro.telemetry report)")
-    parser.add_argument("--verbose", action="store_true")
-    parser.add_argument("--quiet", action="store_true")
+                             "(default: %(default)s)")
+    parser.add_argument("--max-generations", type=int,
+                        default=AdmissionLimits.max_generations,
+                        help="admission cap on budget.generations "
+                             "(default: %(default)s)")
     return parser
 
 
 def serve_main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_serve_parser()
-    args = parser.parse_args(argv)
-    if args.verbose and args.quiet:
-        parser.error("--verbose and --quiet are mutually exclusive")
+    args = build_serve_parser().parse_args(argv)
     configure_logging(verbose=args.verbose, quiet=args.quiet)
     from repro.distrib.protocol import parse_address
     from repro.distrib.service import ServiceConfig, TuningService, serve_forever
     from repro.distrib.jobs import AdmissionLimits
 
     host, port = parse_address(args.bind)
-    limit_knobs = {}
-    if args.max_source_bytes is not None:
-        limit_knobs["max_source_bytes"] = args.max_source_bytes
-    if args.max_generations is not None:
-        limit_knobs["max_generations"] = args.max_generations
     service = TuningService(ServiceConfig(
         host=host, port=port, token=args.token, state_dir=args.state_dir,
         dispatch=args.dispatch, workers=args.workers,
         serve_workers=args.serve_workers, authkey=args.authkey,
-        limits=AdmissionLimits(**limit_knobs),
+        limits=AdmissionLimits(max_source_bytes=args.max_source_bytes,
+                               max_generations=args.max_generations),
         max_active_jobs=args.max_active_jobs,
         obs_port=args.obs_port, obs_host=args.obs_host,
         telemetry_dir=args.telemetry_dir,
@@ -631,19 +562,23 @@ def submit_main(argv: Optional[Sequence[str]] = None) -> int:
                 row = client.status(job_id)
             else:
                 row = client.wait(job_id)
-            result = row.get("result")
-            if result is not None:
-                print(f"{row['state']}: best fitness {result['best_fitness']} "
-                      f"over {result['iterations']} iterations")
-                print(f"fingerprint: {result['fingerprint']}")
-            else:
-                print(f"{row['state']}: {row.get('error')}")
-            if args.json_out is not None:
-                args.json_out.write_text(json.dumps(row, indent=2))
-            return 0 if row["state"] == "done" else 1
     except ServiceError as exc:
         print(f"rejected [{exc.code}]: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"cannot reach the tuning service at {args.connect}: {exc}",
+              file=sys.stderr)
+        return 2
+    result = row.get("result")
+    if result is not None:
+        print(f"{row['state']}: best fitness {result['best_fitness']} "
+              f"over {result['iterations']} iterations")
+        print(f"fingerprint: {result['fingerprint']}")
+    else:
+        print(f"{row['state']}: {row.get('error')}")
+    if args.json_out is not None:
+        args.json_out.write_text(json.dumps(row, indent=2))
+    return 0 if row["state"] == "done" else 1
 
 
 # ---------------------------------------------------------------------------

@@ -448,6 +448,14 @@ class Coordinator:
         payload = summary.payload if isinstance(summary.payload, dict) else {}
         row: Dict[str, object] = {"worker_id": handle.worker_id, "peer": handle.peer}
         row.update(payload)
+        # Derived once: /status, the run summary and the report read these.
+        uptime, busy = row.get("uptime_seconds"), row.get("busy_seconds")
+        if isinstance(uptime, (int, float)) and isinstance(busy, (int, float)) and uptime > 0:
+            row["busy_ratio"] = round(float(busy) / float(uptime), 4)
+        row["mesh_bytes"] = sum(
+            value for value in (row.get("mesh_bytes_sent"), row.get("mesh_bytes_received"))
+            if isinstance(value, int)
+        )
         # The frame just arrived, so the worker is healthy by construction;
         # the histogram snapshot is fleet-metrics input, too bulky for the
         # event stream.
@@ -575,10 +583,6 @@ class Coordinator:
                 {"worker_id": handle.worker_id, "peer": handle.peer},
             )
             row.pop("batch_seconds_hist", None)
-            uptime = row.get("uptime_seconds")
-            busy = row.get("busy_seconds")
-            if isinstance(uptime, (int, float)) and isinstance(busy, (int, float)) and uptime > 0:
-                row["busy_ratio"] = round(float(busy) / float(uptime), 4)
             row.update(
                 slots=handle.slots,
                 batches=handle.batches_completed,

@@ -111,7 +111,7 @@ class ServiceConfig:
     #: ``None`` keeps everything in memory (tests, demos).
     state_dir: Optional[Path] = None
     #: Worker-pool substrate, exactly the campaign knobs.
-    dispatch: str = "serial"
+    dispatch: Optional[str] = "serial"
     workers: int = 1
     #: ``HOST:PORT`` the *worker*-plane coordinator binds (distributed only).
     serve_workers: Optional[str] = None

@@ -60,6 +60,7 @@ import socket
 import sys
 import threading
 import time
+from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.distrib import transport
@@ -586,10 +587,31 @@ def run_worker(
 # CLI
 # ---------------------------------------------------------------------------
 
+def common_flags() -> argparse.ArgumentParser:
+    """The flags ``run``, ``serve`` and the worker share, declared once:
+    pass as ``parents=[common_flags()]``."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--authkey", default=os.environ.get("REPRO_DISTRIB_AUTHKEY"),
+                        help="shared secret of the worker-plane handshake "
+                             "(default: $REPRO_DISTRIB_AUTHKEY; required when "
+                             "the coordinator serves beyond loopback)")
+    parser.add_argument("--telemetry-dir", type=Path, default=None,
+                        help="write this process's telemetry as JSONL here "
+                             "(python -m repro.telemetry report renders it); "
+                             "observe-only")
+    chatter = parser.add_mutually_exclusive_group()
+    chatter.add_argument("--verbose", action="store_true",
+                         help="debug-level log lines on stderr")
+    chatter.add_argument("--quiet", action="store_true",
+                         help="warnings and errors only on stderr")
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.distrib.worker",
         description="Serve candidate evaluations for a distributed campaign.",
+        parents=[common_flags()],
     )
     parser.add_argument("--connect", required=True, metavar="HOST:PORT",
                         help="coordinator address to register with")
@@ -618,10 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="interval between keep-alive frames while a batch "
                              f"is evaluating; 0 disables (default: "
                              f"{DEFAULT_HEARTBEAT_INTERVAL:g})")
-    parser.add_argument("--authkey", default=os.environ.get("REPRO_DISTRIB_AUTHKEY"),
-                        help="shared secret for the coordinator handshake "
-                             "(default: $REPRO_DISTRIB_AUTHKEY; required when "
-                             "the coordinator was started with one)")
     parser.add_argument("--store-dir", type=str, default=None,
                         help="worker-local disk-backed artifact store: "
                              "compiles/traces this worker pays persist across "
@@ -652,15 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cap on this machine's total artifact-mesh "
                              "transfer, both directions (default: the "
                              "budget the coordinator advertises)")
-    parser.add_argument("--telemetry-dir", type=str, default=None,
-                        help="write this worker's local telemetry (spans, "
-                             "counters) as JSONL under this directory; "
-                             "readable with python -m repro.telemetry report")
-    parser.add_argument("--verbose", action="store_true",
-                        help="debug-level log lines on stderr")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress per-connection log lines (warnings "
-                             "and errors still print)")
     return parser
 
 
@@ -694,8 +703,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--mesh-budget-bytes and --no-mesh are mutually exclusive")
     if args.connect_timeout is not None and args.connect_timeout <= 0:
         parser.error("--connect-timeout must be > 0")
-    if args.verbose and args.quiet:
-        parser.error("--verbose and --quiet are mutually exclusive")
     configure_logging(verbose=args.verbose, quiet=args.quiet)
     session = contextlib.ExitStack()
     if args.telemetry_dir is not None:

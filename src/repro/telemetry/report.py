@@ -212,7 +212,9 @@ def tier_ratio_rows(
 
 
 def worker_rows(events: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
-    """Latest ``fleet.worker`` snapshot per worker id, ordered by id."""
+    """Latest ``fleet.worker`` snapshot per worker id, ordered by id; the
+    utilization and mesh bytes are the coordinator's ``busy_ratio`` and
+    ``mesh_bytes``."""
     latest: Dict[int, Dict[str, object]] = {}
     for record in events:
         if record.get("type") != "event" or record.get("name") != "fleet.worker":
@@ -228,19 +230,16 @@ def worker_rows(events: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
     rows = []
     for worker_id in sorted(latest):
         attrs = latest[worker_id]
-        uptime = _as_float(attrs.get("uptime_seconds", 0.0))
-        busy = _as_float(attrs.get("busy_seconds", 0.0))
         rows.append({
             "worker_id": worker_id,
             "peer": attrs.get("peer", "?"),
             "slots": _as_int(attrs.get("slots", 1), 1),
             "batches": _as_int(attrs.get("batches", 0)),
             "candidates": _as_int(attrs.get("candidates", 0)),
-            "busy_seconds": busy,
-            "uptime_seconds": uptime,
-            "utilization": busy / uptime if uptime else 0.0,
-            "mesh_bytes": _as_int(attrs.get("mesh_bytes_sent", 0))
-            + _as_int(attrs.get("mesh_bytes_received", 0)),
+            "busy_seconds": _as_float(attrs.get("busy_seconds", 0.0)),
+            "uptime_seconds": _as_float(attrs.get("uptime_seconds", 0.0)),
+            "utilization": _as_float(attrs.get("busy_ratio", 0.0)),
+            "mesh_bytes": _as_int(attrs.get("mesh_bytes", 0)),
         })
     return rows
 

@@ -11,7 +11,10 @@ The artifact tiers' counters are pinned the same way: no literal sink bump
 of an ``artifact.`` / ``store.`` / ``mesh.`` name anywhere under ``src/repro``.
 So is the owner of every evaluation substrate: ``SharedWorkerPool`` builds
 the coordinator and the thread / process executors a mapper borrows, and the
-distributed worker's slot pool is the only other executor.
+distributed worker's slot pool is the only other executor.  And the owner of
+every shared CLI flag and of the checkpoint format: ``run`` / ``serve`` /
+``worker`` declare their common flags once, in parent parsers, and only
+``campaign/campaign.py`` names the checkpoint manifest.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ ENV_NAME = re.compile(r"""(?:\benviron(?:\.\w+)?|\bgetenv)\s*[\[(]\s*["']?(\w+)"
 
 #: ``(file under src/repro, variable) -> lines that touch it``.
 ALLOWED = Counter({
-    ("campaign/cli.py", "REPRO_DISTRIB_AUTHKEY"): 2,
     ("campaign/cli.py", "REPRO_SERVICE_TOKEN"): 2,
     ("distrib/worker.py", "REPRO_DISTRIB_AUTHKEY"): 1,
     ("analysis/emulator.py", "DISPATCH_ENV"): 1,
@@ -42,6 +44,37 @@ SUBSTRATE_OWNERS = Counter({
     ("campaign/pool.py", "ThreadPoolExecutor"): 1,
     ("distrib/worker.py", "ThreadPoolExecutor"): 1,
 })
+
+
+#: Flags two or three CLIs share: each ``add_argument`` appears once.
+COMMON_FLAGS = (
+    "--authkey", "--telemetry-dir", "--verbose", "--quiet",
+    "--dispatch", "--workers", "--min-workers", "--obs-port", "--obs-host",
+)
+
+
+def test_common_cli_flags_are_declared_once():
+    """``run``, ``serve`` and ``worker`` take these from parent parsers; a
+    second declaration is a second default and a second help text."""
+    declaration = re.compile(r"""add_argument\(\s*["'](--[\w-]+)["']""")
+    found = Counter(
+        flag
+        for path in sorted(SRC.rglob("*.py"))
+        for flag in declaration.findall(path.read_text())
+        if flag in COMMON_FLAGS
+    )
+    assert found == Counter(COMMON_FLAGS)
+
+
+def test_one_module_names_the_checkpoint_manifest():
+    """The campaign's checkpoint reader is the only reader of the format:
+    ``report`` and resume both go through ``read_checkpoint``."""
+    found = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if "manifest.json" in path.read_text()
+    ]
+    assert found == ["campaign/campaign.py"]
 
 
 def test_one_owner_builds_every_evaluation_substrate():

@@ -341,11 +341,14 @@ def _write_sample_run(tmp_path):
                 with sink.span("stage.compile"):
                     pass
                 span.set(**tiers)
+        # The row as the coordinator emits it: the worker's payload plus the
+        # two fields it derives once (pinned by test_fleet_row_is_derived_once).
         sink.event(
             "fleet.worker",
             worker_id=1, peer="127.0.0.1:9", slots=2, batches=4,
             candidates=24, busy_seconds=1.5, uptime_seconds=3.0,
             mesh_bytes_sent=10, mesh_bytes_received=32,
+            busy_ratio=0.5, mesh_bytes=42,
         )
         sink.incr("artifact.memory_hits", 6)
 
@@ -372,6 +375,27 @@ class TestReport:
         assert worker["worker_id"] == 1
         assert worker["utilization"] == pytest.approx(0.5)
         assert worker["mesh_bytes"] == 42
+
+    def test_fleet_row_is_derived_once(self, tmp_path):
+        """The coordinator derives ``busy_ratio`` and ``mesh_bytes`` when a
+        worker's summary arrives; its fleet rows and the ``fleet.worker``
+        event the report reads carry the same two figures."""
+        from repro.distrib.coordinator import Coordinator, WorkerHandle
+        from repro.distrib.protocol import TelemetrySummary
+
+        coordinator = Coordinator.__new__(Coordinator)  # no sockets needed
+        coordinator._fleet, coordinator._fleet_lock = {}, threading.Lock()
+        payload = dict(slots=2, batches=4, candidates=24, busy_seconds=1.5,
+                       uptime_seconds=3.0, mesh_bytes_sent=10,
+                       mesh_bytes_received=32)
+        with telemetry.recording(tmp_path, label="coordinator"):
+            coordinator._absorb_telemetry(
+                WorkerHandle(1, None, 2, "127.0.0.1:9"), TelemetrySummary(1, payload)
+            )
+        (row,) = coordinator.fleet_telemetry()
+        assert (row["busy_ratio"], row["mesh_bytes"]) == (0.5, 42)
+        (worker,) = worker_rows(load_events(tmp_path)[0])
+        assert (worker["utilization"], worker["mesh_bytes"]) == (0.5, 42)
 
     def test_chrome_trace_is_valid(self, tmp_path):
         _write_sample_run(tmp_path)
