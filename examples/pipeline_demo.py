@@ -5,9 +5,9 @@ store that makes a *restarted process* start warm.
 Runs the same two-program campaign three times:
 
 1. **cold**, populating one content-addressed
-   :class:`~repro.tuner.pipeline.ArtifactCache` (backed by a disk
-   :class:`~repro.tuner.store.ArtifactStore`) and overlapping each
-   candidate's compile with the previous candidate's emulation;
+   :class:`~repro.tuner.pipeline.ArtifactCache` — built here, with no
+   store; the campaign attaches the disk
+   :class:`~repro.tuner.store.ArtifactStore` under ``store_dir`` to it;
 2. **rerun against the populated cache** — the shape of a re-scoring pass
    or a warm-started campaign in the *same* process: every compile and
    every trace is a memory-tier (tier-1) hit;

@@ -129,14 +129,16 @@ class CampaignConfig:
     #: How long :attr:`min_workers` may take before the campaign errors out.
     worker_wait_timeout: float = 120.0
     #: Bound (entries) of the campaign-wide artifact cache shared by every
-    #: job's evaluator.
+    #: job's evaluator (an injected cache keeps its own).
     artifact_cache_size: int = DEFAULT_ARTIFACT_CACHE_SIZE
     #: Directory of the disk-backed artifact store behind the campaign cache
     #: (:mod:`repro.tuner.store`).  ``None`` defaults to
     #: ``checkpoint_dir/store`` when checkpointing is on, so a killed-and-
     #: restarted campaign re-pays no compile or emulation it already did;
-    #: without a checkpoint dir the cache stays memory-only.  The path
-    #: travels to worker processes, so every local worker opens the store.
+    #: without a checkpoint dir the cache stays memory-only (or keeps an
+    #: injected cache's store; one backed by another directory is an
+    #: error).  Process workers derive the path from the evaluator they are
+    #: sent, so every local worker opens the same store.
     store_dir: Optional[Path] = None
     #: Byte budget of the store's LRU garbage collection (``None``: unbounded).
     store_max_bytes: Optional[int] = DEFAULT_STORE_MAX_BYTES
@@ -416,48 +418,47 @@ class Campaign:
         #: Live progress for the observability plane (``/status``): always
         #: present, costs one lock hop per generation, feeds nothing back.
         self.progress = CampaignProgress(self.config.name)
+        if self.config.mesh and self.config.dispatch != "distributed":
+            raise ValueError(
+                "mesh=True requires dispatch='distributed' (the artifact "
+                "mesh is served by the network coordinator)"
+            )
+        if self.config.mesh_budget_bytes is not None and not self.config.mesh:
+            raise ValueError("mesh_budget_bytes requires mesh=True")
         # One content-addressed cache spans every job: a configuration that
         # warm starts (or simply recurs) in a later program of the same
         # family is a compile-stage hit, not a recompile.  Injectable so a
         # rerun campaign (same process) can start warm.  With a store dir
         # (explicit, or defaulted under the checkpoint dir) the cache gains
         # a disk-backed second tier, so a campaign restarted in a *fresh
-        # process* starts warm too.
-        self.store_dir = self._resolve_store_dir()
-        if self.config.mesh:
-            if self.config.dispatch != "distributed":
-                raise ValueError(
-                    "mesh=True requires dispatch='distributed' (the artifact "
-                    "mesh is served by the network coordinator)"
-                )
-            if self.store_dir is None:
-                raise ValueError(
-                    "mesh=True requires a store: pass store_dir= or "
-                    "checkpoint_dir= so the coordinator has a disk-backed "
-                    "ArtifactStore to serve the mesh from"
-                )
-        if self.config.mesh_budget_bytes is not None and not self.config.mesh:
-            raise ValueError("mesh_budget_bytes requires mesh=True")
-        if artifact_cache is not None:
-            self.artifact_cache = artifact_cache
-        else:
-            self.artifact_cache = ArtifactCache(
-                self.config.artifact_cache_size
-            ).ensure_store(self.store_dir, self.config.store_max_bytes)
+        # process* starts warm too.  The campaign owns the cache: the store
+        # is attached here, once, and every tuner, evaluator, process worker
+        # and the mesh read it off the cache.
+        store_dir = self.config.store_dir
+        if store_dir is None and self.config.checkpoint_dir is not None:
+            store_dir = Path(self.config.checkpoint_dir) / STORE_DIR
+        self.artifact_cache = (
+            artifact_cache if artifact_cache is not None
+            else ArtifactCache(self.config.artifact_cache_size)
+        ).ensure_store(store_dir, self.config.store_max_bytes)
+        if self.config.mesh and self.artifact_cache.store is None:
+            raise ValueError(
+                "mesh=True requires a store: pass store_dir= or "
+                "checkpoint_dir= so the coordinator has a disk-backed "
+                "ArtifactStore to serve the mesh from"
+            )
         #: The open session (see :meth:`__enter__`): the pool jobs run on,
         #: and the observability server when ``obs_port`` is set.
         self.pool: Optional[SharedWorkerPool] = None
         self.obs_server = None
         self._session: Optional[ExitStack] = None
 
-    def _resolve_store_dir(self) -> Optional[Path]:
-        """The effective store directory (explicit, or under the checkpoint
-        dir); ``None`` for unstored, uncheckpointed runs."""
-        if self.config.store_dir is not None:
-            return Path(self.config.store_dir)
-        if self.config.checkpoint_dir is not None:
-            return Path(self.config.checkpoint_dir) / STORE_DIR
-        return None
+    @property
+    def store_dir(self) -> Optional[Path]:
+        """The directory of the store behind the campaign cache; ``None``
+        for a memory-only cache."""
+        store = self.artifact_cache.store
+        return store.directory if store is not None else None
 
     @classmethod
     def from_suites(
@@ -558,13 +559,7 @@ class Campaign:
         tuner = BinTuner(
             compiler,
             spec,
-            replace(
-                self.config.tuner,
-                warm_start=warm,
-                artifact_cache_size=self.config.artifact_cache_size,
-                store_dir=self.store_dir,
-                store_max_bytes=self.config.store_max_bytes,
-            ),
+            replace(self.config.tuner, warm_start=warm),
             database=self.database.shard(job.family, job.program),
             mapper_factory=pool.mapper,
             artifact_cache=self.artifact_cache,
@@ -619,7 +614,7 @@ class Campaign:
             # The mesh serves the *campaign's* store: the orchestrator's own
             # baselines and every worker's pushed compile become fetchable
             # by the whole fleet.
-            mesh_store=self.store_dir if config.mesh else None,
+            mesh_store=self.artifact_cache.store if config.mesh else None,
             mesh_budget_bytes=config.mesh_budget_bytes,
         )
         if pool.coordinator is None:

@@ -428,6 +428,17 @@ def report_main(argv: Optional[Sequence[str]] = None) -> int:
 # serve / submit: the tuning service and its client
 # ---------------------------------------------------------------------------
 
+def token_flag() -> argparse.ArgumentParser:
+    """``--token``, which ``serve`` and ``submit`` share, declared once: pass
+    as ``parents=[token_flag()]``."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--token", default=os.environ.get("REPRO_SERVICE_TOKEN"),
+                        help="the service's shared bearer token, sent with "
+                             "every client request (default: "
+                             "$REPRO_SERVICE_TOKEN; unset = open, loopback only)")
+    return parser
+
+
 def build_serve_parser() -> argparse.ArgumentParser:
     from repro.distrib.jobs import AdmissionLimits
 
@@ -437,14 +448,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
                     "jobs over the pickle-free wire format; a fair-share "
                     "queue interleaves tenants' generations over one shared "
                     "worker fleet and artifact mesh.",
-        parents=[fleet_flags(), common_flags()],
+        parents=[fleet_flags(), common_flags(), token_flag()],
     )
     parser.add_argument("--bind", default="127.0.0.1:0", metavar="HOST:PORT",
                         help="client-plane listen address (default: 127.0.0.1:0)")
-    parser.add_argument("--token", default=os.environ.get("REPRO_SERVICE_TOKEN"),
-                        help="shared bearer token clients must send "
-                             "(default: $REPRO_SERVICE_TOKEN; unset = open, "
-                             "loopback only)")
     parser.add_argument("--state-dir", type=Path, default=None,
                         help="durability root: job table, per-job database "
                              "shards, artifact store; restart over the same "
@@ -508,9 +515,9 @@ def build_submit_parser() -> argparse.ArgumentParser:
         prog="python -m repro.campaign submit",
         description="Submit one tuning job to a running service and "
                     "(optionally) stream its generation summaries.",
+        parents=[token_flag()],
     )
     parser.add_argument("--connect", required=True, metavar="HOST:PORT")
-    parser.add_argument("--token", default=os.environ.get("REPRO_SERVICE_TOKEN"))
     parser.add_argument("--tenant", required=True)
     parser.add_argument("--program", required=True)
     source = parser.add_mutually_exclusive_group(required=True)

@@ -42,11 +42,13 @@ completion order (chunk order for the local pools, index-slotted replies for
 the distributed one), so the evaluation engine's bit-for-bit reproducibility
 guarantee carries over unchanged to every mode.
 
-Persistence: an evaluator's ``store_dir`` travels inside the pickle blob,
-and its ``__setstate__`` re-attaches the disk-backed artifact store
-(:mod:`repro.tuner.store`) on the worker side — so every process worker
-opens the same store, and a freshly spawned worker consults the persisted
-compiles before paying for its own.
+Persistence: the pool carries no store configuration.  An evaluator's blob
+carries its owner's cache terms (bound, store directory, byte budget), and
+its ``__setstate__`` adopts the worker process's shared cache over that
+disk-backed artifact store (:mod:`repro.tuner.store`) — so every process
+worker opens the owner's store, and a freshly spawned worker consults the
+persisted compiles before paying for its own.  ``mesh_store`` is the
+owner's :class:`~repro.tuner.store.ArtifactStore` itself.
 """
 
 from __future__ import annotations
@@ -97,8 +99,8 @@ class SharedWorkerPool:
             from repro.distrib.protocol import parse_address
 
             host, port = parse_address(serve) if serve else ("127.0.0.1", 0)
-            # ``mesh_store`` (an ArtifactStore or a directory path) turns on
-            # the coordinator's artifact plane: workers push fresh tier-2
+            # ``mesh_store`` (the owner's ArtifactStore) turns on the
+            # coordinator's artifact plane: workers push fresh tier-2
             # entries here and fetch their misses from each other's work.
             self._coordinator = Coordinator(
                 host=host, port=port, authkey=authkey,

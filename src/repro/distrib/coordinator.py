@@ -167,17 +167,13 @@ class Coordinator:
         #: are pickled, and unpickling bytes from an unauthenticated network
         #: peer is arbitrary code execution.
         self.authkey = normalize_authkey(authkey)
-        #: The artifact mesh: when a store is given (an
-        #: :class:`~repro.tuner.store.ArtifactStore` or a directory path),
-        #: this coordinator serves the artifact plane from it — workers
-        #: push fresh tier-2 entries here and fetch their misses from it,
+        #: The artifact mesh: when an :class:`~repro.tuner.store.ArtifactStore`
+        #: is given (the run owner's, read off its artifact cache), this
+        #: coordinator serves the artifact plane from it — workers push
+        #: fresh tier-2 entries here and fetch their misses from it,
         #: budget-capped per machine by ``mesh_budget_bytes``.
         self.artifact_plane: Optional[CoordinatorArtifactPlane] = None
         if artifact_store is not None:
-            from repro.tuner.store import ArtifactStore, persistent_store
-
-            if not isinstance(artifact_store, ArtifactStore):
-                artifact_store = persistent_store(artifact_store)
             self.artifact_plane = CoordinatorArtifactPlane(
                 artifact_store, budget_bytes=mesh_budget_bytes
             )

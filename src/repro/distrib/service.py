@@ -76,7 +76,7 @@ from repro.campaign.database import CampaignDatabase
 from repro.campaign.campaign import default_compiler_provider
 from repro.tuner import BinTuner, BinTunerConfig, BuildSpec, EvaluationStats
 from repro.tuner.database import write_text_atomic
-from repro.tuner.pipeline import DEFAULT_ARTIFACT_CACHE_SIZE, ArtifactCache
+from repro.tuner.pipeline import ArtifactCache
 
 logger = logging.getLogger("repro.distrib.service")
 
@@ -121,7 +121,6 @@ class ServiceConfig:
     #: serialized by the fair-share turnstile regardless; this only caps
     #: thread count and checkpoint-replay concurrency.
     max_active_jobs: int = 4
-    artifact_cache_size: int = DEFAULT_ARTIFACT_CACHE_SIZE
     obs_port: Optional[int] = None
     obs_host: str = "127.0.0.1"
     #: Write tenant-tagged telemetry (``service.job`` / ``service.generation``
@@ -208,13 +207,12 @@ class TuningService:
         self._database_dir = (
             self._state_dir / DATABASE_DIR if self._state_dir is not None else None
         )
-        self._store_dir = (
+        self._database = CampaignDatabase(name=self.config.name)
+        # The service owns the cache every job's tuner borrows: its store is
+        # attached here, once, and the mesh serves that same store.
+        self._artifact_cache = ArtifactCache().ensure_store(
             self._state_dir / STORE_DIR if self._state_dir is not None else None
         )
-        self._database = CampaignDatabase(name=self.config.name)
-        self._artifact_cache = ArtifactCache(
-            self.config.artifact_cache_size
-        ).ensure_store(self._store_dir)
 
         # Everything with a lifetime is entered here in order — sink, pool,
         # observability server — and closed by :meth:`close` in reverse; a
@@ -234,7 +232,7 @@ class TuningService:
                 workers=self.config.workers,
                 serve=self.config.serve_workers,
                 authkey=self.config.authkey,
-                mesh_store=(self._store_dir if distributed else None),
+                mesh_store=(self._artifact_cache.store if distributed else None),
             ))
             #: The ``/metrics`` + ``/status`` server (``None`` without a
             #: port).  The service was given the port, so the service owns
@@ -428,10 +426,7 @@ class TuningService:
         build = BuildSpec(name=spec.program, source=spec.source)
         # The budget mapping is JobBudget's single source of truth — a solo
         # BinTuner built from the same kwargs runs the identical search.
-        config = BinTunerConfig(
-            **spec.budget.tuner_config_kwargs(),
-            store_dir=self._store_dir,
-        )
+        config = BinTunerConfig(**spec.budget.tuner_config_kwargs())
         with self._db_lock:
             shard = self._database.shard(spec.family, self._shard_program(job))
         tuner = BinTuner(

@@ -35,10 +35,10 @@ disk-backed artifact store (:mod:`repro.tuner.store`): staged evaluators
 are re-pointed at it as they arrive, so the compiles and traces this
 machine pays persist across batches, evaluator-cache evictions, and the
 reconnects above — a worker that rejoins is warm, not amnesiac.  Without
-the flag, a staged evaluator keeps whatever ``store_dir`` the orchestrator
-baked into the blob (correct for same-machine workers; remote machines
-should pass their own path, or ``--no-store`` to detach the tier so the
-orchestrator's path is never created on this machine).
+the flag, a staged evaluator keeps the store its blob derives from the
+orchestrator's artifact cache (correct for same-machine workers; remote
+machines should pass their own path, or ``--no-store`` to detach the tier
+so the orchestrator's path is never created on this machine).
 
 An evaluator exception is reported back as a :class:`~repro.distrib.
 protocol.BatchFailure` (programming errors must propagate to the campaign,
@@ -640,21 +640,22 @@ def build_parser() -> argparse.ArgumentParser:
                         help="interval between keep-alive frames while a batch "
                              f"is evaluating; 0 disables (default: "
                              f"{DEFAULT_HEARTBEAT_INTERVAL:g})")
-    parser.add_argument("--store-dir", type=str, default=None,
-                        help="worker-local disk-backed artifact store: "
-                             "compiles/traces this worker pays persist across "
-                             "batches, reconnects and restarts, so a "
-                             "rejoining worker starts warm")
+    store = parser.add_mutually_exclusive_group()
+    store.add_argument("--store-dir", type=str, default=None,
+                       help="worker-local disk-backed artifact store: "
+                            "compiles/traces this worker pays persist across "
+                            "batches, reconnects and restarts, so a "
+                            "rejoining worker starts warm")
+    store.add_argument("--no-store", action="store_true",
+                       help="detach any orchestrator-configured artifact "
+                            "store from arriving evaluators: no local "
+                            "persistence, and the orchestrator's store path "
+                            "is never created on this machine")
     parser.add_argument("--store-max-bytes", type=int, default=None,
                         help="with --store-dir: byte budget of the local "
                              "store's LRU garbage collection, sized for this "
                              "machine's disk (default: the budget the "
                              "orchestrator configured)")
-    parser.add_argument("--no-store", action="store_true",
-                        help="detach any orchestrator-configured artifact "
-                             "store from arriving evaluators: no local "
-                             "persistence, and the orchestrator's store path "
-                             "is never created on this machine")
     parser.add_argument("--connect-timeout", type=float,
                         default=DEFAULT_CONNECT_TIMEOUT, metavar="SECONDS",
                         help="deadline for the TCP connect plus handshake; a "
@@ -662,14 +663,15 @@ def build_parser() -> argparse.ArgumentParser:
                              "attempt (and --reconnect backs off) instead of "
                              f"hanging forever (default: "
                              f"{DEFAULT_CONNECT_TIMEOUT:g})")
-    parser.add_argument("--no-mesh", action="store_true",
-                        help="do not join the coordinator's artifact mesh "
-                             "even when it serves one: no artifact fetches "
-                             "or pushes from this machine")
-    parser.add_argument("--mesh-budget-bytes", type=int, default=None,
-                        help="cap on this machine's total artifact-mesh "
-                             "transfer, both directions (default: the "
-                             "budget the coordinator advertises)")
+    mesh = parser.add_mutually_exclusive_group()
+    mesh.add_argument("--no-mesh", action="store_true",
+                      help="do not join the coordinator's artifact mesh "
+                           "even when it serves one: no artifact fetches "
+                           "or pushes from this machine")
+    mesh.add_argument("--mesh-budget-bytes", type=int, default=None,
+                      help="cap on this machine's total artifact-mesh "
+                           "transfer, both directions (default: the "
+                           "budget the coordinator advertises)")
     return parser
 
 
@@ -695,12 +697,8 @@ def configure_logging(verbose: bool = False, quiet: bool = False) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.no_store and args.store_dir is not None:
-        parser.error("--store-dir and --no-store are mutually exclusive")
     if args.store_max_bytes is not None and args.store_dir is None:
         parser.error("--store-max-bytes requires --store-dir")
-    if args.no_mesh and args.mesh_budget_bytes is not None:
-        parser.error("--mesh-budget-bytes and --no-mesh are mutually exclusive")
     if args.connect_timeout is not None and args.connect_timeout <= 0:
         parser.error("--connect-timeout must be > 0")
     configure_logging(verbose=args.verbose, quiet=args.quiet)

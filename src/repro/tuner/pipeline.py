@@ -20,15 +20,22 @@ So the stages are first-class, cacheable units:
   a compile-cache hit never recompresses the candidate.
 * :class:`ArtifactCache` — the bounded, thread-safe LRU between stages.
   Content addressing makes one cache safe to share across evaluators,
-  programs, and whole campaigns: a campaign injects one campaign-wide
-  cache, worker processes adopt a process-shared one
-  (:func:`shared_artifact_cache`), and a standalone evaluator defaults to
-  a private one.  An optional second tier — the disk-backed
-  :class:`~repro.tuner.store.ArtifactStore` — sits behind the in-memory
-  LRU: a memory miss consults the store before anything is compiled or
-  emulated, and every new artifact is written through, so a *restarted*
-  process (a fresh campaign, a respawned worker, a reconnected
+  programs, and whole campaigns.  An optional second tier — the
+  disk-backed :class:`~repro.tuner.store.ArtifactStore` — sits behind the
+  in-memory LRU: a memory miss consults the store before anything is
+  compiled or emulated, and every new artifact is written through, so a
+  *restarted* process (a fresh campaign, a respawned worker, a reconnected
   distributed slot) starts warm instead of re-paying its history.
+
+One owner per cache: the run's owner — a campaign, the tuning service, or
+the caller of a standalone ``BinTuner(artifact_cache=...)`` — builds the
+cache and attaches its store once (:meth:`ArtifactCache.ensure_store`);
+the tuner, the evaluator and the mesh read the store off that cache, and a
+tuner given no cache makes a plain in-memory one.  The store's directory
+crosses process boundaries by derivation: a pickled evaluator carries its
+cache's bound and its store's directory and byte budget, and a worker
+adopts the process-shared cache for that directory
+(:func:`shared_artifact_cache`).
 
 :class:`StagedCandidateEvaluator` — the one candidate evaluator — composes
 the stages behind the ``FlagKey -> CandidateResult`` contract.  Results are
@@ -52,7 +59,7 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from threading import Lock
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -171,16 +178,24 @@ class ArtifactCache:
         store_dir,
         max_bytes: Optional[int] = DEFAULT_STORE_MAX_BYTES,
     ) -> "ArtifactCache":
-        """Attach the persistent store for ``store_dir`` if none is attached.
+        """Attach the persistent store for ``store_dir``; returns ``self``.
 
-        The single attachment policy point for every layer (tuner, staged
-        evaluator, campaign, shared worker caches): a no-op when
-        ``store_dir`` is ``None`` or a store is already attached — an
-        injected cache's existing tier always wins.  Returns ``self`` for
-        construction chaining.
+        Called once by the run's owner (a campaign, the tuning service) and
+        by :func:`shared_artifact_cache` on the worker side; everything
+        downstream reads the store off the cache.  A no-op when
+        ``store_dir`` is ``None`` or names the directory already attached.
+        A cache already backed by a *different* directory raises
+        ``ValueError``: one cache persists to one store.
         """
-        if store_dir is not None and self.store is None:
+        if store_dir is None:
+            return self
+        if self.store is None:
             self.store = persistent_store(store_dir, max_bytes=max_bytes)
+        elif Path(store_dir).resolve() != self.store.directory.resolve():
+            raise ValueError(
+                f"artifact cache is already backed by the store at "
+                f"{self.store.directory}, not {store_dir}"
+            )
         return self
 
     def _insert(self, key: Tuple, value: object) -> None:
@@ -230,13 +245,13 @@ class ArtifactCache:
 
 
 #: Process-global caches used by *worker-side* evaluators (which arrive as
-#: pickle blobs with the cache field stripped): every program a worker
-#: serves shares one, so identical configurations are reused across
-#: evaluators for the life of the worker.  Keyed by the evaluator's
-#: ``store_dir`` (``None`` for the purely in-memory cache) so evaluators
-#: backed by the same disk store share one memory tier in front of it.  In
-#: the orchestrating process the cache is evaluator-private unless a tuner
-#: or campaign injects a shared one — cache lifetime is an explicit choice
+#: pickle blobs carrying only their owner's cache terms): every program a
+#: worker serves shares one, so identical configurations are reused across
+#: evaluators for the life of the worker.  Keyed by the store directory
+#: (``None`` for the purely in-memory cache) so evaluators backed by the
+#: same disk store share one memory tier in front of it.  In the
+#: orchestrating process the cache is the run owner's (campaign, service,
+#: or a standalone tuner's caller) — cache lifetime is an explicit choice
 #: there, not ambient state.
 _SHARED_CACHES: Dict[Optional[str], ArtifactCache] = {}
 _SHARED_CACHE_LOCK = Lock()
@@ -497,18 +512,20 @@ class StagedCandidateEvaluator:
     propagates: converting a ``TypeError`` into a penalty record would bury
     real bugs in the tuning log.
 
-    Carries the build-spec fields plus the artifact-cache knobs.  Per-process
-    state never crosses a process boundary: pickling strips the cache, the
-    stages and the lazily built fitness (its NCD cache), and the worker side
-    falls back to its process-shared cache, so every worker accumulates
-    reusable artifacts across programs.
+    Carries the build-spec fields plus the artifact cache it borrows from
+    the run's owner (the tuner's, which is the campaign's or the service's
+    when they inject one; a private one otherwise).  Per-process state never
+    crosses a process boundary: pickling strips the cache, the stages and
+    the lazily built fitness (its NCD cache).
 
-    ``store_dir`` *does* cross the boundary: it is plain configuration, so a
-    freshly spawned process-pool worker (or a remote worker on the same
-    machine) rehydrates with the same disk tier attached and consults it
-    before compiling anything — a restarted worker is warm immediately.
-    A distributed worker on a machine where that path is wrong overrides it
-    with its own local tier via :meth:`attach_store`
+    The owner's store crosses by derivation: the blob carries the cache's
+    bound and its store's directory and byte budget, and the worker side
+    adopts the process-shared cache for that directory
+    (:func:`shared_artifact_cache`) — so every process worker shares
+    artifacts across programs, persists where the owner persists, and a
+    freshly spawned one consults the store before compiling anything.  A
+    distributed worker on a machine where that path is wrong substitutes
+    its own local tier via :meth:`attach_store`
     (``repro.distrib.worker --store-dir``).
     """
 
@@ -523,24 +540,26 @@ class StagedCandidateEvaluator:
     compressor: str = "lzma"
     invalid_fitness: float = -1.0
     max_emulation_steps: int = 2_000_000
-    cache_size: int = DEFAULT_ARTIFACT_CACHE_SIZE
-    artifact_cache: Optional[ArtifactCache] = None
-    store_dir: Optional[str] = None
-    store_max_bytes: Optional[int] = DEFAULT_STORE_MAX_BYTES
+    artifact_cache: ArtifactCache = field(default_factory=ArtifactCache)
 
     def __post_init__(self) -> None:
-        if self.store_dir is not None:
-            self.store_dir = str(self.store_dir)  # Path-friendly, pickle-clean
         self._fitness: Optional[Callable[[BinaryImage], float]] = None
         self._compile_stage: Optional[CompileStage] = None
         self._measure_stage: Optional[MeasureStage] = None
         self._score_stage: Optional[ScoreStage] = None
         self._stage_lock = Lock()
 
+    def _cache_terms(self) -> Tuple[int, Optional[str], Optional[int]]:
+        """``(max_entries, store directory, store max_bytes)`` of the cache."""
+        cache, store = self.artifact_cache, self.artifact_cache.store
+        if store is None:
+            return cache.max_entries, None, DEFAULT_STORE_MAX_BYTES
+        return cache.max_entries, str(store.directory), store.max_bytes
+
     def __getstate__(self):
         state = dict(self.__dict__)
+        state["artifact_cache"] = self._cache_terms()
         state["_fitness"] = None
-        state["artifact_cache"] = None
         state["_compile_stage"] = None
         state["_measure_stage"] = None
         state["_score_stage"] = None
@@ -551,14 +570,9 @@ class StagedCandidateEvaluator:
         self.__dict__.update(state)
         self._stage_lock = Lock()
         # Worker side of a pickle round trip: adopt the process-shared cache
-        # (keyed by the disk store, when configured) so every program this
-        # worker serves reuses artifacts — and, with a store, so a *fresh*
-        # worker process starts warm from disk instead of recompiling.
-        self.artifact_cache = shared_artifact_cache(
-            self.cache_size,
-            store_dir=self.store_dir,
-            store_max_bytes=self.store_max_bytes,
-        )
+        # over the owner's store, so every program this worker serves reuses
+        # artifacts and a *fresh* worker process starts warm from disk.
+        self.artifact_cache = shared_artifact_cache(*state["artifact_cache"])
 
     def fitness_function(self) -> Callable[[BinaryImage], float]:
         return self._scorer().fitness
@@ -566,26 +580,23 @@ class StagedCandidateEvaluator:
     def attach_store(self, store_dir, max_bytes: Optional[int] = None) -> None:
         """Re-point this evaluator at the disk store under ``store_dir``.
 
-        The distributed worker's ``--store-dir`` override: the orchestrator's
-        path travels in the evaluator blob but may not exist on a remote
+        The distributed worker's ``--store-dir`` override: the owner's path
+        travels in the evaluator blob but may not exist on a remote
         machine, so the worker substitutes its own local tier right after
         unpickling, before any candidate is evaluated.  ``store_dir=None``
         detaches the disk tier entirely (the worker's ``--no-store``): the
         evaluator falls back to the plain in-memory shared cache and never
-        touches the orchestrator's foreign path.  The built compile and
-        measure stages are discarded (they captured the old cache) and
-        rebuilt lazily.
+        touches the owner's foreign path.  The cache bound, and the byte
+        budget unless ``max_bytes`` is given, stay the owner's.  The built
+        compile and measure stages are discarded (they captured the old
+        cache) and rebuilt lazily.
         """
-        self.store_dir = str(store_dir) if store_dir is not None else None
-        if max_bytes is not None:
-            self.store_max_bytes = max_bytes
+        max_entries, _foreign, budget = self._cache_terms()
         with self._stage_lock:
             self._compile_stage = None
             self._measure_stage = None
         self.artifact_cache = shared_artifact_cache(
-            self.cache_size,
-            store_dir=self.store_dir,
-            store_max_bytes=self.store_max_bytes,
+            max_entries, store_dir, budget if max_bytes is None else max_bytes
         )
 
     def attach_mesh(self, mesh) -> ArtifactCache:
@@ -599,19 +610,10 @@ class StagedCandidateEvaluator:
         hooked, so the caller can unhook it when the session ends (the cache
         is process-global and outlives the session).
         """
-        cache = self.cache()
-        cache.mesh = mesh
-        return cache
+        self.artifact_cache.mesh = mesh
+        return self.artifact_cache
 
     # -- stage construction -------------------------------------------------------
-
-    def cache(self) -> ArtifactCache:
-        if self.artifact_cache is None:
-            self.artifact_cache = ArtifactCache(self.cache_size)
-        # An injected cache (e.g. the campaign-wide one) gains the
-        # configured disk tier: content addressing makes the attachment
-        # safe, and every evaluator sharing the cache shares it.
-        return self.artifact_cache.ensure_store(self.store_dir, self.store_max_bytes)
 
     def _ensure_stages(self) -> Tuple[CompileStage, Optional[MeasureStage]]:
         # Thread mappers and worker slots call one shared evaluator
@@ -622,7 +624,7 @@ class StagedCandidateEvaluator:
         if self._compile_stage is None:
             with self._stage_lock:
                 if self._compile_stage is None:
-                    cache = self.cache()
+                    cache = self.artifact_cache
                     if self.baseline_behaviour is not None:
                         self._measure_stage = MeasureStage(
                             self.arguments, self.inputs, self.max_emulation_steps, cache

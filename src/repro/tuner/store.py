@@ -27,9 +27,13 @@ content-addressed artifacts on disk:
 
 Concurrency: one store directory may be open in many processes at once (the
 orchestrator, every process-pool worker, distributed worker slots on the
-same machine).  Atomic replace keeps readers consistent, digest verification
-catches anything else, and because entries are content-addressed two writers
-racing on one key write identical bytes.
+same machine).  In the orchestrator the run's owner (a campaign or the
+tuning service) attaches it to the artifact cache it owns; a worker process
+never configures one — it derives the directory and byte budget from the
+evaluator blob it is sent and opens the same store through
+:func:`persistent_store`.  Atomic replace keeps readers consistent, digest
+verification catches anything else, and because entries are
+content-addressed two writers racing on one key write identical bytes.
 
 Trust: entries are pickled, and the digest proves *integrity*, not
 *authorship* — whoever can write the store directory can execute code in
@@ -508,7 +512,7 @@ class ArtifactStore:
 
 #: Process-wide store registry: one :class:`ArtifactStore` per resolved
 #: directory, so every evaluator, program, and campaign of a process that
-#: names the same ``store_dir`` shares one instance (and its counters).
+#: names the same directory shares one instance (and its counters).
 #: ``max_bytes`` only applies at creation, mirroring
 #: :func:`~repro.tuner.pipeline.shared_artifact_cache` semantics.
 _STORES: Dict[str, ArtifactStore] = {}

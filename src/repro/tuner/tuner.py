@@ -14,6 +14,12 @@ tuner evaluates inline unless it is given a ``mapper_factory`` — a
 :class:`~repro.campaign.pool.SharedWorkerPool`'s ``mapper``, the one owner of
 every thread, process and distributed substrate; results are recorded in
 generation order either way, so runs are reproducible for any worker count.
+
+The artifact cache is borrowed the same way: the run's owner (a campaign,
+the tuning service, or the caller of ``BinTuner(artifact_cache=...)``)
+builds it and attaches its disk store, and the tuner hands that one cache
+to its baseline build and its evaluator.  A tuner given none evaluates on a
+plain in-memory cache.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.backend.binary import BinaryImage
@@ -33,13 +38,11 @@ from repro.tuner.constraints import ConstraintEngine
 from repro.tuner.database import TuningDatabase
 from repro.tuner.evaluation import EvaluationEngine, EvaluationStats
 from repro.tuner.pipeline import (
-    DEFAULT_ARTIFACT_CACHE_SIZE,
     ArtifactCache,
     CompileStage,
     MeasureStage,
     StagedCandidateEvaluator,
 )
-from repro.tuner.store import DEFAULT_STORE_MAX_BYTES
 from repro.tuner.search import GAParameters, GeneticAlgorithm, HillClimber, RandomSearch
 
 
@@ -108,19 +111,6 @@ class BinTunerConfig:
     #: Inert: the only value is ``"staged"``, read nowhere; kept only because
     #: the byte-frozen ``benchmarks/ledger/replay.py`` still passes it.
     pipeline: str = "staged"
-    #: Bound of the evaluator's artifact cache (entries, not bytes).
-    #: Only sizes a cache this tuner creates; an injected or process-shared
-    #: cache keeps its own bound.
-    artifact_cache_size: int = DEFAULT_ARTIFACT_CACHE_SIZE
-    #: Directory of the disk-backed artifact store — the artifact cache's
-    #: persistent second tier (:mod:`repro.tuner.store`).  ``None`` (the
-    #: default) keeps the cache memory-only; with a path, compile and trace
-    #: artifacts survive the process, so a restarted run starts warm.  The
-    #: path travels to worker processes with the evaluator, so every local
-    #: worker opens the same store.
-    store_dir: Optional[Path] = None
-    #: Byte budget of the store's LRU garbage collection (``None``: unbounded).
-    store_max_bytes: Optional[int] = DEFAULT_STORE_MAX_BYTES
 
     def __post_init__(self) -> None:
         if self.pipeline != "staged":
@@ -187,26 +177,15 @@ class BinTuner:
             program=spec.name, compiler=compiler.registry.compiler
         )
         self._mapper_factory = mapper_factory
-        self._artifact_cache = artifact_cache
+        self._artifact_cache = (
+            artifact_cache if artifact_cache is not None else ArtifactCache()
+        )
         self._baseline: Optional[BinaryImage] = None
         self._baseline_behaviour = None
         self._evaluator: Optional[StagedCandidateEvaluator] = None
         self._engine: Optional[EvaluationEngine] = None
 
     # -- baseline -------------------------------------------------------------------
-
-    def _staged_cache(self) -> ArtifactCache:
-        """The artifact cache every stage of this tuner shares.
-
-        The campaign-injected cache when there is one; otherwise built here
-        (with the configured disk store attached) so the baseline build and
-        the candidate evaluator reuse one cache instead of two.
-        """
-        if self._artifact_cache is None:
-            self._artifact_cache = ArtifactCache(self.config.artifact_cache_size)
-        return self._artifact_cache.ensure_store(
-            self.config.store_dir, self.config.store_max_bytes
-        )
 
     def baseline_image(self) -> BinaryImage:
         """The O0 build every candidate is measured against (§5.1).
@@ -217,7 +196,7 @@ class BinTuner:
         *nothing*, baselines included.
         """
         if self._baseline is None:
-            cache = self._staged_cache()
+            cache = self._artifact_cache
             stage = CompileStage(
                 self.compiler, self.spec.source, self.spec.name, cache,
                 compressor=None,
@@ -251,13 +230,7 @@ class BinTuner:
                 compressor=self.config.compressor,
                 invalid_fitness=self.config.invalid_fitness,
                 max_emulation_steps=self.config.max_emulation_steps,
-                cache_size=self.config.artifact_cache_size,
-                artifact_cache=self._staged_cache(),
-                store_dir=(
-                    str(self.config.store_dir)
-                    if self.config.store_dir is not None else None
-                ),
-                store_max_bytes=self.config.store_max_bytes,
+                artifact_cache=self._artifact_cache,
             )
         return self._evaluator
 

@@ -39,6 +39,7 @@ from repro.campaign import (
 )
 from repro.campaign.campaign import STORE_DIR
 from repro.tuner import (
+    ArtifactCache,
     BinTuner,
     BinTunerConfig,
     BuildSpec,
@@ -46,6 +47,8 @@ from repro.tuner import (
     IterationRecord,
     LocalMapper,
     TuningDatabase,
+    persistent_store,
+    reset_persistent_stores,
 )
 
 #: A checkpoint written by the parent commit (``run_campaign(checkpoint_dir=
@@ -489,6 +492,40 @@ class TestStoreRestartWarmth:
         assert stats.evaluated == cold.evaluation_stats().evaluated
         assert stats.artifact_misses == 0  # zero redundant compiles/emulations
         assert stats.artifact_store_hits > 0
+
+
+class TestOneStorePerCampaign:
+    """The campaign owns its cache's store: every dispatch mode persists to
+    it, process workers included (they derive the directory from the
+    evaluator they are sent), and a second directory is refused instead of
+    splitting one campaign's artifacts over two stores."""
+
+    def test_every_dispatch_persists_to_the_injected_caches_store(self, tmp_path):
+        entries = {}
+        for dispatch, workers in (("serial", 1), ("thread", 2), ("process", 2)):
+            fresh_process_state()
+            cache = ArtifactCache(64).ensure_store(tmp_path / dispatch)
+            Campaign(
+                JOBS[:1], tiny_config(dispatch=dispatch, workers=workers),
+                spec_provider=tiny_spec, artifact_cache=cache,
+            ).run()
+            entries[dispatch] = len(persistent_store(tmp_path / dispatch))
+        assert entries["serial"] > 2  # more than the baseline's image + trace
+        assert entries == dict.fromkeys(entries, entries["serial"])
+
+    def test_a_second_store_directory_is_refused(self, tmp_path):
+        cache = ArtifactCache(64).ensure_store(tmp_path / "a")
+        with pytest.raises(ValueError, match="already backed by the store"):
+            Campaign(JOBS[:1], tiny_config(store_dir=tmp_path / "b"),
+                     spec_provider=tiny_spec, artifact_cache=cache)
+        # The same directory, spelled differently and reopened after the
+        # store registry was reset, is the same store.
+        reset_persistent_stores()
+        campaign = Campaign(
+            JOBS[:1], tiny_config(store_dir=tmp_path / "b" / ".." / "a"),
+            spec_provider=tiny_spec, artifact_cache=cache,
+        )
+        assert campaign.store_dir == tmp_path / "a"
 
 
 class TestSharedWorkerPool:

@@ -3,8 +3,10 @@
 ``python -m repro.campaign`` (``run``), ``... serve`` and
 ``python -m repro.distrib.worker`` build their parsers from the same parent
 parsers, so a flag they share has one spelling, one ``dest`` and one
-default.  Also here: the CLI's two user-facing error paths that used to
-print the wrong thing (an unreachable service, the run's substrate log).
+default; ``serve`` and ``submit`` share ``--token`` the same way, and the
+worker's conflicting flag pairs are argparse groups.  Also here: the CLI's
+two user-facing error paths that used to print the wrong thing (an
+unreachable service, the run's substrate log).
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ import socket
 import pytest
 from _helpers import loopback_available
 
-from repro.campaign.cli import build_parser, build_serve_parser
+from repro.campaign.cli import build_parser, build_serve_parser, build_submit_parser
 from repro.distrib.worker import build_parser as build_worker_parser
+from repro.distrib.worker import main as worker_main
 
 PARSERS = {
     "run": build_parser,
     "serve": build_serve_parser,
+    "submit": build_submit_parser,
     "worker": build_worker_parser,
 }
 
@@ -38,7 +42,8 @@ def _action(parser, flag):
 @pytest.mark.parametrize(
     "flag, names",
     [(flag, ("run", "serve", "worker")) for flag in COMMON_FLAGS]
-    + [(flag, ("run", "serve")) for flag in FLEET_FLAGS],
+    + [(flag, ("run", "serve")) for flag in FLEET_FLAGS]
+    + [("--token", ("serve", "submit"))],
 )
 def test_common_flag_has_one_dest_and_default(flag, names):
     actions = [_action(PARSERS[name](), flag) for name in names]
@@ -47,7 +52,7 @@ def test_common_flag_has_one_dest_and_default(flag, names):
     assert len({action.help for action in actions}) == 1
 
 
-@pytest.mark.parametrize("name", sorted(PARSERS))
+@pytest.mark.parametrize("name", ["run", "serve", "worker"])
 def test_verbose_and_quiet_are_mutually_exclusive(name, capsys):
     argv = ["--verbose", "--quiet"]
     if name == "worker":
@@ -56,6 +61,25 @@ def test_verbose_and_quiet_are_mutually_exclusive(name, capsys):
         PARSERS[name]().parse_args(argv)
     assert exit_info.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("conflict", [
+    ["--store-dir", "local-store", "--no-store"],
+    ["--no-mesh", "--mesh-budget-bytes", "1024"],
+])
+def test_worker_flag_conflicts_are_argparse_groups(conflict, capsys):
+    """Each conflicting pair is refused by the parser itself, with exit 2."""
+    with pytest.raises(SystemExit) as exit_info:
+        build_worker_parser().parse_args(["--connect", "127.0.0.1:1", *conflict])
+    assert exit_info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_worker_store_budget_requires_a_store_dir(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        worker_main(["--connect", "127.0.0.1:1", "--store-max-bytes", "4096"])
+    assert exit_info.value.code == 2
+    assert "--store-max-bytes requires --store-dir" in capsys.readouterr().err
 
 
 def test_serve_defaults_keep_serial_dispatch():

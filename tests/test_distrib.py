@@ -741,12 +741,12 @@ class TestWorkerStore:
     cache evictions."""
 
     def _staged_evaluator(self, llvm, store_dir=None):
-        from repro.tuner import StagedCandidateEvaluator
+        from repro.tuner import ArtifactCache, StagedCandidateEvaluator
 
         baseline = llvm.compile_level(TINY_A, "O0", name="tiny").image
         return StagedCandidateEvaluator(
             compiler=llvm, source=TINY_A, name="tiny", baseline=baseline,
-            store_dir=str(store_dir) if store_dir is not None else None,
+            artifact_cache=ArtifactCache().ensure_store(store_dir),
         )
 
     def test_restarted_worker_thread_is_warm_from_its_store(self, llvm, tmp_path):

@@ -49,7 +49,7 @@ from repro.distrib.worker import (  # noqa: E402
     run_worker,
     serve,
 )
-from repro.tuner.store import ArtifactStore  # noqa: E402
+from repro.tuner.store import ArtifactStore, persistent_store  # noqa: E402
 from test_distrib import (  # noqa: E402
     JOBS,
     TINY_A,
@@ -60,12 +60,12 @@ from test_distrib import (  # noqa: E402
 
 
 def _staged_evaluator(llvm, store_dir=None):
-    from repro.tuner import StagedCandidateEvaluator
+    from repro.tuner import ArtifactCache, StagedCandidateEvaluator
 
     baseline = llvm.compile_level(TINY_A, "O0", name="tiny").image
     return StagedCandidateEvaluator(
         compiler=llvm, source=TINY_A, name="tiny", baseline=baseline,
-        store_dir=str(store_dir) if store_dir is not None else None,
+        artifact_cache=ArtifactCache().ensure_store(store_dir),
     )
 
 
@@ -358,7 +358,7 @@ class TestMeshEndToEnd:
     def _session(self, llvm, keys, mesh_store, worker_store, budget=None, **kwargs):
         """One coordinator+worker lifetime; returns (results, mesh stats)."""
         with Coordinator(
-            artifact_store=str(mesh_store), mesh_budget_bytes=budget
+            artifact_store=persistent_store(mesh_store), mesh_budget_bytes=budget
         ) as coordinator:
             with thread_workers(
                 coordinator, 1, store_dir=str(worker_store), **kwargs
@@ -462,7 +462,9 @@ class TestMeshWarmJoin:
         mesh_store = tmp_path / "campaign-store"
 
         def mesh_run(worker_store):
-            pool = SharedWorkerPool(dispatch="distributed", mesh_store=mesh_store)
+            pool = SharedWorkerPool(
+                dispatch="distributed", mesh_store=persistent_store(mesh_store)
+            )
             try:
                 with thread_workers(pool.coordinator, 1, store_dir=str(worker_store)):
                     result = Campaign(

@@ -718,12 +718,11 @@ def tune_with_store(
         ga=GAParameters(population_size=population, seed=ga_seed),
         stall_window=stall_window,
         warm_start=warm_start,
-        store_dir=store_dir,
-        store_max_bytes=store_max_bytes,
     )
     result, _tuner = run_tuner(
         llvm, BuildSpec(name="tiny", source=TINY_SOURCE), config, dispatch, workers,
         remote_workers,
+        artifact_cache=ArtifactCache().ensure_store(store_dir, store_max_bytes),
     )
     return result
 
@@ -732,13 +731,14 @@ class TestStoreBackedEvaluator:
     def test_fresh_worker_process_is_warm_from_store(self, llvm, tmp_path, monkeypatch):
         """The worker-side fix: the process-global cache only shares state
         within one interpreter, so a *fresh* worker process used to start
-        cold.  With ``store_dir`` in the evaluator blob, the rehydrated
-        evaluator consults the disk tier before compiling anything."""
+        cold.  With the store's directory derived into the evaluator blob,
+        the rehydrated evaluator consults the disk tier before compiling
+        anything."""
         fresh_process_state()
         baseline = llvm.compile_level(TINY_SOURCE, "O0", name="tiny").image
         evaluator = StagedCandidateEvaluator(
             compiler=llvm, source=TINY_SOURCE, name="tiny", baseline=baseline,
-            store_dir=str(tmp_path / "store"),
+            artifact_cache=ArtifactCache().ensure_store(tmp_path / "store"),
         )
         key = tuple(llvm.preset("O2").sorted_names())
         original = evaluator(key)
@@ -765,7 +765,7 @@ class TestStoreBackedEvaluator:
         baseline = llvm.compile_level(TINY_SOURCE, "O0", name="tiny").image
         evaluator = StagedCandidateEvaluator(
             compiler=llvm, source=TINY_SOURCE, name="tiny", baseline=baseline,
-            store_dir=str(tmp_path / "orchestrator"),
+            artifact_cache=ArtifactCache().ensure_store(tmp_path / "orchestrator"),
         )
         clone = pickle.loads(pickle.dumps(evaluator))
         clone.attach_store(tmp_path / "worker-local")
@@ -782,7 +782,7 @@ class TestStoreBackedEvaluator:
         baseline = llvm.compile_level(TINY_SOURCE, "O0", name="tiny").image
         evaluator = StagedCandidateEvaluator(
             compiler=llvm, source=TINY_SOURCE, name="tiny", baseline=baseline,
-            store_dir=str(tmp_path / "orchestrator"),
+            artifact_cache=ArtifactCache().ensure_store(tmp_path / "orchestrator"),
         )
         clone = pickle.loads(pickle.dumps(evaluator))
         clone.attach_store(None)
@@ -790,6 +790,30 @@ class TestStoreBackedEvaluator:
         assert result.valid and result.artifact_store_hits == 0
         assert clone.artifact_cache.store is None
         assert not (tmp_path / "orchestrator").exists()
+
+    def test_rehydration_keeps_the_owners_cache_sizing(self, llvm, tmp_path):
+        """A worker sizes its shared cache and store from the owner's cache,
+        not from defaults; ``attach_store`` moves the directory and keeps
+        both bounds."""
+        fresh_process_state()
+        budget = 3 * 1024 * 1024
+        baseline = llvm.compile_level(TINY_SOURCE, "O0", name="tiny").image
+        evaluator = StagedCandidateEvaluator(
+            compiler=llvm, source=TINY_SOURCE, name="tiny", baseline=baseline,
+            artifact_cache=ArtifactCache(7).ensure_store(tmp_path / "d", max_bytes=budget),
+        )
+        blob = pickle.dumps(evaluator)
+        fresh_process_state()
+        clone = pickle.loads(blob)
+        cache = clone.artifact_cache
+        assert cache is shared_artifact_cache(store_dir=tmp_path / "d")
+        assert cache.max_entries == 7
+        assert cache.store.directory.resolve() == (tmp_path / "d").resolve()
+        assert cache.store.max_bytes == budget
+        clone.attach_store(tmp_path / "other")
+        moved = clone.artifact_cache
+        assert moved.max_entries == 7 and moved.store.max_bytes == budget
+        assert moved.store.directory.resolve() == (tmp_path / "other").resolve()
 
     def test_eviction_of_the_memory_tier_falls_back_to_disk(self, llvm, tmp_path):
         """A 1-entry memory tier thrashes constantly; results still come
@@ -799,9 +823,12 @@ class TestStoreBackedEvaluator:
         fresh_process_state()
         config = BinTunerConfig(
             max_iterations=12, ga=GAParameters(population_size=6, seed=9),
-            stall_window=10, store_dir=tmp_path / "store", artifact_cache_size=1,
+            stall_window=10,
         )
-        tuner = BinTuner(llvm, BuildSpec(name="tiny", source=TINY_SOURCE), config)
+        tuner = BinTuner(
+            llvm, BuildSpec(name="tiny", source=TINY_SOURCE), config,
+            artifact_cache=ArtifactCache(1).ensure_store(tmp_path / "store"),
+        )
         try:
             tiny_memory = tuner.run()
         finally:

@@ -13,12 +13,19 @@ So is the owner of every evaluation substrate: ``SharedWorkerPool`` builds
 the coordinator and the thread / process executors a mapper borrows, and the
 distributed worker's slot pool is the only other executor.  And the owner of
 every shared CLI flag and of the checkpoint format: ``run`` / ``serve`` /
-``worker`` declare their common flags once, in parent parsers, and only
-``campaign/campaign.py`` names the checkpoint manifest.
+``worker`` declare their common flags once, in parent parsers (``serve``
+and ``submit`` share ``--token`` the same way), and only
+``campaign/campaign.py`` names the checkpoint manifest.  And the owner of
+the artifact cache: the run's owner (a campaign, the tuning service)
+attaches the store once, a worker's shared cache is the only other
+attachment, and no tuner or evaluator field re-passes the store's
+configuration.
 """
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import re
 from collections import Counter
 from pathlib import Path
@@ -32,7 +39,7 @@ ENV_NAME = re.compile(r"""(?:\benviron(?:\.\w+)?|\bgetenv)\s*[\[(]\s*["']?(\w+)"
 
 #: ``(file under src/repro, variable) -> lines that touch it``.
 ALLOWED = Counter({
-    ("campaign/cli.py", "REPRO_SERVICE_TOKEN"): 2,
+    ("campaign/cli.py", "REPRO_SERVICE_TOKEN"): 1,
     ("distrib/worker.py", "REPRO_DISTRIB_AUTHKEY"): 1,
     ("analysis/emulator.py", "DISPATCH_ENV"): 1,
 })
@@ -50,7 +57,18 @@ SUBSTRATE_OWNERS = Counter({
 COMMON_FLAGS = (
     "--authkey", "--telemetry-dir", "--verbose", "--quiet",
     "--dispatch", "--workers", "--min-workers", "--obs-port", "--obs-host",
+    "--token",
 )
+
+#: ``(file under src/repro, enclosing function) -> ensure_store calls``.
+STORE_OWNERS = Counter({
+    ("campaign/campaign.py", "__init__"): 1,
+    ("distrib/service.py", "__init__"): 1,
+    ("tuner/pipeline.py", "shared_artifact_cache"): 1,
+})
+
+#: Store configuration that only the cache's owner may hold.
+STORE_KNOBS = {"store_dir", "store_max_bytes", "cache_size", "artifact_cache_size"}
 
 
 def test_common_cli_flags_are_declared_once():
@@ -64,6 +82,31 @@ def test_common_cli_flags_are_declared_once():
         if flag in COMMON_FLAGS
     )
     assert found == Counter(COMMON_FLAGS)
+
+
+def test_the_run_owner_attaches_the_store():
+    """``ensure_store`` is called by a campaign, the service and a worker's
+    shared cache, nowhere else: a tuner, an evaluator or the mesh that
+    attached a store of its own would be a second owner."""
+    found = Counter()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "ensure_store"):
+                    found[(path.relative_to(SRC).as_posix(), function.name)] += 1
+    assert found == STORE_OWNERS
+
+
+def test_no_store_knob_below_the_owner():
+    from repro.tuner import BinTunerConfig, StagedCandidateEvaluator
+
+    for owned in (BinTunerConfig, StagedCandidateEvaluator):
+        names = {field.name for field in dataclasses.fields(owned)}
+        assert not names & STORE_KNOBS, (owned.__name__, names & STORE_KNOBS)
 
 
 def test_one_module_names_the_checkpoint_manifest():
