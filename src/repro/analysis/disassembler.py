@@ -37,9 +37,6 @@ class RecoveredBlock:
     def mnemonics(self) -> List[str]:
         return [instr.name for _, instr in self.instructions]
 
-    def raw_bytes(self, text: bytes) -> bytes:
-        return text[self.start : self.end]
-
     def __len__(self) -> int:
         return len(self.instructions)
 
@@ -84,12 +81,6 @@ class RecoveredFunction:
                     graph.add_edge(start, successor)
         return graph
 
-    def mnemonic_sequence(self) -> List[str]:
-        out: List[str] = []
-        for start in sorted(self.blocks):
-            out.extend(self.blocks[start].mnemonics())
-        return out
-
 
 @dataclass
 class RecoveredProgram:
@@ -100,9 +91,6 @@ class RecoveredProgram:
 
     def function_names(self) -> List[str]:
         return list(self.functions)
-
-    def non_library_functions(self) -> List[RecoveredFunction]:
-        return list(self.functions.values())
 
     def total_blocks(self) -> int:
         return sum(fn.block_count for fn in self.functions.values())

@@ -86,16 +86,10 @@ class BinaryImage:
     def code_size(self) -> int:
         return len(self.text)
 
-    def total_size(self) -> int:
-        return sum(section.size for section in self.sections.values())
-
     # -- symbol helpers ------------------------------------------------------
 
     def function_symbols(self) -> List[Symbol]:
         return [sym for sym in self.symbols if sym.kind == "func"]
-
-    def data_symbols(self) -> List[Symbol]:
-        return [sym for sym in self.symbols if sym.kind == "object"]
 
     def symbol(self, name: str) -> Symbol:
         for sym in self.symbols:
@@ -110,12 +104,6 @@ class BinaryImage:
                 return sym
         return None
 
-    def function_bytes(self, name: str) -> bytes:
-        sym = self.symbol(name)
-        if sym.kind != "func":
-            raise ValueError(f"{name!r} is not a function symbol")
-        return self.text[sym.offset : sym.offset + sym.size]
-
     # -- data access for the emulator ---------------------------------------
 
     def initial_memory(self) -> Dict[int, int]:
@@ -126,23 +114,6 @@ class BinaryImage:
             value = struct.unpack_from("<q", self.data, index * 8)[0]
             memory[GLOBAL_BASE + index] = value
         return memory
-
-    def jump_table(self, word_address: int, length: int) -> List[int]:
-        """Read ``length`` code addresses from .rodata at a table address."""
-        table_base = self._rodata_base_word()
-        index = word_address - table_base
-        out = []
-        for position in range(index, index + length):
-            out.append(struct.unpack_from("<q", self.rodata, position * 8)[0])
-        return out
-
-    def rodata_word(self, word_address: int) -> int:
-        table_base = self._rodata_base_word()
-        index = word_address - table_base
-        return struct.unpack_from("<q", self.rodata, index * 8)[0]
-
-    def _rodata_base_word(self) -> int:
-        return int(self.metadata.get("rodata_base", GLOBAL_BASE + len(self.data) // 8))
 
     # -- identity ------------------------------------------------------------
 

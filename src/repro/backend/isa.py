@@ -214,10 +214,6 @@ class MachInstr:
     def is_branch(self) -> bool:
         return self.name in ("jmp", "beqz", "bnez")
 
-    @property
-    def is_call(self) -> bool:
-        return self.name in ("call", "tcall")
-
     def __str__(self) -> str:
         spec = self.spec
         parts = []
@@ -274,8 +270,3 @@ def decode_stream(data: bytes, start: int = 0, end: Optional[int] = None) -> Lis
         out.append((offset, instr))
         offset = next_offset
     return out
-
-
-def instruction_cycles(instr: MachInstr) -> int:
-    """Abstract cycle cost of an instruction (used by the cost model)."""
-    return instr.spec.cycles

@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import logging
 import shutil
-import socket
 import threading
 import time
 from contextlib import ExitStack
@@ -49,7 +48,7 @@ from repro.backend.binary import BinaryImage
 from repro.compilers import SimGCC, SimLLVM
 from repro.compilers.base import Compiler
 from repro.campaign.database import CampaignDatabase, ShardKey
-from repro.campaign.pool import SharedWorkerPool
+from repro.campaign.pool import SharedWorkerPool, open_session
 from repro.tuner.database import write_text_atomic
 from repro.tuner import BinTuner, BinTunerConfig, BuildSpec, EvaluationStats, TuningResult
 from repro.tuner.pipeline import DEFAULT_ARTIFACT_CACHE_SIZE, ArtifactCache
@@ -604,74 +603,35 @@ class Campaign:
 
     # -- the session -----------------------------------------------------------------
 
-    def _build_pool(self) -> SharedWorkerPool:
-        config = self.config
-        pool = SharedWorkerPool(
-            config.dispatch,
-            config.workers,
-            serve=config.serve,
-            authkey=config.authkey,
-            # The mesh serves the *campaign's* store: the orchestrator's own
-            # baselines and every worker's pushed compile become fetchable
-            # by the whole fleet.
-            mesh_store=self.artifact_cache.store if config.mesh else None,
-            mesh_budget_bytes=config.mesh_budget_bytes,
-        )
-        if pool.coordinator is None:
-            return pool
-        bound = pool.address_string()
-        host, _sep, port = bound.rpartition(":")
-        if host in ("0.0.0.0", "::", ""):
-            # The wildcard bind is not a reachable address; point the
-            # copy-paste line at something remote machines can use.
-            connect = f"{socket.gethostname()}:{port}"
-            note = f" (listening on all interfaces; {bound})"
-        else:
-            connect, note = bound, ""
-        logger.info(
-            "coordinator listening on %s%s — start workers with\n"
-            "  python -m repro.distrib.worker --connect %s%s",
-            connect, note, connect, " --authkey ..." if config.authkey else "",
-        )
-        if config.mesh:
-            budget = (f", per-machine budget {config.mesh_budget_bytes} bytes"
-                      if config.mesh_budget_bytes is not None else "")
-            logger.info("artifact mesh on: serving %s%s", self.store_dir, budget)
-        return pool
-
     def _open(self, pool: Optional[SharedWorkerPool] = None) -> None:
-        """Open the session: sink, pool, observability server — in that
-        order, so closing (the reverse) takes the server down first and a
-        scrape racing teardown gets its 503 while the state it reads is
-        still there.  An injected ``pool`` is used as-is and left open."""
+        """Open the session (:func:`~repro.campaign.pool.open_session`):
+        sink, pool, observability server.  An injected ``pool`` is used
+        as-is and left open."""
         if self._session is not None:
             raise RuntimeError("this campaign's session is already open")
         config = self.config
+        own_pool = pool is None
         with ExitStack() as stack:
-            if config.telemetry_dir is not None or config.obs_port is not None:
-                # One sink feeds the JSONL file *and* /metrics; with only a
-                # port it is registry only and nothing touches disk.
-                stack.enter_context(
-                    telemetry.recording(config.telemetry_dir, label="campaign")
-                )
-            own_pool = pool is None
-            if own_pool:
-                pool = stack.enter_context(self._build_pool())
-            server = None
-            if config.obs_port is not None:
-                from repro.distrib import obsserver
-
-                server = stack.enter_context(obsserver.ObservabilityServer(
-                    host=config.obs_host, port=config.obs_port
-                ))
-                server.add_source("campaign", self.progress.snapshot)
-                server.add_source("process", obsserver.process_status)
-                server.add_metrics_source(obsserver.process_metrics)
-                if pool.coordinator is not None:
-                    server.add_source("fleet", pool.coordinator.fleet_status)
-                    server.add_metrics_source(pool.coordinator.fleet_metrics)
-                logger.info("observability: GET %s/metrics (Prometheus) and "
-                            "%s/status (JSON)", server.url(), server.url())
+            pool, server = open_session(
+                stack, "campaign", self.progress.snapshot,
+                telemetry_dir=config.telemetry_dir,
+                obs_port=config.obs_port,
+                obs_host=config.obs_host,
+                pool=pool,
+                dispatch=config.dispatch,
+                workers=config.workers,
+                serve=config.serve,
+                authkey=config.authkey,
+                # The mesh serves the *campaign's* store: the orchestrator's
+                # own baselines and every worker's pushed compile become
+                # fetchable by the whole fleet.
+                mesh_store=self.artifact_cache.store if config.mesh else None,
+                mesh_budget_bytes=config.mesh_budget_bytes,
+            )
+            if own_pool and config.mesh:
+                budget = (f", per-machine budget {config.mesh_budget_bytes} bytes"
+                          if config.mesh_budget_bytes is not None else "")
+                logger.info("artifact mesh on: serving %s%s", self.store_dir, budget)
             if own_pool and pool.coordinator is not None and config.min_workers > 0:
                 logger.info("waiting for %d worker(s)...", config.min_workers)
                 pool.wait_for_workers(

@@ -496,14 +496,9 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         logger.info("tuning service: clients connect to %s", service.address_string())
-        if service.worker_address() is not None:
-            logger.info("worker plane: python -m repro.distrib.worker --connect %s",
-                        service.worker_address())
-            if args.min_workers > 0:
-                logger.info("waiting for %d worker(s)...", args.min_workers)
-                service.wait_for_workers(args.min_workers)
-        if service.obs_server is not None:
-            logger.info("observability: %s/status", service.obs_server.url())
+        if service.worker_address() is not None and args.min_workers > 0:
+            logger.info("waiting for %d worker(s)...", args.min_workers)
+            service.wait_for_workers(args.min_workers)
         serve_forever(service)
     finally:
         signal.signal(signal.SIGTERM, previous)

@@ -1,4 +1,4 @@
-"""The one owner of every evaluation substrate.
+"""The one owner of every evaluation substrate, and of every run's session.
 
 A :class:`SharedWorkerPool` is the only thing that builds an executor or a
 coordinator; every mapper it hands out *borrows* that substrate, and closing
@@ -9,6 +9,14 @@ a standalone tuner that wants parallelism borrows one the same way::
 
     with SharedWorkerPool("process", 4) as pool:
         result = BinTuner(compiler, spec, config, mapper_factory=pool.mapper).run()
+
+So does a remote worker: its slots evaluate each batch through a
+``"thread"`` (or, with one slot, ``"serial"``) pool's mapper.
+
+:func:`open_session` is the one way a run's owner — a campaign or the tuning
+service — opens everything with a lifetime: the telemetry sink, the pool and
+the ``/metrics`` + ``/status`` server, in that order, on the owner's
+``ExitStack``.
 
 Without a pool, :class:`~repro.tuner.evaluation.EvaluationEngine` evaluates
 inline.  ``dispatch`` picks the substrate:
@@ -34,8 +42,8 @@ follow-up ``evaluate()`` lands on the same executor.
 
 The pool owns what it builds and nothing else: a distributed pool offers its
 fleet view as *sources*; the ``/metrics`` server that renders them belongs
-to whoever was given the port (the campaign session or the tuning service),
-and whether a mesh fits the dispatch mode is the campaign's validation.
+to the owner's session, and whether a mesh fits the dispatch mode is the
+campaign's validation.
 
 Determinism: every mapper returns results in submission order regardless of
 completion order (chunk order for the local pools, index-slotted replies for
@@ -53,9 +61,18 @@ owner's :class:`~repro.tuner.store.ArtifactStore` itself.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import logging
+import socket
+from contextlib import ExitStack
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+from repro import telemetry
 from repro.tuner.evaluation import CandidateEvaluator, LocalMapper
+
+if TYPE_CHECKING:
+    from repro.distrib.obsserver import ObservabilityServer
+
+logger = logging.getLogger("repro.campaign.pool")
 
 #: The execution substrates ``dispatch`` names.
 EXECUTORS = ("serial", "process", "thread", "distributed")
@@ -178,3 +195,73 @@ class SharedWorkerPool:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def open_session(
+    stack: ExitStack,
+    section: str,
+    status: Callable[[], Dict[str, object]],
+    metrics: Optional[Callable[[], Dict[str, object]]] = None,
+    *,
+    telemetry_dir=None,
+    obs_port: Optional[int] = None,
+    obs_host: str = "127.0.0.1",
+    pool: Optional[SharedWorkerPool] = None,
+    **pool_args,
+) -> Tuple[SharedWorkerPool, Optional["ObservabilityServer"]]:
+    """Open a run owner's session on ``stack``: sink, pool, observability
+    server — in that order, so closing the stack (the reverse) takes the
+    server down first and a scrape racing teardown gets its 503 while the
+    state it reads is still there.
+
+    * The sink is installed when a ``telemetry_dir`` *or* an ``obs_port``
+      is given: one sink feeds the JSONL file and ``/metrics``, and with
+      only a port it is registry only, so nothing touches disk.
+    * The pool is ``SharedWorkerPool(**pool_args)``, closed with the stack,
+      or an injected ``pool``, used as-is and left open.  A pool built here
+      that listens for workers logs where to point them.
+    * The ``/metrics`` + ``/status`` server (only with an ``obs_port``)
+      serves the owner's ``status`` under ``section`` (``"campaign"`` /
+      ``"service"``) and its optional ``metrics``, plus the ``process``
+      source and, with a coordinator, the ``fleet`` one.
+
+    Returns ``(pool, server)``; ``server`` is ``None`` without a port.
+    """
+    if telemetry_dir is not None or obs_port is not None:
+        stack.enter_context(telemetry.recording(telemetry_dir, label=section))
+    if pool is None:
+        pool = stack.enter_context(SharedWorkerPool(**pool_args))
+        if pool.coordinator is not None:
+            bound = pool.address_string()
+            host, _sep, port = bound.rpartition(":")
+            if host in ("0.0.0.0", "::", ""):
+                # The wildcard bind is not a reachable address; point the
+                # copy-paste line at something remote machines can use.
+                connect = f"{socket.gethostname()}:{port}"
+                note = f" (listening on all interfaces; {bound})"
+            else:
+                connect, note = bound, ""
+            logger.info(
+                "coordinator listening on %s%s — start workers with\n"
+                "  python -m repro.distrib.worker --connect %s%s",
+                connect, note, connect,
+                " --authkey ..." if pool_args.get("authkey") else "",
+            )
+    server = None
+    if obs_port is not None:
+        from repro.distrib import obsserver
+
+        server = stack.enter_context(
+            obsserver.ObservabilityServer(host=obs_host, port=obs_port)
+        )
+        server.add_source(section, status)
+        if metrics is not None:
+            server.add_metrics_source(metrics)
+        server.add_source("process", obsserver.process_status)
+        server.add_metrics_source(obsserver.process_metrics)
+        if pool.coordinator is not None:
+            server.add_source("fleet", pool.coordinator.fleet_status)
+            server.add_metrics_source(pool.coordinator.fleet_metrics)
+        logger.info("observability: GET %s/metrics (Prometheus) and "
+                    "%s/status (JSON)", server.url(), server.url())
+    return pool, server

@@ -1,22 +1,23 @@
 """The HTTP observability server: ``/metrics`` and ``/status``.
 
 A tiny stdlib ``http.server`` running in a daemon thread, loopback by
-default.  Whoever was given the port owns the server: a campaign session
+default.  The run owner's session owns the server: a campaign
 (``CampaignConfig.obs_port``) or a tuning service (``ServiceConfig.obs_port``)
-constructs it, registers the sources below, and closes it *first* on the way
-down.  A coordinator only offers ``fleet_status`` / ``fleet_metrics`` as
-sources, and nothing imports this module (or ``http.server``) until a port
-is given.  Two endpoints:
+opens it through :func:`~repro.campaign.pool.open_session`, which constructs
+it, registers the sources below, and closes it *first* on the way down.  A
+coordinator only offers ``fleet_status`` / ``fleet_metrics`` as sources, and
+nothing imports this module (or ``http.server``) until a port is given.  Two
+endpoints:
 
 * ``GET /metrics`` — the process-global sink's counters, gauges and
   histograms (plus any registered extra metrics sources, e.g. the
   coordinator's fleet-health gauges and the fleet-merged worker batch
   histogram) in the Prometheus text exposition format.
 * ``GET /status`` — one JSON document assembled from named status sources
-  (``campaign`` progress, ``fleet`` health rows, this ``process``'s peak
-  resident set and thread count) plus server-side stage
-  latency quantiles, polled by ``python -m repro.telemetry tail`` and the
-  campaign CLI's ``--live`` view.
+  (``campaign`` progress or the ``service`` section, ``fleet`` health rows,
+  this ``process``'s peak resident set and thread count) plus server-side
+  stage latency quantiles, polled by ``python -m repro.telemetry tail`` and
+  the campaign CLI's ``--live`` view.
 
 The contract mirrors the telemetry plane's: the server *observes*, it can
 never fail a batch.  Handlers read shared state only through the source

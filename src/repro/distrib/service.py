@@ -74,6 +74,7 @@ from repro.distrib.wire import (
 )
 from repro.campaign.database import CampaignDatabase
 from repro.campaign.campaign import default_compiler_provider
+from repro.campaign.pool import open_session
 from repro.tuner import BinTuner, BinTunerConfig, BuildSpec, EvaluationStats
 from repro.tuner.database import write_text_atomic
 from repro.tuner.pipeline import ArtifactCache
@@ -214,45 +215,26 @@ class TuningService:
             self._state_dir / STORE_DIR if self._state_dir is not None else None
         )
 
-        # Everything with a lifetime is entered here in order — sink, pool,
-        # observability server — and closed by :meth:`close` in reverse; a
-        # constructor that fails part-way (a taken port) unwinds the same way.
-        from repro.campaign.pool import SharedWorkerPool
-
-        distributed = self.config.dispatch == "distributed"
+        # Everything with a lifetime is entered here in order — the session
+        # (sink, pool, observability server), then the client listener — and
+        # closed by :meth:`close` in reverse; a constructor that fails
+        # part-way (a taken port) unwinds the same way.
         with ExitStack() as stack:
-            if self.config.telemetry_dir is not None:
-                stack.enter_context(
-                    telemetry.recording(self.config.telemetry_dir, label="service")
-                )
-            # Worker plane: the shared pool, unchanged trust model.  The mesh
-            # is served from the service store when the fleet is distributed.
-            self._pool = stack.enter_context(SharedWorkerPool(
+            #: ``obs_server`` is the ``/metrics`` + ``/status`` server
+            #: (``None`` without a port).  The mesh is served from the
+            #: service store when the fleet is distributed.
+            self._pool, self.obs_server = open_session(
+                stack, "service", self.status_snapshot, self.metrics_snapshot,
+                telemetry_dir=self.config.telemetry_dir,
+                obs_port=self.config.obs_port,
+                obs_host=self.config.obs_host,
                 dispatch=self.config.dispatch,
                 workers=self.config.workers,
                 serve=self.config.serve_workers,
                 authkey=self.config.authkey,
-                mesh_store=(self._artifact_cache.store if distributed else None),
-            ))
-            #: The ``/metrics`` + ``/status`` server (``None`` without a
-            #: port).  The service was given the port, so the service owns
-            #: it, the same way for every dispatch mode; a coordinator only
-            #: contributes its fleet view as two more sources.
-            self.obs_server = None
-            if self.config.obs_port is not None:
-                from repro.distrib import obsserver
-
-                self.obs_server = stack.enter_context(obsserver.ObservabilityServer(
-                    host=self.config.obs_host, port=self.config.obs_port
-                ))
-                self.obs_server.add_source("service", self.status_snapshot)
-                self.obs_server.add_metrics_source(self.metrics_snapshot)
-                self.obs_server.add_source("process", obsserver.process_status)
-                self.obs_server.add_metrics_source(obsserver.process_metrics)
-                coordinator = self._pool.coordinator
-                if coordinator is not None:
-                    self.obs_server.add_source("fleet", coordinator.fleet_status)
-                    self.obs_server.add_metrics_source(coordinator.fleet_metrics)
+                mesh_store=(self._artifact_cache.store
+                            if self.config.dispatch == "distributed" else None),
+            )
             if self._state_dir is not None:
                 self._restore_state()
             # Client plane: pickle-free listener, crash-proof accept loop.

@@ -14,11 +14,12 @@ programs cannot pile baselines up in worker memory.  Evicted evaluators are
 recovered via the :class:`~repro.distrib.protocol.EvaluatorMissing` reply —
 the coordinator re-sends the blob.
 
-A multi-slot batch is split into contiguous per-slot chunks
-(:func:`~repro.tuner.evaluation.map_pipelined`, the same partition the
-in-process mapper uses), one chunk per slot thread, each evaluated key by
-key; a one-slot worker evaluates the batch inline.  From registration to
-shutdown the worker sends
+The slots borrow a :class:`~repro.campaign.pool.SharedWorkerPool` — a
+``"thread"`` pool of ``--slots`` threads, or the serial path for one slot —
+and each batch goes through its mapper, so a multi-slot batch is split into
+the same contiguous per-slot chunks as in-process evaluation, one chunk per
+slot thread, each evaluated key by key.  From registration to shutdown the
+worker sends
 :class:`~repro.distrib.protocol.Heartbeat` frames so a long batch —
 or an idle wait between batches — is distinguishable from a dead machine
 (historically a busy worker could only fail at batch boundaries or the
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import logging
 import os
 import pickle
@@ -61,7 +61,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.distrib import transport
 from repro.distrib.artifacts import WorkerMeshClient
@@ -85,12 +85,8 @@ from repro.distrib.protocol import (
 from repro import telemetry
 from repro.telemetry import get_sink
 from repro.telemetry.live import Histogram
-from repro.tuner.evaluation import (
-    EVALUATOR_CACHE_LIMIT,
-    EvaluationStats,
-    evaluate_keys,
-    map_pipelined,
-)
+from repro.campaign.pool import SharedWorkerPool
+from repro.tuner.evaluation import EVALUATOR_CACHE_LIMIT, EvaluationStats
 
 logger = logging.getLogger("repro.distrib.worker")
 
@@ -122,25 +118,6 @@ def _exception_survives_pickle(exc: BaseException) -> bool:
         return True
     except Exception:
         return False
-
-
-def _evaluate_tasks(evaluator, tasks, slots: int, executor) -> Tuple[Tuple[int, object], ...]:
-    """Evaluate one batch's ``(index, key)`` tasks.
-
-    With several slots the batch is dispatched as contiguous per-slot
-    chunks, one per slot thread.  Results carry their submission indices, so
-    scheduling never reorders anything.
-    """
-    keys = [key for _index, key in tasks]
-    if slots > 1 and len(keys) > 1:
-        values = map_pipelined(
-            executor, functools.partial(evaluate_keys, evaluator), keys, slots
-        )
-    else:
-        values = evaluate_keys(evaluator, keys)
-    return tuple(
-        (index, value) for (index, _key), value in zip(tasks, values)
-    )
 
 
 class _SessionTelemetry:
@@ -255,7 +232,6 @@ class _HeartbeatSender:
 def serve(
     connect: str,
     slots: int = 1,
-    cache_limit: int = EVALUATOR_CACHE_LIMIT,
     max_batches: Optional[int] = None,
     hard_exit: bool = False,
     log: Optional[Callable[[str], None]] = None,
@@ -274,11 +250,12 @@ def serve(
     ``slots > 1`` evaluates each batch on that many threads (the coordinator
     also weights batch partitioning by slots, so the capacity claim must be
     real — a sequential worker advertising 8 slots would just become the
-    per-generation straggler).  ``hard_exit=True`` (the CLI default) makes
-    the ``--max-batches`` crash an ``os._exit`` — a real process death.
-    Tests that run workers as threads pass ``False`` so the crash degrades
-    to closing the socket and returning, which the coordinator observes
-    identically (EOF mid-batch).
+    per-generation straggler).  Deserialized evaluators are kept in a FIFO
+    cache of :data:`~repro.tuner.evaluation.EVALUATOR_CACHE_LIMIT` entries.
+    ``hard_exit=True`` (the CLI default) makes the ``--max-batches`` crash
+    an ``os._exit`` — a real process death.  Tests that run workers as
+    threads pass ``False`` so the crash degrades to closing the socket and
+    returning, which the coordinator observes identically (EOF mid-batch).
 
     Returns 0 after a clean :class:`Shutdown`,
     :data:`CONNECTION_LOST_STATUS` when the coordinator went away (the
@@ -314,8 +291,6 @@ def serve(
     """
     if slots < 1:
         raise ValueError(f"slots must be >= 1, got {slots}")
-    if cache_limit < 1:
-        raise ValueError(f"cache_limit must be >= 1, got {cache_limit}")
     if connect_timeout is not None and connect_timeout <= 0:
         raise ValueError(f"connect_timeout must be > 0, got {connect_timeout}")
     emit = log if log is not None else (lambda message: None)
@@ -324,7 +299,7 @@ def serve(
     # The timeout set here persists on the socket through the handshake
     # below, so every recv between connect and Welcome shares the deadline.
     sock = transport.connect(host, port, connect_timeout)
-    executor = None
+    pool = SharedWorkerPool("thread" if slots > 1 else "serial", slots)
     mesh_client: Optional[WorkerMeshClient] = None
     sender: Optional[_HeartbeatSender] = None
     try:
@@ -426,15 +401,9 @@ def serve(
                     attach_mesh = getattr(evaluator, "attach_mesh", None)
                     if attach_mesh is not None:
                         mesh_client.track_cache(attach_mesh(mesh_client))
-                while len(evaluators) >= cache_limit:
+                while len(evaluators) >= EVALUATOR_CACHE_LIMIT:
                     evaluators.pop(next(iter(evaluators)))
                 evaluators[message.evaluator_id] = evaluator
-            if slots > 1 and executor is None:
-                from concurrent.futures import ThreadPoolExecutor
-
-                executor = ThreadPoolExecutor(
-                    max_workers=slots, thread_name_prefix="worker-slot"
-                )
             try:
                 if mesh_client is not None:
                     # Arm the mesh only while this worker owns the socket
@@ -448,9 +417,13 @@ def serve(
                         worker=welcome.worker_id,
                         tasks=len(message.tasks),
                     ):
-                        results = _evaluate_tasks(
-                            evaluator, message.tasks, slots, executor
-                        )
+                        # Results carry their submission indices, so
+                        # scheduling never reorders anything.
+                        results = tuple(zip(
+                            [index for index, _key in message.tasks],
+                            pool.mapper(evaluator).map(
+                                [key for _index, key in message.tasks]),
+                        ))
                     busy_seconds = time.perf_counter() - busy_started
                     if mesh_client is not None:
                         # Fresh artifacts travel *before* the batch reply:
@@ -506,8 +479,7 @@ def serve(
             # The caches are process-global and outlive this session; a
             # dead session's client must not serve later lookups.
             mesh_client.detach()
-        if executor is not None:
-            executor.shutdown(wait=False)
+        pool.close()
         transport.close(sock)
 
 
@@ -618,9 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--slots", type=int, default=1,
                         help="evaluation threads; also weights how the "
                              "coordinator partitions batches (default: 1)")
-    parser.add_argument("--cache-limit", type=int, default=EVALUATOR_CACHE_LIMIT,
-                        help="bounded evaluator cache size (default: "
-                             f"{EVALUATOR_CACHE_LIMIT}, the shared-pool bound)")
     parser.add_argument("--max-batches", type=int, default=None,
                         help="failure injection: serve N batches, then crash "
                              "without replying (worker-loss tests/demos)")
@@ -712,7 +681,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             max_retries=args.max_retries,
             backoff_base=args.backoff,
             slots=args.slots,
-            cache_limit=args.cache_limit,
             max_batches=args.max_batches,
             hard_exit=True,
             log=logger.info,

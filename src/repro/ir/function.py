@@ -191,10 +191,6 @@ class GlobalData:
     is_const: bool = False
     is_string: bool = False
 
-    def byte_size(self) -> int:
-        return self.size * 8
-
-
 @dataclass
 class IRModule:
     """A compiled translation unit before code generation."""

@@ -68,9 +68,3 @@ def format_value(value: Value) -> str:
 
 def is_const(value: Value) -> bool:
     return isinstance(value, ConstInt)
-
-
-def const_value(value: Value) -> int:
-    if not isinstance(value, ConstInt):
-        raise TypeError(f"not a constant: {value}")
-    return value.value

@@ -39,10 +39,6 @@ class Type:
     def is_void(self) -> bool:
         return self.kind == "void" and not self.is_array
 
-    def element_type(self) -> "Type":
-        """Return the scalar element type of an array type."""
-        return Type(self.kind, None, self.unsigned)
-
     def __str__(self) -> str:
         base = ("unsigned " if self.unsigned else "") + self.kind
         if self.array_size is None:

@@ -80,10 +80,6 @@ class ProgramInfo:
     locals: Dict[str, Dict[str, VariableInfo]] = field(default_factory=dict)
     used_builtins: Set[str] = field(default_factory=set)
 
-    def function_locals(self, name: str) -> Dict[str, VariableInfo]:
-        return self.locals.get(name, {})
-
-
 class SemanticAnalyzer:
     """Checks a parsed program and produces a :class:`ProgramInfo`."""
 

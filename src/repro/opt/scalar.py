@@ -383,13 +383,3 @@ def reorder_blocks(function: IRFunction, strategy: str = "rpo") -> int:
         return 0
     function.reorder_blocks(order)
     return 1
-
-
-def run_scalar_cleanups(function: IRFunction) -> int:
-    """The standard cleanup bundle run between major transformations."""
-    total = 0
-    total += constant_fold_function(function)
-    total += propagate_copies_function(function)
-    total += constant_fold_function(function)
-    total += eliminate_dead_code(function)
-    return total

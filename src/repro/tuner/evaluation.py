@@ -15,7 +15,9 @@ orchestrator into a composable subsystem:
   per-worker chunks on a thread or process executor it borrows), and the
   multi-machine :class:`~repro.distrib.mapper.DistributedMapper`.  Only
   :class:`~repro.campaign.pool.SharedWorkerPool` builds a substrate — an
-  executor or a coordinator — and hands out mappers that borrow it;
+  executor or a coordinator — and hands out mappers that borrow it; a remote
+  worker's slots evaluate their batch through such a pool's
+  :class:`LocalMapper` too;
 * results are recorded in *submission* order regardless of worker completion
   order, so a run is bit-for-bit reproducible for any worker count — or, with
   the distributed mapper, any machine count.
@@ -155,24 +157,6 @@ def evaluate_keys(evaluator: CandidateEvaluator, keys: Sequence[FlagKey]) -> Lis
     return [evaluator(key) for key in keys]
 
 
-def map_pipelined(executor, evaluate_chunk, keys: Sequence[FlagKey],
-                  workers: int) -> List[CandidateResult]:
-    """Dispatch contiguous per-worker chunks and flatten results in order.
-
-    The single policy point for chunked dispatch: :class:`LocalMapper` on
-    any executor and the distributed worker's slots funnel through here, so
-    a chunking change lands in all of them at once.
-    ``evaluate_chunk(chunk) -> List[CandidateResult]`` must be picklable for
-    process executors (a module-level function or a ``functools.partial``
-    over one).
-    """
-    futures = [
-        executor.submit(evaluate_chunk, chunk)
-        for chunk in split_into_chunks(list(keys), workers)
-    ]
-    return [result for future in futures for result in future.result()]
-
-
 #: Worker-process global: evaluator id -> deserialized evaluator.  Ids come
 #: from :func:`next_evaluator_id`, so they can never alias.  Bounded
 #: (:data:`EVALUATOR_CACHE_LIMIT`) because campaign jobs run sequentially.
@@ -202,9 +186,11 @@ class LocalMapper:
 
     ``kind="serial"`` evaluates the batch inline (deterministic default and
     fallback).  ``"thread"`` and ``"process"`` dispatch every batch as
-    contiguous per-worker chunks (:func:`map_pipelined`), each evaluated
-    key by key in its worker, so the partition — hence every fingerprint —
-    depends only on the batch length and the worker count.  Threads share
+    contiguous per-worker chunks (:func:`split_into_chunks`), each evaluated
+    key by key in its worker, and flatten the results in chunk order, so the
+    partition — hence every fingerprint — depends only on the batch length
+    and the worker count.  This is the one chunked dispatch: in-process
+    evaluation and a remote worker's slots both run through it.  Threads share
     the process and call the evaluator directly; a process executor gets the
     evaluator as an id plus a blob pickled once per mapper, which each
     worker deserializes at most once (bounded cache,
@@ -256,7 +242,10 @@ class LocalMapper:
             return self._evaluate_chunk(list(keys))
         if not keys:
             return []
-        return map_pipelined(self._executor_source(), self._evaluate_chunk, keys, self.workers)
+        executor = self._executor_source()
+        futures = [executor.submit(self._evaluate_chunk, chunk)
+                   for chunk in split_into_chunks(keys, self.workers)]
+        return [result for future in futures for result in future.result()]
 
 
 # ---------------------------------------------------------------------------

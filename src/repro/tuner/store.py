@@ -20,10 +20,7 @@ content-addressed artifacts on disk:
   entry is treated as a *miss* (and dropped), never a wrong answer;
 * **space is bounded** — ``max_bytes`` caps the store, and a least-recently
   *used* (entry mtime; reads touch it) garbage collection deletes the
-  coldest entries first;
-* an ``index.json`` manifest summarizes the entries for reports and humans;
-  it is advisory — the entry files are self-describing, so a stale or
-  missing index never affects correctness.
+  coldest entries first.
 
 Concurrency: one store directory may be open in many processes at once (the
 orchestrator, every process-pool worker, distributed worker slots on the
@@ -48,7 +45,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import os
 import pickle
 import time
@@ -69,9 +65,6 @@ MAGIC = b"repro-artifact-store-v1\n"
 #: Subdirectory holding the entry files.
 OBJECTS_DIR = "objects"
 
-#: The advisory manifest file name.
-INDEX_NAME = "index.json"
-
 #: Entry-file suffix (anything else under ``objects/`` is ignored).
 ENTRY_SUFFIX = ".art"
 
@@ -86,10 +79,6 @@ STALE_TEMP_SECONDS = 300.0
 #: low-water mark): stopping exactly at the budget would leave the store at
 #: the boundary, turning every subsequent put into a full synchronous GC.
 GC_LOW_WATER = 0.9
-
-#: The advisory index is flushed on the first put and then every Nth — a
-#: per-put read-modify-write would make index I/O quadratic in entry count.
-INDEX_FLUSH_INTERVAL = 16
 
 _HEX_LEN = 64  # sha256 hexdigest length
 
@@ -139,9 +128,6 @@ class ArtifactStore:
         #: Monotonic sum of every put's byte delta: :meth:`gc` snapshots it
         #: before its scan and re-adds what arrived while it was scanning.
         self._added_bytes = 0
-        #: In-memory view of the advisory index (lazily loaded, flushed on
-        #: an amortized schedule — see :data:`INDEX_FLUSH_INTERVAL`).
-        self._index: Optional[Dict] = None
         #: One stale-temp sweep per instance, at the first put: crash
         #: leftovers from a previous process get collected even when the
         #: byte budget never forces a GC.
@@ -156,9 +142,6 @@ class ArtifactStore:
 
     def _entry_path(self, key: Tuple) -> Path:
         return self._objects / (_key_digest(key) + ENTRY_SUFFIX)
-
-    def index_path(self) -> Path:
-        return self.directory / INDEX_NAME
 
     # -- encoding ----------------------------------------------------------------
 
@@ -271,7 +254,7 @@ class ArtifactStore:
             except OSError:
                 pass
             return False
-        puts = self.counters.incr("puts")
+        self.counters.incr("puts")
         with self._lock:
             self._added_bytes += len(payload) - replaced
             if self._approx_bytes is None:
@@ -283,7 +266,6 @@ class ArtifactStore:
             )
             sweep = not self._swept
             self._swept = True
-        self._update_index(path.name, len(payload), puts % INDEX_FLUSH_INTERVAL == 1)
         if over_budget or sweep:
             self.gc()
         return True
@@ -375,24 +357,20 @@ class ArtifactStore:
         """
         with self._gc_lock:
             now = time.time()
-            # Both temp populations: entry writes land in objects/, index
-            # writes in the store root.
-            for directory in (self._objects, self.directory):
+            try:
+                names = os.listdir(self._objects)
+            except OSError:
+                names = []
+            for name in names:
+                if not name.startswith(TMP_PREFIX):
+                    continue
+                path = self._objects / name
                 try:
-                    names = os.listdir(directory)
+                    if now - path.stat().st_mtime >= STALE_TEMP_SECONDS:
+                        path.unlink(missing_ok=True)
                 except OSError:
                     continue
-                for name in names:
-                    if not name.startswith(TMP_PREFIX):
-                        continue
-                    path = directory / name
-                    try:
-                        if now - path.stat().st_mtime >= STALE_TEMP_SECONDS:
-                            path.unlink(missing_ok=True)
-                    except OSError:
-                        continue
             evicted = 0
-            removed = set()
             with self._lock:
                 added_before_scan = self._added_bytes
             entries = self._entries()
@@ -407,7 +385,6 @@ class ArtifactStore:
                         path.unlink()
                     except OSError:
                         continue  # lost the race to another collector
-                    removed.add(path.name)
                     total -= size
                     evicted += 1
                 self.counters.incr("gc_evictions", evicted)
@@ -416,73 +393,7 @@ class ArtifactStore:
                 # ``_approx_bytes`` already; keep it (one that landed before
                 # is counted twice — an early GC, never a missed one).
                 self._approx_bytes = total + self._added_bytes - added_before_scan
-            self._write_index(
-                [entry for entry in entries if entry[0].name not in removed]
-            )
             return evicted
-
-    # -- the index manifest ------------------------------------------------------
-
-    def _update_index(self, name: str, size: int, flush: bool) -> None:
-        """Record one entry in the in-memory index; write it out if ``flush``.
-
-        The on-disk index is loaded once (merging whatever other processes
-        left there) and rewritten on the first put — so even a store that
-        never GCs has a manifest — then every
-        :data:`INDEX_FLUSH_INTERVAL`-th put, and from GC's scan at every
-        :meth:`gc`.  The index is advisory: staleness can only ever make
-        the manifest wrong, never the store.  The lock covers only the
-        dict update and snapshot; serialization and file I/O happen outside
-        it (concurrent puts must not stall behind an index write).
-        """
-        snapshot = None
-        with self._lock:
-            if self._index is None:
-                self._index = self._read_index()
-            self._index["entries"][name] = {"size": size}
-            if flush:
-                snapshot = {
-                    "version": self._index.get("version", 1),
-                    "entries": dict(self._index["entries"]),
-                }
-        if snapshot is not None:
-            self._write_index_payload(snapshot)
-
-    def _write_index(self, entries: List[Tuple[Path, int, float]]) -> None:
-        """Rewrite the manifest from GC's (already eviction-adjusted) scan."""
-        index = {
-            "version": 1,
-            "entries": {
-                path.name: {"size": size} for path, size, _mtime in entries
-            },
-        }
-        with self._lock:
-            self._index = index
-        self._write_index_payload(index)
-
-    def _read_index(self) -> Dict:
-        try:
-            index = json.loads(self.index_path().read_text())
-        except (OSError, ValueError):
-            index = {}
-        if not isinstance(index, dict) or not isinstance(index.get("entries"), dict):
-            index = {"version": 1, "entries": {}}
-        index.setdefault("version", 1)
-        return index
-
-    def _write_index_payload(self, index: Dict) -> None:
-        path = self.index_path()
-        temporary = path.with_name(
-            f"{TMP_PREFIX}{os.getpid()}-{next(self._tmp_counter)}-{path.name}"
-        )
-        try:
-            temporary.write_text(json.dumps(index, indent=2, sort_keys=True))
-            os.replace(temporary, path)
-        except OSError:
-            try:
-                temporary.unlink(missing_ok=True)
-            except OSError:
-                pass
 
     # -- introspection -----------------------------------------------------------
 

@@ -64,11 +64,6 @@ class BuildSpec:
     initial_flags: Sequence[str] = ()
     check_output: bool = True
 
-    @classmethod
-    def from_source(cls, name: str, source: str, **kwargs) -> "BuildSpec":
-        return cls(name=name, source=source, **kwargs)
-
-
 @dataclass
 class BinHuntFitness:
     """The expensive fitness alternative (§4.2 'Challenges').

@@ -333,12 +333,13 @@ class TestDistributedMapper:
                 # The error was deterministic, not transport: nobody died.
                 assert coordinator.worker_count() == 2
 
-    def test_bounded_evaluator_cache_self_heals(self):
+    def test_bounded_evaluator_cache_self_heals(self, monkeypatch):
         """With a 1-entry worker cache, alternating evaluators forces the
         EvaluatorMissing -> re-send-blob path on every switch; results must
         still come from the right evaluator."""
+        monkeypatch.setattr("repro.distrib.worker.EVALUATOR_CACHE_LIMIT", 1)
         with Coordinator() as coordinator:
-            with thread_workers(coordinator, 1, cache_limit=1):
+            with thread_workers(coordinator, 1):
                 mapper_a = DistributedMapper(coordinator, FakeEvaluator("a"))
                 mapper_b = DistributedMapper(coordinator, FakeEvaluator("b"))
                 for _round in range(2):

@@ -398,6 +398,23 @@ class TestObservability:
             assert "service_tenant_alice_candidates" in metrics.replace(".", "_") \
                 or "service.tenant.alice.candidates" in metrics
             assert "process_peak_rss_bytes" in metrics and "process_threads" in metrics
+            # A port alone installs the session's sink, as for a campaign:
+            # the jobs' stage spans reach both endpoints.
+            assert "stage.compile" in status["stages"]
+            assert "stage_compile_seconds_count" in metrics
+
+    def test_wildcard_worker_plane_logs_a_reachable_connect_line(self, caplog):
+        """The session's one coordinator line points workers at this host's
+        name, never at the wildcard the worker plane is bound to."""
+        import logging
+
+        caplog.set_level(logging.INFO, logger="repro")
+        config = ServiceConfig(dispatch="distributed", serve_workers="0.0.0.0:0",
+                               authkey="k")
+        with TuningService(config) as svc:
+            port = svc.worker_address().rpartition(":")[2]
+        assert f"--connect {socket.gethostname()}:{port} --authkey ..." in caplog.text
+        assert "--connect 0.0.0.0" not in caplog.text
 
     def test_tenant_tagged_spans_reach_telemetry(self, tmp_path):
         """With a telemetry_dir, every job generation lands as a

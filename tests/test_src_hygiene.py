@@ -10,11 +10,13 @@ the emulator's ``DISPATCH_ENV`` read.
 The artifact tiers' counters are pinned the same way: no literal sink bump
 of an ``artifact.`` / ``store.`` / ``mesh.`` name anywhere under ``src/repro``.
 So is the owner of every evaluation substrate: ``SharedWorkerPool`` builds
-the coordinator and the thread / process executors a mapper borrows, and the
-distributed worker's slot pool is the only other executor.  And the owner of
-every shared CLI flag and of the checkpoint format: ``run`` / ``serve`` /
-``worker`` declare their common flags once, in parent parsers (``serve``
-and ``submit`` share ``--token`` the same way), and only
+the coordinator and the thread / process executors a mapper borrows.  And
+the owner of every run's session: ``open_session`` next to it is the only
+place that builds the observability server or installs a sink, apart from
+the remote worker's own ``--telemetry-dir``.  And the owner of every shared
+CLI flag and of the checkpoint format: ``run`` / ``serve`` / ``worker``
+declare their common flags once, in parent parsers (``serve`` and
+``submit`` share ``--token`` the same way), and only
 ``campaign/campaign.py`` names the checkpoint manifest.  And the owner of
 the artifact cache: the run's owner (a campaign, the tuning service)
 attaches the store once, a worker's shared cache is the only other
@@ -49,7 +51,13 @@ SUBSTRATE_OWNERS = Counter({
     ("campaign/pool.py", "Coordinator"): 1,
     ("campaign/pool.py", "ProcessPoolExecutor"): 1,
     ("campaign/pool.py", "ThreadPoolExecutor"): 1,
-    ("distrib/worker.py", "ThreadPoolExecutor"): 1,
+})
+
+#: ``(file under src/repro, call) -> calls``: one session owner.
+SESSION_OWNERS = Counter({
+    ("campaign/pool.py", "ObservabilityServer"): 1,
+    ("campaign/pool.py", "telemetry.recording"): 1,
+    ("distrib/worker.py", "telemetry.recording"): 1,
 })
 
 
@@ -131,6 +139,20 @@ def test_one_owner_builds_every_evaluation_substrate():
         for name in call.findall(line)
     )
     assert found == SUBSTRATE_OWNERS
+
+
+def test_one_function_opens_every_session():
+    """A campaign and the service open sink -> pool -> ``/metrics`` through
+    ``open_session``; a second place that builds the server or installs a
+    sink is a second session with its own rules."""
+    call = re.compile(r"\b(ObservabilityServer|telemetry\.recording)\(")
+    found = Counter(
+        (path.relative_to(SRC).as_posix(), name)
+        for path in sorted(SRC.rglob("*.py"))
+        for line in path.read_text().splitlines()
+        for name in call.findall(line)
+    )
+    assert found == SESSION_OWNERS
 
 
 def test_tier_counters_bump_through_one_type():

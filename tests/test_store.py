@@ -87,16 +87,6 @@ class TestRoundTrip:
         assert not store.put(("image", "bad"), lambda: None)  # lambdas don't pickle
         assert store.get(("image", "bad")) is None
 
-    def test_index_manifest_written(self, tmp_path):
-        import json
-
-        store = ArtifactStore(tmp_path / "store")
-        store.put(("image", "a"), b"artifact")
-        index = json.loads(store.index_path().read_text())
-        assert index["entries"]
-        size = next(iter(index["entries"].values()))["size"]
-        assert size == entry_files(store)[0].stat().st_size
-
     def test_rejects_nonpositive_budget(self, tmp_path):
         with pytest.raises(ValueError):
             ArtifactStore(tmp_path / "store", max_bytes=0)
