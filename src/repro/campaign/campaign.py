@@ -51,7 +51,7 @@ from repro.campaign.database import CampaignDatabase, ShardKey
 from repro.campaign.pool import SharedWorkerPool, open_session
 from repro.tuner.database import write_text_atomic
 from repro.tuner import BinTuner, BinTunerConfig, BuildSpec, EvaluationStats, TuningResult
-from repro.tuner.pipeline import DEFAULT_ARTIFACT_CACHE_SIZE, ArtifactCache
+from repro.tuner.pipeline import ArtifactCache
 from repro.tuner.store import DEFAULT_STORE_MAX_BYTES
 from repro.workloads import benchmark, suite_benchmarks
 
@@ -68,6 +68,13 @@ MANIFEST_NAME = "manifest.json"
 #: checkpoint resume is warm *by construction*: the same ``--checkpoint-dir``
 #: that replays the database also serves every compile from disk.
 STORE_DIR = "store"
+
+#: At most this many prior bests seed a program's GA population.
+WARM_START_LIMIT = 4
+
+#: How long ``min_workers`` may take to register before the campaign errors
+#: out (seconds).
+WORKER_WAIT_TIMEOUT = 120.0
 
 
 @dataclass(frozen=True)
@@ -123,13 +130,9 @@ class CampaignConfig:
     authkey: Optional[str] = None
     #: With distributed dispatch, block until this many remote workers have
     #: registered before tuning starts (0: start immediately; candidates are
-    #: evaluated in-process until workers join).
+    #: evaluated in-process until workers join; the wait errors out after
+    #: :data:`WORKER_WAIT_TIMEOUT`).
     min_workers: int = 0
-    #: How long :attr:`min_workers` may take before the campaign errors out.
-    worker_wait_timeout: float = 120.0
-    #: Bound (entries) of the campaign-wide artifact cache shared by every
-    #: job's evaluator (an injected cache keeps its own).
-    artifact_cache_size: int = DEFAULT_ARTIFACT_CACHE_SIZE
     #: Directory of the disk-backed artifact store behind the campaign cache
     #: (:mod:`repro.tuner.store`).  ``None`` defaults to
     #: ``checkpoint_dir/store`` when checkpointing is on, so a killed-and-
@@ -150,10 +153,9 @@ class CampaignConfig:
     #: Per-machine byte cap on mesh transfer, both directions
     #: (``None``: unbounded).
     mesh_budget_bytes: Optional[int] = None
-    #: Seed later programs' GA populations with earlier programs' best flags.
+    #: Seed later programs' GA populations with earlier programs' best flags
+    #: (at most :data:`WARM_START_LIMIT` per program).
     warm_start: bool = True
-    #: At most this many prior bests are injected per program.
-    warm_start_limit: int = 4
     #: Where checkpoints live; ``None`` disables checkpointing.
     checkpoint_dir: Optional[Path] = None
     #: Directory for structured telemetry (:mod:`repro.telemetry`).  When
@@ -330,12 +332,6 @@ class CampaignResult:
     mesh_stats: Optional[Dict[str, object]] = None
     fleet: Optional[List[Dict[str, object]]] = None
 
-    def result_for(self, family: str, program: str) -> ProgramResult:
-        for result in self.programs:
-            if result.job.key() == (family, program):
-                return result
-        raise KeyError(f"no result for {(family, program)!r}")
-
     def evaluation_stats(self) -> EvaluationStats:
         """Field-wise sum of every program's per-run evaluation counters."""
         total = EvaluationStats()
@@ -380,7 +376,7 @@ def read_checkpoint(directory: Path) -> Tuple[
     directory = Path(directory)
     database = None
     for candidate in (directory / DATABASE_DIR, directory):
-        if (candidate / "index.json").exists():
+        if CampaignDatabase.saved_in(candidate):
             database = CampaignDatabase.load(candidate)
             break
     path = directory / MANIFEST_NAME
@@ -438,7 +434,7 @@ class Campaign:
             store_dir = Path(self.config.checkpoint_dir) / STORE_DIR
         self.artifact_cache = (
             artifact_cache if artifact_cache is not None
-            else ArtifactCache(self.config.artifact_cache_size)
+            else ArtifactCache()
         ).ensure_store(store_dir, self.config.store_max_bytes)
         if self.config.mesh and self.artifact_cache.store is None:
             raise ValueError(
@@ -542,7 +538,7 @@ class Campaign:
             and result.best_fitness > 0.0
         ]
         donors.sort(key=lambda result: (-result.best_fitness, result.job.program))
-        return tuple(result.best_flags for result in donors[: self.config.warm_start_limit])
+        return tuple(result.best_flags for result in donors[:WARM_START_LIMIT])
 
     # -- execution --------------------------------------------------------------------
 
@@ -634,9 +630,7 @@ class Campaign:
                 logger.info("artifact mesh on: serving %s%s", self.store_dir, budget)
             if own_pool and pool.coordinator is not None and config.min_workers > 0:
                 logger.info("waiting for %d worker(s)...", config.min_workers)
-                pool.wait_for_workers(
-                    config.min_workers, timeout=config.worker_wait_timeout
-                )
+                pool.wait_for_workers(config.min_workers, timeout=WORKER_WAIT_TIMEOUT)
             self.pool, self.obs_server = pool, server
             self._session = stack.pop_all()
 

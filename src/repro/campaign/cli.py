@@ -52,15 +52,17 @@ from repro.campaign.campaign import (
     CampaignConfig,
     CampaignResult,
     ProgramJob,
+    default_compiler_provider,
     read_checkpoint,
     summary_row_line,
     top_flag_lines,
 )
+from repro.campaign.database import INDEX_NAME
 from repro.campaign.pool import EXECUTORS
 from repro.distrib.worker import common_flags, configure_logging
 from repro.telemetry.live import tail
 from repro.tuner import BinTunerConfig, GAParameters
-from repro.workloads import SUITES
+from repro.workloads import SUITES, benchmark
 
 logger = logging.getLogger("repro.campaign.cli")
 
@@ -119,10 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--serve", default=None, metavar="HOST:PORT",
                         help="with --dispatch distributed: address the "
                              "coordinator binds (default: 127.0.0.1:0)")
-    parser.add_argument("--artifact-cache-size", type=int,
-                        default=CampaignConfig.artifact_cache_size,
-                        help="bound (entries) of the campaign-wide artifact "
-                             "cache shared by every program's evaluator")
     parser.add_argument("--store-dir", type=Path, default=None,
                         help="disk-backed artifact store (the artifact "
                              "cache's persistent second tier): compiles "
@@ -173,7 +171,6 @@ def _build_campaign(args: argparse.Namespace) -> Campaign:
         serve=args.serve,
         min_workers=args.min_workers,
         authkey=args.authkey,
-        artifact_cache_size=args.artifact_cache_size,
         store_dir=args.store_dir,
         store_max_bytes=args.store_max_bytes,
         mesh=args.mesh,
@@ -187,13 +184,25 @@ def _build_campaign(args: argparse.Namespace) -> Campaign:
         obs_host=args.obs_host,
     )
     families = [family for family in args.families.split(",") if family]
+    # Every name resolves here, before the session opens: a typo is a usage
+    # error, not a KeyError out of the first job with a checkpoint written.
+    for family in families:
+        default_compiler_provider(family)
     if args.benchmarks:
         names = [name for name in args.benchmarks.split(",") if name]
+        for name in names:
+            benchmark(name)
         jobs = [ProgramJob(family, name) for family in families for name in names]
         return Campaign(jobs, config)
     suites = [suite for suite in args.suites.split(",") if suite] or list(SUITES)
     # The library owns the suite x family matrix (exclusions included).
     return Campaign.from_suites(suites, families, config)
+
+
+def _reason(exc: Exception) -> str:
+    """The message of a library ``ValueError`` / ``KeyError`` (a
+    ``KeyError``'s ``str`` is the repr of its argument)."""
+    return str(exc.args[0]) if isinstance(exc, KeyError) and exc.args else str(exc)
 
 
 @contextlib.contextmanager
@@ -222,10 +231,11 @@ def run_main(argv: Optional[Sequence[str]] = None) -> int:
     configure_logging(verbose=args.verbose, quiet=args.quiet)
     try:
         campaign = _build_campaign(args)
-    except ValueError as exc:
-        # Knob combinations are validated once, by the library (mesh needs
-        # distributed dispatch and a store, ...); the CLI only reports them.
-        parser.error(str(exc))
+    except (KeyError, ValueError) as exc:
+        # Names and knob combinations are validated once, by the library
+        # (mesh needs distributed dispatch and a store, ...); the CLI only
+        # reports them.
+        parser.error(_reason(exc))
     if not campaign.jobs:
         logger.error("no jobs to run (empty suite/family selection)")
         return 2
@@ -233,7 +243,12 @@ def run_main(argv: Optional[Sequence[str]] = None) -> int:
     # it ahead of run() is what lets --live learn the bound address and the
     # log line name the substrate the pool resolved.
     with contextlib.ExitStack() as stack:
-        pool = stack.enter_context(campaign).pool
+        try:
+            pool = stack.enter_context(campaign).pool
+        except (KeyError, ValueError) as exc:
+            # A substrate the library refuses (--workers 0, a malformed
+            # --serve, a keyless wildcard bind), before any checkpoint.
+            parser.error(_reason(exc))
         logger.info(
             "campaign: %d jobs (%s dispatch, %d worker%s, warm-start %s)",
             len(campaign.jobs), pool.dispatch, pool.workers,
@@ -358,7 +373,7 @@ def report_main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     if database is None:
         print(f"no campaign database under {args.checkpoint_dir} "
-              f"(expected {args.checkpoint_dir / DATABASE_DIR / 'index.json'})",
+              f"(expected {args.checkpoint_dir / DATABASE_DIR / INDEX_NAME})",
               file=sys.stderr)
         return 2
     families = sorted({family for family, _program in database.shard_keys()})
@@ -475,23 +490,29 @@ def build_serve_parser() -> argparse.ArgumentParser:
 
 
 def serve_main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_serve_parser().parse_args(argv)
+    parser = build_serve_parser()
+    args = parser.parse_args(argv)
     configure_logging(verbose=args.verbose, quiet=args.quiet)
     from repro.distrib.protocol import parse_address
     from repro.distrib.service import ServiceConfig, TuningService, serve_forever
     from repro.distrib.jobs import AdmissionLimits
 
-    host, port = parse_address(args.bind)
-    service = TuningService(ServiceConfig(
-        host=host, port=port, token=args.token, state_dir=args.state_dir,
-        dispatch=args.dispatch, workers=args.workers,
-        serve_workers=args.serve_workers, authkey=args.authkey,
-        limits=AdmissionLimits(max_source_bytes=args.max_source_bytes,
-                               max_generations=args.max_generations),
-        max_active_jobs=args.max_active_jobs,
-        obs_port=args.obs_port, obs_host=args.obs_host,
-        telemetry_dir=args.telemetry_dir,
-    ))
+    try:
+        host, port = parse_address(args.bind)
+        # Building the service opens its session: the same refusals as a
+        # campaign's (--workers 0, a keyless wildcard --serve-workers).
+        service = TuningService(ServiceConfig(
+            host=host, port=port, token=args.token, state_dir=args.state_dir,
+            dispatch=args.dispatch, workers=args.workers,
+            serve_workers=args.serve_workers, authkey=args.authkey,
+            limits=AdmissionLimits(max_source_bytes=args.max_source_bytes,
+                                   max_generations=args.max_generations),
+            max_active_jobs=args.max_active_jobs,
+            obs_port=args.obs_port, obs_host=args.obs_host,
+            telemetry_dir=args.telemetry_dir,
+        ))
+    except (KeyError, ValueError) as exc:
+        parser.error(_reason(exc))
     # SIGTERM drains exactly like Ctrl-C: jobs parked, pool children reaped.
     previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
@@ -533,16 +554,18 @@ def build_submit_parser() -> argparse.ArgumentParser:
 
 
 def submit_main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_submit_parser().parse_args(argv)
+    parser = build_submit_parser()
+    args = parser.parse_args(argv)
     from repro.distrib.client import ServiceClient
     from repro.distrib.errors import ServiceError
+    from repro.distrib.protocol import parse_address
 
-    if args.source is not None:
-        source_text = args.source.read_text()
-    else:
-        from repro.workloads import benchmark
-
-        source_text = benchmark(args.benchmark).source
+    try:
+        parse_address(args.connect)
+        source_text = (args.source.read_text() if args.source is not None
+                       else benchmark(args.benchmark).source)
+    except (KeyError, OSError, ValueError) as exc:
+        parser.error(_reason(exc))
     try:
         with ServiceClient(args.connect, token=args.token) as client:
             job_id = client.submit(

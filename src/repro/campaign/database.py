@@ -23,6 +23,9 @@ from repro.tuner.database import SIGNATURE_FIELDS, TuningDatabase, write_text_at
 #: Shard key: (compiler family, program name).
 ShardKey = Tuple[str, str]
 
+#: The file of a saved database that names its shard files.
+INDEX_NAME = "index.json"
+
 
 def _shard_filename(key: ShardKey) -> str:
     family, program = key
@@ -146,7 +149,7 @@ class CampaignDatabase:
                 for family, program in self.shard_keys()
             ],
         }
-        write_text_atomic(directory / "index.json", json.dumps(index, indent=2))
+        write_text_atomic(directory / INDEX_NAME, json.dumps(index, indent=2))
 
     def save(self, directory: Path) -> None:
         """Write one JSON file per shard plus an index under ``directory``."""
@@ -168,10 +171,16 @@ class CampaignDatabase:
         self.shard(family, program).save(directory / _shard_filename(key))
         self._write_index(directory)
 
+    @staticmethod
+    def saved_in(directory: Path) -> bool:
+        """Whether ``directory`` holds a :meth:`save` (or a checkpointed
+        :meth:`save_shard`) that :meth:`load` can read."""
+        return (Path(directory) / INDEX_NAME).exists()
+
     @classmethod
     def load(cls, directory: Path) -> "CampaignDatabase":
         directory = Path(directory)
-        index = json.loads((directory / "index.json").read_text())
+        index = json.loads((directory / INDEX_NAME).read_text())
         database = cls(name=index.get("name", "campaign"))
         for entry in index["shards"]:
             shard = TuningDatabase.load(directory / entry["file"])

@@ -68,6 +68,14 @@ MAX_WORKER_SLOTS = 1024
 #: discarded.
 HEALTHY, STALE, LOST = "healthy", "stale", "lost"
 
+#: Per-*task* reply budget (seconds): a batch of N tasks may take N times
+#: this before its worker is declared lost (a fixed per-batch timeout would
+#: discard healthy-but-busy workers on large generations).
+TASK_TIMEOUT = 120.0
+#: Deadline (seconds) of the authkey + ``Hello`` / ``Welcome`` handshake,
+#: and the fixed part of every batch's reply budget.
+HANDSHAKE_TIMEOUT = 5.0
+
 #: Fallback staleness windows for a worker that advertised no heartbeat
 #: cadence (``Hello.heartbeat_interval == 0`` or an old worker build):
 #: silent for longer than ``stale`` is suspect, longer than ``lost`` is
@@ -148,19 +156,10 @@ class Coordinator:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        task_timeout: float = 120.0,
-        handshake_timeout: float = 5.0,
         authkey: Union[str, bytes, None] = None,
         artifact_store=None,
         mesh_budget_bytes: Optional[int] = None,
-        stale_after: Optional[float] = None,
-        lost_after: Optional[float] = None,
     ) -> None:
-        #: Per-*task* reply budget: a batch of N tasks may take N times this
-        #: before its worker is declared lost (a fixed per-batch timeout
-        #: would discard healthy-but-busy workers on large generations).
-        self.task_timeout = task_timeout
-        self.handshake_timeout = handshake_timeout
         #: Shared secret for the mutual HMAC handshake.  ``None`` skips
         #: authentication, which is why the check below *refuses* a keyless
         #: bind beyond loopback rather than documenting a warning: frames
@@ -197,10 +196,6 @@ class Coordinator:
         self._joined = threading.Condition(self._registry_lock)
         self._worker_ids = itertools.count(1)
         self._closed = False
-        #: Explicit staleness-window overrides; ``None`` derives them per
-        #: worker from the heartbeat cadence it advertised in ``Hello``.
-        self.stale_after = stale_after
-        self.lost_after = lost_after
         self._accept_thread = self._listener.start()
 
     # -- registry ---------------------------------------------------------------------
@@ -220,10 +215,6 @@ class Coordinator:
     def worker_count(self) -> int:
         with self._registry_lock:
             return len(self._workers)
-
-    def total_slots(self) -> int:
-        with self._registry_lock:
-            return sum(handle.slots for handle in self._workers.values())
 
     def wait_for_workers(self, count: int, timeout: Optional[float] = None) -> int:
         """Block until at least ``count`` workers registered; returns the
@@ -272,7 +263,7 @@ class Coordinator:
     def _register(self, sock: socket.socket, peer) -> None:
         """Handshake one accepted connection and publish it as a worker."""
         try:
-            sock.settimeout(self.handshake_timeout)
+            sock.settimeout(HANDSHAKE_TIMEOUT)
             if self.authkey is not None:
                 # Before any pickle byte is parsed: unauthenticated
                 # peers never reach recv_message.
@@ -295,7 +286,7 @@ class Coordinator:
                 mesh_budget_bytes=plane.budget_bytes if plane is not None else None,
                 telemetry=True,
             ))
-            sock.settimeout(self.task_timeout)
+            sock.settimeout(TASK_TIMEOUT)
         except Exception as exc:
             # One bad peer (version skew, scanner, crafted payload) must
             # never take the accept thread — and with it all future
@@ -335,7 +326,8 @@ class Coordinator:
         """Send one :class:`EvalBatch` to ``handle`` and await its reply.
 
         Raises :class:`WorkerLost` on *transport* failure — EOF or timeout
-        (the reply budget scales with the batch: ``task_timeout`` per task)
+        (the reply budget scales with the batch: :data:`HANDSHAKE_TIMEOUT`
+        plus :data:`TASK_TIMEOUT` per task)
         — and the caller discards the worker and re-dispatches.  Failures
         that would deterministically repeat on another worker propagate
         instead: a :class:`BatchFailure` re-raises the remote evaluator's
@@ -352,7 +344,7 @@ class Coordinator:
             handle.busy = True
             try:
                 handle.sock.settimeout(
-                    self.handshake_timeout + self.task_timeout * max(1, len(tasks))
+                    HANDSHAKE_TIMEOUT + TASK_TIMEOUT * max(1, len(tasks))
                 )
                 include_blob = evaluator_id not in handle.known_evaluators
                 send_message(
@@ -475,19 +467,17 @@ class Coordinator:
     # -- worker health ----------------------------------------------------------------
 
     def _windows(self, handle: WorkerHandle) -> Tuple[float, float]:
-        """Effective ``(stale_after, lost_after)`` for one worker: explicit
-        constructor overrides win, otherwise derived from the heartbeat
-        cadence the worker advertised (wall-clock defaults without one)."""
+        """``(stale_after, lost_after)`` for one worker, derived from the
+        heartbeat cadence it advertised (:data:`STALE_BEATS` /
+        :data:`LOST_BEATS` missed beats, at least :data:`MIN_STALE_AFTER`
+        apart), or :data:`DEFAULT_STALE_AFTER` / :data:`DEFAULT_LOST_AFTER`
+        without one.  Module constants, read at call time."""
         cadence = handle.heartbeat_interval
         if cadence > 0:
             stale = max(STALE_BEATS * cadence, MIN_STALE_AFTER)
             lost = max(LOST_BEATS * cadence, stale + MIN_STALE_AFTER)
         else:
             stale, lost = DEFAULT_STALE_AFTER, DEFAULT_LOST_AFTER
-        if self.stale_after is not None:
-            stale = self.stale_after
-        if self.lost_after is not None:
-            lost = self.lost_after
         return stale, max(lost, stale)
 
     def _probe_idle(self, handle: WorkerHandle) -> None:
@@ -593,12 +583,6 @@ class Coordinator:
             row.setdefault("health", LOST)
             row.setdefault("straggler", False)
         return [rows[key] for key in sorted(rows)]
-
-    def worker_health(self) -> Dict[int, str]:
-        """``worker_id -> healthy/stale/lost`` over every known worker."""
-        return {
-            int(row["worker_id"]): str(row["health"]) for row in self.fleet_status()
-        }
 
     def fleet_metrics(self) -> Dict[str, object]:
         """A registry snapshot of fleet-level gauges and the fleet-merged

@@ -67,11 +67,6 @@ class DistributedMapper:
         #: left — observability for tests and the demo.
         self.fallback_evaluations = 0
 
-    @property
-    def workers(self) -> int:
-        """Live worker count (1 when none: the in-process fallback lane)."""
-        return max(1, self._coordinator.worker_count())
-
     # -- dispatch ---------------------------------------------------------------------
 
     @staticmethod

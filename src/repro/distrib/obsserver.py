@@ -35,12 +35,12 @@ import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.telemetry import get_sink
 from repro.telemetry.live import (
-    Histogram,
     merge_metric_snapshots,
+    percentile_table,
     render_prometheus,
 )
 
@@ -230,19 +230,13 @@ class ObservabilityServer:
         the tail client never needs bucket math."""
         merged = merge_metric_snapshots(self._snapshots())
         stages: Dict[str, Dict[str, object]] = {}
-        for name, snapshot in (merged.get("histograms") or {}).items():
+        for name, row in percentile_table(merged["histograms"]).items():
             if not name.endswith(".seconds"):
                 continue
             base = name[: -len(".seconds")]
-            if not any(base.startswith(prefix) or base == prefix.rstrip(".")
-                       for prefix in _STATUS_LATENCY_PREFIXES):
-                continue
-            histogram = Histogram.from_snapshot(snapshot)
-            if not histogram.count:
-                continue
-            row = histogram.percentiles()
-            row["count"] = histogram.count
-            stages[base] = row
+            if any(base.startswith(prefix) or base == prefix.rstrip(".")
+                   for prefix in _STATUS_LATENCY_PREFIXES):
+                stages[base] = row
         return stages
 
     # -- lifecycle --------------------------------------------------------------------

@@ -64,7 +64,6 @@ from repro.distrib.jobs import (
 )
 from repro.distrib.protocol import format_address
 from repro.distrib.wire import (
-    MAX_WIRE_FRAME_BYTES,
     FrameTooLarge,
     WireError,
     error_message,
@@ -73,7 +72,7 @@ from repro.distrib.wire import (
     send_wire,
 )
 from repro.campaign.database import CampaignDatabase
-from repro.campaign.campaign import default_compiler_provider
+from repro.campaign.campaign import DATABASE_DIR, STORE_DIR, default_compiler_provider
 from repro.campaign.pool import open_session
 from repro.tuner import BinTuner, BinTunerConfig, BuildSpec, EvaluationStats
 from repro.tuner.database import write_text_atomic
@@ -82,9 +81,11 @@ from repro.tuner.pipeline import ArtifactCache
 logger = logging.getLogger("repro.distrib.service")
 
 JOBS_FILE = "jobs.json"
-DATABASE_DIR = "database"
-STORE_DIR = "store"
 STATE_VERSION = 1
+
+#: Per-connection socket timeout (seconds): a wedged client cannot pin its
+#: handler thread forever.
+CLIENT_TIMEOUT = 300.0
 
 
 class _ServiceStopping(Exception):
@@ -128,10 +129,6 @@ class ServiceConfig:
     #: spans) as JSONL here; ``python -m repro.telemetry report`` renders the
     #: per-tenant fair-share table from it.  Observe-only, as ever.
     telemetry_dir: Optional[Path] = None
-    max_frame_bytes: int = MAX_WIRE_FRAME_BYTES
-    #: Per-connection socket timeout (seconds): a wedged client cannot pin
-    #: its handler thread forever.
-    client_timeout: float = 300.0
 
 
 class _GenerationGate:
@@ -300,9 +297,9 @@ class TuningService:
         database for every already-evaluated candidate, so the finished
         fingerprint equals an uninterrupted run's.
         """
-        if self._database_dir is not None and (
-            self._database_dir / "index.json"
-        ).exists():
+        if self._database_dir is not None and CampaignDatabase.saved_in(
+            self._database_dir
+        ):
             with self._db_lock:
                 self._database = CampaignDatabase.load(self._database_dir)
         path = self._jobs_path()
@@ -485,7 +482,7 @@ class TuningService:
     def _admit(self, conn: socket.socket, peer) -> None:
         """Give one accepted connection its own handler thread."""
         try:
-            conn.settimeout(self.config.client_timeout)
+            conn.settimeout(CLIENT_TIMEOUT)
             with self._lock:
                 self.connections += 1
             threading.Thread(
@@ -506,9 +503,7 @@ class TuningService:
             ))
             while not self._stopping:
                 try:
-                    message = recv_wire(
-                        conn, max_frame_bytes=self.config.max_frame_bytes
-                    )
+                    message = recv_wire(conn)
                 except FrameTooLarge as exc:
                     # The oversized payload was never read, so the stream
                     # cannot be resynchronized: one typed error, then hang up.
@@ -724,12 +719,11 @@ class TuningService:
         self.close()
 
 
-def serve_forever(service: TuningService,
-                  poll_interval: float = 0.5) -> None:
+def serve_forever(service: TuningService) -> None:
     """Block until interrupted (the CLI's foreground mode)."""
     try:
         while True:
-            time.sleep(poll_interval)
+            time.sleep(0.5)
     except KeyboardInterrupt:
         logger.info("interrupt: draining service")
     finally:
@@ -741,6 +735,4 @@ __all__ = [
     "TuningService",
     "serve_forever",
     "JOBS_FILE",
-    "DATABASE_DIR",
-    "STORE_DIR",
 ]

@@ -111,6 +111,10 @@ DEFAULT_HEARTBEAT_INTERVAL = 15.0
 #: with it the ``--reconnect`` backoff that exists precisely for that case.
 DEFAULT_CONNECT_TIMEOUT = 30.0
 
+#: Ceiling (seconds) of the ``--reconnect`` backoff, which doubles from
+#: ``backoff_base`` per consecutive failure.
+BACKOFF_CAP = 60.0
+
 
 def _exception_survives_pickle(exc: BaseException) -> bool:
     try:
@@ -212,13 +216,6 @@ class _HeartbeatSender:
             self._thread.join(timeout=1.0)
             self._stop = None
             self._thread = None
-
-    def __enter__(self) -> "_HeartbeatSender":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
     def _beat(self) -> None:
         stop = self._stop
@@ -488,7 +485,6 @@ def run_worker(
     reconnect: bool = False,
     max_retries: Optional[int] = None,
     backoff_base: float = 1.0,
-    backoff_cap: float = 60.0,
     log: Optional[Callable[[str], None]] = None,
     **serve_kwargs,
 ) -> int:
@@ -497,7 +493,7 @@ def run_worker(
     With ``reconnect=False`` (the historical default) this is one session:
     a refused connection raises, a lost coordinator returns.  With
     ``reconnect=True`` the worker survives both — it retries with
-    exponential backoff (``backoff_base`` doubling up to ``backoff_cap``
+    exponential backoff (``backoff_base`` doubling up to :data:`BACKOFF_CAP`
     seconds, at most ``max_retries`` consecutive failures, unbounded when
     ``None``) so a restarted machine rejoins a running campaign without
     operator action.  Any ``OSError`` reaching the coordinator counts as
@@ -552,7 +548,7 @@ def run_worker(
         emit(f"{who}: reconnecting to {connect} in {delay:.1f}s "
              f"(attempt {failures}; last failure: {reason})")
         time.sleep(delay)
-        delay = min(delay * 2, backoff_cap)
+        delay = min(delay * 2, BACKOFF_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "failed attempts (default: retry forever)")
     parser.add_argument("--backoff", type=float, default=1.0, metavar="SECONDS",
                         help="with --reconnect: initial retry delay, doubled "
-                             "per consecutive failure up to 60s (default: 1.0)")
+                             f"per consecutive failure up to {BACKOFF_CAP:g}s "
+                             "(default: 1.0)")
     parser.add_argument("--heartbeat", type=float, default=DEFAULT_HEARTBEAT_INTERVAL,
                         metavar="SECONDS",
                         help="interval between keep-alive frames while a batch "
@@ -670,6 +667,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--store-max-bytes requires --store-dir")
     if args.connect_timeout is not None and args.connect_timeout <= 0:
         parser.error("--connect-timeout must be > 0")
+    if args.slots < 1:
+        parser.error(f"--slots must be >= 1, got {args.slots}")
+    try:
+        parse_address(args.connect)
+    except ValueError as exc:
+        parser.error(str(exc))
     configure_logging(verbose=args.verbose, quiet=args.quiet)
     session = contextlib.ExitStack()
     if args.telemetry_dir is not None:

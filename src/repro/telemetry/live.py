@@ -33,7 +33,7 @@ import re
 import sys
 import threading
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "BUCKET_BOUNDS",
@@ -176,25 +176,9 @@ class MetricsRegistry:
                 histogram = self._histograms[name] = Histogram()
             histogram.observe(value)
 
-    def merge_histogram(self, name: str, snapshot: Dict[str, object]) -> None:
-        """Fold a remote histogram snapshot into the named histogram."""
-        with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = self._histograms[name] = Histogram()
-            histogram.merge(snapshot)
-
     def counters(self) -> Dict[str, float]:
         with self._lock:
             return dict(self._counters)
-
-    def histogram(self, name: str) -> Optional[Histogram]:
-        """A copy of the named histogram (safe to read without the lock)."""
-        with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                return None
-            return Histogram.from_snapshot(histogram.snapshot())
 
     def snapshot(self) -> Dict[str, object]:
         """One JSON-safe dict carrying all three metric families."""
@@ -236,24 +220,30 @@ def _format_bound(bound: float) -> str:
 
 def merge_metric_snapshots(snapshots: Iterable[Dict[str, object]]) -> Dict[str, object]:
     """Fold registry snapshots (sink + extra sources) into one: counters
-    add, gauges last-write-wins, histograms merge bucket-for-bucket."""
+    add, gauges last-write-wins, histograms merge bucket-for-bucket.  A
+    family that is not a dict (a malformed JSONL record) is skipped."""
     counters: Dict[str, float] = {}
     gauges: Dict[str, float] = {}
     histograms: Dict[str, Histogram] = {}
+
+    def family(snapshot: Dict[str, object], key: str) -> Dict[str, object]:
+        value = snapshot.get(key)
+        return value if isinstance(value, dict) else {}
+
     for snapshot in snapshots:
         if not isinstance(snapshot, dict):
             continue
-        for name, value in (snapshot.get("counters") or {}).items():
+        for name, value in family(snapshot, "counters").items():
             try:
                 counters[name] = counters.get(name, 0) + float(value)
             except (TypeError, ValueError):
                 continue
-        for name, value in (snapshot.get("gauges") or {}).items():
+        for name, value in family(snapshot, "gauges").items():
             try:
                 gauges[name] = float(value)
             except (TypeError, ValueError):
                 continue
-        for name, hist_snapshot in (snapshot.get("histograms") or {}).items():
+        for name, hist_snapshot in family(snapshot, "histograms").items():
             histogram = histograms.get(name)
             if histogram is None:
                 histogram = histograms[name] = Histogram()
@@ -263,6 +253,18 @@ def merge_metric_snapshots(snapshots: Iterable[Dict[str, object]]) -> Dict[str, 
         "gauges": gauges,
         "histograms": {name: hist.snapshot() for name, hist in histograms.items()},
     }
+
+
+def percentile_table(histograms: Dict[str, object]) -> Dict[str, Dict[str, float]]:
+    """``name -> {p50, p95, p99, count}`` for every non-empty histogram
+    snapshot, in input order: the one percentile table behind ``/status``
+    ``stages`` and ``report``'s latency rows."""
+    table: Dict[str, Dict[str, float]] = {}
+    for name, snapshot in histograms.items():
+        histogram = Histogram.from_snapshot(snapshot)
+        if histogram.count:
+            table[name] = {**histogram.percentiles(), "count": histogram.count}
+    return table
 
 
 def render_prometheus(snapshot: Dict[str, object]) -> str:

@@ -30,7 +30,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.telemetry import ratio
 
@@ -266,29 +266,14 @@ def latency_rows(events: Sequence[Dict[str, object]]) -> List[Dict[str, object]]
     (:data:`~repro.telemetry.live.BUCKET_BOUNDS`), so the per-process
     snapshots merge bucket-for-bucket into fleet-wide distributions.
     """
-    from repro.telemetry.live import Histogram
+    from repro.telemetry.live import merge_metric_snapshots, percentile_table
 
-    merged: Dict[str, Histogram] = {}
-    for record in events:
-        if record.get("type") != "metrics":
-            continue
-        histograms = record.get("histograms")
-        if not isinstance(histograms, dict):
-            continue
-        for name, snapshot in histograms.items():
-            histogram = merged.get(name)
-            if histogram is None:
-                histogram = merged[name] = Histogram()
-            histogram.merge(snapshot)
-    rows = []
-    for name in sorted(merged):
-        histogram = merged[name]
-        if not histogram.count:
-            continue
-        row = {"name": name, "count": histogram.count}
-        row.update(histogram.percentiles())
-        rows.append(row)
-    return rows
+    table = percentile_table(merge_metric_snapshots(
+        record for record in events if record.get("type") == "metrics"
+    )["histograms"])
+    # ``count`` moves up next to the name; the percentiles follow it.
+    return [{"name": name, "count": table[name]["count"], **table[name]}
+            for name in sorted(table)]
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from repro.tuner.search import (
     GAParameters,
     HillClimber,
     RandomSearch,
-    SearchObserver,
 )
 from repro.tuner.database import TuningDatabase, IterationRecord
 from repro.tuner.evaluation import (
@@ -77,7 +76,6 @@ __all__ = [
     "GAParameters",
     "HillClimber",
     "RandomSearch",
-    "SearchObserver",
     "TuningDatabase",
     "IterationRecord",
     "CandidateResult",

@@ -132,17 +132,6 @@ class TuningDatabase:
         payload = json.dumps(self.record_signatures(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def growth_rate(self, window: int = 20) -> float:
-        """Relative growth of best-so-far fitness over the last ``window`` records."""
-        history = self.fitness_history()
-        if len(history) <= window:
-            return float("inf")
-        previous = history[-window - 1]
-        current = history[-1]
-        if previous <= 0:
-            return float("inf") if current > previous else 0.0
-        return (current - previous) / previous
-
     # -- persistence -------------------------------------------------------------------
 
     def to_json(self) -> str:

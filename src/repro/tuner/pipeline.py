@@ -79,6 +79,10 @@ from repro.tuner.store import DEFAULT_STORE_MAX_BYTES, ArtifactStore, persistent
 #: bound keeps a long-lived shared cache from growing monotonically.
 DEFAULT_ARTIFACT_CACHE_SIZE = 1024
 
+#: The fitness of a candidate that failed a domain check: a constraint
+#: conflict, a failed compilation, or a miscompiled binary.  Both fitness
+#: kinds score >= 0, so the search never prefers a broken configuration.
+INVALID_FITNESS = -1.0
 
 #: :meth:`ArtifactCache.lookup` tiers: a miss, the in-memory LRU, the disk
 #: store, and the artifact mesh (another machine's past work, served via the
@@ -508,7 +512,7 @@ class StagedCandidateEvaluator:
 
     Domain failures — a constraint conflict, a failed compilation, a
     miscompiled binary caught by the behaviour check — score
-    ``invalid_fitness``.  Anything else (a genuine programming error)
+    :data:`INVALID_FITNESS`.  Anything else (a genuine programming error)
     propagates: converting a ``TypeError`` into a penalty record would bury
     real bugs in the tuning log.
 
@@ -538,7 +542,6 @@ class StagedCandidateEvaluator:
     inputs: Sequence[int] = ()
     fitness_kind: str = "ncd"
     compressor: str = "lzma"
-    invalid_fitness: float = -1.0
     max_emulation_steps: int = 2_000_000
     artifact_cache: ArtifactCache = field(default_factory=ArtifactCache)
 
@@ -686,7 +689,7 @@ class StagedCandidateEvaluator:
         image = compiled.value.image if valid else None
         tiers = [outcome.tier for outcome in (compiled, trace) if outcome is not None]
         return CandidateResult(
-            fitness=scored.value if valid else self.invalid_fitness,
+            fitness=scored.value if valid else INVALID_FITNESS,
             code_size=image.code_size() if valid else 0,
             fingerprint=image.fingerprint() if valid else "invalid",
             valid=valid,

@@ -56,29 +56,17 @@ def as_batch_fitness(fitness: AnyFitness) -> BatchFitnessFunction:
     return _CallableBatchAdapter(fitness)  # type: ignore[arg-type]
 
 
-class SearchObserver(Protocol):
-    """Callback invoked after every evaluation (used for NCD curves)."""
-
-    def __call__(self, iteration: int, flags: FlagVector, fitness: float) -> None: ...
-
-
 class _ProgressTracker:
-    """Shared bookkeeping: budget truncation, best-so-far, observer calls.
+    """Shared bookkeeping: budget truncation and best-so-far.
 
     Batches are truncated to the remaining budget *before* evaluation, and
     results are folded in submission order, so runs are reproducible for any
     evaluator (serial callable, serial engine, process-pool engine).
     """
 
-    def __init__(
-        self,
-        fitness: AnyFitness,
-        max_iterations: int,
-        observer: Optional[SearchObserver],
-    ) -> None:
+    def __init__(self, fitness: AnyFitness, max_iterations: int) -> None:
         self._evaluator = as_batch_fitness(fitness)
         self._max_iterations = max_iterations
-        self._observer = observer
         self.evaluations = 0
         self.best_flags: Optional[FlagVector] = None
         self.best_fitness = float("-inf")
@@ -100,8 +88,6 @@ class _ProgressTracker:
                 self.best_fitness = score
                 self.best_flags = individual
             self.history.append(self.best_fitness)
-            if self._observer is not None:
-                self._observer(self.evaluations, individual, score)
             scored.append((score, individual))
         return scored
 
@@ -206,7 +192,6 @@ class GeneticAlgorithm:
         max_iterations: int = 600,
         target_growth_rate: float = 0.0035,
         stall_window: int = 60,
-        observer: Optional[SearchObserver] = None,
     ) -> Tuple[FlagVector, float, int]:
         """Run the GA until a termination criterion fires.
 
@@ -216,7 +201,7 @@ class GeneticAlgorithm:
         Returns (best flags, best fitness, evaluations used).
         """
         population = self._seed_population()
-        tracker = _ProgressTracker(fitness, max_iterations, observer)
+        tracker = _ProgressTracker(fitness, max_iterations)
         tracker.best_flags = population[0]
 
         scored = tracker.evaluate(population)
@@ -266,11 +251,10 @@ class HillClimber:
         self,
         fitness: AnyFitness,
         max_iterations: int = 300,
-        observer: Optional[SearchObserver] = None,
         start_level: str = "O2",
     ) -> Tuple[FlagVector, float, int]:
         rng = random.Random(self.seed)
-        tracker = _ProgressTracker(fitness, max_iterations, observer)
+        tracker = _ProgressTracker(fitness, max_iterations)
         current = self.constraints.repair(self.registry.preset(start_level))
         scored_start = tracker.evaluate([current])
         if not scored_start:  # zero evaluation budget
@@ -304,11 +288,10 @@ class RandomSearch:
         self,
         fitness: AnyFitness,
         max_iterations: int = 300,
-        observer: Optional[SearchObserver] = None,
     ) -> Tuple[FlagVector, float, int]:
         rng = random.Random(self.seed)
         names = self.registry.flag_names()
-        tracker = _ProgressTracker(fitness, max_iterations, observer)
+        tracker = _ProgressTracker(fitness, max_iterations)
         while tracker.budget_left > 0:
             batch: List[FlagVector] = []
             for _ in range(min(self.probe_batch_size, tracker.budget_left)):

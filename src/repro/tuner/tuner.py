@@ -53,16 +53,15 @@ class BuildSpec:
     The real BinTuner drives ``scan-build`` over a project's makefile to learn
     source files, configuration and the initial optimization flags; mini-C
     programs are single translation units, so the spec carries the source
-    text, the program name, the workload arguments used for functional-
-    correctness checks, and any flags the original build system requested.
+    text, the program name, and the workload arguments and inputs every
+    candidate's functional-correctness check runs.
     """
 
     name: str
     source: str
     arguments: Sequence[int] = ()
     inputs: Sequence[int] = ()
-    initial_flags: Sequence[str] = ()
-    check_output: bool = True
+
 
 @dataclass
 class BinHuntFitness:
@@ -96,8 +95,6 @@ class BinTunerConfig:
     search_strategy: str = "genetic"  # "genetic" | "hillclimb" | "random"
     fitness_kind: str = "ncd"  # "ncd" | "binhunt"
     compressor: str = "lzma"
-    require_functional_correctness: bool = True
-    invalid_fitness: float = -1.0
     max_emulation_steps: int = 2_000_000
     #: Warm-start flag tuples injected into the GA's initial population —
     #: best configurations of already-tuned programs in a campaign.  Names
@@ -199,14 +196,13 @@ class BinTuner:
             key = tuple(self.compiler.preset("O0").sorted_names())
             # The preset needs no constraint check.
             self._baseline = stage.run(key, check_constraints=False).value.image
-            if self.config.require_functional_correctness and self.spec.check_output:
-                measure = MeasureStage(
-                    self.spec.arguments,
-                    self.spec.inputs,
-                    self.config.max_emulation_steps,
-                    cache,
-                )
-                self._baseline_behaviour = measure.run(self._baseline).value.behaviour
+            measure = MeasureStage(
+                self.spec.arguments,
+                self.spec.inputs,
+                self.config.max_emulation_steps,
+                cache,
+            )
+            self._baseline_behaviour = measure.run(self._baseline).value.behaviour
         return self._baseline
 
     # -- evaluation --------------------------------------------------------------------
@@ -223,7 +219,6 @@ class BinTuner:
                 inputs=tuple(self.spec.inputs),
                 fitness_kind=self.config.fitness_kind,
                 compressor=self.config.compressor,
-                invalid_fitness=self.config.invalid_fitness,
                 max_emulation_steps=self.config.max_emulation_steps,
                 artifact_cache=self._artifact_cache,
             )
@@ -272,7 +267,7 @@ class BinTuner:
             seeds=self._warm_start_vectors(),
         )
 
-    def run(self, observer=None) -> TuningResult:
+    def run(self) -> TuningResult:
         """Run the full tuning loop and return the best configuration found."""
         started = time.perf_counter()
         baseline = self.baseline_image()
@@ -285,13 +280,10 @@ class BinTuner:
                 max_iterations=self.config.max_iterations,
                 target_growth_rate=self.config.target_growth_rate,
                 stall_window=self.config.stall_window,
-                observer=observer,
             )
         else:
             best_flags, best_fitness, evaluations = search.run(
-                engine,
-                max_iterations=self.config.max_iterations,
-                observer=observer,
+                engine, max_iterations=self.config.max_iterations
             )
         return TuningResult(
             program=self.spec.name,

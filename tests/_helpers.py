@@ -20,7 +20,6 @@ def reference_evaluator(
     inputs=(),
     fitness_kind="ncd",
     compressor="lzma",
-    invalid_fitness=-1.0,
     max_emulation_steps=2_000_000,
 ):
     """The test oracle: compile -> ``run_program`` -> fitness as one closure.
@@ -34,7 +33,7 @@ def reference_evaluator(
     from repro.compilers.base import CompilationError
     from repro.opt.flags import FlagVector
     from repro.tuner import CandidateResult, ConstraintEngine, ConstraintViolation
-    from repro.tuner.pipeline import make_fitness
+    from repro.tuner.pipeline import INVALID_FITNESS, make_fitness
 
     constraints = ConstraintEngine(compiler.registry)
     # Built up front so configuration errors (an unknown compressor)
@@ -61,7 +60,7 @@ def reference_evaluator(
             )
         except (CompilationError, EmulationError, ConstraintViolation, ValueError):
             return CandidateResult(
-                fitness=invalid_fitness,
+                fitness=INVALID_FITNESS,
                 code_size=0,
                 fingerprint="invalid",
                 valid=False,

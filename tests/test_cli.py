@@ -123,3 +123,43 @@ def test_run_logs_the_substrate_the_pool_resolved(tmp_path, caplog, capsys):
     (message,) = [record.getMessage() for record in caplog.records
                   if record.getMessage().startswith("campaign:")]
     assert "(process dispatch, 2 workers" in message
+
+
+#: A mistyped argument to each subcommand: a usage error naming it, never a
+#: traceback.  The run cases all name a checkpoint dir that must stay absent.
+MISTYPED = [
+    ["--benchmarks", "nope"],
+    ["--benchmarks", "429.mcf", "--families", "foo"],
+    ["--suites", "nope"],
+    ["--benchmarks", "429.mcf", "--workers", "0"],
+    ["--benchmarks", "429.mcf", "--dispatch", "distributed", "--serve", "nope"],
+    ["--benchmarks", "429.mcf", "--dispatch", "distributed", "--serve", "0.0.0.0:0"],
+    ["serve", "--bind", "nope"],
+    ["serve", "--workers", "0"],
+    ["serve", "--dispatch", "distributed", "--serve-workers", "0.0.0.0:0"],
+    ["worker", "--connect", "nope"],
+    ["worker", "--connect", "127.0.0.1:1", "--slots", "0"],
+    ["submit", "--connect", "nope", "--tenant", "a", "--program", "p",
+     "--benchmark", "429.mcf"],
+    ["submit", "--connect", "127.0.0.1:1", "--tenant", "a", "--program", "p",
+     "--benchmark", "nope"],
+    ["submit", "--connect", "127.0.0.1:1", "--tenant", "a", "--program", "p",
+     "--source", "no-such-file.c"],
+]
+
+
+@pytest.mark.parametrize("argv", MISTYPED, ids=[" ".join(argv) for argv in MISTYPED])
+def test_a_mistyped_argument_is_one_usage_error(argv, tmp_path, monkeypatch, capsys):
+    from repro.campaign.cli import main
+
+    monkeypatch.delenv("REPRO_DISTRIB_AUTHKEY", raising=False)
+    checkpoint = tmp_path / "ckpt"
+    if argv[0].startswith("--"):
+        argv = [*argv, "--checkpoint-dir", str(checkpoint)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert not checkpoint.exists()

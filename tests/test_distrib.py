@@ -36,6 +36,7 @@ from repro.campaign import (
     ProgramJob,
     SharedWorkerPool,
 )
+from repro.campaign import campaign as campaign_module
 from repro.opt.flags import FlagVector, build_gcc_registry
 from repro.tuner import (
     BinTunerConfig,
@@ -64,6 +65,7 @@ from repro.distrib import (  # noqa: E402  (import after the loopback gate)
     parse_address,
     serve,
 )
+from repro.distrib import coordinator as coordinator_module  # noqa: E402
 from repro.distrib import protocol  # noqa: E402
 
 
@@ -201,7 +203,7 @@ class TestCoordinator:
         with Coordinator() as coordinator:
             with thread_workers(coordinator, 2, slots=2) as threads:
                 assert coordinator.worker_count() == 2
-                assert coordinator.total_slots() == 4
+                assert [handle.slots for handle in coordinator.workers()] == [2, 2]
                 ids = [handle.worker_id for handle in coordinator.workers()]
                 assert ids == sorted(ids)
         for thread in threads:
@@ -213,20 +215,22 @@ class TestCoordinator:
             with pytest.raises(DistribError):
                 coordinator.wait_for_workers(1, timeout=0.05)
 
-    def test_garbage_connection_is_ignored(self):
+    def test_garbage_connection_is_ignored(self, monkeypatch):
         """A non-worker peer (port scanner, wrong protocol) must not wedge
         the accept loop or land in the registry."""
-        with Coordinator(handshake_timeout=0.2) as coordinator:
+        monkeypatch.setattr(coordinator_module, "HANDSHAKE_TIMEOUT", 0.2)
+        with Coordinator() as coordinator:
             rogue = socket.create_connection(coordinator.address)
             rogue.sendall(b"GET / HTTP/1.1\r\n\r\n")
             rogue.close()
             with thread_workers(coordinator, 1):
                 assert coordinator.worker_count() == 1
 
-    def test_authkey_gates_registration(self):
+    def test_authkey_gates_registration(self, monkeypatch):
         """With an authkey, only workers holding the secret register — and
         no pickle byte from an unauthenticated peer is ever parsed."""
-        with Coordinator(handshake_timeout=0.2, authkey="s3cret") as coordinator:
+        monkeypatch.setattr(coordinator_module, "HANDSHAKE_TIMEOUT", 0.2)
+        with Coordinator(authkey="s3cret") as coordinator:
             # A keyless worker's Hello pickle lands where the HMAC digest is
             # expected: rejected without being unpickled.
             rejected = threading.Thread(
@@ -254,18 +258,20 @@ class TestCoordinator:
             Coordinator(host="0.0.0.0", port=0)
         Coordinator(host="0.0.0.0", port=0, authkey="k").close()  # keyed: fine
 
-    def test_malformed_hello_does_not_kill_accept_loop(self):
+    def test_malformed_hello_does_not_kill_accept_loop(self, monkeypatch):
         """A Hello with a non-int slots field (version skew, crafted peer)
         must be dropped without taking the accept thread down."""
-        with Coordinator(handshake_timeout=0.2) as coordinator:
+        monkeypatch.setattr(coordinator_module, "HANDSHAKE_TIMEOUT", 0.2)
+        with Coordinator() as coordinator:
             rogue = socket.create_connection(coordinator.address)
             protocol.send_message(rogue, protocol.Hello(slots="2"))
             rogue.close()
             with thread_workers(coordinator, 1):  # registration still works
                 assert coordinator.worker_count() == 1
 
-    def test_wrong_authkey_rejected(self):
-        with Coordinator(handshake_timeout=0.2, authkey="right") as coordinator:
+    def test_wrong_authkey_rejected(self, monkeypatch):
+        monkeypatch.setattr(coordinator_module, "HANDSHAKE_TIMEOUT", 0.2)
+        with Coordinator(authkey="right") as coordinator:
             wrong = threading.Thread(
                 target=serve,
                 kwargs=dict(connect=coordinator.address_string(),
@@ -302,7 +308,7 @@ class TestDistributedMapper:
                 f"local:{'+'.join(key)}" for key in KEYS
             ]
             assert mapper.fallback_evaluations == len(KEYS)
-            assert mapper.workers == 1  # the in-process lane
+            assert coordinator.worker_count() == 0  # the in-process lane
 
     def test_worker_death_mid_batch_redispatches(self):
         """One worker dies on its first batch: its keys are re-dispatched to
@@ -510,12 +516,11 @@ class TestDistributedCampaign:
         with pytest.raises(ValueError):
             SharedWorkerPool(dispatch="carrier-pigeon")
 
-    def test_min_workers_timeout_raises(self):
+    def test_min_workers_timeout_raises(self, monkeypatch):
+        monkeypatch.setattr(campaign_module, "WORKER_WAIT_TIMEOUT", 0.05)
         campaign = Campaign(
             JOBS,
-            tiny_campaign_config(
-                dispatch="distributed", min_workers=1, worker_wait_timeout=0.05
-            ),
+            tiny_campaign_config(dispatch="distributed", min_workers=1),
             spec_provider=tiny_spec,
         )
         with pytest.raises(DistribError):
@@ -645,21 +650,23 @@ class TestWorkerResilience:
         probe.close()
         return port
 
-    def test_reconnect_joins_late_coordinator_and_rejoins_after_drop(self):
+    def test_reconnect_joins_late_coordinator_and_rejoins_after_drop(self, monkeypatch):
         """--reconnect semantics end to end: the worker starts before any
         coordinator exists (refused connections back off and retry), joins
         once one binds, re-registers after its connection is dropped without
         a Shutdown (the restarted-machine scenario), and still exits cleanly
         on a real Shutdown."""
+        from repro.distrib import worker
         from repro.distrib.worker import run_worker
 
+        monkeypatch.setattr(worker, "BACKOFF_CAP", 0.2)
         port = self._free_port()
         address = f"127.0.0.1:{port}"
         outcome = {}
 
         def target():
             outcome["status"] = run_worker(
-                address, reconnect=True, backoff_base=0.05, backoff_cap=0.2,
+                address, reconnect=True, backoff_base=0.05,
                 hard_exit=False, heartbeat_interval=0.0,
             )
 
@@ -698,10 +705,12 @@ class TestWorkerResilience:
         with pytest.raises(OSError):
             run_worker(f"127.0.0.1:{self._free_port()}", hard_exit=False)
 
-    def test_heartbeats_keep_slow_batches_alive(self):
+    def test_heartbeats_keep_slow_batches_alive(self, monkeypatch):
         """A batch slower than the per-task budget survives as long as the
         worker keeps beating — the coordinator only discards silence."""
-        with Coordinator(task_timeout=0.2, handshake_timeout=0.2) as coordinator:
+        monkeypatch.setattr(coordinator_module, "HANDSHAKE_TIMEOUT", 0.2)
+        monkeypatch.setattr(coordinator_module, "TASK_TIMEOUT", 0.2)
+        with Coordinator() as coordinator:
             with thread_workers(coordinator, 1, heartbeat_interval=0.05):
                 mapper = DistributedMapper(coordinator, _SleepyEvaluator(delay=1.0))
                 results = mapper.map(KEYS[:1])
@@ -709,11 +718,13 @@ class TestWorkerResilience:
                 assert coordinator.worker_count() == 1
                 assert results[0].fingerprint.startswith("slow:")
 
-    def test_without_heartbeats_slow_batch_reads_as_worker_loss(self):
+    def test_without_heartbeats_slow_batch_reads_as_worker_loss(self, monkeypatch):
         """The control case (and the pre-PR failure mode): no heartbeats, so
         the same slow batch times out, the worker is discarded, and the
         mapper falls back in-process."""
-        with Coordinator(task_timeout=0.2, handshake_timeout=0.2) as coordinator:
+        monkeypatch.setattr(coordinator_module, "HANDSHAKE_TIMEOUT", 0.2)
+        monkeypatch.setattr(coordinator_module, "TASK_TIMEOUT", 0.2)
+        with Coordinator() as coordinator:
             with thread_workers(coordinator, 1, heartbeat_interval=0.0):
                 mapper = DistributedMapper(coordinator, _SleepyEvaluator(delay=1.0))
                 results = mapper.map(KEYS[:1])

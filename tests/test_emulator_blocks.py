@@ -34,7 +34,7 @@ from repro.analysis.emulator import (
 )
 from repro.backend.binary import GLOBAL_BASE, BinaryImage
 from repro.backend.isa import BUILTIN_IDS, OPCODES_BY_NAME, SP, MachInstr, encode_instruction
-from repro.tuner.pipeline import StagedCandidateEvaluator
+from repro.tuner.pipeline import INVALID_FITNESS, StagedCandidateEvaluator
 
 from test_emulator_dispatch import assert_results_equal, dispatch
 
@@ -418,7 +418,7 @@ def test_jump_into_the_middle_of_an_instruction():
 
 def test_evaluator_scores_a_wild_jump_as_a_penalty(llvm, monkeypatch):
     """ROADMAP aim 3: a candidate that jumps into garbage is an
-    ``invalid_fitness`` record, not a traceback out of the campaign."""
+    ``INVALID_FITNESS`` record, not a traceback out of the campaign."""
     source = "int main() { print_int(41); return 1; }"
     baseline = llvm.compile_level(source, "O0", name="wild").image
     evaluator = StagedCandidateEvaluator(
@@ -439,7 +439,7 @@ def test_evaluator_scores_a_wild_jump_as_a_penalty(llvm, monkeypatch):
     monkeypatch.setattr(evaluator.compiler, "compile", miscompile)
     result = evaluator(tuple(llvm.preset("O2").sorted_names()))
     assert not result.valid
-    assert result.fitness == evaluator.invalid_fitness
+    assert result.fitness == INVALID_FITNESS
     assert result.fingerprint == "invalid"
 
 

@@ -29,6 +29,7 @@ from repro.tuner import (
 )
 from repro.tuner import evaluation
 from repro.tuner.evaluation import EVALUATOR_CACHE_LIMIT, split_into_chunks
+from repro.tuner.pipeline import INVALID_FITNESS
 
 TINY_SOURCE = """
 int acc[16];
@@ -271,7 +272,7 @@ class TestTunerCandidateEvaluator:
     def test_conflicting_flags_score_penalty(self, evaluator):
         result = evaluator(("-fpartial-inlining",))  # missing prerequisite
         assert not result.valid
-        assert result.fitness == evaluator.invalid_fitness
+        assert result.fitness == INVALID_FITNESS
         assert result.fingerprint == "invalid"
 
     def test_survives_pickling(self, llvm, evaluator):

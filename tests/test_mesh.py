@@ -39,6 +39,7 @@ from repro.distrib import (  # noqa: E402
     DistributedMapper,
 )
 from repro.distrib import artifacts, protocol  # noqa: E402
+from repro.distrib import coordinator as coordinator_module  # noqa: E402
 from repro.distrib.artifacts import (  # noqa: E402
     CoordinatorArtifactPlane,
     handle_artifact_message,
@@ -140,12 +141,13 @@ class TestConnectTimeout:
 # ---------------------------------------------------------------------------
 
 class TestSlotsValidation:
-    def test_bogus_slot_claims_rejected_without_killing_the_accept_loop(self):
+    def test_bogus_slot_claims_rejected_without_killing_the_accept_loop(self, monkeypatch):
         """slots weights batch partitioning (the mapper materializes that
         many cycle entries per worker), so zero, negative, bool, and absurd
         claims must all be refused cleanly — and registration must still
         work afterwards."""
-        with Coordinator(handshake_timeout=0.5) as coordinator:
+        monkeypatch.setattr(coordinator_module, "HANDSHAKE_TIMEOUT", 0.5)
+        with Coordinator() as coordinator:
             for slots in (0, -3, True, MAX_WORKER_SLOTS + 1, 10**9):
                 rogue = socket.create_connection(coordinator.address)
                 rogue.settimeout(5)
@@ -155,11 +157,12 @@ class TestSlotsValidation:
                 rogue.close()
             assert coordinator.worker_count() == 0
             with thread_workers(coordinator, 1, slots=2):
-                assert coordinator.total_slots() == 2
+                assert [handle.slots for handle in coordinator.workers()] == [2]
 
-    def test_maximum_slot_claim_is_accepted(self):
+    def test_maximum_slot_claim_is_accepted(self, monkeypatch):
         """The bound is inclusive: MAX_WORKER_SLOTS itself registers."""
-        with Coordinator(handshake_timeout=2.0) as coordinator:
+        monkeypatch.setattr(coordinator_module, "HANDSHAKE_TIMEOUT", 2.0)
+        with Coordinator() as coordinator:
             sock = socket.create_connection(coordinator.address)
             try:
                 sock.settimeout(5)
@@ -169,7 +172,9 @@ class TestSlotsValidation:
                 welcome = protocol.recv_message(sock)
                 assert isinstance(welcome, protocol.Welcome)
                 coordinator.wait_for_workers(1, timeout=5)
-                assert coordinator.total_slots() == MAX_WORKER_SLOTS
+                assert [handle.slots for handle in coordinator.workers()] == [
+                    MAX_WORKER_SLOTS
+                ]
             finally:
                 sock.close()
 

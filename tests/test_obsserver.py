@@ -118,15 +118,18 @@ class TestHistogram:
         registry.observe("lat", 0.5)
         other = Histogram()
         other.observe(0.5)
-        registry.merge_histogram("lat", other.snapshot())
-        assert registry.histogram("lat").count == 2
+        merged = merge_metric_snapshots([registry.snapshot(),
+                                         {"histograms": {"lat": other.snapshot()}}])
+        assert merged["histograms"]["lat"]["count"] == 2
         snapshot = registry.snapshot()
         assert snapshot["counters"] == {"hits": 2}
         assert snapshot["gauges"] == {"depth": 7.0}
-        assert snapshot["histograms"]["lat"]["count"] == 2
-        # histogram() returns a copy: mutating it must not leak back
-        registry.histogram("lat").observe(1.0)
-        assert registry.histogram("lat").count == 2
+        assert snapshot["histograms"]["lat"]["count"] == 1
+        # snapshot() returns a copy: mutating it must not leak back
+        snapshot["histograms"]["lat"]["count"] = 99
+        snapshot["counters"]["hits"] = 99
+        assert registry.snapshot()["histograms"]["lat"]["count"] == 1
+        assert registry.snapshot()["counters"] == {"hits": 2}
 
     def test_jsonl_sink_records_histograms_in_close_snapshot(self, tmp_path):
         with JsonlSink(tmp_path, flush_every=1) as sink:
@@ -227,7 +230,8 @@ class TestPrometheusExposition:
         b.incr("hits", 3)
         b.observe("lat.seconds", 0.2)
         b.gauge("depth", 9)
-        merged = merge_metric_snapshots([a.snapshot(), b.snapshot(), "junk"])
+        malformed = {"counters": [1], "gauges": 3, "histograms": ["lat.seconds"]}
+        merged = merge_metric_snapshots([a.snapshot(), b.snapshot(), "junk", malformed])
         assert merged["counters"]["hits"] == 5
         assert merged["gauges"]["depth"] == 9
         assert merged["histograms"]["lat.seconds"]["count"] == 2
@@ -432,6 +436,11 @@ class TestTail:
 # worker health tracking (coordinator-side)
 # ---------------------------------------------------------------------------
 
+def _health(coordinator) -> dict:
+    """``worker_id -> healthy / stale / lost`` from the fleet rows."""
+    return {row["worker_id"]: row["health"] for row in coordinator.fleet_status()}
+
+
 def _wait_until(predicate, timeout: float = 5.0, interval: float = 0.05) -> bool:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -457,19 +466,22 @@ class TestWorkerHealth:
         coordinator.wait_for_workers(1, timeout=5.0)
         return sock, welcome.worker_id
 
-    def test_silent_worker_ages_healthy_to_stale_to_lost(self):
-        from repro.distrib import Coordinator
+    def test_silent_worker_ages_healthy_to_stale_to_lost(self, monkeypatch):
+        from repro.distrib import Coordinator, coordinator as coordinator_module
 
-        with Coordinator(stale_after=0.25, lost_after=0.6) as coordinator:
+        # No advertised cadence: the wall-clock default windows apply.
+        monkeypatch.setattr(coordinator_module, "DEFAULT_STALE_AFTER", 0.25)
+        monkeypatch.setattr(coordinator_module, "DEFAULT_LOST_AFTER", 0.6)
+        with Coordinator() as coordinator:
             sock, worker_id = self._handshake(coordinator)
             try:
-                assert coordinator.worker_health() == {worker_id: "healthy"}
+                assert _health(coordinator) == {worker_id: "healthy"}
                 assert _wait_until(
-                    lambda: coordinator.worker_health()[worker_id] == "stale",
+                    lambda: _health(coordinator)[worker_id] == "stale",
                     timeout=2.0,
                 )
                 assert _wait_until(
-                    lambda: coordinator.worker_health()[worker_id] == "lost",
+                    lambda: _health(coordinator)[worker_id] == "lost",
                     timeout=2.0,
                 )
                 (row,) = coordinator.fleet_status()
@@ -478,11 +490,14 @@ class TestWorkerHealth:
             finally:
                 sock.close()
 
-    def test_heartbeats_keep_an_idle_worker_healthy(self):
+    def test_heartbeats_keep_an_idle_worker_healthy(self, monkeypatch):
         import test_distrib
-        from repro.distrib import Coordinator
+        from repro.distrib import Coordinator, coordinator as coordinator_module
 
-        with Coordinator(stale_after=0.5, lost_after=2.0) as coordinator:
+        # A 0.1 s cadence with a 0.5 s floor: stale after 0.5 s of silence,
+        # lost after 1.0 s.
+        monkeypatch.setattr(coordinator_module, "MIN_STALE_AFTER", 0.5)
+        with Coordinator() as coordinator:
             with test_distrib.thread_workers(
                 coordinator, 1, heartbeat_interval=0.1
             ):
@@ -497,10 +512,10 @@ class TestWorkerHealth:
 
         with Coordinator() as coordinator:
             sock, worker_id = self._handshake(coordinator, heartbeat_interval=0.2)
-            assert coordinator.worker_health() == {worker_id: "healthy"}
+            assert _health(coordinator) == {worker_id: "healthy"}
             sock.close()  # the kill: EOF on an idle socket
             assert _wait_until(
-                lambda: coordinator.worker_health().get(worker_id) == "lost",
+                lambda: _health(coordinator).get(worker_id) == "lost",
                 timeout=5.0,
             )
             # the row survives the discard, marked lost for the postmortem

@@ -356,10 +356,11 @@ class TestStagedEvaluator:
         behaviour = run_program(baseline).observable_state()
         if failure == "behaviour mismatch":
             behaviour = (behaviour[0] + 1, behaviour[1])
+        # A penalty no real score could equal.
+        monkeypatch.setattr("repro.tuner.pipeline.INVALID_FITNESS", -7.5)
         evaluator = StagedCandidateEvaluator(
             compiler=llvm, source=TINY_SOURCE, name="tiny", baseline=baseline,
-            baseline_behaviour=behaviour, invalid_fitness=-7.5,
-            artifact_cache=ArtifactCache(),
+            baseline_behaviour=behaviour, artifact_cache=ArtifactCache(),
         )
         key = tuple(llvm.preset("O2").sorted_names())
 
@@ -571,7 +572,7 @@ class TestBuiltAtFirstUse:
     def test_unbuildable_fitness_is_an_error_not_a_penalty(self, llvm, monkeypatch):
         """The compile stage accepted the configuration, the fitness
         constructor did not: its ``ValueError`` is raised outside the
-        domain-error ``try`` and never becomes an ``invalid_fitness`` record."""
+        domain-error ``try`` and never becomes an ``INVALID_FITNESS`` record."""
         def refuse(*args, **kwargs):
             raise ValueError("fitness refused its configuration")
 
@@ -640,7 +641,7 @@ class TestBuiltAtFirstUse:
 # ---------------------------------------------------------------------------
 
 class TestCampaignPipeline:
-    def _campaign(self, **config_kwargs):
+    def _campaign(self, artifact_cache=None, **config_kwargs):
         config = CampaignConfig(
             tuner=BinTunerConfig(
                 max_iterations=12, ga=GAParameters(population_size=6, seed=9),
@@ -648,7 +649,8 @@ class TestCampaignPipeline:
             ),
             **config_kwargs,
         )
-        return Campaign(JOBS, config, spec_provider=tiny_spec)
+        return Campaign(JOBS, config, spec_provider=tiny_spec,
+                        artifact_cache=artifact_cache)
 
     def test_staged_campaign_matches_monolithic(self):
         """The same campaign (warm starts and all) with every candidate
@@ -666,7 +668,7 @@ class TestCampaignPipeline:
         """A 2-entry campaign cache thrashes constantly (warm starts and all)
         yet the database is identical to the generously cached run."""
         roomy = self._campaign(warm_start=True).run()
-        tight = self._campaign(warm_start=True, artifact_cache_size=2).run()
+        tight = self._campaign(artifact_cache=ArtifactCache(2), warm_start=True).run()
         assert tight.artifact_cache_stats["evictions"] > 0
         assert tight.database.fingerprint() == roomy.database.fingerprint()
 
@@ -674,10 +676,10 @@ class TestCampaignPipeline:
         first = self._campaign(checkpoint_dir=tmp_path / "ckpt").run()
         resumed = self._campaign(checkpoint_dir=tmp_path / "ckpt").run()
         assert all(program.resumed for program in resumed.programs)
-        for program in resumed.programs:
+        assert [p.job for p in resumed.programs] == [p.job for p in first.programs]
+        for program, live in zip(resumed.programs, first.programs):
             stats = program.evaluation_stats
             assert stats is not None and stats.evaluated > 0
-            live = first.result_for(program.job.family, program.job.program)
             assert stats.evaluated == live.evaluation_stats.evaluated
             assert stats.artifact_misses == live.evaluation_stats.artifact_misses
         assert resumed.database.fingerprint() == first.database.fingerprint()

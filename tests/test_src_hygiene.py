@@ -21,7 +21,14 @@ declare their common flags once, in parent parsers (``serve`` and
 the artifact cache: the run's owner (a campaign, the tuning service)
 attaches the store once, a worker's shared cache is the only other
 attachment, and no tuner or evaluator field re-passes the store's
-configuration.
+configuration.  The checkpoint database's own layout (``index.json``) is
+named only by ``campaign/database.py``.
+
+And every option: the fields of the config objects and the parameters of
+the coordinator are pinned by name.  A new option needs a shipped caller
+(``src/``, ``benchmarks/``, ``examples/``, CI or the README) that sets a
+non-default value; a value only a test changes is a module constant the
+test monkeypatches.
 """
 
 from __future__ import annotations
@@ -119,13 +126,16 @@ def test_no_store_knob_below_the_owner():
 
 def test_one_module_names_the_checkpoint_manifest():
     """The campaign's checkpoint reader is the only reader of the format:
-    ``report`` and resume both go through ``read_checkpoint``."""
-    found = [
-        path.relative_to(SRC).as_posix()
-        for path in sorted(SRC.rglob("*.py"))
-        if "manifest.json" in path.read_text()
-    ]
-    assert found == ["campaign/campaign.py"]
+    ``report`` and resume both go through ``read_checkpoint``, and the
+    service asks ``CampaignDatabase.saved_in`` whether a database is there."""
+    for name, owner in (("manifest.json", "campaign/campaign.py"),
+                        ("index.json", "campaign/database.py")):
+        found = [
+            path.relative_to(SRC).as_posix()
+            for path in sorted(SRC.rglob("*.py"))
+            if name in path.read_text()
+        ]
+        assert found == [owner], name
 
 
 def test_one_owner_builds_every_evaluation_substrate():
@@ -183,3 +193,53 @@ def test_environment_reads_are_pinned():
         "arguments, or update ALLOWED with the reason in this file's docstring: "
         f"new {dict(found - ALLOWED)}, gone {dict(ALLOWED - found)}"
     )
+
+
+#: Every option, by owner, in declaration order.
+OPTIONS = {
+    "CampaignConfig": (
+        "name", "tuner", "workers", "dispatch", "serve", "authkey",
+        "min_workers", "store_dir", "store_max_bytes", "mesh",
+        "mesh_budget_bytes", "warm_start", "checkpoint_dir", "telemetry_dir",
+        "obs_port", "obs_host",
+    ),
+    "ServiceConfig": (
+        "name", "host", "port", "token", "state_dir", "dispatch", "workers",
+        "serve_workers", "authkey", "limits", "max_active_jobs", "obs_port",
+        "obs_host", "telemetry_dir",
+    ),
+    "BinTunerConfig": (
+        "max_iterations", "target_growth_rate", "stall_window", "ga",
+        "search_strategy", "fitness_kind", "compressor", "max_emulation_steps",
+        "warm_start", "pipeline",
+    ),
+    "BuildSpec": ("name", "source", "arguments", "inputs"),
+    "StagedCandidateEvaluator": (
+        "compiler", "source", "name", "baseline", "baseline_behaviour",
+        "arguments", "inputs", "fitness_kind", "compressor",
+        "max_emulation_steps", "artifact_cache",
+    ),
+    "Coordinator.__init__": (
+        "host", "port", "authkey", "artifact_store", "mesh_budget_bytes",
+    ),
+}
+
+
+def test_config_options_are_pinned():
+    """A field or parameter added here needs a shipped caller that sets a
+    non-default value; one only a test sets is a module constant."""
+    import inspect
+
+    from repro.campaign import CampaignConfig
+    from repro.distrib.coordinator import Coordinator
+    from repro.distrib.service import ServiceConfig
+    from repro.tuner import BinTunerConfig, BuildSpec, StagedCandidateEvaluator
+
+    found = {
+        owner.__name__: tuple(field.name for field in dataclasses.fields(owner))
+        for owner in (CampaignConfig, ServiceConfig, BinTunerConfig, BuildSpec,
+                      StagedCandidateEvaluator)
+    }
+    found["Coordinator.__init__"] = tuple(
+        inspect.signature(Coordinator.__init__).parameters)[1:]
+    assert found == OPTIONS

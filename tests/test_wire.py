@@ -224,7 +224,7 @@ class TestGarbageCorpus:
 def service():
     from repro.distrib.service import ServiceConfig, TuningService
 
-    svc = TuningService(ServiceConfig(max_frame_bytes=64 * 1024))
+    svc = TuningService(ServiceConfig())
     yield svc
     svc.close()
 
@@ -263,7 +263,8 @@ class TestLiveService:
         so the stream cannot be resynchronized)."""
         sock = _connect(service)
         try:
-            limit = service.config.max_frame_bytes
+            # Only the header is sent, so the limit itself costs nothing.
+            limit = MAX_WIRE_FRAME_BYTES
             sock.sendall(_HEADER.pack(limit + 1))
             reply = recv_wire(sock)
             assert reply["type"] == "error"
