@@ -548,7 +548,7 @@ def decoded_program(text: bytes) -> DecodedProgram:
     Keyed by ``sha256(text)`` and bounded by :data:`PROGRAM_CACHE_SIZE`
     (LRU), so a campaign's near-identical candidates share decode work and
     already-built blocks across every emulation — including across the
-    thread lanes of a worker, which all read one instance.
+    threads of one process, which all read one instance.
     """
     key = hashlib.sha256(text).digest()
     with _PROGRAM_CACHE_LOCK:

@@ -13,7 +13,7 @@ Figs. 5-8):
   overlap);
 * :mod:`repro.campaign.pool` — the :class:`SharedWorkerPool` every program
   of a campaign evaluates on (one substrate per campaign, not per program:
-  a process pool, a thread pool, or a :mod:`repro.distrib` coordinator
+  a process pool or a :mod:`repro.distrib` coordinator
   serving workers on other machines);
 * :mod:`repro.campaign.cli` — the ``python -m repro.campaign`` entry point,
   including the ``report`` (checkpoint-only tables), ``worker``

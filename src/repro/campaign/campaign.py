@@ -117,8 +117,8 @@ class CampaignConfig:
     #: Worker-pool knobs, shared across every program of the campaign.
     workers: int = 1
     #: Execution substrate of the shared pool ("serial" | "process" |
-    #: "thread" | "distributed"); ``None`` is serial, and ``None`` or
-    #: "serial" with ``workers > 1`` is the process pool.
+    #: "distributed"); ``None`` is serial, and ``None`` or "serial" with
+    #: ``workers > 1`` is the process pool.
     dispatch: Optional[str] = None
     #: ``HOST:PORT`` the distributed coordinator binds (default: loopback on
     #: an ephemeral port; enter the campaign and read it off

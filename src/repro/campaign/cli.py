@@ -617,7 +617,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv and argv[0] == "worker":
         from repro.distrib.worker import main as worker_main
 
-        return worker_main(argv[1:])
+        return worker_main(argv[1:], prog="python -m repro.campaign worker")
     if argv and argv[0] == "serve":
         return serve_main(argv[1:])
     if argv and argv[0] == "submit":

@@ -10,9 +10,6 @@ a standalone tuner that wants parallelism borrows one the same way::
     with SharedWorkerPool("process", 4) as pool:
         result = BinTuner(compiler, spec, config, mapper_factory=pool.mapper).run()
 
-So does a remote worker: its slots evaluate each batch through a
-``"thread"`` (or, with one slot, ``"serial"``) pool's mapper.
-
 :func:`open_session` is the one way a run's owner — a campaign or the tuning
 service — opens everything with a lifetime: the telemetry sink, the pool and
 the ``/metrics`` + ``/status`` server, in that order, on the owner's
@@ -26,8 +23,6 @@ inline.  ``dispatch`` picks the substrate:
   *identity* of its evaluator plus a pickle blob that workers deserialize
   once and cache (bounded, see
   :data:`~repro.tuner.evaluation.EVALUATOR_CACHE_LIMIT`);
-* ``"thread"`` — one ``ThreadPoolExecutor``; threads share the process, so
-  evaluators are called directly (free-threaded-build lane);
 * ``"distributed"`` — one :class:`~repro.distrib.coordinator.Coordinator`
   listening on ``serve`` (``HOST:PORT``); workers started with
   ``python -m repro.distrib.worker --connect HOST:PORT`` — on this machine
@@ -35,7 +30,7 @@ inline.  ``dispatch`` picks the substrate:
 
 ``dispatch`` is the substrate's only name: no mode (or ``"serial"``) with
 ``workers > 1`` means the process pool (:func:`resolve_dispatch`).  The
-three local modes hand out a :class:`~repro.tuner.evaluation.LocalMapper`
+two local modes hand out a :class:`~repro.tuner.evaluation.LocalMapper`
 and the distributed mode a :class:`~repro.distrib.mapper.DistributedMapper`;
 neither has a ``close``, so a tuner's run leaves the pool running and a
 follow-up ``evaluate()`` lands on the same executor.
@@ -75,7 +70,7 @@ if TYPE_CHECKING:
 logger = logging.getLogger("repro.campaign.pool")
 
 #: The execution substrates ``dispatch`` names.
-EXECUTORS = ("serial", "process", "thread", "distributed")
+EXECUTORS = ("serial", "process", "distributed")
 
 
 def resolve_dispatch(dispatch: Optional[str], workers: int) -> str:
@@ -156,18 +151,11 @@ class SharedWorkerPool:
     # -- mapper construction ----------------------------------------------------------
 
     def _ensure_executor(self):
-        """The pool's ``"thread"`` or ``"process"`` executor, built on first use."""
+        """The pool's ``"process"`` executor, built on first use."""
         if self._pool is None:
-            if self.dispatch == "thread":
-                from concurrent.futures import ThreadPoolExecutor
+            from concurrent.futures import ProcessPoolExecutor
 
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="evaluation-mapper"
-                )
-            else:
-                from concurrent.futures import ProcessPoolExecutor
-
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 
     def mapper(self, evaluator: CandidateEvaluator):

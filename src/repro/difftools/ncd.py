@@ -186,7 +186,7 @@ class CachedNCDFitness:
         self._baseline_size = len(self._compress(self._baseline_text))
         self._joint = JointCompressor(self._baseline_text, self.compressor)
         self._cache: "OrderedDict[str, float]" = OrderedDict()
-        # Thread mappers share one fitness across workers; the LRU's
+        # Every thread that calls an evaluator shares its fitness; the LRU's
         # get/move_to_end/popitem sequence is not atomic without this (a
         # concurrent eviction between get and move_to_end raises KeyError,
         # routinely so on free-threaded builds).  Compression itself runs

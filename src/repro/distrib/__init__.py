@@ -12,8 +12,9 @@ behind an ordered ``map(keys) -> results`` — completely fixed:
 * :mod:`repro.distrib.coordinator` — the campaign-side listener workers
   register with, plus the synchronous per-worker batch RPC;
 * :mod:`repro.distrib.worker` — the worker loop and its CLI
-  (``python -m repro.distrib.worker --connect HOST:PORT [--slots N]``),
-  with a bounded pickle-once evaluator cache;
+  (``python -m repro.distrib.worker --connect HOST:PORT [--slots N]``,
+  where N is the number of one-slot sessions, each its own process), with
+  a bounded pickle-once evaluator cache;
 * :mod:`repro.distrib.mapper` — :class:`DistributedMapper`, the
   ``map(keys) -> results`` implementation with submission-order results,
   bounded re-dispatch on worker loss, and in-process fallback;

@@ -217,7 +217,8 @@ class WorkerMeshClient:
     outbound frames go through ``sender.send`` (the heartbeat sender's
     write lock — two threads interleaving ``sendall`` would corrupt
     framing) and each full request/reply round trip is serialized under
-    ``_rpc_lock``, because several slot threads may miss concurrently.
+    ``_rpc_lock``, because the cache it hooks is process-global and any
+    thread that reads that cache may miss into it.
 
     The client is *armed* only between :meth:`begin_batch` and
     :meth:`end_batch` — the only window in which the worker owns the socket

@@ -56,12 +56,6 @@ from repro.telemetry import get_sink
 
 logger = logging.getLogger("repro.distrib.coordinator")
 
-#: Upper bound on a worker's advertised slot count.  ``Hello.slots`` weights
-#: batch partitioning (the mapper materializes ``slots`` list entries per
-#: worker), so an absurd claim from a hand-rolled client would poison the
-#: partition — and no real machine runs a thousand evaluation threads.
-MAX_WORKER_SLOTS = 1024
-
 #: Worker health states, derived from the last-seen monotonic timestamp
 #: (updated on *every* frame read from a worker, heartbeats included) and
 #: the staleness windows below.  ``lost`` is sticky once a worker is
@@ -105,10 +99,9 @@ def _is_loopback(host: str) -> bool:
 class WorkerHandle:
     """Coordinator-side state of one registered worker connection."""
 
-    def __init__(self, worker_id: int, sock: socket.socket, slots: int, peer: str) -> None:
+    def __init__(self, worker_id: int, sock: socket.socket, peer: str) -> None:
         self.worker_id = worker_id
         self.sock = sock
-        self.slots = slots
         self.peer = peer
         #: Evaluator ids this worker is believed to hold (see module docs).
         self.known_evaluators: Set[int] = set()
@@ -139,7 +132,7 @@ class WorkerHandle:
 
     def __repr__(self) -> str:
         return (f"WorkerHandle(id={self.worker_id}, peer={self.peer!r}, "
-                f"slots={self.slots}, batches={self.batches_completed})")
+                f"batches={self.batches_completed})")
 
 
 class Coordinator:
@@ -187,8 +180,8 @@ class Coordinator:
             host, port, 64, self._register, "coordinator-accept")
         self.host, self.port = self._listener.host, self._listener.port
         self._workers: Dict[int, WorkerHandle] = {}
-        #: Fleet telemetry: worker id -> latest summary payload (plus peer /
-        #: slots).  Kept separately from the registry so the fleet view of a
+        #: Fleet telemetry: worker id -> latest summary payload (plus peer).
+        #: Kept separately from the registry so the fleet view of a
         #: campaign outlives discarded workers.
         self._fleet: Dict[int, Dict[str, object]] = {}
         self._fleet_lock = threading.Lock()
@@ -246,8 +239,7 @@ class Coordinator:
         with self._fleet_lock:
             row = self._fleet.setdefault(
                 handle.worker_id,
-                {"worker_id": handle.worker_id, "peer": handle.peer,
-                 "slots": handle.slots},
+                {"worker_id": handle.worker_id, "peer": handle.peer},
             )
             row["health"] = LOST
             row["batches"] = handle.batches_completed
@@ -269,14 +261,7 @@ class Coordinator:
                 # peers never reach recv_message.
                 authenticate(sock, self.authkey, server=True)
             hello = recv_message(sock)
-            # ``slots`` weights batch partitioning, so a bogus claim
-            # (zero, negative, bool, or an absurdly large int) must be
-            # rejected cleanly at the door, never trusted verbatim.
-            if (not isinstance(hello, Hello)
-                    or not isinstance(hello.slots, int)
-                    or isinstance(hello.slots, bool)
-                    or hello.slots < 1
-                    or hello.slots > MAX_WORKER_SLOTS):
+            if not isinstance(hello, Hello):
                 raise ProtocolError(f"bad handshake from {peer}: {hello!r}")
             worker_id = next(self._worker_ids)
             plane = self.artifact_plane
@@ -292,7 +277,7 @@ class Coordinator:
             # never take the accept thread — and with it all future
             # registration — down.  But a rejection must not be *silent*
             # either: an operator whose worker never joins needs to see
-            # the auth failure / bad slots / protocol error here.
+            # the auth failure / protocol error here.
             logger.warning(
                 "rejected connection from %s: %s: %s",
                 format_address(*peer[:2]), type(exc).__name__, exc,
@@ -300,7 +285,7 @@ class Coordinator:
             get_sink().incr("coordinator.rejected_connections")
             transport.close(sock)
             return
-        handle = WorkerHandle(worker_id, sock, hello.slots, format_address(*peer[:2]))
+        handle = WorkerHandle(worker_id, sock, format_address(*peer[:2]))
         # The advertised heartbeat cadence sizes this worker's staleness
         # windows; garbage (negative, non-numeric, absurd) degrades to 0,
         # i.e. the wall-clock default windows.
@@ -314,10 +299,7 @@ class Coordinator:
                 return
             self._workers[worker_id] = handle
             self._joined.notify_all()
-        logger.info(
-            "worker %d registered from %s with %d slot(s)",
-            worker_id, handle.peer, handle.slots,
-        )
+        logger.info("worker %d registered from %s", worker_id, handle.peer)
         get_sink().incr("coordinator.workers_registered")
 
     # -- the batch RPC ----------------------------------------------------------------
@@ -549,7 +531,7 @@ class Coordinator:
     def fleet_status(self) -> List[Dict[str, object]]:
         """Per-worker fleet rows with live health, for ``/status``.
 
-        Merges the latest telemetry payloads (slots, batches, busy ratio,
+        Merges the latest telemetry payloads (batches, busy ratio,
         tier hits, mesh bytes) with the derived health state, last-seen
         age, per-task EWMA and the straggler flag.  Discarded workers stay
         in the list as ``lost``.
@@ -570,7 +552,6 @@ class Coordinator:
             )
             row.pop("batch_seconds_hist", None)
             row.update(
-                slots=handle.slots,
                 batches=handle.batches_completed,
                 health=self._health_state(handle, now),
                 last_seen_age_seconds=round(max(0.0, now - handle.last_seen), 3),

@@ -10,7 +10,7 @@ machines.  The mechanics:
   and the mapper slots them back by index, so completion order (and
   therefore worker speed, count, or placement) never reorders anything;
 * each dispatch round snapshots the live workers and deals the pending
-  tasks over them, weighted by advertised slots;
+  tasks over them round-robin (every worker session is one slot);
 * a worker that dies or times out mid-batch is discarded and its tasks
   return to the pending set — *bounded* re-dispatch
   (:data:`MAX_DISPATCH_ROUNDS`) so a poisonous batch that kills every worker
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import pickle
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.distrib.coordinator import Coordinator, WorkerHandle
 from repro.distrib.errors import WorkerLost
@@ -73,12 +73,9 @@ class DistributedMapper:
     def _assign(
         pending: Sequence[IndexedTask], handles: Sequence[WorkerHandle]
     ) -> List[Tuple[WorkerHandle, List[IndexedTask]]]:
-        """Deal pending tasks over workers, weighted by advertised slots."""
-        cycle: List[WorkerHandle] = [h for h in handles for _ in range(h.slots)]
-        chunks: Dict[int, List[IndexedTask]] = {h.worker_id: [] for h in handles}
-        for position, task in enumerate(pending):
-            chunks[cycle[position % len(cycle)].worker_id].append(task)
-        return [(h, chunks[h.worker_id]) for h in handles if chunks[h.worker_id]]
+        """Deal pending tasks over workers round-robin."""
+        dealt = [(h, list(pending[i::len(handles)])) for i, h in enumerate(handles)]
+        return [(h, chunk) for h, chunk in dealt if chunk]
 
     def map(self, keys: Sequence[FlagKey]) -> List[CandidateResult]:
         if not keys:

@@ -8,7 +8,7 @@ exact EOF story — without any dependency beyond the stdlib.
 
 The conversation is strictly request/response per worker:
 
-* worker → coordinator: :class:`Hello` (capacity advertisement);
+* worker → coordinator: :class:`Hello` (registration and heartbeat cadence);
 * coordinator → worker: :class:`Welcome` (the assigned worker id);
 * coordinator → worker: :class:`EvalBatch` — an evaluator id, an optional
   pickle-once evaluator blob (sent only when the coordinator believes the
@@ -68,7 +68,7 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 @dataclass(frozen=True)
 class Hello:
-    """Worker registration: how many evaluation slots it advertises.
+    """Worker registration: one session, one evaluation slot.
 
     ``heartbeat_interval`` is the cadence (seconds) this worker promises
     :class:`Heartbeat` frames at, so the coordinator can derive its
@@ -77,7 +77,6 @@ class Hello:
     worker's Hello reads as the stock 15s cadence.
     """
 
-    slots: int = 1
     heartbeat_interval: float = 15.0
 
 
@@ -155,9 +154,9 @@ class Heartbeat:
 @dataclass(frozen=True)
 class TelemetrySummary:
     """Worker → coordinator, interleaved ahead of a batch reply: a compact
-    snapshot of this session's utilization counters (slots, batches,
-    candidates, busy seconds, per-stage seconds, cache-tier hits, mesh
-    bytes).  Observe-only by construction — the coordinator records it for
+    snapshot of this session's utilization counters (batches, candidates,
+    busy seconds, per-stage seconds, cache-tier hits, mesh bytes).
+    Observe-only by construction — the coordinator records it for
     the fleet view and never acts on it.  Sent only when the
     :class:`Welcome` advertised ``telemetry=True``, so version skew in
     either direction degrades to "no fleet view", never to an error.

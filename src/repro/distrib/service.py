@@ -87,6 +87,9 @@ STATE_VERSION = 1
 #: handler thread forever.
 CLIENT_TIMEOUT = 300.0
 
+#: The service's name: its welcome frame, ``/status`` section and database.
+SERVICE_NAME = "repro-tuning"
+
 
 class _ServiceStopping(Exception):
     """Internal: the service is draining; the job re-queues, not fails."""
@@ -100,7 +103,6 @@ class _JobCancelled(Exception):
 class ServiceConfig:
     """Knobs of one service instance."""
 
-    name: str = "repro-tuning"
     #: Client-plane bind address.  Loopback by default; the wire format is
     #: pickle-free so a wider bind is safe *transport-wise*, but pair it
     #: with ``token`` — the endpoints mutate state.
@@ -205,7 +207,7 @@ class TuningService:
         self._database_dir = (
             self._state_dir / DATABASE_DIR if self._state_dir is not None else None
         )
-        self._database = CampaignDatabase(name=self.config.name)
+        self._database = CampaignDatabase(name=SERVICE_NAME)
         # The service owns the cache every job's tuner borrows: its store is
         # attached here, once, and the mesh serves that same store.
         self._artifact_cache = ArtifactCache().ensure_store(
@@ -498,7 +500,7 @@ class TuningService:
     def _serve_client(self, conn: socket.socket, peer) -> None:
         try:
             send_wire(conn, make_message(
-                "welcome", service=self.config.name,
+                "welcome", service=SERVICE_NAME,
                 families=list(self.config.limits.families),
             ))
             while not self._stopping:
@@ -660,7 +662,7 @@ class TuningService:
             rejected = self.rejected_frames
         rows.sort(key=lambda row: row["job_id"])
         return {
-            "name": self.config.name,
+            "name": SERVICE_NAME,
             "address": self.address_string(),
             "uptime_seconds": round(time.time() - self._started, 3),
             "active_jobs": active,

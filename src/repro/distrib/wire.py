@@ -71,7 +71,7 @@ class FrameTooLarge(WireError):
 #
 # A field spec is (types, required).  ``types`` is a tuple of accepted Python
 # types after JSON decoding; ``bool`` is never accepted where ``int`` is
-# (the Hello.slots lesson: JSON ``true`` must not pass as 1).  ``None`` in
+# (JSON ``true`` must not pass as 1).  ``None`` in
 # ``types`` marks the field nullable.  Semantic validation (budget ranges,
 # source caps) belongs to admission control in :mod:`repro.distrib.jobs` —
 # the wire layer owns shape only.

@@ -14,13 +14,14 @@ programs cannot pile baselines up in worker memory.  Evicted evaluators are
 recovered via the :class:`~repro.distrib.protocol.EvaluatorMissing` reply —
 the coordinator re-sends the blob.
 
-The slots borrow a :class:`~repro.campaign.pool.SharedWorkerPool` — a
-``"thread"`` pool of ``--slots`` threads, or the serial path for one slot —
-and each batch goes through its mapper, so a multi-slot batch is split into
-the same contiguous per-slot chunks as in-process evaluation, one chunk per
-slot thread, each evaluated key by key.  From registration to shutdown the
-worker sends
-:class:`~repro.distrib.protocol.Heartbeat` frames so a long batch —
+A session is one slot: it evaluates each batch key by key in its own
+thread, through :func:`~repro.tuner.evaluation.evaluate_keys` — the loop a
+serial in-process mapper runs.  ``--slots N`` runs N sessions: this process
+plus N-1 child processes, each re-running this module with ``--slots 1``
+and its own connection, heartbeat, mesh client and reconnect loop (compile,
+emulate and score are pure Python, so N threads in one interpreter would
+claim N slots and deliver one).  From registration to shutdown each session
+sends :class:`~repro.distrib.protocol.Heartbeat` frames so a long batch —
 or an idle wait between batches — is distinguishable from a dead machine
 (historically a busy worker could only fail at batch boundaries or the
 coordinator's timeout, and an idle one aged silently); the advertised
@@ -56,12 +57,14 @@ import contextlib
 import logging
 import os
 import pickle
+import signal
 import socket
+import subprocess
 import sys
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.distrib import transport
 from repro.distrib.artifacts import WorkerMeshClient
@@ -85,10 +88,12 @@ from repro.distrib.protocol import (
 from repro import telemetry
 from repro.telemetry import get_sink
 from repro.telemetry.live import Histogram
-from repro.campaign.pool import SharedWorkerPool
-from repro.tuner.evaluation import EVALUATOR_CACHE_LIMIT, EvaluationStats
+from repro.tuner.evaluation import EVALUATOR_CACHE_LIMIT, EvaluationStats, evaluate_keys
 
 logger = logging.getLogger("repro.distrib.worker")
+
+#: The worker command's name in usage and error lines.
+PROG = "python -m repro.distrib.worker"
 
 #: Exit status of a ``--max-batches`` induced crash (distinct from clean 0).
 CRASH_EXIT_STATUS = 17
@@ -135,9 +140,8 @@ class _SessionTelemetry:
     nothing here feeds results, fingerprints, or scheduling.
     """
 
-    def __init__(self, worker_id: int, slots: int) -> None:
+    def __init__(self, worker_id: int) -> None:
         self.worker_id = worker_id
-        self.slots = slots
         self._started = time.perf_counter()
         self.batches = 0
         self.busy_seconds = 0.0
@@ -156,7 +160,6 @@ class _SessionTelemetry:
 
     def payload(self, mesh_client: Optional[WorkerMeshClient]) -> Dict[str, object]:
         data: Dict[str, object] = {
-            "slots": self.slots,
             "batches": self.batches,
             "candidates": self.stats.evaluated,
             "busy_seconds": round(self.busy_seconds, 6),
@@ -228,7 +231,6 @@ class _HeartbeatSender:
 
 def serve(
     connect: str,
-    slots: int = 1,
     max_batches: Optional[int] = None,
     hard_exit: bool = False,
     log: Optional[Callable[[str], None]] = None,
@@ -244,10 +246,8 @@ def serve(
 ) -> int:
     """Run one worker session until shutdown; returns a process exit status.
 
-    ``slots > 1`` evaluates each batch on that many threads (the coordinator
-    also weights batch partitioning by slots, so the capacity claim must be
-    real — a sequential worker advertising 8 slots would just become the
-    per-generation straggler).  Deserialized evaluators are kept in a FIFO
+    The session is one slot: each batch is evaluated key by key in this
+    thread.  Deserialized evaluators are kept in a FIFO
     cache of :data:`~repro.tuner.evaluation.EVALUATOR_CACHE_LIMIT` entries.
     ``hard_exit=True`` (the CLI default) makes the ``--max-batches`` crash
     an ``os._exit`` — a real process death.  Tests that run workers as
@@ -286,8 +286,6 @@ def serve(
     machine's total artifact transfer (default: the budget the coordinator
     advertises).
     """
-    if slots < 1:
-        raise ValueError(f"slots must be >= 1, got {slots}")
     if connect_timeout is not None and connect_timeout <= 0:
         raise ValueError(f"connect_timeout must be > 0, got {connect_timeout}")
     emit = log if log is not None else (lambda message: None)
@@ -296,7 +294,6 @@ def serve(
     # The timeout set here persists on the socket through the handshake
     # below, so every recv between connect and Welcome shares the deadline.
     sock = transport.connect(host, port, connect_timeout)
-    pool = SharedWorkerPool("thread" if slots > 1 else "serial", slots)
     mesh_client: Optional[WorkerMeshClient] = None
     sender: Optional[_HeartbeatSender] = None
     try:
@@ -305,7 +302,7 @@ def serve(
                 authenticate(sock, authkey, server=False)
             send_message(
                 sock,
-                Hello(slots=slots, heartbeat_interval=max(0.0, heartbeat_interval)),
+                Hello(heartbeat_interval=max(0.0, heartbeat_interval)),
             )
             welcome = recv_message(sock)
             if not isinstance(welcome, Welcome):
@@ -335,7 +332,7 @@ def serve(
         # Registered: the deadline comes off — batches can be arbitrarily
         # far apart, and the coordinator owns liveness from here on.
         sock.settimeout(None)
-        emit(f"worker {welcome.worker_id}: connected to {connect} with {slots} slot(s)")
+        emit(f"worker {welcome.worker_id}: connected to {connect}")
         if on_registered is not None:
             on_registered(welcome.worker_id)
         sender = _HeartbeatSender(sock, welcome.worker_id, heartbeat_interval)
@@ -358,7 +355,7 @@ def serve(
         # Forward fleet telemetry only when the coordinator advertised it:
         # version skew in either direction degrades to "no fleet view".
         session = (
-            _SessionTelemetry(welcome.worker_id, slots)
+            _SessionTelemetry(welcome.worker_id)
             if getattr(welcome, "telemetry", False) else None
         )
         while True:
@@ -418,8 +415,8 @@ def serve(
                         # scheduling never reorders anything.
                         results = tuple(zip(
                             [index for index, _key in message.tasks],
-                            pool.mapper(evaluator).map(
-                                [key for _index, key in message.tasks]),
+                            evaluate_keys(
+                                evaluator, [key for _index, key in message.tasks]),
                         ))
                     busy_seconds = time.perf_counter() - busy_started
                     if mesh_client is not None:
@@ -476,7 +473,6 @@ def serve(
             # The caches are process-global and outlive this session; a
             # dead session's client must not serve later lookups.
             mesh_client.detach()
-        pool.close()
         transport.close(sock)
 
 
@@ -575,17 +571,18 @@ def common_flags() -> argparse.ArgumentParser:
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(prog: str = PROG) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.distrib.worker",
+        prog=prog,
         description="Serve candidate evaluations for a distributed campaign.",
         parents=[common_flags()],
     )
     parser.add_argument("--connect", required=True, metavar="HOST:PORT",
                         help="coordinator address to register with")
-    parser.add_argument("--slots", type=int, default=1,
-                        help="evaluation threads; also weights how the "
-                             "coordinator partitions batches (default: 1)")
+    parser.add_argument("--slots", dest="sessions", type=int, default=1,
+                        help="worker sessions to run: this process plus N-1 "
+                             "child processes, each registering on its own "
+                             "connection (default: 1)")
     parser.add_argument("--max-batches", type=int, default=None,
                         help="failure injection: serve N batches, then crash "
                              "without replying (worker-loss tests/demos)")
@@ -660,47 +657,82 @@ def configure_logging(verbose: bool = False, quiet: bool = False) -> None:
         root.setLevel(logging.INFO)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+def main(argv: Optional[Sequence[str]] = None, prog: str = PROG) -> int:
+    """The worker CLI; ``prog`` names the command in usage and error lines.
+
+    ``--slots N`` starts N-1 child sessions — ``python -m
+    repro.distrib.worker`` with this argv and ``--slots 1`` appended (the
+    last occurrence of a flag wins) — then serves the Nth session itself and
+    waits for them.  It returns the first nonzero status among (this
+    session, child 1, ...), else 0.  A child still running when the parent
+    raises or is interrupted (Ctrl-C or SIGTERM) is terminated.
+    """
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser(prog)
     args = parser.parse_args(argv)
     if args.store_max_bytes is not None and args.store_dir is None:
         parser.error("--store-max-bytes requires --store-dir")
     if args.connect_timeout is not None and args.connect_timeout <= 0:
         parser.error("--connect-timeout must be > 0")
-    if args.slots < 1:
-        parser.error(f"--slots must be >= 1, got {args.slots}")
+    if args.sessions < 1:
+        parser.error(f"--slots must be >= 1, got {args.sessions}")
     try:
         parse_address(args.connect)
     except ValueError as exc:
         parser.error(str(exc))
     configure_logging(verbose=args.verbose, quiet=args.quiet)
-    session = contextlib.ExitStack()
-    if args.telemetry_dir is not None:
-        session.enter_context(telemetry.recording(args.telemetry_dir, label="worker"))
+    children: List[subprocess.Popen] = []
+    if args.sessions > 1:
+        # SIGTERM unwinds like Ctrl-C, so the finally below reaps the children.
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        return run_worker(
-            args.connect,
-            reconnect=args.reconnect,
-            max_retries=args.max_retries,
-            backoff_base=args.backoff,
-            slots=args.slots,
-            max_batches=args.max_batches,
-            hard_exit=True,
-            log=logger.info,
-            authkey=args.authkey,
-            heartbeat_interval=args.heartbeat,
-            store_dir=args.store_dir,
-            store_max_bytes=args.store_max_bytes,
-            no_store=args.no_store,
-            connect_timeout=args.connect_timeout,
-            mesh=not args.no_mesh,
-            mesh_budget_bytes=args.mesh_budget_bytes,
-        )
+        for _ in range(args.sessions - 1):
+            children.append(subprocess.Popen(
+                [sys.executable, "-m", "repro.distrib.worker", *argv, "--slots", "1"],
+                stdin=subprocess.DEVNULL,
+            ))
+        # With children this process must outlive an injected crash of its
+        # own session to wait for them, so that crash closes the socket and
+        # returns instead of calling os._exit.
+        statuses = [_run_session(args, hard_exit=args.sessions == 1)]
+        statuses += [child.wait() for child in children]
+    finally:
+        for child in children:
+            if child.poll() is None:
+                child.terminate()
+                child.wait()
+        if args.sessions > 1:
+            signal.signal(signal.SIGTERM, previous)
+    return next((status for status in statuses if status), 0)
+
+
+def _run_session(args: argparse.Namespace, hard_exit: bool) -> int:
+    """This process's own session: :func:`run_worker` under the CLI flags."""
+    try:
+        with contextlib.ExitStack() as session:
+            if args.telemetry_dir is not None:
+                session.enter_context(
+                    telemetry.recording(args.telemetry_dir, label="worker"))
+            return run_worker(
+                args.connect,
+                reconnect=args.reconnect,
+                max_retries=args.max_retries,
+                backoff_base=args.backoff,
+                max_batches=args.max_batches,
+                hard_exit=hard_exit,
+                log=logger.info,
+                authkey=args.authkey,
+                heartbeat_interval=args.heartbeat,
+                store_dir=args.store_dir,
+                store_max_bytes=args.store_max_bytes,
+                no_store=args.no_store,
+                connect_timeout=args.connect_timeout,
+                mesh=not args.no_mesh,
+                mesh_budget_bytes=args.mesh_budget_bytes,
+            )
     except ConnectionRefusedError:
         logger.error("no coordinator listening at %s", args.connect)
         return 2
-    finally:
-        session.close()
 
 
 if __name__ == "__main__":

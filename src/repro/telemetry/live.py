@@ -398,9 +398,6 @@ def render_status(
             ]
             if row.get("straggler"):
                 parts.append("STRAGGLER")
-            slots = row.get("slots")
-            if slots:
-                parts.append(f"slots {slots}")
             batches = row.get("batches")
             if isinstance(batches, (int, float)):
                 parts.append(f"batches {int(batches)}")

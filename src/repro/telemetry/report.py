@@ -233,7 +233,6 @@ def worker_rows(events: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
         rows.append({
             "worker_id": worker_id,
             "peer": attrs.get("peer", "?"),
-            "slots": _as_int(attrs.get("slots", 1), 1),
             "batches": _as_int(attrs.get("batches", 0)),
             "candidates": _as_int(attrs.get("candidates", 0)),
             "busy_seconds": _as_float(attrs.get("busy_seconds", 0.0)),
@@ -397,11 +396,11 @@ def report_main(args) -> int:
     fleet = worker_rows(events)
     if fleet:
         print("\nworker utilization:")
-        print(f"  {'worker':>6s} {'peer':20s} {'slots':>5s} {'batches':>7s} "
+        print(f"  {'worker':>6s} {'peer':20s} {'batches':>7s} "
               f"{'cands':>6s} {'busy s':>7s} {'util':>6s} {'mesh B':>10s}")
         for row in fleet:
             print(f"  {row['worker_id']:6d} {str(row['peer']):20s} "
-                  f"{row['slots']:5d} {row['batches']:7d} {row['candidates']:6d} "
+                  f"{row['batches']:7d} {row['candidates']:6d} "
                   f"{row['busy_seconds']:7.1f} {row['utilization']:5.1%} "
                   f"{row['mesh_bytes']:10d}")
 

@@ -12,12 +12,12 @@ orchestrator into a composable subsystem:
   again and intra-batch duplicates are evaluated exactly once;
 * the surviving misses are dispatched to a worker mapper.  There are two:
   :class:`LocalMapper`, the one in-process mapper (inline, or contiguous
-  per-worker chunks on a thread or process executor it borrows), and the
+  per-worker chunks on a process executor it borrows), and the
   multi-machine :class:`~repro.distrib.mapper.DistributedMapper`.  Only
   :class:`~repro.campaign.pool.SharedWorkerPool` builds a substrate — an
   executor or a coordinator — and hands out mappers that borrow it; a remote
-  worker's slots evaluate their batch through such a pool's
-  :class:`LocalMapper` too;
+  worker session evaluates its batch with :func:`evaluate_keys`, as the
+  inline mapper does;
 * results are recorded in *submission* order regardless of worker completion
   order, so a run is bit-for-bit reproducible for any worker count — or, with
   the distributed mapper, any machine count.
@@ -182,31 +182,27 @@ def _pool_call_batch(evaluator_id: int, blob: bytes,
 
 
 class LocalMapper:
-    """The one in-process mapper: inline, thread pool, or process pool.
+    """The one in-process mapper: inline, or a process pool.
 
     ``kind="serial"`` evaluates the batch inline (deterministic default and
-    fallback).  ``"thread"`` and ``"process"`` dispatch every batch as
-    contiguous per-worker chunks (:func:`split_into_chunks`), each evaluated
-    key by key in its worker, and flatten the results in chunk order, so the
+    fallback).  ``"process"`` dispatches every batch as contiguous
+    per-worker chunks (:func:`split_into_chunks`), each evaluated key by key
+    in its worker, and flattens the results in chunk order, so the
     partition — hence every fingerprint — depends only on the batch length
-    and the worker count.  This is the one chunked dispatch: in-process
-    evaluation and a remote worker's slots both run through it.  Threads share
-    the process and call the evaluator directly; a process executor gets the
-    evaluator as an id plus a blob pickled once per mapper, which each
-    worker deserializes at most once (bounded cache,
-    :data:`EVALUATOR_CACHE_LIMIT`).
+    and the worker count.  The executor gets the evaluator as an id plus a
+    blob pickled once per mapper, which each worker deserializes at most
+    once (bounded cache, :data:`EVALUATOR_CACHE_LIMIT`).
 
     A mapper never owns an executor: ``executor_source`` is a zero-argument
     callable returning one it *borrows* — a
     :class:`~repro.campaign.pool.SharedWorkerPool`'s, which builds the
-    substrate and shuts it down — and ``"thread"`` / ``"process"`` require
-    it.
+    substrate and shuts it down — and ``"process"`` requires it.
 
     Exceptions raised by the evaluator (anything it does not classify as an
     invalid candidate) propagate to the caller on every kind.
     """
 
-    KINDS = ("serial", "thread", "process")
+    KINDS = ("serial", "process")
 
     def __init__(
         self,

@@ -25,7 +25,7 @@ So the stages are first-class, cacheable units:
   in-memory LRU: a memory miss consults the store before anything is
   compiled or emulated, and every new artifact is written through, so a
   *restarted* process (a fresh campaign, a respawned worker, a reconnected
-  distributed slot) starts warm instead of re-paying its history.
+  distributed worker) starts warm instead of re-paying its history.
 
 One owner per cache: the run's owner — a campaign, the tuning service, or
 the caller of a standalone ``BinTuner(artifact_cache=...)`` — builds the
@@ -100,8 +100,7 @@ class ArtifactCache:
     (``"image"`` / ``"trace"``) and whose remaining elements are content
     digests, so one cache is safe to share across evaluators, programs and
     compilers: equal keys imply equal artifacts.  All operations are
-    thread-safe — every thread of a thread mapper, and every slot of a
-    distributed worker, shares one instance.
+    thread-safe — the tuning service's job threads share one instance.
 
     ``store`` attaches a disk-backed second tier
     (:class:`~repro.tuner.store.ArtifactStore`): a memory miss falls
@@ -619,8 +618,8 @@ class StagedCandidateEvaluator:
     # -- stage construction -------------------------------------------------------
 
     def _ensure_stages(self) -> Tuple[CompileStage, Optional[MeasureStage]]:
-        # Thread mappers and worker slots call one shared evaluator
-        # concurrently; without the lock two threads could each build a private
+        # An evaluator is a plain callable that any thread may call; without
+        # the lock two concurrent first calls could each build a private
         # cache and stage set, silently halving reuse.  ``_compile_stage``
         # is assigned last, so the unlocked fast path only ever observes both
         # stages built.

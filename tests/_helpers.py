@@ -142,7 +142,7 @@ def run_tuner(compiler, spec, config, dispatch="serial", workers=1,
     way a standalone run goes parallel — returning ``(result, tuner)``.
 
     ``dispatch="distributed"`` is served by ``remote_workers`` loopback
-    worker threads of two slots each.  A ``mapper_factory`` in
+    worker threads.  A ``mapper_factory`` in
     ``tuner_kwargs`` wins over the pool's.
     """
     from repro.campaign import SharedWorkerPool
@@ -151,7 +151,7 @@ def run_tuner(compiler, spec, config, dispatch="serial", workers=1,
     with SharedWorkerPool(dispatch, workers) as pool, contextlib.ExitStack() as stack:
         if remote_workers:
             stack.enter_context(thread_workers(
-                pool.coordinator, remote_workers, slots=2, heartbeat_interval=0.5
+                pool.coordinator, remote_workers, heartbeat_interval=0.5
             ))
         tuner_kwargs.setdefault("mapper_factory", pool.mapper)
         tuner = BinTuner(compiler, spec, config, **tuner_kwargs)

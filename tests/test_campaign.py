@@ -466,7 +466,7 @@ class TestStoreRestartWarmth:
                     threading.Thread(
                         target=serve,
                         kwargs=dict(connect=pool.address_string(), hard_exit=False,
-                                    slots=2, heartbeat_interval=0.5),
+                                    heartbeat_interval=0.5),
                         daemon=True,
                     )
                     for _ in range(2)
@@ -502,7 +502,7 @@ class TestOneStorePerCampaign:
 
     def test_every_dispatch_persists_to_the_injected_caches_store(self, tmp_path):
         entries = {}
-        for dispatch, workers in (("serial", 1), ("thread", 2), ("process", 2)):
+        for dispatch, workers in (("serial", 1), ("process", 2)):
             fresh_process_state()
             cache = ArtifactCache(64).ensure_store(tmp_path / dispatch)
             Campaign(

@@ -129,6 +129,7 @@ def test_run_logs_the_substrate_the_pool_resolved(tmp_path, caplog, capsys):
 #: traceback.  The run cases all name a checkpoint dir that must stay absent.
 MISTYPED = [
     ["--benchmarks", "nope"],
+    ["--benchmarks", "429.mcf", "--dispatch", "thread"],
     ["--benchmarks", "429.mcf", "--families", "foo"],
     ["--suites", "nope"],
     ["--benchmarks", "429.mcf", "--workers", "0"],
@@ -161,5 +162,9 @@ def test_a_mistyped_argument_is_one_usage_error(argv, tmp_path, monkeypatch, cap
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    (error,) = [line for line in err.splitlines() if "error:" in line]
+    command = "run" if argv[0].startswith("--") else argv[0]
+    prog = "python -m repro.campaign" + ("" if command == "run" else f" {command}")
+    assert error.startswith(f"{prog}: error:")
+    assert f"usage: {prog} " in err
     assert not checkpoint.exists()

@@ -9,9 +9,11 @@ The load-bearing guarantees:
 * remote evaluator exceptions propagate as programming errors (never
   re-dispatched), and transport failures surface as
   :class:`MapperTransportError` with the evaluator id and key slice;
-* a tuner or campaign on ``dispatch="distributed"`` (or ``"thread"``)
+* a tuner or campaign on ``dispatch="distributed"`` (or ``"process"``)
   produces a database bit-for-bit identical to the serial run — including
-  after killing a worker mid-generation and resuming from a checkpoint.
+  after killing a worker mid-generation and resuming from a checkpoint;
+* ``--slots N`` is N one-slot worker sessions: the parent process plus
+  N-1 children, each registering on its own connection.
 
 All socket tests bind loopback only and skip cleanly on sandboxes without
 AF_INET loopback.
@@ -21,11 +23,13 @@ from __future__ import annotations
 
 import contextlib
 import os
+import signal
 import socket
 import subprocess
 import sys
 import threading
 from pathlib import Path
+from typing import List
 
 import pytest
 from _helpers import fresh_process_state, loopback_available, run_tuner, thread_workers
@@ -143,7 +147,7 @@ class TestProtocol:
         left, right = socket.socketpair()
         try:
             for message in (
-                protocol.Hello(slots=3),
+                protocol.Hello(heartbeat_interval=3.0),
                 protocol.Welcome(worker_id=7),
                 protocol.EvalBatch(5, ((0, ("-a",)), (1, ("-b", "-c"))), blob=b"blob"),
                 protocol.BatchResult(5, ((0, "r0"), (1, "r1"))),
@@ -201,9 +205,8 @@ class TestProtocol:
 class TestCoordinator:
     def test_workers_register_and_shut_down(self):
         with Coordinator() as coordinator:
-            with thread_workers(coordinator, 2, slots=2) as threads:
+            with thread_workers(coordinator, 2) as threads:
                 assert coordinator.worker_count() == 2
-                assert [handle.slots for handle in coordinator.workers()] == [2, 2]
                 ids = [handle.worker_id for handle in coordinator.workers()]
                 assert ids == sorted(ids)
         for thread in threads:
@@ -259,12 +262,12 @@ class TestCoordinator:
         Coordinator(host="0.0.0.0", port=0, authkey="k").close()  # keyed: fine
 
     def test_malformed_hello_does_not_kill_accept_loop(self, monkeypatch):
-        """A Hello with a non-int slots field (version skew, crafted peer)
-        must be dropped without taking the accept thread down."""
+        """A handshake whose first frame is not a Hello (version skew,
+        crafted peer) must be dropped without taking the accept thread down."""
         monkeypatch.setattr(coordinator_module, "HANDSHAKE_TIMEOUT", 0.2)
         with Coordinator() as coordinator:
             rogue = socket.create_connection(coordinator.address)
-            protocol.send_message(rogue, protocol.Hello(slots="2"))
+            protocol.send_message(rogue, protocol.Heartbeat(2))
             rogue.close()
             with thread_workers(coordinator, 1):  # registration still works
                 assert coordinator.worker_count() == 1
@@ -357,22 +360,15 @@ class TestDistributedMapper:
                     ]
 
     def test_slot_weighting_reaches_every_worker(self):
+        """Every worker session is one slot: the round-robin deal gives each
+        registered worker a share of the batch."""
         with Coordinator() as coordinator:
-            with thread_workers(coordinator, 2, slots=2):
+            with thread_workers(coordinator, 2):
                 mapper = DistributedMapper(coordinator, FakeEvaluator("tag"))
                 mapper.map(KEYS)
                 assert all(
                     handle.batches_completed > 0 for handle in coordinator.workers()
                 )
-
-    def test_multi_slot_worker_preserves_order(self):
-        """``--slots N`` evaluates a batch on N threads; the index pairing
-        (and therefore result order) must survive the concurrency."""
-        with Coordinator() as coordinator:
-            with thread_workers(coordinator, 1, slots=4):
-                mapper = DistributedMapper(coordinator, FakeEvaluator("tag"))
-                assert mapper.map(KEYS) == [FakeEvaluator("tag")(key) for key in KEYS]
-                assert mapper.fallback_evaluations == 0
 
     def test_mismatched_reply_is_protocol_error_not_worker_loss(self):
         """A version-skewed worker (reply indices that don't match the
@@ -381,7 +377,7 @@ class TestDistributedMapper:
         def skewed_worker(address):
             sock = socket.create_connection(parse_address(address))
             try:
-                protocol.send_message(sock, protocol.Hello(1))
+                protocol.send_message(sock, protocol.Hello())
                 protocol.recv_message(sock)  # Welcome
                 batch = protocol.recv_message(sock)
                 protocol.send_message(
@@ -415,7 +411,7 @@ class TestDistributedMapper:
         )
         keys = [tuple(llvm.preset(level).sorted_names()) for level in ("O1", "O2", "O3")]
         with Coordinator() as coordinator:
-            process = spawn_worker_process(coordinator.address_string(), "--slots", "2")
+            process = spawn_worker_process(coordinator.address_string())
             try:
                 coordinator.wait_for_workers(1, timeout=30)
                 mapper = DistributedMapper(coordinator, evaluator)
@@ -441,7 +437,109 @@ class TestDistributedMapper:
 
 
 # ---------------------------------------------------------------------------
-# engine integration: transport errors, thread mapper
+# --slots N: N one-slot sessions, this process plus N-1 children
+# ---------------------------------------------------------------------------
+
+def _processes_connecting_to(address: str) -> List[int]:
+    """Pids of live processes whose argv holds ``address`` (from ``/proc``)."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                argv = (entry / "cmdline").read_bytes().split(b"\0")
+            except OSError:
+                continue
+            if address.encode() in argv:
+                pids.append(int(entry.name))
+    return pids
+
+
+@pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="needs /proc")
+class TestSlotSessions:
+    def test_two_slots_are_two_workers_with_the_serial_fingerprint(self, llvm):
+        spec = BuildSpec(name="tiny", source=TINY_A)
+        config = BinTunerConfig(
+            max_iterations=12, ga=GAParameters(population_size=6, seed=9),
+            stall_window=10,
+        )
+        serial, _tuner = run_tuner(llvm, spec, config)
+        with SharedWorkerPool("distributed") as pool:
+            address = pool.address_string()
+            process = spawn_worker_process(address, "--slots", "2")
+            try:
+                assert pool.wait_for_workers(2, timeout=30) == 2
+                assert len(_processes_connecting_to(address)) == 2
+                distributed, _tuner = run_tuner(
+                    llvm, spec, config, mapper_factory=pool.mapper)
+                assert all(row["batches"] > 0 for row in pool.fleet_status())
+                pool.close()  # Shutdown to both sessions
+                assert process.wait(timeout=10) == 0
+                assert _processes_connecting_to(address) == []
+            finally:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait()
+        assert distributed.database.fingerprint() == serial.database.fingerprint()
+
+    def test_terminating_the_parent_terminates_every_session(self):
+        with Coordinator() as coordinator:
+            address = coordinator.address_string()
+            process = spawn_worker_process(address, "--slots", "3")
+            try:
+                coordinator.wait_for_workers(3, timeout=30)
+                process.terminate()
+                process.wait(timeout=10)
+                assert _processes_connecting_to(address) == []
+            finally:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait()
+
+    def test_a_failed_child_session_fails_the_command(self):
+        with Coordinator() as coordinator:
+            address = coordinator.address_string()
+            process = spawn_worker_process(address, "--slots", "2")
+            try:
+                coordinator.wait_for_workers(2, timeout=30)
+                (child,) = set(_processes_connecting_to(address)) - {process.pid}
+                os.kill(child, signal.SIGKILL)
+                coordinator.close()  # the parent's own session ends cleanly
+                assert process.wait(timeout=10) != 0
+            finally:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait()
+
+    def test_a_crashed_session_is_the_exit_status(self, llvm):
+        from repro.distrib.worker import CRASH_EXIT_STATUS
+        from repro.tuner import StagedCandidateEvaluator
+
+        baseline = llvm.compile_level(TINY_A, "O0", name="tiny").image
+        evaluator = StagedCandidateEvaluator(
+            compiler=llvm, source=TINY_A, name="tiny", baseline=baseline
+        )
+        keys = [tuple(llvm.preset(level).sorted_names()) for level in ("O1", "O2", "O3")]
+        with Coordinator() as coordinator:
+            address = coordinator.address_string()
+            process = spawn_worker_process(address, "--slots", "2", "--max-batches", "0")
+            try:
+                coordinator.wait_for_workers(2, timeout=30)
+                mapper = DistributedMapper(coordinator, evaluator)
+                assert [r.fingerprint for r in mapper.map(keys)] == [
+                    evaluator(key).fingerprint for key in keys
+                ]
+                assert mapper.fallback_evaluations == len(keys)
+                coordinator.close()
+                assert process.wait(timeout=10) == CRASH_EXIT_STATUS
+                assert _processes_connecting_to(address) == []
+            finally:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait()
+
+
+# ---------------------------------------------------------------------------
+# engine integration: transport errors, process mapper
 # ---------------------------------------------------------------------------
 
 class _EOFMapper:
@@ -465,17 +563,17 @@ class TestEngineIntegration:
         assert vector.sorted_names()[0] in str(error.value)
         assert isinstance(error.value.__cause__, EOFError)
 
-    def test_thread_mapper_matches_serial(self, llvm):
+    def test_process_mapper_matches_serial(self, llvm):
         spec = BuildSpec(name="tiny", source=TINY_A)
         config = BinTunerConfig(
             max_iterations=12, ga=GAParameters(population_size=6, seed=9),
             stall_window=10,
         )
         serial, _tuner = run_tuner(llvm, spec, config)
-        threaded, _tuner = run_tuner(llvm, spec, config, "thread", 4)
-        assert threaded.best_flags.sorted_names() == serial.best_flags.sorted_names()
-        assert threaded.ncd_history() == serial.ncd_history()
-        assert [r.flags for r in threaded.database.records] == [
+        pooled, _tuner = run_tuner(llvm, spec, config, "process", 2)
+        assert pooled.best_flags.sorted_names() == serial.best_flags.sorted_names()
+        assert pooled.ncd_history() == serial.ncd_history()
+        assert [r.flags for r in pooled.database.records] == [
             r.flags for r in serial.database.records
         ]
 
@@ -500,10 +598,10 @@ class TestEngineIntegration:
 
 class TestDistributedCampaign:
     def test_pool_dispatch_modes(self):
-        pool = SharedWorkerPool(dispatch="thread", workers=2)
+        pool = SharedWorkerPool(dispatch="process", workers=2)
         try:
             mapper = pool.mapper(FakeEvaluator())
-            assert isinstance(mapper, LocalMapper) and mapper.kind == "thread"
+            assert isinstance(mapper, LocalMapper) and mapper.kind == "process"
         finally:
             pool.close()
         pool = SharedWorkerPool(dispatch="distributed")

@@ -143,14 +143,13 @@ class TestEvaluationEngine:
 
     def test_without_a_pool_the_engine_evaluates_inline(self):
         """A parallel substrate only ever comes from a SharedWorkerPool: the
-        engine's own default is the serial mapper, and a thread or process
-        mapper without a borrowed executor is refused."""
+        engine's own default is the serial mapper, and a process mapper
+        without a borrowed executor is refused."""
         engine = EvaluationEngine(_CountingEvaluator())
         assert isinstance(engine.mapper, LocalMapper)
         assert engine.mapper.kind == "serial" and engine.mapper.workers == 1
-        for kind in ("thread", "process"):
-            with pytest.raises(ValueError, match="SharedWorkerPool"):
-                LocalMapper(_CountingEvaluator(), kind, 2)
+        with pytest.raises(ValueError, match="SharedWorkerPool"):
+            LocalMapper(_CountingEvaluator(), "process", 2)
 
 
 class _ChunkEcho:
@@ -195,8 +194,8 @@ def local_mapper(request):
 
 
 class TestLocalMapperContract:
-    """One class serves inline, thread and process dispatch on a borrowed
-    pool: the same contract on all three."""
+    """One class serves inline and process dispatch on a borrowed pool: the
+    same contract on both."""
 
     def test_submission_order_and_chunk_partition(self, local_mapper):
         kind, _pool, build = local_mapper

@@ -6,8 +6,6 @@ The load-bearing guarantees:
   bound-but-never-accepting coordinator (the historical forever-hang) fails
   the attempt with :data:`CONNECTION_LOST_STATUS` so ``--reconnect`` can
   back off and retry;
-* a bogus ``Hello.slots`` claim (zero, negative, bool, or absurdly large)
-  is rejected at the door without taking the accept loop down;
 * the coordinator's artifact plane absorbs pushed tier-2 entries and serves
   fetches chunked, verifying every payload — a tampered, corrupt, or
   aliased transfer reads as a *miss* on every reader, never a wrong
@@ -39,12 +37,10 @@ from repro.distrib import (  # noqa: E402
     DistributedMapper,
 )
 from repro.distrib import artifacts, protocol  # noqa: E402
-from repro.distrib import coordinator as coordinator_module  # noqa: E402
 from repro.distrib.artifacts import (  # noqa: E402
     CoordinatorArtifactPlane,
     handle_artifact_message,
 )
-from repro.distrib.coordinator import MAX_WORKER_SLOTS  # noqa: E402
 from repro.distrib.worker import (  # noqa: E402
     CONNECTION_LOST_STATUS,
     run_worker,
@@ -134,49 +130,6 @@ class TestConnectTimeout:
         with pytest.raises(SystemExit):
             worker_main(["--connect", "127.0.0.1:1", "--no-mesh",
                          "--mesh-budget-bytes", "1024"])
-
-
-# ---------------------------------------------------------------------------
-# Hello.slots validation at registration
-# ---------------------------------------------------------------------------
-
-class TestSlotsValidation:
-    def test_bogus_slot_claims_rejected_without_killing_the_accept_loop(self, monkeypatch):
-        """slots weights batch partitioning (the mapper materializes that
-        many cycle entries per worker), so zero, negative, bool, and absurd
-        claims must all be refused cleanly — and registration must still
-        work afterwards."""
-        monkeypatch.setattr(coordinator_module, "HANDSHAKE_TIMEOUT", 0.5)
-        with Coordinator() as coordinator:
-            for slots in (0, -3, True, MAX_WORKER_SLOTS + 1, 10**9):
-                rogue = socket.create_connection(coordinator.address)
-                rogue.settimeout(5)
-                protocol.send_message(rogue, protocol.Hello(slots=slots))
-                with pytest.raises(ConnectionClosed):
-                    protocol.recv_message(rogue)  # closed, never Welcomed
-                rogue.close()
-            assert coordinator.worker_count() == 0
-            with thread_workers(coordinator, 1, slots=2):
-                assert [handle.slots for handle in coordinator.workers()] == [2]
-
-    def test_maximum_slot_claim_is_accepted(self, monkeypatch):
-        """The bound is inclusive: MAX_WORKER_SLOTS itself registers."""
-        monkeypatch.setattr(coordinator_module, "HANDSHAKE_TIMEOUT", 2.0)
-        with Coordinator() as coordinator:
-            sock = socket.create_connection(coordinator.address)
-            try:
-                sock.settimeout(5)
-                protocol.send_message(
-                    sock, protocol.Hello(slots=MAX_WORKER_SLOTS)
-                )
-                welcome = protocol.recv_message(sock)
-                assert isinstance(welcome, protocol.Welcome)
-                coordinator.wait_for_workers(1, timeout=5)
-                assert [handle.slots for handle in coordinator.workers()] == [
-                    MAX_WORKER_SLOTS
-                ]
-            finally:
-                sock.close()
 
 
 # ---------------------------------------------------------------------------

@@ -368,9 +368,9 @@ class TestTail:
         },
         "stages": {"stage.compile": {"count": 5, "p50": 0.01, "p95": 0.02, "p99": 0.03}},
         "fleet": [
-            {"worker_id": 1, "peer": "a:1", "health": "healthy", "slots": 2,
+            {"worker_id": 1, "peer": "a:1", "health": "healthy",
              "batches": 4, "busy_ratio": 0.5, "straggler": False},
-            {"worker_id": 2, "peer": "b:2", "health": "lost", "slots": 1,
+            {"worker_id": 2, "peer": "b:2", "health": "lost",
              "batches": 1, "busy_ratio": 0.1, "straggler": True},
         ],
     }
@@ -379,7 +379,7 @@ class TestTail:
         text = render_status(self.STATUS)
         assert "campaign demo: job 1/2 llvm/mcf gen 3 best 0.9100" in text
         assert "stage.compile p95 20.0ms" in text
-        assert "[+] worker 1 a:1 healthy slots 2 batches 4 busy 50%" in text
+        assert "[+] worker 1 a:1 healthy batches 4 busy 50%" in text
         assert "[x] worker 2 b:2 lost STRAGGLER" in text
 
     def test_render_status_rate_from_previous_poll(self):
@@ -458,7 +458,7 @@ class TestWorkerHealth:
 
         sock = socket.create_connection(coordinator.address, timeout=5.0)
         protocol.send_message(
-            sock, protocol.Hello(slots=1, heartbeat_interval=heartbeat_interval)
+            sock, protocol.Hello(heartbeat_interval=heartbeat_interval)
         )
         welcome = protocol.recv_message(sock)
         assert welcome.worker_id >= 1
@@ -530,9 +530,9 @@ class TestWorkerHealth:
         from repro.distrib.coordinator import Coordinator, WorkerHandle
 
         coordinator = Coordinator.__new__(Coordinator)  # no sockets needed
-        fast = WorkerHandle(1, None, 1, "a:1")
-        slow = WorkerHandle(2, None, 1, "b:2")
-        other = WorkerHandle(3, None, 1, "c:3")
+        fast = WorkerHandle(1, None, "a:1")
+        slow = WorkerHandle(2, None, "b:2")
+        other = WorkerHandle(3, None, "c:3")
         fast.ewma_task_seconds = 0.1
         other.ewma_task_seconds = 0.12
         slow.ewma_task_seconds = 0.9  # > 2x the fleet median
@@ -605,7 +605,7 @@ class TestObservabilityParity:
         ).run()
 
     @pytest.mark.parametrize("dispatch, workers", [
-        ("serial", 1), ("thread", 2), ("process", 2),
+        ("serial", 1), ("process", 2),
     ])
     def test_library_obs_port_serves_every_local_dispatch(self, plain, dispatch, workers):
         """``CampaignConfig(obs_port=0)`` from the library alone — no CLI,

@@ -399,10 +399,9 @@ class TestStagedEvaluator:
         serial run compile + measure + score seconds fit inside the wall
         clock.
 
-        Deliberately *not* asserted for ``Campaign(dispatch="thread",
-        workers=2)``: concurrent threads each attribute their own wall
-        clock — waits on the GIL and on each other included — so their
-        stage seconds legitimately sum past the elapsed wall.
+        Deliberately *not* asserted for ``dispatch="process"``: workers
+        each attribute their own wall clock, so their stage seconds
+        legitimately sum past the elapsed wall.
         """
         started = time.perf_counter()
         result, _tuner = tune(llvm)
@@ -438,9 +437,9 @@ class TestTunerPipelineParity:
         ]
         assert staged.best_image.fingerprint() == mono.best_image.fingerprint()
 
-    def test_staged_thread_matches_monolithic_serial(self, llvm):
+    def test_staged_process_matches_monolithic_serial(self, llvm):
         mono, _tuner = tune_reference(llvm)
-        staged, _tuner = tune(llvm, dispatch="thread", workers=2)
+        staged, _tuner = tune(llvm, dispatch="process", workers=2)
         assert staged.database.fingerprint() == mono.database.fingerprint()
 
     @pytest.mark.slow
@@ -552,7 +551,7 @@ class TestBuiltAtFirstUse:
         assert result.database.fingerprint() == reference.database.fingerprint()
         assert result.best_image.fingerprint() == reference.best_image.fingerprint()
 
-    @pytest.mark.parametrize("route", ["serial", "thread", "pickled", "score_flags"])
+    @pytest.mark.parametrize("route", ["serial", "process", "pickled", "score_flags"])
     def test_unknown_compressor_is_an_error_not_a_penalty(self, llvm, route):
         baseline = llvm.compile_level(TINY_SOURCE, "O0", name="tiny").image
         evaluator = StagedCandidateEvaluator(
@@ -588,8 +587,8 @@ class TestBuiltAtFirstUse:
             tuner.compare_levels(["O1"])
 
     def test_eight_racing_threads_build_one_fitness(self, llvm, monkeypatch):
-        """Thread mappers and worker slots share one evaluator: the first
-        scores race, and exactly one of them may compress the baseline."""
+        """Any thread may call an evaluator: when the first scores race,
+        exactly one of them may compress the baseline."""
         from repro.difftools.ncd import _COMPRESSORS
 
         baseline = llvm.compile_level(TINY_SOURCE, "O0", name="tiny").image
@@ -842,7 +841,7 @@ class TestStoreBackedEvaluator:
 
 class TestStoreParityProperties:
     """The property-based harness: for randomized GA seeds, populations, and
-    warm-start flag domains, serial == thread == restart-warm == GC-evicted
+    warm-start flag domains, serial == process == restart-warm == GC-evicted
     fingerprints, and a restart-warm run recompiles nothing."""
 
     @settings(max_examples=4, deadline=None, database=None)
@@ -879,12 +878,12 @@ class TestStoreParityProperties:
             assert stats.artifact_store_hits > 0
             assert stats.evaluated == cold.evaluation_stats.evaluated
 
-            # A thread pool over the same (now warm) store.
+            # A process pool over the same (now warm) store.
             fresh_process_state()
-            threaded = tune_with_store(
-                llvm, root / "store", dispatch="thread", workers=2, **knobs
+            pooled = tune_with_store(
+                llvm, root / "store", dispatch="process", workers=2, **knobs
             )
-            assert threaded.database.fingerprint() == fingerprint
+            assert pooled.database.fingerprint() == fingerprint
 
             # A byte budget smaller than one entry: GC evicts mid-run,
             # constantly; eviction must never change any result.

@@ -10,7 +10,7 @@ the emulator's ``DISPATCH_ENV`` read.
 The artifact tiers' counters are pinned the same way: no literal sink bump
 of an ``artifact.`` / ``store.`` / ``mesh.`` name anywhere under ``src/repro``.
 So is the owner of every evaluation substrate: ``SharedWorkerPool`` builds
-the coordinator and the thread / process executors a mapper borrows.  And
+the coordinator and the process executor a mapper borrows.  And
 the owner of every run's session: ``open_session`` next to it is the only
 place that builds the observability server or installs a sink, apart from
 the remote worker's own ``--telemetry-dir``.  And the owner of every shared
@@ -57,7 +57,6 @@ ALLOWED = Counter({
 SUBSTRATE_OWNERS = Counter({
     ("campaign/pool.py", "Coordinator"): 1,
     ("campaign/pool.py", "ProcessPoolExecutor"): 1,
-    ("campaign/pool.py", "ThreadPoolExecutor"): 1,
 })
 
 #: ``(file under src/repro, call) -> calls``: one session owner.
@@ -204,7 +203,7 @@ OPTIONS = {
         "obs_port", "obs_host",
     ),
     "ServiceConfig": (
-        "name", "host", "port", "token", "state_dir", "dispatch", "workers",
+        "host", "port", "token", "state_dir", "dispatch", "workers",
         "serve_workers", "authkey", "limits", "max_active_jobs", "obs_port",
         "obs_host", "telemetry_dir",
     ),

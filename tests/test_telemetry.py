@@ -89,7 +89,7 @@ class TestSink:
                 with sink.span("inner"):
                     pass
                 outer.set(tier="store")
-            sink.event("fleet.worker", worker_id=3, slots=2)
+            sink.event("fleet.worker", worker_id=3, batches=2)
             sink.incr("hits", 4)
             sink.incr("hits")
             sink.gauge("depth", 7.5)
@@ -112,7 +112,7 @@ class TestSink:
         assert outer["attrs"] == {"program": "tiny", "tier": "store"}
         point = [e for e in events if e["type"] == "event"]
         assert point[0]["name"] == "fleet.worker"
-        assert point[0]["attrs"] == {"worker_id": 3, "slots": 2}
+        assert point[0]["attrs"] == {"worker_id": 3, "batches": 2}
         metrics = [e for e in events if e["type"] == "metrics"]
         assert len(metrics) == 1
         assert metrics[0]["counters"] == {"hits": 5}
@@ -345,7 +345,7 @@ def _write_sample_run(tmp_path):
         # two fields it derives once (pinned by test_fleet_row_is_derived_once).
         sink.event(
             "fleet.worker",
-            worker_id=1, peer="127.0.0.1:9", slots=2, batches=4,
+            worker_id=1, peer="127.0.0.1:9", batches=4,
             candidates=24, busy_seconds=1.5, uptime_seconds=3.0,
             mesh_bytes_sent=10, mesh_bytes_received=32,
             busy_ratio=0.5, mesh_bytes=42,
@@ -385,12 +385,12 @@ class TestReport:
 
         coordinator = Coordinator.__new__(Coordinator)  # no sockets needed
         coordinator._fleet, coordinator._fleet_lock = {}, threading.Lock()
-        payload = dict(slots=2, batches=4, candidates=24, busy_seconds=1.5,
+        payload = dict(batches=4, candidates=24, busy_seconds=1.5,
                        uptime_seconds=3.0, mesh_bytes_sent=10,
                        mesh_bytes_received=32)
         with telemetry.recording(tmp_path, label="coordinator"):
             coordinator._absorb_telemetry(
-                WorkerHandle(1, None, 2, "127.0.0.1:9"), TelemetrySummary(1, payload)
+                WorkerHandle(1, None, "127.0.0.1:9"), TelemetrySummary(1, payload)
             )
         (row,) = coordinator.fleet_telemetry()
         assert (row["busy_ratio"], row["mesh_bytes"]) == (0.5, 42)
@@ -431,7 +431,7 @@ class TestReport:
         path.write_text(
             '{"type": "meta", "pid": 7, "wall_epoch": 100.0}\n'
             '{"type": "event", "name": "fleet.worker", "ts": 0.5, '
-            '"attrs": {"worker_id": 1, "peer": "x", "slots": 1}}\n'
+            '"attrs": {"worker_id": 1, "peer": "x"}}\n'
         )
         assert report_cli(["report", str(tmp_path)]) == 0
         captured = capsys.readouterr()
@@ -455,7 +455,7 @@ class TestReport:
             '{"type": "meta", "pid": "not-an-int", "wall_epoch": "later"}\n'
             '{"type": "span", "name": "stage.compile", "ts": 1.0, "dur": "fast"}\n'
             '{"type": "event", "name": "fleet.worker", "ts": 2.0, '
-            '"attrs": {"worker_id": "seven", "slots": "many"}}\n'
+            '"attrs": {"worker_id": "seven", "batches": "many"}}\n'
         )
         events, skipped = load_events(tmp_path)
         assert skipped == 0  # parseable lines are kept, fields are coerced

@@ -202,8 +202,8 @@ class TestFoldedFraming:
 
     def test_both_planes_share_the_frames(self, pair):
         left, right = pair
-        protocol.send_message(left, protocol.Hello(slots=2))
-        assert protocol.recv_message(right) == protocol.Hello(slots=2)
+        protocol.send_message(left, protocol.Hello(heartbeat_interval=2.0))
+        assert protocol.recv_message(right) == protocol.Hello(heartbeat_interval=2.0)
         send_wire(left, make_message("ping"))
         assert recv_wire(right) == make_message("ping")
 
