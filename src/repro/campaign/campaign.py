@@ -5,7 +5,7 @@ SPEC/Coreutils/OpenSSL benchmark tuned per compiler — while :class:`BinTuner`
 drives exactly one program.  :class:`Campaign` is the layer between them:
 
 * it iterates a deterministic job list (one ``(compiler family, program)``
-  pair per job) and drives one :class:`BinTuner` per job;
+  pair per job), each run by :func:`run_job`, the tuning service's runner too;
 * all jobs share a single :class:`~repro.campaign.pool.SharedWorkerPool`, so
   a multi-worker campaign pays process spawn once, not once per program;
   with ``dispatch="distributed"`` that pool is a network coordinator
@@ -38,7 +38,7 @@ import logging
 import shutil
 import threading
 import time
-from contextlib import ExitStack
+from contextlib import AbstractContextManager, ExitStack, nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -50,7 +50,8 @@ from repro.compilers.base import Compiler
 from repro.campaign.database import CampaignDatabase, ShardKey
 from repro.campaign.pool import SharedWorkerPool, open_session
 from repro.tuner.database import write_text_atomic
-from repro.tuner import BinTuner, BinTunerConfig, BuildSpec, EvaluationStats, TuningResult
+from repro.tuner import (BinTuner, BinTunerConfig, BuildSpec, EvaluationEngine,
+                         EvaluationStats, TuningResult)
 from repro.tuner.pipeline import ArtifactCache
 from repro.tuner.store import DEFAULT_STORE_MAX_BYTES
 from repro.workloads import benchmark, suite_benchmarks
@@ -183,7 +184,7 @@ class CampaignProgress:
     """Thread-safe live view of a running campaign, for ``/status``.
 
     The campaign thread updates it at job boundaries and after every
-    generation (via the engine's ``on_batch`` hook); the observability
+    generation (:func:`run_job`'s ``on_generation``); the observability
     server's handler threads call :meth:`snapshot` concurrently.  Strictly
     observe-only: nothing here feeds back into tuning, checkpoints or
     fingerprints.
@@ -241,9 +242,9 @@ class CampaignProgress:
                     last["best_fitness"] = best_fitness
                 self._state["last_job"] = last
 
-    def finish(self, interrupted: bool = False) -> None:
+    def finish(self, state: str) -> None:  # finished | interrupted | failed
         with self._lock:
-            self._state["state"] = "interrupted" if interrupted else "finished"
+            self._state["state"] = state
 
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
@@ -387,6 +388,44 @@ def read_checkpoint(directory: Path) -> Tuple[
     return database, jobs, [
         ProgramResult.from_manifest_entry(entry) for entry in manifest.get("completed", [])
     ]
+
+
+def run_job(tuner: BinTuner, owner: str, attrs: Dict[str, object],
+            checkpoint: Callable[[], None],
+            on_generation: Callable[[EvaluationEngine, EvaluationStats], None],
+            turn: Callable[[], AbstractContextManager] = nullcontext) -> TuningResult:
+    """Tune one job: the baseline, then each generation, reported and checkpointed.
+
+    The engine (the ``-O0`` baseline) and every generation run inside
+    ``turn()``; a generation is an ``{owner}.generation`` span, then
+    ``on_generation(engine, delta)``, all-hit replays included.
+    ``checkpoint()`` runs after each batch with new records and after the
+    ``{owner}.job`` span around ``tuner.run()``.  Both spans carry ``attrs``.
+    """
+    with turn():
+        engine = tuner.evaluation_engine()
+    evaluate = engine.evaluate_batch
+
+    def generation(batch):
+        with turn():
+            before = replace(engine.stats)
+            with telemetry.get_sink().span(
+                f"{owner}.generation", generation=engine.stats.batches, **attrs
+            ):
+                scores = evaluate(batch)
+            on_generation(engine, engine.stats.since(before))
+        return scores
+
+    engine.evaluate_batch = generation
+    engine.on_batch = lambda _engine: checkpoint()
+    try:
+        with telemetry.get_sink().span(f"{owner}.job", **attrs) as span:
+            result = tuner.run()
+            span.set(iterations=result.iterations, best_fitness=result.best_fitness)
+    finally:
+        del engine.evaluate_batch  # it holds the engine: a cycle refcounts can't free
+    checkpoint()
+    return result
 
 
 class Campaign:
@@ -548,44 +587,32 @@ class Campaign:
         pool: SharedWorkerPool,
         prior: List[ProgramResult],
     ) -> ProgramResult:
-        spec = self.spec_provider(job)
-        compiler = self.compiler_provider(job.family)
         warm = self._warm_seeds(job, prior)
         tuner = BinTuner(
-            compiler,
-            spec,
+            self.compiler_provider(job.family),
+            self.spec_provider(job),
             replace(self.config.tuner, warm_start=warm),
             database=self.database.shard(job.family, job.program),
             mapper_factory=pool.mapper,
             artifact_cache=self.artifact_cache,
         )
         database_dir = self._database_dir()
-        progress = self.progress
-        progress.job_started(job)
+        self.progress.job_started(job)
 
-        def on_batch(engine) -> None:
-            # Live progress first (observe-only, can never raise past the
-            # lock), then the per-generation checkpoint: every batch that
-            # produced new records flushes this job's shard (plus the
-            # index) to disk.
-            progress.generation_finished(
-                generation=engine.stats.batches,
-                best_fitness=engine.database.best_fitness(),
-                evaluated=engine.stats.evaluated,
-            )
+        def checkpoint() -> None:  # this job's shard, plus the index
             if database_dir is not None:
                 self.database.save_shard(job.family, job.program, database_dir)
 
-        tuner.evaluation_engine().on_batch = on_batch
-        with telemetry.get_sink().span(
-            "campaign.job", family=job.family, program=job.program
-        ) as span:
-            result = tuner.run()
-            span.set(
-                iterations=result.iterations,
-                best_fitness=result.best_fitness,
-                warm_seeds=len(warm),
-            )
+        result = run_job(
+            tuner, "campaign",
+            {"family": job.family, "program": job.program, "warm_seeds": len(warm)},
+            checkpoint,
+            lambda engine, _delta: self.progress.generation_finished(
+                generation=engine.stats.batches,
+                best_fitness=engine.database.best_fitness(),
+                evaluated=engine.stats.evaluated,
+            ),
+        )
         return ProgramResult(
             job=job,
             best_flags=tuple(result.best_flags.sorted_names()),
@@ -698,13 +725,12 @@ class Campaign:
         else:
             completed = {}
             self._discard_checkpoint()
-        if self._manifest_path() is not None:
-            # Written up front (not just per completed program) so the
-            # job-list mismatch guard protects even a campaign killed inside
-            # its first program.
-            self._write_manifest(
-                [completed[job.key()] for job in self.jobs if job.key() in completed]
-            )
+        # Written up front (not just per completed program) so the job-list
+        # mismatch guard protects even a campaign killed inside its first
+        # program.
+        self._write_manifest(
+            [completed[job.key()] for job in self.jobs if job.key() in completed]
+        )
         programs: List[ProgramResult] = []
         ran = 0
         interrupted = False
@@ -712,6 +738,7 @@ class Campaign:
             len(self.jobs),
             jobs_completed=sum(1 for job in self.jobs if job.key() in completed),
         )
+        state = "failed"  # unless the loop below runs to its end
         try:
             for job in self.jobs:
                 restored = completed.get(job.key())
@@ -725,12 +752,10 @@ class Campaign:
                 programs.append(result)
                 self.progress.job_finished(best_fitness=result.best_fitness)
                 ran += 1
-                database_dir = self._database_dir()
-                if database_dir is not None:
-                    self.database.save_shard(job.family, job.program, database_dir)
-                    self._write_manifest(programs)
+                self._write_manifest(programs)
+            state = "interrupted" if interrupted else "finished"
         finally:
-            self.progress.finish(interrupted)
+            self.progress.finish(state)
         return CampaignResult(
             database=self.database,
             programs=programs,

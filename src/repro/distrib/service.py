@@ -29,8 +29,9 @@ and its own GA sequence, each job's fingerprint is bit-for-bit identical to
 a solo run of the same spec: shared caches are content-addressed and can
 change only timing, never results.
 
-Durability rides :mod:`repro.campaign.database`: each generation checkpoints
-the job's shard, the job table persists under ``state_dir``, and a service
+A job runs through :func:`repro.campaign.campaign.run_job`, the one job
+runner it shares with the campaign, which checkpoints the job's shard every
+generation.  The job table persists under ``state_dir``, and a service
 restarted over the same ``state_dir`` re-queues unfinished jobs, replaying
 their shards so the resumed run converges to the identical fingerprint.
 """
@@ -44,7 +45,7 @@ import socket
 import threading
 import time
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -72,7 +73,7 @@ from repro.distrib.wire import (
     send_wire,
 )
 from repro.campaign.database import CampaignDatabase
-from repro.campaign.campaign import DATABASE_DIR, STORE_DIR, default_compiler_provider
+from repro.campaign.campaign import DATABASE_DIR, STORE_DIR, default_compiler_provider, run_job
 from repro.campaign.pool import open_session
 from repro.tuner import BinTuner, BinTunerConfig, BuildSpec, EvaluationStats
 from repro.tuner.database import write_text_atomic
@@ -161,10 +162,10 @@ class _GenerationGate:
             self._waiting.append(job)
             try:
                 while True:
-                    if self._stopped:
-                        raise _ServiceStopping()
                     if job.cancel_requested:
                         raise _JobCancelled()
+                    if self._stopped:
+                        raise _ServiceStopping()
                     if not self._busy and self._next() is job:
                         break
                     self._cond.wait(timeout=1.0)
@@ -389,86 +390,57 @@ class TuningService:
         never database records."""
         return f"{job.job_id}.{job.spec.program}"
 
-    def _save_shard(self, job: Job) -> None:
-        if self._database_dir is None:
-            return
-        with self._db_lock:
-            self._database.save_shard(
-                job.spec.family, self._shard_program(job), self._database_dir
-            )
-
     def _run_job(self, job: Job) -> None:
         spec = job.spec
         job.set_state("running")
         job.append_event("started", {"tenant": spec.tenant, "family": spec.family,
                                      "program": spec.program})
         self._persist()
-        compiler = default_compiler_provider(spec.family)
-        build = BuildSpec(name=spec.program, source=spec.source)
-        # The budget mapping is JobBudget's single source of truth — a solo
-        # BinTuner built from the same kwargs runs the identical search.
-        config = BinTunerConfig(**spec.budget.tuner_config_kwargs())
+        program = self._shard_program(job)
         with self._db_lock:
-            shard = self._database.shard(spec.family, self._shard_program(job))
+            shard = self._database.shard(spec.family, program)
         tuner = BinTuner(
-            compiler,
-            build,
-            config,
+            default_compiler_provider(spec.family),
+            BuildSpec(name=spec.program, source=spec.source),
+            # The budget mapping is JobBudget's single source of truth — a
+            # solo BinTuner built from the same kwargs runs the identical search.
+            BinTunerConfig(**spec.budget.tuner_config_kwargs()),
             database=shard,
             mapper_factory=self._pool.mapper,
             artifact_cache=self._artifact_cache,
         )
-        # The shared artifact cache is synchronized by the turnstile, so the
-        # baseline build (which feeds it) takes a turn like any generation.
-        with self._gate.turn(job):
-            engine = tuner.evaluation_engine()
 
-        original_evaluate = engine.evaluate_batch
+        def checkpoint() -> None:
+            if self._database_dir is not None:
+                with self._db_lock:
+                    self._database.save_shard(spec.family, program, self._database_dir)
 
-        def gated_evaluate(batch):
-            if job.cancel_requested:
-                raise _JobCancelled()
-            with self._gate.turn(job):
-                before = replace(engine.stats)
-                with telemetry.get_sink().span(
-                    "service.generation",
-                    tenant=spec.tenant, job=job.job_id,
-                    family=spec.family, program=spec.program,
-                    generation=engine.stats.batches,
-                ):
-                    scores = original_evaluate(batch)
-                delta = engine.stats.since(before)
-                job.stats = job.stats.add(delta)
-                job.generations_done = engine.stats.batches
-                self._accounting.absorb(spec.tenant, delta)
-                job.append_event(
-                    "generation",
-                    {
-                        "generation": engine.stats.batches,
-                        "evaluated": delta.evaluated,
-                        "evaluated_total": engine.stats.evaluated,
-                        "best_fitness": engine.database.best_fitness(),
-                        "compile_seconds": round(delta.compile_seconds, 6),
-                        "artifact_hits": delta.artifact_hits,
-                        "artifact_misses": delta.artifact_misses,
-                        "tier2_hits": delta.artifact_store_hits,
-                        "mesh_hits": delta.artifact_mesh_hits,
-                    },
-                )
-            return scores
+        def on_generation(engine, delta) -> None:
+            job.stats = job.stats.add(delta)
+            job.generations_done = engine.stats.batches
+            self._accounting.absorb(spec.tenant, delta)
+            job.append_event("generation", {
+                "generation": engine.stats.batches,
+                "evaluated": delta.evaluated,
+                "evaluated_total": engine.stats.evaluated,
+                "best_fitness": engine.database.best_fitness(),
+                "compile_seconds": round(delta.compile_seconds, 6),
+                "artifact_hits": delta.artifact_hits,
+                "artifact_misses": delta.artifact_misses,
+                "tier2_hits": delta.artifact_store_hits,
+                "mesh_hits": delta.artifact_mesh_hits,
+            })
 
-        engine.evaluate_batch = gated_evaluate
-        engine.on_batch = lambda _engine: self._save_shard(job)
-
-        with telemetry.get_sink().span(
-            "service.job",
-            tenant=spec.tenant, job=job.job_id,
-            family=spec.family, program=spec.program,
-        ) as span:
-            result = tuner.run()
-            span.set(iterations=result.iterations,
-                     best_fitness=result.best_fitness)
-        self._save_shard(job)
+        # The turnstile serializes the shared artifact cache: the baseline build
+        # takes a turn too, and accounting lands before the next turn is chosen.
+        result = run_job(
+            tuner, "service",
+            {"tenant": spec.tenant, "job": job.job_id,
+             "family": spec.family, "program": spec.program},
+            checkpoint,
+            on_generation,
+            turn=lambda: self._gate.turn(job),
+        )
         job.result = {
             "best_flags": list(result.best_flags.sorted_names()),
             "best_fitness": result.best_fitness,

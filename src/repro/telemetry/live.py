@@ -312,6 +312,9 @@ def render_prometheus(snapshot: Dict[str, object]) -> str:
 # The live tail
 # ---------------------------------------------------------------------------
 
+#: The ``/status`` campaign states a run ends in.
+CAMPAIGN_ENDED = ("finished", "interrupted", "failed")
+
 
 def fetch_status(url: str, timeout: float = 5.0) -> Dict[str, object]:
     """``GET`` the ``/status`` document; raises ``URLError`` on failure."""
@@ -368,8 +371,8 @@ def render_status(
                 if isinstance(prev_generations, (int, float)) and elapsed > 0:
                     rate = (generations - prev_generations) / elapsed
                     parts.append(f"({rate:.2f} gen/s)")
-        if campaign.get("state") == "finished":
-            parts.append("[finished]")
+        if campaign.get("state") in CAMPAIGN_ENDED:
+            parts.append(f"[{campaign['state']}]")
         lines.append(" ".join(parts))
     stages = status.get("stages")
     if isinstance(stages, dict) and stages:
@@ -442,8 +445,8 @@ def tail(
     """Poll ``/status`` at ``address`` (``HOST:PORT`` or a full URL) and
     render the in-place progress view until the server goes away.
 
-    Returns 0 when the run finished (server shut down or campaign reported
-    finished), 1 when the endpoint never answered at all.
+    Returns 0 when the run ended (server shut down, or a campaign state in
+    :data:`CAMPAIGN_ENDED`), 1 when the endpoint never answered at all.
     """
     stream = stream if stream is not None else sys.stderr
     if "//" not in address:
@@ -472,7 +475,7 @@ def tail(
             writer.write(render_status(status, previous, elapsed))
             previous, previous_at = status, now
             campaign = status.get("campaign")
-            if isinstance(campaign, dict) and campaign.get("state") == "finished":
+            if isinstance(campaign, dict) and campaign.get("state") in CAMPAIGN_ENDED:
                 return 0
         if stop is not None:
             if stop.wait(interval):

@@ -377,8 +377,8 @@ class EvaluationEngine:
         self.stats = EvaluationStats()
         self.evaluator = evaluator
         #: Called as ``on_batch(engine)`` after a batch that produced new
-        #: records is recorded — the campaign layer's per-generation
-        #: checkpoint hook.  All-hit replay batches do not fire it.
+        #: records, by ``run_job`` (to checkpoint) and the ledger's
+        #: ``long_trace`` (to time generations); all-hit replays skip it.
         self.on_batch: Optional[Callable[["EvaluationEngine"], None]] = None
         # A parallel mapper comes from a SharedWorkerPool, which owns the
         # substrate; without one the engine evaluates inline.

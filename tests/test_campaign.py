@@ -229,6 +229,43 @@ class TestCampaignRun:
     def test_warm_start_campaigns_are_reproducible(self):
         assert run_campaign().fingerprint() == run_campaign().fingerprint()
 
+    def test_a_job_that_raises_reports_failed(self):
+        """A campaign whose second job raises must not read ``finished`` on
+        ``/status``: the progress records ``failed`` after the one job that
+        completed."""
+        def spec_provider(job):
+            if job.program == "tiny-b":
+                raise RuntimeError("no source for tiny-b")
+            return tiny_spec(job)
+
+        campaign = Campaign(JOBS, tiny_config(), spec_provider=spec_provider)
+        with pytest.raises(RuntimeError, match="no source"):
+            campaign.run()
+        snapshot = campaign.progress.snapshot()
+        assert snapshot["state"] == "failed"
+        assert snapshot["jobs_completed"] == 1
+
+    def test_a_finished_job_frees_its_engine_without_the_cycle_collector(self):
+        """The per-generation wrapper ``run_job`` installs holds the engine;
+        it is removed after the run, so a finished job's engine (evaluator,
+        mapper, baseline) is freed by reference counting instead of waiting
+        for a full cyclic collection."""
+        import gc
+
+        from repro.tuner import EvaluationEngine
+
+        def live_engines():
+            return sum(isinstance(o, EvaluationEngine) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = live_engines()
+            run_campaign()
+            assert live_engines() == before
+        finally:
+            gc.enable()
+
     def test_warm_seeds_survive_small_populations(self):
         """Seeds outrank trailing presets when presets + seeds overflow the
         population, instead of being silently truncated away."""
@@ -280,6 +317,36 @@ class TestCheckpointResume:
         (ckpt / "manifest.json").write_text(json.dumps(manifest))
         resumed = run_campaign(checkpoint_dir=ckpt)
         self._assert_identical(resumed, uninterrupted)
+
+    def test_resumed_campaign_reports_every_generation(self, tmp_path):
+        """The same cut checkpoint (generation 0 of the first shard only):
+        the replayed, all-hit generation is reported to ``/status`` progress
+        like any other, so the first job reports ``1..N`` with no gap and
+        ``generations_total`` counts every engine batch."""
+        run_campaign(checkpoint_dir=tmp_path / "full")
+        ckpt = tmp_path / "cut"
+        db = CampaignDatabase.load(tmp_path / "full" / "database")
+        shard = db.shard("llvm", "tiny-a")
+        shard.records = [r for r in shard.records if r.generation == 0]
+        shard._by_flags = {r.flag_key(): r for r in shard.records}
+        CampaignDatabase(name=db.name, shards={("llvm", "tiny-a"): shard}).save(
+            ckpt / "database")
+        campaign = Campaign(JOBS, tiny_config(ckpt), spec_provider=tiny_spec)
+        reported = []
+        report = campaign.progress.generation_finished
+
+        def spy(**kwargs):
+            program = campaign.progress.snapshot()["current"]["program"]
+            reported.append((program, kwargs["generation"]))
+            report(**kwargs)
+
+        campaign.progress.generation_finished = spy
+        resumed = campaign.run()
+        first = [generation for program, generation in reported if program == "tiny-a"]
+        batches = resumed.programs[0].evaluation_stats.batches
+        assert first == list(range(1, batches + 1))
+        assert campaign.progress.snapshot()["generations_total"] == sum(
+            program.evaluation_stats.batches for program in resumed.programs)
 
     def test_resume_without_manifest_still_replays_generations(self, tmp_path):
         """A kill inside the *first* program can predate any manifest write;

@@ -392,17 +392,20 @@ class TestTail:
         assert render_status({}) == "(no status yet)"
 
     def test_tail_stops_when_campaign_finishes(self):
+        """Every terminal state stops the tail (a further poll would raise
+        ``StopIteration``) and is marked on the campaign line."""
         import io
 
-        polls = iter([
-            dict(self.STATUS),
-            {"campaign": {"name": "demo", "state": "finished"}},
-        ])
-        stream = io.StringIO()
-        rc = tail("127.0.0.1:1", interval=0.0, stream=stream,
-                  fetch=lambda url: next(polls))
-        assert rc == 0
-        assert "[finished]" in stream.getvalue()
+        for state in ("finished", "interrupted", "failed"):
+            polls = iter([
+                dict(self.STATUS),
+                {"campaign": {"name": "demo", "state": state}},
+            ])
+            stream = io.StringIO()
+            rc = tail("127.0.0.1:1", interval=0.0, stream=stream,
+                      fetch=lambda url: next(polls))
+            assert rc == 0
+            assert f"[{state}]" in stream.getvalue()
 
     def test_tail_reports_server_gone_after_connect(self):
         import io

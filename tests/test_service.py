@@ -258,6 +258,21 @@ class TestMultiTenantParity:
                 assert client.wait(running)["state"] == "done"
                 assert client.accounting()["alice"]["jobs_cancelled"] == 1
 
+    def test_cancel_outranks_drain_at_the_gate(self):
+        """A running job whose tenant cancelled it ends cancelled even while
+        the service drains: re-queued instead, it would run again after a
+        restart, since the cancel request is not persisted."""
+        from types import SimpleNamespace
+
+        from repro.distrib.jobs import TenantAccounting
+        from repro.distrib.service import _GenerationGate, _JobCancelled
+
+        gate = _GenerationGate(TenantAccounting())
+        gate.stop()
+        with pytest.raises(_JobCancelled):
+            with gate.turn(SimpleNamespace(cancel_requested=True)):
+                pass
+
     def test_token_auth_rejects_and_admits(self):
         with TuningService(ServiceConfig(token="sesame")) as svc:
             with ServiceClient(svc.address_string()) as anon:
@@ -420,7 +435,7 @@ class TestObservability:
         """With a telemetry_dir, every job generation lands as a
         tenant-tagged ``service.generation`` span, and the report's
         per-tenant table aggregates them."""
-        from repro.telemetry.report import load_events, tenant_breakdown
+        from repro.telemetry.report import load_events, spans, tenant_breakdown
 
         run_dir = tmp_path / "telemetry"
         with TuningService(ServiceConfig(telemetry_dir=run_dir)) as svc:
@@ -434,6 +449,12 @@ class TestObservability:
         for row in rows:
             assert row["jobs"] == 1
             assert row["generations"] == BUDGET.generations
+        tagged = {"tenant", "job", "family", "program"}
+        for record in spans(events):
+            if record["name"] == "service.job":
+                assert tagged <= set(record["attrs"])
+            if record["name"] == "service.generation":
+                assert tagged | {"generation"} <= set(record["attrs"])
 
 
 class TestPersistRace:

@@ -504,8 +504,11 @@ class TestCampaignParity:
         events, skipped = load_events(tmp_path / "telemetry")
         assert skipped == 0
         names = {record["name"] for record in spans(events)}
-        assert {"campaign.run", "campaign.job", "engine.generation",
-                "stage.compile", "stage.measure", "stage.score"} <= names
+        assert {"campaign.run", "campaign.job", "campaign.generation",
+                "engine.generation", "stage.compile", "stage.measure",
+                "stage.score"} <= names
+        jobs = [record for record in spans(events) if record["name"] == "campaign.job"]
+        assert all("warm_seeds" in record["attrs"] for record in jobs)
         counters = merged_counters(events)
         assert counters["engine.batches"] > 0
         assert counters.get("artifact.memory_hits", 0) > 0
