@@ -16,8 +16,8 @@ drives exactly one program.  :class:`Campaign` is the layer between them:
 * with a ``checkpoint_dir``, the campaign writes a JSON checkpoint after
   every completed generation and every completed program.  A killed campaign
   resumes from the last completed generation: finished programs are
-  reconstructed from the manifest, and the in-progress program *replays* its
-  seeded search against the checkpointed shard — every already-evaluated
+  reconstructed from the job table, and the in-progress program *replays*
+  its seeded search against the checkpointed shard — every already-evaluated
   candidate is a database hit, so the resumed run converges to a database
   bit-for-bit identical (timing aside) to an uninterrupted one, for any
   worker count;
@@ -29,6 +29,13 @@ drives exactly one program.  :class:`Campaign` is the layer between them:
   built one way for every dispatch mode.  ``run()`` opens one for its own
   duration; ``with campaign:`` opens it ahead of ``run()`` so the caller
   can read the bound addresses off ``campaign.pool`` / ``.obs_server``.
+
+A checkpoint dir (a campaign's, or the tuning service's ``state_dir``)
+holds ``database/``, ``store/`` and one job table, ``jobs.json``: a row per
+job, ``{family, program, state, result?, stats?}`` keyed by its shard.
+:func:`write_job_table` writes it, :func:`read_checkpoint` reads it (and an
+older ``manifest.json``).  Campaign rows are ``queued`` or ``done`` and add
+``warm_start``; service rows add :meth:`repro.distrib.jobs.Job.as_row`'s keys.
 """
 
 from __future__ import annotations
@@ -58,12 +65,12 @@ from repro.workloads import benchmark, suite_benchmarks
 
 logger = logging.getLogger("repro.campaign")
 
-MANIFEST_VERSION = 1
-
 #: Subdirectory of the checkpoint dir holding the sharded database, and the
-#: manifest of completed programs beside it.
+#: job table beside it.
 DATABASE_DIR = "database"
-MANIFEST_NAME = "manifest.json"
+JOB_TABLE = "jobs.json"
+#: The campaign's job table before the service shared it: read, never written.
+OLD_MANIFEST = "manifest.json"
 
 #: Default subdirectory of the checkpoint dir holding the artifact store —
 #: checkpoint resume is warm *by construction*: the same ``--checkpoint-dir``
@@ -273,7 +280,7 @@ class ProgramResult:
     elapsed_seconds: float
     warm_start: Tuple[Tuple[str, ...], ...] = ()
     #: True when this job finished in a *previous* run and was reconstructed
-    #: from the checkpoint manifest instead of being re-tuned.
+    #: from the checkpoint's job table instead of being re-tuned.
     resumed: bool = False
     evaluation_stats: Optional[EvaluationStats] = None
     tuning: Optional[TuningResult] = None
@@ -282,37 +289,35 @@ class ProgramResult:
     def best_image(self) -> Optional[BinaryImage]:
         return self.tuning.best_image if self.tuning is not None else None
 
-    def as_manifest_entry(self) -> Dict[str, object]:
-        entry = {
+    def as_row(self) -> Dict[str, object]:
+        row = {
             "family": self.job.family,
             "program": self.job.program,
-            "best_flags": list(self.best_flags),
-            "best_fitness": self.best_fitness,
-            "iterations": self.iterations,
-            "elapsed_seconds": self.elapsed_seconds,
+            "state": "done",
+            "result": {
+                "best_flags": list(self.best_flags),
+                "best_fitness": self.best_fitness,
+                "iterations": self.iterations,
+                "elapsed_seconds": self.elapsed_seconds,
+            },
             "warm_start": [list(flags) for flags in self.warm_start],
         }
-        if self.evaluation_stats is not None:
-            # Per-stage wall clock + artifact-cache accounting survive into
-            # the checkpoint so ``repro.campaign report`` can surface them
-            # without re-running anything.
-            entry["evaluation"] = self.evaluation_stats.as_dict()
-        return entry
+        if self.evaluation_stats is not None:  # ``report`` sums these
+            row["stats"] = self.evaluation_stats.as_dict()
+        return row
 
     @classmethod
-    def from_manifest_entry(cls, entry: Dict[str, object]) -> "ProgramResult":
-        evaluation = entry.get("evaluation")
+    def from_row(cls, row: Dict[str, object]) -> "ProgramResult":
+        result, stats = row["result"], row.get("stats")
         return cls(
-            job=ProgramJob(family=entry["family"], program=entry["program"]),
-            best_flags=tuple(entry["best_flags"]),
-            best_fitness=entry["best_fitness"],
-            iterations=entry["iterations"],
-            elapsed_seconds=entry["elapsed_seconds"],
-            warm_start=tuple(tuple(flags) for flags in entry.get("warm_start", [])),
+            job=ProgramJob(family=row["family"], program=row["program"]),
+            best_flags=tuple(result["best_flags"]),
+            best_fitness=result["best_fitness"],
+            iterations=result["iterations"],
+            elapsed_seconds=result["elapsed_seconds"],
+            warm_start=tuple(tuple(flags) for flags in row.get("warm_start", [])),
             resumed=True,
-            evaluation_stats=(
-                EvaluationStats.from_dict(evaluation) if evaluation else None
-            ),
+            evaluation_stats=EvaluationStats.from_dict(stats) if stats else None,
         )
 
 
@@ -362,32 +367,63 @@ def top_flag_lines(frequency: Dict[str, float], top: int = 10) -> List[str]:
     return [f"  {flag:28s} {share:.0%}" for flag, share in ranked[:top]]
 
 
+def write_job_table(directory: Path, name: str, rows: List[Dict[str, object]],
+                    **header: object) -> None:
+    """The one writer of the job table: ``{"name", **header, "jobs": rows}``
+    to ``directory/jobs.json``, atomically.  An older ``manifest.json``
+    beside it goes, so a directory holds one table."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    write_text_atomic(directory / JOB_TABLE,
+                      json.dumps({"name": name, **header, "jobs": rows}, indent=2))
+    (directory / OLD_MANIFEST).unlink(missing_ok=True)
+
+
+def _manifest_as_table(manifest: Dict[str, object]) -> Dict[str, object]:
+    """An older ``manifest.json`` as a job table: a completed entry is a
+    ``done`` row's ``result`` (its ``evaluation`` the ``stats``)."""
+    completed = {(entry["family"], entry["program"]): entry
+                 for entry in manifest.get("completed", [])}
+    rows = [{"family": family, "program": program, "state": "queued"}
+            for family, program in manifest.get("jobs", [])]
+    for row in rows:
+        entry = completed.get((row["family"], row["program"]))
+        if entry is not None:
+            row.update(state="done", result=entry, stats=entry.get("evaluation"),
+                       warm_start=entry.get("warm_start", []))
+    return {"name": manifest.get("name", "campaign"), "jobs": rows}
+
+
 def read_checkpoint(directory: Path) -> Tuple[
-    Optional[CampaignDatabase], Optional[List[ShardKey]], List[ProgramResult]
+    Optional[CampaignDatabase], Optional[Dict[str, object]]
 ]:
-    """The one reader of the checkpoint format, for resume and ``report``:
-    ``(database, jobs, completed)`` from a campaign's ``checkpoint_dir``,
-    its ``database/`` subdirectory, or any :meth:`CampaignDatabase.save`
-    directory.  ``database`` is ``None`` before the first generation
-    landed, ``jobs`` when there is no manifest (only the first layout has
-    one); an unreadable manifest raises.  The database loads independently
-    of the manifest: a campaign killed inside its *first* program has
-    checkpointed generations to replay but no completed program yet.
+    """The one reader of a checkpoint dir, its ``database/`` or any
+    :meth:`CampaignDatabase.save` dir, for resume, the service's restart and
+    ``report``: ``(database, table)``, each ``None`` when absent.  An
+    unreadable table raises before the database loads; the database loads
+    without a table too (a campaign killed inside its *first* program).
     """
     directory = Path(directory)
+    table = None
+    if (directory / JOB_TABLE).exists():
+        table = json.loads((directory / JOB_TABLE).read_text())
+    elif (directory / OLD_MANIFEST).exists():
+        table = _manifest_as_table(json.loads((directory / OLD_MANIFEST).read_text()))
+    if table is not None and not (isinstance(table, dict)
+                                  and isinstance(table.get("jobs"), list)):
+        raise ValueError(f"job table under {directory} has no list of jobs")
     database = None
     for candidate in (directory / DATABASE_DIR, directory):
         if CampaignDatabase.saved_in(candidate):
             database = CampaignDatabase.load(candidate)
             break
-    path = directory / MANIFEST_NAME
-    if not path.exists():
-        return database, None, []
-    manifest = json.loads(path.read_text())
-    jobs = [tuple(pair) for pair in manifest.get("jobs", [])]
-    return database, jobs, [
-        ProgramResult.from_manifest_entry(entry) for entry in manifest.get("completed", [])
-    ]
+    return database, table
+
+
+def done_results(table: Optional[Dict[str, object]]) -> List[ProgramResult]:
+    """The finished jobs of a job table, in table order."""
+    rows = table["jobs"] if table is not None else []
+    return [ProgramResult.from_row(row) for row in rows if row.get("state") == "done"]
 
 
 def run_job(tuner: BinTuner, owner: str, attrs: Dict[str, object],
@@ -514,51 +550,48 @@ class Campaign:
 
     # -- checkpointing ----------------------------------------------------------------
 
-    def _manifest_path(self) -> Optional[Path]:
-        if self.config.checkpoint_dir is None:
-            return None
-        return Path(self.config.checkpoint_dir) / MANIFEST_NAME
-
     def _database_dir(self) -> Optional[Path]:
         if self.config.checkpoint_dir is None:
             return None
         return Path(self.config.checkpoint_dir) / DATABASE_DIR
 
-    def _write_manifest(self, completed: List[ProgramResult]) -> None:
-        path = self._manifest_path()
-        if path is None:
+    def _write_table(self, completed: Dict[ShardKey, ProgramResult]) -> None:
+        """One row per job: its result once done, else ``queued``."""
+        if self.config.checkpoint_dir is None:
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        manifest = {
-            "version": MANIFEST_VERSION,
-            "name": self.config.name,
-            "jobs": [[job.family, job.program] for job in self.jobs],
-            "completed": [result.as_manifest_entry() for result in completed],
-        }
-        write_text_atomic(path, json.dumps(manifest, indent=2))
+        rows = [
+            completed[job.key()].as_row() if job.key() in completed
+            else {"family": job.family, "program": job.program, "state": "queued"}
+            for job in self.jobs
+        ]
+        write_job_table(self.config.checkpoint_dir, self.config.name, rows)
 
     def _discard_checkpoint(self) -> None:
-        path = self._manifest_path()
-        if path is not None and path.exists():
-            path.unlink()
+        if self.config.checkpoint_dir is None:
+            return
+        for name in (JOB_TABLE, OLD_MANIFEST):
+            (Path(self.config.checkpoint_dir) / name).unlink(missing_ok=True)
         database_dir = self._database_dir()
-        if database_dir is not None and database_dir.exists():
+        if database_dir.exists():
             shutil.rmtree(database_dir)
 
     def _load_checkpoint(self) -> Dict[ShardKey, ProgramResult]:
-        """Restore the database and completed-job map from the checkpoint."""
+        """Restore the database and completed-job map from the checkpoint;
+        a resume refused for its job list adopts nothing."""
         if self.config.checkpoint_dir is None:
             return {}
-        database, jobs, completed = read_checkpoint(self.config.checkpoint_dir)
-        if database is not None:
-            self.database = database
-        if jobs is not None and jobs != [job.key() for job in self.jobs]:
+        database, table = read_checkpoint(self.config.checkpoint_dir)
+        if table is not None and [
+            (row["family"], row["program"]) for row in table["jobs"]
+        ] != [job.key() for job in self.jobs]:
             raise ValueError(
                 f"checkpoint at {Path(self.config.checkpoint_dir)} was written for a "
                 f"different job list; pass resume=False (or a fresh "
                 f"checkpoint_dir) to discard it"
             )
-        return {result.job.key(): result for result in completed}
+        if database is not None:
+            self.database = database
+        return {result.job.key(): result for result in done_results(table)}
 
     # -- warm starts ------------------------------------------------------------------
 
@@ -686,7 +719,7 @@ class Campaign:
         with ``interrupted=True`` — the programmatic stand-in for killing the
         process, used by the resume tests and incremental CLI runs.  With
         ``resume=False`` an existing checkpoint is *deleted* before anything
-        runs: keeping a stale manifest around while fresh shards overwrite
+        runs: keeping a stale job table around while fresh shards overwrite
         the database would poison a later resume with contradictory state.
         The artifact store is deliberately *not* deleted by ``resume=False``:
         its entries are content-addressed, so stale ones can never produce a
@@ -728,9 +761,7 @@ class Campaign:
         # Written up front (not just per completed program) so the job-list
         # mismatch guard protects even a campaign killed inside its first
         # program.
-        self._write_manifest(
-            [completed[job.key()] for job in self.jobs if job.key() in completed]
-        )
+        self._write_table(completed)
         programs: List[ProgramResult] = []
         ran = 0
         interrupted = False
@@ -750,9 +781,10 @@ class Campaign:
                     break
                 result = self._run_job(job, pool, programs)
                 programs.append(result)
+                completed[job.key()] = result
                 self.progress.job_finished(best_fitness=result.best_fitness)
                 ran += 1
-                self._write_manifest(programs)
+                self._write_table(completed)
             state = "interrupted" if interrupted else "finished"
         finally:
             self.progress.finish(state)

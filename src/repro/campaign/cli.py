@@ -53,6 +53,7 @@ from repro.campaign.campaign import (
     CampaignResult,
     ProgramJob,
     default_compiler_provider,
+    done_results,
     read_checkpoint,
     summary_row_line,
     top_flag_lines,
@@ -352,8 +353,9 @@ def build_report_parser() -> argparse.ArgumentParser:
                     "without re-running any tuning.",
     )
     parser.add_argument("checkpoint_dir", type=Path,
-                        help="a campaign --checkpoint-dir (or its database/ "
-                             "subdirectory, or any CampaignDatabase.save dir)")
+                        help="a campaign --checkpoint-dir or a serve --state-dir "
+                             "(or its database/ subdirectory, or any "
+                             "CampaignDatabase.save dir)")
     parser.add_argument("--family", default=None,
                         help="restrict potency/overlap tables to one compiler family")
     parser.add_argument("--top", type=int, default=10,
@@ -366,7 +368,8 @@ def build_report_parser() -> argparse.ArgumentParser:
 def report_main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_report_parser().parse_args(argv)
     try:
-        database, _jobs, completed = read_checkpoint(args.checkpoint_dir)
+        database, table = read_checkpoint(args.checkpoint_dir)
+        completed = done_results(table)
     except (OSError, ValueError, KeyError) as exc:
         print(f"unreadable checkpoint under {args.checkpoint_dir}: {exc}",
               file=sys.stderr)
@@ -391,9 +394,9 @@ def report_main(argv: Optional[Sequence[str]] = None) -> int:
         print(summary_row_line(row)
               + f"  flags {row['best_flag_count']:2d}  hours {row['hours']}")
 
-    # The per-stage seconds and artifact-cache counters the completed
-    # programs accrued, summed as a live run sums them; all zero (a pure
-    # checkpoint replay, or no manifest) would be a fabrication, so no line.
+    # The per-stage seconds and artifact-cache counters the done jobs
+    # accrued, summed as a live run sums them; all zero (a pure checkpoint
+    # replay, or no job table) would be a fabrication, so no line.
     stages = CampaignResult(database, completed, 0.0).evaluation_stats()
     staged = (stages.compile_seconds + stages.measure_seconds + stages.score_seconds > 0.0
               or stages.artifact_hits + stages.artifact_misses > 0)

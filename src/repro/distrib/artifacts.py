@@ -183,7 +183,7 @@ class CoordinatorArtifactPlane:
     # -- introspection -----------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
-        """JSON-safe counters for campaign summaries and manifests."""
+        """JSON-safe counters for campaign summaries and job tables."""
         return {
             **self.counters.snapshot(),
             "budget_bytes": self.budget_bytes,

@@ -13,7 +13,7 @@ jobs that is independent of sockets and threads:
   unknown families, unprintable names) are refused with a typed
   :class:`AdmissionError` before any work is queued;
 * :class:`Job` — lifecycle state, the seq-numbered event log streaming
-  clients replay from any offset, and per-job accounting;
+  clients replay from any offset, per-job accounting, and its job-table row;
 * :class:`FairShareQueue` — picks the next tenant by least accumulated
   work (then priority, then arrival), which is both the fairness policy
   *and* the dedupe economics: the tenant that has consumed least runs its
@@ -303,6 +303,45 @@ class Job:
     @property
     def terminal(self) -> bool:
         return self.state in TERMINAL_EVENTS
+
+    @property
+    def shard_program(self) -> str:
+        """Per-job shard key: dedupe must stay per-job so every job's shard
+        carries its own full record sequence (the fingerprint-parity
+        contract); two tenants tuning the same program share *artifacts*,
+        never database records."""
+        return f"{self.job_id}.{self.spec.program}"
+
+    def as_row(self) -> Dict[str, object]:
+        """This job's row of the job table; ``(family, program)`` is its
+        shard key."""
+        with self._cond:
+            return {
+                "family": self.spec.family,
+                "program": self.shard_program,
+                "state": self.state,
+                "result": self.result,
+                "stats": self.stats.as_dict(),
+                "job_id": self.job_id,
+                "submitted_seq": self.submitted_seq,
+                "spec": self.spec.as_dict(),
+                "generations_done": self.generations_done,
+                "error": self.error,
+            }
+
+    @classmethod
+    def from_row(cls, row: Dict[str, object]) -> "Job":
+        """Inverse of :meth:`as_row`: a terminal job with its terminal event
+        (so a stream or ``wait`` after a restart ends), any other ``queued``."""
+        job = cls(row["job_id"], JobSpec.from_dict(row["spec"]), int(row["submitted_seq"]))
+        job.generations_done = int(row.get("generations_done", 0))
+        job.error = row.get("error")
+        job.result = row.get("result")
+        job.stats = EvaluationStats.from_dict(row.get("stats", {}))
+        state = row.get("state", "queued")
+        if state in TERMINAL_EVENTS:
+            job.finish(state, dict(job.result or job.error or {}))
+        return job
 
     def status_row(self) -> Dict[str, object]:
         with self._cond:

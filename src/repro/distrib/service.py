@@ -31,15 +31,17 @@ change only timing, never results.
 
 A job runs through :func:`repro.campaign.campaign.run_job`, the one job
 runner it shares with the campaign, which checkpoints the job's shard every
-generation.  The job table persists under ``state_dir``, and a service
-restarted over the same ``state_dir`` re-queues unfinished jobs, replaying
-their shards so the resumed run converges to the identical fingerprint.
+generation.  ``state_dir`` is laid out as a campaign checkpoint is, one
+:meth:`~repro.distrib.jobs.Job.as_row` per job in the shared job table
+(``next_seq`` in its header), so ``python -m repro.campaign report`` reads
+it too.  A service restarted over the same ``state_dir`` re-queues
+unfinished jobs, replaying their shards so the resumed run converges to the
+identical fingerprint; finished jobs come back with their terminal event.
 """
 
 from __future__ import annotations
 
 import hmac
-import json
 import logging
 import socket
 import threading
@@ -55,10 +57,8 @@ from repro.distrib.errors import ConnectionClosed, ServiceError
 from repro.distrib.jobs import (
     AdmissionError,
     AdmissionLimits,
-    TERMINAL_EVENTS,
     FairShareQueue,
     Job,
-    JobSpec,
     TenantAccounting,
     stable_job_id,
     validate_submission,
@@ -73,16 +73,13 @@ from repro.distrib.wire import (
     send_wire,
 )
 from repro.campaign.database import CampaignDatabase
-from repro.campaign.campaign import DATABASE_DIR, STORE_DIR, default_compiler_provider, run_job
+from repro.campaign.campaign import (DATABASE_DIR, STORE_DIR, default_compiler_provider,
+                                     read_checkpoint, run_job, write_job_table)
 from repro.campaign.pool import open_session
-from repro.tuner import BinTuner, BinTunerConfig, BuildSpec, EvaluationStats
-from repro.tuner.database import write_text_atomic
+from repro.tuner import BinTuner, BinTunerConfig, BuildSpec
 from repro.tuner.pipeline import ArtifactCache
 
 logger = logging.getLogger("repro.distrib.service")
-
-JOBS_FILE = "jobs.json"
-STATE_VERSION = 1
 
 #: Per-connection socket timeout (seconds): a wedged client cannot pin its
 #: handler thread forever.
@@ -187,8 +184,8 @@ class TuningService:
         self.config = config or ServiceConfig()
         self._lock = threading.Lock()
         self._db_lock = threading.Lock()
-        #: Held across snapshot *and* write so ``jobs.json`` never goes back in
-        #: time; taken before ``_lock``, never while holding it.
+        #: Held across snapshot *and* write so the job table never goes back
+        #: in time; taken before ``_lock``, never while holding it.
         self._persist_lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
         self._next_seq = 1
@@ -262,35 +259,14 @@ class TuningService:
 
     # -- durability -------------------------------------------------------------------
 
-    def _jobs_path(self) -> Optional[Path]:
-        if self._state_dir is None:
-            return None
-        return self._state_dir / JOBS_FILE
-
     def _persist(self) -> None:
-        path = self._jobs_path()
-        if path is None:
+        if self._state_dir is None:
             return
         with self._persist_lock:
             with self._lock:
-                rows = []
-                for job in self._jobs.values():
-                    rows.append(
-                        {
-                            "job_id": job.job_id,
-                            "submitted_seq": job.submitted_seq,
-                            "spec": job.spec.as_dict(),
-                            "state": job.state,
-                            "generations_done": job.generations_done,
-                            "error": job.error,
-                            "result": job.result,
-                            "stats": job.stats.as_dict(),
-                        }
-                    )
-                payload = {"version": STATE_VERSION, "next_seq": self._next_seq,
-                           "jobs": rows}
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write_text_atomic(path, json.dumps(payload, indent=2))
+                rows = [job.as_row() for job in self._jobs.values()]
+                next_seq = self._next_seq
+            write_job_table(self._state_dir, SERVICE_NAME, rows, next_seq=next_seq)
 
     def _restore_state(self) -> None:
         """Reload the job table and database shards; unfinished jobs re-queue.
@@ -298,52 +274,41 @@ class TuningService:
         A job that was running when the previous process died resumes from
         its per-generation shard checkpoint: the replayed search hits the
         database for every already-evaluated candidate, so the finished
-        fingerprint equals an uninterrupted run's.
+        fingerprint equals an uninterrupted run's.  No readable table, no
+        database: its shard keys name job ids this service would hand out again.
         """
-        if self._database_dir is not None and CampaignDatabase.saved_in(
-            self._database_dir
-        ):
-            with self._db_lock:
-                self._database = CampaignDatabase.load(self._database_dir)
-        path = self._jobs_path()
-        if path is None or not path.exists():
-            return
         try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            logger.warning("ignoring unreadable job table %s: %s", path, exc)
+            database, table = read_checkpoint(self._state_dir)
+        except (OSError, ValueError) as exc:
+            logger.warning("ignoring unreadable state under %s: %s", self._state_dir, exc)
             return
+        if table is None:
+            if database is not None:
+                logger.warning("ignoring the database under %s: no job table", self._state_dir)
+            return
+        if database is not None:
+            self._database = database
         restored = 0
-        for row in payload.get("jobs", []):
+        for row in table["jobs"]:
             try:
-                spec = JobSpec.from_dict(row["spec"])
-                job = Job(row["job_id"], spec, int(row["submitted_seq"]))
+                job = Job.from_row(row)
             except (KeyError, TypeError, ValueError) as exc:
                 logger.warning("skipping corrupt job row: %s", exc)
                 continue
-            job.generations_done = int(row.get("generations_done", 0))
-            job.error = row.get("error")
-            job.result = row.get("result")
-            job.stats = EvaluationStats.from_dict(row.get("stats", {}))
-            state = row.get("state", "queued")
-            self._accounting.bump(spec.tenant, "jobs_submitted")
-            self._accounting.absorb(spec.tenant, job.stats)
-            if state in TERMINAL_EVENTS:
-                job.set_state(state)
-                counter = {"done": "jobs_done", "failed": "jobs_failed",
-                           "cancelled": "jobs_cancelled"}[state]
-                self._accounting.bump(spec.tenant, counter)
+            tenant = job.spec.tenant
+            self._accounting.bump(tenant, "jobs_submitted")
+            self._accounting.absorb(tenant, job.stats)
+            if job.terminal:
+                self._accounting.bump(tenant, f"jobs_{job.state}")
             else:
-                # queued *and* running both restart from the checkpoint.
-                job.set_state("queued")
                 job.append_event("queued", {"resumed": True})
                 self._queue.push(job)
                 restored += 1
             self._jobs[job.job_id] = job
             self._next_seq = max(self._next_seq, job.submitted_seq + 1)
-        self._next_seq = max(self._next_seq, int(payload.get("next_seq", 1)))
+        self._next_seq = max(self._next_seq, int(table.get("next_seq", 1)))
         if restored:
-            logger.info("restored %d unfinished job(s) from %s", restored, path)
+            logger.info("restored %d unfinished job(s) from %s", restored, self._state_dir)
 
     # -- scheduling -------------------------------------------------------------------
 
@@ -383,20 +348,13 @@ class TuningService:
                 self._active -= 1
             self._maybe_start_jobs()
 
-    def _shard_program(self, job: Job) -> str:
-        """Per-job shard key: dedupe must stay per-job so every job's shard
-        carries its own full record sequence (the fingerprint-parity
-        contract); two tenants tuning the same program share *artifacts*,
-        never database records."""
-        return f"{job.job_id}.{job.spec.program}"
-
     def _run_job(self, job: Job) -> None:
         spec = job.spec
         job.set_state("running")
         job.append_event("started", {"tenant": spec.tenant, "family": spec.family,
                                      "program": spec.program})
         self._persist()
-        program = self._shard_program(job)
+        program = job.shard_program
         with self._db_lock:
             shard = self._database.shard(spec.family, program)
         tuner = BinTuner(
@@ -669,9 +627,6 @@ class TuningService:
     def job(self, job_id: str) -> Job:
         return self._get_job(job_id)
 
-    def database(self) -> CampaignDatabase:
-        return self._database
-
     # -- lifecycle --------------------------------------------------------------------
 
     def close(self, timeout: float = 10.0) -> None:
@@ -708,5 +663,4 @@ __all__ = [
     "ServiceConfig",
     "TuningService",
     "serve_forever",
-    "JOBS_FILE",
 ]

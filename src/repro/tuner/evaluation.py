@@ -346,12 +346,12 @@ class EvaluationStats:
         return line
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-safe counters (campaign manifests, ``--json`` output)."""
+        """JSON-safe counters (job-table ``stats``, ``--json`` output)."""
         return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "EvaluationStats":
-        """Inverse of :meth:`as_dict`; unknown keys are ignored so manifests
+        """Inverse of :meth:`as_dict`; unknown keys are ignored so job tables
         written by a newer schema still load."""
         known = {f.name for f in fields(cls)}
         return cls(**{key: value for key, value in payload.items() if key in known})

@@ -311,10 +311,11 @@ class TestCheckpointResume:
         shard._by_flags = {r.flag_key(): r for r in shard.records}
         cut = CampaignDatabase(name=db.name, shards={("llvm", "tiny-a"): shard})
         cut.save(database_dir)
-        manifest = json.loads((tmp_path / "full" / "manifest.json").read_text())
-        manifest["completed"] = []
+        table = json.loads((tmp_path / "full" / "jobs.json").read_text())
+        for row in table["jobs"]:
+            row["state"] = "queued"
         ckpt.mkdir(exist_ok=True)
-        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        (ckpt / "jobs.json").write_text(json.dumps(table))
         resumed = run_campaign(checkpoint_dir=ckpt)
         self._assert_identical(resumed, uninterrupted)
 
@@ -359,7 +360,7 @@ class TestCheckpointResume:
         shard._by_flags = {r.flag_key(): r for r in shard.records}
         cut = CampaignDatabase(name=db.name, shards={("llvm", "tiny-a"): shard})
         cut.save(ckpt / "database")
-        assert not (ckpt / "manifest.json").exists()
+        assert not (ckpt / "jobs.json").exists()
         resumed = run_campaign(checkpoint_dir=ckpt)
         self._assert_identical(resumed, uninterrupted)
 
@@ -375,14 +376,16 @@ class TestCheckpointResume:
         overwritten shards, poisoning the next resume."""
         ckpt = tmp_path / "ckpt"
         run_campaign(checkpoint_dir=ckpt, limit=1)
-        stale = json.loads((ckpt / "manifest.json").read_text())
-        assert stale["completed"], "first run should have checkpointed a completion"
+        stale = json.loads((ckpt / "jobs.json").read_text())
+        assert any(row["state"] == "done" for row in stale["jobs"]), \
+            "first run should have checkpointed a completion"
         interrupted_fresh = run_campaign(checkpoint_dir=ckpt, resume=False, limit=0)
         assert interrupted_fresh.interrupted and not interrupted_fresh.programs
-        # The stale manifest and shards are gone; the fresh run rewrites an
-        # empty manifest up front so the job-list guard applies immediately.
-        fresh_manifest = json.loads((ckpt / "manifest.json").read_text())
-        assert fresh_manifest["completed"] == []
+        # The stale table and shards are gone; the fresh run rewrites a
+        # table with nothing done up front so the job-list guard applies
+        # immediately.
+        fresh_table = json.loads((ckpt / "jobs.json").read_text())
+        assert [row["state"] for row in fresh_table["jobs"]] == ["queued", "queued"]
         assert not (ckpt / "database").exists()
 
     def test_mismatched_job_list_rejected(self, tmp_path):
@@ -394,6 +397,23 @@ class TestCheckpointResume:
         )
         with pytest.raises(ValueError):
             other.run()
+
+    def test_refused_resume_leaves_the_database_alone(self, tmp_path):
+        """A resume refused for its job list must not adopt the checkpoint's
+        database: the ``resume=False`` retry on the same campaign then tunes
+        from scratch, where replaying the discarded shard would evaluate
+        nothing and report the other source's best."""
+        run_campaign(checkpoint_dir=tmp_path / "ckpt", limit=1)
+
+        def tiny_b_source(job: ProgramJob) -> BuildSpec:
+            return BuildSpec(name=job.program, source=TINY_B)
+
+        jobs = [ProgramJob("llvm", "tiny-a")]
+        retry = Campaign(jobs, tiny_config(tmp_path / "ckpt"), spec_provider=tiny_b_source)
+        with pytest.raises(ValueError):
+            retry.run()
+        fresh = Campaign(jobs, tiny_config(), spec_provider=tiny_b_source).run()
+        assert retry.run(resume=False).fingerprint() == fresh.fingerprint()
 
     @pytest.mark.slow
     def test_four_worker_resume_matches_serial_uninterrupted(self, tmp_path):
@@ -475,10 +495,11 @@ class TestStoreRestartWarmth:
         shard._by_flags = {r.flag_key(): r for r in shard.records}
         cut = CampaignDatabase(name=db.name, shards={("llvm", "tiny-a"): shard})
         cut.save(ckpt / "database")
-        manifest = json.loads((tmp_path / "full" / "manifest.json").read_text())
-        manifest["completed"] = []
+        table = json.loads((tmp_path / "full" / "jobs.json").read_text())
+        for row in table["jobs"]:
+            row["state"] = "queued"
         ckpt.mkdir(exist_ok=True)
-        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        (ckpt / "jobs.json").write_text(json.dumps(table))
         fresh_process_state()
         compiles = []
         resumed = run_campaign(
@@ -665,7 +686,8 @@ class TestParentCheckpointCompatibility:
         resumed = run_campaign(checkpoint_dir=ckpt)
         assert [program.resumed for program in resumed.programs] == [True, False]
         assert resumed.fingerprint() == run_campaign().fingerprint()
-        assert "pipeline" not in json.loads((ckpt / "manifest.json").read_text())
+        assert not (ckpt / "manifest.json").exists()
+        assert "pipeline" not in json.loads((ckpt / "jobs.json").read_text())
 
 
 class TestCampaignCLI:

@@ -340,6 +340,52 @@ class TestFaultInjection:
         finally:
             second.close()
 
+    def test_finished_job_streams_and_waits_after_restart(self, tmp_path):
+        """A job that finished before a restart comes back with its terminal
+        event: ``wait`` returns at once, and ``stream`` yields exactly the
+        ``done`` event, carrying the fingerprint of the job's table row."""
+        import json
+
+        state_dir = tmp_path / "state"
+        with TuningService(ServiceConfig(state_dir=state_dir)) as first:
+            with ServiceClient(first.address_string()) as client:
+                job_id = submit_budget(client, "alice", "work", SOURCE)
+                assert client.wait(job_id, timeout=120)["state"] == "done"
+        row, = json.loads((state_dir / "jobs.json").read_text())["jobs"]
+        with TuningService(ServiceConfig(state_dir=state_dir)) as second:
+            with ServiceClient(second.address_string()) as client:
+                assert client.wait(job_id, timeout=5)["state"] == "done"
+                events = list(client.stream(job_id, timeout=5))
+        assert [event["kind"] for event in events] == ["done"]
+        assert events[0]["data"]["fingerprint"] == row["result"]["fingerprint"]
+
+    @pytest.mark.parametrize("damage", ["torn", "not-a-table", "missing"])
+    def test_unreadable_job_table_keeps_old_shards_out(self, tmp_path, damage):
+        """Shard keys name job ids, and a service without a readable job
+        table numbers jobs from ``job-00001`` again, so it must not adopt the
+        old database either: another tenant's job under the same program
+        name would replay the finished job's shard."""
+        solo = solo_fingerprint(OTHER_SOURCE, "work")
+        state_dir = tmp_path / "state"
+        with TuningService(ServiceConfig(state_dir=state_dir)) as first:
+            with ServiceClient(first.address_string()) as client:
+                job_id = submit_budget(client, "alice", "work", SOURCE)
+                assert client.wait(job_id, timeout=120)["state"] == "done"
+        table = state_dir / "jobs.json"
+        if damage == "torn":
+            table.write_text(table.read_text()[:40])
+        elif damage == "not-a-table":
+            table.write_text("[]")
+        else:
+            table.unlink()
+        with TuningService(ServiceConfig(state_dir=state_dir)) as second:
+            with ServiceClient(second.address_string()) as client:
+                row = client.wait(submit_budget(client, "bob", "work", OTHER_SOURCE),
+                                  timeout=120)
+        assert row["job_id"] == job_id
+        assert row["evaluated"] > 0
+        assert row["result"]["fingerprint"] == solo
+
     @pytest.mark.slow
     def test_worker_crash_mid_job_recovers_with_parity(self, tmp_path):
         """Distributed dispatch with a worker that hard-crashes
@@ -455,6 +501,27 @@ class TestObservability:
                 assert tagged <= set(record["attrs"])
             if record["name"] == "service.generation":
                 assert tagged | {"generation"} <= set(record["attrs"])
+
+
+class TestStateDirReport:
+    def test_report_reads_a_service_state_dir(self, tmp_path, capsys):
+        """A state dir is laid out as a campaign checkpoint is, so
+        ``report`` renders it, the done jobs' stats included."""
+        import json
+
+        from repro.campaign.cli import main
+
+        state_dir = tmp_path / "state"
+        with TuningService(ServiceConfig(state_dir=state_dir)) as svc:
+            with ServiceClient(svc.address_string()) as client:
+                row = client.wait(submit_budget(client, "alice", "work", SOURCE),
+                                  timeout=120)
+        assert main(["report", str(state_dir), "--json", str(tmp_path / "report.json")]) == 0
+        assert "pipeline stages" in capsys.readouterr().out
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [summary["benchmark"] for summary in report["summary"]] == [
+            f"{row['job_id']}.work"]
+        assert report["evaluation"]["evaluated"] == row["evaluated"] > 0
 
 
 class TestPersistRace:

@@ -17,7 +17,9 @@ the remote worker's own ``--telemetry-dir``.  And the owner of every shared
 CLI flag and of the checkpoint format: ``run`` / ``serve`` / ``worker``
 declare their common flags once, in parent parsers (``serve`` and
 ``submit`` share ``--token`` the same way), and only
-``campaign/campaign.py`` names the checkpoint manifest.  And the owner of
+``campaign/campaign.py`` names the job table (``jobs.json``, which a
+campaign checkpoint and a service state dir share) and the older
+``manifest.json`` it still reads.  And the owner of
 the artifact cache: the run's owner (a campaign, the tuning service)
 attaches the store once, a worker's shared cache is the only other
 attachment, and no tuner or evaluator field re-passes the store's
@@ -124,10 +126,12 @@ def test_no_store_knob_below_the_owner():
 
 
 def test_one_module_names_the_checkpoint_manifest():
-    """The campaign's checkpoint reader is the only reader of the format:
-    ``report`` and resume both go through ``read_checkpoint``, and the
-    service asks ``CampaignDatabase.saved_in`` whether a database is there."""
-    for name, owner in (("manifest.json", "campaign/campaign.py"),
+    """One job table for every checkpoint directory: ``write_job_table`` is
+    its only writer and ``read_checkpoint`` its only reader (campaign
+    resume, the service's restart and ``report``), and only the latter
+    reads the campaign's older manifest."""
+    for name, owner in (("jobs.json", "campaign/campaign.py"),
+                        ("manifest.json", "campaign/campaign.py"),
                         ("index.json", "campaign/database.py")):
         found = [
             path.relative_to(SRC).as_posix()
