@@ -31,11 +31,14 @@ drives exactly one program.  :class:`Campaign` is the layer between them:
   can read the bound addresses off ``campaign.pool`` / ``.obs_server``.
 
 A checkpoint dir (a campaign's, or the tuning service's ``state_dir``)
-holds ``database/``, ``store/`` and one job table, ``jobs.json``: a row per
-job, ``{family, program, state, result?, stats?}`` keyed by its shard.
-:func:`write_job_table` writes it, :func:`read_checkpoint` reads it (and an
-older ``manifest.json``).  Campaign rows are ``queued`` or ``done`` and add
-``warm_start``; service rows add :meth:`repro.distrib.jobs.Job.as_row`'s keys.
+holds ``database/``, ``store/``, ``telemetry/`` and one job table,
+``jobs.json``: a row per job, ``{family, program, state, result?, stats?}``
+keyed by its shard.  :func:`write_job_table` writes it,
+:func:`read_checkpoint` reads it (and an older ``manifest.json``).  Campaign
+rows are ``queued`` or ``done`` and add ``warm_start``; service rows add
+:meth:`repro.distrib.jobs.Job.as_row`'s keys.  :func:`session_telemetry_dir`
+places the session's JSONL, and ``python -m repro.campaign report`` reads
+both halves back.
 """
 
 from __future__ import annotations
@@ -76,6 +79,10 @@ OLD_MANIFEST = "manifest.json"
 #: checkpoint resume is warm *by construction*: the same ``--checkpoint-dir``
 #: that replays the database also serves every compile from disk.
 STORE_DIR = "store"
+
+#: Subdirectory of the checkpoint dir the run's session records its
+#: telemetry JSONL in, one file per process and session; ``report`` reads it.
+TELEMETRY_DIR = "telemetry"
 
 #: At most this many prior bests seed a program's GA population.
 WARM_START_LIMIT = 4
@@ -166,13 +173,16 @@ class CampaignConfig:
     warm_start: bool = True
     #: Where checkpoints live; ``None`` disables checkpointing.
     checkpoint_dir: Optional[Path] = None
-    #: Directory for structured telemetry (:mod:`repro.telemetry`).  When
-    #: set, the campaign's session records JSONL there through the one
-    #: :class:`~repro.telemetry.JsonlSink`; workers of a distributed fleet
-    #: additionally forward compact summaries to the coordinator.  Telemetry
-    #: is observe-only — fingerprints, checkpoints, and recorded results are
-    #: bit-for-bit identical with it on or off.  With neither this nor
-    #: ``obs_port`` set the zero-cost null sink stays.
+    #: Directory for structured telemetry (:mod:`repro.telemetry`) of a run
+    #: *without* a ``checkpoint_dir``; a checkpointed run always records
+    #: under ``checkpoint_dir/telemetry`` (:data:`TELEMETRY_DIR`), and
+    #: setting both is an error.  The session records JSONL there through
+    #: the one :class:`~repro.telemetry.JsonlSink`, and ``report`` renders
+    #: it; workers of a distributed fleet additionally forward compact
+    #: summaries to the coordinator.  Telemetry is observe-only —
+    #: fingerprints, checkpoints, and recorded results are bit-for-bit
+    #: identical with it on or off.  With no telemetry directory and no
+    #: ``obs_port`` the zero-cost null sink stays.
     telemetry_dir: Optional[Path] = None
     #: Port of the live observability HTTP server (``/metrics`` +
     #: ``/status``); ``0`` binds an ephemeral port (read it off
@@ -367,6 +377,22 @@ def top_flag_lines(frequency: Dict[str, float], top: int = 10) -> List[str]:
     return [f"  {flag:28s} {share:.0%}" for flag, share in ranked[:top]]
 
 
+def session_telemetry_dir(durable_dir: Optional[Path],
+                          telemetry_dir: Optional[Path]) -> Optional[Path]:
+    """Where a run records its telemetry: ``DIR/telemetry`` under its
+    durable directory (a checkpoint dir, a service ``state_dir``), else
+    ``telemetry_dir``; ``None`` records no JSONL.  A run given both is
+    refused, so one run has one telemetry directory."""
+    if durable_dir is None:
+        return telemetry_dir
+    if telemetry_dir is not None:
+        raise ValueError(
+            f"telemetry_dir (--telemetry-dir) is for runs without a durable "
+            f"directory; this run records under {Path(durable_dir) / TELEMETRY_DIR}"
+        )
+    return Path(durable_dir) / TELEMETRY_DIR
+
+
 def write_job_table(directory: Path, name: str, rows: List[Dict[str, object]],
                     **header: object) -> None:
     """The one writer of the job table: ``{"name", **header, "jobs": rows}``
@@ -517,6 +543,9 @@ class Campaign:
                 "checkpoint_dir= so the coordinator has a disk-backed "
                 "ArtifactStore to serve the mesh from"
             )
+        #: Where the session records JSONL (``None``: nowhere).
+        self.telemetry_dir = session_telemetry_dir(
+            self.config.checkpoint_dir, self.config.telemetry_dir)
         #: The open session (see :meth:`__enter__`): the pool jobs run on,
         #: and the observability server when ``obs_port`` is set.
         self.pool: Optional[SharedWorkerPool] = None
@@ -670,7 +699,7 @@ class Campaign:
         with ExitStack() as stack:
             pool, server = open_session(
                 stack, "campaign", self.progress.snapshot,
-                telemetry_dir=config.telemetry_dir,
+                telemetry_dir=self.telemetry_dir,
                 obs_port=config.obs_port,
                 obs_host=config.obs_host,
                 pool=pool,

@@ -22,8 +22,12 @@ Examples::
     # ... each worker being (anywhere that can reach the coordinator):
     python -m repro.campaign worker --connect COORDINATOR_HOST:7099 --slots 2
 
-    # Regenerate the report tables from checkpoints alone (no re-tuning)
+    # Regenerate the report tables from checkpoints alone (no re-tuning),
+    # then where the run's time went (its telemetry under /tmp/campaign)
     python -m repro.campaign report /tmp/campaign
+
+    # Watch a run started with --obs-port 9099 (or a serve) live
+    python -m repro.campaign tail 127.0.0.1:9099
 
     # Run the multi-tenant tuning service (pickle-free client wire format)
     python -m repro.campaign serve --bind 127.0.0.1:7410 --state-dir /tmp/svc
@@ -42,16 +46,17 @@ import logging
 import os
 import signal
 import sys
-import threading
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.campaign.campaign import (
     DATABASE_DIR,
+    TELEMETRY_DIR,
     Campaign,
     CampaignConfig,
     CampaignResult,
     ProgramJob,
+    ProgramResult,
     default_compiler_provider,
     done_results,
     read_checkpoint,
@@ -61,7 +66,6 @@ from repro.campaign.campaign import (
 from repro.campaign.database import INDEX_NAME
 from repro.campaign.pool import EXECUTORS
 from repro.distrib.worker import common_flags, configure_logging
-from repro.telemetry.live import tail
 from repro.tuner import BinTunerConfig, GAParameters
 from repro.workloads import SUITES, benchmark
 
@@ -99,7 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.campaign",
         description="Tune a benchmark suite x compiler matrix with BinTuner. "
                     "Subcommands: 'report CHECKPOINT_DIR' regenerates the "
-                    "summary/potency/overlap tables from checkpoints; "
+                    "summary/potency/overlap tables from checkpoints, then "
+                    "the run's telemetry tables; 'tail HOST:PORT' follows a "
+                    "running --obs-port live; "
                     "'worker --connect HOST:PORT' serves a distributed "
                     "campaign; 'serve --bind HOST:PORT' runs the "
                     "multi-tenant tuning service; 'submit --connect "
@@ -143,7 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="with --mesh: per-machine cap on artifact-mesh "
                              "transfer, both directions (default: unbounded)")
     parser.add_argument("--checkpoint-dir", type=Path, default=None,
-                        help="enable per-generation checkpointing under this directory")
+                        help="enable per-generation checkpointing under this "
+                             "directory; the run's telemetry is recorded under "
+                             "CHECKPOINT_DIR/telemetry")
     parser.add_argument("--fresh", action="store_true",
                         help="ignore an existing checkpoint instead of resuming")
     parser.add_argument("--limit", type=int, default=None,
@@ -152,11 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable cross-program warm-start seeding")
     parser.add_argument("--json", type=Path, default=None, dest="json_out",
                         help="write the summary (rows + aggregates) to this JSON file")
-    parser.add_argument("--live", action="store_true",
-                        help="render an in-place refreshing progress view "
-                             "(generations/sec, stage p95s, worker health) "
-                             "on stderr while the campaign runs; implies an "
-                             "ephemeral --obs-port when none is given")
     return parser
 
 
@@ -179,9 +182,7 @@ def _build_campaign(args: argparse.Namespace) -> Campaign:
         warm_start=not args.no_warm_start,
         checkpoint_dir=args.checkpoint_dir,
         telemetry_dir=args.telemetry_dir,
-        # --live without an explicit port still needs a server to poll; an
-        # ephemeral loopback port costs nothing and keeps the flag one word.
-        obs_port=0 if args.live and args.obs_port is None else args.obs_port,
+        obs_port=args.obs_port,
         obs_host=args.obs_host,
     )
     families = [family for family in args.families.split(",") if family]
@@ -206,22 +207,6 @@ def _reason(exc: Exception) -> str:
     return str(exc.args[0]) if isinstance(exc, KeyError) and exc.args else str(exc)
 
 
-@contextlib.contextmanager
-def _live_tail(url: str) -> Iterator[None]:
-    """The ``--live`` view: poll ``url`` from a daemon thread for the block."""
-    stop = threading.Event()
-    thread = threading.Thread(
-        target=tail, args=(url,), kwargs={"interval": 1.0, "stop": stop},
-        name="campaign-live-tail", daemon=True,
-    )
-    thread.start()
-    try:
-        yield
-    finally:
-        stop.set()
-        thread.join(timeout=3.0)
-
-
 def run_main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -241,8 +226,8 @@ def run_main(argv: Optional[Sequence[str]] = None) -> int:
         logger.error("no jobs to run (empty suite/family selection)")
         return 2
     # The session (sink, pool, /metrics server) is the campaign's; entering
-    # it ahead of run() is what lets --live learn the bound address and the
-    # log line name the substrate the pool resolved.
+    # it ahead of run() is what lets the log line name the substrate the
+    # pool resolved.
     with contextlib.ExitStack() as stack:
         try:
             pool = stack.enter_context(campaign).pool
@@ -255,8 +240,6 @@ def run_main(argv: Optional[Sequence[str]] = None) -> int:
             len(campaign.jobs), pool.dispatch, pool.workers,
             "s" if pool.workers != 1 else "", "off" if args.no_warm_start else "on",
         )
-        if args.live:
-            stack.enter_context(_live_tail(campaign.obs_server.url()))
         result = campaign.run(limit=args.limit, resume=not args.fresh)
     _print_summary(result, args)
     return 0
@@ -342,7 +325,7 @@ def _print_summary(result: CampaignResult, args: argparse.Namespace) -> None:
 
 
 # ---------------------------------------------------------------------------
-# report: regenerate the experiment tables from checkpoints alone
+# report: regenerate the experiment tables, and the run's telemetry tables
 # ---------------------------------------------------------------------------
 
 def build_report_parser() -> argparse.ArgumentParser:
@@ -350,43 +333,86 @@ def build_report_parser() -> argparse.ArgumentParser:
         prog="python -m repro.campaign report",
         description="Regenerate summary, per-flag potency and best-config "
                     "overlap tables from CampaignDatabase checkpoints, "
-                    "without re-running any tuning.",
+                    "without re-running any tuning; then, from the run's "
+                    "telemetry, the per-stage time, artifact-tier, tenant, "
+                    "worker, latency and counter tables.",
     )
     parser.add_argument("checkpoint_dir", type=Path,
                         help="a campaign --checkpoint-dir or a serve --state-dir "
                              "(or its database/ subdirectory, or any "
-                             "CampaignDatabase.save dir)")
+                             "CampaignDatabase.save dir), or a --telemetry-dir")
     parser.add_argument("--family", default=None,
                         help="restrict potency/overlap tables to one compiler family")
     parser.add_argument("--top", type=int, default=10,
                         help="how many flags the potency table lists (default: 10)")
+    parser.add_argument("--buckets", type=int, default=8,
+                        help="time windows in the tier-ratio table (default: 8)")
+    parser.add_argument("--chrome-trace", type=Path, default=None, metavar="OUT.json",
+                        help="additionally export every span in Chrome/Perfetto "
+                             "trace-event format (load in chrome://tracing or "
+                             "ui.perfetto.dev)")
     parser.add_argument("--json", type=Path, default=None, dest="json_out",
                         help="write all tables to this JSON file")
     return parser
 
 
 def report_main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_report_parser().parse_args(argv)
+    parser = build_report_parser()
+    args = parser.parse_args(argv)
+    for flag, value in (("--top", args.top), ("--buckets", args.buckets)):
+        if value < 1:
+            parser.error(f"{flag} must be >= 1, got {value}")
+    directory = args.checkpoint_dir
+    if not directory.is_dir():
+        print(f"no checkpoint directory at {directory}", file=sys.stderr)
+        return 2
     try:
-        database, table = read_checkpoint(args.checkpoint_dir)
+        database, table = read_checkpoint(directory)
         completed = done_results(table)
     except (OSError, ValueError, KeyError) as exc:
-        print(f"unreadable checkpoint under {args.checkpoint_dir}: {exc}",
-              file=sys.stderr)
+        print(f"unreadable checkpoint under {directory}: {exc}", file=sys.stderr)
         return 2
-    if database is None:
-        print(f"no campaign database under {args.checkpoint_dir} "
-              f"(expected {args.checkpoint_dir / DATABASE_DIR / INDEX_NAME})",
-              file=sys.stderr)
-        return 2
-    families = sorted({family for family, _program in database.shard_keys()})
-    if args.family is not None:
-        if args.family not in families:
-            print(f"family {args.family!r} not in checkpoint (has: {', '.join(families)})",
-                  file=sys.stderr)
-            return 2
-        families = [args.family]
+    # The telemetry tables are imported by ``report`` alone, not at module
+    # level: ``serve`` starts through this module and needs none of them.
+    from repro.telemetry.report import load_events
 
+    # A durable directory keeps its events under telemetry/; a bare
+    # --telemetry-dir holds them itself.
+    events_dir = directory / TELEMETRY_DIR
+    if not events_dir.is_dir():
+        events_dir = directory
+    events, skipped = load_events(events_dir)
+    if database is None and not events:
+        # What a crashed-before-first-flush or not-yet-started run leaves
+        # behind: vacuous, not an error, so scripts iterating run dirs go on.
+        print(f"warning: no campaign database (expected "
+              f"{directory / DATABASE_DIR / INDEX_NAME}) and no telemetry events "
+              f"(expected *.jsonl files) under {directory}; nothing to report",
+              file=sys.stderr)
+        return 0
+    payload: Dict[str, object] = {}
+    if database is not None:
+        families = sorted({family for family, _program in database.shard_keys()})
+        if args.family is not None:
+            if args.family not in families:
+                print(f"family {args.family!r} not in checkpoint "
+                      f"(has: {', '.join(families)})", file=sys.stderr)
+                return 2
+            families = [args.family]
+        payload = _print_results(database, completed, families, args.top)
+    if events:
+        if database is not None:
+            print()
+        payload["telemetry"] = _print_telemetry(events, skipped, events_dir, args)
+    if args.json_out is not None:
+        args.json_out.write_text(json.dumps(payload, indent=2))
+    return 0
+
+
+def _print_results(database, completed: List[ProgramResult], families: List[str],
+                   top: int) -> Dict[str, object]:
+    """The results half: summary, stage line, potency and overlap tables.
+    Returns its ``--json`` keys."""
     print(f"campaign {database.name!r}: {len(database)} shard(s), "
           f"{database.total_records()} records")
     print("\nper-program summary:")
@@ -410,7 +436,7 @@ def report_main(argv: Optional[Sequence[str]] = None) -> int:
         if not frequency:
             continue
         print(f"\nper-flag potency ({family}): share of best configurations enabling it")
-        print("\n".join(top_flag_lines(frequency, args.top)))
+        print("\n".join(top_flag_lines(frequency, top)))
 
     overlap_out: Dict[str, Dict[str, float]] = {}
     for family in families:
@@ -428,18 +454,133 @@ def report_main(argv: Optional[Sequence[str]] = None) -> int:
         print("\n".join(pairs) if pairs else "  (single program: no pairs)")
 
     print(f"\ndatabase fingerprint: {database.fingerprint()}")
+    return {
+        "name": database.name,
+        "summary": database.summary_rows(),
+        "flag_frequency": potency,
+        "best_overlap": overlap_out,
+        "fingerprint": database.fingerprint(),
+        "evaluation": stages.as_dict() if staged else None,
+    }
 
-    if args.json_out is not None:
-        payload = {
-            "name": database.name,
-            "summary": database.summary_rows(),
-            "flag_frequency": potency,
-            "best_overlap": overlap_out,
-            "fingerprint": database.fingerprint(),
-            "evaluation": stages.as_dict() if staged else None,
-        }
-        args.json_out.write_text(json.dumps(payload, indent=2))
-    return 0
+
+def _print_telemetry(events: List[Dict[str, object]], skipped: int,
+                     events_dir: Path, args: argparse.Namespace) -> Dict[str, object]:
+    """The telemetry half: per-stage time, tier ratios over time, tenants,
+    workers, latency percentiles and counters.  Returns its ``--json``
+    object."""
+    from repro.telemetry import report as tables
+
+    if not tables.spans(events):
+        print(f"warning: no spans under {events_dir}; time-breakdown "
+              f"tables will be empty", file=sys.stderr)
+    processes = sorted({record["pid"] for record in events})
+    print(f"telemetry: {len(events)} records from {len(processes)} process(es) "
+          f"under {events_dir}"
+          + (f" ({skipped} malformed lines skipped)" if skipped else ""))
+
+    breakdown = tables.span_breakdown(events)
+    if breakdown:
+        print("\nper-stage time breakdown:")
+        print(f"  {'span':24s} {'count':>7s} {'total s':>9s} {'mean ms':>9s}")
+        for row in breakdown:
+            print(f"  {row['name']:24s} {row['count']:7d} "
+                  f"{row['seconds']:9.2f} {row['mean_ms']:9.2f}")
+
+    tiers = tables.tier_ratio_rows(events, buckets=args.buckets)
+    if tiers:
+        print("\nartifact tier hit ratios over time (per stage lookup):")
+        print(f"  {'generations':>12s} {'lookups':>8s} {'tier-1':>7s} "
+              f"{'tier-2':>7s} {'mesh':>7s} {'miss':>7s}")
+        for row in tiers:
+            print(f"  {row['generations']:>12s} {row['lookups']:8d} "
+                  f"{row['tier1_ratio']:6.1%} {row['tier2_ratio']:6.1%} "
+                  f"{row['mesh_ratio']:6.1%} {row['miss_ratio']:6.1%}")
+
+    tenants = tables.tenant_breakdown(events)
+    if tenants:
+        print("\nper-tenant service time (fair-share view):")
+        print(f"  {'tenant':20s} {'jobs':>5s} {'generations':>12s} {'total s':>9s}")
+        for row in tenants:
+            print(f"  {row['tenant']:20s} {row['jobs']:5d} "
+                  f"{row['generations']:12d} {row['seconds']:9.2f}")
+
+    fleet = tables.worker_rows(events)
+    if fleet:
+        print("\nworker utilization:")
+        print(f"  {'worker':>6s} {'peer':20s} {'batches':>7s} "
+              f"{'cands':>6s} {'busy s':>7s} {'util':>6s} {'mesh B':>10s}")
+        for row in fleet:
+            print(f"  {row['worker_id']:6d} {str(row['peer']):20s} "
+                  f"{row['batches']:7d} {row['candidates']:6d} "
+                  f"{row['busy_seconds']:7.1f} {row['utilization']:5.1%} "
+                  f"{row['mesh_bytes']:10d}")
+
+    latencies = tables.latency_rows(events)
+    if latencies:
+        print("\nlatency percentiles (merged across processes):")
+        print(f"  {'histogram':28s} {'count':>7s} {'p50 ms':>9s} "
+              f"{'p95 ms':>9s} {'p99 ms':>9s}")
+        for row in latencies:
+            print(f"  {row['name']:28s} {row['count']:7d} "
+                  f"{1000.0 * row['p50']:9.2f} {1000.0 * row['p95']:9.2f} "
+                  f"{1000.0 * row['p99']:9.2f}")
+
+    counters = tables.merged_counters(events)
+    if counters:
+        print("\ncounters (all processes):")
+        for name in sorted(counters):
+            value = counters[name]
+            rendered = f"{value:g}" if isinstance(value, float) else str(value)
+            print(f"  {name:32s} {rendered}")
+
+    if args.chrome_trace is not None:
+        trace = tables.chrome_trace(events)
+        args.chrome_trace.write_text(json.dumps(trace))
+        print(f"\nchrome trace: {len(trace['traceEvents'])} span(s) -> "
+              f"{args.chrome_trace} (load in chrome://tracing or ui.perfetto.dev)")
+
+    return {
+        "records": len(events),
+        "processes": processes,
+        "breakdown": breakdown,
+        "tier_ratios": tiers,
+        "tenants": tenants,
+        "fleet": fleet,
+        "latency": latencies,
+        "counters": counters,
+    }
+
+
+# ---------------------------------------------------------------------------
+# tail: follow a running campaign's or service's /status
+# ---------------------------------------------------------------------------
+
+def build_tail_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.campaign tail",
+        description="Live in-place progress view of a running campaign's or "
+                    "service's /status endpoint, on stderr.",
+    )
+    parser.add_argument("address", metavar="HOST:PORT",
+                        help="the --obs-port endpoint of a running campaign "
+                             "(HOST:PORT or a full http:// URL)")
+    parser.add_argument("--interval", type=float, default=1.0,
+                        help="poll period in seconds (default: 1.0)")
+    parser.add_argument("--max-polls", type=int, default=None,
+                        help="stop after this many polls (default: until the "
+                             "server goes away or the campaign finishes)")
+    return parser
+
+
+def tail_main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = build_tail_parser()
+    args = parser.parse_args(argv)
+    if args.interval < 0:
+        parser.error(f"--interval must be >= 0, got {args.interval}")
+    from repro.telemetry.live import tail
+
+    return tail(args.address, interval=args.interval, max_polls=args.max_polls)
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +756,21 @@ def submit_main(argv: Optional[Sequence[str]] = None) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "report":
-        return report_main(argv[1:])
+    readers = {"report": report_main, "tail": tail_main}
+    if argv and argv[0] in readers:
+        try:
+            code = readers[argv[0]](argv[1:])
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
+            return code
+        except BrokenPipeError:
+            # The reader left (``report ... | head``): the conventional quiet
+            # exit, not a traceback.  Point stdout at devnull so the
+            # interpreter's teardown flush cannot raise the same error again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
+        except KeyboardInterrupt:
+            # Ctrl-C is how a tail session ends; no traceback.
+            return 130
     if argv and argv[0] == "worker":
         from repro.distrib.worker import main as worker_main
 

@@ -205,9 +205,10 @@ def open_session(
     * The sink is installed when a ``telemetry_dir`` *or* an ``obs_port``
       is given: one sink feeds the JSONL file and ``/metrics``, and with
       only a port it is registry only, so nothing touches disk.
-    * The pool is ``SharedWorkerPool(**pool_args)``, closed with the stack,
-      or an injected ``pool``, used as-is and left open.  A pool built here
-      that listens for workers logs where to point them.
+    * The pool is ``SharedWorkerPool(**pool_args)``, built before the sink
+      (so arguments it refuses leave no telemetry file) and closed with the
+      stack, or an injected ``pool``, used as-is and left open.  A pool
+      built here that listens for workers logs where to point them.
     * The ``/metrics`` + ``/status`` server (only with an ``obs_port``)
       serves the owner's ``status`` under ``section`` (``"campaign"`` /
       ``"service"``) and its optional ``metrics``, plus the ``process``
@@ -215,10 +216,15 @@ def open_session(
 
     Returns ``(pool, server)``; ``server`` is ``None`` without a port.
     """
-    if telemetry_dir is not None or obs_port is not None:
-        stack.enter_context(telemetry.recording(telemetry_dir, label=section))
-    if pool is None:
-        pool = stack.enter_context(SharedWorkerPool(**pool_args))
+    own_pool = pool is None
+    with ExitStack() as built:
+        # Built before the sink is installed, closed before it is removed.
+        if own_pool:
+            pool = built.enter_context(SharedWorkerPool(**pool_args))
+        if telemetry_dir is not None or obs_port is not None:
+            stack.enter_context(telemetry.recording(telemetry_dir, label=section))
+        stack.push(built.pop_all())
+    if own_pool:
         if pool.coordinator is not None:
             bound = pool.address_string()
             host, _sep, port = bound.rpartition(":")

@@ -16,8 +16,7 @@ endpoints:
 * ``GET /status`` — one JSON document assembled from named status sources
   (``campaign`` progress or the ``service`` section, ``fleet`` health rows,
   this ``process``'s peak resident set and thread count) plus server-side
-  stage latency quantiles, polled by ``python -m repro.telemetry tail`` and
-  the campaign CLI's ``--live`` view.
+  stage latency quantiles, polled by ``python -m repro.campaign tail``.
 
 The contract mirrors the telemetry plane's: the server *observes*, it can
 never fail a batch.  Handlers read shared state only through the source

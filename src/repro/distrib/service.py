@@ -74,7 +74,8 @@ from repro.distrib.wire import (
 )
 from repro.campaign.database import CampaignDatabase
 from repro.campaign.campaign import (DATABASE_DIR, STORE_DIR, default_compiler_provider,
-                                     read_checkpoint, run_job, write_job_table)
+                                     read_checkpoint, run_job, session_telemetry_dir,
+                                     write_job_table)
 from repro.campaign.pool import open_session
 from repro.tuner import BinTuner, BinTunerConfig, BuildSpec
 from repro.tuner.pipeline import ArtifactCache
@@ -126,8 +127,10 @@ class ServiceConfig:
     obs_port: Optional[int] = None
     obs_host: str = "127.0.0.1"
     #: Write tenant-tagged telemetry (``service.job`` / ``service.generation``
-    #: spans) as JSONL here; ``python -m repro.telemetry report`` renders the
-    #: per-tenant fair-share table from it.  Observe-only, as ever.
+    #: spans) as JSONL here when there is no ``state_dir``; with one it goes
+    #: to ``state_dir/telemetry`` and setting both is an error.
+    #: ``python -m repro.campaign report`` renders the per-tenant fair-share
+    #: table from it.  Observe-only, as ever.
     telemetry_dir: Optional[Path] = None
 
 
@@ -222,7 +225,8 @@ class TuningService:
             #: service store when the fleet is distributed.
             self._pool, self.obs_server = open_session(
                 stack, "service", self.status_snapshot, self.metrics_snapshot,
-                telemetry_dir=self.config.telemetry_dir,
+                telemetry_dir=session_telemetry_dir(self._state_dir,
+                                                    self.config.telemetry_dir),
                 obs_port=self.config.obs_port,
                 obs_host=self.config.obs_host,
                 dispatch=self.config.dispatch,

@@ -561,8 +561,10 @@ def common_flags() -> argparse.ArgumentParser:
                              "the coordinator serves beyond loopback)")
     parser.add_argument("--telemetry-dir", type=Path, default=None,
                         help="write this process's telemetry as JSONL here "
-                             "(python -m repro.telemetry report renders it); "
-                             "observe-only")
+                             "(python -m repro.campaign report renders it); "
+                             "observe-only.  A run with --checkpoint-dir or "
+                             "--state-dir records under DIR/telemetry "
+                             "instead and refuses this flag")
     chatter = parser.add_mutually_exclusive_group()
     chatter.add_argument("--verbose", action="store_true",
                          help="debug-level log lines on stderr")

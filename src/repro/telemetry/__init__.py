@@ -21,10 +21,13 @@ is the observability plane those layers share:
   counted as ``dropped``, never written — and the run carries on;
 * :func:`recording` is the one way a run installs a sink, for the length of
   a ``with`` block;
-* ``python -m repro.telemetry report RUN_DIR`` renders the per-stage time
+* a run with a durable directory (a checkpoint dir, a ``serve
+  --state-dir``) records those files under ``DIR/telemetry``, and
+  ``python -m repro.campaign report DIR`` renders the per-stage time
   breakdown, cache-tier hit ratios over time and the worker utilization
-  table from those files, and ``--chrome-trace out.json`` exports every
-  span in Chrome/Perfetto trace-event format (:mod:`repro.telemetry.report`).
+  table from them after the results tables; ``--chrome-trace out.json``
+  exports every span in Chrome/Perfetto trace-event format (the tables are
+  :mod:`repro.telemetry.report`).
 
 The hard invariant: telemetry *observes*, it never participates.  Nothing a
 sink records flows back into fingerprints, checkpoints or recorded results,

@@ -16,8 +16,7 @@ after the run.  This module makes the same sink readable *during* it:
 * :func:`render_prometheus` — the text exposition format a Prometheus
   scraper parses from ``GET /metrics``.
 * :func:`render_status` / :func:`tail` — the in-place refreshing progress
-  view behind ``python -m repro.telemetry tail HOST:PORT`` and the campaign
-  CLI's ``--live``.
+  view behind ``python -m repro.campaign tail HOST:PORT``.
 
 This module imports only the stdlib, and only what recording needs:
 ``repro.telemetry`` imports *from* it in every process that touches a cache,
@@ -438,7 +437,6 @@ def tail(
     address: str,
     interval: float = 1.0,
     stream=None,
-    stop: Optional[threading.Event] = None,
     max_polls: Optional[int] = None,
     fetch: Callable[[str], Dict[str, object]] = fetch_status,
 ) -> int:
@@ -457,9 +455,7 @@ def tail(
     previous_at: Optional[float] = None
     ever_connected = False
     polls = 0
-    while not (stop is not None and stop.is_set()):
-        if max_polls is not None and polls >= max_polls:
-            break
+    while max_polls is None or polls < max_polls:
         polls += 1
         try:
             status = fetch(url)
@@ -477,9 +473,5 @@ def tail(
             campaign = status.get("campaign")
             if isinstance(campaign, dict) and campaign.get("state") in CAMPAIGN_ENDED:
                 return 0
-        if stop is not None:
-            if stop.wait(interval):
-                break
-        else:
-            time.sleep(interval)
+        time.sleep(interval)
     return 0 if ever_connected else 1

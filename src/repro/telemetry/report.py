@@ -1,9 +1,10 @@
 """Consume telemetry JSONL: the report tables and the chrome-trace export.
 
-``python -m repro.telemetry report RUN_DIR`` reads every ``*.jsonl`` file a
-run's sinks wrote into ``RUN_DIR`` (orchestrator, local workers, remote
-workers pointed at their own directories and copied in afterwards) and
-prints:
+``python -m repro.campaign report DIR`` reads every ``*.jsonl`` file a run's
+sinks wrote into ``DIR/telemetry`` (or into a bare ``--telemetry-dir``):
+the orchestrator's, one per session, and remote workers' pointed at their
+own directories and copied in afterwards.  After the results tables it
+prints the telemetry half from the functions here:
 
 * the per-stage/per-span time breakdown (count, total and mean wall clock);
 * artifact-cache tier hit ratios *over time*, bucketed by engine
@@ -25,9 +26,7 @@ still report.
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
@@ -38,9 +37,10 @@ from repro.telemetry import ratio
 def load_events(run_dir) -> Tuple[List[Dict[str, object]], int]:
     """Parse every ``*.jsonl`` under ``run_dir`` into one event list.
 
-    Each record gains ``pid`` and ``wall_ts`` (its file's ``meta`` epoch
-    plus the record's monotonic ``ts``) so events from different processes
-    sort onto one timeline.  Returns ``(events, skipped_line_count)``.
+    Each record gains an integer ``pid`` and ``wall_ts`` (its file's
+    ``meta`` epoch plus the record's monotonic ``ts``) so events from
+    different processes sort onto one timeline.  Returns
+    ``(events, skipped_line_count)``.
     """
     run_dir = Path(run_dir)
     events: List[Dict[str, object]] = []
@@ -74,7 +74,7 @@ def load_events(run_dir) -> Tuple[List[Dict[str, object]], int]:
                     wall_epoch = float(record.get("wall_epoch", 0.0))
                 except (TypeError, ValueError):
                     wall_epoch = 0.0
-            record.setdefault("pid", pid if pid is not None else 0)
+            record["pid"] = _as_int(record.get("pid", pid if pid is not None else 0))
             ts = record.get("ts")
             if isinstance(ts, (int, float)):
                 record["wall_ts"] = wall_epoch + float(ts)
@@ -308,157 +308,3 @@ def chrome_trace(events: Sequence[Dict[str, object]]) -> Dict[str, object]:
             entry["args"] = attrs
         trace_events.append(entry)
     return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
-
-
-# ---------------------------------------------------------------------------
-# The CLI
-# ---------------------------------------------------------------------------
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.telemetry",
-        description="Report on (and export) a run's telemetry JSONL.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    report = sub.add_parser(
-        "report", help="print the stage/tier/fleet breakdown of a telemetry dir"
-    )
-    report.add_argument("run_dir", type=Path,
-                        help="a campaign --telemetry-dir (any directory of "
-                             "telemetry *.jsonl files)")
-    report.add_argument("--buckets", type=int, default=8,
-                        help="time windows in the tier-ratio table (default: 8)")
-    report.add_argument("--chrome-trace", type=Path, default=None, metavar="OUT.json",
-                        help="additionally export every span in Chrome/Perfetto "
-                             "trace-event format (load in chrome://tracing or "
-                             "ui.perfetto.dev)")
-    report.add_argument("--json", type=Path, default=None, dest="json_out",
-                        help="write the report tables to this JSON file")
-    tail = sub.add_parser(
-        "tail", help="live in-place progress view of a running campaign's "
-                     "/status endpoint"
-    )
-    tail.add_argument("address", metavar="HOST:PORT",
-                      help="the --obs-port endpoint of a running campaign "
-                           "(HOST:PORT or a full http:// URL)")
-    tail.add_argument("--interval", type=float, default=1.0,
-                      help="poll period in seconds (default: 1.0)")
-    tail.add_argument("--max-polls", type=int, default=None,
-                      help="stop after this many polls (default: until the "
-                           "server goes away or the campaign finishes)")
-    return parser
-
-
-def report_main(args) -> int:
-    events, skipped = load_events(args.run_dir)
-    if not events:
-        # An empty directory is what a crashed-before-first-flush or
-        # not-yet-started run leaves behind; a report over it is vacuous,
-        # not an error — scripts iterating run dirs must keep going.
-        print(f"warning: no telemetry events under {args.run_dir} "
-              f"(expected *.jsonl files); nothing to report",
-              file=sys.stderr)
-        return 0
-    if not spans(events):
-        print(f"warning: no spans under {args.run_dir}; time-breakdown "
-              f"tables will be empty", file=sys.stderr)
-    processes = sorted({_as_int(record.get("pid", 0)) for record in events})
-    print(f"telemetry: {len(events)} records from {len(processes)} process(es) "
-          f"under {args.run_dir}"
-          + (f" ({skipped} malformed lines skipped)" if skipped else ""))
-
-    breakdown = span_breakdown(events)
-    if breakdown:
-        print("\nper-stage time breakdown:")
-        print(f"  {'span':24s} {'count':>7s} {'total s':>9s} {'mean ms':>9s}")
-        for row in breakdown:
-            print(f"  {row['name']:24s} {row['count']:7d} "
-                  f"{row['seconds']:9.2f} {row['mean_ms']:9.2f}")
-
-    tiers = tier_ratio_rows(events, buckets=args.buckets)
-    if tiers:
-        print("\nartifact tier hit ratios over time (per stage lookup):")
-        print(f"  {'generations':>12s} {'lookups':>8s} {'tier-1':>7s} "
-              f"{'tier-2':>7s} {'mesh':>7s} {'miss':>7s}")
-        for row in tiers:
-            print(f"  {row['generations']:>12s} {row['lookups']:8d} "
-                  f"{row['tier1_ratio']:6.1%} {row['tier2_ratio']:6.1%} "
-                  f"{row['mesh_ratio']:6.1%} {row['miss_ratio']:6.1%}")
-
-    tenants = tenant_breakdown(events)
-    if tenants:
-        print("\nper-tenant service time (fair-share view):")
-        print(f"  {'tenant':20s} {'jobs':>5s} {'generations':>12s} {'total s':>9s}")
-        for row in tenants:
-            print(f"  {row['tenant']:20s} {row['jobs']:5d} "
-                  f"{row['generations']:12d} {row['seconds']:9.2f}")
-
-    fleet = worker_rows(events)
-    if fleet:
-        print("\nworker utilization:")
-        print(f"  {'worker':>6s} {'peer':20s} {'batches':>7s} "
-              f"{'cands':>6s} {'busy s':>7s} {'util':>6s} {'mesh B':>10s}")
-        for row in fleet:
-            print(f"  {row['worker_id']:6d} {str(row['peer']):20s} "
-                  f"{row['batches']:7d} {row['candidates']:6d} "
-                  f"{row['busy_seconds']:7.1f} {row['utilization']:5.1%} "
-                  f"{row['mesh_bytes']:10d}")
-
-    latencies = latency_rows(events)
-    if latencies:
-        print("\nlatency percentiles (merged across processes):")
-        print(f"  {'histogram':28s} {'count':>7s} {'p50 ms':>9s} "
-              f"{'p95 ms':>9s} {'p99 ms':>9s}")
-        for row in latencies:
-            print(f"  {row['name']:28s} {row['count']:7d} "
-                  f"{1000.0 * row['p50']:9.2f} {1000.0 * row['p95']:9.2f} "
-                  f"{1000.0 * row['p99']:9.2f}")
-
-    counters = merged_counters(events)
-    if counters:
-        print("\ncounters (all processes):")
-        for name in sorted(counters):
-            value = counters[name]
-            rendered = f"{value:g}" if isinstance(value, float) else str(value)
-            print(f"  {name:32s} {rendered}")
-
-    if args.chrome_trace is not None:
-        trace = chrome_trace(events)
-        args.chrome_trace.write_text(json.dumps(trace))
-        print(f"\nchrome trace: {len(trace['traceEvents'])} span(s) -> "
-              f"{args.chrome_trace} (load in chrome://tracing or ui.perfetto.dev)")
-
-    if args.json_out is not None:
-        args.json_out.write_text(json.dumps({
-            "records": len(events),
-            "processes": processes,
-            "breakdown": breakdown,
-            "tier_ratios": tiers,
-            "tenants": tenants,
-            "fleet": fleet,
-            "latency": latencies,
-            "counters": counters,
-        }, indent=2))
-    return 0
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        if args.command == "report":
-            return report_main(args)
-        if args.command == "tail":
-            from repro.telemetry.live import tail
-
-            return tail(args.address, interval=args.interval,
-                        max_polls=args.max_polls)
-    except BrokenPipeError:
-        # The reader left (``report ... | head``): the conventional quiet
-        # exit, not a traceback.  Point stdout at devnull so the interpreter
-        # teardown's implicit flush cannot raise the same error again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
-    except KeyboardInterrupt:
-        # Ctrl-C is how a tail session ends; no traceback.
-        return 130
-    raise AssertionError(f"unhandled command {args.command!r}")

@@ -37,7 +37,7 @@ from repro.campaign import (
     ProgramJob,
     SharedWorkerPool,
 )
-from repro.campaign.campaign import STORE_DIR
+from repro.campaign.campaign import STORE_DIR, TELEMETRY_DIR
 from repro.tuner import (
     ArtifactCache,
     BinTuner,
@@ -670,6 +670,23 @@ def test_tuning_processes_import_no_numeric_library():
     assert done.stdout.strip() == "[]"
 
 
+def test_serve_startup_imports_no_report_table():
+    """``serve`` starts through ``repro.campaign.cli``; the telemetry
+    tables ``report`` prints, and the ``tail`` client, load only when
+    those subcommands run."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; import repro.campaign.cli; "
+        "print([name for name in ('repro.telemetry.report', 'urllib.request') "
+        "if name in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert done.stdout.strip() == "[]"
+
+
 class TestParentCheckpointCompatibility:
     def test_parent_manifest_resumes_and_reports(self, tmp_path, capsys):
         """The ``pipeline`` key an older manifest carries is tolerated: the
@@ -772,3 +789,88 @@ class TestCampaignCLI:
         from repro.campaign.cli import main
 
         assert main(["report", str(tmp_path / "nowhere")]) == 2
+
+    def test_report_matches_the_golden_output(self, tmp_path, capsys):
+        """``report`` stdout and ``--json`` on the stored checkpoint are
+        byte-identical to the golden files beside it: a checkpoint with no
+        telemetry reports exactly its results half."""
+        from repro.campaign.cli import main
+
+        out = tmp_path / "report.json"
+        assert main(["report", str(PARENT_CHECKPOINT), "--json", str(out)]) == 0
+        data = PARENT_CHECKPOINT.parent
+        assert capsys.readouterr().out == (data / "parent_report.txt").read_text()
+        assert out.read_bytes() == (data / "parent_report.json").read_bytes()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["report", str(PARENT_CHECKPOINT), "--top", "0"], "--top must be >= 1, got 0"),
+        (["report", str(PARENT_CHECKPOINT), "--top", "-2"], "--top must be >= 1, got -2"),
+        (["report", str(PARENT_CHECKPOINT), "--buckets", "0"],
+         "--buckets must be >= 1, got 0"),
+        (["tail", "127.0.0.1:1", "--interval", "-1"], "--interval must be >= 0, got -1.0"),
+    ])
+    def test_an_out_of_range_count_is_one_usage_error(self, argv, message, capsys):
+        """``--top -2`` listed 28 of 30 flags (a ``[:-2]`` slice), and
+        ``tail --interval -1`` raised out of ``time.sleep``."""
+        from repro.campaign.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (error,) = [line for line in captured.err.splitlines() if "error:" in line]
+        assert error == f"python -m repro.campaign {argv[0]}: error: {message}"
+
+    def test_report_into_a_closed_pipe_exits_quietly(self):
+        """``report | head``: the reader left before the tables were
+        written, so the command exits 141 with no traceback."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.campaign", "report", str(PARENT_CHECKPOINT)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        process.stdout.close()
+        err = process.stderr.read().decode()
+        assert process.wait(timeout=60) == 141
+        assert err == ""
+
+    def test_tail_interrupted_exits_130(self, monkeypatch):
+        from repro.campaign.cli import main
+        from repro.telemetry import live
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(live, "tail", interrupted)
+        assert main(["tail", "127.0.0.1:1"]) == 130
+
+    def test_resumed_campaign_adds_a_session_and_report_merges_both(self, tmp_path):
+        """Each process records its own ``campaign-<pid>.jsonl`` under
+        ``CKPT/telemetry``; ``report`` reads both sessions as one run."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        ckpt = tmp_path / "ckpt"
+        args = [sys.executable, "-m", "repro.campaign",
+                "--benchmarks", "462.libquantum,429.mcf", "--families", "llvm",
+                "--max-iterations", "6", "--population", "3",
+                "--checkpoint-dir", str(ckpt), "--quiet"]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        for extra in (["--limit", "1"], ["--json", str(tmp_path / "run.json")]):
+            subprocess.run(args + extra, check=True, capture_output=True, env=env,
+                           timeout=120)
+        sessions = sorted((ckpt / TELEMETRY_DIR).glob("campaign-*.jsonl"))
+        assert len(sessions) == 2
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.campaign", "report", str(ckpt),
+             "--json", str(tmp_path / "report.json")],
+            check=True, capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert f"from 2 process(es) under {ckpt / TELEMETRY_DIR}" in done.stdout
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["fingerprint"] == json.loads(
+            (tmp_path / "run.json").read_text())["fingerprint"]
+        breakdown = {row["name"]: row["count"]
+                     for row in report["telemetry"]["breakdown"]}
+        assert breakdown["campaign.run"] == 2
+        assert breakdown["campaign.job"] == 2  # one per job, across sessions

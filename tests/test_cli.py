@@ -168,3 +168,22 @@ def test_a_mistyped_argument_is_one_usage_error(argv, tmp_path, monkeypatch, cap
     assert error.startswith(f"{prog}: error:")
     assert f"usage: {prog} " in err
     assert not checkpoint.exists()
+
+
+@pytest.mark.parametrize("argv, durable", [
+    (["--benchmarks", "429.mcf"], "--checkpoint-dir"),
+    (["serve"], "--state-dir"),
+])
+def test_a_telemetry_dir_beside_a_durable_dir_is_one_usage_error(
+        argv, durable, tmp_path, capsys):
+    """A run with a durable directory records under ``DIR/telemetry``; a
+    second telemetry directory is refused before anything is written."""
+    from repro.campaign.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, durable, str(tmp_path / "durable"),
+              "--telemetry-dir", str(tmp_path / "telemetry")])
+    assert exit_info.value.code == 2
+    (error,) = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert "telemetry_dir (--telemetry-dir)" in error
+    assert not any(tmp_path.iterdir())

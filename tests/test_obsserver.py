@@ -355,7 +355,7 @@ class TestObservabilityServer:
 
 
 # ---------------------------------------------------------------------------
-# the tail / --live rendering
+# the tail rendering
 # ---------------------------------------------------------------------------
 
 class TestTail:
@@ -749,7 +749,6 @@ class TestObservabilityParity:
             "--max-iterations", "8",
             "--population", "6",
             "--obs-port", "0",
-            "--live",
             "--json", str(tmp_path / "summary.json"),
             "--quiet",
         ])

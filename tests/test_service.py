@@ -517,11 +517,21 @@ class TestStateDirReport:
                 row = client.wait(submit_budget(client, "alice", "work", SOURCE),
                                   timeout=120)
         assert main(["report", str(state_dir), "--json", str(tmp_path / "report.json")]) == 0
-        assert "pipeline stages" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "pipeline stages" in out
         report = json.loads((tmp_path / "report.json").read_text())
         assert [summary["benchmark"] for summary in report["summary"]] == [
             f"{row['job_id']}.work"]
         assert report["evaluation"]["evaluated"] == row["evaluated"] > 0
+        # The state dir is the service's telemetry dir: its tenant spans
+        # are there, and the report's telemetry half renders them.
+        from repro.campaign.campaign import TELEMETRY_DIR
+
+        assert list((state_dir / TELEMETRY_DIR).glob("service-*.jsonl"))
+        assert "per-tenant service time" in out
+        (tenant,) = report["telemetry"]["tenants"]
+        assert (tenant["tenant"], tenant["jobs"]) == ("alice", 1)
+        assert tenant["generations"] == row["generations_done"] > 0
 
 
 class TestPersistRace:

@@ -19,7 +19,8 @@ declare their common flags once, in parent parsers (``serve`` and
 ``submit`` share ``--token`` the same way), and only
 ``campaign/campaign.py`` names the job table (``jobs.json``, which a
 campaign checkpoint and a service state dir share) and the older
-``manifest.json`` it still reads.  And the owner of
+``manifest.json`` it still reads; its constants name the rest of that
+directory (``database/``, ``store/``, ``telemetry/``).  And the owner of
 the artifact cache: the run's owner (a campaign, the tuning service)
 attaches the store once, a worker's shared cache is the only other
 attachment, and no tuner or evaluator field re-passes the store's
@@ -139,6 +140,30 @@ def test_one_module_names_the_checkpoint_manifest():
             if name in path.read_text()
         ]
         assert found == [owner], name
+
+
+def test_one_module_names_the_run_directory_layout():
+    """``database/``, ``store/`` and ``telemetry/`` under a checkpoint dir
+    or a ``serve --state-dir`` are ``campaign/campaign.py``'s constants; a
+    path joined with the bare name anywhere else is a second layout."""
+    from repro.campaign import campaign
+
+    assert (campaign.DATABASE_DIR, campaign.STORE_DIR, campaign.TELEMETRY_DIR,
+            campaign.JOB_TABLE) == ("database", "store", "telemetry", "jobs.json")
+    joined = re.compile(r"""/\s*["'](?:database|store|telemetry)["']""")
+    found = [
+        f"{path.relative_to(SRC).as_posix()}:{number}"
+        for path in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if joined.search(line)
+    ]
+    assert found == []
+    users = {
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if "TELEMETRY_DIR" in path.read_text() or "session_telemetry_dir" in path.read_text()
+    }
+    assert users == {"campaign/campaign.py", "campaign/cli.py", "distrib/service.py"}
 
 
 def test_one_owner_builds_every_evaluation_substrate():

@@ -45,10 +45,10 @@ from repro.telemetry import (
     get_sink,
     set_sink,
 )
+from repro.campaign.cli import main as campaign_cli
 from repro.telemetry.report import (
     chrome_trace,
     load_events,
-    main as report_cli,
     merged_counters,
     span_breakdown,
     spans,
@@ -400,7 +400,7 @@ class TestReport:
     def test_chrome_trace_is_valid(self, tmp_path):
         _write_sample_run(tmp_path)
         out = tmp_path / "trace.json"
-        assert report_cli(["report", str(tmp_path), "--chrome-trace", str(out)]) == 0
+        assert campaign_cli(["report", str(tmp_path), "--chrome-trace", str(out)]) == 0
         trace = json.loads(out.read_text())  # must be valid JSON
         assert trace["traceEvents"]
         for entry in trace["traceEvents"]:
@@ -412,7 +412,7 @@ class TestReport:
 
     def test_report_renders_every_table(self, tmp_path, capsys):
         _write_sample_run(tmp_path)
-        assert report_cli(["report", str(tmp_path)]) == 0
+        assert campaign_cli(["report", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "per-stage time breakdown" in out
         assert "artifact tier hit ratios over time" in out
@@ -421,7 +421,7 @@ class TestReport:
         assert "artifact.memory_hits" in out
 
     def test_report_on_empty_dir_warns_and_succeeds(self, tmp_path, capsys):
-        assert report_cli(["report", str(tmp_path)]) == 0
+        assert campaign_cli(["report", str(tmp_path)]) == 0
         captured = capsys.readouterr()
         assert "no telemetry events" in captured.err
         assert "warning" in captured.err
@@ -433,7 +433,7 @@ class TestReport:
             '{"type": "event", "name": "fleet.worker", "ts": 0.5, '
             '"attrs": {"worker_id": 1, "peer": "x"}}\n'
         )
-        assert report_cli(["report", str(tmp_path)]) == 0
+        assert campaign_cli(["report", str(tmp_path)]) == 0
         captured = capsys.readouterr()
         assert "no spans" in captured.err
         assert "worker utilization" in captured.out
@@ -445,7 +445,7 @@ class TestReport:
             # A crash mid-append leaves a partial JSON document with no
             # trailing newline; the well-formed prefix must still report.
             handle.write('{"type": "span", "name": "stage.comp')
-        assert report_cli(["report", str(tmp_path)]) == 0
+        assert campaign_cli(["report", str(tmp_path)]) == 0
         captured = capsys.readouterr()
         assert "1 malformed lines skipped" in captured.out
         assert "per-stage time breakdown" in captured.out
@@ -461,7 +461,7 @@ class TestReport:
         assert skipped == 0  # parseable lines are kept, fields are coerced
         assert span_breakdown(events)[0]["seconds"] == 0.0
         assert worker_rows(events) == []  # uncoercible worker_id -> dropped
-        assert report_cli(["report", str(tmp_path)]) == 0
+        assert campaign_cli(["report", str(tmp_path)]) == 0
 
     def test_loader_skips_malformed_lines(self, tmp_path):
         _write_sample_run(tmp_path)
@@ -514,6 +514,26 @@ class TestCampaignParity:
         assert counters.get("artifact.memory_hits", 0) > 0
         # generation spans carry the tier deltas the report buckets
         assert tier_ratio_rows(events)
+
+    def test_checkpointed_campaign_records_under_its_checkpoint(self, tmp_path):
+        """A checkpoint dir is the run's telemetry dir too: the session
+        records under ``CKPT/telemetry`` with no flag, and the run lands on
+        the fingerprint of a campaign without a checkpoint."""
+        from repro.campaign.campaign import TELEMETRY_DIR
+
+        plain = Campaign(JOBS, tiny_campaign_config(), spec_provider=tiny_spec).run()
+        ckpt = tmp_path / "ckpt"
+        checkpointed = Campaign(
+            JOBS, tiny_campaign_config(checkpoint_dir=ckpt), spec_provider=tiny_spec,
+        ).run()
+        assert checkpointed.fingerprint() == plain.fingerprint()
+        assert get_sink() is NULL_SINK
+        (session,) = (ckpt / TELEMETRY_DIR).glob("*.jsonl")
+        assert session.name == f"campaign-{os.getpid()}.jsonl"
+        events, skipped = load_events(ckpt / TELEMETRY_DIR)
+        assert skipped == 0
+        jobs = [record for record in spans(events) if record["name"] == "campaign.job"]
+        assert len(jobs) == len(JOBS)
 
     def test_full_telemetry_disk_degrades_to_dropped(
         self, tmp_path, monkeypatch, caplog
@@ -599,8 +619,6 @@ class TestCampaignParity:
         assert all(row["batches"] > 0 for row in workers)
 
     def test_telemetry_cli_flag_end_to_end(self, tmp_path, capsys):
-        from repro.campaign.cli import main
-
         args = [
             "--benchmarks", "462.libquantum",
             "--families", "llvm",
@@ -609,12 +627,12 @@ class TestCampaignParity:
             "--telemetry-dir", str(tmp_path / "telemetry"),
             "--json", str(tmp_path / "summary.json"),
         ]
-        assert main(args) == 0
+        assert campaign_cli(args) == 0
         out = capsys.readouterr().out
         assert "database fingerprint" in out  # summary tables stay on stdout
         assert (tmp_path / "telemetry").is_dir()
         trace_out = tmp_path / "trace.json"
-        assert report_cli([
+        assert campaign_cli([
             "report", str(tmp_path / "telemetry"), "--chrome-trace", str(trace_out),
         ]) == 0
         report_out = capsys.readouterr().out
