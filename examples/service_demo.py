@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Tuning-as-a-service demo: two tenants, one shared substrate.
 
-Starts a local :class:`~repro.distrib.service.TuningService` (loopback,
+Starts a local :class:`~repro.campaign.service.TuningService` (loopback,
 serial worker plane — the wire format and scheduling are identical with a
 distributed fleet), then plays a two-tenant session over the pickle-free
 client protocol:
@@ -20,10 +20,10 @@ Run:  PYTHONPATH=src python examples/service_demo.py
 import threading
 
 from repro.campaign.campaign import default_compiler_provider
+from repro.campaign.service import ServiceConfig, TuningService
 from repro.distrib.client import ServiceClient
 from repro.distrib.errors import ServiceError
 from repro.distrib.jobs import JobBudget
-from repro.distrib.service import ServiceConfig, TuningService
 from repro.tuner import BinTuner, BinTunerConfig, BuildSpec
 
 SOURCE = """

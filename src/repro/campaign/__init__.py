@@ -1,12 +1,18 @@
-"""Campaign orchestration: suite-scale tuning with shared state.
+"""Campaign orchestration and the tuning service: the owners of a run.
 
 This subsystem turns the per-program :class:`~repro.tuner.tuner.BinTuner`
 into a suite-scale system (the setting behind the paper's Table 1 and
-Figs. 5-8):
+Figs. 5-8), and into a long-lived service.  Its two owners of a run — a
+campaign and the service — share one job runner
+(:func:`~repro.campaign.campaign.run_job`), one job table and one session:
 
 * :mod:`repro.campaign.campaign` — the :class:`Campaign` orchestrator over a
   programs × compiler-families job matrix, with JSON checkpoint/resume and
   cross-program warm starts;
+* :mod:`repro.campaign.service` — the multi-tenant
+  :class:`~repro.campaign.service.TuningService`: jobs submitted over
+  :mod:`repro.distrib`'s client plane, scheduled fair-share by tenant,
+  each job fingerprint-identical to a solo run;
 * :mod:`repro.campaign.database` — the :class:`CampaignDatabase` sharding one
   :class:`~repro.tuner.database.TuningDatabase` per program under a single
   store, with cross-program aggregations (per-flag potency, best-config

@@ -36,7 +36,7 @@ holds ``database/``, ``store/``, ``telemetry/`` and one job table,
 keyed by its shard.  :func:`write_job_table` writes it,
 :func:`read_checkpoint` reads it (and an older ``manifest.json``).  Campaign
 rows are ``queued`` or ``done`` and add ``warm_start``; service rows add
-:meth:`repro.distrib.jobs.Job.as_row`'s keys.  :func:`session_telemetry_dir`
+:meth:`repro.campaign.service.Job.as_row`'s keys.  :func:`session_telemetry_dir`
 places the session's JSONL, and ``python -m repro.campaign report`` reads
 both halves back.
 """
@@ -596,13 +596,21 @@ class Campaign:
         write_job_table(self.config.checkpoint_dir, self.config.name, rows)
 
     def _discard_checkpoint(self) -> None:
+        """Delete the job table, the database and the discarded runs'
+        telemetry; the session's own file (opened before ``run`` discards)
+        and the store stay."""
         if self.config.checkpoint_dir is None:
             return
+        directory = Path(self.config.checkpoint_dir)
         for name in (JOB_TABLE, OLD_MANIFEST):
-            (Path(self.config.checkpoint_dir) / name).unlink(missing_ok=True)
+            (directory / name).unlink(missing_ok=True)
         database_dir = self._database_dir()
         if database_dir.exists():
             shutil.rmtree(database_dir)
+        recording = getattr(telemetry.get_sink(), "path", None)
+        for path in (directory / TELEMETRY_DIR).glob("*.jsonl"):
+            if path != recording:
+                path.unlink(missing_ok=True)
 
     def _load_checkpoint(self) -> Dict[ShardKey, ProgramResult]:
         """Restore the database and completed-job map from the checkpoint;
@@ -750,6 +758,8 @@ class Campaign:
         ``resume=False`` an existing checkpoint is *deleted* before anything
         runs: keeping a stale job table around while fresh shards overwrite
         the database would poison a later resume with contradictory state.
+        Its telemetry goes too, so ``report`` counts this run's sessions
+        alone.
         The artifact store is deliberately *not* deleted by ``resume=False``:
         its entries are content-addressed, so stale ones can never produce a
         wrong answer — a fresh run merely starts warm.

@@ -47,7 +47,7 @@ import os
 import signal
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.campaign import (
     DATABASE_DIR,
@@ -390,6 +390,7 @@ def report_main(argv: Optional[Sequence[str]] = None) -> int:
               f"(expected *.jsonl files) under {directory}; nothing to report",
               file=sys.stderr)
         return 0
+    lines: List[str] = []
     payload: Dict[str, object] = {}
     if database is not None:
         families = sorted({family for family, _program in database.shard_keys()})
@@ -399,26 +400,33 @@ def report_main(argv: Optional[Sequence[str]] = None) -> int:
                       f"(has: {', '.join(families)})", file=sys.stderr)
                 return 2
             families = [args.family]
-        payload = _print_results(database, completed, families, args.top)
+        lines, payload = _results_tables(database, completed, families, args.top)
     if events:
         if database is not None:
-            print()
-        payload["telemetry"] = _print_telemetry(events, skipped, events_dir, args)
+            lines.append("")
+        telemetry_lines, payload["telemetry"] = _telemetry_tables(
+            events, skipped, events_dir, args)
+        lines += telemetry_lines
+    # The file before stdout: a reader that leaves early (``report | head``)
+    # must not cost the --json file.
     if args.json_out is not None:
         args.json_out.write_text(json.dumps(payload, indent=2))
+    print("\n".join(lines))
     return 0
 
 
-def _print_results(database, completed: List[ProgramResult], families: List[str],
-                   top: int) -> Dict[str, object]:
+def _results_tables(database, completed: List[ProgramResult], families: List[str],
+                    top: int) -> Tuple[List[str], Dict[str, object]]:
     """The results half: summary, stage line, potency and overlap tables.
-    Returns its ``--json`` keys."""
-    print(f"campaign {database.name!r}: {len(database)} shard(s), "
-          f"{database.total_records()} records")
-    print("\nper-program summary:")
+    Returns its stdout lines and its ``--json`` keys."""
+    lines: List[str] = []
+    say = lines.append
+    say(f"campaign {database.name!r}: {len(database)} shard(s), "
+        f"{database.total_records()} records")
+    say("\nper-program summary:")
     for row in database.summary_rows():
-        print(summary_row_line(row)
-              + f"  flags {row['best_flag_count']:2d}  hours {row['hours']}")
+        say(summary_row_line(row)
+            + f"  flags {row['best_flag_count']:2d}  hours {row['hours']}")
 
     # The per-stage seconds and artifact-cache counters the done jobs
     # accrued, summed as a live run sums them; all zero (a pure checkpoint
@@ -427,7 +435,7 @@ def _print_results(database, completed: List[ProgramResult], families: List[str]
     staged = (stages.compile_seconds + stages.measure_seconds + stages.score_seconds > 0.0
               or stages.artifact_hits + stages.artifact_misses > 0)
     if staged:
-        print("\n" + stages.summary_line("pipeline stages (completed programs)"))
+        say("\n" + stages.summary_line("pipeline stages (completed programs)"))
 
     potency: Dict[str, Dict[str, float]] = {}
     for family in families:
@@ -435,15 +443,15 @@ def _print_results(database, completed: List[ProgramResult], families: List[str]
         potency[family] = frequency
         if not frequency:
             continue
-        print(f"\nper-flag potency ({family}): share of best configurations enabling it")
-        print("\n".join(top_flag_lines(frequency, top)))
+        say(f"\nper-flag potency ({family}): share of best configurations enabling it")
+        say("\n".join(top_flag_lines(frequency, top)))
 
     overlap_out: Dict[str, Dict[str, float]] = {}
     for family in families:
         overlap = database.best_overlap(family)
         if not overlap:
             continue
-        print(f"\nbest-config overlap ({family}): pairwise Jaccard of best flag sets")
+        say(f"\nbest-config overlap ({family}): pairwise Jaccard of best flag sets")
         pairs: List[str] = []
         for left in sorted(overlap):
             for right in sorted(overlap[left]):
@@ -451,10 +459,10 @@ def _print_results(database, completed: List[ProgramResult], families: List[str]
                     value = overlap[left][right]
                     overlap_out[f"{left[0]}/{left[1]}|{right[0]}/{right[1]}"] = value
                     pairs.append(f"  {left[1]:18s} ~ {right[1]:18s} {value:.2f}")
-        print("\n".join(pairs) if pairs else "  (single program: no pairs)")
+        say("\n".join(pairs) if pairs else "  (single program: no pairs)")
 
-    print(f"\ndatabase fingerprint: {database.fingerprint()}")
-    return {
+    say(f"\ndatabase fingerprint: {database.fingerprint()}")
+    return lines, {
         "name": database.name,
         "summary": database.summary_rows(),
         "flag_frequency": potency,
@@ -464,83 +472,86 @@ def _print_results(database, completed: List[ProgramResult], families: List[str]
     }
 
 
-def _print_telemetry(events: List[Dict[str, object]], skipped: int,
-                     events_dir: Path, args: argparse.Namespace) -> Dict[str, object]:
+def _telemetry_tables(events: List[Dict[str, object]], skipped: int, events_dir: Path,
+                      args: argparse.Namespace) -> Tuple[List[str], Dict[str, object]]:
     """The telemetry half: per-stage time, tier ratios over time, tenants,
-    workers, latency percentiles and counters.  Returns its ``--json``
-    object."""
+    workers, latency percentiles and counters.  Returns its stdout lines and
+    its ``--json`` object (the Chrome trace, if asked for, is written)."""
     from repro.telemetry import report as tables
+
+    lines: List[str] = []
+    say = lines.append
 
     if not tables.spans(events):
         print(f"warning: no spans under {events_dir}; time-breakdown "
               f"tables will be empty", file=sys.stderr)
     processes = sorted({record["pid"] for record in events})
-    print(f"telemetry: {len(events)} records from {len(processes)} process(es) "
-          f"under {events_dir}"
-          + (f" ({skipped} malformed lines skipped)" if skipped else ""))
+    say(f"telemetry: {len(events)} records from {len(processes)} process(es) "
+        f"under {events_dir}"
+        + (f" ({skipped} malformed lines skipped)" if skipped else ""))
 
     breakdown = tables.span_breakdown(events)
     if breakdown:
-        print("\nper-stage time breakdown:")
-        print(f"  {'span':24s} {'count':>7s} {'total s':>9s} {'mean ms':>9s}")
+        say("\nper-stage time breakdown:")
+        say(f"  {'span':24s} {'count':>7s} {'total s':>9s} {'mean ms':>9s}")
         for row in breakdown:
-            print(f"  {row['name']:24s} {row['count']:7d} "
-                  f"{row['seconds']:9.2f} {row['mean_ms']:9.2f}")
+            say(f"  {row['name']:24s} {row['count']:7d} "
+                f"{row['seconds']:9.2f} {row['mean_ms']:9.2f}")
 
     tiers = tables.tier_ratio_rows(events, buckets=args.buckets)
     if tiers:
-        print("\nartifact tier hit ratios over time (per stage lookup):")
-        print(f"  {'generations':>12s} {'lookups':>8s} {'tier-1':>7s} "
-              f"{'tier-2':>7s} {'mesh':>7s} {'miss':>7s}")
+        say("\nartifact tier hit ratios over time (per stage lookup):")
+        say(f"  {'generations':>12s} {'lookups':>8s} {'tier-1':>7s} "
+            f"{'tier-2':>7s} {'mesh':>7s} {'miss':>7s}")
         for row in tiers:
-            print(f"  {row['generations']:>12s} {row['lookups']:8d} "
-                  f"{row['tier1_ratio']:6.1%} {row['tier2_ratio']:6.1%} "
-                  f"{row['mesh_ratio']:6.1%} {row['miss_ratio']:6.1%}")
+            say(f"  {row['generations']:>12s} {row['lookups']:8d} "
+                f"{row['tier1_ratio']:6.1%} {row['tier2_ratio']:6.1%} "
+                f"{row['mesh_ratio']:6.1%} {row['miss_ratio']:6.1%}")
 
     tenants = tables.tenant_breakdown(events)
     if tenants:
-        print("\nper-tenant service time (fair-share view):")
-        print(f"  {'tenant':20s} {'jobs':>5s} {'generations':>12s} {'total s':>9s}")
+        say("\nper-tenant service time (fair-share view):")
+        say(f"  {'tenant':20s} {'jobs':>5s} {'generations':>12s} {'total s':>9s}")
         for row in tenants:
-            print(f"  {row['tenant']:20s} {row['jobs']:5d} "
-                  f"{row['generations']:12d} {row['seconds']:9.2f}")
+            say(f"  {row['tenant']:20s} {row['jobs']:5d} "
+                f"{row['generations']:12d} {row['seconds']:9.2f}")
 
     fleet = tables.worker_rows(events)
     if fleet:
-        print("\nworker utilization:")
-        print(f"  {'worker':>6s} {'peer':20s} {'batches':>7s} "
-              f"{'cands':>6s} {'busy s':>7s} {'util':>6s} {'mesh B':>10s}")
+        say("\nworker utilization:")
+        say(f"  {'worker':>6s} {'peer':20s} {'batches':>7s} "
+            f"{'cands':>6s} {'busy s':>7s} {'util':>6s} {'mesh B':>10s}")
         for row in fleet:
-            print(f"  {row['worker_id']:6d} {str(row['peer']):20s} "
-                  f"{row['batches']:7d} {row['candidates']:6d} "
-                  f"{row['busy_seconds']:7.1f} {row['utilization']:5.1%} "
-                  f"{row['mesh_bytes']:10d}")
+            say(f"  {row['worker_id']:6d} {str(row['peer']):20s} "
+                f"{row['batches']:7d} {row['candidates']:6d} "
+                f"{row['busy_seconds']:7.1f} {row['utilization']:5.1%} "
+                f"{row['mesh_bytes']:10d}")
 
     latencies = tables.latency_rows(events)
     if latencies:
-        print("\nlatency percentiles (merged across processes):")
-        print(f"  {'histogram':28s} {'count':>7s} {'p50 ms':>9s} "
-              f"{'p95 ms':>9s} {'p99 ms':>9s}")
+        say("\nlatency percentiles (merged across processes):")
+        say(f"  {'histogram':28s} {'count':>7s} {'p50 ms':>9s} "
+            f"{'p95 ms':>9s} {'p99 ms':>9s}")
         for row in latencies:
-            print(f"  {row['name']:28s} {row['count']:7d} "
-                  f"{1000.0 * row['p50']:9.2f} {1000.0 * row['p95']:9.2f} "
-                  f"{1000.0 * row['p99']:9.2f}")
+            say(f"  {row['name']:28s} {row['count']:7d} "
+                f"{1000.0 * row['p50']:9.2f} {1000.0 * row['p95']:9.2f} "
+                f"{1000.0 * row['p99']:9.2f}")
 
     counters = tables.merged_counters(events)
     if counters:
-        print("\ncounters (all processes):")
+        say("\ncounters (all processes):")
         for name in sorted(counters):
             value = counters[name]
             rendered = f"{value:g}" if isinstance(value, float) else str(value)
-            print(f"  {name:32s} {rendered}")
+            say(f"  {name:32s} {rendered}")
 
     if args.chrome_trace is not None:
         trace = tables.chrome_trace(events)
         args.chrome_trace.write_text(json.dumps(trace))
-        print(f"\nchrome trace: {len(trace['traceEvents'])} span(s) -> "
-              f"{args.chrome_trace} (load in chrome://tracing or ui.perfetto.dev)")
+        say(f"\nchrome trace: {len(trace['traceEvents'])} span(s) -> "
+            f"{args.chrome_trace} (load in chrome://tracing or ui.perfetto.dev)")
 
-    return {
+    return lines, {
         "records": len(events),
         "processes": processes,
         "breakdown": breakdown,
@@ -638,7 +649,7 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     configure_logging(verbose=args.verbose, quiet=args.quiet)
     from repro.distrib.protocol import parse_address
-    from repro.distrib.service import ServiceConfig, TuningService, serve_forever
+    from repro.campaign.service import ServiceConfig, TuningService, serve_forever
     from repro.distrib.jobs import AdmissionLimits
 
     try:

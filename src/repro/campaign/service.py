@@ -5,6 +5,9 @@ one fleet for one run, a :class:`TuningService` owns the worker pool, the
 shared content-addressed artifact cache/store, and a durable job table —
 and *clients* come and go, submitting tuning jobs over the pickle-free wire
 format (:mod:`repro.distrib.wire`) and streaming generation summaries back.
+It is the other owner of a run beside
+:class:`~repro.campaign.campaign.Campaign`: the same session, job runner
+and job table.
 
 Two planes, two trust levels:
 
@@ -16,10 +19,15 @@ Two planes, two trust levels:
   :mod:`repro.distrib.protocol` (HMAC handshake, pickle payloads) behind
   the shared :class:`~repro.campaign.pool.SharedWorkerPool`, unchanged.
 
-Scheduling is generation-granular fair share: each admitted job runs its
-deterministic :class:`~repro.tuner.tuner.BinTuner` in its own thread, but
-every generation passes through a turnstile that admits exactly one at a
-time, always the waiting tenant with the least accumulated work.  That
+What a client may submit is :mod:`repro.distrib.jobs`; what the service
+keeps per admitted job is a :class:`Job`, and per tenant a
+:class:`TenantAccounting` row.
+
+Scheduling is fair share, by one key (:meth:`TenantAccounting.fair_share_key`:
+the tenant that consumed least, then priority, then arrival), at two
+grains.  The admission queue starts the next job by it, and the
+:class:`_GenerationGate` turnstile admits one generation at a time by it,
+so fairness holds *within* long jobs, not just between them.  That
 ordering is the dedupe economics: when tenant B submits the same (source,
 family) as tenant A, B is always the lighter tenant when its generation g
 comes up, so A has already compiled those exact candidates into the shared
@@ -29,12 +37,11 @@ and its own GA sequence, each job's fingerprint is bit-for-bit identical to
 a solo run of the same spec: shared caches are content-addressed and can
 change only timing, never results.
 
-A job runs through :func:`repro.campaign.campaign.run_job`, the one job
-runner it shares with the campaign, which checkpoints the job's shard every
-generation.  ``state_dir`` is laid out as a campaign checkpoint is, one
-:meth:`~repro.distrib.jobs.Job.as_row` per job in the shared job table
-(``next_seq`` in its header), so ``python -m repro.campaign report`` reads
-it too.  A service restarted over the same ``state_dir`` re-queues
+A job runs through :func:`repro.campaign.campaign.run_job`, which
+checkpoints the job's shard every generation.  ``state_dir`` is laid out as
+a campaign checkpoint is, one :meth:`Job.as_row` per job in the shared job
+table (``next_seq`` in its header), so ``python -m repro.campaign report``
+reads it too.  A service restarted over the same ``state_dir`` re-queues
 unfinished jobs, replaying their shards so the resumed run converges to the
 identical fingerprint; finished jobs come back with their terminal event.
 """
@@ -46,21 +53,26 @@ import logging
 import socket
 import threading
 import time
+from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro import telemetry
+from repro.campaign.campaign import (DATABASE_DIR, STORE_DIR, default_compiler_provider,
+                                     read_checkpoint, run_job, session_telemetry_dir,
+                                     write_job_table)
+from repro.campaign.database import CampaignDatabase
+from repro.campaign.pool import open_session
 from repro.distrib import transport
 from repro.distrib.errors import ConnectionClosed, ServiceError
 from repro.distrib.jobs import (
+    JOB_STATES,
+    TERMINAL_EVENTS,
     AdmissionError,
     AdmissionLimits,
-    FairShareQueue,
-    Job,
-    TenantAccounting,
-    stable_job_id,
+    JobSpec,
     validate_submission,
 )
 from repro.distrib.protocol import format_address
@@ -72,15 +84,10 @@ from repro.distrib.wire import (
     recv_wire,
     send_wire,
 )
-from repro.campaign.database import CampaignDatabase
-from repro.campaign.campaign import (DATABASE_DIR, STORE_DIR, default_compiler_provider,
-                                     read_checkpoint, run_job, session_telemetry_dir,
-                                     write_job_table)
-from repro.campaign.pool import open_session
-from repro.tuner import BinTuner, BinTunerConfig, BuildSpec
+from repro.tuner import BinTuner, BinTunerConfig, BuildSpec, EvaluationStats
 from repro.tuner.pipeline import ArtifactCache
 
-logger = logging.getLogger("repro.distrib.service")
+logger = logging.getLogger("repro.campaign.service")
 
 #: Per-connection socket timeout (seconds): a wedged client cannot pin its
 #: handler thread forever.
@@ -96,6 +103,220 @@ class _ServiceStopping(Exception):
 
 class _JobCancelled(Exception):
     """Internal: the job's tenant asked for cancellation."""
+
+
+# ---------------------------------------------------------------------------
+# Jobs and tenants
+# ---------------------------------------------------------------------------
+
+#: Bound on a job's retained event log (a budget-capped job emits far fewer).
+MAX_JOB_EVENTS = 4096
+
+
+class Job:
+    """One admitted job: lifecycle, event log, per-job accounting.
+
+    The event log is the streaming contract: seq-numbered, append-only,
+    replayable from any offset — a client that disconnects mid-stream
+    reconnects and asks for ``from_seq`` without the service keeping any
+    per-connection state.  All mutation goes through the condition lock;
+    waiters are woken on every append.
+    """
+
+    def __init__(self, job_id: str, spec: JobSpec, submitted_seq: int) -> None:
+        self.job_id = job_id
+        self.spec = spec
+        self.submitted_seq = submitted_seq
+        self.state = "queued"
+        self.error: Optional[Dict[str, str]] = None
+        self.result: Optional[Dict[str, object]] = None
+        self.generations_done = 0
+        self.stats = EvaluationStats()
+        self.created = time.time()
+        self.cancel_requested = False
+        self._events: List[Dict[str, object]] = []
+        self._cond = threading.Condition()
+
+    # -- events -----------------------------------------------------------------------
+
+    def append_event(self, kind: str, data: Dict[str, object]) -> None:
+        with self._cond:
+            if len(self._events) >= MAX_JOB_EVENTS:
+                # Keep the log bounded but never drop the terminal event's
+                # slot: trim from the middle of the generation stream.
+                del self._events[1 : len(self._events) // 2]
+            self._events.append(
+                {"seq": len(self._events) and self._events[-1]["seq"] + 1 or 1,
+                 "kind": kind, "data": data}
+            )
+            self._cond.notify_all()
+
+    def events_since(self, from_seq: int, timeout: Optional[float] = None
+                     ) -> List[Dict[str, object]]:
+        """Events with ``seq > from_seq``; blocks up to ``timeout`` for one."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self._cond:
+            while True:
+                fresh = [event for event in self._events if event["seq"] > from_seq]
+                if fresh or self.state in TERMINAL_EVENTS:
+                    return fresh
+                remaining = (None if deadline is None
+                             else deadline - time.monotonic())
+                if remaining is not None and remaining <= 0:
+                    return []
+                self._cond.wait(timeout=remaining)
+
+    # -- state ------------------------------------------------------------------------
+
+    def set_state(self, state: str) -> None:
+        assert state in JOB_STATES, state
+        with self._cond:
+            self.state = state
+            self._cond.notify_all()
+
+    def finish(self, state: str, data: Dict[str, object]) -> None:
+        """Append the terminal event and enter its state as *one* step: a
+        reader must never see the event before the state, or the reverse."""
+        with self._cond:
+            self.append_event(state, data)
+            self.set_state(state)
+
+    def request_cancel(self) -> None:
+        with self._cond:
+            self.cancel_requested = True
+            self._cond.notify_all()
+
+    @property
+    def terminal(self) -> bool:
+        return self.state in TERMINAL_EVENTS
+
+    @property
+    def shard_program(self) -> str:
+        """Per-job shard key: dedupe must stay per-job so every job's shard
+        carries its own full record sequence (the fingerprint-parity
+        contract); two tenants tuning the same program share *artifacts*,
+        never database records."""
+        return f"{self.job_id}.{self.spec.program}"
+
+    def as_row(self) -> Dict[str, object]:
+        """This job's row of the job table; ``(family, program)`` is its
+        shard key."""
+        with self._cond:
+            return {
+                "family": self.spec.family,
+                "program": self.shard_program,
+                "state": self.state,
+                "result": self.result,
+                "stats": self.stats.as_dict(),
+                "job_id": self.job_id,
+                "submitted_seq": self.submitted_seq,
+                "spec": self.spec.as_dict(),
+                "generations_done": self.generations_done,
+                "error": self.error,
+            }
+
+    @classmethod
+    def from_row(cls, row: Dict[str, object]) -> "Job":
+        """Inverse of :meth:`as_row`: a terminal job with its terminal event
+        (so a stream or ``wait`` after a restart ends), any other ``queued``."""
+        job = cls(row["job_id"], JobSpec.from_dict(row["spec"]), int(row["submitted_seq"]))
+        job.generations_done = int(row.get("generations_done", 0))
+        job.error = row.get("error")
+        job.result = row.get("result")
+        job.stats = EvaluationStats.from_dict(row.get("stats", {}))
+        state = row.get("state", "queued")
+        if state in TERMINAL_EVENTS:
+            job.finish(state, dict(job.result or job.error or {}))
+        return job
+
+    def status_row(self) -> Dict[str, object]:
+        with self._cond:
+            row: Dict[str, object] = {
+                "job_id": self.job_id,
+                "tenant": self.spec.tenant,
+                "program": self.spec.program,
+                "family": self.spec.family,
+                "state": self.state,
+                "priority": self.spec.priority,
+                "generations_done": self.generations_done,
+                "budget": self.spec.budget.as_dict(),
+                "evaluated": self.stats.evaluated,
+                "compile_seconds": round(self.stats.compile_seconds, 6),
+                "events": len(self._events),
+            }
+            if self.error is not None:
+                row["error"] = dict(self.error)
+            if self.result is not None:
+                row["result"] = dict(self.result)
+            return row
+
+
+def stable_job_id(seq: int) -> str:
+    return f"job-{seq:05d}"
+
+
+class TenantAccounting:
+    """Per-tenant totals: the ``/status`` billing view and the fair-share cost.
+
+    Two things live here because no :class:`Job` holds them: refused
+    submissions (``jobs_rejected``) and each tenant's sum of engine stats,
+    folded in once per generation.  ``candidates`` evaluated is the
+    fair-share cost signal; the artifact-tier counters are the dedupe
+    economics made visible — a tenant whose submissions repeat another's
+    shows compile seconds near zero and hits near 100%.  The job counts
+    are read off the service's jobs when a view is rendered.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._rejected: Counter = Counter()
+        self._stats: Dict[str, EvaluationStats] = {}
+
+    def reject(self, tenant: str) -> None:
+        with self._lock:
+            self._rejected[tenant] += 1
+
+    def absorb(self, tenant: str, delta: EvaluationStats) -> None:
+        """Fold one generation's engine-stat delta into the tenant's totals."""
+        with self._lock:
+            self._stats[tenant] = self._stats.get(tenant, EvaluationStats()).add(delta)
+
+    def fair_share_key(self, job: Job) -> Tuple[int, int, int]:
+        """The fair-share order, smallest first: the tenant that consumed
+        least (candidates evaluated), then higher priority, then arrival.
+        The admission queue and the generation turnstile both sort by it."""
+        with self._lock:
+            stats = self._stats.get(job.spec.tenant)
+        cost = stats.evaluated if stats is not None else 0
+        return (cost, -job.spec.priority, job.submitted_seq)
+
+    def snapshot(self, jobs: Iterable[Job]) -> Dict[str, Dict[str, object]]:
+        """One row per tenant with a job, a rejection or stats, by name."""
+        states: Dict[str, Counter] = {}
+        for job in jobs:
+            states.setdefault(job.spec.tenant, Counter())[job.state] += 1
+        with self._lock:
+            tenants = sorted(set(states) | set(self._rejected) | set(self._stats))
+            out: Dict[str, Dict[str, object]] = {}
+            for tenant in tenants:
+                counts = states.get(tenant, Counter())
+                stats = self._stats.get(tenant, EvaluationStats())
+                out[tenant] = {
+                    "jobs_submitted": sum(counts.values()),
+                    "jobs_rejected": self._rejected[tenant],
+                    "jobs_done": counts["done"],
+                    "jobs_failed": counts["failed"],
+                    "jobs_cancelled": counts["cancelled"],
+                    "candidates_evaluated": stats.evaluated,
+                    "compile_seconds": round(stats.compile_seconds, 6),
+                    "worker_seconds": round(stats.worker_seconds, 6),
+                    "artifact_hits": stats.artifact_hits,
+                    "artifact_misses": stats.artifact_misses,
+                    "tier2_hits": stats.artifact_store_hits,
+                    "mesh_hits": stats.artifact_mesh_hits,
+                    "database_hits": stats.database_hits,
+                }
+            return out
 
 
 @dataclass
@@ -135,9 +356,10 @@ class ServiceConfig:
 
 
 class _GenerationGate:
-    """The fair-share turnstile: one generation runs at a time, least-served
-    tenant first (then priority, then arrival).  Stop/cancel wake waiters
-    immediately instead of letting them queue for a turn that never comes."""
+    """The fair-share turnstile: one generation runs at a time, the waiting
+    job that is first by :meth:`TenantAccounting.fair_share_key` (the
+    admission queue's order).  Stop/cancel wake waiters immediately instead
+    of letting them queue for a turn that never comes."""
 
     def __init__(self, accounting: TenantAccounting) -> None:
         self._accounting = accounting
@@ -151,11 +373,6 @@ class _GenerationGate:
             self._stopped = True
             self._cond.notify_all()
 
-    def _next(self) -> Optional[Job]:
-        if not self._waiting:
-            return None
-        return min(self._waiting, key=self._accounting.fair_share_key)
-
     @contextmanager
     def turn(self, job: Job):
         with self._cond:
@@ -166,7 +383,8 @@ class _GenerationGate:
                         raise _JobCancelled()
                     if self._stopped:
                         raise _ServiceStopping()
-                    if not self._busy and self._next() is job:
+                    if (not self._busy and
+                            min(self._waiting, key=self._accounting.fair_share_key) is job):
                         break
                     self._cond.wait(timeout=1.0)
             finally:
@@ -193,7 +411,10 @@ class TuningService:
         self._jobs: Dict[str, Job] = {}
         self._next_seq = 1
         self._accounting = TenantAccounting()
-        self._queue = FairShareQueue(self._accounting)
+        #: The admission queue, guarded by ``_lock``: a tenant's cap check
+        #: and the append are one step, and the next job is the
+        #: fair-share minimum (:meth:`TenantAccounting.fair_share_key`).
+        self._queued: List[Job] = []
         self._gate = _GenerationGate(self._accounting)
         self._active = 0
         self._runners: List[threading.Thread] = []
@@ -299,14 +520,10 @@ class TuningService:
             except (KeyError, TypeError, ValueError) as exc:
                 logger.warning("skipping corrupt job row: %s", exc)
                 continue
-            tenant = job.spec.tenant
-            self._accounting.bump(tenant, "jobs_submitted")
-            self._accounting.absorb(tenant, job.stats)
-            if job.terminal:
-                self._accounting.bump(tenant, f"jobs_{job.state}")
-            else:
+            self._accounting.absorb(job.spec.tenant, job.stats)
+            if not job.terminal:
                 job.append_event("queued", {"resumed": True})
-                self._queue.push(job)
+                self._queued.append(job)
                 restored += 1
             self._jobs[job.job_id] = job
             self._next_seq = max(self._next_seq, job.submitted_seq + 1)
@@ -319,11 +536,11 @@ class TuningService:
     def _maybe_start_jobs(self) -> None:
         while True:
             with self._lock:
-                if self._stopping or self._active >= self.config.max_active_jobs:
+                if (self._stopping or self._active >= self.config.max_active_jobs
+                        or not self._queued):
                     return
-                job = self._queue.pop()
-                if job is None:
-                    return
+                job = min(self._queued, key=self._accounting.fair_share_key)
+                self._queued.remove(job)
                 self._active += 1
                 thread = threading.Thread(
                     target=self._runner, args=(job,),
@@ -340,12 +557,10 @@ class TuningService:
             job.set_state("queued")
         except _JobCancelled:
             job.finish("cancelled", {"reason": "client request"})
-            self._accounting.bump(job.spec.tenant, "jobs_cancelled")
         except Exception as exc:  # noqa: BLE001 — a job bug must not kill the service
             logger.exception("job %s failed", job.job_id)
             job.error = {"code": "job-failed", "message": f"{type(exc).__name__}: {exc}"}
             job.finish("failed", dict(job.error))
-            self._accounting.bump(job.spec.tenant, "jobs_failed")
         finally:
             self._persist()
             with self._lock:
@@ -411,7 +626,6 @@ class TuningService:
             "elapsed_seconds": round(result.elapsed_seconds, 6),
         }
         job.finish("done", dict(job.result))
-        self._accounting.bump(spec.tenant, "jobs_done")
 
     # -- client plane -----------------------------------------------------------------
 
@@ -500,7 +714,7 @@ class TuningService:
         elif kind == "cancel":
             send_wire(conn, self._handle_cancel(message))
         elif kind == "accounting":
-            tenants = self._accounting.snapshot()
+            tenants = self._tenants()
             tenant = message.get("tenant")
             if tenant is not None:
                 tenants = {name: row for name, row in tenants.items()
@@ -529,23 +743,26 @@ class TuningService:
                 self.rejected_frames += 1
             tenant = message.get("tenant")
             if isinstance(tenant, str) and tenant:
-                self._accounting.bump(tenant[:64], "jobs_rejected")
+                self._accounting.reject(tenant[:64])
             return error_message(exc.code, str(exc))
-        if self._queue.queued_for(spec.tenant) >= limits.max_queued_per_tenant:
-            self._accounting.bump(spec.tenant, "jobs_rejected")
+        with self._lock:
+            waiting = sum(1 for queued in self._queued if queued.spec.tenant == spec.tenant)
+            full = waiting >= limits.max_queued_per_tenant
+            if not full:
+                seq = self._next_seq
+                self._next_seq += 1
+                job = Job(stable_job_id(seq), spec, seq)
+                self._jobs[job.job_id] = job
+                position = len(self._queued)  # jobs ahead of it right now
+                self._queued.append(job)
+                job.append_event("queued", {"position": position})
+        if full:
+            self._accounting.reject(spec.tenant)
             return error_message(
                 "queue-full",
                 f"tenant {spec.tenant!r} already has "
                 f"{limits.max_queued_per_tenant} queued job(s)",
             )
-        with self._lock:
-            seq = self._next_seq
-            self._next_seq += 1
-            job = Job(stable_job_id(seq), spec, seq)
-            self._jobs[job.job_id] = job
-        self._accounting.bump(spec.tenant, "jobs_submitted")
-        position = self._queue.push(job)
-        job.append_event("queued", {"position": position})
         telemetry.get_sink().incr("service.jobs.submitted")
         self._persist()
         self._maybe_start_jobs()
@@ -555,9 +772,12 @@ class TuningService:
         job = self._get_job(message["job_id"])
         if job.terminal:
             return make_message("cancelled", job_id=job.job_id, state=job.state)
-        if self._queue.remove(job):
+        with self._lock:
+            queued = job in self._queued
+            if queued:
+                self._queued.remove(job)
+        if queued:
             job.finish("cancelled", {"reason": "client request"})
-            self._accounting.bump(job.spec.tenant, "jobs_cancelled")
             self._persist()
             return make_message("cancelled", job_id=job.job_id, state="cancelled")
         # Running: the turnstile check picks it up before the next generation.
@@ -588,9 +808,16 @@ class TuningService:
 
     # -- observability ----------------------------------------------------------------
 
+    def _tenants(self) -> Dict[str, Dict[str, object]]:
+        """Per-tenant accounting, the job counts read off the jobs."""
+        with self._lock:
+            jobs = list(self._jobs.values())
+        return self._accounting.snapshot(jobs)
+
     def status_snapshot(self) -> Dict[str, object]:
         with self._lock:
             rows = [job.status_row() for job in self._jobs.values()]
+            queue_depth = len(self._queued)
             active = self._active
             connections = self.connections
             rejected = self.rejected_frames
@@ -600,11 +827,11 @@ class TuningService:
             "address": self.address_string(),
             "uptime_seconds": round(time.time() - self._started, 3),
             "active_jobs": active,
-            "queue_depth": len(self._queue),
+            "queue_depth": queue_depth,
             "connections": connections,
             "rejected_frames": rejected,
             "jobs": rows,
-            "tenants": self._accounting.snapshot(),
+            "tenants": self._tenants(),
         }
 
     def metrics_snapshot(self) -> Dict[str, object]:
@@ -616,7 +843,7 @@ class TuningService:
             counters["service.rejected_connections"] = float(
                 self.rejected_connections)
             counters["service.jobs"] = float(len(self._jobs))
-        for tenant, row in self._accounting.snapshot().items():
+        for tenant, row in self._tenants().items():
             prefix = f"service.tenant.{tenant}"
             counters[f"{prefix}.candidates"] = float(row["candidates_evaluated"])
             counters[f"{prefix}.compile_seconds"] = float(row["compile_seconds"])

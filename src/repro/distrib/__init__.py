@@ -1,4 +1,4 @@
-"""Distributed candidate evaluation: multi-machine mapping behind the pool.
+"""Distributed candidate evaluation and the tuning service's client plane.
 
 The campaign's evaluation substrate was capped at one machine's
 ``ProcessPoolExecutor``; this subsystem serves the same work over the
@@ -24,10 +24,13 @@ behind an ordered ``map(keys) -> results`` — completely fixed:
 * :mod:`repro.distrib.errors` — the failure taxonomy (transport losses are
   recovered; programming errors propagate);
 * :mod:`repro.distrib.wire`, :mod:`repro.distrib.jobs`,
-  :mod:`repro.distrib.service`, :mod:`repro.distrib.client` — the tuning
-  *service* plane: a pickle-free, schema-validated client wire format and a
-  long-lived multi-tenant job API over the shared fleet and artifact mesh
-  (workers keep the trusted pickle protocol above; clients never reach it).
+  :mod:`repro.distrib.client` — the tuning service's *client* plane: a
+  pickle-free, schema-validated wire format, the submission vocabulary
+  (budgets, specs, admission control) and the tenant-side client (workers
+  keep the trusted pickle protocol above; clients never reach it).  The
+  service itself, which runs jobs as a campaign does, lives in the
+  ``campaign`` package, which sits above this one: nothing here imports
+  it (``tests/test_src_hygiene.py`` pins the package order).
 
 Because results are slotted by submission index — never completion order —
 a distributed run is bit-for-bit identical to a serial one for any worker
@@ -60,12 +63,6 @@ def __getattr__(name: str):
         from repro.distrib.worker import run_worker
 
         return run_worker
-    # The service plane loads lazily too: it pulls in repro.campaign (the
-    # pool/compiler wiring), which plain mapper users never need.
-    if name in ("TuningService", "ServiceConfig"):
-        from repro.distrib import service
-
-        return getattr(service, name)
     if name == "ServiceClient":
         from repro.distrib.client import ServiceClient
 
@@ -82,9 +79,7 @@ __all__ = [
     "ProtocolError",
     "RemoteEvaluationError",
     "ServiceClient",
-    "ServiceConfig",
     "ServiceError",
-    "TuningService",
     "WorkerHandle",
     "WorkerLost",
     "format_address",

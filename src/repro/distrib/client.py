@@ -28,7 +28,7 @@ from repro.distrib.wire import make_message, recv_wire, send_wire
 
 
 class ServiceClient:
-    """A tenant-side connection to one :class:`~repro.distrib.service.TuningService`."""
+    """A tenant-side connection to one tuning service (``TuningService``)."""
 
     def __init__(self, address: str, token: Optional[str] = None,
                  timeout: float = 60.0) -> None:

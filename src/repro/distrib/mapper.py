@@ -53,9 +53,9 @@ class DistributedMapper:
     One mapper serves one evaluator (one program of a campaign); the
     evaluator is pickled exactly once, and its id comes from the same
     monotonic counter the shared in-process pool draws from, so ids never
-    alias across dispatch modes.  The coordinator is borrowed: the
-    :class:`~repro.campaign.pool.SharedWorkerPool` that built it outlives
-    every per-program mapper and closes it.
+    alias across dispatch modes.  The coordinator is borrowed: the shared
+    worker pool (the campaign package's ``SharedWorkerPool``) that built it
+    outlives every per-program mapper and closes it.
     """
 
     def __init__(self, coordinator: Coordinator, evaluator: CandidateEvaluator) -> None:

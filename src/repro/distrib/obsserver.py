@@ -3,7 +3,7 @@
 A tiny stdlib ``http.server`` running in a daemon thread, loopback by
 default.  The run owner's session owns the server: a campaign
 (``CampaignConfig.obs_port``) or a tuning service (``ServiceConfig.obs_port``)
-opens it through :func:`~repro.campaign.pool.open_session`, which constructs
+opens it through the campaign package's ``open_session``, which constructs
 it, registers the sources below, and closes it *first* on the way down.  A
 coordinator only offers ``fleet_status`` / ``fleet_metrics`` as sources, and
 nothing imports this module (or ``http.server``) until a port is given.  Two
@@ -16,7 +16,7 @@ endpoints:
 * ``GET /status`` — one JSON document assembled from named status sources
   (``campaign`` progress or the ``service`` section, ``fleet`` health rows,
   this ``process``'s peak resident set and thread count) plus server-side
-  stage latency quantiles, polled by ``python -m repro.campaign tail``.
+  stage latency quantiles, polled by the ``tail`` subcommand.
 
 The contract mirrors the telemetry plane's: the server *observes*, it can
 never fail a batch.  Handlers read shared state only through the source

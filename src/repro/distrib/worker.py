@@ -7,7 +7,7 @@ told to shut down::
     python -m repro.distrib.worker --connect HOST:PORT [--slots N] [--reconnect]
 
 Evaluators arrive as pickle-once blobs keyed by the same monotonic evaluator
-ids the in-process :class:`~repro.campaign.pool.SharedWorkerPool` uses; each
+ids the in-process shared worker pool (``SharedWorkerPool``) uses; each
 is deserialized at most once and kept in a bounded FIFO cache (the same
 bound as the pool's per-process cache), so a long campaign over many
 programs cannot pile baselines up in worker memory.  Evicted evaluators are
@@ -561,7 +561,7 @@ def common_flags() -> argparse.ArgumentParser:
                              "the coordinator serves beyond loopback)")
     parser.add_argument("--telemetry-dir", type=Path, default=None,
                         help="write this process's telemetry as JSONL here "
-                             "(python -m repro.campaign report renders it); "
+                             "(the report subcommand renders it); "
                              "observe-only.  A run with --checkpoint-dir or "
                              "--state-dir records under DIR/telemetry "
                              "instead and refuses this flag")

@@ -660,7 +660,7 @@ def test_tuning_processes_import_no_numeric_library():
     that need numpy, scipy or networkx import them at their call sites."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
-        "import sys; import repro.campaign, repro.distrib.worker, repro.distrib.service; "
+        "import sys; import repro.campaign, repro.distrib.worker, repro.campaign.service; "
         "print([name for name in ('numpy', 'scipy', 'networkx') if name in sys.modules])"
     )
     done = subprocess.run(
@@ -874,3 +874,46 @@ class TestCampaignCLI:
                      for row in report["telemetry"]["breakdown"]}
         assert breakdown["campaign.run"] == 2
         assert breakdown["campaign.job"] == 2  # one per job, across sessions
+
+    def test_fresh_run_discards_the_old_sessions_telemetry(self, tmp_path):
+        """``--fresh`` discards the job table and the database, and the
+        telemetry of the runs they came from: ``report`` then counts one
+        process and one ``campaign.job`` span beside its one summary row."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        ckpt = tmp_path / "ckpt"
+        args = [sys.executable, "-m", "repro.campaign",
+                "--benchmarks", "462.libquantum", "--families", "llvm",
+                "--max-iterations", "6", "--population", "3",
+                "--checkpoint-dir", str(ckpt), "--quiet"]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        for extra in ([], ["--fresh"]):
+            subprocess.run(args + extra, check=True, capture_output=True, env=env,
+                           timeout=120)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.campaign", "report", str(ckpt),
+             "--json", str(tmp_path / "report.json")],
+            check=True, capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert f"from 1 process(es) under {ckpt / TELEMETRY_DIR}" in done.stdout
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert len(report["summary"]) == 1
+        breakdown = {row["name"]: row["count"]
+                     for row in report["telemetry"]["breakdown"]}
+        assert breakdown["campaign.job"] == 1
+
+    def test_report_writes_its_json_before_a_closed_pipe(self, tmp_path):
+        """``report --json OUT | head``: the file is written before the first
+        line of stdout, so a reader that leaves early does not cost it."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = tmp_path / "report.json"
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.campaign", "report", str(PARENT_CHECKPOINT),
+             "--json", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        process.stdout.close()
+        err = process.stderr.read().decode()
+        assert process.wait(timeout=60) == 141
+        assert err == ""
+        assert json.loads(out.read_text())["summary"]

@@ -30,17 +30,16 @@ from pathlib import Path
 import pytest
 
 from repro.campaign.campaign import default_compiler_provider
+from repro.campaign.service import Job, ServiceConfig, TuningService
 from repro.distrib.client import ServiceClient
 from repro.distrib.errors import ServiceError
 from repro.distrib.jobs import (
     AdmissionError,
     AdmissionLimits,
-    Job,
     JobBudget,
     JobSpec,
     validate_submission,
 )
-from repro.distrib.service import ServiceConfig, TuningService
 from repro.tuner import BinTuner, BinTunerConfig, BuildSpec
 
 from _helpers import loopback_available
@@ -264,8 +263,7 @@ class TestMultiTenantParity:
         restart, since the cancel request is not persisted."""
         from types import SimpleNamespace
 
-        from repro.distrib.jobs import TenantAccounting
-        from repro.distrib.service import _GenerationGate, _JobCancelled
+        from repro.campaign.service import TenantAccounting, _GenerationGate, _JobCancelled
 
         gate = _GenerationGate(TenantAccounting())
         gate.stop()
@@ -603,6 +601,126 @@ class TestPersistRace:
         job.finish("done", {"best_fitness": 1.0})
         reader.join(timeout=5)
         assert seen == [(["done"], "done")]
+
+
+# ---------------------------------------------------------------------------
+# The admission queue and per-tenant accounting
+# ---------------------------------------------------------------------------
+
+class TestAdmissionQueue:
+    def test_per_tenant_cap_holds_under_concurrent_submits(self):
+        """Sixteen threads submit for one tenant at once against a cap of two
+        queued jobs, with nothing leaving the queue.  The cap check and the
+        enqueue are one step, so no trial admits a third job.  (As two
+        critical sections, 17 of 20 trials admitted more at a 1 us switch
+        interval.)"""
+        config = ServiceConfig(limits=AdmissionLimits(max_queued_per_tenant=2))
+        message = {"type": "submit", "tenant": "alice", "program": "p",
+                   "source": SOURCE, "family": "gcc", "budget": {"generations": 1}}
+        admitted = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _trial in range(20):
+                with TuningService(config) as svc:
+                    svc._maybe_start_jobs = lambda: None
+                    barrier = threading.Barrier(16)
+                    replies = []
+
+                    def submit() -> None:
+                        barrier.wait()
+                        replies.append(svc._handle_submit(dict(message))["type"])
+
+                    threads = [threading.Thread(target=submit) for _ in range(16)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=30)
+                    assert len(replies) == 16
+                    admitted.append(replies.count("submitted"))
+        finally:
+            sys.setswitchinterval(interval)
+        assert admitted == [2] * 20
+
+
+class _Seconds:
+    """A wall-clock field: equal to any non-negative float."""
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, float) and other >= 0.0
+
+    def __repr__(self) -> str:
+        return "<seconds>"
+
+
+TENANT_FIELDS = ("jobs_submitted", "jobs_rejected", "jobs_done", "jobs_failed",
+                 "jobs_cancelled", "candidates_evaluated", "compile_seconds",
+                 "worker_seconds", "artifact_hits", "artifact_misses", "tier2_hits",
+                 "mesh_hits", "database_hits")
+
+
+def tenant_row(submitted, rejected, done, cancelled, candidates, misses, database_hits):
+    """One tenant's accounting row, in the order ``/status`` renders it."""
+    return dict(zip(TENANT_FIELDS, (
+        submitted, rejected, done, 0, cancelled, candidates, _Seconds(), _Seconds(),
+        0, misses, 0, 0, database_hits)))
+
+
+def ordered(value):
+    """A dict as its item list, recursively: equality then checks key order."""
+    if isinstance(value, dict):
+        return [(key, ordered(item)) for key, item in value.items()]
+    return value
+
+
+class TestTenantAccounting:
+    def test_job_counts_come_from_the_jobs_across_a_restart(self, tmp_path):
+        """alice finishes a job, bob cancels a queued one and has a submission
+        refused, carol only has one refused.  ``/status``'s tenants, the
+        ``accounting`` reply and the ``service.tenant.*`` series keep the keys,
+        order and values they had while the counts were bumped by hand; after
+        a restart over the state dir, the rejections (never persisted) are
+        gone and the job counts are read back from the job table."""
+        alice = tenant_row(1, 0, 1, 0, 8, 16, 4)
+        live = {"alice": alice,
+                "bob": tenant_row(1, 1, 0, 1, 0, 0, 0),
+                "carol": tenant_row(0, 1, 0, 0, 0, 0, 0)}
+        restarted = {"alice": alice, "bob": tenant_row(1, 0, 0, 1, 0, 0, 0)}
+
+        def views(svc, client):
+            series = {name: value for name, value in svc.metrics_snapshot()["counters"].items()
+                      if name.startswith("service.tenant.")}
+            return svc.status_snapshot()["tenants"], client.accounting(), series
+
+        def expected(tenants):
+            series = {}
+            for tenant, row in tenants.items():
+                for name, field in (("candidates", "candidates_evaluated"),
+                                    ("compile_seconds", "compile_seconds"),
+                                    ("tier2_hits", "tier2_hits"), ("mesh_hits", "mesh_hits"),
+                                    ("jobs_done", "jobs_done"),
+                                    ("jobs_rejected", "jobs_rejected")):
+                    value = row[field]
+                    series[f"service.tenant.{tenant}.{name}"] = (
+                        value if isinstance(value, _Seconds) else float(value))
+            # The wire sorts an object's keys.
+            replied = {tenant: dict(sorted(row.items())) for tenant, row in tenants.items()}
+            return ordered(tenants), ordered(replied), ordered(series)
+
+        config = ServiceConfig(state_dir=tmp_path / "state", max_active_jobs=1)
+        with TuningService(config) as svc:
+            with ServiceClient(svc.address_string()) as client:
+                done = submit_budget(client, "alice", "work", SOURCE)
+                assert client.cancel(submit_budget(client, "bob", "waiting", SOURCE)) \
+                    == "cancelled"
+                for tenant in ("bob", "carol"):
+                    with pytest.raises(ServiceError):
+                        client.submit(tenant, "bad", SOURCE, "gcc", generations=0)
+                assert client.wait(done)["state"] == "done"
+                assert tuple(map(ordered, views(svc, client))) == expected(live)
+        with TuningService(config) as svc:
+            with ServiceClient(svc.address_string()) as client:
+                assert tuple(map(ordered, views(svc, client))) == expected(restarted)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,13 @@ attachment, and no tuner or evaluator field re-passes the store's
 configuration.  The checkpoint database's own layout (``index.json``) is
 named only by ``campaign/database.py``.
 
+And the order of the packages: every ``repro.*`` import under
+``src/repro`` names its own package or one earlier in ``PACKAGE_ORDER`` —
+module-level, inside a function or under ``TYPE_CHECKING`` alike — so no
+two packages import each other.  The one pinned exception is
+``LATE_IMPORTS``'s: the evaluation engine names the worker plane's
+``ProtocolError``, which the mapper must raise on a mismatched reply.
+
 And every option: the fields of the config objects and the parameters of
 the coordinator are pinned by name.  A new option needs a shipped caller
 (``src/``, ``benchmarks/``, ``examples/``, CI or the README) that sets a
@@ -80,12 +87,26 @@ COMMON_FLAGS = (
 #: ``(file under src/repro, enclosing function) -> ensure_store calls``.
 STORE_OWNERS = Counter({
     ("campaign/campaign.py", "__init__"): 1,
-    ("distrib/service.py", "__init__"): 1,
+    ("campaign/service.py", "__init__"): 1,
     ("tuner/pipeline.py", "shared_artifact_cache"): 1,
 })
 
 #: Store configuration that only the cache's owner may hold.
 STORE_KNOBS = {"store_dir", "store_max_bytes", "cache_size", "artifact_cache_size"}
+
+#: The packages under ``src/repro``, lowest first: each imports only from
+#: itself and the packages before it.
+PACKAGE_ORDER = (
+    "telemetry", "minic", "ir", "backend", "opt", "compilers", "analysis",
+    "difftools", "provenance", "workloads", "malware", "tuner", "distrib",
+    "campaign", "experiments",
+)
+
+#: ``(file under src/repro, imported module)``: the imports allowed to reach
+#: a later package.  ``tuner/evaluation.py`` raises the worker plane's
+#: ``ProtocolError`` for a reply that answers another batch, a lazy import
+#: ``test_mismatched_reply_is_protocol_error_not_worker_loss`` pins.
+LATE_IMPORTS = {("tuner/evaluation.py", "repro.distrib.errors")}
 
 
 def test_common_cli_flags_are_declared_once():
@@ -163,7 +184,7 @@ def test_one_module_names_the_run_directory_layout():
         for path in sorted(SRC.rglob("*.py"))
         if "TELEMETRY_DIR" in path.read_text() or "session_telemetry_dir" in path.read_text()
     }
-    assert users == {"campaign/campaign.py", "campaign/cli.py", "distrib/service.py"}
+    assert users == {"campaign/campaign.py", "campaign/cli.py", "campaign/service.py"}
 
 
 def test_one_owner_builds_every_evaluation_substrate():
@@ -206,6 +227,42 @@ def test_tier_counters_bump_through_one_type():
         if literal.search(line)
     ]
     assert found == []
+
+
+def _repro_imports(tree: ast.AST):
+    """Every ``repro.*`` module ``tree`` imports; ``from repro import x``
+    names ``repro.x``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "repro":
+            names = [f"repro.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import under src/repro"
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            if name.startswith("repro."):
+                yield name
+
+
+def test_packages_import_in_one_order():
+    """A package imports its own modules and earlier packages' only, so
+    ``campaign`` may use ``distrib`` and never the reverse: the service,
+    which runs jobs as a campaign does, lives in ``campaign``."""
+    rank = {package: index for index, package in enumerate(PACKAGE_ORDER)}
+    packages = {path.name for path in SRC.iterdir() if (path / "__init__.py").exists()}
+    assert packages == set(PACKAGE_ORDER)
+    late = set()
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC)
+        if len(relative.parts) < 2:
+            continue
+        for name in _repro_imports(ast.parse(path.read_text())):
+            if rank[name.split(".")[1]] > rank[relative.parts[0]]:
+                late.add((relative.as_posix(), name))
+    assert late == LATE_IMPORTS
 
 
 def test_environment_reads_are_pinned():
@@ -260,7 +317,7 @@ def test_config_options_are_pinned():
 
     from repro.campaign import CampaignConfig
     from repro.distrib.coordinator import Coordinator
-    from repro.distrib.service import ServiceConfig
+    from repro.campaign.service import ServiceConfig
     from repro.tuner import BinTunerConfig, BuildSpec, StagedCandidateEvaluator
 
     found = {

@@ -33,7 +33,7 @@ from repro.distrib import Coordinator, ConnectionClosed  # noqa: E402
 from repro.distrib import protocol, transport  # noqa: E402
 from repro.distrib.client import ServiceClient  # noqa: E402
 from repro.distrib.errors import AuthenticationError  # noqa: E402
-from repro.distrib.service import ServiceConfig, TuningService  # noqa: E402
+from repro.campaign.service import ServiceConfig, TuningService  # noqa: E402
 from repro.distrib.wire import FrameTooLarge, make_message, recv_wire, send_wire  # noqa: E402
 
 SOURCE = "int main(void) { int s = 0; for (int i = 0; i < 9; i++) s += i * 3; return s & 0xff; }"

@@ -340,7 +340,7 @@ class TestBinTunerEndToEnd:
 
         from repro.campaign import CampaignConfig
         from repro.distrib.jobs import AdmissionLimits, JobBudget, JobSpec
-        from repro.distrib.service import ServiceConfig
+        from repro.campaign.service import ServiceConfig
 
         for config_class in (BinTunerConfig, GAParameters, CampaignConfig,
                              ServiceConfig, AdmissionLimits, JobBudget, JobSpec):

@@ -222,7 +222,7 @@ class TestGarbageCorpus:
 
 @pytest.fixture(scope="module")
 def service():
-    from repro.distrib.service import ServiceConfig, TuningService
+    from repro.campaign.service import ServiceConfig, TuningService
 
     svc = TuningService(ServiceConfig())
     yield svc
