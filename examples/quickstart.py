@@ -5,9 +5,9 @@ Compiles the 462.libquantum-style workload with SimLLVM at every default
 optimization level, runs a short BinTuner search, and prints the NCD and
 BinHunt difference scores of each setting against the -O0 baseline — a
 single-benchmark slice of the paper's Figure 5.  The search runs twice,
-serially and on a 4-worker process pool borrowed from a
-``SharedWorkerPool``; the script exits non-zero unless the two agree
-bit-for-bit.
+serially and on a ``SharedWorkerPool("process", 4)`` — a local fleet of
+four forked worker sessions — that the tuner borrows; the script exits
+non-zero unless the two agree bit-for-bit.
 
 Run:  python examples/quickstart.py
 """
@@ -47,8 +47,8 @@ def main() -> None:
     print(f"  evaluation engine: {stats.evaluated}/{stats.requested} candidates compiled, "
           f"{stats.cache_hits} cache hits (hit ratio {stats.hit_ratio:.0%})")
 
-    print("\n== same search on a 4-worker process pool (identical results by design)")
-    # The pool owns the worker processes; the tuner only borrows them.
+    print("\n== same search on a 4-session local fleet (identical results by design)")
+    # The pool owns the forked worker sessions; the tuner only borrows them.
     with SharedWorkerPool("process", 4) as pool:
         parallel = BinTuner(SimLLVM(), spec, config, mapper_factory=pool.mapper).run()
     agree = (parallel.best_flags.sorted_names() == tuned.best_flags.sorted_names()
@@ -57,7 +57,7 @@ def main() -> None:
           f"({pool.workers} workers, generation-batched)")
     print(f"  serial and parallel runs agree bit-for-bit: {agree}")
     if not agree:
-        sys.exit("serial and process-pool runs disagree: determinism is broken")
+        sys.exit("serial and local-fleet runs disagree: determinism is broken")
 
     print("\n== difference from the O0 baseline (higher = more different)")
     binhunt = BinHunt()

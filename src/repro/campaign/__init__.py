@@ -19,8 +19,8 @@ campaign and the service — share one job runner
   overlap);
 * :mod:`repro.campaign.pool` — the :class:`SharedWorkerPool` every program
   of a campaign evaluates on (one substrate per campaign, not per program:
-  a process pool or a :mod:`repro.distrib` coordinator
-  serving workers on other machines);
+  a :mod:`repro.distrib` coordinator serving forked local sessions or
+  workers on other machines);
 * :mod:`repro.campaign.cli` — the ``python -m repro.campaign`` entry point,
   including the ``report`` (checkpoint-only tables), ``worker``
   (distributed evaluation), ``serve`` (the tuning service) and ``submit``

@@ -595,10 +595,11 @@ class Campaign:
         ]
         write_job_table(self.config.checkpoint_dir, self.config.name, rows)
 
-    def _discard_checkpoint(self) -> None:
+    def _discard_checkpoint(self, pool: SharedWorkerPool) -> None:
         """Delete the job table, the database and the discarded runs'
-        telemetry; the session's own file (opened before ``run`` discards)
-        and the store stay."""
+        telemetry; the store stays, and so do this session's own files,
+        opened before ``run`` discards: its sink's and those of the pool's
+        local sessions (``worker-<pid>...``)."""
         if self.config.checkpoint_dir is None:
             return
         directory = Path(self.config.checkpoint_dir)
@@ -608,8 +609,9 @@ class Campaign:
         if database_dir.exists():
             shutil.rmtree(database_dir)
         recording = getattr(telemetry.get_sink(), "path", None)
+        sessions = tuple(f"worker-{pid}{end}" for pid in pool.pids for end in (".", "-"))
         for path in (directory / TELEMETRY_DIR).glob("*.jsonl"):
-            if path != recording:
+            if path != recording and not path.name.startswith(sessions):
                 path.unlink(missing_ok=True)
 
     def _load_checkpoint(self) -> Dict[ShardKey, ProgramResult]:
@@ -796,7 +798,7 @@ class Campaign:
             completed = self._load_checkpoint()
         else:
             completed = {}
-            self._discard_checkpoint()
+            self._discard_checkpoint(pool)
         # Written up front (not just per completed program) so the job-list
         # mismatch guard protects even a campaign killed inside its first
         # program.

@@ -11,7 +11,7 @@ Examples::
     python -m repro.campaign --benchmarks 462.libquantum,429.mcf \\
         --families llvm --max-iterations 24 --checkpoint-dir /tmp/campaign
 
-    # Same campaign on a shared 4-worker process pool
+    # Same campaign on a local fleet of 4 forked worker sessions
     python -m repro.campaign --benchmarks 462.libquantum,429.mcf \\
         --families llvm --workers 4
 

@@ -1,11 +1,11 @@
 """The one owner of every evaluation substrate, and of every run's session.
 
-A :class:`SharedWorkerPool` is the only thing that builds an executor or a
-coordinator; every mapper it hands out *borrows* that substrate, and closing
-the pool is what tears it down.  A campaign and the tuning service each hold
-one pool across all their programs — spawning (and tearing down) a fresh
-substrate per program would dominate the wall clock on short searches — and
-a standalone tuner that wants parallelism borrows one the same way::
+A :class:`SharedWorkerPool` is the only thing that builds a substrate;
+every mapper it hands out *borrows* it, and closing the pool is what tears
+it down.  A campaign and the tuning service each hold one pool across all
+their programs — starting (and tearing down) a fresh substrate per program
+would dominate the wall clock on short searches — and a standalone tuner
+that wants parallelism borrows one the same way::
 
     with SharedWorkerPool("process", 4) as pool:
         result = BinTuner(compiler, spec, config, mapper_factory=pool.mapper).run()
@@ -18,45 +18,49 @@ the ``/metrics`` + ``/status`` server, in that order, on the owner's
 Without a pool, :class:`~repro.tuner.evaluation.EvaluationEngine` evaluates
 inline.  ``dispatch`` picks the substrate:
 
-* ``"serial"`` — the deterministic inline path;
-* ``"process"`` — one ``ProcessPoolExecutor``; each task carries the
-  *identity* of its evaluator plus a pickle blob that workers deserialize
-  once and cache (bounded, see
-  :data:`~repro.tuner.evaluation.EVALUATOR_CACHE_LIMIT`);
-* ``"distributed"`` — one :class:`~repro.distrib.coordinator.Coordinator`
-  listening on ``serve`` (``HOST:PORT``); workers started with
-  ``python -m repro.distrib.worker --connect HOST:PORT`` — on this machine
-  or any other — evaluate the candidates.
+* ``"serial"`` — the deterministic inline path
+  (:class:`~repro.tuner.evaluation.LocalMapper`);
+* ``"process"`` — a local fleet: a
+  :class:`~repro.distrib.coordinator.Coordinator` on loopback under a random
+  per-pool authkey that only its ``workers`` one-slot sessions inherit
+  (forked by :func:`~repro.distrib.worker.fork_sessions`), so no other local
+  process can register and get pickles exchanged with the owner.  No mesh:
+  they share the owner's disk store.  Each records ``worker-<pid>.jsonl``
+  under the owner's ``telemetry_dir``; :attr:`SharedWorkerPool.pids` names
+  them;
+* ``"distributed"`` — a coordinator listening on ``serve`` (``HOST:PORT``);
+  workers started with ``python -m repro.distrib.worker --connect
+  HOST:PORT`` — on this machine or any other — evaluate the candidates.
 
 ``dispatch`` is the substrate's only name: no mode (or ``"serial"``) with
-``workers > 1`` means the process pool (:func:`resolve_dispatch`).  The
-two local modes hand out a :class:`~repro.tuner.evaluation.LocalMapper`
-and the distributed mode a :class:`~repro.distrib.mapper.DistributedMapper`;
-neither has a ``close``, so a tuner's run leaves the pool running and a
-follow-up ``evaluate()`` lands on the same executor.
+``workers > 1`` means the local fleet (:func:`resolve_dispatch`).  Both
+fleets hand out a :class:`~repro.distrib.mapper.DistributedMapper`, so
+moving work from a local core to another machine changes no call site, and
+a session that dies is a lost worker whose chunk goes to the survivors.
+No mapper has a ``close``: a tuner's run leaves the pool running.
 
-The pool owns what it builds and nothing else: a distributed pool offers its
-fleet view as *sources*; the ``/metrics`` server that renders them belongs
-to the owner's session, and whether a mesh fits the dispatch mode is the
-campaign's validation.
+The pool owns what it builds and nothing else: a fleet offers its view as
+*sources*; the ``/metrics`` server that renders them belongs to the owner's
+session, and whether a mesh fits the dispatch mode is the campaign's
+validation.
 
 Determinism: every mapper returns results in submission order regardless of
-completion order (chunk order for the local pools, index-slotted replies for
-the distributed one), so the evaluation engine's bit-for-bit reproducibility
-guarantee carries over unchanged to every mode.
+completion order (index-slotted replies), so the evaluation engine's
+bit-for-bit reproducibility guarantee carries over unchanged to every mode.
 
 Persistence: the pool carries no store configuration.  An evaluator's blob
 carries its owner's cache terms (bound, store directory, byte budget), and
 its ``__setstate__`` adopts the worker process's shared cache over that
-disk-backed artifact store (:mod:`repro.tuner.store`) — so every process
-worker opens the owner's store, and a freshly spawned worker consults the
-persisted compiles before paying for its own.  ``mesh_store`` is the
-owner's :class:`~repro.tuner.store.ArtifactStore` itself.
+disk-backed artifact store (:mod:`repro.tuner.store`) — so every local
+session opens the owner's store, and a fresh worker consults the persisted
+compiles before paying for its own.  ``mesh_store`` is the owner's
+:class:`~repro.tuner.store.ArtifactStore` itself.
 """
 
 from __future__ import annotations
 
 import logging
+import secrets
 import socket
 from contextlib import ExitStack
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
@@ -71,6 +75,9 @@ logger = logging.getLogger("repro.campaign.pool")
 
 #: The execution substrates ``dispatch`` names.
 EXECUTORS = ("serial", "process", "distributed")
+
+#: Seconds local sessions get to register, and to exit after ``Shutdown``.
+LOCAL_FLEET_TIMEOUT = 30.0
 
 
 def resolve_dispatch(dispatch: Optional[str], workers: int) -> str:
@@ -91,7 +98,7 @@ def resolve_dispatch(dispatch: Optional[str], workers: int) -> str:
 
 class SharedWorkerPool:
     """One execution substrate (or the serial path), shared by every mapper
-    it hands out."""
+    it hands out; closing it reaps a local fleet's sessions."""
 
     def __init__(
         self,
@@ -101,29 +108,55 @@ class SharedWorkerPool:
         authkey=None,
         mesh_store=None,
         mesh_budget_bytes: Optional[int] = None,
+        telemetry_dir=None,
     ) -> None:
         self.dispatch = resolve_dispatch(dispatch, workers)
         self.workers = 1 if self.dispatch == "serial" else workers
-        self._pool = None
         self._coordinator = None
-        if self.dispatch == "distributed":
-            from repro.distrib.coordinator import Coordinator
-            from repro.distrib.protocol import parse_address
+        #: Pids of the local fleet's forked sessions (empty for other modes).
+        self.pids: List[int] = []
+        if self.dispatch == "serial":
+            return
+        from repro.distrib.coordinator import Coordinator
+        from repro.distrib.protocol import parse_address
 
+        if self.dispatch == "process":
+            host, port = "127.0.0.1", 0
+            authkey, mesh_store = secrets.token_bytes(32), None
+        else:
             host, port = parse_address(serve) if serve else ("127.0.0.1", 0)
-            # ``mesh_store`` (the owner's ArtifactStore) turns on the
-            # coordinator's artifact plane: workers push fresh tier-2
-            # entries here and fetch their misses from each other's work.
-            self._coordinator = Coordinator(
-                host=host, port=port, authkey=authkey,
-                artifact_store=mesh_store, mesh_budget_bytes=mesh_budget_bytes,
-            )
+        # ``mesh_store`` (the owner's ArtifactStore) turns on the
+        # coordinator's artifact plane: workers push fresh tier-2 entries
+        # here and fetch their misses from each other's work.
+        self._coordinator = Coordinator(
+            host=host, port=port, authkey=authkey,
+            artifact_store=mesh_store, mesh_budget_bytes=mesh_budget_bytes,
+        )
+        if self.dispatch != "process":
+            return
+        from repro.distrib.worker import fork_sessions, run_session
 
-    # -- distributed front ------------------------------------------------------------
+        coordinator = self._coordinator
+
+        def session() -> int:  # in a forked child
+            coordinator.close_listener_copy()
+            return run_session(telemetry_dir, coordinator.address_string(),
+                               authkey=authkey, mesh=False, log=logger.debug)
+
+        # Fork, not spawn (~0.5 s to import the worker afresh): built first in
+        # its session, the pool's only other thread is the idle accept loop.
+        try:
+            self.pids = fork_sessions(workers, session)
+            coordinator.wait_for_workers(workers, timeout=LOCAL_FLEET_TIMEOUT)
+        except BaseException:
+            self.close()
+            raise
+
+    # -- the fleet --------------------------------------------------------------------
 
     @property
     def coordinator(self):
-        """The distributed coordinator (``None`` for local dispatch modes)."""
+        """The fleet's coordinator (``None`` for serial dispatch)."""
         return self._coordinator
 
     def address_string(self) -> str:
@@ -132,9 +165,9 @@ class SharedWorkerPool:
         return self._coordinator.address_string()
 
     def wait_for_workers(self, count: int, timeout: Optional[float] = None) -> int:
-        """Block until ``count`` remote workers registered (distributed only)."""
+        """Block until ``count`` workers registered."""
         if self._coordinator is None:
-            raise ValueError(f"pool dispatch {self.dispatch!r} has no remote workers")
+            raise ValueError(f"pool dispatch {self.dispatch!r} has no workers")
         return self._coordinator.wait_for_workers(count, timeout)
 
     def mesh_stats(self) -> Optional[Dict[str, object]]:
@@ -150,33 +183,24 @@ class SharedWorkerPool:
 
     # -- mapper construction ----------------------------------------------------------
 
-    def _ensure_executor(self):
-        """The pool's ``"process"`` executor, built on first use."""
-        if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
-
     def mapper(self, evaluator: CandidateEvaluator):
         """A per-program mapper that borrows this pool's substrate (serial:
         inline)."""
-        if self.dispatch == "distributed":
-            from repro.distrib.mapper import DistributedMapper
+        if self.dispatch == "serial":
+            return LocalMapper(evaluator)
+        from repro.distrib.mapper import DistributedMapper
 
-            return DistributedMapper(self._coordinator, evaluator)
-        return LocalMapper(
-            evaluator, self.dispatch, self.workers,
-            executor_source=self._ensure_executor,
-        )
+        return DistributedMapper(self._coordinator, evaluator)
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
         if self._coordinator is not None:
-            self._coordinator.close()
+            self._coordinator.close()  # a Shutdown to every session
             self._coordinator = None
+        if self.pids:
+            from repro.distrib.worker import end_sessions
+
+            end_sessions(self.pids, grace=LOCAL_FLEET_TIMEOUT)
+            self.pids = []
 
     def __enter__(self) -> "SharedWorkerPool":
         return self
@@ -206,9 +230,10 @@ def open_session(
       is given: one sink feeds the JSONL file and ``/metrics``, and with
       only a port it is registry only, so nothing touches disk.
     * The pool is ``SharedWorkerPool(**pool_args)``, built before the sink
-      (so arguments it refuses leave no telemetry file) and closed with the
-      stack, or an injected ``pool``, used as-is and left open.  A pool
-      built here that listens for workers logs where to point them.
+      (so arguments it refuses leave no telemetry file; a local fleet's
+      sessions record under the same ``telemetry_dir``) and closed with the
+      stack, or an injected ``pool``, used as-is and left open.  A
+      distributed pool built here logs where to point its workers.
     * The ``/metrics`` + ``/status`` server (only with an ``obs_port``)
       serves the owner's ``status`` under ``section`` (``"campaign"`` /
       ``"service"``) and its optional ``metrics``, plus the ``process``
@@ -220,12 +245,13 @@ def open_session(
     with ExitStack() as built:
         # Built before the sink is installed, closed before it is removed.
         if own_pool:
-            pool = built.enter_context(SharedWorkerPool(**pool_args))
+            pool = built.enter_context(
+                SharedWorkerPool(telemetry_dir=telemetry_dir, **pool_args))
         if telemetry_dir is not None or obs_port is not None:
             stack.enter_context(telemetry.recording(telemetry_dir, label=section))
         stack.push(built.pop_all())
     if own_pool:
-        if pool.coordinator is not None:
+        if pool.dispatch == "distributed":
             bound = pool.address_string()
             host, _sep, port = bound.rpartition(":")
             if host in ("0.0.0.0", "::", ""):

@@ -475,7 +475,7 @@ class TuningService:
 
     def worker_address(self) -> Optional[str]:
         """The worker-plane coordinator address (distributed dispatch only)."""
-        if self._pool.coordinator is None:
+        if self._pool.dispatch != "distributed":
             return None
         return self._pool.address_string()
 

@@ -1,9 +1,10 @@
 """Distributed candidate evaluation and the tuning service's client plane.
 
-The campaign's evaluation substrate was capped at one machine's
-``ProcessPoolExecutor``; this subsystem serves the same work over the
-network while keeping the component contract — a ``CandidateEvaluator``
-behind an ordered ``map(keys) -> results`` — completely fixed:
+This subsystem serves candidate evaluation to worker sessions — forked on
+this machine for a ``"process"`` pool, anywhere on the network for a
+``"distributed"`` one — while keeping the component contract — a
+``CandidateEvaluator`` behind an ordered ``map(keys) -> results`` —
+completely fixed:
 
 * :mod:`repro.distrib.transport` — the one socket seam under both planes:
   connect / listen / close, Nagle off, one-``sendall`` frames;

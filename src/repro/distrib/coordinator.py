@@ -596,6 +596,10 @@ class Coordinator:
 
     # -- lifecycle --------------------------------------------------------------------
 
+    def close_listener_copy(self) -> None:
+        """In a forked child: close the inherited listener (see ``Listener``)."""
+        self._listener.close_copy()
+
     def close(self) -> None:
         """Shut down: tell every worker to exit, then close all sockets."""
         with self._joined:

@@ -27,6 +27,7 @@ errors; they are deliberately *not* re-dispatched.
 
 from __future__ import annotations
 
+import itertools
 import pickle
 import threading
 from typing import List, Optional, Sequence, Tuple
@@ -37,7 +38,6 @@ from repro.tuner.evaluation import (
     CandidateEvaluator,
     CandidateResult,
     FlagKey,
-    next_evaluator_id,
 )
 
 #: An indexed task: (submission index into the current ``map`` call, key).
@@ -46,22 +46,25 @@ IndexedTask = Tuple[int, FlagKey]
 #: Dispatch rounds per ``map`` call before the leftovers run in-process.
 MAX_DISPATCH_ROUNDS = 3
 
+#: Evaluator ids: one process-wide count, so ids never alias across pools.
+#: (``next`` on an ``itertools.count`` is atomic under the GIL.)
+_EVALUATOR_IDS = itertools.count(1)
+
 
 class DistributedMapper:
     """Maps candidate batches over a :class:`Coordinator`'s workers.
 
     One mapper serves one evaluator (one program of a campaign); the
-    evaluator is pickled exactly once, and its id comes from the same
-    monotonic counter the shared in-process pool draws from, so ids never
-    alias across dispatch modes.  The coordinator is borrowed: the shared
-    worker pool (the campaign package's ``SharedWorkerPool``) that built it
-    outlives every per-program mapper and closes it.
+    evaluator is pickled exactly once, under a process-unique id.  The
+    coordinator is borrowed: the shared worker pool (the campaign package's
+    ``SharedWorkerPool``, for a local fleet as for remote workers) that
+    built it outlives every per-program mapper and closes it.
     """
 
     def __init__(self, coordinator: Coordinator, evaluator: CandidateEvaluator) -> None:
         self._coordinator = coordinator
         self._evaluator = evaluator
-        self.evaluator_id = next_evaluator_id()
+        self.evaluator_id = next(_EVALUATOR_IDS)
         self._blob = pickle.dumps(evaluator)
         #: Keys evaluated in-process because no worker (or no budget) was
         #: left — observability for tests and the demo.

@@ -120,6 +120,10 @@ class Listener:
                 continue
             self._handler(conn, peer)
 
+    def close_copy(self) -> None:
+        """In a forked child: close its copy, leaving the parent listening."""
+        self._sock.close()
+
     def close(self) -> None:
         """Stop accepting; returns once the accept thread has exited."""
         self._closed = True

@@ -6,21 +6,21 @@ told to shut down::
 
     python -m repro.distrib.worker --connect HOST:PORT [--slots N] [--reconnect]
 
-Evaluators arrive as pickle-once blobs keyed by the same monotonic evaluator
-ids the in-process shared worker pool (``SharedWorkerPool``) uses; each
-is deserialized at most once and kept in a bounded FIFO cache (the same
-bound as the pool's per-process cache), so a long campaign over many
-programs cannot pile baselines up in worker memory.  Evicted evaluators are
-recovered via the :class:`~repro.distrib.protocol.EvaluatorMissing` reply —
-the coordinator re-sends the blob.
+Evaluators arrive as pickle-once blobs keyed by monotonic evaluator ids;
+each is deserialized at most once and kept in a bounded FIFO cache
+(:data:`~repro.tuner.evaluation.EVALUATOR_CACHE_LIMIT`), so a long campaign
+over many programs cannot pile baselines up in worker memory.  Evicted
+evaluators are recovered via the :class:`~repro.distrib.protocol.
+EvaluatorMissing` reply — the coordinator re-sends the blob.
 
 A session is one slot: it evaluates each batch key by key in its own
-thread, through :func:`~repro.tuner.evaluation.evaluate_keys` — the loop a
-serial in-process mapper runs.  ``--slots N`` runs N sessions: this process
-plus N-1 child processes, each re-running this module with ``--slots 1``
-and its own connection, heartbeat, mesh client and reconnect loop (compile,
-emulate and score are pure Python, so N threads in one interpreter would
-claim N slots and deliver one).  From registration to shutdown each session
+thread, through :func:`~repro.tuner.evaluation.evaluate_keys` — the loop the
+inline mapper runs.  ``--slots N`` runs N sessions: this process plus N-1
+children forked by :func:`fork_sessions` — the one way to start local
+sessions, a ``"process"`` pool's included — each with its own connection,
+heartbeat, mesh client, reconnect loop and telemetry file (compile, emulate
+and score are pure Python, so N threads in one interpreter would claim N
+slots and deliver one).  From registration to shutdown each session
 sends :class:`~repro.distrib.protocol.Heartbeat` frames so a long batch —
 or an idle wait between batches — is distinguishable from a dead machine
 (historically a busy worker could only fail at batch boundaries or the
@@ -59,7 +59,6 @@ import os
 import pickle
 import signal
 import socket
-import subprocess
 import sys
 import threading
 import time
@@ -547,6 +546,80 @@ def run_worker(
         delay = min(delay * 2, BACKOFF_CAP)
 
 
+def run_session(telemetry_dir, connect: str, **worker_args) -> int:
+    """:func:`run_worker` under this process's own sink (``worker-<pid>.jsonl``
+    under ``telemetry_dir``, else the null sink — never an inherited one)."""
+    with contextlib.ExitStack() as session:
+        if telemetry_dir is not None:
+            session.enter_context(telemetry.recording(telemetry_dir, label="worker"))
+        else:
+            session.callback(telemetry.set_sink, telemetry.set_sink(None))
+        return run_worker(connect, **worker_args)
+
+
+def fork_sessions(count: int, session: Callable[[], int]) -> List[int]:
+    """Fork ``count`` children that each run ``session()`` with the caller's
+    imports loaded; returns their pids, which :func:`end_sessions` reaps.
+
+    The children wait on a pipe until the last one exists, so no session
+    connects — and no connection exists to be inherited — before all are
+    forked.  A child restores the default SIGINT / SIGTERM actions and leaves
+    only through ``os._exit`` (``session()``'s status, or 1 if it raised), so
+    it never closes or flushes the caller's sink, exit stack or coordinator.
+    """
+    hold, release = os.pipe()
+    pids: List[int] = []
+    try:
+        for _ in range(count):
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    signal.signal(signal.SIGINT, signal.SIG_DFL)
+                    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                    os.close(release)
+                    os.read(hold, 1)  # EOF: the caller and every sibling let go
+                    os.close(hold)
+                    status = session()
+                except BaseException:
+                    logger.exception("worker session %d failed", os.getpid())
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+    except BaseException:
+        end_sessions(pids, grace=0.0)
+        raise
+    finally:
+        os.close(hold)
+        os.close(release)
+    return pids
+
+
+def end_sessions(pids: Sequence[int], grace: Optional[float] = None) -> List[int]:
+    """Reap forked sessions; returns their exit codes (``-N``: signal N).
+    With a ``grace``, one still running that many seconds from now is sent
+    SIGTERM first; without, they run as long as they like."""
+    deadline = None if grace is None else time.monotonic() + grace
+    codes = []
+    for pid in pids:
+        status, flags = 0, (0 if deadline is None else os.WNOHANG)
+        try:
+            while True:
+                done, status = os.waitpid(pid, flags)
+                if done:
+                    break
+                if time.monotonic() < deadline:
+                    time.sleep(0.01)
+                    continue
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGTERM)
+                flags = 0
+        except ChildProcessError:
+            pass
+        codes.append(os.waitstatus_to_exitcode(status))
+    return codes
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -583,7 +656,7 @@ def build_parser(prog: str = PROG) -> argparse.ArgumentParser:
                         help="coordinator address to register with")
     parser.add_argument("--slots", dest="sessions", type=int, default=1,
                         help="worker sessions to run: this process plus N-1 "
-                             "child processes, each registering on its own "
+                             "forked children, each registering on its own "
                              "connection (default: 1)")
     parser.add_argument("--max-batches", type=int, default=None,
                         help="failure injection: serve N batches, then crash "
@@ -662,12 +735,11 @@ def configure_logging(verbose: bool = False, quiet: bool = False) -> None:
 def main(argv: Optional[Sequence[str]] = None, prog: str = PROG) -> int:
     """The worker CLI; ``prog`` names the command in usage and error lines.
 
-    ``--slots N`` starts N-1 child sessions — ``python -m
-    repro.distrib.worker`` with this argv and ``--slots 1`` appended (the
-    last occurrence of a flag wins) — then serves the Nth session itself and
-    waits for them.  It returns the first nonzero status among (this
-    session, child 1, ...), else 0.  A child still running when the parent
-    raises or is interrupted (Ctrl-C or SIGTERM) is terminated.
+    ``--slots N`` forks N-1 child sessions (:func:`fork_sessions`) under the
+    same flags, then serves the Nth session itself and waits for them.  It
+    returns the first nonzero status among (this session, child 1, ...),
+    else 0.  A child still running when the parent raises or is interrupted
+    (Ctrl-C or SIGTERM) is terminated.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser(prog)
@@ -683,55 +755,46 @@ def main(argv: Optional[Sequence[str]] = None, prog: str = PROG) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     configure_logging(verbose=args.verbose, quiet=args.quiet)
-    children: List[subprocess.Popen] = []
+    pids: List[int] = []
     if args.sessions > 1:
         # SIGTERM unwinds like Ctrl-C, so the finally below reaps the children.
         previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        for _ in range(args.sessions - 1):
-            children.append(subprocess.Popen(
-                [sys.executable, "-m", "repro.distrib.worker", *argv, "--slots", "1"],
-                stdin=subprocess.DEVNULL,
-            ))
+        pids = fork_sessions(args.sessions - 1, lambda: _run_session(args, hard_exit=False))
         # With children this process must outlive an injected crash of its
         # own session to wait for them, so that crash closes the socket and
         # returns instead of calling os._exit.
-        statuses = [_run_session(args, hard_exit=args.sessions == 1)]
-        statuses += [child.wait() for child in children]
+        statuses = [_run_session(args, hard_exit=not pids)]
+        statuses += end_sessions(pids)
+        pids = []
     finally:
-        for child in children:
-            if child.poll() is None:
-                child.terminate()
-                child.wait()
+        end_sessions(pids, grace=0.0)
         if args.sessions > 1:
             signal.signal(signal.SIGTERM, previous)
     return next((status for status in statuses if status), 0)
 
 
 def _run_session(args: argparse.Namespace, hard_exit: bool) -> int:
-    """This process's own session: :func:`run_worker` under the CLI flags."""
+    """One session of this command: :func:`run_session` under the CLI flags."""
     try:
-        with contextlib.ExitStack() as session:
-            if args.telemetry_dir is not None:
-                session.enter_context(
-                    telemetry.recording(args.telemetry_dir, label="worker"))
-            return run_worker(
-                args.connect,
-                reconnect=args.reconnect,
-                max_retries=args.max_retries,
-                backoff_base=args.backoff,
-                max_batches=args.max_batches,
-                hard_exit=hard_exit,
-                log=logger.info,
-                authkey=args.authkey,
-                heartbeat_interval=args.heartbeat,
-                store_dir=args.store_dir,
-                store_max_bytes=args.store_max_bytes,
-                no_store=args.no_store,
-                connect_timeout=args.connect_timeout,
-                mesh=not args.no_mesh,
-                mesh_budget_bytes=args.mesh_budget_bytes,
-            )
+        return run_session(
+            args.telemetry_dir,
+            args.connect,
+            reconnect=args.reconnect,
+            max_retries=args.max_retries,
+            backoff_base=args.backoff,
+            max_batches=args.max_batches,
+            hard_exit=hard_exit,
+            log=logger.info,
+            authkey=args.authkey,
+            heartbeat_interval=args.heartbeat,
+            store_dir=args.store_dir,
+            store_max_bytes=args.store_max_bytes,
+            no_store=args.no_store,
+            connect_timeout=args.connect_timeout,
+            mesh=not args.no_mesh,
+            mesh_budget_bytes=args.mesh_budget_bytes,
+        )
     except ConnectionRefusedError:
         logger.error("no coordinator listening at %s", args.connect)
         return 2

@@ -16,7 +16,7 @@ is the observability plane those layers share:
   :class:`~repro.telemetry.live.MetricsRegistry` (what ``/metrics`` and
   ``/status`` render; each span feeds a ``{name}.seconds`` histogram).
   Given a run directory it also writes bounded newline-delimited JSON, one
-  file per process; with **no directory** it is registry only.  Past
+  file per sink; with **no directory** it is registry only.  Past
   ``max_events``, or after a failed write (a full disk), records are
   counted as ``dropped``, never written — and the run carries on;
 * :func:`recording` is the one way a run installs a sink, for the length of
@@ -160,9 +160,10 @@ class Span:
 
 class JsonlSink:
     """The recording sink: a metrics registry, plus one bounded JSONL file
-    per process when given a run directory.
+    of its own when given a run directory.
 
-    With a ``directory`` the file is ``{label}-{pid}.jsonl`` under it; a
+    With a ``directory`` the file is ``{label}-{pid}.jsonl`` under it (then
+    ``-2``, ``-3``, ... : one file per sink, so per session); a
     ``meta`` record written at open carries the pid, host and the wall-clock
     epoch every monotonic timestamp in the file is relative to, so a reader
     can place events from many processes on one timeline, and ``close``
@@ -208,8 +209,15 @@ class JsonlSink:
             return
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        self.path = directory / f"{label}-{os.getpid()}.jsonl"
-        self._fd = os.open(str(self.path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        for attempt in itertools.count(1):
+            suffix = f"-{attempt}" if attempt > 1 else ""
+            self.path = directory / f"{label}-{os.getpid()}{suffix}.jsonl"
+            try:
+                self._fd = os.open(str(self.path),
+                                   os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND, 0o644)
+                break
+            except FileExistsError:
+                pass  # an earlier sink of this process: take the next name
         self._write_lines([{
             "type": "meta",
             "version": SCHEMA_VERSION,
@@ -305,7 +313,7 @@ class JsonlSink:
 
         A single write to an ``O_APPEND`` descriptor lands at the file's
         end atomically, so sinks in different processes sharing one
-        directory (or one inherited file) never interleave partial lines.
+        directory never interleave partial lines.
         Never raises: a full disk must cost the log, not the run, so the
         first failed or short write stops the file for good (one warning;
         callers count what follows as dropped) while the registry goes on.

@@ -41,7 +41,6 @@ from repro.tuner.evaluation import (
     EvaluationStats,
     LocalMapper,
     MapperTransportError,
-    next_evaluator_id,
 )
 from repro.tuner.pipeline import (
     ArtifactCache,
@@ -83,7 +82,6 @@ __all__ = [
     "EvaluationStats",
     "LocalMapper",
     "MapperTransportError",
-    "next_evaluator_id",
     "ArtifactCache",
     "ArtifactStore",
     "CompiledArtifact",

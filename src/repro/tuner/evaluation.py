@@ -10,17 +10,15 @@ orchestrator into a composable subsystem:
 * the engine dedupes the batch against the :class:`TuningDatabase` and
   against itself, so a fingerprint that was ever compiled is never compiled
   again and intra-batch duplicates are evaluated exactly once;
-* the surviving misses are dispatched to a worker mapper.  There are two:
-  :class:`LocalMapper`, the one in-process mapper (inline, or contiguous
-  per-worker chunks on a process executor it borrows), and the
-  multi-machine :class:`~repro.distrib.mapper.DistributedMapper`.  Only
-  :class:`~repro.campaign.pool.SharedWorkerPool` builds a substrate — an
-  executor or a coordinator — and hands out mappers that borrow it; a remote
-  worker session evaluates its batch with :func:`evaluate_keys`, as the
-  inline mapper does;
+* the surviving misses are dispatched to a worker mapper: the inline
+  :class:`LocalMapper`, or :class:`~repro.distrib.mapper.DistributedMapper`
+  over worker sessions (forked locally, or on other machines).  Only
+  :class:`~repro.campaign.pool.SharedWorkerPool` builds a substrate and
+  hands out mappers that borrow it; a worker session evaluates its batch
+  with :func:`evaluate_keys`, as the inline mapper does;
 * results are recorded in *submission* order regardless of worker completion
-  order, so a run is bit-for-bit reproducible for any worker count — or, with
-  the distributed mapper, any machine count.
+  order, so a run is bit-for-bit reproducible for any worker or machine
+  count.
 
 The worker side is the picklable
 :class:`~repro.tuner.pipeline.StagedCandidateEvaluator`, the one candidate
@@ -31,8 +29,6 @@ through it, for every mapper.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import operator
 import pickle
 from dataclasses import asdict, dataclass, fields, replace
@@ -54,8 +50,8 @@ class CandidateResult:
 
     Besides the record fields it reports per-stage wall clock and
     artifact-cache provenance (zero when a plain callable built the result).
-    They travel with the result through every mapper — process pools and
-    remote workers included — so the engine's :class:`EvaluationStats` can
+    They travel with the result through every mapper — local and remote
+    worker sessions included — so the engine's :class:`EvaluationStats` can
     account for caches it cannot see."""
 
     fitness: float
@@ -80,29 +76,18 @@ class CandidateResult:
 
 
 #: A candidate evaluator: canonical flag key -> result.  Must be picklable to
-#: be used with a process executor or the distributed mapper.
+#: be shipped to worker sessions.
 CandidateEvaluator = Callable[[FlagKey], CandidateResult]
 
-#: Bound on the per-worker evaluator cache: campaign jobs run sequentially,
-#: so evaluators of long-finished programs (each holding a source plus the
-#: O0 baseline image) must not pile up for the life of the campaign.  Shared
-#: by the process pool's worker-global cache and the remote worker loop.
+#: Bound on a worker session's evaluator cache: campaign jobs run
+#: sequentially, so evaluators of long-finished programs (each holding a
+#: source plus the O0 baseline image) must not pile up for the life of the
+#: campaign.
 EVALUATOR_CACHE_LIMIT = 4
 
-#: One process-wide monotonic counter behind every evaluator-carrying
-#: mapper: ids can never alias, whether a campaign mixes dispatch modes or
-#: not.  (`next` on an ``itertools.count`` is atomic under the GIL.)
-_EVALUATOR_IDS = itertools.count(1)
-
-
-def next_evaluator_id() -> int:
-    """The next process-unique evaluator id (shared across dispatch modes)."""
-    return next(_EVALUATOR_IDS)
-
-
 class MapperTransportError(RuntimeError):
-    """The mapper's *transport* failed — a broken process-pool pipe, a dead
-    remote worker, an unpicklable payload — as opposed to the evaluator
+    """The mapper's *transport* failed — a broken connection, a
+    malformed reply, an unpicklable payload — as opposed to the evaluator
     itself raising.  Carries the evaluator id and the offending
     :data:`FlagKey` batch slice so the error is actionable instead of a bare
     pickle/EOF traceback.
@@ -120,128 +105,31 @@ class MapperTransportError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Worker mappers
+# The inline mapper
 # ---------------------------------------------------------------------------
 
-def split_into_chunks(items: Sequence, chunks: int) -> List[List]:
-    """Deterministic contiguous split into at most ``chunks`` non-empty slices.
-
-    The partition depends only on ``len(items)`` and ``chunks`` — never on
-    timing — so chunk-granular dispatch preserves the engine's
-    reproducibility contract for any worker count.
-    """
-    items = list(items)
-    count = min(len(items), max(1, chunks))
-    if not items:
-        return []
-    base, extra = divmod(len(items), count)
-    out: List[List] = []
-    start = 0
-    for index in range(count):
-        size = base + (1 if index < extra else 0)
-        out.append(items[start : start + size])
-        start += size
-    return out
-
-
 def evaluate_keys(evaluator: CandidateEvaluator, keys: Sequence[FlagKey]) -> List[CandidateResult]:
-    """Run ``keys`` through ``evaluator`` one by one, in submission order.
-
-    The ``evaluate_batch`` probe is a test seam: no production evaluator
-    offers the method, but a fake that does sees each chunk whole, which is
-    how the mapper tests observe the chunk partition.
-    """
-    batch = getattr(evaluator, "evaluate_batch", None)
-    if batch is not None:
-        return list(batch(keys))
+    """Run ``keys`` through ``evaluator`` one by one, in submission order:
+    the loop of the inline mapper and of every worker session."""
     return [evaluator(key) for key in keys]
 
 
-#: Worker-process global: evaluator id -> deserialized evaluator.  Ids come
-#: from :func:`next_evaluator_id`, so they can never alias.  Bounded
-#: (:data:`EVALUATOR_CACHE_LIMIT`) because campaign jobs run sequentially.
-_POOL_EVALUATORS: Dict[int, CandidateEvaluator] = {}
-
-
-def _pool_evaluator(evaluator_id: int, blob: bytes) -> CandidateEvaluator:
-    evaluator = _POOL_EVALUATORS.get(evaluator_id)
-    if evaluator is None:
-        evaluator = pickle.loads(blob)
-        while len(_POOL_EVALUATORS) >= EVALUATOR_CACHE_LIMIT:
-            _POOL_EVALUATORS.pop(next(iter(_POOL_EVALUATORS)))
-        _POOL_EVALUATORS[evaluator_id] = evaluator
-    return evaluator
-
-
-def _pool_call_batch(evaluator_id: int, blob: bytes,
-                     keys: Sequence[FlagKey]) -> List[CandidateResult]:
-    """One process-pool task = one contiguous key chunk.  Dispatched as
-    ``functools.partial(_pool_call_batch, id, blob)``: every task ships the
-    same bytes object and a worker deserializes it at most once."""
-    return evaluate_keys(_pool_evaluator(evaluator_id, blob), list(keys))
-
-
 class LocalMapper:
-    """The one in-process mapper: inline, or a process pool.
+    """The inline mapper: every batch is evaluated in the calling thread.
 
-    ``kind="serial"`` evaluates the batch inline (deterministic default and
-    fallback).  ``"process"`` dispatches every batch as contiguous
-    per-worker chunks (:func:`split_into_chunks`), each evaluated key by key
-    in its worker, and flattens the results in chunk order, so the
-    partition — hence every fingerprint — depends only on the batch length
-    and the worker count.  The executor gets the evaluator as an id plus a
-    blob pickled once per mapper, which each worker deserializes at most
-    once (bounded cache, :data:`EVALUATOR_CACHE_LIMIT`).
-
-    A mapper never owns an executor: ``executor_source`` is a zero-argument
-    callable returning one it *borrows* — a
-    :class:`~repro.campaign.pool.SharedWorkerPool`'s, which builds the
-    substrate and shuts it down — and ``"process"`` requires it.
-
-    Exceptions raised by the evaluator (anything it does not classify as an
-    invalid candidate) propagate to the caller on every kind.
+    It is the engine's default without a pool and what a ``"serial"``
+    :class:`~repro.campaign.pool.SharedWorkerPool` hands out; every other
+    substrate is a fleet of worker sessions behind
+    :class:`~repro.distrib.mapper.DistributedMapper`.  Exceptions raised by
+    the evaluator (anything it does not classify as an invalid candidate)
+    propagate to the caller.
     """
 
-    KINDS = ("serial", "process")
-
-    def __init__(
-        self,
-        evaluator: CandidateEvaluator,
-        kind: str = "serial",
-        workers: int = 1,
-        executor_source: Optional[Callable[[], object]] = None,
-    ) -> None:
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown mapper kind {kind!r} (use one of {', '.join(self.KINDS)})")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if kind != "serial" and executor_source is None:
-            raise ValueError(
-                f"a {kind!r} mapper borrows its executor: build it through "
-                "SharedWorkerPool(...).mapper"
-            )
-        self.kind = kind
-        self.workers = 1 if kind == "serial" else workers
-        self._executor_source = executor_source
-        #: Only a pickle blob that leaves the process needs an id.
-        self.evaluator_id: Optional[int] = None
-        if kind == "process":
-            self.evaluator_id = next_evaluator_id()
-            self._evaluate_chunk = functools.partial(
-                _pool_call_batch, self.evaluator_id, pickle.dumps(evaluator)
-            )
-        else:
-            self._evaluate_chunk = functools.partial(evaluate_keys, evaluator)
+    def __init__(self, evaluator: CandidateEvaluator) -> None:
+        self._evaluator = evaluator
 
     def map(self, keys: Sequence[FlagKey]) -> List[CandidateResult]:
-        if self.kind == "serial":
-            return self._evaluate_chunk(list(keys))
-        if not keys:
-            return []
-        executor = self._executor_source()
-        futures = [executor.submit(self._evaluate_chunk, chunk)
-                   for chunk in split_into_chunks(keys, self.workers)]
-        return [result for future in futures for result in future.result()]
+        return evaluate_keys(self._evaluator, list(keys))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +268,7 @@ class EvaluationEngine:
         #: records, by ``run_job`` (to checkpoint) and the ledger's
         #: ``long_trace`` (to time generations); all-hit replays skip it.
         self.on_batch: Optional[Callable[["EvaluationEngine"], None]] = None
-        # A parallel mapper comes from a SharedWorkerPool, which owns the
+        # A fleet's mapper comes from a SharedWorkerPool, which owns the
         # substrate; without one the engine evaluates inline.
         self._mapper = mapper if mapper is not None else LocalMapper(evaluator)
 
@@ -465,21 +353,19 @@ class EvaluationEngine:
     def _dispatch(self, miss_keys: List[FlagKey], generation: int) -> List[CandidateResult]:
         """``mapper.map`` with transport failures made actionable.
 
-        A dead worker process or remote machine otherwise surfaces as a bare
-        ``BrokenProcessPool``/``EOFError``/pickle traceback with no hint of
-        *which* evaluator or candidates were in flight; domain and
-        programming errors from the evaluator itself pass through untouched.
+        A broken transport otherwise surfaces as a bare ``EOFError`` /
+        pickle traceback with no hint of *which* evaluator or candidates were
+        in flight; domain and programming errors from the evaluator itself
+        pass through untouched.  (A lost worker session is not an error: the
+        distributed mapper re-dispatches its chunk.)
         """
-        from concurrent.futures import BrokenExecutor
-
         from repro.distrib.errors import ProtocolError
 
         try:
             return self._mapper.map(miss_keys)
         except MapperTransportError:
             raise
-        except (BrokenExecutor, EOFError, ConnectionError, pickle.PickleError,
-                ProtocolError) as exc:
+        except (EOFError, ConnectionError, pickle.PickleError, ProtocolError) as exc:
             evaluator_id = getattr(self._mapper, "evaluator_id", None)
             preview = ", ".join(
                 "+".join(key) if key else "<no flags>" for key in miss_keys[:3]

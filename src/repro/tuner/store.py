@@ -23,7 +23,7 @@ content-addressed artifacts on disk:
   coldest entries first.
 
 Concurrency: one store directory may be open in many processes at once (the
-orchestrator, every process-pool worker, distributed worker sessions on
+orchestrator, every local worker session, distributed worker sessions on
 the same machine).  In the orchestrator the run's owner (a campaign or the
 tuning service) attaches it to the artifact cache it owns; a worker process
 never configures one — it derives the directory and byte budget from the

@@ -25,6 +25,7 @@ import shutil
 import subprocess
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,16 @@ def tiny_config(checkpoint_dir=None, workers=1, warm_start=True, **config_kwargs
         warm_start=warm_start,
         checkpoint_dir=checkpoint_dir,
         **config_kwargs,
+    )
+
+
+def span_counts(directory: Path, pattern: str) -> Counter:
+    """Span records per name across the JSONL files ``pattern`` matches."""
+    return Counter(
+        record["name"]
+        for path in directory.glob(pattern)
+        for record in map(json.loads, path.read_text().splitlines())
+        if record.get("type") == "span"
     )
 
 
@@ -388,6 +399,15 @@ class TestCheckpointResume:
         assert [row["state"] for row in fresh_table["jobs"]] == ["queued", "queued"]
         assert not (ckpt / "database").exists()
 
+    def test_two_fresh_runs_in_one_process_leave_one_runs_telemetry(self, tmp_path):
+        """Each session records its own file, so a second ``resume=False``
+        run in the same process discards the first one's spans with its
+        checkpoint."""
+        ckpt = tmp_path / "ckpt"
+        for _ in range(2):
+            Campaign(JOBS[:1], tiny_config(ckpt), spec_provider=tiny_spec).run(resume=False)
+        assert span_counts(ckpt / TELEMETRY_DIR, "*.jsonl")["campaign.job"] == 1
+
     def test_mismatched_job_list_rejected(self, tmp_path):
         run_campaign(checkpoint_dir=tmp_path / "ckpt", limit=1)
         other = Campaign(
@@ -620,7 +640,7 @@ class TestSharedWorkerPool:
     def test_serial_pool_hands_out_serial_mappers(self):
         pool = SharedWorkerPool("serial", 1)
         mapper = pool.mapper(lambda key: key)
-        assert isinstance(mapper, LocalMapper) and mapper.kind == "serial"
+        assert isinstance(mapper, LocalMapper)
         assert mapper.map([("-a",), ("-b",)]) == [("-a",), ("-b",)]
         pool.close()
 
@@ -900,6 +920,59 @@ class TestCampaignCLI:
         breakdown = {row["name"]: row["count"]
                      for row in report["telemetry"]["breakdown"]}
         assert breakdown["campaign.job"] == 1
+
+    @pytest.mark.skipif(not loopback_available(), reason="no AF_INET loopback")
+    def test_local_sessions_record_their_own_telemetry(self, tmp_path):
+        """``--workers 2`` forks two local sessions, each with its own sink:
+        the campaign's file holds the compiles of its baselines only, the
+        sessions' ``worker-<pid>.jsonl`` files the candidates', and
+        ``report`` counts three processes."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        ckpt = tmp_path / "ckpt"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        subprocess.run(
+            [sys.executable, "-m", "repro.campaign",
+             "--benchmarks", "462.libquantum,429.mcf", "--families", "llvm",
+             "--max-iterations", "6", "--population", "3", "--workers", "2",
+             "--checkpoint-dir", str(ckpt), "--quiet"],
+            check=True, capture_output=True, env=env, timeout=120)
+        telemetry_dir = ckpt / TELEMETRY_DIR
+        owner = span_counts(telemetry_dir, "campaign-*.jsonl")
+        assert owner["stage.compile"] == 2 and owner["worker.batch"] == 0
+        assert len(list(telemetry_dir.glob("worker-*.jsonl"))) == 2
+        sessions = span_counts(telemetry_dir, "worker-*.jsonl")
+        assert sessions["stage.compile"] > 0 and sessions["worker.batch"] > 0
+        assert sessions["campaign.job"] == 0
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.campaign", "report", str(ckpt)],
+            check=True, capture_output=True, text=True, env=env, timeout=60)
+        assert f"from 3 process(es) under {telemetry_dir}" in done.stdout
+
+    @pytest.mark.skipif(not loopback_available(), reason="no AF_INET loopback")
+    def test_fresh_run_keeps_its_local_sessions_telemetry(self, tmp_path):
+        """``--workers 2 --fresh``: the sessions open their files when the
+        pool starts, before the run discards the old ones, and survive it."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        ckpt = tmp_path / "ckpt"
+        args = [sys.executable, "-m", "repro.campaign",
+                "--benchmarks", "462.libquantum", "--families", "llvm",
+                "--max-iterations", "6", "--population", "3", "--workers", "2",
+                "--checkpoint-dir", str(ckpt), "--quiet"]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        for extra in ([], ["--fresh"]):
+            subprocess.run(args + extra, check=True, capture_output=True, env=env,
+                           timeout=120)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.campaign", "report", str(ckpt),
+             "--json", str(tmp_path / "report.json")],
+            check=True, capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert f"from 3 process(es) under {ckpt / TELEMETRY_DIR}" in done.stdout
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert len(report["summary"]) == 1
+        breakdown = {row["name"]: row["count"]
+                     for row in report["telemetry"]["breakdown"]}
+        assert breakdown["campaign.job"] == 1 and breakdown["worker.batch"] > 0
 
     def test_report_writes_its_json_before_a_closed_pipe(self, tmp_path):
         """``report --json OUT | head``: the file is written before the first

@@ -48,7 +48,6 @@ from repro.tuner import (
     CandidateResult,
     EvaluationEngine,
     GAParameters,
-    LocalMapper,
     MapperTransportError,
 )
 
@@ -294,6 +293,20 @@ KEYS = [("-a",), ("-a", "-b"), ("-b", "-c", "-d"), ("-e",), ("-a", "-e"), ("-f",
 
 
 class TestDistributedMapper:
+    def test_round_robin_deal_is_deterministic_and_total(self):
+        """A batch's partition over the live workers depends only on the
+        batch and the worker count — never on timing — so dealt dispatch
+        keeps the reproducibility contract for any worker count."""
+        tasks = list(enumerate(KEYS * 3))[:11]
+        workers = ["w1", "w2", "w3", "w4"]
+        dealt = DistributedMapper._assign(tasks, workers)
+        assert sorted(task for _worker, chunk in dealt for task in chunk) == tasks
+        assert [len(chunk) for _worker, chunk in dealt] == [3, 3, 3, 2]
+        assert DistributedMapper._assign(tasks, workers) == dealt
+        assert DistributedMapper._assign([], workers) == []
+        assert DistributedMapper._assign(tasks[:2], workers * 2) == [
+            ("w1", [tasks[0]]), ("w2", [tasks[1]])]
+
     def test_submission_order_for_any_worker_count(self):
         expected = [FakeEvaluator("tag")(key) for key in KEYS]
         for workers in (1, 2, 3):
@@ -598,12 +611,26 @@ class TestEngineIntegration:
 
 class TestDistributedCampaign:
     def test_pool_dispatch_modes(self):
+        """``process`` is a local fleet behind the distributed mapper: two
+        forked sessions registered on loopback under the pool's own key and
+        no mesh; closing the pool leaves no child process."""
         pool = SharedWorkerPool(dispatch="process", workers=2)
         try:
             mapper = pool.mapper(FakeEvaluator())
-            assert isinstance(mapper, LocalMapper) and mapper.kind == "process"
+            assert isinstance(mapper, DistributedMapper)
+            assert pool.coordinator.worker_count() == 2 and len(pool.pids) == 2
+            assert pool.coordinator.authkey is not None
+            assert pool.mesh_stats() is None
+            host, _port = parse_address(pool.address_string())
+            assert host == "127.0.0.1"
+            assert mapper.map(KEYS) == [FakeEvaluator()(key) for key in KEYS]
+            sessions = list(pool.pids)
         finally:
             pool.close()
+        assert pool.pids == [] and pool.coordinator is None
+        for pid in sessions:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
         pool = SharedWorkerPool(dispatch="distributed")
         try:
             assert isinstance(pool.mapper(FakeEvaluator()), DistributedMapper)
@@ -613,6 +640,32 @@ class TestDistributedCampaign:
             pool.close()
         with pytest.raises(ValueError):
             SharedWorkerPool(dispatch="carrier-pigeon")
+
+    def test_a_killed_local_session_is_a_lost_worker(self):
+        """``kill -9`` of one local session mid-campaign: the survivor takes
+        its chunks, and the campaign lands on the uninterrupted serial
+        fingerprint."""
+        serial = Campaign(JOBS, tiny_campaign_config(), spec_provider=tiny_spec).run()
+        pool = SharedWorkerPool(dispatch="process", workers=2)
+        victim = pool.pids[0]
+
+        def spec_killing_a_session(job):
+            if job == JOBS[-1]:  # the last program starts one session short
+                os.kill(victim, signal.SIGKILL)
+            return tiny_spec(job)
+
+        try:
+            result = Campaign(
+                JOBS, tiny_campaign_config(dispatch="process", workers=2),
+                spec_provider=spec_killing_a_session,
+            ).run(pool=pool)
+            health = sorted(row["health"] for row in pool.fleet_status())
+        finally:
+            pool.close()
+        assert result.fingerprint() == serial.fingerprint()
+        assert (result.database.record_signatures()
+                == serial.database.record_signatures())
+        assert health == ["healthy", "lost"]
 
     def test_min_workers_timeout_raises(self, monkeypatch):
         monkeypatch.setattr(campaign_module, "WORKER_WAIT_TIMEOUT", 0.05)

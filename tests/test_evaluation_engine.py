@@ -1,12 +1,13 @@
 """Tests for the generation-batched evaluation engine and the cached NCD
-fitness: batch dedup, submission-order recording, the one in-process
-mapper's contract on every borrowed pool, serial/process-pool equivalence, and
-exact agreement between cached and uncached NCD."""
+fitness: batch dedup, submission-order recording, the mapper contract on
+every local pool (inline, and the forked local fleet), serial/process-pool
+equivalence, and exact agreement between cached and uncached NCD."""
 
 from __future__ import annotations
 
 import os
 import pickle
+import weakref
 
 import pytest
 from _helpers import run_tuner
@@ -23,12 +24,11 @@ from repro.tuner import (
     EvaluationEngine,
     GAParameters,
     LocalMapper,
-    MapperTransportError,
     StagedCandidateEvaluator,
     TuningDatabase,
 )
-from repro.tuner import evaluation
-from repro.tuner.evaluation import EVALUATOR_CACHE_LIMIT, split_into_chunks
+from repro.distrib.mapper import DistributedMapper
+from repro.tuner.evaluation import EVALUATOR_CACHE_LIMIT
 from repro.tuner.pipeline import INVALID_FITNESS
 
 TINY_SOURCE = """
@@ -143,50 +143,66 @@ class TestEvaluationEngine:
 
     def test_without_a_pool_the_engine_evaluates_inline(self):
         """A parallel substrate only ever comes from a SharedWorkerPool: the
-        engine's own default is the serial mapper, and a process mapper
-        without a borrowed executor is refused."""
-        engine = EvaluationEngine(_CountingEvaluator())
+        engine's own default is the inline mapper, which evaluates in the
+        calling process and takes no dispatch mode to be anything else."""
+        engine = EvaluationEngine(_PidEcho())
         assert isinstance(engine.mapper, LocalMapper)
-        assert engine.mapper.kind == "serial" and engine.mapper.workers == 1
-        with pytest.raises(ValueError, match="SharedWorkerPool"):
+        assert {r.code_size for r in engine.mapper.map(MAPPER_KEYS)} == {os.getpid()}
+        with pytest.raises(TypeError):
             LocalMapper(_CountingEvaluator(), "process", 2)
 
 
-class _ChunkEcho:
-    """Picklable batch-aware fake: every result names the chunk it rode in,
-    so the partition is observable from the other side of a process pool."""
+class _PidEcho:
+    """Picklable fake: every result names the process that evaluated it, so
+    the partition is observable from the other side of a local fleet."""
 
     def __call__(self, key):
-        return self.evaluate_batch([key])[0]
-
-    def evaluate_batch(self, keys):
-        chunk = repr([tuple(key) for key in keys])
-        return [
-            CandidateResult(fitness=float(len(key)), code_size=os.getpid(),
-                            fingerprint=chunk, valid=True, elapsed_seconds=0.0)
-            for key in keys
-        ]
+        return CandidateResult(fitness=float(len(key)), code_size=os.getpid(),
+                               fingerprint="pid", valid=True, elapsed_seconds=0.0)
 
 
-class _DiesInWorker:
-    """Kills whichever process evaluates it (a crashed pool worker)."""
+class _DiesOutsideOwner:
+    """Kills any process but its owner's that evaluates it (a crashed local
+    session); in the owner it answers like :class:`_CountingEvaluator`."""
+
+    def __init__(self):
+        self.owner = os.getpid()
 
     def __call__(self, key):
-        os._exit(13)
+        if os.getpid() != self.owner:
+            os._exit(13)
+        return _CountingEvaluator()(key)
 
 
-def _worker_evaluator_cache_size():
-    return len(evaluation._POOL_EVALUATORS)
+#: Live :class:`_Census` instances of this process.
+_CENSUS = weakref.WeakSet()
+
+
+class _Census:
+    """Answers with the number of its kind alive in the evaluating process:
+    the size of a worker session's evaluator cache."""
+
+    def __init__(self):
+        self.counted = True  # a state to unpickle, so __setstate__ runs
+        _CENSUS.add(self)
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        _CENSUS.add(self)
+
+    def __call__(self, key):
+        return CandidateResult(fitness=float(len(key)), code_size=len(_CENSUS),
+                               fingerprint="census", valid=True, elapsed_seconds=0.0)
 
 
 MAPPER_KEYS = [tuple(f"-f{i}" for i in range(size)) for size in range(1, 9)]
 
 
-@pytest.fixture(params=LocalMapper.KINDS)
+@pytest.fixture(params=("serial", "process"))
 def local_mapper(request):
     """``(kind, pool, build)``: ``build(evaluator)`` is a
     :class:`SharedWorkerPool`'s ``mapper``, which borrows the pool's
-    executor."""
+    substrate."""
     kind = request.param
     workers = 1 if kind == "serial" else 3  # "serial" with more means "process"
     with SharedWorkerPool(dispatch=kind, workers=workers) as pool:
@@ -194,59 +210,60 @@ def local_mapper(request):
 
 
 class TestLocalMapperContract:
-    """One class serves inline and process dispatch on a borrowed pool: the
-    same contract on both."""
+    """Both local pools — inline, and the forked local fleet — keep the one
+    mapper contract: one result per key, in submission order."""
 
     def test_submission_order_and_chunk_partition(self, local_mapper):
-        kind, _pool, build = local_mapper
-        mapper = build(_ChunkEcho())
-        assert isinstance(mapper, LocalMapper) and mapper.kind == kind
-        assert mapper.workers == (1 if kind == "serial" else 3)
-        assert (mapper.evaluator_id is not None) == (kind == "process")
+        kind, pool, build = local_mapper
+        mapper = build(_PidEcho())
+        assert isinstance(mapper, LocalMapper if kind == "serial" else DistributedMapper)
+        assert len(pool.pids) == (0 if kind == "serial" else 3)
         results = mapper.map(MAPPER_KEYS)
         assert [r.fitness for r in results] == [float(len(key)) for key in MAPPER_KEYS]
-        assert [r.fingerprint for r in results] == [
-            repr(chunk)
-            for chunk in split_into_chunks(MAPPER_KEYS, mapper.workers)
-            for _key in chunk
-        ]
-        assert ({r.code_size for r in results} == {os.getpid()}) == (kind != "process")
+        # Inline, the batch is one chunk; a fleet deals it round-robin over
+        # its three sessions, each in its own forked process.
+        pids = [r.code_size for r in results]
+        if kind == "serial":
+            assert set(pids) == {os.getpid()}
+        else:
+            assert pids == [pids[index % 3] for index in range(len(pids))]
+            assert sorted(pids[:3]) == sorted(pool.pids)
         assert mapper.map([]) == []
 
-    def test_broken_pool_is_a_transport_error(self, registry):
-        evaluator = _DiesInWorker()
+    def test_dead_local_sessions_end_in_the_serial_result(self, registry):
+        """Every session that evaluates the batch dies: each is a lost
+        worker, and the chunk ends where no worker is left — in the owner,
+        on the inline result."""
+        evaluator = _DiesOutsideOwner()
+        names = registry.flag_names()
+        batch = [FlagVector(registry, frozenset(names[:i])) for i in range(1, 4)]
+        serial = EvaluationEngine(_CountingEvaluator()).evaluate_batch(batch)
         with SharedWorkerPool(dispatch="process", workers=2) as pool:
             mapper = pool.mapper(evaluator)
             engine = EvaluationEngine(evaluator, mapper=mapper)
-            names = registry.flag_names()
-            batch = [FlagVector(registry, frozenset(names[:i])) for i in range(1, 4)]
-            with pytest.raises(MapperTransportError) as caught:
-                engine.evaluate_batch(batch)
-        assert caught.value.evaluator_id == mapper.evaluator_id
-        assert list(caught.value.keys) == [tuple(v.sorted_names()) for v in batch]
+            assert engine.evaluate_batch(batch) == serial
+            assert mapper.fallback_evaluations == len(batch)
+            assert pool.coordinator.workers() == []
+            assert [row["health"] for row in pool.fleet_status()] == ["lost", "lost"]
 
     def test_serial_with_several_workers_means_the_process_pool(self):
         with SharedWorkerPool("serial", 2) as pool:
-            assert pool.mapper(_ChunkEcho()).kind == "process"
+            assert pool.dispatch == "process" and len(pool.pids) == 2
+            assert isinstance(pool.mapper(_PidEcho()), DistributedMapper)
 
     def test_worker_side_evaluator_cache_is_bounded(self):
-        """A campaign's evaluators pass through one pool worker; it keeps at
-        most EVALUATOR_CACHE_LIMIT of them and re-reads an evicted one from
-        the blob every task carries."""
+        """A campaign's evaluators pass through one worker session; it keeps
+        at most EVALUATOR_CACHE_LIMIT of them and re-reads an evicted one
+        from the blob the coordinator re-sends."""
         with SharedWorkerPool(dispatch="process", workers=1) as pool:
-            mappers = [pool.mapper(_ChunkEcho()) for _ in range(EVALUATOR_CACHE_LIMIT + 2)]
+            mappers = [pool.mapper(_Census()) for _ in range(EVALUATOR_CACHE_LIMIT + 2)]
             assert len({mapper.evaluator_id for mapper in mappers}) == len(mappers)
-            for mapper in mappers:
-                mapper.map(MAPPER_KEYS[:2])
-            executor = pool._ensure_executor()
-            assert executor.submit(_worker_evaluator_cache_size).result() == (
-                EVALUATOR_CACHE_LIMIT
-            )
+            held = [mapper.map(MAPPER_KEYS[:2])[0].code_size for mapper in mappers]
+            assert held[-1] == EVALUATOR_CACHE_LIMIT
             evicted = mappers[0].map(MAPPER_KEYS[:2])
             assert [r.fitness for r in evicted] == [1.0, 2.0]
-            assert executor.submit(_worker_evaluator_cache_size).result() == (
-                EVALUATOR_CACHE_LIMIT
-            )
+            assert {r.code_size for r in evicted} == {EVALUATOR_CACHE_LIMIT}
+            assert mappers[0].fallback_evaluations == 0
 
 
 class TestTunerCandidateEvaluator:
@@ -411,7 +428,7 @@ class TestSerialParallelEquivalence:
     @pytest.mark.slow
     def test_run_leaves_the_borrowed_pool_open(self, llvm):
         """A standalone tuner on a borrowed process pool answers ``evaluate``
-        after ``run()`` on the very same executor: the run never closes
+        after ``run()`` on the very same fleet: the run never closes
         what it does not own."""
         spec = BuildSpec(name="tiny", source=TINY_SOURCE)
         config = BinTunerConfig(
@@ -420,8 +437,9 @@ class TestSerialParallelEquivalence:
         with SharedWorkerPool(dispatch="process", workers=2) as pool:
             tuner = BinTuner(llvm, spec, config, mapper_factory=pool.mapper)
             result = tuner.run()
-            executor = pool._pool
-            assert executor is not None and result.evaluation_stats.evaluated > 0
+            fleet = pool.coordinator
+            assert fleet is not None and result.evaluation_stats.evaluated > 0
+            served = sum(row["batches"] for row in pool.fleet_status())
             unseen = next(
                 FlagVector(llvm.registry, frozenset({name}))
                 for name in llvm.registry.flag_names()
@@ -430,4 +448,5 @@ class TestSerialParallelEquivalence:
             evaluated = tuner.evaluation_engine().stats.evaluated
             assert tuner.evaluate(unseen) == tuner.evaluate(unseen)
             assert tuner.evaluation_engine().stats.evaluated == evaluated + 1
-            assert pool._pool is executor
+            assert pool.coordinator is fleet
+            assert sum(row["batches"] for row in pool.fleet_status()) == served + 1

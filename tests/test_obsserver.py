@@ -635,7 +635,11 @@ class TestObservabilityParity:
         assert status["process"]["peak_rss_bytes"] > 0
         assert status["campaign"]["state"] == "finished"
         assert status["campaign"]["jobs_completed"] == len(campaign.jobs)
-        assert "fleet" not in status and observed.fleet is None
+        # A local fleet is a fleet: /status lists its sessions.
+        if dispatch == "serial":
+            assert "fleet" not in status and observed.fleet is None
+        else:
+            assert len(status["fleet"]) == len(observed.fleet) == workers
         assert outer.metrics_snapshot()["histograms"] == {}  # nothing leaked out
 
     def test_run_alone_opens_and_closes_its_own_session(self, plain):

@@ -62,7 +62,6 @@ from repro.tuner import (
     persistent_store,
     shared_artifact_cache,
 )
-from repro.tuner.evaluation import split_into_chunks
 from repro.tuner.pipeline import MEMORY_TIER, MISS_TIER
 
 TINY_SOURCE = """
@@ -411,15 +410,6 @@ class TestStagedEvaluator:
         assert (
             stats.compile_seconds + stats.measure_seconds + stats.score_seconds <= wall
         )
-
-    def test_split_into_chunks_is_deterministic_and_total(self):
-        items = list(range(11))
-        chunks = split_into_chunks(items, 4)
-        assert [item for chunk in chunks for item in chunk] == items
-        assert [len(chunk) for chunk in chunks] == [3, 3, 3, 2]
-        assert split_into_chunks(items, 4) == chunks
-        assert split_into_chunks([], 4) == []
-        assert split_into_chunks([1, 2], 8) == [[1], [2]]
 
 
 # ---------------------------------------------------------------------------

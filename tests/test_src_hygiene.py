@@ -10,7 +10,7 @@ the emulator's ``DISPATCH_ENV`` read.
 The artifact tiers' counters are pinned the same way: no literal sink bump
 of an ``artifact.`` / ``store.`` / ``mesh.`` name anywhere under ``src/repro``.
 So is the owner of every evaluation substrate: ``SharedWorkerPool`` builds
-the coordinator and the process executor a mapper borrows.  And
+the coordinator a mapper borrows, for a local fleet as for a distributed one.  And
 the owner of every run's session: ``open_session`` next to it is the only
 place that builds the observability server or installs a sink, apart from
 the remote worker's own ``--telemetry-dir``.  And the owner of every shared
@@ -66,7 +66,6 @@ ALLOWED = Counter({
 #: ``(file under src/repro, constructor) -> calls``: one substrate owner.
 SUBSTRATE_OWNERS = Counter({
     ("campaign/pool.py", "Coordinator"): 1,
-    ("campaign/pool.py", "ProcessPoolExecutor"): 1,
 })
 
 #: ``(file under src/repro, call) -> calls``: one session owner.
