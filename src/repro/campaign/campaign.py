@@ -178,8 +178,8 @@ class CampaignConfig:
     #: under ``checkpoint_dir/telemetry`` (:data:`TELEMETRY_DIR`), and
     #: setting both is an error.  The session records JSONL there through
     #: the one :class:`~repro.telemetry.JsonlSink`, and ``report`` renders
-    #: it; workers of a distributed fleet additionally forward compact
-    #: summaries to the coordinator.  Telemetry is observe-only —
+    #: it, the coordinator's per-worker ``fleet.worker`` rows included.
+    #: Telemetry is observe-only —
     #: fingerprints, checkpoints, and recorded results are bit-for-bit
     #: identical with it on or off.  With no telemetry directory and no
     #: ``obs_port`` the zero-cost null sink stays.
@@ -343,7 +343,7 @@ class CampaignResult:
     #: Snapshot of the campaign-wide artifact cache after the run.
     artifact_cache_stats: Dict[str, object] = field(default_factory=dict)
     #: The coordinator's artifact-plane counters and per-worker fleet rows,
-    #: taken before the session tears the pool down (``None`` for local
+    #: taken before the session tears the pool down (``None`` for serial
     #: dispatch; ``mesh_stats`` also ``None`` when no mesh was served).
     mesh_stats: Optional[Dict[str, object]] = None
     fleet: Optional[List[Dict[str, object]]] = None

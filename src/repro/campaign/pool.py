@@ -23,8 +23,9 @@ inline.  ``dispatch`` picks the substrate:
 * ``"process"`` — a local fleet: a
   :class:`~repro.distrib.coordinator.Coordinator` on loopback under a random
   per-pool authkey that only its ``workers`` one-slot sessions inherit
-  (forked by :func:`~repro.distrib.worker.fork_sessions`), so no other local
-  process can register and get pickles exchanged with the owner.  No mesh:
+  (forked by :func:`~repro.distrib.worker.fork_sessions` before the
+  coordinator exists, then handed its port), so no other local process can
+  register and get pickles exchanged with the owner.  No mesh:
   they share the owner's disk store.  Each records ``worker-<pid>.jsonl``
   under the owner's ``telemetry_dir``; :attr:`SharedWorkerPool.pids` names
   them;
@@ -118,36 +119,38 @@ class SharedWorkerPool:
         if self.dispatch == "serial":
             return
         from repro.distrib.coordinator import Coordinator
-        from repro.distrib.protocol import parse_address
+        from repro.distrib.protocol import format_address, parse_address
 
         if self.dispatch == "process":
             host, port = "127.0.0.1", 0
             authkey, mesh_store = secrets.token_bytes(32), None
         else:
             host, port = parse_address(serve) if serve else ("127.0.0.1", 0)
-        # ``mesh_store`` (the owner's ArtifactStore) turns on the
-        # coordinator's artifact plane: workers push fresh tier-2 entries
-        # here and fetch their misses from each other's work.
-        self._coordinator = Coordinator(
-            host=host, port=port, authkey=authkey,
-            artifact_store=mesh_store, mesh_budget_bytes=mesh_budget_bytes,
-        )
+
+        def listen() -> int:
+            # ``mesh_store`` (the owner's ArtifactStore) turns on the
+            # coordinator's artifact plane: workers push fresh tier-2 entries
+            # here and fetch their misses from each other's work.
+            self._coordinator = Coordinator(
+                host=host, port=port, authkey=authkey,
+                artifact_store=mesh_store, mesh_budget_bytes=mesh_budget_bytes,
+            )
+            return self._coordinator.port
+
         if self.dispatch != "process":
+            listen()
             return
         from repro.distrib.worker import fork_sessions, run_session
 
-        coordinator = self._coordinator
-
-        def session() -> int:  # in a forked child
-            coordinator.close_listener_copy()
-            return run_session(telemetry_dir, coordinator.address_string(),
+        def session(port: int) -> int:  # in a forked child
+            return run_session(telemetry_dir, format_address(host, port),
                                authkey=authkey, mesh=False, log=logger.debug)
 
-        # Fork, not spawn (~0.5 s to import the worker afresh): built first in
-        # its session, the pool's only other thread is the idle accept loop.
+        # Fork, not spawn (~0.5 s to import the worker afresh), and before
+        # the coordinator exists: no session inherits its listener or thread.
         try:
-            self.pids = fork_sessions(workers, session)
-            coordinator.wait_for_workers(workers, timeout=LOCAL_FLEET_TIMEOUT)
+            self.pids = fork_sessions(workers, session, listen)
+            self._coordinator.wait_for_workers(workers, timeout=LOCAL_FLEET_TIMEOUT)
         except BaseException:
             self.close()
             raise

@@ -44,7 +44,6 @@ from repro.distrib.protocol import (
     Heartbeat,
     Hello,
     Shutdown,
-    TelemetrySummary,
     Welcome,
     authenticate,
     format_address,
@@ -53,6 +52,8 @@ from repro.distrib.protocol import (
     send_message,
 )
 from repro.telemetry import get_sink
+from repro.telemetry.live import Histogram
+from repro.tuner.evaluation import EvaluationStats
 
 logger = logging.getLogger("repro.distrib.coordinator")
 
@@ -109,26 +110,54 @@ class WorkerHandle:
         #: request/response, so concurrent mapper threads must serialize.
         self.lock = threading.Lock()
         self.batches_completed = 0
+        #: What this worker's accepted replies carried, summed, and when it
+        #: registered: its fleet row (:meth:`row`) is read off these.
+        self.stats = EvaluationStats()
+        self.registered = time.monotonic()
         #: Artifact-plane state: bytes this machine has moved over the mesh
         #: (both directions, budget-checked), and in-flight push
         #: reassemblies (``repr(key)`` -> partial chunks) — all touched only
-        #: under ``self.lock`` from :meth:`Coordinator.run_batch`, and gone
-        #: with the handle when the worker is discarded.
+        #: under ``self.lock`` from :meth:`Coordinator.run_batch`.
         self.mesh_bytes = 0
         self.mesh_parts: Dict[str, Dict] = {}
-        #: Latest :class:`~repro.distrib.protocol.TelemetrySummary` payload
-        #: this worker forwarded (observe-only; empty until the first one).
-        self.telemetry: Dict[str, object] = {}
         #: Health tracking: monotonic timestamp of the last frame read from
-        #: this worker (any frame — heartbeats, telemetry, artifact traffic,
-        #: batch replies), the advertised heartbeat cadence, whether an RPC
+        #: this worker (any frame — heartbeats, artifact traffic, batch
+        #: replies), the advertised heartbeat cadence, whether an RPC
         #: conversation is in flight, and the per-task batch-duration EWMA
         #: the straggler detector compares against the fleet median.
         self.last_seen = time.monotonic()
         self.heartbeat_interval = 0.0
         self.busy = False
         self.ewma_task_seconds: Optional[float] = None
-        self.discarded = False
+        #: When :meth:`Coordinator.discard` dropped it (its uptime ends there).
+        self.discarded_at: Optional[float] = None
+
+    def row(self, health: str) -> Dict[str, object]:
+        """This worker's fleet row: ``/status``, the ``fleet.worker`` events
+        and the end-of-run summary all read it.  Busy time is what the
+        worker measured evaluating (the results' ``elapsed_seconds``),
+        uptime runs from registration to now or to the worker's loss."""
+        stats = self.stats
+        end = time.monotonic() if self.discarded_at is None else self.discarded_at
+        uptime = end - self.registered
+        return {
+            "worker_id": self.worker_id,
+            "peer": self.peer,
+            "health": health,
+            "batches": self.batches_completed,
+            "candidates": stats.evaluated,
+            "busy_seconds": round(stats.worker_seconds, 6),
+            "uptime_seconds": round(uptime, 6),
+            "busy_ratio": round(stats.worker_seconds / uptime, 4) if uptime > 0 else 0.0,
+            "compile_seconds": round(stats.compile_seconds, 6),
+            "measure_seconds": round(stats.measure_seconds, 6),
+            "score_seconds": round(stats.score_seconds, 6),
+            "artifact_hits": stats.artifact_hits,
+            "artifact_store_hits": stats.artifact_store_hits,
+            "artifact_mesh_hits": stats.artifact_mesh_hits,
+            "artifact_misses": stats.artifact_misses,
+            "mesh_bytes": self.mesh_bytes,
+        }
 
     def __repr__(self) -> str:
         return (f"WorkerHandle(id={self.worker_id}, peer={self.peer!r}, "
@@ -180,11 +209,13 @@ class Coordinator:
             host, port, 64, self._register, "coordinator-accept")
         self.host, self.port = self._listener.host, self._listener.port
         self._workers: Dict[int, WorkerHandle] = {}
-        #: Fleet telemetry: worker id -> latest summary payload (plus peer).
-        #: Kept separately from the registry so the fleet view of a
-        #: campaign outlives discarded workers.
-        self._fleet: Dict[int, Dict[str, object]] = {}
-        self._fleet_lock = threading.Lock()
+        #: Every handle ever registered, the discarded ones included: the
+        #: fleet view describes the whole run, not just the live registry.
+        self._handles: Dict[int, WorkerHandle] = {}
+        #: The fleet's ``worker.batch.seconds``: one observation per
+        #: accepted reply (its summed ``elapsed_seconds``), for ``/metrics``.
+        self._batch_seconds = Histogram()
+        self._batch_seconds_lock = threading.Lock()
         self._registry_lock = threading.Lock()
         self._joined = threading.Condition(self._registry_lock)
         self._worker_ids = itertools.count(1)
@@ -224,11 +255,12 @@ class Coordinator:
         """Drop a dead worker: close its socket, remove it from the registry.
 
         The worker's fleet row flips to ``lost`` — stickily: a discarded
-        worker stays visible (and lost) in ``/status`` and the end-of-run
-        fleet summary, because the fleet view describes the campaign, not
-        just the current registry.
+        worker stays visible (and lost) in ``/status``, the ``fleet.worker``
+        events and the end-of-run fleet summary, because the fleet view
+        describes the campaign, not just the current registry.
         """
-        handle.discarded = True
+        if handle.discarded_at is None:
+            handle.discarded_at = time.monotonic()
         with self._registry_lock:
             dropped = self._workers.pop(handle.worker_id, None)
         if dropped is not None:
@@ -236,18 +268,7 @@ class Coordinator:
                 "worker %d (%s) discarded after %d completed batch(es)",
                 handle.worker_id, handle.peer, handle.batches_completed,
             )
-        with self._fleet_lock:
-            row = self._fleet.setdefault(
-                handle.worker_id,
-                {"worker_id": handle.worker_id, "peer": handle.peer},
-            )
-            row["health"] = LOST
-            row["batches"] = handle.batches_completed
-        if dropped is not None:
-            get_sink().event(
-                "fleet.worker", worker_id=handle.worker_id, peer=handle.peer,
-                health=LOST, batches=handle.batches_completed,
-            )
+            get_sink().event("fleet.worker", **handle.row(LOST))
         transport.close(handle.sock)
 
     # -- registration -----------------------------------------------------------------
@@ -269,7 +290,6 @@ class Coordinator:
                 worker_id,
                 mesh=plane is not None,
                 mesh_budget_bytes=plane.budget_bytes if plane is not None else None,
-                telemetry=True,
             ))
             sock.settimeout(TASK_TIMEOUT)
         except Exception as exc:
@@ -297,7 +317,7 @@ class Coordinator:
             if self._closed:
                 transport.close(sock)
                 return
-            self._workers[worker_id] = handle
+            self._workers[worker_id] = self._handles[worker_id] = handle
             self._joined.notify_all()
         logger.info("worker %d registered from %s", worker_id, handle.peer)
         get_sink().incr("coordinator.workers_registered")
@@ -344,12 +364,6 @@ class Coordinator:
                         # a batch may legitimately outlive the nominal
                         # per-task timeout as long as heartbeats keep coming.
                         continue
-                    if isinstance(reply, TelemetrySummary):
-                        # Fleet telemetry interleaves like heartbeats:
-                        # absorb the snapshot and keep waiting for the batch
-                        # reply.  Observe-only by construction.
-                        self._absorb_telemetry(handle, reply)
-                        continue
                     if isinstance(reply, EvaluatorMissing) and reply.evaluator_id == evaluator_id:
                         # The worker's bounded cache evicted this evaluator
                         # since we last shipped it; re-send with the blob.
@@ -392,6 +406,14 @@ class Coordinator:
             )
         handle.known_evaluators.add(evaluator_id)
         handle.batches_completed += 1
+        # The fleet row is read off the accepted reply: observe-only, it
+        # feeds /status, /metrics and the fleet.worker events, never results.
+        for _index, result in reply.results:
+            handle.stats.absorb(result)
+        with self._batch_seconds_lock:
+            self._batch_seconds.observe(
+                sum(result.elapsed_seconds for _index, result in reply.results))
+        get_sink().event("fleet.worker", **handle.row(HEALTHY))
         # Per-task EWMA feeds the straggler detector: batch wall clock
         # normalized by task count, smoothed so one slow candidate does not
         # brand a machine.
@@ -411,40 +433,6 @@ class Coordinator:
         if self.artifact_plane is None:
             return None
         return self.artifact_plane.stats()
-
-    # -- fleet telemetry --------------------------------------------------------------
-
-    def _absorb_telemetry(self, handle: WorkerHandle, summary: TelemetrySummary) -> None:
-        payload = summary.payload if isinstance(summary.payload, dict) else {}
-        row: Dict[str, object] = {"worker_id": handle.worker_id, "peer": handle.peer}
-        row.update(payload)
-        # Derived once: /status, the run summary and the report read these.
-        uptime, busy = row.get("uptime_seconds"), row.get("busy_seconds")
-        if isinstance(uptime, (int, float)) and isinstance(busy, (int, float)) and uptime > 0:
-            row["busy_ratio"] = round(float(busy) / float(uptime), 4)
-        row["mesh_bytes"] = sum(
-            value for value in (row.get("mesh_bytes_sent"), row.get("mesh_bytes_received"))
-            if isinstance(value, int)
-        )
-        # The frame just arrived, so the worker is healthy by construction;
-        # the histogram snapshot is fleet-metrics input, too bulky for the
-        # event stream.
-        row["health"] = HEALTHY
-        event_row = {
-            key: value for key, value in row.items() if key != "batch_seconds_hist"
-        }
-        with self._fleet_lock:
-            self._fleet[handle.worker_id] = row
-        get_sink().event("fleet.worker", **event_row)
-
-    def fleet_telemetry(self) -> List[Dict[str, object]]:
-        """Latest per-worker summary rows, ordered by worker id.
-
-        Includes workers that have since disconnected — the fleet view
-        describes the whole campaign, not just the current registry.
-        """
-        with self._fleet_lock:
-            return [dict(self._fleet[key]) for key in sorted(self._fleet)]
 
     # -- worker health ----------------------------------------------------------------
 
@@ -475,7 +463,7 @@ class Coordinator:
         if not handle.lock.acquire(blocking=False):
             return
         try:
-            if handle.discarded:
+            if handle.discarded_at is not None:
                 return
             sock = handle.sock
             previous_timeout = sock.gettimeout()
@@ -502,7 +490,7 @@ class Coordinator:
             self.discard(handle)
 
     def _health_state(self, handle: WorkerHandle, now: float) -> str:
-        if handle.discarded:
+        if handle.discarded_at is not None:
             return LOST
         stale_after, lost_after = self._windows(handle)
         age = now - handle.last_seen
@@ -529,76 +517,49 @@ class Coordinator:
         }
 
     def fleet_status(self) -> List[Dict[str, object]]:
-        """Per-worker fleet rows with live health, for ``/status``.
-
-        Merges the latest telemetry payloads (batches, busy ratio,
-        tier hits, mesh bytes) with the derived health state, last-seen
-        age, per-task EWMA and the straggler flag.  Discarded workers stay
-        in the list as ``lost``.
+        """Every worker's fleet row (:meth:`WorkerHandle.row`) with live
+        health, last-seen age, per-task EWMA and the straggler flag, for
+        ``/status``.  Discarded workers stay in the list as ``lost``.
         """
         now = time.monotonic()
         with self._registry_lock:
-            handles = list(self._workers.values())
-        for handle in handles:
+            live = list(self._workers.values())
+            handles = [self._handles[key] for key in sorted(self._handles)]
+        for handle in live:
             if not handle.busy:
                 self._probe_idle(handle)
-        stragglers = self._stragglers(handles)
-        with self._fleet_lock:
-            rows = {worker_id: dict(row) for worker_id, row in self._fleet.items()}
+        stragglers = self._stragglers(live)
+        rows = []
         for handle in handles:
-            row = rows.setdefault(
-                handle.worker_id,
-                {"worker_id": handle.worker_id, "peer": handle.peer},
-            )
-            row.pop("batch_seconds_hist", None)
+            row = handle.row(self._health_state(handle, now))
             row.update(
-                batches=handle.batches_completed,
-                health=self._health_state(handle, now),
                 last_seen_age_seconds=round(max(0.0, now - handle.last_seen), 3),
                 straggler=handle.worker_id in stragglers,
             )
             if handle.ewma_task_seconds is not None:
                 row["ewma_task_seconds"] = round(handle.ewma_task_seconds, 6)
-        for row in rows.values():
-            row.pop("batch_seconds_hist", None)
-            row.setdefault("health", LOST)
-            row.setdefault("straggler", False)
-        return [rows[key] for key in sorted(rows)]
+            rows.append(row)
+        return rows
 
     def fleet_metrics(self) -> Dict[str, object]:
-        """A registry snapshot of fleet-level gauges and the fleet-merged
+        """A registry snapshot of fleet-level gauges and the fleet's
         worker batch-duration histogram, merged into ``/metrics``."""
-        from repro.telemetry.live import Histogram
-
         states = {HEALTHY: 0, STALE: 0, LOST: 0}
         stragglers = 0
         for row in self.fleet_status():
-            states[str(row.get("health"))] = states.get(str(row.get("health")), 0) + 1
-            if row.get("straggler"):
-                stragglers += 1
-        merged = Histogram()
-        with self._fleet_lock:
-            snapshots = [
-                row.get("batch_seconds_hist")
-                for row in self._fleet.values()
-                if isinstance(row.get("batch_seconds_hist"), dict)
-            ]
-        for snapshot in snapshots:
-            merged.merge(snapshot)
+            states[row["health"]] += 1
+            stragglers += row["straggler"]
         gauges = {
             f"fleet.workers.{state}": float(count) for state, count in states.items()
         }
         gauges["fleet.workers.straggling"] = float(stragglers)
         histograms = {}
-        if merged.count:
-            histograms["worker.batch.seconds"] = merged.snapshot()
+        with self._batch_seconds_lock:
+            if self._batch_seconds.count:
+                histograms["worker.batch.seconds"] = self._batch_seconds.snapshot()
         return {"counters": {}, "gauges": gauges, "histograms": histograms}
 
     # -- lifecycle --------------------------------------------------------------------
-
-    def close_listener_copy(self) -> None:
-        """In a forked child: close the inherited listener (see ``Listener``)."""
-        self._listener.close_copy()
 
     def close(self) -> None:
         """Shut down: tell every worker to exit, then close all sockets."""

@@ -17,7 +17,13 @@ The conversation is strictly request/response per worker:
   :class:`BatchFailure` (the evaluator raised — a programming error, not a
   transport failure), or :class:`EvaluatorMissing` (the worker's bounded
   cache evicted that evaluator; the coordinator re-sends with the blob);
+* worker → coordinator, from registration on: :class:`Heartbeat`;
 * coordinator → worker: :class:`Shutdown`.
+
+A :class:`BatchResult` is also the worker's whole telemetry contract: the
+coordinator sums each accepted reply's results (stage seconds, cache-tier
+provenance, ``elapsed_seconds``) into that worker's fleet row, so no
+worker keeps or ships a second account of its own work.
 
 Results travel with their submission *index*, never their completion order:
 the mapper slots them back by index, which is what keeps distributed runs
@@ -51,8 +57,8 @@ import hmac
 import os
 import pickle
 import socket
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Tuple, Union
 
 from repro.distrib.errors import AuthenticationError, ProtocolError
 from repro.distrib.transport import recv_exact, recv_length, send_frame
@@ -86,16 +92,13 @@ class Welcome:
 
     ``mesh`` advertises whether this coordinator serves the artifact plane;
     ``mesh_budget_bytes`` is the per-machine transfer budget it enforces
-    (``None`` = unbounded).  ``telemetry`` advertises that this coordinator
-    aggregates :class:`TelemetrySummary` frames.  Workers built against an
-    older coordinator see the defaults and simply never send the
-    corresponding frames.
+    (``None`` = unbounded).  A worker's fleet row needs nothing here: the
+    coordinator reads it off the worker's :class:`BatchResult` replies.
     """
 
     worker_id: int
     mesh: bool = False
     mesh_budget_bytes: Optional[int] = None
-    telemetry: bool = False
 
 
 @dataclass(frozen=True)
@@ -149,21 +152,6 @@ class Heartbeat:
     """
 
     worker_id: int = 0
-
-
-@dataclass(frozen=True)
-class TelemetrySummary:
-    """Worker → coordinator, interleaved ahead of a batch reply: a compact
-    snapshot of this session's utilization counters (batches, candidates,
-    busy seconds, per-stage seconds, cache-tier hits, mesh bytes).
-    Observe-only by construction — the coordinator records it for
-    the fleet view and never acts on it.  Sent only when the
-    :class:`Welcome` advertised ``telemetry=True``, so version skew in
-    either direction degrades to "no fleet view", never to an error.
-    """
-
-    worker_id: int
-    payload: Dict[str, object] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -246,7 +234,7 @@ def chunk_payload(payload: bytes) -> Tuple[bytes, ...]:
 
 MESSAGE_TYPES = (
     Hello, Welcome, EvalBatch, BatchResult, BatchFailure, EvaluatorMissing,
-    Heartbeat, TelemetrySummary, Shutdown,
+    Heartbeat, Shutdown,
     ArtifactHave, ArtifactHaveReply, ArtifactFetch, ArtifactData, ArtifactPush,
 )
 

@@ -8,8 +8,8 @@ configures or closes a TCP socket or writes a frame; it knows bytes and sockets
 only (no pickle, no JSON) — limits, codecs, type checks and auth stay with them.
 
 Every connected socket is ``TCP_NODELAY``.  The protocols are full of
-write-write-read sequences — telemetry then the batch reply, mesh pushes and
-heartbeats ahead of a reply, event after event to a streaming client,
+write-write-read sequences — mesh pushes and heartbeats ahead of a batch
+reply, event after event to a streaming client,
 ``auth-ok`` then ``Hello`` — and under Nagle's algorithm the second small
 frame waits for the peer's delayed ACK of the first (~40 ms per batch on
 Linux loopback, a round trip plus that timer on a real network).  Because a
@@ -119,10 +119,6 @@ class Listener:
                 close(conn)  # reset between accept and here
                 continue
             self._handler(conn, peer)
-
-    def close_copy(self) -> None:
-        """In a forked child: close its copy, leaving the parent listening."""
-        self._sock.close()
 
     def close(self) -> None:
         """Stop accepting; returns once the accept thread has exited."""

@@ -26,7 +26,9 @@ or an idle wait between batches — is distinguishable from a dead machine
 (historically a busy worker could only fail at batch boundaries or the
 coordinator's timeout, and an idle one aged silently); the advertised
 cadence rides in :class:`~repro.distrib.protocol.Hello` so the coordinator
-sizes its staleness windows to it.
+sizes its staleness windows to it.  A session keeps no account of its own
+work: the coordinator reads each worker's fleet row off its
+:class:`~repro.distrib.protocol.BatchResult` replies.
 
 ``--reconnect`` keeps the worker alive across coordinator outages and its
 own restarts: a refused connection or a dropped coordinator triggers an
@@ -59,6 +61,7 @@ import os
 import pickle
 import signal
 import socket
+import struct
 import sys
 import threading
 import time
@@ -76,7 +79,6 @@ from repro.distrib.protocol import (
     Heartbeat,
     Hello,
     Shutdown,
-    TelemetrySummary,
     Welcome,
     authenticate,
     normalize_authkey,
@@ -86,8 +88,7 @@ from repro.distrib.protocol import (
 )
 from repro import telemetry
 from repro.telemetry import get_sink
-from repro.telemetry.live import Histogram
-from repro.tuner.evaluation import EVALUATOR_CACHE_LIMIT, EvaluationStats, evaluate_keys
+from repro.tuner.evaluation import EVALUATOR_CACHE_LIMIT, evaluate_keys
 
 logger = logging.getLogger("repro.distrib.worker")
 
@@ -126,57 +127,6 @@ def _exception_survives_pickle(exc: BaseException) -> bool:
         return True
     except Exception:
         return False
-
-
-class _SessionTelemetry:
-    """One session's utilization counters, forwarded as compact
-    :class:`~repro.distrib.protocol.TelemetrySummary` frames.
-
-    Sums what each batch's :class:`~repro.tuner.evaluation.CandidateResult`
-    objects already carry (per-stage wall clock, cache-tier provenance) plus
-    wall-clock busy time, so the coordinator's fleet view costs the wire one
-    small dict per batch and the worker no extra measurement.  Observe-only:
-    nothing here feeds results, fingerprints, or scheduling.
-    """
-
-    def __init__(self, worker_id: int) -> None:
-        self.worker_id = worker_id
-        self._started = time.perf_counter()
-        self.batches = 0
-        self.busy_seconds = 0.0
-        self.stats = EvaluationStats()
-        #: Batch wall-clock distribution, shipped as a mergeable snapshot so
-        #: the coordinator can fold every worker's into one fleet-wide
-        #: ``worker.batch.seconds`` histogram for ``/metrics``.
-        self.batch_seconds = Histogram()
-
-    def absorb(self, results, busy_seconds: float) -> None:
-        self.batches += 1
-        self.busy_seconds += busy_seconds
-        self.batch_seconds.observe(busy_seconds)
-        for _index, value in results:
-            self.stats.absorb(value)
-
-    def payload(self, mesh_client: Optional[WorkerMeshClient]) -> Dict[str, object]:
-        data: Dict[str, object] = {
-            "batches": self.batches,
-            "candidates": self.stats.evaluated,
-            "busy_seconds": round(self.busy_seconds, 6),
-            "uptime_seconds": round(time.perf_counter() - self._started, 6),
-            "compile_seconds": round(self.stats.compile_seconds, 6),
-            "measure_seconds": round(self.stats.measure_seconds, 6),
-            "score_seconds": round(self.stats.score_seconds, 6),
-            "artifact_hits": self.stats.artifact_hits,
-            "artifact_store_hits": self.stats.artifact_store_hits,
-            "artifact_mesh_hits": self.stats.artifact_mesh_hits,
-            "artifact_misses": self.stats.artifact_misses,
-            "batch_seconds_hist": self.batch_seconds.snapshot(),
-        }
-        if mesh_client is not None:
-            stats = mesh_client.stats()
-            data["mesh_bytes_sent"] = stats["bytes_sent"]
-            data["mesh_bytes_received"] = stats["bytes_received"]
-        return data
 
 
 class _HeartbeatSender:
@@ -340,10 +290,10 @@ def serve(
         # `healthy` in the coordinator's fleet view instead of aging into
         # `stale` the moment the campaign pauses.
         sender.start()
-        if mesh and getattr(welcome, "mesh", False):
+        if mesh and welcome.mesh:
             budget = mesh_budget_bytes
             if budget is None:
-                budget = getattr(welcome, "mesh_budget_bytes", None)
+                budget = welcome.mesh_budget_bytes
             mesh_client = WorkerMeshClient(sock, sender, budget_bytes=budget, log=log)
             emit(f"worker {welcome.worker_id}: joined the artifact mesh"
                  + (f" (budget {budget} bytes)" if budget is not None else ""))
@@ -351,12 +301,6 @@ def serve(
         #: the shared pool's per-process cache.
         evaluators: Dict[int, object] = {}
         batches_done = 0
-        # Forward fleet telemetry only when the coordinator advertised it:
-        # version skew in either direction degrades to "no fleet view".
-        session = (
-            _SessionTelemetry(welcome.worker_id)
-            if getattr(welcome, "telemetry", False) else None
-        )
         while True:
             try:
                 message = recv_message(sock)
@@ -404,7 +348,6 @@ def serve(
                     # mid-batch, so fetch replies are unambiguous).
                     mesh_client.begin_batch()
                 try:
-                    busy_started = time.perf_counter()
                     with get_sink().span(
                         "worker.batch",
                         worker=welcome.worker_id,
@@ -417,7 +360,6 @@ def serve(
                             evaluate_keys(
                                 evaluator, [key for _index, key in message.tasks]),
                         ))
-                    busy_seconds = time.perf_counter() - busy_started
                     if mesh_client is not None:
                         # Fresh artifacts travel *before* the batch reply:
                         # the ordered stream guarantees the coordinator has
@@ -442,19 +384,6 @@ def serve(
                 # cleanly instead of reporting a lost connection.
                 emit(f"worker {welcome.worker_id}: shutdown after {batches_done} batch(es)")
                 return 0
-            if session is not None:
-                session.absorb(results, busy_seconds)
-                try:
-                    # Interleaved ahead of the reply, like heartbeats and
-                    # mesh pushes: the ordered stream guarantees the
-                    # coordinator absorbs it before parsing the reply.
-                    sender.send(
-                        TelemetrySummary(welcome.worker_id, session.payload(mesh_client))
-                    )
-                except Exception:
-                    # Telemetry must never fail a healthy batch; a real
-                    # transport loss surfaces on the BatchResult send below.
-                    pass
             try:
                 sender.send(BatchResult(message.evaluator_id, results))
             except ConnectionClosed:
@@ -557,41 +486,55 @@ def run_session(telemetry_dir, connect: str, **worker_args) -> int:
         return run_worker(connect, **worker_args)
 
 
-def fork_sessions(count: int, session: Callable[[], int]) -> List[int]:
-    """Fork ``count`` children that each run ``session()`` with the caller's
-    imports loaded; returns their pids, which :func:`end_sessions` reaps.
+#: What a held child reads off the pipe: the port its session connects to.
+_PORT = struct.Struct(">H")
 
-    The children wait on a pipe until the last one exists, so no session
-    connects — and no connection exists to be inherited — before all are
-    forked.  A child restores the default SIGINT / SIGTERM actions and leaves
-    only through ``os._exit`` (``session()``'s status, or 1 if it raised), so
-    it never closes or flushes the caller's sink, exit stack or coordinator.
+
+def fork_sessions(count: int, session: Callable[[int], int],
+                  listen: Callable[[], int] = lambda: 0) -> List[int]:
+    """Fork ``count`` children that each run ``session(port)`` with the
+    caller's imports loaded; returns their pids, which :func:`end_sessions`
+    reaps.
+
+    The children are held on a pipe while the caller runs ``listen()`` —
+    which builds what they connect to and returns its port — and each then
+    reads that port off the pipe: every child exists before that listener,
+    its accept thread or any connection does, so none inherits one.  If
+    ``listen()`` raises, the children read EOF, exit without a session and
+    are reaped before the error propagates.  A child restores the default
+    SIGINT / SIGTERM actions and leaves only through ``os._exit``
+    (``session()``'s status, else 1), so it never closes or flushes the
+    caller's sink, exit stack or coordinator.
     """
     hold, release = os.pipe()
     pids: List[int] = []
     try:
-        for _ in range(count):
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    signal.signal(signal.SIGINT, signal.SIG_DFL)
-                    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-                    os.close(release)
-                    os.read(hold, 1)  # EOF: the caller and every sibling let go
-                    os.close(hold)
-                    status = session()
-                except BaseException:
-                    logger.exception("worker session %d failed", os.getpid())
-                finally:
-                    os._exit(status)
-            pids.append(pid)
+        try:
+            for _ in range(count):
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        signal.signal(signal.SIGINT, signal.SIG_DFL)
+                        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                        os.close(release)
+                        record = os.read(hold, _PORT.size)  # b"": the caller gave up
+                        if len(record) == _PORT.size:
+                            status = session(*_PORT.unpack(record))
+                    except BaseException:
+                        logger.exception("worker session %d failed", os.getpid())
+                    finally:
+                        os._exit(status)
+                pids.append(pid)
+            record = _PORT.pack(listen())
+            for _ in pids:
+                os.write(release, record)  # one atomic record per child
+        finally:
+            os.close(hold)
+            os.close(release)
     except BaseException:
-        end_sessions(pids, grace=0.0)
+        end_sessions(pids, grace=1.0)
         raise
-    finally:
-        os.close(hold)
-        os.close(release)
     return pids
 
 
@@ -760,7 +703,7 @@ def main(argv: Optional[Sequence[str]] = None, prog: str = PROG) -> int:
         # SIGTERM unwinds like Ctrl-C, so the finally below reaps the children.
         previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        pids = fork_sessions(args.sessions - 1, lambda: _run_session(args, hard_exit=False))
+        pids = fork_sessions(args.sessions - 1, lambda _port: _run_session(args, hard_exit=False))
         # With children this process must outlive an injected crash of its
         # own session to wait for them, so that crash closes the socket and
         # returns instead of calling os._exit.

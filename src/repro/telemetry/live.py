@@ -60,9 +60,8 @@ class Histogram:
 
     ``observe`` is a bisect plus two adds — cheap enough for per-candidate
     seams.  Not thread-safe on its own; :class:`MetricsRegistry` serializes
-    access.  ``snapshot``/``merge`` round-trip through a sparse dict so a
-    worker can ship its batch-duration distribution inside a telemetry
-    frame and the coordinator can fold it into the fleet-wide histogram.
+    access.  ``snapshot``/``merge`` round-trip through a sparse dict, so
+    every ``/metrics`` source's histograms fold into one exposition.
     """
 
     __slots__ = ("counts", "sum", "count")

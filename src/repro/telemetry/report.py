@@ -11,8 +11,8 @@ prints the telemetry half from the functions here:
   generation — the line where "the store went warm" or "the mesh kicked
   in" becomes visible;
 * the worker utilization table, from the ``fleet.worker`` events the
-  coordinator records as workers forward their periodic
-  :class:`~repro.distrib.protocol.TelemetrySummary` frames;
+  coordinator records with each worker's whole row, read off every
+  accepted batch reply and again when the worker is lost;
 * the merged counter registry (the unified hit/miss metrics).
 
 ``--chrome-trace out.json`` exports every span as a Chrome trace-event

@@ -641,6 +641,51 @@ class TestDistributedCampaign:
         with pytest.raises(ValueError):
             SharedWorkerPool(dispatch="carrier-pigeon")
 
+    def test_local_sessions_are_forked_before_the_coordinator_listens(self, monkeypatch):
+        """No forked session inherits the coordinator's listener or its
+        accept thread: at every ``fork()`` the pool makes, no accept thread
+        has started yet."""
+        before = set(threading.enumerate())
+        seen = []
+        fork = os.fork
+
+        def recording_fork():
+            seen.append(sorted(thread.name for thread in threading.enumerate()
+                               if thread not in before))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        with SharedWorkerPool(dispatch="process", workers=2) as pool:
+            monkeypatch.undo()
+            assert pool.coordinator.worker_count() == 2
+            assert pool.mapper(FakeEvaluator()).map(KEYS) == [
+                FakeEvaluator()(key) for key in KEYS]
+        assert seen == [[], []]
+
+    def test_a_local_fleet_whose_coordinator_fails_leaves_no_session(self, monkeypatch):
+        """A coordinator that cannot be built ends the held sessions: they
+        read EOF instead of a port, exit, and are reaped."""
+        forked = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        def refuse(*args, **kwargs):
+            raise OSError("no port for you")
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        monkeypatch.setattr(coordinator_module, "Coordinator", refuse)
+        with pytest.raises(OSError, match="no port for you"):
+            SharedWorkerPool(dispatch="process", workers=2)
+        assert len(forked) == 2
+        for pid in forked:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
     def test_a_killed_local_session_is_a_lost_worker(self):
         """``kill -9`` of one local session mid-campaign: the survivor takes
         its chunks, and the campaign lands on the uninterrupted serial

@@ -57,6 +57,24 @@ from repro.telemetry.report import (
 )
 
 
+#: Seconds each :class:`_NappingEvaluator` candidate takes and reports.
+_NAP = 0.02
+
+
+class _NappingEvaluator:
+    """Picklable: naps ``_NAP`` seconds per key, reports it as the
+    candidate's ``elapsed_seconds``, and one artifact-cache hit."""
+
+    def __call__(self, key):
+        import time
+
+        from repro.tuner import CandidateResult
+
+        time.sleep(_NAP)
+        return CandidateResult(fitness=1.0, code_size=1, fingerprint="+".join(key),
+                               valid=True, elapsed_seconds=_NAP, artifact_hits=1)
+
+
 @pytest.fixture(autouse=True)
 def _null_sink_between_tests():
     """Every test starts and ends on the null sink (the process default)."""
@@ -341,13 +359,12 @@ def _write_sample_run(tmp_path):
                 with sink.span("stage.compile"):
                     pass
                 span.set(**tiers)
-        # The row as the coordinator emits it: the worker's payload plus the
-        # two fields it derives once (pinned by test_fleet_row_is_derived_once).
+        # The row as the coordinator emits it, read off the worker's
+        # replies (pinned by test_fleet_row_is_derived_once).
         sink.event(
             "fleet.worker",
             worker_id=1, peer="127.0.0.1:9", batches=4,
             candidates=24, busy_seconds=1.5, uptime_seconds=3.0,
-            mesh_bytes_sent=10, mesh_bytes_received=32,
             busy_ratio=0.5, mesh_bytes=42,
         )
         sink.incr("artifact.memory_hits", 6)
@@ -376,26 +393,33 @@ class TestReport:
         assert worker["utilization"] == pytest.approx(0.5)
         assert worker["mesh_bytes"] == 42
 
+    @pytest.mark.skipif(not loopback_available(),
+                        reason="no AF_INET loopback in this sandbox")
     def test_fleet_row_is_derived_once(self, tmp_path):
-        """The coordinator derives ``busy_ratio`` and ``mesh_bytes`` when a
-        worker's summary arrives; its fleet rows and the ``fleet.worker``
-        event the report reads carry the same two figures."""
-        from repro.distrib.coordinator import Coordinator, WorkerHandle
-        from repro.distrib.protocol import TelemetrySummary
+        """The coordinator builds a worker's row off each accepted reply:
+        its fleet rows and the ``fleet.worker`` event the report reads
+        carry the same figures, ``busy_ratio`` derived from them."""
+        from repro.distrib import Coordinator, DistributedMapper
+        from test_distrib import thread_workers
 
-        coordinator = Coordinator.__new__(Coordinator)  # no sockets needed
-        coordinator._fleet, coordinator._fleet_lock = {}, threading.Lock()
-        payload = dict(batches=4, candidates=24, busy_seconds=1.5,
-                       uptime_seconds=3.0, mesh_bytes_sent=10,
-                       mesh_bytes_received=32)
-        with telemetry.recording(tmp_path, label="coordinator"):
-            coordinator._absorb_telemetry(
-                WorkerHandle(1, None, "127.0.0.1:9"), TelemetrySummary(1, payload)
-            )
-        (row,) = coordinator.fleet_telemetry()
-        assert (row["busy_ratio"], row["mesh_bytes"]) == (0.5, 42)
+        with Coordinator() as coordinator, thread_workers(coordinator, 1):
+            (handle,) = coordinator.workers()
+            handle.mesh_bytes = 42  # what the mesh counted for this machine
+            with telemetry.recording(tmp_path, label="coordinator"):
+                DistributedMapper(coordinator, _NappingEvaluator()).map(
+                    [("-a",), ("-b",)])
+            (row,) = coordinator.fleet_status()
+        (event,) = [record["attrs"] for record in load_events(tmp_path)[0]
+                    if record.get("name") == "fleet.worker"]
+        for figures in (row, event):
+            assert (figures["batches"], figures["candidates"]) == (1, 2)
+            assert figures["busy_seconds"] == pytest.approx(2 * _NAP)
+            assert (figures["artifact_hits"], figures["mesh_bytes"]) == (2, 42)
+            assert figures["uptime_seconds"] >= figures["busy_seconds"]
+        assert event["busy_ratio"] == round(
+            event["busy_seconds"] / event["uptime_seconds"], 4)
         (worker,) = worker_rows(load_events(tmp_path)[0])
-        assert (worker["utilization"], worker["mesh_bytes"]) == (0.5, 42)
+        assert (worker["utilization"], worker["mesh_bytes"]) == (event["busy_ratio"], 42)
 
     def test_chrome_trace_is_valid(self, tmp_path):
         _write_sample_run(tmp_path)
@@ -599,24 +623,57 @@ class TestCampaignParity:
                     ),
                     spec_provider=tiny_spec,
                 ).run(pool=pool)
-                fleet = pool.coordinator.fleet_telemetry()
+                fleet = pool.coordinator.fleet_status()
         finally:
             pool.close()
         assert distributed.fingerprint() == serial.fingerprint()
         assert (distributed.database.record_signatures()
                 == serial.database.record_signatures())
-        # every worker forwarded TelemetrySummary frames the coordinator kept
+        # the coordinator read every worker's row off its replies
         assert fleet and len(fleet) == 2
         for row in fleet:
             assert row["batches"] > 0
             assert row["candidates"] > 0
             assert row["busy_seconds"] > 0
             assert row["uptime_seconds"] >= row["busy_seconds"]
+        # one accounting: with no worker lost, the run's fleet rows split the
+        # campaign's own evaluation counters between the workers
+        stats = distributed.evaluation_stats()
+        for key, total in (("candidates", stats.evaluated),
+                           ("artifact_hits", stats.artifact_hits),
+                           ("artifact_misses", stats.artifact_misses)):
+            assert sum(row[key] for row in distributed.fleet) == total, key
         # and the coordinator's sink recorded them as fleet.worker events
         events, _ = load_events(tmp_path / "telemetry")
         workers = worker_rows(events)
         assert [row["worker_id"] for row in workers] == [1, 2]
         assert all(row["batches"] > 0 for row in workers)
+
+    @pytest.mark.skipif(not loopback_available(),
+                        reason="no AF_INET loopback in this sandbox")
+    def test_a_lost_workers_report_row_keeps_its_figures(self, tmp_path):
+        """A worker lost mid-run is reported with the figures ``/status``
+        lists for it, not zeros: its discard event is its whole row."""
+        pool = SharedWorkerPool(dispatch="distributed")
+        try:
+            with thread_workers(pool.coordinator, 1), \
+                    thread_workers(pool.coordinator, 1, max_batches=2):
+                Campaign(
+                    JOBS,
+                    tiny_campaign_config(
+                        dispatch="distributed", telemetry_dir=tmp_path / "telemetry"),
+                    spec_provider=tiny_spec,
+                ).run(pool=pool)
+                (lost,) = [row for row in pool.fleet_status() if row["health"] == "lost"]
+        finally:
+            pool.close()
+        assert lost["batches"] == 2 and lost["candidates"] > 0 and lost["busy_seconds"] > 0
+        reported = {row["worker_id"]: row
+                    for row in worker_rows(load_events(tmp_path / "telemetry")[0])}
+        row = reported[lost["worker_id"]]
+        for key in ("batches", "candidates", "busy_seconds", "uptime_seconds", "mesh_bytes"):
+            assert row[key] == lost[key], key
+        assert row["utilization"] == lost["busy_ratio"] > 0
 
     def test_telemetry_cli_flag_end_to_end(self, tmp_path, capsys):
         args = [
