@@ -71,20 +71,12 @@ TASK_TIMEOUT = 120.0
 #: and the fixed part of every batch's reply budget.
 HANDSHAKE_TIMEOUT = 5.0
 
-#: Fallback staleness windows for a worker that advertised no heartbeat
-#: cadence (``Hello.heartbeat_interval == 0`` or an old worker build):
-#: silent for longer than ``stale`` is suspect, longer than ``lost`` is
-#: gone.  When a cadence *is* advertised the windows derive from it —
-#: a few missed beats, not a wall-clock guess.
-DEFAULT_STALE_AFTER = 30.0
-DEFAULT_LOST_AFTER = 120.0
-
-#: Missed-beat multiples for advertised heartbeat cadences: stale after
-#: ~2.5 missed beats, lost after ~8 (bounded below so scheduler jitter on
-#: a loaded machine never flaps a healthy worker).
-STALE_BEATS = 2.5
-LOST_BEATS = 8.0
-MIN_STALE_AFTER = 5.0
+#: Staleness windows (seconds): a worker silent for longer than
+#: ``STALE_AFTER`` is suspect, longer than ``LOST_AFTER`` is gone.  Every
+#: worker session beats every 15 s (``repro.distrib.worker.
+#: HEARTBEAT_INTERVAL``), so these are 2.5 and 8 missed beats.
+STALE_AFTER = 37.5
+LOST_AFTER = 120.0
 
 #: Straggler detection: a worker whose per-task EWMA exceeds this multiple
 #: of the fleet median (with at least two workers reporting) is flagged.
@@ -122,11 +114,10 @@ class WorkerHandle:
         self.mesh_parts: Dict[str, Dict] = {}
         #: Health tracking: monotonic timestamp of the last frame read from
         #: this worker (any frame — heartbeats, artifact traffic, batch
-        #: replies), the advertised heartbeat cadence, whether an RPC
-        #: conversation is in flight, and the per-task batch-duration EWMA
-        #: the straggler detector compares against the fleet median.
+        #: replies), whether an RPC conversation is in flight, and the
+        #: per-task batch-duration EWMA the straggler detector compares
+        #: against the fleet median.
         self.last_seen = time.monotonic()
-        self.heartbeat_interval = 0.0
         self.busy = False
         self.ewma_task_seconds: Optional[float] = None
         #: When :meth:`Coordinator.discard` dropped it (its uptime ends there).
@@ -306,13 +297,6 @@ class Coordinator:
             transport.close(sock)
             return
         handle = WorkerHandle(worker_id, sock, format_address(*peer[:2]))
-        # The advertised heartbeat cadence sizes this worker's staleness
-        # windows; garbage (negative, non-numeric, absurd) degrades to 0,
-        # i.e. the wall-clock default windows.
-        cadence = getattr(hello, "heartbeat_interval", 0.0)
-        if isinstance(cadence, (int, float)) and not isinstance(cadence, bool):
-            handle.heartbeat_interval = min(max(float(cadence), 0.0), 3600.0)
-        handle.last_seen = time.monotonic()
         with self._joined:
             if self._closed:
                 transport.close(sock)
@@ -436,20 +420,6 @@ class Coordinator:
 
     # -- worker health ----------------------------------------------------------------
 
-    def _windows(self, handle: WorkerHandle) -> Tuple[float, float]:
-        """``(stale_after, lost_after)`` for one worker, derived from the
-        heartbeat cadence it advertised (:data:`STALE_BEATS` /
-        :data:`LOST_BEATS` missed beats, at least :data:`MIN_STALE_AFTER`
-        apart), or :data:`DEFAULT_STALE_AFTER` / :data:`DEFAULT_LOST_AFTER`
-        without one.  Module constants, read at call time."""
-        cadence = handle.heartbeat_interval
-        if cadence > 0:
-            stale = max(STALE_BEATS * cadence, MIN_STALE_AFTER)
-            lost = max(LOST_BEATS * cadence, stale + MIN_STALE_AFTER)
-        else:
-            stale, lost = DEFAULT_STALE_AFTER, DEFAULT_LOST_AFTER
-        return stale, max(lost, stale)
-
     def _probe_idle(self, handle: WorkerHandle) -> None:
         """Refresh an *idle* worker's liveness without consuming frames.
 
@@ -492,11 +462,10 @@ class Coordinator:
     def _health_state(self, handle: WorkerHandle, now: float) -> str:
         if handle.discarded_at is not None:
             return LOST
-        stale_after, lost_after = self._windows(handle)
         age = now - handle.last_seen
-        if age > lost_after:
+        if age > LOST_AFTER:
             return LOST
-        if age > stale_after:
+        if age > STALE_AFTER:
             return STALE
         return HEALTHY
 

@@ -8,7 +8,7 @@ exact EOF story — without any dependency beyond the stdlib.
 
 The conversation is strictly request/response per worker:
 
-* worker → coordinator: :class:`Hello` (registration and heartbeat cadence);
+* worker → coordinator: :class:`Hello` (registration);
 * coordinator → worker: :class:`Welcome` (the assigned worker id);
 * coordinator → worker: :class:`EvalBatch` — an evaluator id, an optional
   pickle-once evaluator blob (sent only when the coordinator believes the
@@ -17,7 +17,8 @@ The conversation is strictly request/response per worker:
   :class:`BatchFailure` (the evaluator raised — a programming error, not a
   transport failure), or :class:`EvaluatorMissing` (the worker's bounded
   cache evicted that evaluator; the coordinator re-sends with the blob);
-* worker → coordinator, from registration on: :class:`Heartbeat`;
+* worker → coordinator, from registration on: :class:`Heartbeat`, at the
+  fixed cadence the coordinator's staleness windows assume;
 * coordinator → worker: :class:`Shutdown`.
 
 A :class:`BatchResult` is also the worker's whole telemetry contract: the
@@ -74,16 +75,9 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 @dataclass(frozen=True)
 class Hello:
-    """Worker registration: one session, one evaluation slot.
-
-    ``heartbeat_interval`` is the cadence (seconds) this worker promises
-    :class:`Heartbeat` frames at, so the coordinator can derive its
-    staleness windows per worker instead of guessing; ``0`` means the
-    worker sends no heartbeats.  Defaulted for version skew: an older
-    worker's Hello reads as the stock 15s cadence.
-    """
-
-    heartbeat_interval: float = 15.0
+    """Worker registration: one session, one evaluation slot.  It carries
+    nothing — every worker beats at the same fixed cadence, so the
+    coordinator's staleness windows are the same for all of them."""
 
 
 @dataclass(frozen=True)
@@ -142,13 +136,14 @@ class EvaluatorMissing:
 
 @dataclass(frozen=True)
 class Heartbeat:
-    """Worker → coordinator, while a batch is evaluating: still alive.
+    """Worker → coordinator, from registration on: still alive.
 
-    Each frame arrives inside the coordinator's per-recv timeout window and
-    resets it, so a batch that legitimately outlives the nominal per-task
-    budget (a pathological candidate, a slow machine) no longer reads as a
-    dead worker — the worker only fails when it stops *sending*, not when it
-    stops *finishing*.
+    Mid-batch, each frame arrives inside the coordinator's per-recv timeout
+    window and resets it, so a batch that legitimately outlives the nominal
+    per-task budget (a pathological candidate, a slow machine) does not
+    read as a dead worker — the worker only fails when it stops *sending*,
+    not when it stops *finishing*.  Between batches the frames keep an idle
+    worker ``healthy`` in the coordinator's fleet view.
     """
 
     worker_id: int = 0

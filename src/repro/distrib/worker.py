@@ -21,19 +21,19 @@ sessions, a ``"process"`` pool's included — each with its own connection,
 heartbeat, mesh client, reconnect loop and telemetry file (compile, emulate
 and score are pure Python, so N threads in one interpreter would claim N
 slots and deliver one).  From registration to shutdown each session
-sends :class:`~repro.distrib.protocol.Heartbeat` frames so a long batch —
-or an idle wait between batches — is distinguishable from a dead machine
-(historically a busy worker could only fail at batch boundaries or the
-coordinator's timeout, and an idle one aged silently); the advertised
-cadence rides in :class:`~repro.distrib.protocol.Hello` so the coordinator
-sizes its staleness windows to it.  A session keeps no account of its own
-work: the coordinator reads each worker's fleet row off its
-:class:`~repro.distrib.protocol.BatchResult` replies.
+sends a :class:`~repro.distrib.protocol.Heartbeat` frame every
+:data:`HEARTBEAT_INTERVAL` seconds, so a long batch — or an idle wait
+between batches — is distinguishable from a dead machine; the
+coordinator's staleness windows are fixed multiples of that cadence.  A
+session keeps no account of its own work: the coordinator reads each
+worker's fleet row off its :class:`~repro.distrib.protocol.BatchResult`
+replies.
 
 ``--reconnect`` keeps the worker alive across coordinator outages and its
 own restarts: a refused connection or a dropped coordinator triggers an
-exponentially backed-off retry (a clean :class:`~repro.distrib.protocol.
-Shutdown` still exits), so a rebooted machine rejoins a running campaign
+exponentially backed-off retry (:data:`BACKOFF_BASE` doubling up to
+:data:`BACKOFF_CAP`; a clean :class:`~repro.distrib.protocol.Shutdown`
+still exits), so a rebooted machine rejoins a running campaign
 without operator action.  ``--store-dir`` gives the worker a *local*
 disk-backed artifact store (:mod:`repro.tuner.store`): staged evaluators
 are re-pointed at it as they arrive, so the compiles and traces this
@@ -48,8 +48,10 @@ An evaluator exception is reported back as a :class:`~repro.distrib.
 protocol.BatchFailure` (programming errors must propagate to the campaign,
 exactly as they do in-process); a transport failure toward the coordinator
 ends the session.  ``--max-batches N`` is the failure-injection knob behind
-the worker-loss determinism tests: the worker serves N batches, then dies
-*without replying* on the next one, like a machine crash mid-generation.
+the worker-loss determinism tests: the worker serves N batches, then closes
+its connection *without replying* on the next one and exits with
+:data:`CRASH_EXIT_STATUS` — to the coordinator, a machine crash
+mid-generation (EOF mid-batch).
 """
 
 from __future__ import annotations
@@ -106,19 +108,24 @@ CONNECTION_LOST_STATUS = 4
 #: Deterministic — never retried.
 HANDSHAKE_FAILED_STATUS = 3
 
-#: Default seconds between Heartbeat frames while a batch evaluates.
-DEFAULT_HEARTBEAT_INTERVAL = 15.0
+#: Seconds between a session's Heartbeat frames, from registration on.
+#: The coordinator's ``STALE_AFTER`` / ``LOST_AFTER`` windows assume it.
+HEARTBEAT_INTERVAL = 15.0
 
-#: Default seconds to establish the TCP connection *and* complete the
-#: handshake.  Historically there was no deadline at all, so a blackholed
-#: coordinator address (firewall drop, dead NAT entry) or a
-#: bound-but-never-accepting socket hung a connecting worker forever — and
-#: with it the ``--reconnect`` backoff that exists precisely for that case.
-DEFAULT_CONNECT_TIMEOUT = 30.0
+#: Seconds to establish the TCP connection *and* complete the handshake.
+#: Without a deadline a blackholed coordinator address (firewall drop, dead
+#: NAT entry) or a bound-but-never-accepting socket hangs a connecting
+#: worker forever — and with it the ``--reconnect`` backoff that exists
+#: precisely for that case.
+CONNECT_TIMEOUT = 30.0
 
-#: Ceiling (seconds) of the ``--reconnect`` backoff, which doubles from
-#: ``backoff_base`` per consecutive failure.
+#: The ``--reconnect`` backoff: the first retry waits ``BACKOFF_BASE``
+#: seconds, doubling per consecutive failure up to ``BACKOFF_CAP``; after
+#: ``MAX_RETRIES`` consecutive failures the worker gives up (``None``:
+#: never).
+BACKOFF_BASE = 1.0
 BACKOFF_CAP = 60.0
+MAX_RETRIES: Optional[int] = None
 
 
 def _exception_survives_pickle(exc: BaseException) -> bool:
@@ -142,10 +149,9 @@ class _HeartbeatSender:
     the main loop will observe the dead socket itself on its next reply.
     """
 
-    def __init__(self, sock: socket.socket, worker_id: int, interval: float) -> None:
+    def __init__(self, sock: socket.socket, worker_id: int) -> None:
         self._sock = sock
         self._worker_id = worker_id
-        self.interval = interval
         self._lock = threading.Lock()
         self._stop: Optional[threading.Event] = None
         self._thread: Optional[threading.Thread] = None
@@ -155,7 +161,7 @@ class _HeartbeatSender:
             send_message(self._sock, message)
 
     def start(self) -> None:
-        if self.interval > 0 and self._thread is None:
+        if self._thread is None:
             self._stop = threading.Event()
             self._thread = threading.Thread(
                 target=self._beat, name="worker-heartbeat", daemon=True
@@ -171,7 +177,7 @@ class _HeartbeatSender:
 
     def _beat(self) -> None:
         stop = self._stop
-        while not stop.wait(self.interval):
+        while not stop.wait(HEARTBEAT_INTERVAL):
             try:
                 self.send(Heartbeat(self._worker_id))
             except Exception:
@@ -181,15 +187,12 @@ class _HeartbeatSender:
 def serve(
     connect: str,
     max_batches: Optional[int] = None,
-    hard_exit: bool = False,
     log: Optional[Callable[[str], None]] = None,
     authkey=None,
-    heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
     on_registered: Optional[Callable[[int], None]] = None,
     store_dir: Optional[str] = None,
     store_max_bytes: Optional[int] = None,
     no_store: bool = False,
-    connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
     mesh: bool = True,
     mesh_budget_bytes: Optional[int] = None,
 ) -> int:
@@ -198,15 +201,14 @@ def serve(
     The session is one slot: each batch is evaluated key by key in this
     thread.  Deserialized evaluators are kept in a FIFO
     cache of :data:`~repro.tuner.evaluation.EVALUATOR_CACHE_LIMIT` entries.
-    ``hard_exit=True`` (the CLI default) makes the ``--max-batches`` crash
-    an ``os._exit`` — a real process death.  Tests that run workers as
-    threads pass ``False`` so the crash degrades to closing the socket and
-    returning, which the coordinator observes identically (EOF mid-batch).
 
     Returns 0 after a clean :class:`Shutdown`,
     :data:`CONNECTION_LOST_STATUS` when the coordinator went away (the
-    :func:`run_worker` reconnect loop retries on exactly this), and
-    :data:`HANDSHAKE_FAILED_STATUS` on a failed handshake.
+    :func:`run_worker` reconnect loop retries on exactly this),
+    :data:`HANDSHAKE_FAILED_STATUS` on a failed handshake, and
+    :data:`CRASH_EXIT_STATUS` after the ``max_batches`` crash: the socket
+    closes mid-batch, which the coordinator cannot tell from a process
+    death (EOF mid-batch either way).
     ``on_registered`` fires with the assigned worker id right after the
     handshake — the reconnect loop uses it to reset its backoff.
 
@@ -220,10 +222,10 @@ def serve(
     store instead, so an evaluator's baked-in orchestrator path is never
     created or written on this machine at all.
 
-    ``connect_timeout`` bounds both the TCP connect and the whole handshake
-    (a coordinator that accepts the connection but never answers used to
-    hang the worker forever); a handshake that times out returns
-    :data:`CONNECTION_LOST_STATUS` — a stalled coordinator may heal, so the
+    :data:`CONNECT_TIMEOUT` bounds both the TCP connect and the whole
+    handshake (a coordinator that accepts the connection but never answers
+    would otherwise hang the worker forever); a handshake that times out
+    returns :data:`CONNECTION_LOST_STATUS` — a stalled coordinator may heal, so the
     reconnect loop must back off and retry it, not give up.  Once the
     Welcome arrives the deadline comes off: batches may legitimately be
     minutes apart.
@@ -235,24 +237,19 @@ def serve(
     machine's total artifact transfer (default: the budget the coordinator
     advertises).
     """
-    if connect_timeout is not None and connect_timeout <= 0:
-        raise ValueError(f"connect_timeout must be > 0, got {connect_timeout}")
     emit = log if log is not None else (lambda message: None)
     authkey = normalize_authkey(authkey)
     host, port = parse_address(connect)
     # The timeout set here persists on the socket through the handshake
     # below, so every recv between connect and Welcome shares the deadline.
-    sock = transport.connect(host, port, connect_timeout)
+    sock = transport.connect(host, port, CONNECT_TIMEOUT)
     mesh_client: Optional[WorkerMeshClient] = None
     sender: Optional[_HeartbeatSender] = None
     try:
         try:
             if authkey is not None:
                 authenticate(sock, authkey, server=False)
-            send_message(
-                sock,
-                Hello(heartbeat_interval=max(0.0, heartbeat_interval)),
-            )
+            send_message(sock, Hello())
             welcome = recv_message(sock)
             if not isinstance(welcome, Welcome):
                 raise ProtocolError(f"expected Welcome, got {type(welcome).__name__}")
@@ -263,7 +260,7 @@ def serve(
             # reconnect loop must back off and retry, exactly like a peer
             # that vanished mid-handshake.
             emit(f"worker: handshake with {connect} timed out "
-                 f"after {connect_timeout:g}s")
+                 f"after {CONNECT_TIMEOUT:g}s")
             return CONNECTION_LOST_STATUS
         except ConnectionClosed as exc:
             # The peer vanished mid-handshake — a coordinator dying between
@@ -284,7 +281,7 @@ def serve(
         emit(f"worker {welcome.worker_id}: connected to {connect}")
         if on_registered is not None:
             on_registered(welcome.worker_id)
-        sender = _HeartbeatSender(sock, welcome.worker_id, heartbeat_interval)
+        sender = _HeartbeatSender(sock, welcome.worker_id)
         # Session-long liveness: beats flow from registration onward, so an
         # idle worker (between batches, or never dispatched to) stays
         # `healthy` in the coordinator's fleet view instead of aging into
@@ -316,32 +313,32 @@ def serve(
                 # Failure injection: die without replying, mid-batch.
                 emit(f"worker {welcome.worker_id}: injected crash on batch {batches_done + 1}")
                 transport.close(sock)
-                if hard_exit:
-                    os._exit(CRASH_EXIT_STATUS)
                 return CRASH_EXIT_STATUS
             evaluator = evaluators.get(message.evaluator_id)
-            if evaluator is None:
-                if message.blob is None:
-                    send_message(sock, EvaluatorMissing(message.evaluator_id))
-                    continue
-                evaluator = pickle.loads(message.blob)
-                if store_dir is not None or no_store:
-                    attach = getattr(evaluator, "attach_store", None)
-                    if attach is not None:
-                        if no_store:
-                            attach(None)
-                        else:
-                            attach(store_dir, max_bytes=store_max_bytes)
-                if mesh_client is not None:
-                    # After any store override: attach_store swaps the cache,
-                    # and the mesh must hook the cache actually in use.
-                    attach_mesh = getattr(evaluator, "attach_mesh", None)
-                    if attach_mesh is not None:
-                        mesh_client.track_cache(attach_mesh(mesh_client))
-                while len(evaluators) >= EVALUATOR_CACHE_LIMIT:
-                    evaluators.pop(next(iter(evaluators)))
-                evaluators[message.evaluator_id] = evaluator
+            if evaluator is None and message.blob is None:
+                sender.send(EvaluatorMissing(message.evaluator_id))
+                continue
             try:
+                if evaluator is None:
+                    # A blob no worker can load is as deterministic as an
+                    # evaluator that raises: report it, keep serving.
+                    evaluator = pickle.loads(message.blob)
+                    if store_dir is not None or no_store:
+                        attach = getattr(evaluator, "attach_store", None)
+                        if attach is not None:
+                            if no_store:
+                                attach(None)
+                            else:
+                                attach(store_dir, max_bytes=store_max_bytes)
+                    if mesh_client is not None:
+                        # After any store override: attach_store swaps the
+                        # cache, and the mesh must hook the cache in use.
+                        attach_mesh = getattr(evaluator, "attach_mesh", None)
+                        if attach_mesh is not None:
+                            mesh_client.track_cache(attach_mesh(mesh_client))
+                    while len(evaluators) >= EVALUATOR_CACHE_LIMIT:
+                        evaluators.pop(next(iter(evaluators)))
+                    evaluators[message.evaluator_id] = evaluator
                 if mesh_client is not None:
                     # Arm the mesh only while this worker owns the socket
                     # for reading (the coordinator sends nothing unprompted
@@ -407,29 +404,24 @@ def serve(
 def run_worker(
     connect: str,
     reconnect: bool = False,
-    max_retries: Optional[int] = None,
-    backoff_base: float = 1.0,
     log: Optional[Callable[[str], None]] = None,
     **serve_kwargs,
 ) -> int:
     """:func:`serve`, wrapped in the auto-reconnect policy.
 
-    With ``reconnect=False`` (the historical default) this is one session:
-    a refused connection raises, a lost coordinator returns.  With
-    ``reconnect=True`` the worker survives both — it retries with
-    exponential backoff (``backoff_base`` doubling up to :data:`BACKOFF_CAP`
-    seconds, at most ``max_retries`` consecutive failures, unbounded when
-    ``None``) so a restarted machine rejoins a running campaign without
-    operator action.  Any ``OSError`` reaching the coordinator counts as
-    transient and retries — on a machine that is itself booting, refused
+    With ``reconnect=False`` this is one session: a refused connection
+    raises, a lost coordinator returns.  With ``reconnect=True`` the worker
+    survives both — it retries with exponential backoff
+    (:data:`BACKOFF_BASE` doubling up to :data:`BACKOFF_CAP` seconds, at
+    most :data:`MAX_RETRIES` consecutive failures, unbounded when ``None``)
+    so a restarted machine rejoins a running campaign without operator
+    action.  Any ``OSError`` reaching the coordinator counts as transient
+    and retries — on a machine that is itself booting, refused
     connections, unreachable networks and *unresolvable hostnames* are all
-    states that heal on their own, so only ``--max-retries`` bounds them.
-    A successful registration resets the backoff; a clean
-    :class:`Shutdown`, an injected crash, and a failed handshake (a
-    deterministic authkey/version problem) never retry.
+    states that heal on their own.  A successful registration resets the
+    backoff; a clean :class:`Shutdown`, an injected crash, and a failed
+    handshake (a deterministic authkey/version problem) never retry.
     """
-    if backoff_base <= 0:
-        raise ValueError(f"backoff_base must be > 0, got {backoff_base}")
     emit = log if log is not None else (lambda message: None)
     registered = threading.Event()
     #: Last assigned worker id, so retry lines identify which fleet member
@@ -440,14 +432,14 @@ def run_worker(
         last_worker["id"] = worker_id
         registered.set()
 
-    delay = backoff_base
+    delay = BACKOFF_BASE
     failures = 0
     while True:
         registered.clear()
         reason = "coordinator went away mid-session"
         try:
             status = serve(connect, log=log, on_registered=on_registered, **serve_kwargs)
-        except (ConnectionRefusedError, OSError) as exc:
+        except OSError as exc:
             if not reconnect:
                 raise
             reason = f"{type(exc).__name__}: {exc}"
@@ -458,15 +450,15 @@ def run_worker(
         if registered.is_set():
             # The session was live before it dropped; start backing off from
             # scratch rather than where the last outage left off.
-            delay = backoff_base
+            delay = BACKOFF_BASE
             failures = 0
         failures += 1
         who = (
             f"worker {last_worker['id']}" if last_worker["id"] is not None
             else "worker (never registered)"
         )
-        if max_retries is not None and failures > max_retries:
-            emit(f"{who}: giving up on {connect} after {max_retries} retries "
+        if MAX_RETRIES is not None and failures > MAX_RETRIES:
+            emit(f"{who}: giving up on {connect} after {MAX_RETRIES} retries "
                  f"(last failure: {reason})")
             return status
         emit(f"{who}: reconnecting to {connect} in {delay:.1f}s "
@@ -605,22 +597,12 @@ def build_parser(prog: str = PROG) -> argparse.ArgumentParser:
                         help="failure injection: serve N batches, then crash "
                              "without replying (worker-loss tests/demos)")
     parser.add_argument("--reconnect", action="store_true",
-                        help="retry with exponential backoff when the "
-                             "coordinator is unreachable or goes away, so a "
-                             "restarted machine rejoins a running campaign "
-                             "(a clean Shutdown still exits)")
-    parser.add_argument("--max-retries", type=int, default=None,
-                        help="with --reconnect: give up after N consecutive "
-                             "failed attempts (default: retry forever)")
-    parser.add_argument("--backoff", type=float, default=1.0, metavar="SECONDS",
-                        help="with --reconnect: initial retry delay, doubled "
-                             f"per consecutive failure up to {BACKOFF_CAP:g}s "
-                             "(default: 1.0)")
-    parser.add_argument("--heartbeat", type=float, default=DEFAULT_HEARTBEAT_INTERVAL,
-                        metavar="SECONDS",
-                        help="interval between keep-alive frames while a batch "
-                             f"is evaluating; 0 disables (default: "
-                             f"{DEFAULT_HEARTBEAT_INTERVAL:g})")
+                        help="retry with exponential backoff (from "
+                             f"{BACKOFF_BASE:g}s, doubling up to "
+                             f"{BACKOFF_CAP:g}s) when the coordinator is "
+                             "unreachable or goes away, so a restarted "
+                             "machine rejoins a running campaign (a clean "
+                             "Shutdown still exits)")
     store = parser.add_mutually_exclusive_group()
     store.add_argument("--store-dir", type=str, default=None,
                        help="worker-local disk-backed artifact store: "
@@ -637,13 +619,6 @@ def build_parser(prog: str = PROG) -> argparse.ArgumentParser:
                              "store's LRU garbage collection, sized for this "
                              "machine's disk (default: the budget the "
                              "orchestrator configured)")
-    parser.add_argument("--connect-timeout", type=float,
-                        default=DEFAULT_CONNECT_TIMEOUT, metavar="SECONDS",
-                        help="deadline for the TCP connect plus handshake; a "
-                             "coordinator that never answers fails the "
-                             "attempt (and --reconnect backs off) instead of "
-                             f"hanging forever (default: "
-                             f"{DEFAULT_CONNECT_TIMEOUT:g})")
     mesh = parser.add_mutually_exclusive_group()
     mesh.add_argument("--no-mesh", action="store_true",
                       help="do not join the coordinator's artifact mesh "
@@ -689,8 +664,6 @@ def main(argv: Optional[Sequence[str]] = None, prog: str = PROG) -> int:
     args = parser.parse_args(argv)
     if args.store_max_bytes is not None and args.store_dir is None:
         parser.error("--store-max-bytes requires --store-dir")
-    if args.connect_timeout is not None and args.connect_timeout <= 0:
-        parser.error("--connect-timeout must be > 0")
     if args.sessions < 1:
         parser.error(f"--slots must be >= 1, got {args.sessions}")
     try:
@@ -703,11 +676,8 @@ def main(argv: Optional[Sequence[str]] = None, prog: str = PROG) -> int:
         # SIGTERM unwinds like Ctrl-C, so the finally below reaps the children.
         previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        pids = fork_sessions(args.sessions - 1, lambda _port: _run_session(args, hard_exit=False))
-        # With children this process must outlive an injected crash of its
-        # own session to wait for them, so that crash closes the socket and
-        # returns instead of calling os._exit.
-        statuses = [_run_session(args, hard_exit=not pids)]
+        pids = fork_sessions(args.sessions - 1, lambda _port: _run_session(args))
+        statuses = [_run_session(args)]
         statuses += end_sessions(pids)
         pids = []
     finally:
@@ -717,24 +687,19 @@ def main(argv: Optional[Sequence[str]] = None, prog: str = PROG) -> int:
     return next((status for status in statuses if status), 0)
 
 
-def _run_session(args: argparse.Namespace, hard_exit: bool) -> int:
+def _run_session(args: argparse.Namespace) -> int:
     """One session of this command: :func:`run_session` under the CLI flags."""
     try:
         return run_session(
             args.telemetry_dir,
             args.connect,
             reconnect=args.reconnect,
-            max_retries=args.max_retries,
-            backoff_base=args.backoff,
             max_batches=args.max_batches,
-            hard_exit=hard_exit,
             log=logger.info,
             authkey=args.authkey,
-            heartbeat_interval=args.heartbeat,
             store_dir=args.store_dir,
             store_max_bytes=args.store_max_bytes,
             no_store=args.no_store,
-            connect_timeout=args.connect_timeout,
             mesh=not args.no_mesh,
             mesh_budget_bytes=args.mesh_budget_bytes,
         )

@@ -8,6 +8,7 @@ import inspect
 import socket
 import threading
 import time
+from unittest import mock
 
 
 def reference_evaluator(
@@ -114,12 +115,7 @@ def loopback_available() -> bool:
 
 @contextlib.contextmanager
 def thread_workers(coordinator, count: int, **kwargs):
-    """Run ``count`` worker loops as daemon threads against ``coordinator``.
-
-    ``hard_exit`` is forced off: an ``os._exit`` inside a thread would take
-    the test process down with it — closing the socket instead is
-    indistinguishable from the coordinator's point of view (EOF mid-batch).
-    """
+    """Run ``count`` worker loops as daemon threads against ``coordinator``."""
     from repro.distrib import serve
 
     target = coordinator.worker_count() + count  # cumulative: calls may nest
@@ -127,7 +123,7 @@ def thread_workers(coordinator, count: int, **kwargs):
     for _ in range(count):
         thread = threading.Thread(
             target=serve,
-            kwargs=dict(connect=coordinator.address_string(), hard_exit=False, **kwargs),
+            kwargs=dict(connect=coordinator.address_string(), **kwargs),
             daemon=True,
         )
         thread.start()
@@ -146,13 +142,14 @@ def run_tuner(compiler, spec, config, dispatch="serial", workers=1,
     ``tuner_kwargs`` wins over the pool's.
     """
     from repro.campaign import SharedWorkerPool
+    from repro.distrib import worker
     from repro.tuner import BinTuner
 
     with SharedWorkerPool(dispatch, workers) as pool, contextlib.ExitStack() as stack:
         if remote_workers:
-            stack.enter_context(thread_workers(
-                pool.coordinator, remote_workers, heartbeat_interval=0.5
-            ))
+            # A fast beat, so heartbeats interleave with the batch replies.
+            stack.enter_context(mock.patch.object(worker, "HEARTBEAT_INTERVAL", 0.5))
+            stack.enter_context(thread_workers(pool.coordinator, remote_workers))
         tuner_kwargs.setdefault("mapper_factory", pool.mapper)
         tuner = BinTuner(compiler, spec, config, **tuner_kwargs)
         return tuner.run(), tuner

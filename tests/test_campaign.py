@@ -552,7 +552,8 @@ class TestStoreRestartWarmth:
 
     @pytest.mark.slow
     @pytest.mark.parametrize("dispatch", ["serial", "process", "distributed"])
-    def test_restarted_campaign_is_warm_on_every_executor(self, tmp_path, dispatch):
+    def test_restarted_campaign_is_warm_on_every_executor(self, tmp_path, dispatch,
+                                                          monkeypatch):
         """The acceptance criterion, per executor: a campaign restarted in a
         fresh process with the same store performs zero redundant compiles
         and lands on the identical database fingerprint."""
@@ -566,15 +567,15 @@ class TestStoreRestartWarmth:
             pool = None
             threads = []
             if dispatch == "distributed":
-                from repro.distrib.worker import serve
+                from repro.distrib import worker
 
+                monkeypatch.setattr(worker, "HEARTBEAT_INTERVAL", 0.5)
                 config_kwargs["dispatch"] = "distributed"
                 pool = SharedWorkerPool(dispatch="distributed")
                 threads = [
                     threading.Thread(
-                        target=serve,
-                        kwargs=dict(connect=pool.address_string(), hard_exit=False,
-                                    heartbeat_interval=0.5),
+                        target=worker.serve,
+                        kwargs=dict(connect=pool.address_string()),
                         daemon=True,
                     )
                     for _ in range(2)

@@ -82,6 +82,19 @@ def test_worker_store_budget_requires_a_store_dir(capsys):
     assert "--store-max-bytes requires --store-dir" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--max-retries", "--backoff", "--heartbeat",
+                                  "--connect-timeout"])
+def test_worker_session_constants_are_not_flags(flag, capsys):
+    """The retry, heartbeat and connect settings are module constants: a
+    value on the command line is one usage error, not a traceback."""
+    with pytest.raises(SystemExit) as exit_info:
+        worker_main(["--connect", "127.0.0.1:1", flag, "0"])
+    assert exit_info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [f"python -m repro.distrib.worker: error: unrecognized "
+                      f"arguments: {flag} 0"]
+
+
 def test_serve_defaults_keep_serial_dispatch():
     """``serve`` with no ``--dispatch`` runs serial, and ``--workers 2``
     means the process pool — the pool's one resolution rule."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import pickle
 import signal
 import socket
 import subprocess
@@ -146,7 +147,7 @@ class TestProtocol:
         left, right = socket.socketpair()
         try:
             for message in (
-                protocol.Hello(heartbeat_interval=3.0),
+                protocol.Hello(),
                 protocol.Welcome(worker_id=7),
                 protocol.EvalBatch(5, ((0, ("-a",)), (1, ("-b", "-c"))), blob=b"blob"),
                 protocol.BatchResult(5, ((0, "r0"), (1, "r1"))),
@@ -237,7 +238,7 @@ class TestCoordinator:
             # expected: rejected without being unpickled.
             rejected = threading.Thread(
                 target=serve,
-                kwargs=dict(connect=coordinator.address_string(), hard_exit=False),
+                kwargs=dict(connect=coordinator.address_string()),
                 daemon=True,
             )
             rejected.start()
@@ -276,8 +277,7 @@ class TestCoordinator:
         with Coordinator(authkey="right") as coordinator:
             wrong = threading.Thread(
                 target=serve,
-                kwargs=dict(connect=coordinator.address_string(),
-                            authkey="wrong", hard_exit=False),
+                kwargs=dict(connect=coordinator.address_string(), authkey="wrong"),
                 daemon=True,
             )
             wrong.start()
@@ -411,6 +411,49 @@ class TestDistributedMapper:
             with pytest.raises(ProtocolError, match="mismatched"):
                 mapper.map(KEYS[:2])
             assert coordinator.worker_count() == 1  # not discarded as lost
+
+    def test_unloadable_evaluator_blob_is_reported_not_worker_loss(self):
+        """A blob no worker can load fails the same way on every worker, so
+        it must come back as the typed error — a lost worker would wipe the
+        fleet one re-dispatch at a time — and the worker keeps serving."""
+        with Coordinator() as coordinator:
+            with thread_workers(coordinator, 1):
+                (handle,) = coordinator.workers()
+                with pytest.raises(pickle.UnpicklingError):
+                    coordinator.run_batch(handle, 99, b"\x80\x04not a pickle", [(0, KEYS[0])])
+                assert coordinator.workers() == [handle]
+                blob = pickle.dumps(FakeEvaluator("good"))
+                results = coordinator.run_batch(handle, 100, blob, list(enumerate(KEYS[:2])))
+                assert [result.fingerprint for _index, result in results] == [
+                    FakeEvaluator("good")(key).fingerprint for key in KEYS[:2]
+                ]
+
+    def test_evaluator_missing_reply_shares_the_heartbeat_lock(self, monkeypatch):
+        """Every session write, ``EvaluatorMissing`` included, goes through
+        the heartbeat sender's lock, so no two frames interleave."""
+        from repro.distrib import worker
+
+        sent = []
+        send = worker._HeartbeatSender.send
+
+        def recording_send(sender, message):
+            sent.append(type(message).__name__)
+            send(sender, message)
+
+        monkeypatch.setattr(worker._HeartbeatSender, "send", recording_send)
+        with Coordinator() as coordinator:
+            with thread_workers(coordinator, 1):
+                (handle,) = coordinator.workers()
+                # The coordinator believes the worker holds evaluator 7, so
+                # the blob stays home and the worker must ask for it.
+                handle.known_evaluators.add(7)
+                blob = pickle.dumps(FakeEvaluator("missing"))
+                results = coordinator.run_batch(handle, 7, blob, [(0, KEYS[0])])
+                assert [result.fingerprint for _index, result in results] == [
+                    FakeEvaluator("missing")(KEYS[0]).fingerprint
+                ]
+        assert sent.count("EvaluatorMissing") == 1
+        assert "BatchResult" in sent
 
     def test_worker_process_cli_round_trip(self, llvm):
         """A real ``python -m repro.distrib.worker`` subprocess serves
@@ -856,15 +899,13 @@ class TestWorkerResilience:
         from repro.distrib.worker import run_worker
 
         monkeypatch.setattr(worker, "BACKOFF_CAP", 0.2)
+        monkeypatch.setattr(worker, "BACKOFF_BASE", 0.05)
         port = self._free_port()
         address = f"127.0.0.1:{port}"
         outcome = {}
 
         def target():
-            outcome["status"] = run_worker(
-                address, reconnect=True, backoff_base=0.05,
-                hard_exit=False, heartbeat_interval=0.0,
-            )
+            outcome["status"] = run_worker(address, reconnect=True)
 
         thread = threading.Thread(target=target, daemon=True)
         thread.start()
@@ -885,29 +926,32 @@ class TestWorkerResilience:
         assert not thread.is_alive()
         assert outcome["status"] == 0
 
-    def test_reconnect_gives_up_after_max_retries(self):
+    def test_reconnect_gives_up_after_max_retries(self, monkeypatch):
+        from repro.distrib import worker
         from repro.distrib.worker import CONNECTION_LOST_STATUS, run_worker
 
+        monkeypatch.setattr(worker, "MAX_RETRIES", 2)
+        monkeypatch.setattr(worker, "BACKOFF_BASE", 0.01)
         port = self._free_port()  # nothing ever listens here
-        status = run_worker(
-            f"127.0.0.1:{port}", reconnect=True, max_retries=2,
-            backoff_base=0.01, hard_exit=False,
-        )
+        status = run_worker(f"127.0.0.1:{port}", reconnect=True)
         assert status == CONNECTION_LOST_STATUS
 
     def test_without_reconnect_refused_connection_raises(self):
         from repro.distrib.worker import run_worker
 
         with pytest.raises(OSError):
-            run_worker(f"127.0.0.1:{self._free_port()}", hard_exit=False)
+            run_worker(f"127.0.0.1:{self._free_port()}")
 
     def test_heartbeats_keep_slow_batches_alive(self, monkeypatch):
         """A batch slower than the per-task budget survives as long as the
         worker keeps beating — the coordinator only discards silence."""
+        from repro.distrib import worker
+
         monkeypatch.setattr(coordinator_module, "HANDSHAKE_TIMEOUT", 0.2)
         monkeypatch.setattr(coordinator_module, "TASK_TIMEOUT", 0.2)
+        monkeypatch.setattr(worker, "HEARTBEAT_INTERVAL", 0.05)
         with Coordinator() as coordinator:
-            with thread_workers(coordinator, 1, heartbeat_interval=0.05):
+            with thread_workers(coordinator, 1):
                 mapper = DistributedMapper(coordinator, _SleepyEvaluator(delay=1.0))
                 results = mapper.map(KEYS[:1])
                 assert mapper.fallback_evaluations == 0
@@ -915,13 +959,16 @@ class TestWorkerResilience:
                 assert results[0].fingerprint.startswith("slow:")
 
     def test_without_heartbeats_slow_batch_reads_as_worker_loss(self, monkeypatch):
-        """The control case (and the pre-PR failure mode): no heartbeats, so
-        the same slow batch times out, the worker is discarded, and the
-        mapper falls back in-process."""
+        """The control case: no heartbeat inside the batch (the cadence is
+        far longer than it), so the same slow batch times out, the worker is
+        discarded, and the mapper falls back in-process."""
+        from repro.distrib import worker
+
         monkeypatch.setattr(coordinator_module, "HANDSHAKE_TIMEOUT", 0.2)
         monkeypatch.setattr(coordinator_module, "TASK_TIMEOUT", 0.2)
+        monkeypatch.setattr(worker, "HEARTBEAT_INTERVAL", 60.0)
         with Coordinator() as coordinator:
-            with thread_workers(coordinator, 1, heartbeat_interval=0.0):
+            with thread_workers(coordinator, 1):
                 mapper = DistributedMapper(coordinator, _SleepyEvaluator(delay=1.0))
                 results = mapper.map(KEYS[:1])
                 assert mapper.fallback_evaluations == 1

@@ -455,14 +455,12 @@ def _wait_until(predicate, timeout: float = 5.0, interval: float = 0.05) -> bool
 
 @needs_loopback
 class TestWorkerHealth:
-    def _handshake(self, coordinator, heartbeat_interval: float = 0.0):
+    def _handshake(self, coordinator):
         """A hand-rolled worker: registers, then goes silent on command."""
         from repro.distrib import protocol
 
         sock = socket.create_connection(coordinator.address, timeout=5.0)
-        protocol.send_message(
-            sock, protocol.Hello(heartbeat_interval=heartbeat_interval)
-        )
+        protocol.send_message(sock, protocol.Hello())
         welcome = protocol.recv_message(sock)
         assert welcome.worker_id >= 1
         # Welcome is written just *before* the handle is published.
@@ -472,9 +470,8 @@ class TestWorkerHealth:
     def test_silent_worker_ages_healthy_to_stale_to_lost(self, monkeypatch):
         from repro.distrib import Coordinator, coordinator as coordinator_module
 
-        # No advertised cadence: the wall-clock default windows apply.
-        monkeypatch.setattr(coordinator_module, "DEFAULT_STALE_AFTER", 0.25)
-        monkeypatch.setattr(coordinator_module, "DEFAULT_LOST_AFTER", 0.6)
+        monkeypatch.setattr(coordinator_module, "STALE_AFTER", 0.25)
+        monkeypatch.setattr(coordinator_module, "LOST_AFTER", 0.6)
         with Coordinator() as coordinator:
             sock, worker_id = self._handshake(coordinator)
             try:
@@ -496,14 +493,14 @@ class TestWorkerHealth:
     def test_heartbeats_keep_an_idle_worker_healthy(self, monkeypatch):
         import test_distrib
         from repro.distrib import Coordinator, coordinator as coordinator_module
+        from repro.distrib import worker
 
-        # A 0.1 s cadence with a 0.5 s floor: stale after 0.5 s of silence,
-        # lost after 1.0 s.
-        monkeypatch.setattr(coordinator_module, "MIN_STALE_AFTER", 0.5)
+        # A 0.1 s cadence: stale after 0.5 s of silence, lost after 1.0 s.
+        monkeypatch.setattr(worker, "HEARTBEAT_INTERVAL", 0.1)
+        monkeypatch.setattr(coordinator_module, "STALE_AFTER", 0.5)
+        monkeypatch.setattr(coordinator_module, "LOST_AFTER", 1.0)
         with Coordinator() as coordinator:
-            with test_distrib.thread_workers(
-                coordinator, 1, heartbeat_interval=0.1
-            ):
+            with test_distrib.thread_workers(coordinator, 1):
                 # Long past the stale window, but heartbeats flow: the idle
                 # probe must see them and refresh last_seen.
                 time.sleep(1.0)
@@ -514,7 +511,7 @@ class TestWorkerHealth:
         from repro.distrib import Coordinator
 
         with Coordinator() as coordinator:
-            sock, worker_id = self._handshake(coordinator, heartbeat_interval=0.2)
+            sock, worker_id = self._handshake(coordinator)
             assert _health(coordinator) == {worker_id: "healthy"}
             sock.close()  # the kill: EOF on an idle socket
             assert _wait_until(
@@ -543,9 +540,9 @@ class TestWorkerHealth:
         # a single reporting worker is never a straggler (no fleet to lag)
         assert coordinator._stragglers([slow]) == set()
 
-    def test_fleet_rows_and_batch_histogram_after_real_batches(self):
+    def test_fleet_rows_and_batch_histogram_after_real_batches(self, monkeypatch):
         import test_distrib
-        from repro.distrib import Coordinator, DistributedMapper
+        from repro.distrib import Coordinator, DistributedMapper, worker
 
         from repro.distrib.obsserver import ObservabilityServer
 
@@ -554,7 +551,8 @@ class TestWorkerHealth:
             # sources to whoever does.
             server.add_source("fleet", coordinator.fleet_status)
             server.add_metrics_source(coordinator.fleet_metrics)
-            with test_distrib.thread_workers(coordinator, 2, heartbeat_interval=0.1):
+            monkeypatch.setattr(worker, "HEARTBEAT_INTERVAL", 0.1)
+            with test_distrib.thread_workers(coordinator, 2):
                 mapper = DistributedMapper(
                     coordinator, test_distrib.FakeEvaluator()
                 )

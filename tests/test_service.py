@@ -386,8 +386,8 @@ class TestFaultInjection:
 
     @pytest.mark.slow
     def test_worker_crash_mid_job_recovers_with_parity(self, tmp_path):
-        """Distributed dispatch with a worker that hard-crashes
-        (``--max-batches``, an ``os._exit`` mid-session): the mapper
+        """Distributed dispatch with a worker that crashes mid-batch
+        (``--max-batches``: it closes its socket and exits): the mapper
         re-dispatches the lost batch and both tenants' jobs finish with solo
         fingerprints."""
         solo = solo_fingerprint(SOURCE, "work")

@@ -306,6 +306,16 @@ OPTIONS = {
     "Coordinator.__init__": (
         "host", "port", "authkey", "artifact_store", "mesh_budget_bytes",
     ),
+    "serve": (
+        "connect", "max_batches", "log", "authkey", "on_registered",
+        "store_dir", "store_max_bytes", "no_store", "mesh", "mesh_budget_bytes",
+    ),
+    "run_worker": ("connect", "reconnect", "log", "serve_kwargs"),
+    "worker CLI": (
+        "--authkey", "--telemetry-dir", "--verbose", "--quiet", "--connect",
+        "--slots", "--max-batches", "--reconnect", "--store-dir", "--no-store",
+        "--store-max-bytes", "--no-mesh", "--mesh-budget-bytes",
+    ),
 }
 
 
@@ -316,6 +326,7 @@ def test_config_options_are_pinned():
 
     from repro.campaign import CampaignConfig
     from repro.distrib.coordinator import Coordinator
+    from repro.distrib.worker import build_parser, run_worker, serve
     from repro.campaign.service import ServiceConfig
     from repro.tuner import BinTunerConfig, BuildSpec, StagedCandidateEvaluator
 
@@ -326,4 +337,9 @@ def test_config_options_are_pinned():
     }
     found["Coordinator.__init__"] = tuple(
         inspect.signature(Coordinator.__init__).parameters)[1:]
+    for function in (serve, run_worker):
+        found[function.__name__] = tuple(inspect.signature(function).parameters)
+    found["worker CLI"] = tuple(
+        flag for action in build_parser()._actions for flag in action.option_strings
+        if flag not in ("-h", "--help"))
     assert found == OPTIONS

@@ -202,8 +202,8 @@ class TestFoldedFraming:
 
     def test_both_planes_share_the_frames(self, pair):
         left, right = pair
-        protocol.send_message(left, protocol.Hello(heartbeat_interval=2.0))
-        assert protocol.recv_message(right) == protocol.Hello(heartbeat_interval=2.0)
+        protocol.send_message(left, protocol.Welcome(worker_id=2, mesh=True))
+        assert protocol.recv_message(right) == protocol.Welcome(worker_id=2, mesh=True)
         send_wire(left, make_message("ping"))
         assert recv_wire(right) == make_message("ping")
 
