@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Distributed campaign demo: a coordinator, two local workers, one crash.
+"""Distributed campaign demo: a coordinator, joining workers, one crash.
 
 Runs the same two-program campaign three ways and shows the fingerprints
 agree bit-for-bit:
 
 1. serially, in-process (the reference run);
-2. distributed over two worker *processes* on loopback — one of which is
-   started with ``--max-batches`` so it crashes mid-run, exercising the
-   bounded re-dispatch path — interrupted after the first program;
-3. resumed from the checkpoint on two fresh workers.
+2. on two worker *processes* that join the coordinator's ``serve_workers``
+   address on loopback — one of which is started with ``--max-batches`` so
+   it crashes mid-run, exercising the bounded re-dispatch path —
+   interrupted after the first program;
+3. resumed from the checkpoint on a hybrid fleet: two local sessions the
+   pool forks itself (``workers=2``) plus one fresh joining worker.
 
 The workers here are local subprocesses for the demo's sake; they connect
 over TCP and would behave identically from another machine (point
@@ -34,12 +36,12 @@ JOBS = [ProgramJob("llvm", "462.libquantum"), ProgramJob("llvm", "429.mcf")]
 REPRO_PATH = str(Path(repro.__file__).resolve().parents[1])
 
 
-def make_config(checkpoint_dir=None, distributed=False) -> CampaignConfig:
+def make_config(checkpoint_dir=None, serve_workers=None) -> CampaignConfig:
     return CampaignConfig(
         tuner=BinTunerConfig(
             max_iterations=40, ga=GAParameters(population_size=10), stall_window=20
         ),
-        dispatch="distributed" if distributed else None,
+        serve_workers=serve_workers,
         checkpoint_dir=checkpoint_dir,
     )
 
@@ -70,9 +72,9 @@ def main() -> None:
 
     checkpoint = Path(tempfile.mkdtemp(prefix="distributed-demo-"))
     try:
-        print("\n== distributed: coordinator + 2 loopback workers "
+        print("\n== distributed: coordinator + 2 joining loopback workers "
               "(one crashes mid-run), interrupted after program 1")
-        pool = SharedWorkerPool(dispatch="distributed")
+        pool = SharedWorkerPool(serve_workers="127.0.0.1:0")
         address = pool.address_string()
         print(f"  coordinator on {address}")
         workers = [
@@ -82,20 +84,19 @@ def main() -> None:
             spawn_worker(address, "--max-batches", "2"),
         ]
         pool.wait_for_workers(2, timeout=60)
-        first = Campaign(JOBS, make_config(checkpoint, distributed=True)).run(
-            limit=1, pool=pool
-        )
+        first = Campaign(JOBS, make_config(checkpoint, address)).run(limit=1, pool=pool)
         drain(pool, workers)
         statuses = [worker.returncode for worker in workers]
         print(f"  interrupted: {first.interrupted}; worker exit statuses: {statuses}")
         print(f"  checkpointed {first.database.total_records()} records "
               f"(worker loss re-dispatched, nothing lost)")
 
-        print("\n== resume from the checkpoint on 2 fresh workers")
-        pool = SharedWorkerPool(dispatch="distributed")
-        workers = [spawn_worker(pool.address_string()) for _ in range(2)]
-        pool.wait_for_workers(2, timeout=60)
-        resumed = Campaign(JOBS, make_config(checkpoint, distributed=True)).run(pool=pool)
+        print("\n== resume from the checkpoint on 2 local sessions + 1 joining worker")
+        pool = SharedWorkerPool(2, serve_workers="127.0.0.1:0")
+        address = pool.address_string()
+        workers = [spawn_worker(address)]
+        pool.wait_for_workers(3, timeout=60)
+        resumed = Campaign(JOBS, make_config(checkpoint, address)).run(pool=pool)
         drain(pool, workers)
         print(f"  {sum(p.resumed for p in resumed.programs)} program(s) restored, "
               f"{sum(not p.resumed for p in resumed.programs)} tuned live")

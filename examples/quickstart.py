@@ -5,8 +5,8 @@ Compiles the 462.libquantum-style workload with SimLLVM at every default
 optimization level, runs a short BinTuner search, and prints the NCD and
 BinHunt difference scores of each setting against the -O0 baseline — a
 single-benchmark slice of the paper's Figure 5.  The search runs twice,
-serially and on a ``SharedWorkerPool("process", 4)`` — a local fleet of
-four forked worker sessions — that the tuner borrows; the script exits
+serially and on a ``SharedWorkerPool(4)`` — a local fleet of four forked
+worker sessions — that the tuner borrows; the script exits
 non-zero unless the two agree bit-for-bit.
 
 Run:  python examples/quickstart.py
@@ -49,12 +49,13 @@ def main() -> None:
 
     print("\n== same search on a 4-session local fleet (identical results by design)")
     # The pool owns the forked worker sessions; the tuner only borrows them.
-    with SharedWorkerPool("process", 4) as pool:
+    with SharedWorkerPool(4) as pool:
+        sessions = len(pool.pids)
         parallel = BinTuner(SimLLVM(), spec, config, mapper_factory=pool.mapper).run()
     agree = (parallel.best_flags.sorted_names() == tuned.best_flags.sorted_names()
              and parallel.ncd_history() == tuned.ncd_history())
     print(f"  best NCD vs O0: {parallel.best_fitness:.3f} "
-          f"({pool.workers} workers, generation-batched)")
+          f"({sessions} sessions, generation-batched)")
     print(f"  serial and parallel runs agree bit-for-bit: {agree}")
     if not agree:
         sys.exit("serial and local-fleet runs disagree: determinism is broken")

@@ -22,8 +22,9 @@ campaign and the service — share one job runner
   a :mod:`repro.distrib` coordinator serving forked local sessions or
   workers on other machines);
 * :mod:`repro.campaign.cli` — the ``python -m repro.campaign`` entry point,
-  including the ``report`` (checkpoint-only tables), ``worker``
-  (distributed evaluation), ``serve`` (the tuning service) and ``submit``
+  including the ``report`` (checkpoint-only tables), ``worker`` (a
+  session joining a ``--serve-workers`` fleet), ``serve`` (the tuning
+  service) and ``submit``
   (its client) subcommands.
 """
 

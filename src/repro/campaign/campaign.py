@@ -8,8 +8,8 @@ drives exactly one program.  :class:`Campaign` is the layer between them:
   pair per job), each run by :func:`run_job`, the tuning service's runner too;
 * all jobs share a single :class:`~repro.campaign.pool.SharedWorkerPool`, so
   a multi-worker campaign pays process spawn once, not once per program;
-  with ``dispatch="distributed"`` that pool is a network coordinator
-  (:mod:`repro.distrib`) and the workers may live on other machines;
+  with ``serve_workers`` that pool's coordinator (:mod:`repro.distrib`)
+  also admits workers on other machines;
 * every job's records land in its shard of one
   :class:`~repro.campaign.database.CampaignDatabase` — dedup stays
   per-program, aggregation is campaign-wide;
@@ -26,7 +26,7 @@ drives exactly one program.  :class:`Campaign` is the layer between them:
   serial per-program design could not express;
 * each run happens inside one **session** owning everything with a
   lifetime — telemetry sink, pool, ``/metrics`` + ``/status`` server —
-  built one way for every dispatch mode.  ``run()`` opens one for its own
+  built one way for every fleet.  ``run()`` opens one for its own
   duration; ``with campaign:`` opens it ahead of ``run()`` so the caller
   can read the bound addresses off ``campaign.pool`` / ``.obs_server``.
 
@@ -129,24 +129,22 @@ class CampaignConfig:
 
     name: str = "campaign"
     tuner: BinTunerConfig = field(default_factory=BinTunerConfig)
-    #: Worker-pool knobs, shared across every program of the campaign.
+    #: The shared pool's two facts (:mod:`repro.campaign.pool`), kept across
+    #: every program of the campaign: how many local worker sessions to
+    #: fork (1: none, the inline path) ...
     workers: int = 1
-    #: Execution substrate of the shared pool ("serial" | "process" |
-    #: "distributed"); ``None`` is serial, and ``None`` or "serial" with
-    #: ``workers > 1`` is the process pool.
-    dispatch: Optional[str] = None
-    #: ``HOST:PORT`` the distributed coordinator binds (default: loopback on
-    #: an ephemeral port; enter the campaign and read it off
-    #: ``campaign.pool.address_string()``).
-    serve: Optional[str] = None
+    #: ... and the ``HOST:PORT`` where remote workers may join (port 0 binds
+    #: an ephemeral one: enter the campaign and read it off
+    #: ``campaign.pool.address_string()``).  ``None`` admits none.
+    serve_workers: Optional[str] = None
     #: Shared secret for the worker handshake (required when serving beyond
     #: loopback: the transport is pickle, and unpickling bytes from an
     #: unauthenticated peer is code execution).
     authkey: Optional[str] = None
-    #: With distributed dispatch, block until this many remote workers have
-    #: registered before tuning starts (0: start immediately; candidates are
-    #: evaluated in-process until workers join; the wait errors out after
-    #: :data:`WORKER_WAIT_TIMEOUT`).
+    #: With ``serve_workers``, block until this many workers (local sessions
+    #: included) have registered before tuning starts (0: start
+    #: immediately; candidates are evaluated in-process until workers join;
+    #: the wait errors out after :data:`WORKER_WAIT_TIMEOUT`).
     min_workers: int = 0
     #: Directory of the disk-backed artifact store behind the campaign cache
     #: (:mod:`repro.tuner.store`).  ``None`` defaults to
@@ -159,8 +157,8 @@ class CampaignConfig:
     store_dir: Optional[Path] = None
     #: Byte budget of the store's LRU garbage collection (``None``: unbounded).
     store_max_bytes: Optional[int] = DEFAULT_STORE_MAX_BYTES
-    #: Serve the artifact mesh from the campaign's store (distributed
-    #: dispatch only): workers push freshly compiled tier-2 entries to the
+    #: Serve the artifact mesh from the campaign's store (requires
+    #: ``serve_workers``): workers push freshly compiled tier-2 entries to the
     #: coordinator and fetch their misses from other machines' past work
     #: before paying a compile.  Requires a store directory (explicit, or
     #: the checkpoint-derived default).
@@ -187,7 +185,7 @@ class CampaignConfig:
     #: Port of the live observability HTTP server (``/metrics`` +
     #: ``/status``); ``0`` binds an ephemeral port (read it off
     #: ``campaign.obs_server`` inside ``with campaign:``), ``None`` disables
-    #: it.  The session owns the server for every dispatch mode: ``campaign``
+    #: it.  The session owns the server for every fleet: ``campaign``
     #: progress, plus ``fleet`` health when the pool has a coordinator, over
     #: the same sink as ``telemetry_dir``.  Observe-only, like the JSONL sink.
     obs_port: Optional[int] = None
@@ -343,8 +341,8 @@ class CampaignResult:
     #: Snapshot of the campaign-wide artifact cache after the run.
     artifact_cache_stats: Dict[str, object] = field(default_factory=dict)
     #: The coordinator's artifact-plane counters and per-worker fleet rows,
-    #: taken before the session tears the pool down (``None`` for serial
-    #: dispatch; ``mesh_stats`` also ``None`` when no mesh was served).
+    #: taken before the session tears the pool down (``None`` on the inline
+    #: path; ``mesh_stats`` also ``None`` when no mesh was served).
     mesh_stats: Optional[Dict[str, object]] = None
     fleet: Optional[List[Dict[str, object]]] = None
 
@@ -514,11 +512,13 @@ class Campaign:
         #: Live progress for the observability plane (``/status``): always
         #: present, costs one lock hop per generation, feeds nothing back.
         self.progress = CampaignProgress(self.config.name)
-        if self.config.mesh and self.config.dispatch != "distributed":
+        if self.config.mesh and self.config.serve_workers is None:
             raise ValueError(
-                "mesh=True requires dispatch='distributed' (the artifact "
-                "mesh is served by the network coordinator)"
+                "mesh=True requires serve_workers (the artifact mesh is "
+                "served to workers that join the coordinator)"
             )
+        if self.config.min_workers > 0 and self.config.serve_workers is None:
+            raise ValueError("min_workers requires serve_workers")
         if self.config.mesh_budget_bytes is not None and not self.config.mesh:
             raise ValueError("mesh_budget_bytes requires mesh=True")
         # One content-addressed cache spans every job: a configuration that
@@ -713,9 +713,8 @@ class Campaign:
                 obs_port=config.obs_port,
                 obs_host=config.obs_host,
                 pool=pool,
-                dispatch=config.dispatch,
                 workers=config.workers,
-                serve=config.serve,
+                serve_workers=config.serve_workers,
                 authkey=config.authkey,
                 # The mesh serves the *campaign's* store: the orchestrator's
                 # own baselines and every worker's pushed compile become
@@ -727,7 +726,7 @@ class Campaign:
                 budget = (f", per-machine budget {config.mesh_budget_bytes} bytes"
                           if config.mesh_budget_bytes is not None else "")
                 logger.info("artifact mesh on: serving %s%s", self.store_dir, budget)
-            if own_pool and pool.coordinator is not None and config.min_workers > 0:
+            if own_pool and config.min_workers > 0:
                 logger.info("waiting for %d worker(s)...", config.min_workers)
                 pool.wait_for_workers(config.min_workers, timeout=WORKER_WAIT_TIMEOUT)
             self.pool, self.obs_server = pool, server

@@ -15,9 +15,9 @@ Examples::
     python -m repro.campaign --benchmarks 462.libquantum,429.mcf \\
         --families llvm --workers 4
 
-    # Distributed: serve candidates to workers on this or other machines ...
-    python -m repro.campaign --suites coreutils --dispatch distributed \\
-        --serve 0.0.0.0:7099 --min-workers 2 --checkpoint-dir /tmp/campaign
+    # 4 local sessions plus workers on this or other machines joining ...
+    python -m repro.campaign --suites coreutils --workers 4 --authkey "$KEY" \\
+        --serve-workers 0.0.0.0:7099 --min-workers 6 --checkpoint-dir /tmp/campaign
 
     # ... each worker being (anywhere that can reach the coordinator):
     python -m repro.campaign worker --connect COORDINATOR_HOST:7099 --slots 2
@@ -64,7 +64,7 @@ from repro.campaign.campaign import (
     top_flag_lines,
 )
 from repro.campaign.database import INDEX_NAME
-from repro.campaign.pool import EXECUTORS
+from repro.distrib.errors import DistribError
 from repro.distrib.worker import common_flags, configure_logging
 from repro.tuner import BinTunerConfig, GAParameters
 from repro.workloads import SUITES, benchmark
@@ -77,13 +77,16 @@ def fleet_flags() -> argparse.ArgumentParser:
     declared once with :class:`CampaignConfig`'s defaults: pass as
     ``parents=[fleet_flags()]``."""
     parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument("--dispatch", choices=EXECUTORS, default=CampaignConfig.dispatch,
-                        help="execution substrate of the shared worker pool "
-                             "(default: serial, or process with --workers > 1)")
     parser.add_argument("--workers", type=int, default=CampaignConfig.workers,
-                        help="shared worker-pool size; >1 implies a process pool")
+                        help="local worker sessions to fork (default: 1, "
+                             "none: candidates are evaluated inline)")
+    parser.add_argument("--serve-workers", default=CampaignConfig.serve_workers,
+                        metavar="HOST:PORT",
+                        help="address where remote workers ('worker --connect "
+                             "HOST:PORT') may join, beside any --workers "
+                             "sessions (default: none join)")
     parser.add_argument("--min-workers", type=int, default=CampaignConfig.min_workers,
-                        help="with --dispatch distributed: wait for this many "
+                        help="with --serve-workers: wait for this many "
                              "registered workers before work starts")
     parser.add_argument("--obs-port", type=int, default=CampaignConfig.obs_port,
                         metavar="PORT",
@@ -106,8 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "summary/potency/overlap tables from checkpoints, then "
                     "the run's telemetry tables; 'tail HOST:PORT' follows a "
                     "running --obs-port live; "
-                    "'worker --connect HOST:PORT' serves a distributed "
-                    "campaign; 'serve --bind HOST:PORT' runs the "
+                    "'worker --connect HOST:PORT' joins a --serve-workers "
+                    "fleet; 'serve --bind HOST:PORT' runs the "
                     "multi-tenant tuning service; 'submit --connect "
                     "HOST:PORT' submits a job to it.",
         parents=[fleet_flags(), common_flags()],
@@ -125,9 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="GA population size (default: 12)")
     parser.add_argument("--stall-window", type=int, default=30,
                         help="GA stall window (default: 30)")
-    parser.add_argument("--serve", default=None, metavar="HOST:PORT",
-                        help="with --dispatch distributed: address the "
-                             "coordinator binds (default: 127.0.0.1:0)")
     parser.add_argument("--store-dir", type=Path, default=None,
                         help="disk-backed artifact store (the artifact "
                              "cache's persistent second tier): compiles "
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="byte budget of the store's LRU garbage "
                              "collection (default: 256 MiB)")
     parser.add_argument("--mesh", action="store_true",
-                        help="with --dispatch distributed: serve the artifact "
+                        help="with --serve-workers: serve the artifact "
                              "mesh from the campaign store — workers push "
                              "freshly compiled artifacts to the coordinator "
                              "and fetch their misses from other machines' "
@@ -171,8 +171,7 @@ def _build_campaign(args: argparse.Namespace) -> Campaign:
             stall_window=args.stall_window,
         ),
         workers=args.workers,
-        dispatch=args.dispatch,
-        serve=args.serve,
+        serve_workers=args.serve_workers,
         min_workers=args.min_workers,
         authkey=args.authkey,
         store_dir=args.store_dir,
@@ -219,27 +218,31 @@ def run_main(argv: Optional[Sequence[str]] = None) -> int:
         campaign = _build_campaign(args)
     except (KeyError, ValueError) as exc:
         # Names and knob combinations are validated once, by the library
-        # (mesh needs distributed dispatch and a store, ...); the CLI only
+        # (mesh needs --serve-workers and a store, ...); the CLI only
         # reports them.
         parser.error(_reason(exc))
     if not campaign.jobs:
         logger.error("no jobs to run (empty suite/family selection)")
         return 2
     # The session (sink, pool, /metrics server) is the campaign's; entering
-    # it ahead of run() is what lets the log line name the substrate the
-    # pool resolved.
+    # it ahead of run() is what lets the log line name the fleet's bound
+    # address.
     with contextlib.ExitStack() as stack:
         try:
             pool = stack.enter_context(campaign).pool
         except (KeyError, ValueError) as exc:
-            # A substrate the library refuses (--workers 0, a malformed
-            # --serve, a keyless wildcard bind), before any checkpoint.
+            # A fleet the library refuses (--workers 0, a malformed
+            # --serve-workers, a keyless wildcard bind), before any checkpoint.
             parser.error(_reason(exc))
-        logger.info(
-            "campaign: %d jobs (%s dispatch, %d worker%s, warm-start %s)",
-            len(campaign.jobs), pool.dispatch, pool.workers,
-            "s" if pool.workers != 1 else "", "off" if args.no_warm_start else "on",
-        )
+        except DistribError as exc:
+            # --min-workers not met in time: the session is already unwound.
+            print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+            return 2
+        fleet = f"{len(pool.pids)} local sessions" if pool.pids else "inline"
+        if args.serve_workers is not None:
+            fleet += f", workers join at {pool.address_string()}"
+        logger.info("campaign: %d jobs (%s, warm-start %s)", len(campaign.jobs),
+                    fleet, "off" if args.no_warm_start else "on")
         result = campaign.run(limit=args.limit, resume=not args.fresh)
     _print_summary(result, args)
     return 0
@@ -626,9 +629,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="durability root: job table, per-job database "
                              "shards, artifact store; restart over the same "
                              "directory to resume unfinished jobs")
-    parser.add_argument("--serve-workers", default=None, metavar="HOST:PORT",
-                        help="with --dispatch distributed: address the "
-                             "worker-plane coordinator binds")
+    # Hidden and inert: benchmarks/ledger/fleet.py still starts serve with
+    # ``--dispatch distributed --serve-workers``.  ROADMAP item 1's fleet.py
+    # bullet drops it there, and then it goes from here.
+    parser.add_argument("--dispatch", choices=("distributed",), help=argparse.SUPPRESS)
     parser.add_argument("--max-active-jobs", type=int, default=4,
                         help="concurrent job runner cap (default: 4); the "
                              "fair-share turnstile serializes generations "
@@ -647,6 +651,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
 def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_serve_parser()
     args = parser.parse_args(argv)
+    if args.serve_workers is None:
+        if args.dispatch is not None:
+            parser.error("--dispatch distributed requires --serve-workers")
+        if args.min_workers > 0:
+            parser.error("--min-workers requires --serve-workers")
     configure_logging(verbose=args.verbose, quiet=args.quiet)
     from repro.distrib.protocol import parse_address
     from repro.campaign.service import ServiceConfig, TuningService, serve_forever
@@ -658,8 +667,8 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
         # campaign's (--workers 0, a keyless wildcard --serve-workers).
         service = TuningService(ServiceConfig(
             host=host, port=port, token=args.token, state_dir=args.state_dir,
-            dispatch=args.dispatch, workers=args.workers,
-            serve_workers=args.serve_workers, authkey=args.authkey,
+            workers=args.workers, serve_workers=args.serve_workers,
+            authkey=args.authkey,
             limits=AdmissionLimits(max_source_bytes=args.max_source_bytes,
                                    max_generations=args.max_generations),
             max_active_jobs=args.max_active_jobs,
@@ -672,7 +681,7 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         logger.info("tuning service: clients connect to %s", service.address_string())
-        if service.worker_address() is not None and args.min_workers > 0:
+        if args.min_workers > 0:
             logger.info("waiting for %d worker(s)...", args.min_workers)
             service.wait_for_workers(args.min_workers)
         serve_forever(service)

@@ -7,7 +7,7 @@ their programs — starting (and tearing down) a fresh substrate per program
 would dominate the wall clock on short searches — and a standalone tuner
 that wants parallelism borrows one the same way::
 
-    with SharedWorkerPool("process", 4) as pool:
+    with SharedWorkerPool(4) as pool:
         result = BinTuner(compiler, spec, config, mapper_factory=pool.mapper).run()
 
 :func:`open_session` is the one way a run's owner — a campaign or the tuning
@@ -16,38 +16,39 @@ the ``/metrics`` + ``/status`` server, in that order, on the owner's
 ``ExitStack``.
 
 Without a pool, :class:`~repro.tuner.evaluation.EvaluationEngine` evaluates
-inline.  ``dispatch`` picks the substrate:
+inline.  Two facts decide what a pool is:
 
-* ``"serial"`` — the deterministic inline path
-  (:class:`~repro.tuner.evaluation.LocalMapper`);
-* ``"process"`` — a local fleet: a
-  :class:`~repro.distrib.coordinator.Coordinator` on loopback under a random
-  per-pool authkey that only its ``workers`` one-slot sessions inherit
-  (forked by :func:`~repro.distrib.worker.fork_sessions` before the
-  coordinator exists, then handed its port), so no other local process can
-  register and get pickles exchanged with the owner.  No mesh:
-  they share the owner's disk store.  Each records ``worker-<pid>.jsonl``
-  under the owner's ``telemetry_dir``; :attr:`SharedWorkerPool.pids` names
-  them;
-* ``"distributed"`` — a coordinator listening on ``serve`` (``HOST:PORT``);
-  workers started with ``python -m repro.distrib.worker --connect
-  HOST:PORT`` — on this machine or any other — evaluate the candidates.
+* ``workers`` — how many local one-slot worker sessions to fork.  ``1``
+  forks none;
+* ``serve_workers`` — a ``HOST:PORT`` where remote sessions may join
+  (``python -m repro.distrib.worker --connect HOST:PORT``, on this machine
+  or any other).
 
-``dispatch`` is the substrate's only name: no mode (or ``"serial"``) with
-``workers > 1`` means the local fleet (:func:`resolve_dispatch`).  Both
-fleets hand out a :class:`~repro.distrib.mapper.DistributedMapper`, so
-moving work from a local core to another machine changes no call site, and
-a session that dies is a lost worker whose chunk goes to the survivors.
+``workers=1`` with no ``serve_workers`` is the deterministic inline path
+(:class:`~repro.tuner.evaluation.LocalMapper`).  Anything else is a fleet:
+one :class:`~repro.distrib.coordinator.Coordinator` that hands out
+:class:`~repro.distrib.mapper.DistributedMapper` s.  Without
+``serve_workers`` it binds loopback under a random per-pool authkey that
+only its forked sessions inherit, so no other local process can register
+and get pickles exchanged with the owner; with it, it binds that address
+under the operator's ``authkey``, and its local sessions (if any) use the
+same key and dial loopback for a wildcard bind — a hybrid fleet of this
+host's cores plus whoever joins.  Local sessions are forked by
+:func:`~repro.distrib.worker.fork_sessions` before the coordinator exists,
+then handed its port; they join no mesh (they share the owner's disk
+store), each records ``worker-<pid>.jsonl`` under the owner's
+``telemetry_dir``, and :attr:`SharedWorkerPool.pids` names them.  Moving
+work from a local core to another machine changes no call site, and a
+session that dies is a lost worker whose chunk goes to the survivors.
 No mapper has a ``close``: a tuner's run leaves the pool running.
 
 The pool owns what it builds and nothing else: a fleet offers its view as
 *sources*; the ``/metrics`` server that renders them belongs to the owner's
-session, and whether a mesh fits the dispatch mode is the campaign's
-validation.
+session, and whether a mesh fits the fleet is the owner's validation.
 
 Determinism: every mapper returns results in submission order regardless of
 completion order (index-slotted replies), so the evaluation engine's
-bit-for-bit reproducibility guarantee carries over unchanged to every mode.
+bit-for-bit reproducibility guarantee carries over unchanged to every fleet.
 
 Persistence: the pool carries no store configuration.  An evaluator's blob
 carries its owner's cache terms (bound, store directory, byte budget), and
@@ -74,58 +75,41 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger("repro.campaign.pool")
 
-#: The execution substrates ``dispatch`` names.
-EXECUTORS = ("serial", "process", "distributed")
-
 #: Seconds local sessions get to register, and to exit after ``Shutdown``.
 LOCAL_FLEET_TIMEOUT = 30.0
 
-
-def resolve_dispatch(dispatch: Optional[str], workers: int) -> str:
-    """The substrate a ``(dispatch, workers)`` pair means, validated.
-
-    The one place the default is decided: no mode (or ``"serial"``) with
-    several workers means the process pool.
-    """
-    mode = dispatch if dispatch is not None else "serial"
-    if mode not in EXECUTORS:
-        raise ValueError(f"unknown dispatch {mode!r} (use one of {', '.join(EXECUTORS)})")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if mode == "serial" and workers > 1:
-        return "process"
-    return mode
+#: Wildcard binds, and the loopback address a local session dials for each.
+_LOOPBACK = {"0.0.0.0": "127.0.0.1", "::": "::1"}
 
 
 class SharedWorkerPool:
-    """One execution substrate (or the serial path), shared by every mapper
-    it hands out; closing it reaps a local fleet's sessions."""
+    """The inline path, or one fleet shared by every mapper it hands out;
+    closing it reaps the local sessions."""
 
     def __init__(
         self,
-        dispatch: Optional[str] = None,
         workers: int = 1,
-        serve: Optional[str] = None,
+        serve_workers: Optional[str] = None,
         authkey=None,
         mesh_store=None,
         mesh_budget_bytes: Optional[int] = None,
         telemetry_dir=None,
     ) -> None:
-        self.dispatch = resolve_dispatch(dispatch, workers)
-        self.workers = 1 if self.dispatch == "serial" else workers
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         self._coordinator = None
-        #: Pids of the local fleet's forked sessions (empty for other modes).
+        #: Pids of the forked local sessions.
         self.pids: List[int] = []
-        if self.dispatch == "serial":
+        if workers == 1 and serve_workers is None:
             return
         from repro.distrib.coordinator import Coordinator
         from repro.distrib.protocol import format_address, parse_address
 
-        if self.dispatch == "process":
+        if serve_workers is None:
             host, port = "127.0.0.1", 0
-            authkey, mesh_store = secrets.token_bytes(32), None
+            authkey = secrets.token_bytes(32)
         else:
-            host, port = parse_address(serve) if serve else ("127.0.0.1", 0)
+            host, port = parse_address(serve_workers)
 
         def listen() -> int:
             # ``mesh_store`` (the owner's ArtifactStore) turns on the
@@ -137,13 +121,13 @@ class SharedWorkerPool:
             )
             return self._coordinator.port
 
-        if self.dispatch != "process":
+        if workers == 1:
             listen()
             return
         from repro.distrib.worker import fork_sessions, run_session
 
         def session(port: int) -> int:  # in a forked child
-            return run_session(telemetry_dir, format_address(host, port),
+            return run_session(telemetry_dir, format_address(_LOOPBACK.get(host, host), port),
                                authkey=authkey, mesh=False, log=logger.debug)
 
         # Fork, not spawn (~0.5 s to import the worker afresh), and before
@@ -159,18 +143,18 @@ class SharedWorkerPool:
 
     @property
     def coordinator(self):
-        """The fleet's coordinator (``None`` for serial dispatch)."""
+        """The fleet's coordinator (``None`` on the inline path)."""
         return self._coordinator
 
     def address_string(self) -> str:
         if self._coordinator is None:
-            raise ValueError(f"pool dispatch {self.dispatch!r} has no network address")
+            raise ValueError("an inline pool has no network address")
         return self._coordinator.address_string()
 
     def wait_for_workers(self, count: int, timeout: Optional[float] = None) -> int:
         """Block until ``count`` workers registered."""
         if self._coordinator is None:
-            raise ValueError(f"pool dispatch {self.dispatch!r} has no workers")
+            raise ValueError("an inline pool has no workers")
         return self._coordinator.wait_for_workers(count, timeout)
 
     def mesh_stats(self) -> Optional[Dict[str, object]]:
@@ -187,9 +171,9 @@ class SharedWorkerPool:
     # -- mapper construction ----------------------------------------------------------
 
     def mapper(self, evaluator: CandidateEvaluator):
-        """A per-program mapper that borrows this pool's substrate (serial:
+        """A per-program mapper that borrows this pool's fleet (or runs
         inline)."""
-        if self.dispatch == "serial":
+        if self._coordinator is None:
             return LocalMapper(evaluator)
         from repro.distrib.mapper import DistributedMapper
 
@@ -235,8 +219,8 @@ def open_session(
     * The pool is ``SharedWorkerPool(**pool_args)``, built before the sink
       (so arguments it refuses leave no telemetry file; a local fleet's
       sessions record under the same ``telemetry_dir``) and closed with the
-      stack, or an injected ``pool``, used as-is and left open.  A
-      distributed pool built here logs where to point its workers.
+      stack, or an injected ``pool``, used as-is and left open.  A pool
+      built here with ``serve_workers`` logs where to point its workers.
     * The ``/metrics`` + ``/status`` server (only with an ``obs_port``)
       serves the owner's ``status`` under ``section`` (``"campaign"`` /
       ``"service"``) and its optional ``metrics``, plus the ``process``
@@ -253,23 +237,22 @@ def open_session(
         if telemetry_dir is not None or obs_port is not None:
             stack.enter_context(telemetry.recording(telemetry_dir, label=section))
         stack.push(built.pop_all())
-    if own_pool:
-        if pool.dispatch == "distributed":
-            bound = pool.address_string()
-            host, _sep, port = bound.rpartition(":")
-            if host in ("0.0.0.0", "::", ""):
-                # The wildcard bind is not a reachable address; point the
-                # copy-paste line at something remote machines can use.
-                connect = f"{socket.gethostname()}:{port}"
-                note = f" (listening on all interfaces; {bound})"
-            else:
-                connect, note = bound, ""
-            logger.info(
-                "coordinator listening on %s%s — start workers with\n"
-                "  python -m repro.distrib.worker --connect %s%s",
-                connect, note, connect,
-                " --authkey ..." if pool_args.get("authkey") else "",
-            )
+    if own_pool and pool_args.get("serve_workers") is not None:
+        bound = pool.address_string()
+        host, _sep, port = bound.rpartition(":")
+        if host in _LOOPBACK:
+            # The wildcard bind is not a reachable address; point the
+            # copy-paste line at something remote machines can use.
+            connect = f"{socket.gethostname()}:{port}"
+            note = f" (listening on all interfaces; {bound})"
+        else:
+            connect, note = bound, ""
+        logger.info(
+            "coordinator listening on %s%s — start workers with\n"
+            "  python -m repro.distrib.worker --connect %s%s",
+            connect, note, connect,
+            " --authkey ..." if pool_args.get("authkey") else "",
+        )
     server = None
     if obs_port is not None:
         from repro.distrib import obsserver

@@ -334,10 +334,10 @@ class ServiceConfig:
     #: Durability root: job table, per-job database shards, artifact store.
     #: ``None`` keeps everything in memory (tests, demos).
     state_dir: Optional[Path] = None
-    #: Worker-pool substrate, exactly the campaign knobs.
-    dispatch: Optional[str] = "serial"
+    #: The worker pool's two facts, exactly the campaign knobs: local
+    #: sessions to fork, and the ``HOST:PORT`` where remote workers join
+    #: (the *worker*-plane coordinator's bind; ``None`` admits none).
     workers: int = 1
-    #: ``HOST:PORT`` the *worker*-plane coordinator binds (distributed only).
     serve_workers: Optional[str] = None
     authkey: Optional[str] = None
     limits: AdmissionLimits = field(default_factory=AdmissionLimits)
@@ -443,19 +443,18 @@ class TuningService:
         with ExitStack() as stack:
             #: ``obs_server`` is the ``/metrics`` + ``/status`` server
             #: (``None`` without a port).  The mesh is served from the
-            #: service store when the fleet is distributed.
+            #: service store when remote workers may join.
             self._pool, self.obs_server = open_session(
                 stack, "service", self.status_snapshot, self.metrics_snapshot,
                 telemetry_dir=session_telemetry_dir(self._state_dir,
                                                     self.config.telemetry_dir),
                 obs_port=self.config.obs_port,
                 obs_host=self.config.obs_host,
-                dispatch=self.config.dispatch,
                 workers=self.config.workers,
-                serve=self.config.serve_workers,
+                serve_workers=self.config.serve_workers,
                 authkey=self.config.authkey,
                 mesh_store=(self._artifact_cache.store
-                            if self.config.dispatch == "distributed" else None),
+                            if self.config.serve_workers is not None else None),
             )
             if self._state_dir is not None:
                 self._restore_state()
@@ -474,8 +473,8 @@ class TuningService:
         return format_address(self.host, self.port)
 
     def worker_address(self) -> Optional[str]:
-        """The worker-plane coordinator address (distributed dispatch only)."""
-        if self._pool.dispatch != "distributed":
+        """The worker-plane coordinator address (only with ``serve_workers``)."""
+        if self.config.serve_workers is None:
             return None
         return self._pool.address_string()
 

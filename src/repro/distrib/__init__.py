@@ -1,8 +1,8 @@
 """Distributed candidate evaluation and the tuning service's client plane.
 
 This subsystem serves candidate evaluation to worker sessions — forked on
-this machine for a ``"process"`` pool, anywhere on the network for a
-``"distributed"`` one — while keeping the component contract — a
+this machine for a pool's ``workers``, anywhere on the network that reaches
+its ``serve_workers`` — while keeping the component contract — a
 ``CandidateEvaluator`` behind an ordered ``map(keys) -> results`` —
 completely fixed:
 

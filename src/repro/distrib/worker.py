@@ -17,7 +17,7 @@ A session is one slot: it evaluates each batch key by key in its own
 thread, through :func:`~repro.tuner.evaluation.evaluate_keys` — the loop the
 inline mapper runs.  ``--slots N`` runs N sessions: this process plus N-1
 children forked by :func:`fork_sessions` — the one way to start local
-sessions, a ``"process"`` pool's included — each with its own connection,
+sessions, a pool's ``workers`` included — each with its own connection,
 heartbeat, mesh client, reconnect loop and telemetry file (compile, emulate
 and score are pure Python, so N threads in one interpreter would claim N
 slots and deliver one).  From registration to shutdown each session
@@ -584,7 +584,8 @@ def common_flags() -> argparse.ArgumentParser:
 def build_parser(prog: str = PROG) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=prog,
-        description="Serve candidate evaluations for a distributed campaign.",
+        description="Serve candidate evaluations to a campaign's or a "
+                    "tuning service's worker fleet (its --serve-workers).",
         parents=[common_flags()],
     )
     parser.add_argument("--connect", required=True, metavar="HOST:PORT",
@@ -676,8 +677,8 @@ def main(argv: Optional[Sequence[str]] = None, prog: str = PROG) -> int:
         # SIGTERM unwinds like Ctrl-C, so the finally below reaps the children.
         previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        pids = fork_sessions(args.sessions - 1, lambda _port: _run_session(args))
-        statuses = [_run_session(args)]
+        pids = fork_sessions(args.sessions - 1, lambda _port: _run_session(args, prog))
+        statuses = [_run_session(args, prog)]
         statuses += end_sessions(pids)
         pids = []
     finally:
@@ -687,8 +688,9 @@ def main(argv: Optional[Sequence[str]] = None, prog: str = PROG) -> int:
     return next((status for status in statuses if status), 0)
 
 
-def _run_session(args: argparse.Namespace) -> int:
-    """One session of this command: :func:`run_session` under the CLI flags."""
+def _run_session(args: argparse.Namespace, prog: str) -> int:
+    """One session of this command: :func:`run_session` under the CLI flags;
+    a coordinator it cannot reach is one ``error:`` line and status 2."""
     try:
         return run_session(
             args.telemetry_dir,
@@ -703,8 +705,9 @@ def _run_session(args: argparse.Namespace) -> int:
             mesh=not args.no_mesh,
             mesh_budget_bytes=args.mesh_budget_bytes,
         )
-    except ConnectionRefusedError:
-        logger.error("no coordinator listening at %s", args.connect)
+    except OSError as exc:  # refused, timed out, unreachable, unresolvable
+        print(f"{prog}: error: cannot reach the coordinator at {args.connect}: "
+              f"{exc}", file=sys.stderr)
         return 2
 
 

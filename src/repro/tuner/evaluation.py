@@ -117,9 +117,9 @@ def evaluate_keys(evaluator: CandidateEvaluator, keys: Sequence[FlagKey]) -> Lis
 class LocalMapper:
     """The inline mapper: every batch is evaluated in the calling thread.
 
-    It is the engine's default without a pool and what a ``"serial"``
-    :class:`~repro.campaign.pool.SharedWorkerPool` hands out; every other
-    substrate is a fleet of worker sessions behind
+    It is the engine's default without a pool and what a one-worker
+    :class:`~repro.campaign.pool.SharedWorkerPool` with no ``serve_workers``
+    hands out; every other pool is a fleet of worker sessions behind
     :class:`~repro.distrib.mapper.DistributedMapper`.  Exceptions raised by
     the evaluator (anything it does not classify as an invalid candidate)
     propagate to the caller.

@@ -132,20 +132,20 @@ def thread_workers(coordinator, count: int, **kwargs):
     yield threads
 
 
-def run_tuner(compiler, spec, config, dispatch="serial", workers=1,
-              remote_workers=0, **tuner_kwargs):
+def run_tuner(compiler, spec, config, workers=1, remote_workers=0, **tuner_kwargs):
     """``BinTuner(...).run()`` on a borrowed ``SharedWorkerPool`` — the one
     way a standalone run goes parallel — returning ``(result, tuner)``.
 
-    ``dispatch="distributed"`` is served by ``remote_workers`` loopback
-    worker threads.  A ``mapper_factory`` in
-    ``tuner_kwargs`` wins over the pool's.
+    ``workers`` local sessions are forked; ``remote_workers`` loopback worker
+    threads join a pool that serves ``127.0.0.1:0``.  A ``mapper_factory``
+    in ``tuner_kwargs`` wins over the pool's.
     """
     from repro.campaign import SharedWorkerPool
     from repro.distrib import worker
     from repro.tuner import BinTuner
 
-    with SharedWorkerPool(dispatch, workers) as pool, contextlib.ExitStack() as stack:
+    serve_workers = "127.0.0.1:0" if remote_workers else None
+    with SharedWorkerPool(workers, serve_workers) as pool, contextlib.ExitStack() as stack:
         if remote_workers:
             # A fast beat, so heartbeats interleave with the batch replies.
             stack.enter_context(mock.patch.object(worker, "HEARTBEAT_INTERVAL", 0.5))

@@ -86,7 +86,7 @@ def tiny_config(checkpoint_dir=None, workers=1, warm_start=True, **config_kwargs
         tuner=BinTunerConfig(
             max_iterations=16, ga=GAParameters(population_size=6, seed=9), stall_window=12
         ),
-        workers=workers,  # > 1 with no dispatch named: the process pool
+        workers=workers,  # > 1: a local fleet of forked sessions
         warm_start=warm_start,
         checkpoint_dir=checkpoint_dir,
         **config_kwargs,
@@ -551,27 +551,29 @@ class TestStoreRestartWarmth:
         assert compiles == []  # the store made the fresh run free anyway
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("dispatch", ["serial", "process", "distributed"])
-    def test_restarted_campaign_is_warm_on_every_executor(self, tmp_path, dispatch,
+    @pytest.mark.parametrize("fleet", ["serial", "process", "distributed"])
+    def test_restarted_campaign_is_warm_on_every_executor(self, tmp_path, fleet,
                                                           monkeypatch):
-        """The acceptance criterion, per executor: a campaign restarted in a
-        fresh process with the same store performs zero redundant compiles
-        and lands on the identical database fingerprint."""
-        if dispatch == "distributed" and not loopback_available():
+        """The acceptance criterion, per fleet — inline (``serial``), four
+        local sessions (``process``), two workers joining ``serve_workers``
+        (``distributed``): a campaign restarted in a fresh process with the
+        same store performs zero redundant compiles and lands on the
+        identical database fingerprint."""
+        if fleet == "distributed" and not loopback_available():
             pytest.skip("no AF_INET loopback in this sandbox")
         store = tmp_path / "store"
 
         def run(checkpoint_dir):
-            workers = 4 if dispatch == "process" else 1
+            workers = 4 if fleet == "process" else 1
             config_kwargs = {"store_dir": store}
             pool = None
             threads = []
-            if dispatch == "distributed":
+            if fleet == "distributed":
                 from repro.distrib import worker
 
                 monkeypatch.setattr(worker, "HEARTBEAT_INTERVAL", 0.5)
-                config_kwargs["dispatch"] = "distributed"
-                pool = SharedWorkerPool(dispatch="distributed")
+                config_kwargs["serve_workers"] = "127.0.0.1:0"
+                pool = SharedWorkerPool(serve_workers="127.0.0.1:0")
                 threads = [
                     threading.Thread(
                         target=worker.serve,
@@ -604,23 +606,23 @@ class TestStoreRestartWarmth:
 
 
 class TestOneStorePerCampaign:
-    """The campaign owns its cache's store: every dispatch mode persists to
-    it, process workers included (they derive the directory from the
+    """The campaign owns its cache's store: every fleet persists to it,
+    local sessions included (they derive the directory from the
     evaluator they are sent), and a second directory is refused instead of
     splitting one campaign's artifacts over two stores."""
 
     def test_every_dispatch_persists_to_the_injected_caches_store(self, tmp_path):
         entries = {}
-        for dispatch, workers in (("serial", 1), ("process", 2)):
+        for workers in (1, 2):
             fresh_process_state()
-            cache = ArtifactCache(64).ensure_store(tmp_path / dispatch)
+            cache = ArtifactCache(64).ensure_store(tmp_path / f"workers-{workers}")
             Campaign(
-                JOBS[:1], tiny_config(dispatch=dispatch, workers=workers),
+                JOBS[:1], tiny_config(workers=workers),
                 spec_provider=tiny_spec, artifact_cache=cache,
             ).run()
-            entries[dispatch] = len(persistent_store(tmp_path / dispatch))
-        assert entries["serial"] > 2  # more than the baseline's image + trace
-        assert entries == dict.fromkeys(entries, entries["serial"])
+            entries[workers] = len(persistent_store(tmp_path / f"workers-{workers}"))
+        assert entries[1] > 2  # more than the baseline's image + trace
+        assert entries == dict.fromkeys(entries, entries[1])
 
     def test_a_second_store_directory_is_refused(self, tmp_path):
         cache = ArtifactCache(64).ensure_store(tmp_path / "a")
@@ -639,27 +641,25 @@ class TestOneStorePerCampaign:
 
 class TestSharedWorkerPool:
     def test_serial_pool_hands_out_serial_mappers(self):
-        pool = SharedWorkerPool("serial", 1)
+        pool = SharedWorkerPool()
         mapper = pool.mapper(lambda key: key)
         assert isinstance(mapper, LocalMapper)
         assert mapper.map([("-a",), ("-b",)]) == [("-a",), ("-b",)]
         pool.close()
 
     def test_rejects_bad_knobs(self):
-        with pytest.raises(ValueError):
-            SharedWorkerPool("threads", 2)
-        with pytest.raises(ValueError):
-            SharedWorkerPool("serial", 0)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            SharedWorkerPool(0)
 
     @pytest.mark.slow
     def test_one_pool_serves_multiple_evaluators(self):
-        """Two programs' evaluators share one process pool; results come back
+        """Two programs' evaluators share one local fleet; results come back
         in submission order for each."""
         from repro.compilers import SimLLVM
         from repro.tuner import StagedCandidateEvaluator
 
         compiler = SimLLVM()
-        with SharedWorkerPool("process", 2) as pool:
+        with SharedWorkerPool(2) as pool:
             mappers = {}
             for name, source in SOURCES.items():
                 baseline = compiler.compile_level(source, "O0", name=name).image

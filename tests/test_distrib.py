@@ -9,9 +9,10 @@ The load-bearing guarantees:
 * remote evaluator exceptions propagate as programming errors (never
   re-dispatched), and transport failures surface as
   :class:`MapperTransportError` with the evaluator id and key slice;
-* a tuner or campaign on ``dispatch="distributed"`` (or ``"process"``)
-  produces a database bit-for-bit identical to the serial run — including
-  after killing a worker mid-generation and resuming from a checkpoint;
+* a tuner or campaign on a fleet — forked local sessions (``workers``),
+  workers joining ``serve_workers``, or both — produces a database
+  bit-for-bit identical to the serial run — including after killing a
+  worker mid-generation and resuming from a checkpoint;
 * ``--slots N`` is N one-slot worker sessions: the parent process plus
   N-1 children, each registering on its own connection.
 
@@ -519,7 +520,7 @@ class TestSlotSessions:
             stall_window=10,
         )
         serial, _tuner = run_tuner(llvm, spec, config)
-        with SharedWorkerPool("distributed") as pool:
+        with SharedWorkerPool(serve_workers="127.0.0.1:0") as pool:
             address = pool.address_string()
             process = spawn_worker_process(address, "--slots", "2")
             try:
@@ -626,7 +627,7 @@ class TestEngineIntegration:
             stall_window=10,
         )
         serial, _tuner = run_tuner(llvm, spec, config)
-        pooled, _tuner = run_tuner(llvm, spec, config, "process", 2)
+        pooled, _tuner = run_tuner(llvm, spec, config, workers=2)
         assert pooled.best_flags.sorted_names() == serial.best_flags.sorted_names()
         assert pooled.ncd_history() == serial.ncd_history()
         assert [r.flags for r in pooled.database.records] == [
@@ -640,7 +641,7 @@ class TestEngineIntegration:
             stall_window=10,
         )
         serial, _tuner = run_tuner(llvm, spec, config)
-        distributed, _tuner = run_tuner(llvm, spec, config, "distributed", remote_workers=2)
+        distributed, _tuner = run_tuner(llvm, spec, config, remote_workers=2)
         assert distributed.best_flags.sorted_names() == serial.best_flags.sorted_names()
         assert distributed.ncd_history() == serial.ncd_history()
         assert [r.flags for r in distributed.database.records] == [
@@ -654,10 +655,11 @@ class TestEngineIntegration:
 
 class TestDistributedCampaign:
     def test_pool_dispatch_modes(self):
-        """``process`` is a local fleet behind the distributed mapper: two
+        """``workers=2`` is a local fleet behind the distributed mapper: two
         forked sessions registered on loopback under the pool's own key and
-        no mesh; closing the pool leaves no child process."""
-        pool = SharedWorkerPool(dispatch="process", workers=2)
+        no mesh; closing the pool leaves no child process.  ``serve_workers``
+        alone is a fleet of no local session."""
+        pool = SharedWorkerPool(workers=2)
         try:
             mapper = pool.mapper(FakeEvaluator())
             assert isinstance(mapper, DistributedMapper)
@@ -674,15 +676,14 @@ class TestDistributedCampaign:
         for pid in sessions:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
-        pool = SharedWorkerPool(dispatch="distributed")
+        pool = SharedWorkerPool(serve_workers="127.0.0.1:0")
         try:
             assert isinstance(pool.mapper(FakeEvaluator()), DistributedMapper)
             host, port = parse_address(pool.address_string())
             assert host == "127.0.0.1" and port > 0
+            assert pool.pids == [] and pool.coordinator.worker_count() == 0
         finally:
             pool.close()
-        with pytest.raises(ValueError):
-            SharedWorkerPool(dispatch="carrier-pigeon")
 
     def test_local_sessions_are_forked_before_the_coordinator_listens(self, monkeypatch):
         """No forked session inherits the coordinator's listener or its
@@ -698,7 +699,7 @@ class TestDistributedCampaign:
             return fork()
 
         monkeypatch.setattr(os, "fork", recording_fork)
-        with SharedWorkerPool(dispatch="process", workers=2) as pool:
+        with SharedWorkerPool(workers=2) as pool:
             monkeypatch.undo()
             assert pool.coordinator.worker_count() == 2
             assert pool.mapper(FakeEvaluator()).map(KEYS) == [
@@ -723,7 +724,7 @@ class TestDistributedCampaign:
         monkeypatch.setattr(os, "fork", recording_fork)
         monkeypatch.setattr(coordinator_module, "Coordinator", refuse)
         with pytest.raises(OSError, match="no port for you"):
-            SharedWorkerPool(dispatch="process", workers=2)
+            SharedWorkerPool(workers=2)
         assert len(forked) == 2
         for pid in forked:
             with pytest.raises(ChildProcessError):
@@ -734,7 +735,7 @@ class TestDistributedCampaign:
         its chunks, and the campaign lands on the uninterrupted serial
         fingerprint."""
         serial = Campaign(JOBS, tiny_campaign_config(), spec_provider=tiny_spec).run()
-        pool = SharedWorkerPool(dispatch="process", workers=2)
+        pool = SharedWorkerPool(workers=2)
         victim = pool.pids[0]
 
         def spec_killing_a_session(job):
@@ -744,7 +745,7 @@ class TestDistributedCampaign:
 
         try:
             result = Campaign(
-                JOBS, tiny_campaign_config(dispatch="process", workers=2),
+                JOBS, tiny_campaign_config(workers=2),
                 spec_provider=spec_killing_a_session,
             ).run(pool=pool)
             health = sorted(row["health"] for row in pool.fleet_status())
@@ -755,11 +756,40 @@ class TestDistributedCampaign:
                 == serial.database.record_signatures())
         assert health == ["healthy", "lost"]
 
+    def test_a_hybrid_fleet_loses_a_remote_and_a_local_session(self):
+        """Two forked local sessions and one remote worker on one
+        coordinator: mid-campaign the remote crashes (``max_batches``) and
+        one local session is ``kill -9``'d.  The survivor takes their chunks,
+        the campaign lands on the serial fingerprint, and both losses are
+        ``lost`` fleet rows."""
+        serial = Campaign(JOBS, tiny_campaign_config(), spec_provider=tiny_spec).run()
+        config = tiny_campaign_config(workers=2, serve_workers="127.0.0.1:0")
+        pool = SharedWorkerPool(config.workers, config.serve_workers)
+        victim = pool.pids[0]
+
+        def spec_killing_a_session(job):
+            if job == JOBS[-1]:  # the last program starts one session short
+                os.kill(victim, signal.SIGKILL)
+            return tiny_spec(job)
+
+        try:
+            with thread_workers(pool.coordinator, 1, max_batches=1):
+                result = Campaign(
+                    JOBS, config, spec_provider=spec_killing_a_session,
+                ).run(pool=pool)
+            health = sorted(row["health"] for row in pool.fleet_status())
+        finally:
+            pool.close()
+        assert result.fingerprint() == serial.fingerprint()
+        assert (result.database.record_signatures()
+                == serial.database.record_signatures())
+        assert health == ["healthy", "lost", "lost"]
+
     def test_min_workers_timeout_raises(self, monkeypatch):
         monkeypatch.setattr(campaign_module, "WORKER_WAIT_TIMEOUT", 0.05)
         campaign = Campaign(
             JOBS,
-            tiny_campaign_config(dispatch="distributed", min_workers=1),
+            tiny_campaign_config(serve_workers="127.0.0.1:0", min_workers=1),
             spec_provider=tiny_spec,
         )
         with pytest.raises(DistribError):
@@ -770,11 +800,11 @@ class TestDistributedCampaign:
         in records, order and fingerprint to the serial run, and the remote
         workers actually evaluated batches."""
         serial = Campaign(JOBS, tiny_campaign_config(), spec_provider=tiny_spec).run()
-        pool = SharedWorkerPool(dispatch="distributed")
+        pool = SharedWorkerPool(serve_workers="127.0.0.1:0")
         try:
             with thread_workers(pool.coordinator, 2):
                 distributed = Campaign(
-                    JOBS, tiny_campaign_config(dispatch="distributed"),
+                    JOBS, tiny_campaign_config(serve_workers="127.0.0.1:0"),
                     spec_provider=tiny_spec,
                 ).run(pool=pool)
                 assert all(
@@ -796,7 +826,7 @@ class TestDistributedCampaign:
         serial = Campaign(JOBS, tiny_campaign_config(), spec_provider=tiny_spec).run()
 
         checkpoint = tmp_path / "ckpt"
-        pool = SharedWorkerPool(dispatch="distributed")
+        pool = SharedWorkerPool(serve_workers="127.0.0.1:0")
         workers = []
         try:
             address = pool.address_string()
@@ -808,7 +838,7 @@ class TestDistributedCampaign:
             first = Campaign(
                 JOBS,
                 tiny_campaign_config(
-                    dispatch="distributed", checkpoint_dir=checkpoint
+                    serve_workers="127.0.0.1:0", checkpoint_dir=checkpoint
                 ),
                 spec_provider=tiny_spec,
             ).run(limit=1, pool=pool)
@@ -823,7 +853,7 @@ class TestDistributedCampaign:
         # The injected crash really happened: one worker exited abnormally.
         assert sorted(process.returncode for process in workers) != [0, 0]
 
-        resumed_pool = SharedWorkerPool(dispatch="distributed")
+        resumed_pool = SharedWorkerPool(serve_workers="127.0.0.1:0")
         workers = []
         try:
             address = resumed_pool.address_string()
@@ -832,7 +862,7 @@ class TestDistributedCampaign:
             resumed = Campaign(
                 JOBS,
                 tiny_campaign_config(
-                    dispatch="distributed", checkpoint_dir=checkpoint
+                    serve_workers="127.0.0.1:0", checkpoint_dir=checkpoint
                 ),
                 spec_provider=tiny_spec,
             ).run(pool=resumed_pool)

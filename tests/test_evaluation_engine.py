@@ -10,7 +10,7 @@ import pickle
 import weakref
 
 import pytest
-from _helpers import run_tuner
+from _helpers import loopback_available, run_tuner, thread_workers
 
 from repro.backend.binary import BinaryImage, Section
 from repro.campaign import SharedWorkerPool
@@ -144,7 +144,7 @@ class TestEvaluationEngine:
     def test_without_a_pool_the_engine_evaluates_inline(self):
         """A parallel substrate only ever comes from a SharedWorkerPool: the
         engine's own default is the inline mapper, which evaluates in the
-        calling process and takes no dispatch mode to be anything else."""
+        calling process and takes no fleet setting to be anything else."""
         engine = EvaluationEngine(_PidEcho())
         assert isinstance(engine.mapper, LocalMapper)
         assert {r.code_size for r in engine.mapper.map(MAPPER_KEYS)} == {os.getpid()}
@@ -174,17 +174,17 @@ class _DiesOutsideOwner:
         return _CountingEvaluator()(key)
 
 
-#: Live :class:`_Census` instances of this process.
+#: Live unpickled :class:`_Census` instances of this process.
 _CENSUS = weakref.WeakSet()
 
 
 class _Census:
-    """Answers with the number of its kind alive in the evaluating process:
-    the size of a worker session's evaluator cache."""
+    """Answers with the number of its kind unpickled and alive in the
+    evaluating process: the size of a worker session's evaluator cache (the
+    owner's originals are not counted, so the session may be a thread)."""
 
     def __init__(self):
         self.counted = True  # a state to unpickle, so __setstate__ runs
-        _CENSUS.add(self)
 
     def __setstate__(self, state):
         self.__dict__.update(state)
@@ -204,8 +204,7 @@ def local_mapper(request):
     :class:`SharedWorkerPool`'s ``mapper``, which borrows the pool's
     substrate."""
     kind = request.param
-    workers = 1 if kind == "serial" else 3  # "serial" with more means "process"
-    with SharedWorkerPool(dispatch=kind, workers=workers) as pool:
+    with SharedWorkerPool(1 if kind == "serial" else 3) as pool:
         yield kind, pool, pool.mapper
 
 
@@ -238,7 +237,7 @@ class TestLocalMapperContract:
         names = registry.flag_names()
         batch = [FlagVector(registry, frozenset(names[:i])) for i in range(1, 4)]
         serial = EvaluationEngine(_CountingEvaluator()).evaluate_batch(batch)
-        with SharedWorkerPool(dispatch="process", workers=2) as pool:
+        with SharedWorkerPool(2) as pool:
             mapper = pool.mapper(evaluator)
             engine = EvaluationEngine(evaluator, mapper=mapper)
             assert engine.evaluate_batch(batch) == serial
@@ -246,16 +245,13 @@ class TestLocalMapperContract:
             assert pool.coordinator.workers() == []
             assert [row["health"] for row in pool.fleet_status()] == ["lost", "lost"]
 
-    def test_serial_with_several_workers_means_the_process_pool(self):
-        with SharedWorkerPool("serial", 2) as pool:
-            assert pool.dispatch == "process" and len(pool.pids) == 2
-            assert isinstance(pool.mapper(_PidEcho()), DistributedMapper)
-
+    @pytest.mark.skipif(not loopback_available(), reason="no loopback networking")
     def test_worker_side_evaluator_cache_is_bounded(self):
         """A campaign's evaluators pass through one worker session; it keeps
         at most EVALUATOR_CACHE_LIMIT of them and re-reads an evicted one
         from the blob the coordinator re-sends."""
-        with SharedWorkerPool(dispatch="process", workers=1) as pool:
+        with SharedWorkerPool(serve_workers="127.0.0.1:0") as pool, \
+                thread_workers(pool.coordinator, 1):
             mappers = [pool.mapper(_Census()) for _ in range(EVALUATOR_CACHE_LIMIT + 2)]
             assert len({mapper.evaluator_id for mapper in mappers}) == len(mappers)
             held = [mapper.map(MAPPER_KEYS[:2])[0].code_size for mapper in mappers]
@@ -362,7 +358,7 @@ class TestCachedNCDFitness:
         assert clone.hits == 0 and clone.misses == 1  # cache state is per-process
 
 
-def _tune(llvm, strategy, dispatch, workers, max_iterations=16):
+def _tune(llvm, strategy, workers, max_iterations=16):
     spec = BuildSpec(name="tiny", source=TINY_SOURCE)
     config = BinTunerConfig(
         max_iterations=max_iterations,
@@ -370,7 +366,7 @@ def _tune(llvm, strategy, dispatch, workers, max_iterations=16):
         stall_window=12,
         search_strategy=strategy,
     )
-    return run_tuner(llvm, spec, config, dispatch, workers)[0]
+    return run_tuner(llvm, spec, config, workers)[0]
 
 
 class TestSerialParallelEquivalence:
@@ -393,16 +389,16 @@ class TestSerialParallelEquivalence:
 
     @pytest.mark.parametrize("strategy", ["genetic", "hillclimb", "random"])
     def test_serial_runs_are_reproducible(self, llvm, strategy):
-        first = _tune(llvm, strategy, "serial", 1)
-        second = _tune(llvm, strategy, "serial", 1)
+        first = _tune(llvm, strategy, 1)
+        second = _tune(llvm, strategy, 1)
         assert first.best_flags.sorted_names() == second.best_flags.sorted_names()
         assert first.ncd_history() == second.ncd_history()
 
     @pytest.mark.slow
     @pytest.mark.parametrize("strategy", ["genetic", "hillclimb", "random"])
     def test_four_workers_match_serial(self, llvm, strategy):
-        serial = _tune(llvm, strategy, "serial", 1)
-        parallel = _tune(llvm, strategy, "process", 4)
+        serial = _tune(llvm, strategy, 1)
+        parallel = _tune(llvm, strategy, 4)
         assert serial.best_flags.sorted_names() == parallel.best_flags.sorted_names()
         assert serial.best_fitness == parallel.best_fitness
         assert serial.ncd_history() == parallel.ncd_history()
@@ -420,21 +416,21 @@ class TestSerialParallelEquivalence:
     @pytest.mark.slow
     def test_worker_pool_propagates_programming_errors(self, registry):
         evaluator = _ExplodingEvaluator()
-        with SharedWorkerPool(dispatch="process", workers=2) as pool:
+        with SharedWorkerPool(2) as pool:
             engine = EvaluationEngine(evaluator, mapper=pool.mapper(evaluator))
             with pytest.raises(TypeError):
                 engine.evaluate(FlagVector(registry, frozenset()))
 
     @pytest.mark.slow
     def test_run_leaves_the_borrowed_pool_open(self, llvm):
-        """A standalone tuner on a borrowed process pool answers ``evaluate``
+        """A standalone tuner on a borrowed local fleet answers ``evaluate``
         after ``run()`` on the very same fleet: the run never closes
         what it does not own."""
         spec = BuildSpec(name="tiny", source=TINY_SOURCE)
         config = BinTunerConfig(
             max_iterations=12, ga=GAParameters(population_size=6, seed=9), stall_window=8
         )
-        with SharedWorkerPool(dispatch="process", workers=2) as pool:
+        with SharedWorkerPool(2) as pool:
             tuner = BinTuner(llvm, spec, config, mapper_factory=pool.mapper)
             result = tuner.run()
             fleet = pool.coordinator

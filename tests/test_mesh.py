@@ -374,14 +374,14 @@ class TestMeshEndToEnd:
 
 class TestMeshCampaignConfig:
     def test_mesh_requires_distributed_staged_and_a_store(self, tmp_path):
-        with pytest.raises(ValueError, match="distributed"):
+        with pytest.raises(ValueError, match="mesh=True requires serve_workers"):
             Campaign(
                 JOBS, tiny_campaign_config(mesh=True, store_dir=tmp_path / "s"),
                 spec_provider=tiny_spec,
             )
         with pytest.raises(ValueError, match="store"):
             Campaign(
-                JOBS, tiny_campaign_config(dispatch="distributed", mesh=True),
+                JOBS, tiny_campaign_config(serve_workers="127.0.0.1:0", mesh=True),
                 spec_provider=tiny_spec,
             )
         with pytest.raises(ValueError, match="mesh_budget_bytes"):
@@ -404,14 +404,15 @@ class TestMeshWarmJoin:
 
         def mesh_run(worker_store):
             pool = SharedWorkerPool(
-                dispatch="distributed", mesh_store=persistent_store(mesh_store)
+                serve_workers="127.0.0.1:0", mesh_store=persistent_store(mesh_store)
             )
             try:
                 with thread_workers(pool.coordinator, 1, store_dir=str(worker_store)):
                     result = Campaign(
                         JOBS,
                         tiny_campaign_config(
-                            dispatch="distributed", mesh=True, store_dir=mesh_store
+                            serve_workers="127.0.0.1:0", mesh=True,
+                            store_dir=mesh_store,
                         ),
                         spec_provider=tiny_spec,
                     ).run(pool=pool)

@@ -12,10 +12,10 @@ The load-bearing guarantees:
   per-worker health rows; a worker that dies flips to ``lost`` within its
   staleness window;
 * the read-only contract: fingerprints are bit-for-bit identical with the
-  observability plane on or off, for every dispatch mode;
+  observability plane on or off, for every fleet;
 * one owner: ``CampaignConfig(obs_port=...)`` means the same thing from the
   library as from the CLI — the campaign's session serves ``campaign`` (and
-  ``fleet`` when distributed) and puts the previous sink back;
+  ``fleet`` when the pool has one) and puts the previous sink back;
 * teardown is clean: a scrape racing shutdown gets a 503 or a refused
   connection, never a 500 or a traceback, and closing the server joins its
   thread with a bound.
@@ -605,17 +605,18 @@ class TestObservabilityParity:
             spec_provider=test_distrib.tiny_spec,
         ).run()
 
-    @pytest.mark.parametrize("dispatch, workers", [
+    @pytest.mark.parametrize("fleet, workers", [
         ("serial", 1), ("process", 2),
     ])
-    def test_library_obs_port_serves_every_local_dispatch(self, plain, dispatch, workers):
+    def test_library_obs_port_serves_every_local_dispatch(self, plain, fleet, workers):
         """``CampaignConfig(obs_port=0)`` from the library alone — no CLI,
         no hand-built sink or server — observes the run and changes nothing."""
         outer = JsonlSink()
         set_sink(outer)
-        campaign = _observed_campaign(dispatch=dispatch, workers=workers)
+        campaign = _observed_campaign(workers=workers)
         with campaign:
-            assert get_sink() is not outer and campaign.pool.dispatch == dispatch
+            assert get_sink() is not outer
+            assert len(campaign.pool.pids) == (0 if fleet == "serial" else workers)
             observed = campaign.run()
             url = campaign.obs_server.url()
             code, text = _get(url + "/metrics")
@@ -634,7 +635,7 @@ class TestObservabilityParity:
         assert status["campaign"]["state"] == "finished"
         assert status["campaign"]["jobs_completed"] == len(campaign.jobs)
         # A local fleet is a fleet: /status lists its sessions.
-        if dispatch == "serial":
+        if fleet == "serial":
             assert "fleet" not in status and observed.fleet is None
         else:
             assert len(status["fleet"]) == len(observed.fleet) == workers
@@ -664,7 +665,7 @@ class TestObservabilityParity:
     def test_distributed_session_serves_campaign_and_fleet(self, plain):
         import test_distrib
 
-        campaign = _observed_campaign(dispatch="distributed")
+        campaign = _observed_campaign(serve_workers="127.0.0.1:0")
         with campaign:
             with test_distrib.thread_workers(campaign.pool.coordinator, 2):
                 distributed = campaign.run()
@@ -686,7 +687,7 @@ class TestObservabilityParity:
     def test_scrape_racing_session_close_never_sees_a_500(self):
         """Scrapers hammer both endpoints while the session (server, then
         coordinator, then sink) goes away underneath them."""
-        campaign = _observed_campaign(dispatch="distributed")
+        campaign = _observed_campaign(serve_workers="127.0.0.1:0")
         outcomes: list = []
         stop = threading.Event()
 

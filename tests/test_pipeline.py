@@ -91,15 +91,15 @@ def signature(record):
             record.fingerprint, record.generation, record.valid)
 
 
-def tune(llvm, dispatch="serial", workers=1, cache=None, max_iterations=16,
-         remote_workers=0, **tuner_kwargs):
+def tune(llvm, workers=1, cache=None, max_iterations=16, remote_workers=0,
+         **tuner_kwargs):
     config = BinTunerConfig(
         max_iterations=max_iterations,
         ga=GAParameters(population_size=6, seed=9),
         stall_window=12,
     )
     return run_tuner(
-        llvm, BuildSpec(name="tiny", source=TINY_SOURCE), config, dispatch, workers,
+        llvm, BuildSpec(name="tiny", source=TINY_SOURCE), config, workers,
         remote_workers, artifact_cache=cache, **tuner_kwargs,
     )
 
@@ -398,7 +398,7 @@ class TestStagedEvaluator:
         serial run compile + measure + score seconds fit inside the wall
         clock.
 
-        Deliberately *not* asserted for ``dispatch="process"``: workers
+        Deliberately *not* asserted for a local fleet: sessions
         each attribute their own wall clock, so their stage seconds
         legitimately sum past the elapsed wall.
         """
@@ -429,13 +429,13 @@ class TestTunerPipelineParity:
 
     def test_staged_process_matches_monolithic_serial(self, llvm):
         mono, _tuner = tune_reference(llvm)
-        staged, _tuner = tune(llvm, dispatch="process", workers=2)
+        staged, _tuner = tune(llvm, workers=2)
         assert staged.database.fingerprint() == mono.database.fingerprint()
 
     @pytest.mark.slow
     def test_staged_process_four_workers_matches_monolithic_serial(self, llvm):
         mono, _tuner = tune_reference(llvm)
-        staged, _tuner = tune(llvm, dispatch="process", workers=4)
+        staged, _tuner = tune(llvm, workers=4)
         assert staged.database.fingerprint() == mono.database.fingerprint()
         assert staged.best_flags.sorted_names() == mono.best_flags.sorted_names()
 
@@ -512,7 +512,7 @@ class TestTunerCacheReuse:
 
 
 def pickled_copy_mapper(evaluator):
-    """``mapper_factory`` of a remote dispatch: candidates are evaluated by a
+    """``mapper_factory`` of a remote fleet: candidates are evaluated by a
     pickle round-trip copy of the evaluator — what a pool or fleet worker
     receives — and the orchestrator's own evaluator is never called."""
     return LocalMapper(pickle.loads(pickle.dumps(evaluator)))
@@ -555,7 +555,7 @@ class TestBuiltAtFirstUse:
             elif route == "pickled":
                 pickled_copy_mapper(evaluator).map(keys)
             else:
-                with SharedWorkerPool(route, 2) as pool:
+                with SharedWorkerPool({"serial": 1, "process": 2}[route]) as pool:
                     pool.mapper(evaluator).map(keys)
 
     def test_unbuildable_fitness_is_an_error_not_a_penalty(self, llvm, monkeypatch):
@@ -646,7 +646,7 @@ class TestCampaignPipeline:
         evaluated by the oracle, injected through ``run(pool=...)``."""
         from repro.campaign import SharedWorkerPool
 
-        oracle_pool = SharedWorkerPool()  # serial; only its mapper is swapped
+        oracle_pool = SharedWorkerPool()  # inline; only its mapper is swapped
         oracle_pool.mapper = reference_mapper
         mono = self._campaign().run(pool=oracle_pool)
         staged = self._campaign().run()
@@ -682,7 +682,7 @@ class TestCampaignPipeline:
 @pytest.mark.skipif(not loopback_available(), reason="no AF_INET loopback in this sandbox")
 def test_staged_distributed_four_workers_matches_monolithic_serial(llvm):
     mono, _tuner = tune_reference(llvm)
-    staged, _tuner = tune(llvm, dispatch="distributed", remote_workers=4)
+    staged, _tuner = tune(llvm, remote_workers=4)
     assert staged.database.fingerprint() == mono.database.fingerprint()
     assert staged.best_flags.sorted_names() == mono.best_flags.sorted_names()
 
@@ -697,7 +697,6 @@ def tune_with_store(
     ga_seed=9,
     population=6,
     warm_start=(),
-    dispatch="serial",
     workers=1,
     store_max_bytes=None,
     max_iterations=12,
@@ -711,7 +710,7 @@ def tune_with_store(
         warm_start=warm_start,
     )
     result, _tuner = run_tuner(
-        llvm, BuildSpec(name="tiny", source=TINY_SOURCE), config, dispatch, workers,
+        llvm, BuildSpec(name="tiny", source=TINY_SOURCE), config, workers,
         remote_workers,
         artifact_cache=ArtifactCache().ensure_store(store_dir, store_max_bytes),
     )
@@ -868,11 +867,9 @@ class TestStoreParityProperties:
             assert stats.artifact_store_hits > 0
             assert stats.evaluated == cold.evaluation_stats.evaluated
 
-            # A process pool over the same (now warm) store.
+            # A local fleet over the same (now warm) store.
             fresh_process_state()
-            pooled = tune_with_store(
-                llvm, root / "store", dispatch="process", workers=2, **knobs
-            )
+            pooled = tune_with_store(llvm, root / "store", workers=2, **knobs)
             assert pooled.database.fingerprint() == fingerprint
 
             # A byte budget smaller than one entry: GC evicts mid-run,
@@ -895,11 +892,11 @@ class TestStoreParitySlow:
     def test_process_pool_restart_warm_matches_cold(self, llvm, tmp_path):
         fresh_process_state()
         cold = tune_with_store(
-            llvm, tmp_path / "store", dispatch="process", workers=4, max_iterations=16
+            llvm, tmp_path / "store", workers=4, max_iterations=16
         )
         fresh_process_state()
         restarted = tune_with_store(
-            llvm, tmp_path / "store", dispatch="process", workers=4, max_iterations=16
+            llvm, tmp_path / "store", workers=4, max_iterations=16
         )
         assert restarted.database.fingerprint() == cold.database.fingerprint()
         stats = restarted.evaluation_stats
@@ -910,7 +907,7 @@ class TestStoreParitySlow:
     def test_distributed_restart_warm_matches_cold(self, llvm, tmp_path):
         def run():
             return tune_with_store(
-                llvm, tmp_path / "store", dispatch="distributed", remote_workers=2,
+                llvm, tmp_path / "store", remote_workers=2,
                 max_iterations=16, stall_window=12,
             )
 

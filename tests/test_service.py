@@ -386,12 +386,12 @@ class TestFaultInjection:
 
     @pytest.mark.slow
     def test_worker_crash_mid_job_recovers_with_parity(self, tmp_path):
-        """Distributed dispatch with a worker that crashes mid-batch
+        """A ``serve_workers`` fleet with a worker that crashes mid-batch
         (``--max-batches``: it closes its socket and exits): the mapper
         re-dispatches the lost batch and both tenants' jobs finish with solo
         fingerprints."""
         solo = solo_fingerprint(SOURCE, "work")
-        config = ServiceConfig(dispatch="distributed", max_active_jobs=2,
+        config = ServiceConfig(serve_workers="127.0.0.1:0", max_active_jobs=2,
                                state_dir=tmp_path / "state")
         with TuningService(config) as svc:
             env = dict(os.environ)
@@ -468,8 +468,7 @@ class TestObservability:
         import logging
 
         caplog.set_level(logging.INFO, logger="repro")
-        config = ServiceConfig(dispatch="distributed", serve_workers="0.0.0.0:0",
-                               authkey="k")
+        config = ServiceConfig(serve_workers="0.0.0.0:0", authkey="k")
         with TuningService(config) as svc:
             port = svc.worker_address().rpartition(":")[2]
         assert f"--connect {socket.gethostname()}:{port} --authkey ..." in caplog.text
@@ -745,7 +744,7 @@ def _free_port() -> int:
                     reason="reads VmHWM from /proc/<pid>/status")
 class TestResidentSet:
     def test_serve_stays_flat_when_the_fleet_does_the_work(self, tmp_path):
-        """``serve --dispatch distributed`` scores no candidate and is asked
+        """``serve --serve-workers`` scores no candidate and is asked
         for no image, so it builds no fitness and compiles nothing but the
         baselines: its high-water mark after eight more jobs stays within
         1.5x of what one warm-up job left.  (When every job thread built an
@@ -760,7 +759,7 @@ class TestResidentSet:
                      stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         processes = [subprocess.Popen(
             [sys.executable, "-m", "repro.campaign", "serve", "--bind", address,
-             "--dispatch", "distributed", "--serve-workers", worker_plane,
+             "--serve-workers", worker_plane,
              "--min-workers", "1"], **quiet)]
         failures = []
 
@@ -852,14 +851,14 @@ def _alive(pid: int) -> bool:
                     reason="walks /proc for the pool's children")
 def test_sigterm_drains_serve_and_reaps_its_pool():
     """A supervisor stops ``serve`` with SIGTERM; it must drain as on Ctrl-C —
-    exit 0 and take its process-pool children with it.  (It used to die of the
+    exit 0 and take its local sessions with it.  (It used to die of the
     signal in a millisecond, leaving both children blocked on their queue.)"""
     address = f"127.0.0.1:{_free_port()}"
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     serve = subprocess.Popen(
         [sys.executable, "-m", "repro.campaign", "serve", "--bind", address,
-         "--dispatch", "process", "--workers", "2", "--quiet"],
+         "--workers", "2", "--quiet"],
         env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL)
     children = []

@@ -76,11 +76,12 @@ SESSION_OWNERS = Counter({
 })
 
 
-#: Flags two or three CLIs share: each ``add_argument`` appears once.
+#: Flags two or three CLIs share, and ``serve``'s hidden ``--dispatch``:
+#: each ``add_argument`` appears once.
 COMMON_FLAGS = (
     "--authkey", "--telemetry-dir", "--verbose", "--quiet",
-    "--dispatch", "--workers", "--min-workers", "--obs-port", "--obs-host",
-    "--token",
+    "--workers", "--serve-workers", "--min-workers", "--obs-port", "--obs-host",
+    "--token", "--dispatch",
 )
 
 #: ``(file under src/repro, enclosing function) -> ensure_store calls``.
@@ -282,15 +283,19 @@ def test_environment_reads_are_pinned():
 #: Every option, by owner, in declaration order.
 OPTIONS = {
     "CampaignConfig": (
-        "name", "tuner", "workers", "dispatch", "serve", "authkey",
+        "name", "tuner", "workers", "serve_workers", "authkey",
         "min_workers", "store_dir", "store_max_bytes", "mesh",
         "mesh_budget_bytes", "warm_start", "checkpoint_dir", "telemetry_dir",
         "obs_port", "obs_host",
     ),
     "ServiceConfig": (
-        "host", "port", "token", "state_dir", "dispatch", "workers",
-        "serve_workers", "authkey", "limits", "max_active_jobs", "obs_port",
-        "obs_host", "telemetry_dir",
+        "host", "port", "token", "state_dir", "workers", "serve_workers",
+        "authkey", "limits", "max_active_jobs", "obs_port", "obs_host",
+        "telemetry_dir",
+    ),
+    "SharedWorkerPool.__init__": (
+        "workers", "serve_workers", "authkey", "mesh_store", "mesh_budget_bytes",
+        "telemetry_dir",
     ),
     "BinTunerConfig": (
         "max_iterations", "target_growth_rate", "stall_window", "ga",
@@ -316,6 +321,22 @@ OPTIONS = {
         "--slots", "--max-batches", "--reconnect", "--store-dir", "--no-store",
         "--store-max-bytes", "--no-mesh", "--mesh-budget-bytes",
     ),
+    "run CLI": (
+        "--workers", "--serve-workers", "--min-workers", "--obs-port",
+        "--obs-host", "--authkey", "--telemetry-dir", "--verbose", "--quiet",
+        "--suites", "--benchmarks", "--families", "--max-iterations",
+        "--population", "--stall-window", "--store-dir", "--store-max-bytes",
+        "--mesh", "--mesh-budget-bytes", "--checkpoint-dir", "--fresh",
+        "--limit", "--no-warm-start", "--json",
+    ),
+    # ``--dispatch`` is hidden and accepts only ``distributed``, for the
+    # benchmark ledger's fleet.py; ROADMAP item 1 drops it there first.
+    "serve CLI": (
+        "--workers", "--serve-workers", "--min-workers", "--obs-port",
+        "--obs-host", "--authkey", "--telemetry-dir", "--verbose", "--quiet",
+        "--token", "--bind", "--state-dir", "--dispatch", "--max-active-jobs",
+        "--max-source-bytes", "--max-generations",
+    ),
 }
 
 
@@ -324,7 +345,9 @@ def test_config_options_are_pinned():
     non-default value; one only a test sets is a module constant."""
     import inspect
 
-    from repro.campaign import CampaignConfig
+    from repro.campaign import CampaignConfig, SharedWorkerPool
+    from repro.campaign.cli import build_parser as build_run_parser
+    from repro.campaign.cli import build_serve_parser
     from repro.distrib.coordinator import Coordinator
     from repro.distrib.worker import build_parser, run_worker, serve
     from repro.campaign.service import ServiceConfig
@@ -335,11 +358,13 @@ def test_config_options_are_pinned():
         for owner in (CampaignConfig, ServiceConfig, BinTunerConfig, BuildSpec,
                       StagedCandidateEvaluator)
     }
-    found["Coordinator.__init__"] = tuple(
-        inspect.signature(Coordinator.__init__).parameters)[1:]
+    for method in (Coordinator.__init__, SharedWorkerPool.__init__):
+        found[method.__qualname__] = tuple(inspect.signature(method).parameters)[1:]
     for function in (serve, run_worker):
         found[function.__name__] = tuple(inspect.signature(function).parameters)
-    found["worker CLI"] = tuple(
-        flag for action in build_parser()._actions for flag in action.option_strings
-        if flag not in ("-h", "--help"))
+    for name, parser in (("worker", build_parser), ("run", build_run_parser),
+                         ("serve", build_serve_parser)):
+        found[f"{name} CLI"] = tuple(
+            flag for action in parser()._actions for flag in action.option_strings
+            if flag not in ("-h", "--help"))
     assert found == OPTIONS

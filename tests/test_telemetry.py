@@ -612,13 +612,13 @@ class TestCampaignParity:
                         reason="no AF_INET loopback in this sandbox")
     def test_distributed_fingerprint_identical_and_fleet_reported(self, tmp_path):
         serial = Campaign(JOBS, tiny_campaign_config(), spec_provider=tiny_spec).run()
-        pool = SharedWorkerPool(dispatch="distributed")
+        pool = SharedWorkerPool(serve_workers="127.0.0.1:0")
         try:
             with thread_workers(pool.coordinator, 2):
                 distributed = Campaign(
                     JOBS,
                     tiny_campaign_config(
-                        dispatch="distributed",
+                        serve_workers="127.0.0.1:0",
                         telemetry_dir=tmp_path / "telemetry",
                     ),
                     spec_provider=tiny_spec,
@@ -654,14 +654,14 @@ class TestCampaignParity:
     def test_a_lost_workers_report_row_keeps_its_figures(self, tmp_path):
         """A worker lost mid-run is reported with the figures ``/status``
         lists for it, not zeros: its discard event is its whole row."""
-        pool = SharedWorkerPool(dispatch="distributed")
+        pool = SharedWorkerPool(serve_workers="127.0.0.1:0")
         try:
             with thread_workers(pool.coordinator, 1), \
                     thread_workers(pool.coordinator, 1, max_batches=2):
                 Campaign(
                     JOBS,
                     tiny_campaign_config(
-                        dispatch="distributed", telemetry_dir=tmp_path / "telemetry"),
+                        serve_workers="127.0.0.1:0", telemetry_dir=tmp_path / "telemetry"),
                     spec_provider=tiny_spec,
                 ).run(pool=pool)
                 (lost,) = [row for row in pool.fleet_status() if row["health"] == "lost"]

@@ -139,11 +139,12 @@ class TestCloseWakesTheAcceptor:
         assert not coordinator._accept_thread.is_alive()
         coordinator.close()  # idempotent
 
-    @pytest.mark.parametrize("dispatch", ["serial", "distributed"])
-    def test_tuning_service(self, dispatch):
-        service = TuningService(ServiceConfig(dispatch=dispatch))
+    @pytest.mark.parametrize("serve_workers", [None, "127.0.0.1:0"],
+                             ids=["serial", "distributed"])
+    def test_tuning_service(self, serve_workers):
+        service = TuningService(ServiceConfig(serve_workers=serve_workers))
         threads = [service._accept_thread]
-        if dispatch == "distributed":
+        if serve_workers is not None:
             threads.append(service._pool.coordinator._accept_thread)
         assert all(thread.is_alive() for thread in threads)
         assert self.timed_close(service) < self.BUDGET_S

@@ -329,7 +329,7 @@ class TestBinTunerEndToEnd:
 
     def test_unknown_compressor_rejected_at_construction(self):
         """Not at the first score, after the baseline compile (or on a
-        remote worker under distributed dispatch)."""
+        remote worker of a fleet)."""
         with pytest.raises(ValueError, match="unknown compressor 'nope'"):
             BinTunerConfig(compressor="nope")
 
